@@ -1,6 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md calls out: per-toggle
-//! kernel variants (Figure 17 at the kernel level), tile-size and
-//! pipeline-depth sweeps, and format encoding throughput.
+//! Ablation benches for the Samoyeds kernel's design choices (the
+//! `fig17_opt_breakdown` experiment in the README's *Experiment harness*
+//! section): per-toggle kernel variants (Figure 17 at the kernel level),
+//! tile-size and pipeline-depth sweeps, and format encoding throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use samoyeds_gpu_sim::DeviceSpec;

@@ -21,7 +21,7 @@ use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::memory::{batch_experiment_seq_len, max_batch_size};
 use samoyeds_moe::router::TopKRouter;
 use samoyeds_pruning::accuracy::{ProxyTask, PruneMethod};
-use samoyeds_serve::{SchedulerConfig, ServingSimulator, TraceConfig};
+use samoyeds_serve::{compare_engines, render_markdown, SchedulerConfig, TraceConfig};
 use samoyeds_sparse::prune::PruneFormat;
 use samoyeds_sparse::samoyeds::SamoyedsConfig;
 use samoyeds_sparse::venom::VenomConfig;
@@ -772,15 +772,9 @@ pub fn serving_sweep() -> Vec<String> {
         ),
     ] {
         for cfg in models {
-            let sim = ServingSimulator::new(device.clone(), cfg.clone())
-                .with_trace(trace.clone())
-                .with_scheduler(SchedulerConfig::default());
-            let metrics = sim.compare(&engines);
-            rows.extend(samoyeds_serve::render_markdown(
-                &cfg.name,
-                &device.name,
-                &metrics,
-            ));
+            let metrics =
+                compare_engines(&device, &cfg, &trace, &SchedulerConfig::default(), &engines);
+            rows.extend(render_markdown(&cfg.name, &device.name, &metrics));
             rows.push(String::new());
         }
     }
@@ -978,8 +972,8 @@ mod tests {
     #[test]
     fn fleet_autoscale_report_contains_the_scale_out_contrast() {
         let rows = fleet_autoscale();
-        // All 18 sweep cells render, plus the headline line.
-        assert!(rows.len() >= 3 + 18 + 2, "{} rows", rows.len());
+        // All 12 sweep cells render, plus the headline line.
+        assert!(rows.len() >= 3 + 12 + 2, "{} rows", rows.len());
         // Text unique to the Some branch of the headline, so a sweep that
         // loses the contrast cell fails here instead of matching the
         // "no scale-out contrast" fallback.

@@ -735,9 +735,8 @@ impl FleetAutoscaleReport {
         let requests = trace.generate();
         let slos = [400.0f64, 1_500.0];
         let policies = [
-            DispatchPolicy::least_outstanding(),
+            DispatchPolicy::LeastOutstandingTokens,
             DispatchPolicy::RoundRobin,
-            DispatchPolicy::LeastOutstandingTokensFrozen,
         ];
         let mut cells = Vec::new();
         for fleet in FleetKind::all() {
@@ -777,16 +776,13 @@ impl FleetAutoscaleReport {
     }
 
     /// The headline contrast: scale-out counts of the Samoyeds vs dense
-    /// homogeneous fleets at the tightest SLO under the decaying
-    /// least-outstanding policy, if both cells exist.
+    /// homogeneous fleets at the tightest SLO under the least-outstanding
+    /// policy, if both cells exist.
     pub fn scale_out_contrast(&self) -> Option<(usize, usize)> {
         let cell = |kind: FleetKind| {
             self.entries
                 .iter()
-                .filter(|e| {
-                    e.fleet == kind
-                        && matches!(e.policy, DispatchPolicy::LeastOutstandingTokens { .. })
-                })
+                .filter(|e| e.fleet == kind && e.policy == DispatchPolicy::LeastOutstandingTokens)
                 .min_by(|a, b| a.slo_ms.partial_cmp(&b.slo_ms).expect("finite SLOs"))
                 .map(|e| e.metrics.scale_outs())
         };
@@ -859,7 +855,7 @@ impl FleetTraceReport {
         let requests = FleetAutoscaleReport::demo_trace().generate();
         let config = FleetConfig {
             scheduler: *scfg,
-            policy: DispatchPolicy::least_outstanding(),
+            policy: DispatchPolicy::LeastOutstandingTokens,
             tick_ms: 200.0,
             window_ms: 1_000.0,
             warmup_ms: 1_500.0,
@@ -1090,7 +1086,7 @@ impl FaultSweepReport {
         for (name, policy) in policies {
             let config = FleetConfig {
                 scheduler: *scfg,
-                policy: DispatchPolicy::least_outstanding(),
+                policy: DispatchPolicy::LeastOutstandingTokens,
                 tick_ms: 200.0,
                 window_ms: 1_000.0,
                 warmup_ms: 1_500.0,
@@ -1275,8 +1271,8 @@ pub struct DisaggSweepOutcome {
 /// weights. Every KV handoff is priced by the topology the pods actually
 /// sit on: pairs sharing an island ride NVLink 3, pairs split across
 /// islands pay the InfiniBand NDR spine — the same `point_to_point_ms`
-/// formula the placement layer charges for weight transfers, mirrored into
-/// the serve-side [`KvLink`] (pinned by a test in `link`).
+/// formula the placement layer charges for weight transfers, since
+/// [`LinkSpec::point_to_point_ms`] is [`KvLink::transfer_ms`].
 ///
 /// The dense cells are where the paper's memory story bites: Qwen2-MoE's
 /// bf16 weights do not fit a 12 GiB decode pod, so every dense split
@@ -1305,16 +1301,6 @@ pub struct DisaggSweepReport {
 impl DisaggSweepReport {
     /// Pods in every cell's fleet: GPUs of the 2×2 demo topology.
     const SLOTS: usize = 4;
-
-    /// The serve-side mirror of a dist link: same latency, same bandwidth,
-    /// so [`KvLink::transfer_ms`] and [`LinkSpec::point_to_point_ms`] price
-    /// a handoff identically.
-    fn kv_link(spec: &LinkSpec) -> KvLink {
-        KvLink {
-            latency_us: spec.latency_us,
-            bandwidth_gbps: spec.bandwidth_gbps,
-        }
-    }
 
     /// The serve-level engine a [`ClusterEngine`]'s memory accounting maps
     /// onto (VENOM stores the same compressed weights Samoyeds does).
@@ -1375,9 +1361,9 @@ impl DisaggSweepReport {
                             .iter()
                             .map(|&d| {
                                 if topology.island_of(p) == topology.island_of(d) {
-                                    Self::kv_link(&LinkSpec::nvlink3())
+                                    KvLink::from(&LinkSpec::nvlink3())
                                 } else {
-                                    Self::kv_link(&LinkSpec::infiniband_ndr())
+                                    KvLink::from(&LinkSpec::infiniband_ndr())
                                 }
                             })
                             .collect()
@@ -1678,8 +1664,8 @@ mod tests {
     #[test]
     fn autoscale_sweep_shows_samoyeds_absorbing_the_spike_with_fewer_scale_outs() {
         let report = autoscale_fixture();
-        // 3 fleets x 3 policies x 2 SLOs.
-        assert_eq!(report.entries.len(), 18);
+        // 3 fleets x 2 policies x 2 SLOs.
+        assert_eq!(report.entries.len(), 12);
         // Every cell conserves the trace.
         for e in &report.entries {
             assert_eq!(
@@ -1700,7 +1686,7 @@ mod tests {
             "samoyeds {samoyeds} scale-outs vs dense {dense}"
         );
         let rows = report.render_markdown();
-        assert!(rows.len() >= 3 + 18);
+        assert!(rows.len() >= 3 + 12);
         assert!(rows.iter().any(|r| r.contains("A100 pod + 4070S")));
     }
 
@@ -1715,7 +1701,7 @@ mod tests {
                     // simlint::allow(float-eq): selects the sweep cell built
                     // from this exact literal — no arithmetic in between
                     && e.slo_ms == 400.0
-                    && matches!(e.policy, DispatchPolicy::LeastOutstandingTokens { .. })
+                    && e.policy == DispatchPolicy::LeastOutstandingTokens
             })
             .expect("mixed cell exists");
         let m = &mixed.metrics;

@@ -9,7 +9,7 @@
 //! steps and asserting exact `f64` equality proves the refactor moved the
 //! collective pricing behind `ClusterTopology` without changing a single
 //! predicted number — the same pattern as `backend_equivalence` /
-//! `fleet_equivalence` in `samoyeds-serve`.
+//! `fleet_event_equivalence` in `samoyeds-serve`.
 
 use samoyeds_dist::{
     ClusterConfig, ClusterEngine, ClusterSimulator, ClusterTopology, FlowMatrix, LinkSpec,

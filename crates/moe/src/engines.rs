@@ -620,7 +620,8 @@ mod tests {
         // The speedup over Transformers must be substantial but not an
         // implausible order of magnitude. (The simulation omits the Python
         // framework overheads of HuggingFace Transformers, so the ratio runs
-        // higher than the paper's 1.45x average — see EXPERIMENTS.md.)
+        // higher than the paper's 1.45x average — see the `fig14_moe_layer`
+        // experiment in the README's *Experiment harness* section.)
         let speedup = transformers / samoyeds;
         assert!(speedup > 1.2 && speedup < 6.0, "speedup {speedup}");
         // The fused baselines beat plain Transformers.

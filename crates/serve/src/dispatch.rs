@@ -1,464 +1,73 @@
-//! Offline multi-replica request dispatch — the *compatibility shim* over
-//! the online control plane in [`fleet`](crate::fleet).
-//!
-//! [`dispatch_trace`] splits a request trace across `n` replicas ahead of
-//! time and [`ReplicaFleet`] simulates each shard independently; both
-//! predate the online [`FleetController`](crate::fleet::FleetController) and
-//! are kept (with frozen default behavior) so existing sweeps reproduce bit
-//! for bit — the `fleet_equivalence` suite pins this. New code that wants
-//! heterogeneous replicas, capability-aware routing or autoscaling should
-//! use the fleet controller; this module remains the static, identical-
-//! replica fast path.
+//! Replica-selection policies for the online dispatcher in
+//! [`fleet`](crate::fleet).
 
-use crate::backend::{ExecutionBackend, SingleGpuBackend, StepWorkload};
-use crate::batch::StepBatch;
-use crate::fleet::FleetMetrics;
-use crate::request::{Request, RunningRequest};
-use crate::scheduler::{Scheduler, SchedulerConfig, SimulationResult};
-use samoyeds_gpu_sim::DeviceSpec;
-use samoyeds_moe::config::MoeModelConfig;
-use samoyeds_moe::engines::EngineKind;
 use serde::{Deserialize, Serialize};
 
-/// How a dispatcher picks a replica for each arriving request.
+/// How the [`FleetController`](crate::fleet::FleetController) picks a
+/// replica for each arriving request among the eligible ones.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DispatchPolicy {
     /// Strict rotation in arrival order.
     RoundRobin,
-    /// Each request goes to the replica with the fewest outstanding tokens.
-    /// Offline ([`dispatch_trace`]) the per-replica counts decay between
-    /// arrivals by estimated completion at `drain_tokens_per_s`, so late
-    /// requests no longer see stale load; online
-    /// ([`FleetController`](crate::fleet::FleetController)) the counts are
-    /// the replicas' *live* remaining work and the rate is ignored.
-    LeastOutstandingTokens {
-        /// Estimated per-replica drain rate used by the offline decay.
-        drain_tokens_per_s: f64,
-    },
-    /// The pre-redesign accumulate-forever counter, frozen for the
-    /// compatibility shim (and as a baseline in the autoscale sweeps).
-    LeastOutstandingTokensFrozen,
+    /// Each request goes to the replica with the fewest outstanding tokens:
+    /// the replicas' *live* remaining work, which decays as they make
+    /// progress.
+    LeastOutstandingTokens,
 }
 
 impl DispatchPolicy {
-    /// The decaying least-outstanding policy at its frozen default
-    /// drain-rate estimate (2000 tokens/s). The figure predates the current
-    /// backends and is kept only so existing sweeps reproduce exactly; new
-    /// code should derive the rate from the backend it dispatches to via
-    /// [`Self::least_outstanding_for`].
-    pub fn least_outstanding() -> Self {
-        DispatchPolicy::LeastOutstandingTokens {
-            drain_tokens_per_s: 2_000.0,
-        }
-    }
-
-    /// The decaying least-outstanding policy with its drain-rate estimate
-    /// derived from `backend`'s own [`step_cost`](ExecutionBackend::step_cost):
-    /// the token rate a saturated decode-only step sustains, which is what
-    /// the decay is modelling.
-    pub fn least_outstanding_for(backend: &dyn ExecutionBackend) -> Self {
-        // A representative steady-state decode step: a full batch of
-        // mid-length contexts, each producing one token.
-        const DECODES: usize = 32;
-        const CONTEXT: usize = 256;
-        let running: Vec<RunningRequest> = (0..DECODES)
-            .map(|i| {
-                let mut r = RunningRequest::new(
-                    Request {
-                        id: i as u64,
-                        arrival_ms: 0.0,
-                        prompt_len: CONTEXT,
-                        output_len: 8,
-                    },
-                    0.0,
-                );
-                r.prefilled = CONTEXT;
-                r.decoded = 1;
-                r
-            })
-            .collect();
-        let batch = StepBatch {
-            prefill: Vec::new(),
-            decode: (0..DECODES).collect(),
-        };
-        let cost = backend.step_cost(&StepWorkload {
-            batch: &batch,
-            running: &running,
-            step_index: 0,
-        });
-        let step_ms = cost.total_ms().max(f64::MIN_POSITIVE);
-        DispatchPolicy::LeastOutstandingTokens {
-            drain_tokens_per_s: DECODES as f64 / (step_ms / 1e3),
-        }
-    }
-
     /// Human-readable name for reports.
     pub fn name(&self) -> &'static str {
         match self {
             DispatchPolicy::RoundRobin => "round-robin",
-            DispatchPolicy::LeastOutstandingTokens { .. } => "least-outstanding",
-            DispatchPolicy::LeastOutstandingTokensFrozen => "least-outstanding (frozen)",
+            DispatchPolicy::LeastOutstandingTokens => "least-outstanding",
         }
-    }
-}
-
-/// Split `trace` (in arrival order) across `replicas` queues under `policy`.
-/// Arrival times are preserved; the union of the shards is exactly the
-/// input trace.
-///
-/// # Panics
-/// Panics if `replicas` is zero, or — under
-/// [`DispatchPolicy::LeastOutstandingTokens`] — if the trace is not sorted
-/// by arrival time (diagnostic code `fleet::unsorted-trace`, the same one
-/// [`FleetController::validate`](crate::fleet::FleetController::validate)
-/// reports): a negative inter-arrival gap would otherwise be silently
-/// clamped to zero and skew the decay.
-pub fn dispatch_trace(
-    trace: &[Request],
-    replicas: usize,
-    policy: DispatchPolicy,
-) -> Vec<Vec<Request>> {
-    assert!(replicas >= 1, "a fleet needs at least one replica");
-    let mut shards: Vec<Vec<Request>> = vec![Vec::new(); replicas];
-    match policy {
-        DispatchPolicy::RoundRobin => {
-            for (i, r) in trace.iter().enumerate() {
-                shards[i % replicas].push(*r);
-            }
-        }
-        DispatchPolicy::LeastOutstandingTokens { drain_tokens_per_s } => {
-            let mut outstanding = vec![0.0f64; replicas];
-            let mut last_ms = 0.0f64;
-            for (i, r) in trace.iter().enumerate() {
-                assert!(
-                    r.arrival_ms >= last_ms,
-                    "fleet::unsorted-trace: trace[{i}] arrives at {} ms after {} ms — \
-                     sort the trace by arrival_ms before dispatching it",
-                    r.arrival_ms,
-                    last_ms
-                );
-                let gap_s = (r.arrival_ms - last_ms) / 1e3;
-                last_ms = r.arrival_ms;
-                for o in &mut outstanding {
-                    *o = (*o - drain_tokens_per_s * gap_s).max(0.0);
-                }
-                let target = (0..replicas)
-                    .min_by(|&a, &b| {
-                        outstanding[a]
-                            .partial_cmp(&outstanding[b])
-                            .expect("outstanding counts are finite")
-                    })
-                    .expect("replicas >= 1");
-                outstanding[target] += r.total_tokens() as f64;
-                shards[target].push(*r);
-            }
-        }
-        DispatchPolicy::LeastOutstandingTokensFrozen => {
-            let mut outstanding = vec![0usize; replicas];
-            for r in trace {
-                let target = (0..replicas)
-                    .min_by_key(|&g| outstanding[g])
-                    .expect("replicas >= 1");
-                outstanding[target] += r.total_tokens();
-                shards[target].push(*r);
-            }
-        }
-    }
-    shards
-}
-
-/// A fleet of identical serving replicas behind an offline dispatcher. Each
-/// replica is one clone of the fleet's execution backend.
-#[derive(Debug, Clone)]
-pub struct ReplicaFleet<B: ExecutionBackend + Clone = SingleGpuBackend> {
-    backend: B,
-    replicas: usize,
-    policy: DispatchPolicy,
-    scheduler: SchedulerConfig,
-}
-
-impl ReplicaFleet<SingleGpuBackend> {
-    /// Build a single-GPU fleet: `replicas` copies of (device, model,
-    /// engine) with the default scheduler configuration.
-    ///
-    /// # Panics
-    /// Panics if `replicas` is zero.
-    pub fn new(
-        device: DeviceSpec,
-        config: MoeModelConfig,
-        engine: EngineKind,
-        replicas: usize,
-    ) -> Self {
-        Self::single_gpu(device, config, engine, replicas, SchedulerConfig::default())
-    }
-
-    /// [`Self::new`] with an explicit scheduler configuration (the config
-    /// also parameterises each replica's backend cost model, so it is taken
-    /// at construction time rather than mutated afterwards).
-    pub fn single_gpu(
-        device: DeviceSpec,
-        config: MoeModelConfig,
-        engine: EngineKind,
-        replicas: usize,
-        scheduler: SchedulerConfig,
-    ) -> Self {
-        let backend = SingleGpuBackend::new(device, &config, engine, &scheduler);
-        Self::from_backend(backend, replicas, scheduler)
-    }
-}
-
-impl<B: ExecutionBackend + Clone> ReplicaFleet<B> {
-    /// Build a fleet of `replicas` clones of `backend`. The default policy
-    /// is the *frozen* least-outstanding dispatcher — this type is the
-    /// compatibility shim, so its defaults reproduce the pre-redesign
-    /// numbers exactly.
-    ///
-    /// # Panics
-    /// Panics if `replicas` is zero.
-    pub fn from_backend(backend: B, replicas: usize, scheduler: SchedulerConfig) -> Self {
-        assert!(replicas >= 1, "a fleet needs at least one replica");
-        Self {
-            backend,
-            replicas,
-            policy: DispatchPolicy::LeastOutstandingTokensFrozen,
-            scheduler,
-        }
-    }
-
-    /// Replace the dispatch policy.
-    pub fn with_policy(mut self, policy: DispatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Number of replicas.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// The backend every replica clones.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// Dispatch `trace` into shards and run one scheduler per shard — the
-    /// single execution path both [`Self::simulate`] and [`Self::metrics`]
-    /// share.
-    fn shard_and_run(&self, trace: &[Request]) -> (Vec<Vec<Request>>, Vec<SimulationResult>) {
-        let shards = dispatch_trace(trace, self.replicas, self.policy);
-        let results = shards
-            .iter()
-            .map(|shard| Scheduler::from_backend(self.backend.clone(), self.scheduler).run(shard))
-            .collect();
-        (shards, results)
-    }
-
-    /// Simulate every replica on its dispatched shard of `trace`.
-    pub fn simulate(&self, trace: &[Request]) -> Vec<SimulationResult> {
-        self.shard_and_run(trace).1
-    }
-
-    /// Simulate the fleet and aggregate its metrics (a static fleet: the
-    /// scaling timeline is empty and every replica is ready at time zero).
-    /// The aggregation itself is shared with the online controller
-    /// ([`crate::fleet::FleetController::run`]), so the two front doors can
-    /// never drift apart.
-    pub fn metrics(&self, trace: &[Request]) -> FleetMetrics {
-        let (shards, results) = self.shard_and_run(trace);
-        let description = self.backend.describe();
-        let records = results
-            .into_iter()
-            .zip(shards)
-            .map(|(result, shard)| crate::fleet::ReplicaRecord {
-                description: description.clone(),
-                spawned_ms: 0.0,
-                ready_ms: 0.0,
-                retired_ms: None,
-                assigned_ids: shard.iter().map(|r| r.id).collect(),
-                result,
-            })
-            .collect();
-        crate::fleet::aggregate(self.replicas, records, Vec::new(), Vec::new(), false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceConfig;
-
-    fn trace() -> Vec<Request> {
-        TraceConfig {
-            num_requests: 24,
-            arrival_rate_rps: 16.0,
-            prompt_len_range: (32, 256),
-            output_len_range: (4, 16),
-            seed: 3,
-        }
-        .generate()
-    }
+    use crate::backend::SingleGpuBackend;
+    use crate::fleet::{FleetConfig, FleetController, NoAutoscale};
+    use crate::request::Request;
+    use samoyeds_gpu_sim::DeviceSpec;
+    use samoyeds_moe::config::MoeModelConfig;
+    use samoyeds_moe::engines::EngineKind;
 
     #[test]
-    fn dispatch_conserves_requests_and_preserves_arrival_order() {
-        let trace = trace();
-        for policy in [
-            DispatchPolicy::RoundRobin,
-            DispatchPolicy::least_outstanding(),
-            DispatchPolicy::LeastOutstandingTokensFrozen,
-        ] {
-            let shards = dispatch_trace(&trace, 3, policy);
-            assert_eq!(shards.len(), 3);
-            let mut ids: Vec<u64> = shards.iter().flat_map(|s| s.iter().map(|r| r.id)).collect();
-            ids.sort_unstable();
-            let expected: Vec<u64> = trace.iter().map(|r| r.id).collect();
-            assert_eq!(ids, expected);
-            for shard in &shards {
-                assert!(shard.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms));
-            }
-        }
-    }
-
-    #[test]
-    fn least_outstanding_balances_token_load_better_than_worst_case() {
-        let trace = trace();
-        let shards = dispatch_trace(&trace, 4, DispatchPolicy::LeastOutstandingTokensFrozen);
-        let loads: Vec<usize> = shards
-            .iter()
-            .map(|s| s.iter().map(|r| r.total_tokens()).sum())
-            .collect();
-        let max = *loads.iter().max().unwrap();
-        let min = *loads.iter().min().unwrap();
-        // The frozen greedy policy keeps the cumulative spread within one
-        // max-size request. (The decayed variant optimises for *current*
-        // load, not lifetime totals — its property is the stale-load test
-        // below.)
-        assert!(max - min <= 256 + 16, "loads {loads:?}");
-    }
-
-    #[test]
-    fn decayed_outstanding_forgets_stale_load_where_frozen_remembers() {
+    fn least_outstanding_ignores_load_that_has_drained() {
         // Two early requests load replica 0 with far more tokens than
         // replica 1 ever got. Ten seconds later both replicas have long
-        // drained; the decayed policy routes the late request to replica 0
-        // (all counts decayed to zero, first-index tie-break) while the
-        // frozen counter still remembers the stale imbalance and picks
-        // replica 1.
+        // drained, so the late request sees no stale imbalance and goes to
+        // replica 0 (all counts zero, first-index tie-break). A counter that
+        // only ever accumulated would still remember and pick replica 1.
+        let config = FleetConfig {
+            policy: DispatchPolicy::LeastOutstandingTokens,
+            ..FleetConfig::default()
+        };
+        let replica = || {
+            SingleGpuBackend::new(
+                DeviceSpec::a100_40g(),
+                &MoeModelConfig::qwen2_moe(),
+                EngineKind::Samoyeds,
+                &config.scheduler,
+            )
+        };
         let mk = |id: u64, arrival_ms: f64, prompt_len: usize| Request {
             id,
             arrival_ms,
             prompt_len,
             output_len: 10,
         };
-        let trace = vec![mk(0, 0.0, 500), mk(1, 1.0, 50), mk(2, 10_000.0, 20)];
-        let frozen = dispatch_trace(&trace, 2, DispatchPolicy::LeastOutstandingTokensFrozen);
-        assert_eq!(frozen[1].iter().map(|r| r.id).collect::<Vec<_>>(), [1, 2]);
-        let decayed = dispatch_trace(&trace, 2, DispatchPolicy::least_outstanding());
-        assert_eq!(decayed[0].iter().map(|r| r.id).collect::<Vec<_>>(), [0, 2]);
-        assert_eq!(decayed[1].iter().map(|r| r.id).collect::<Vec<_>>(), [1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "fleet::unsorted-trace")]
-    fn decayed_dispatch_rejects_an_unsorted_trace() {
-        // Before the fix the negative gap was clamped to zero and the decay
-        // silently skewed; now the unsorted pair is rejected with the same
-        // diagnostic code FleetController::validate reports.
-        let mk = |id: u64, arrival_ms: f64| Request {
-            id,
-            arrival_ms,
-            prompt_len: 32,
-            output_len: 8,
-        };
-        let trace = vec![mk(0, 100.0), mk(1, 50.0)];
-        dispatch_trace(&trace, 2, DispatchPolicy::least_outstanding());
-    }
-
-    #[test]
-    fn derived_drain_rate_tracks_the_backend_it_was_derived_from() {
-        let scfg = SchedulerConfig::default();
-        let backend = SingleGpuBackend::new(
-            DeviceSpec::a100_40g(),
-            &MoeModelConfig::qwen2_moe(),
-            EngineKind::Samoyeds,
-            &scfg,
-        );
-        let policy = DispatchPolicy::least_outstanding_for(&backend);
-        let DispatchPolicy::LeastOutstandingTokens { drain_tokens_per_s } = policy else {
-            panic!("least_outstanding_for builds the decaying variant");
-        };
-        assert!(drain_tokens_per_s.is_finite() && drain_tokens_per_s > 0.0);
-        // The backend's *real* drain rate: simulate a saturated
-        // decode-dominated workload and measure tokens per second.
-        let trace: Vec<Request> = (0..32)
-            .map(|id| Request {
-                id,
-                arrival_ms: 0.0,
-                prompt_len: 1,
-                output_len: 64,
-            })
-            .collect();
-        let result = Scheduler::from_backend(backend, scfg).run(&trace);
-        let measured = result.output_tokens() as f64 / (result.makespan_ms / 1e3);
-        let ratio = drain_tokens_per_s / measured;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "derived {drain_tokens_per_s:.0} tok/s is not within 2x of the \
-             measured {measured:.0} tok/s"
-        );
-        // The frozen 2000 tok/s default is what drifted: the derived rate
-        // is meaningfully different on the current backends.
-        assert!(
-            (drain_tokens_per_s - 2_000.0).abs() > 200.0,
-            "derived {drain_tokens_per_s:.0} tok/s"
-        );
-    }
-
-    #[test]
-    fn fleet_aggregates_and_beats_a_single_replica_on_throughput() {
-        let trace = trace();
-        let device = DeviceSpec::a100_40g();
-        let config = MoeModelConfig::qwen2_moe();
-        let one = ReplicaFleet::new(device.clone(), config.clone(), EngineKind::Samoyeds, 1)
-            .metrics(&trace);
-        let four = ReplicaFleet::new(device, config, EngineKind::Samoyeds, 4).metrics(&trace);
-        assert_eq!(one.engine, EngineKind::Samoyeds);
-        assert_eq!(one.completed + one.rejected, trace.len());
-        assert_eq!(four.completed + four.rejected, trace.len());
-        assert_eq!(four.per_replica.len(), 4);
-        // The static shim reports a fixed fleet: no scaling timeline, every
-        // replica ready at time zero.
-        assert!(four.scale_events.is_empty());
-        // simlint::allow(float-eq): exact pin — the static shim constructs
-        // every replica with ready_ms = 0.0 literally
-        assert!(four.per_replica.iter().all(|r| r.ready_ms == 0.0));
-        assert_eq!(
-            four.per_replica.iter().map(|r| r.assigned).sum::<usize>(),
-            trace.len()
-        );
-        // Four replicas drain the same trace no slower (and, under this
-        // offered load, strictly faster).
-        assert!(four.makespan_ms <= one.makespan_ms);
-        assert!(four.output_tokens_per_s >= one.output_tokens_per_s);
-        // Pooled latency percentiles are monotone and TPOT is populated
-        // (the trace always has multi-token outputs).
-        assert!(four.request_latency.p50_ms <= four.request_latency.p95_ms);
-        assert!(four.tpot.p50_ms > 0.0);
-        assert!(four.tpot.p50_ms <= four.tpot.p95_ms);
-    }
-
-    #[test]
-    fn from_backend_matches_the_single_gpu_front_door() {
-        let trace = trace();
-        let device = DeviceSpec::a100_40g();
-        let config = MoeModelConfig::qwen2_moe();
-        let scfg = SchedulerConfig::default();
-        let via_new = ReplicaFleet::new(device.clone(), config.clone(), EngineKind::Samoyeds, 2)
-            .metrics(&trace);
-        let backend =
-            crate::backend::SingleGpuBackend::new(device, &config, EngineKind::Samoyeds, &scfg);
-        let via_backend = ReplicaFleet::from_backend(backend, 2, scfg).metrics(&trace);
-        assert_eq!(via_new.completed, via_backend.completed);
-        assert_eq!(via_new.makespan_ms, via_backend.makespan_ms);
-        assert_eq!(via_new.output_tokens_per_s, via_backend.output_tokens_per_s);
+        let trace = [mk(0, 0.0, 500), mk(1, 1.0, 50), mk(2, 10_000.0, 20)];
+        let metrics = FleetController::new(config)
+            .with_autoscaler(NoAutoscale)
+            .with_replica(Box::new(replica()))
+            .with_replica(Box::new(replica()))
+            .run(&trace);
+        assert_eq!(metrics.completed, trace.len());
+        assert_eq!(metrics.per_replica[0].assigned_ids, [0, 2]);
+        assert_eq!(metrics.per_replica[1].assigned_ids, [1]);
     }
 }

@@ -1,9 +1,7 @@
 //! The online fleet control plane: heterogeneous replicas, capability-aware
 //! dispatch and SLO-driven autoscaling behind one API.
 //!
-//! Where [`dispatch`](crate::dispatch) splits a trace *ahead of time* across
-//! a fixed count of identical replicas, the [`FleetController`] here is an
-//! *online* control plane:
+//! The [`FleetController`] routes every request at its arrival time:
 //!
 //! * **Heterogeneous replicas** — the fleet is a set of
 //!   `Box<dyn ExecutionBackend>` replicas, so an expert-parallel A100 pod
@@ -15,23 +13,22 @@
 //!   ([`ExecutionBackend::supports`]), admission headroom
 //!   ([`MemoryBudget`](crate::backend::MemoryBudget) via
 //!   [`ReplicaDriver::can_ever_admit`]) and outstanding work (which decays
-//!   as replicas make progress — the fix for the frozen accumulate-forever
-//!   counter).
+//!   as replicas make progress), under a [`DispatchPolicy`].
 //! * **SLO-driven autoscaling** — a pluggable [`AutoscalePolicy`] is
 //!   consulted every control tick: scale out on p95-TTFT SLO breach (new
 //!   replicas charged a warm-up delay before they take traffic), scale in on
 //!   sustained low utilization (draining, never dropping below the floor).
 //!   Every scale event lands on the [`FleetMetrics::scale_events`] timeline.
 //! * **Event-driven core** — [`FleetController::run`] is a next-event loop
-//!   over an [`EventQueue`](crate::events::EventQueue): arrivals, step
-//!   completions, control ticks, warm-up completions and drain retirements
-//!   pop in timestamp order and the clock jumps between them, so idle
-//!   periods cost zero work. Policies that never scale
-//!   ([`AutoscalePolicy::consults_ticks`] returns `false`) elide the tick
-//!   schedule entirely and the fleet advances purely on arrivals and step
-//!   completions — the regime where a 100-replica fleet absorbs a
-//!   million-request trace in seconds. The event loop is pinned bit-for-bit
-//!   against the frozen tick-driven loop in `fleet_event_equivalence.rs`.
+//!   over an [`EventQueue`]: arrivals, step completions, control ticks,
+//!   warm-up completions and drain retirements pop in timestamp order and
+//!   the clock jumps between them, so idle periods cost zero work. Policies
+//!   that never scale ([`AutoscalePolicy::consults_ticks`] returns `false`)
+//!   elide the tick schedule entirely and the fleet advances purely on
+//!   arrivals and step completions — the regime where a 100-replica fleet
+//!   absorbs a million-request trace in seconds. The event loop is pinned
+//!   bit-for-bit against the frozen tick-driven loop in
+//!   `fleet_event_equivalence.rs`.
 //! * **Prefill/decode disaggregation** — opt-in via
 //!   [`FleetController::with_disaggregation`]: arrivals run chunked prefill
 //!   on *prefill pods*, the finished prompt KV
@@ -92,7 +89,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             scheduler: SchedulerConfig::default(),
-            policy: DispatchPolicy::least_outstanding(),
+            policy: DispatchPolicy::LeastOutstandingTokens,
             tick_ms: 200.0,
             window_ms: 1_000.0,
             warmup_ms: 2_000.0,
@@ -326,9 +323,7 @@ pub struct ReplicaBreakdown {
     pub metrics: ServingMetrics,
 }
 
-/// Aggregate metrics of a fleet run — static
-/// ([`ReplicaFleet::metrics`](crate::dispatch::ReplicaFleet::metrics)) or
-/// online ([`FleetController::run`]), behind the same type.
+/// Aggregate metrics of a [`FleetController::run`].
 #[derive(Debug, Clone)]
 pub struct FleetMetrics {
     /// The first replica's engine (fleets may be heterogeneous; see
@@ -495,9 +490,6 @@ struct Slot {
     /// can overlap): the dispatcher routes nothing here while it is > 0.
     degraded: u32,
     assigned_ids: Vec<u64>,
-    /// Cumulative assigned tokens — the frozen dispatch counter, kept so the
-    /// pre-redesign policy stays reachable online too.
-    assigned_tokens: usize,
 }
 
 impl Slot {
@@ -520,7 +512,6 @@ impl Slot {
             crashed: false,
             degraded: 0,
             assigned_ids: Vec::new(),
-            assigned_tokens: 0,
         }
     }
 
@@ -1644,7 +1635,6 @@ impl FleetController {
                                     }
                                     slots[target].driver.enqueue(moved);
                                     slots[target].assigned_ids.push(moved.id);
-                                    slots[target].assigned_tokens += moved.total_tokens();
                                     if let Some(d) = disagg.as_mut() {
                                         d.arm_chain(&mut queue, &slots, target, at);
                                     }
@@ -1809,7 +1799,6 @@ impl FleetController {
                                 }
                                 slots[target].driver.enqueue(sub);
                                 slots[target].assigned_ids.push(request.id);
-                                slots[target].assigned_tokens += request.total_tokens();
                                 d.arm_chain(&mut queue, &slots, target, request.arrival_ms);
                             }
                             None => {
@@ -1853,7 +1842,6 @@ impl FleetController {
                                 }
                                 slots[target].driver.enqueue(*request);
                                 slots[target].assigned_ids.push(request.id);
-                                slots[target].assigned_tokens += request.total_tokens();
                             }
                             None => {
                                 if let Some(sink) = &self.sink {
@@ -1920,7 +1908,6 @@ impl FleetController {
                         }
                         slots[to].driver.enqueue_handoff(remainder);
                         slots[to].assigned_ids.push(id);
-                        slots[to].assigned_tokens += remainder.total_tokens();
                         d.arm_chain(&mut queue, &slots, to, at);
                     } else if self.recovery.readmit {
                         // The decode pod died (or went unroutable) while the
@@ -2026,13 +2013,9 @@ fn pick_replica(
             *rr_cursor = rr_cursor.wrapping_add(1);
             picked
         }
-        DispatchPolicy::LeastOutstandingTokens { .. } => eligible
+        DispatchPolicy::LeastOutstandingTokens => eligible
             .iter()
             .min_by_key(|&&i| slots[i].driver.outstanding_tokens())
-            .copied(),
-        DispatchPolicy::LeastOutstandingTokensFrozen => eligible
-            .iter()
-            .min_by_key(|&&i| slots[i].assigned_tokens)
             .copied(),
     }
 }
@@ -2361,20 +2344,17 @@ struct DisaggLedger {
 
 /// One replica's finished run plus its control-plane bookkeeping — the input
 /// row of [`aggregate`].
-pub(crate) struct ReplicaRecord {
-    pub description: String,
-    pub spawned_ms: f64,
-    pub ready_ms: f64,
-    pub retired_ms: Option<f64>,
-    pub assigned_ids: Vec<u64>,
-    pub result: SimulationResult,
+struct ReplicaRecord {
+    description: String,
+    spawned_ms: f64,
+    ready_ms: f64,
+    retired_ms: Option<f64>,
+    assigned_ids: Vec<u64>,
+    result: SimulationResult,
 }
 
-/// Pool per-replica results into fleet metrics — the one aggregation both
-/// the online controller ([`finalize`]) and the static shim
-/// ([`ReplicaFleet::metrics`](crate::dispatch::ReplicaFleet::metrics))
-/// share, so the two front doors can never drift apart.
-pub(crate) fn aggregate(
+/// Pool per-replica results of a co-located run into fleet metrics.
+fn aggregate(
     replicas: usize,
     records: Vec<ReplicaRecord>,
     scale_events: Vec<ScaleEvent>,

@@ -34,8 +34,7 @@
 //! * [`fleet`] — the online fleet control plane: heterogeneous
 //!   `Box<dyn ExecutionBackend>` replicas behind a capability-aware
 //!   dispatcher, with SLO-driven autoscaling and a scaling timeline;
-//! * [`dispatch`] — the offline (static, identical-replica) dispatch shim
-//!   kept for bit-for-bit compatibility with the pre-control-plane sweeps;
+//! * [`dispatch`] — the replica-selection policies that dispatcher applies;
 //! * [`validate`] — static experiment validation: the [`Diagnostic`] /
 //!   [`ValidationReport`] engine that rejects ill-formed configurations
 //!   (out-of-range fault targets, empty scaling bands, unachievable SLOs)
@@ -45,12 +44,16 @@
 //! use samoyeds_gpu_sim::DeviceSpec;
 //! use samoyeds_moe::config::MoeModelConfig;
 //! use samoyeds_moe::engines::EngineKind;
-//! use samoyeds_serve::{ServingSimulator, TraceConfig};
+//! use samoyeds_serve::{compare_engines, SchedulerConfig, TraceConfig};
 //!
-//! let sim = ServingSimulator::new(DeviceSpec::a100_40g(), MoeModelConfig::qwen2_moe())
-//!     .with_trace(TraceConfig { num_requests: 8, ..TraceConfig::default() });
-//! let metrics = sim.metrics(EngineKind::Samoyeds);
-//! assert!(metrics.servable);
+//! let metrics = compare_engines(
+//!     &DeviceSpec::a100_40g(),
+//!     &MoeModelConfig::qwen2_moe(),
+//!     &TraceConfig { num_requests: 8, ..TraceConfig::default() },
+//!     &SchedulerConfig::default(),
+//!     &[EngineKind::Samoyeds],
+//! );
+//! assert!(metrics[0].servable);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -75,7 +78,7 @@ pub use backend::{
     ExecutionBackend, MemoryBudget, OverlapModel, SingleGpuBackend, StepCost, StepWorkload,
 };
 pub use batch::BatchLimits;
-pub use dispatch::{dispatch_trace, DispatchPolicy, ReplicaFleet};
+pub use dispatch::DispatchPolicy;
 pub use events::{EventQueue, FleetEvent};
 pub use faults::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, RecoveryPolicy, SeededFaults};
 pub use fleet::{
@@ -94,77 +97,3 @@ pub use telemetry::{
 };
 pub use trace::{BurstPhase, BurstyTraceConfig, TraceConfig};
 pub use validate::{Diagnostic, Severity, Validate, ValidationReport};
-
-use samoyeds_gpu_sim::DeviceSpec;
-use samoyeds_moe::config::MoeModelConfig;
-use samoyeds_moe::engines::EngineKind;
-
-/// Convenience front door: a device + model + trace + scheduler bundle.
-#[derive(Debug, Clone)]
-pub struct ServingSimulator {
-    device: DeviceSpec,
-    config: MoeModelConfig,
-    trace: TraceConfig,
-    scheduler: SchedulerConfig,
-}
-
-impl ServingSimulator {
-    /// Simulator with default trace and scheduler settings.
-    pub fn new(device: DeviceSpec, config: MoeModelConfig) -> Self {
-        Self {
-            device,
-            config,
-            trace: TraceConfig::default(),
-            scheduler: SchedulerConfig::default(),
-        }
-    }
-
-    /// Replace the trace configuration.
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Replace the scheduler configuration.
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The model being served.
-    pub fn config(&self) -> &MoeModelConfig {
-        &self.config
-    }
-
-    /// The device serving it.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
-    /// The single-GPU execution backend [`Self::simulate`] drives for
-    /// `engine`.
-    pub fn backend(&self, engine: EngineKind) -> SingleGpuBackend {
-        SingleGpuBackend::new(self.device.clone(), &self.config, engine, &self.scheduler)
-    }
-
-    /// Run one engine over the trace and return the full simulation record.
-    pub fn simulate(&self, engine: EngineKind) -> SimulationResult {
-        Scheduler::from_backend(self.backend(engine), self.scheduler).run(&self.trace.generate())
-    }
-
-    /// Run one engine and summarise it.
-    pub fn metrics(&self, engine: EngineKind) -> ServingMetrics {
-        ServingMetrics::from_result(&self.simulate(engine))
-    }
-
-    /// Run several engines on the same trace and summarise each.
-    pub fn compare(&self, engines: &[EngineKind]) -> Vec<ServingMetrics> {
-        compare_engines(
-            &self.device,
-            &self.config,
-            &self.trace,
-            &self.scheduler,
-            engines,
-        )
-    }
-}

@@ -2,11 +2,10 @@
 //! budget, chunked-prefill/decode interleaving, and progress accounting.
 //!
 //! The scheduler is pure policy. Everything physical — step pricing, memory
-//! footprints, kernel support — lives behind
-//! [`ExecutionBackend`](crate::backend::ExecutionBackend): the simulated
-//! clock advances by whatever the backend predicts for each step's workload
-//! (single-GPU engine cost, or per-GPU straggler compute plus all-to-all
-//! collectives for a cluster). All randomness (routing) is seeded inside the
+//! footprints, kernel support — lives behind [`ExecutionBackend`]: the
+//! simulated clock advances by whatever the backend predicts for each step's
+//! workload (single-GPU engine cost, or per-GPU straggler compute plus
+//! all-to-all collectives for a cluster). All randomness (routing) is seeded inside the
 //! backend, so a simulation is a pure function of its inputs.
 
 use std::collections::{BTreeSet, VecDeque};
@@ -380,10 +379,9 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
 
     /// Tokens of work still owed: queued requests in full plus the
     /// unprefilled/undecoded remainder of every running request. This is the
-    /// *live* load signal — it decays as the replica makes progress, unlike
-    /// the frozen accumulate-forever dispatch counter. O(1): the counter is
-    /// maintained incrementally at enqueue/rejection and per step, never
-    /// recomputed by scanning the queue.
+    /// *live* load signal — it decays as the replica makes progress. O(1):
+    /// the counter is maintained incrementally at enqueue/rejection and per
+    /// step, never recomputed by scanning the queue.
     pub fn outstanding_tokens(&self) -> usize {
         self.outstanding
     }

@@ -6,8 +6,8 @@
 //! every `FleetMetrics` field, every latency percentile, every scale-event
 //! reason string, every per-replica breakdown. The scenarios mirror the
 //! `fleet_event_equivalence` suite (fixed fleets, heterogeneous round-robin,
-//! SLO autoscaling with warm-up, zero-warmup frozen-counter dispatch) so the
-//! pin covers the same surface the event-core refactor pinned. Same
+//! SLO autoscaling with warm-up, zero warm-up on a 250 ms tick) so the pin
+//! covers the same surface the event-core refactor pinned. Same
 //! discipline as `backend_equivalence.rs` and `fleet_event_equivalence.rs`.
 
 use samoyeds_gpu_sim::DeviceSpec;
@@ -199,10 +199,10 @@ fn empty_schedule_on_an_autoscaled_fleet_matches_the_plain_controller() {
 }
 
 #[test]
-fn empty_schedule_with_zero_warmup_and_frozen_policy_matches_the_plain_controller() {
+fn empty_schedule_with_zero_warmup_and_250ms_tick_matches_the_plain_controller() {
     let scfg = SchedulerConfig::default();
     let config = FleetConfig {
-        policy: DispatchPolicy::LeastOutstandingTokensFrozen,
+        policy: DispatchPolicy::LeastOutstandingTokens,
         tick_ms: 250.0,
         warmup_ms: 0.0,
         max_replicas: 3,

@@ -10,8 +10,7 @@
 //! percentiles, the scale-event timeline with its reason strings, per-replica
 //! breakdowns) proves the refactor changed the *mechanism* — next-event time
 //! advance, tick elision for non-scaling policies — without moving a single
-//! bit of the *results*. Same discipline as `backend_equivalence.rs` and
-//! `fleet_equivalence.rs`.
+//! bit of the *results*. Same discipline as `backend_equivalence.rs`.
 //!
 //! Both sides run today's `SloAutoscaler`, so the suite pins the loop
 //! refactor, not the (separately fixed and tested) policy streak handling.
@@ -47,7 +46,6 @@ mod legacy {
         draining: bool,
         retired_ms: Option<f64>,
         assigned_ids: Vec<u64>,
-        assigned_tokens: usize,
     }
 
     impl Slot {
@@ -66,7 +64,6 @@ mod legacy {
                 draining: false,
                 retired_ms: None,
                 assigned_ids: Vec::new(),
-                assigned_tokens: 0,
             }
         }
 
@@ -132,19 +129,15 @@ mod legacy {
                     rr_cursor = rr_cursor.wrapping_add(1);
                     picked
                 }
-                DispatchPolicy::LeastOutstandingTokens { .. } => eligible
+                DispatchPolicy::LeastOutstandingTokens => eligible
                     .iter()
                     .min_by_key(|&&i| slots[i].driver.outstanding_tokens()),
-                DispatchPolicy::LeastOutstandingTokensFrozen => {
-                    eligible.iter().min_by_key(|&&i| slots[i].assigned_tokens)
-                }
             }) else {
                 unroutable.push(request.id);
                 continue;
             };
             slots[target].driver.enqueue(*request);
             slots[target].assigned_ids.push(request.id);
-            slots[target].assigned_tokens += request.total_tokens();
         }
 
         let mut guard = 0usize;
@@ -582,13 +575,13 @@ fn autoscaled_fleet_matches_the_frozen_tick_loop() {
 }
 
 #[test]
-fn zero_warmup_frozen_policy_fleet_matches_the_frozen_tick_loop() {
+fn zero_warmup_250ms_tick_fleet_matches_the_frozen_tick_loop() {
     // Zero-length warm-up makes warm-up completion simultaneous with its
     // scale-out tick, and an odd 250 ms tick stresses the tick/arrival
-    // interleaving; the frozen-counter dispatch policy rides along.
+    // interleaving.
     let scfg = SchedulerConfig::default();
     let config = FleetConfig {
-        policy: DispatchPolicy::LeastOutstandingTokensFrozen,
+        policy: DispatchPolicy::LeastOutstandingTokens,
         tick_ms: 250.0,
         warmup_ms: 0.0,
         max_replicas: 3,

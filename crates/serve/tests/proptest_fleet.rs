@@ -26,10 +26,9 @@ fn replica(idx: usize, scfg: &SchedulerConfig) -> Box<dyn ExecutionBackend> {
 }
 
 fn policy(idx: usize) -> DispatchPolicy {
-    match idx % 3 {
-        0 => DispatchPolicy::least_outstanding(),
-        1 => DispatchPolicy::RoundRobin,
-        _ => DispatchPolicy::LeastOutstandingTokensFrozen,
+    match idx % 2 {
+        0 => DispatchPolicy::LeastOutstandingTokens,
+        _ => DispatchPolicy::RoundRobin,
     }
 }
 
@@ -46,7 +45,7 @@ proptest! {
         rate in 1.0f64..40.0,
         first_replica in 0usize..4,
         second_replica in 0usize..4,
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
         seed in any::<u64>(),
     ) {
         let scfg = SchedulerConfig::default();
@@ -97,7 +96,7 @@ proptest! {
         slo_ms in 100.0f64..2_000.0,
         warmup_ms in 0.0f64..3_000.0,
         max_replicas in 1usize..5,
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
         seed in any::<u64>(),
     ) {
         let scfg = SchedulerConfig::default();

@@ -4,7 +4,9 @@
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
-use samoyeds_serve::{BatchLimits, Scheduler, SchedulerConfig, ServingSimulator, TraceConfig};
+use samoyeds_serve::{
+    compare_engines, BatchLimits, Scheduler, SchedulerConfig, SimulationResult, TraceConfig,
+};
 
 fn small_trace() -> TraceConfig {
     TraceConfig {
@@ -16,12 +18,21 @@ fn small_trace() -> TraceConfig {
     }
 }
 
+/// One engine serving the small trace on an A100 with the default scheduler.
+fn simulate(engine: EngineKind) -> SimulationResult {
+    Scheduler::new(
+        DeviceSpec::a100_40g(),
+        MoeModelConfig::qwen2_moe(),
+        engine,
+        SchedulerConfig::default(),
+    )
+    .run(&small_trace().generate())
+}
+
 #[test]
 fn scheduler_never_exceeds_the_memory_budget() {
-    let sim = ServingSimulator::new(DeviceSpec::a100_40g(), MoeModelConfig::qwen2_moe())
-        .with_trace(small_trace());
     for engine in [EngineKind::Samoyeds, EngineKind::Transformers] {
-        let result = sim.simulate(engine);
+        let result = simulate(engine);
         assert!(!result.steps.is_empty(), "{engine:?} executed no steps");
         for step in &result.steps {
             assert!(
@@ -38,11 +49,8 @@ fn scheduler_never_exceeds_the_memory_budget() {
 
 #[test]
 fn requests_are_conserved() {
-    let trace_cfg = small_trace();
-    let trace = trace_cfg.generate();
-    let sim = ServingSimulator::new(DeviceSpec::a100_40g(), MoeModelConfig::qwen2_moe())
-        .with_trace(trace_cfg);
-    let result = sim.simulate(EngineKind::Samoyeds);
+    let trace = small_trace().generate();
+    let result = simulate(EngineKind::Samoyeds);
     // Every trace request is either completed or rejected once the run
     // drains; nothing is lost or duplicated.
     assert_eq!(result.completed.len() + result.rejected.len(), trace.len());
@@ -67,9 +75,13 @@ fn requests_are_conserved() {
 
 #[test]
 fn samoyeds_sustains_at_least_transformers_throughput_on_the_same_trace() {
-    let sim = ServingSimulator::new(DeviceSpec::a100_40g(), MoeModelConfig::qwen2_moe())
-        .with_trace(small_trace());
-    let metrics = sim.compare(&[EngineKind::Samoyeds, EngineKind::Transformers]);
+    let metrics = compare_engines(
+        &DeviceSpec::a100_40g(),
+        &MoeModelConfig::qwen2_moe(),
+        &small_trace(),
+        &SchedulerConfig::default(),
+        &[EngineKind::Samoyeds, EngineKind::Transformers],
+    );
     let samoyeds = &metrics[0];
     let transformers = &metrics[1];
     assert!(samoyeds.servable && transformers.servable);
@@ -86,21 +98,6 @@ fn samoyeds_sustains_at_least_transformers_throughput_on_the_same_trace() {
         samoyeds.request_latency.p95_ms,
         transformers.request_latency.p95_ms,
     );
-}
-
-#[test]
-fn samoyeds_serves_models_the_dense_engines_cannot_hold() {
-    // Full-model Qwen2-MoE does not fit a 12 GiB card with dense weights but
-    // does in the Samoyeds compressed representation — the serving analogue
-    // of the Table 3 OOM entries.
-    let sim = ServingSimulator::new(DeviceSpec::rtx4070_super(), MoeModelConfig::qwen2_moe())
-        .with_trace(small_trace());
-    let dense = sim.metrics(EngineKind::Transformers);
-    let sparse = sim.metrics(EngineKind::Samoyeds);
-    assert!(!dense.servable, "dense full model should OOM on 12 GiB");
-    assert_eq!(dense.completed, 0);
-    assert!(sparse.servable);
-    assert!(sparse.completed > 0);
 }
 
 #[test]

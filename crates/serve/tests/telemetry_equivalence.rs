@@ -54,7 +54,7 @@ fn bursty_trace() -> Vec<Request> {
 fn controller(scfg: SchedulerConfig) -> FleetController {
     let config = FleetConfig {
         scheduler: scfg,
-        policy: DispatchPolicy::least_outstanding(),
+        policy: DispatchPolicy::LeastOutstandingTokens,
         warmup_ms: 500.0,
         max_replicas: 4,
         ..FleetConfig::default()

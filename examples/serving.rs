@@ -9,7 +9,10 @@
 use samoyeds::gpu_sim::DeviceSpec;
 use samoyeds::moe::config::MoeModelConfig;
 use samoyeds::moe::engines::EngineKind;
-use samoyeds::serve::{render_markdown, ExecutionBackend, ServingSimulator, TraceConfig};
+use samoyeds::serve::{
+    compare_engines, render_markdown, ExecutionBackend, SchedulerConfig, SingleGpuBackend,
+    TraceConfig,
+};
 
 fn main() {
     let model = match std::env::args().nth(1).as_deref() {
@@ -37,12 +40,13 @@ fn main() {
     // On the A100-40G every engine holds the full model, so the comparison
     // isolates execution speed under continuous batching.
     let engines = EngineKind::all();
+    let scfg = SchedulerConfig::default();
     for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
-        let sim = ServingSimulator::new(device.clone(), model.clone()).with_trace(trace.clone());
         // Every engine here is a SingleGpuBackend behind the scheduler's
         // ExecutionBackend trait; swap in dist::ClusterBackend for a pod.
-        println!("backend: {}", sim.backend(EngineKind::Samoyeds).describe());
-        let metrics = sim.compare(&engines);
+        let backend = SingleGpuBackend::new(device.clone(), &model, EngineKind::Samoyeds, &scfg);
+        println!("backend: {}", backend.describe());
+        let metrics = compare_engines(&device, &model, &trace, &scfg, &engines);
         for line in render_markdown(&model.name, &device.name, &metrics) {
             println!("{line}");
         }

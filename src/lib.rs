@@ -4,8 +4,8 @@
 //! integration tests and downstream users can write `samoyeds::kernels::…`
 //! instead of depending on each member crate individually.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-versus-measured comparison of every table and figure.
+//! See the README's *Workspace layout* section for the crate inventory and
+//! its *Experiment harness* section for the per-table/figure experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
