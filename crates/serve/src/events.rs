@@ -174,19 +174,6 @@ impl EventQueue {
         self.heap.pop().map(|q| (q.at_ms, q.event))
     }
 
-    /// Pop the earliest event only if it satisfies `pred`; otherwise leave
-    /// the queue untouched. Lets the controller drain a run of same-time
-    /// events (e.g. retirements scheduled *at* the current tick) without
-    /// disturbing later ones.
-    pub fn pop_if(&mut self, pred: impl Fn(f64, &FleetEvent) -> bool) -> Option<(f64, FleetEvent)> {
-        let head = self.heap.peek()?;
-        if pred(head.at_ms, &head.event) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -252,22 +239,5 @@ mod tests {
                 other => panic!("unexpected event {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn pop_if_only_takes_matching_heads() {
-        let mut q = EventQueue::new();
-        q.push(10.0, FleetEvent::DrainRetire { slot: 0 });
-        q.push(10.0, FleetEvent::Arrival { index: 0 });
-        // simlint::allow(float-eq): exact replay pin — the timestamp is the
-        // literal pushed two lines up, bit-identical by construction
-        let retire = q.pop_if(|at, e| at == 10.0 && matches!(e, FleetEvent::DrainRetire { .. }));
-        assert_eq!(retire, Some((10.0, FleetEvent::DrainRetire { slot: 0 })));
-        // Head is now the arrival: the predicate rejects it, the queue keeps it.
-        // simlint::allow(float-eq): same exact-replay pin as above
-        let none = q.pop_if(|at, e| at == 10.0 && matches!(e, FleetEvent::DrainRetire { .. }));
-        assert_eq!(none, None);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

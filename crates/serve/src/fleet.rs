@@ -28,7 +28,10 @@
 //!   arrivals and step completions — the regime where a 100-replica fleet
 //!   absorbs a million-request trace in seconds. The event loop is pinned
 //!   bit-for-bit against the frozen tick-driven loop in
-//!   `fleet_event_equivalence.rs`.
+//!   `fleet_event_equivalence.rs`. A run keeps its state in one private
+//!   struct with one handler method per [`FleetEvent`] variant; routing,
+//!   KV-transfer start, commissioning and retirement each live in one
+//!   method the handlers share.
 //! * **Prefill/decode disaggregation** — opt-in via
 //!   [`FleetController::with_disaggregation`]: arrivals run chunked prefill
 //!   on *prefill pods*, the finished prompt KV
@@ -40,6 +43,11 @@
 //!   [`RecoveryPolicy`]. The ratio-0 endpoint (no decode pods) is
 //!   bit-for-bit the co-located fleet, pinned by `disagg_equivalence.rs`.
 
+// Keeps the run decomposed: clippy.toml at the workspace root sets the
+// threshold, and CI's `clippy -D warnings` turns a long function into an
+// error.
+#![warn(clippy::too_many_lines)]
+
 use crate::backend::{ExecutionBackend, StepWorkload};
 use crate::batch::StepBatch;
 use crate::dispatch::DispatchPolicy;
@@ -48,7 +56,7 @@ use crate::faults::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, RecoveryPo
 use crate::memory::MemoryModel;
 use crate::metrics::{latency_summary, LatencySummary, ServingMetrics};
 use crate::request::{CompletedRequest, Request, RunningRequest};
-use crate::scheduler::{ReplicaDriver, SchedulerConfig, SimulationResult};
+use crate::scheduler::{ReplicaDriver, SchedulerConfig};
 use crate::telemetry::{SharedSink, TraceEvent};
 use crate::validate::{Diagnostic, ValidationReport};
 use samoyeds_moe::engines::EngineKind;
@@ -482,10 +490,9 @@ struct Slot {
     /// `ready_ms <= now` test.
     warming: bool,
     draining: bool,
+    /// Set when the slot leaves the fleet: drained after a scale-in, or
+    /// killed by an injected [`FaultKind::ReplicaCrash`] (never to return).
     retired_ms: Option<f64>,
-    /// Killed by an injected [`FaultKind::ReplicaCrash`]: retired instantly
-    /// with its in-flight work ripped out, never to return.
-    crashed: bool,
     /// Count of active link degradations (a degrade and an island partition
     /// can overlap): the dispatcher routes nothing here while it is > 0.
     degraded: u32,
@@ -509,7 +516,6 @@ impl Slot {
             warming,
             draining: false,
             retired_ms: None,
-            crashed: false,
             degraded: 0,
             assigned_ids: Vec::new(),
         }
@@ -543,10 +549,9 @@ pub struct KvLink {
 impl KvLink {
     /// Milliseconds to move `bytes` across the link: the latency floor plus
     /// the serialization time at the sustained bandwidth, zero when there is
-    /// nothing to move. Mirrors `LinkSpec::point_to_point_ms` in
-    /// `samoyeds-dist` formula-for-formula (pinned by a test there), so a
-    /// KV handoff is priced exactly like any other point-to-point transfer
-    /// on the same fabric.
+    /// nothing to move. `LinkSpec::point_to_point_ms` in `samoyeds-dist`
+    /// calls this on the link's `KvLink`, so a KV handoff is priced exactly
+    /// like any other point-to-point transfer on the same fabric.
     pub fn transfer_ms(&self, bytes: f64) -> f64 {
         if bytes <= 0.0 {
             return 0.0;
@@ -703,76 +708,16 @@ impl Disagg {
             })
     }
 
-    /// Scan `slot`'s newly finished prefill halves and start their KV
-    /// transfers. `now` is the current event time: a completion surfaced by
-    /// a bulk `advance_to` (fault and control-tick paths) may predate it, so
-    /// the landing is clamped to `now` — the event queue stays causal and
-    /// decode-pod enqueue order stays nondecreasing.
-    fn collect_handoffs(
-        &mut self,
-        slot: usize,
-        slots: &[Slot],
-        queue: &mut EventQueue,
-        sink: Option<&SharedSink>,
-        failed_ids: &mut Vec<u64>,
-        now: f64,
-    ) {
-        let Some(row) = self.prefill_pos.get(slot).copied().flatten() else {
-            return;
-        };
-        let done = slots[slot].driver.completed();
-        for finished in done.iter().skip(self.watermark[slot]) {
-            let finished_ms = finished.finished_ms;
-            let id = finished.request.id;
-            // Untrimmed single-token requests finish entirely on the
-            // prefill pod and never transfer.
-            let Some(original) = self.originals.get(&id).copied() else {
-                continue;
-            };
-            let bytes = self.cfg.memory.kv_bytes(original.prompt_len);
-            let remainder = Request {
-                id,
-                arrival_ms: finished_ms,
-                prompt_len: original.prompt_len,
-                output_len: original.output_len - 1,
-            };
-            match self.pick_decode_pod(slots, &remainder) {
-                Some(to) => {
-                    let col = self
-                        .cfg
-                        .decode
-                        .iter()
-                        .position(|&s| s == to)
-                        .expect("pick_decode_pod returns configured pods");
-                    let link = self.cfg.links[row][col];
-                    if let Some(sink) = sink {
-                        sink.emit(TraceEvent::KvTransferStarted {
-                            id,
-                            from: slot,
-                            to,
-                            bytes,
-                            at_ms: finished_ms,
-                        });
-                    }
-                    let transfer = self.transfers.len();
-                    self.transfers.push(PendingTransfer {
-                        id,
-                        from: slot,
-                        to,
-                        bytes,
-                    });
-                    self.in_flight += 1;
-                    queue.push(
-                        (finished_ms + link.transfer_ms(bytes)).max(now),
-                        FleetEvent::KvTransferComplete { transfer },
-                    );
-                }
-                // No decode pod can ever take the remainder: the request
-                // dies here, not silently in a queue.
-                None => failed_ids.push(id),
-            }
-        }
-        self.watermark[slot] = done.len();
+    /// The decode half of request `id` — the rest of its generation after
+    /// the first token, entering a decode pod at `arrival_ms` — or `None`
+    /// for an untrimmed single-token request, which never transfers.
+    fn decode_half(&self, id: u64, arrival_ms: f64) -> Option<Request> {
+        self.originals.get(&id).map(|original| Request {
+            id,
+            arrival_ms,
+            prompt_len: original.prompt_len,
+            output_len: original.output_len - 1,
+        })
     }
 }
 
@@ -909,6 +854,10 @@ impl FleetController {
     /// `fleet::no-capable-replica`, `fault::replica-never-commissioned`,
     /// `fault::empty-partition`, `fault::past-trace-end`,
     /// `disagg::no-decode-pods`, `disagg::unassigned-replica`.
+    #[allow(
+        clippy::too_many_lines,
+        reason = "a flat list of independent checks, one per diagnostic code"
+    )]
     pub fn validate(&self, trace: &[Request]) -> ValidationReport {
         let mut report = ValidationReport::new();
         let cfg = &self.config;
@@ -1295,13 +1244,15 @@ impl FleetController {
     /// completions, control ticks, warm-up completions and drain
     /// retirements pop in timestamp order (same-time ties broken by event
     /// class, reproducing the legacy tick loop's interleaving) and simulated
-    /// time jumps straight between them. The tick schedule exists only while
-    /// the policy wants it ([`AutoscalePolicy::consults_ticks`]); tick `k`
-    /// fires at exactly `k * tick_ms` — derived per tick, never accumulated,
-    /// so the schedule cannot drift over long traces. If the post-trace
-    /// drain exceeds [`FleetConfig::max_drain_ticks`], the run returns
-    /// degraded metrics with [`FleetMetrics::drain_incomplete`] set instead
-    /// of panicking.
+    /// time jumps straight between them. The run's state lives in one
+    /// private struct, and each popped event goes to the one method that
+    /// handles its [`FleetEvent`] variant. The tick schedule exists only
+    /// while the policy wants it ([`AutoscalePolicy::consults_ticks`]); tick
+    /// `k` fires at exactly `k * tick_ms` — derived per tick, never
+    /// accumulated, so the schedule cannot drift over long traces. If the
+    /// post-trace drain exceeds [`FleetConfig::max_drain_ticks`], the run
+    /// returns degraded metrics with [`FleetMetrics::drain_incomplete`] set
+    /// instead of panicking.
     ///
     /// # Panics
     /// Panics if [`Self::validate`] finds any deny-severity diagnostic —
@@ -1309,58 +1260,49 @@ impl FleetController {
     /// fault targeting a replica that can never exist, or an unachievable
     /// SLO. Unlike an assert chain, the panic message lists *every* problem
     /// at once.
-    pub fn run(mut self, trace: &[Request]) -> FleetMetrics {
+    pub fn run(self, trace: &[Request]) -> FleetMetrics {
         self.validate(trace).assert_valid();
-
-        let scfg = self.config.scheduler;
-        let mut slots: Vec<Slot> = self
-            .initial
-            .drain(..)
-            .map(|backend| Slot::new(backend, scfg, 0.0, 0.0, false))
-            .collect();
-        if let Some(sink) = &self.sink {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                slot.driver.attach_sink(sink.clone(), i);
-                sink.emit(TraceEvent::ReplicaCommissioned {
-                    replica: i,
-                    at_ms: 0.0,
-                    ready_ms: 0.0,
-                });
+        let mut run = FleetRun::new(self, trace);
+        while let Some((at, event)) = run.queue.pop() {
+            match event {
+                FleetEvent::WarmupComplete { slot } => run.on_warmup_complete(slot, at),
+                FleetEvent::DrainRetire { slot } => run.retire(slot, at),
+                FleetEvent::Fault { index } => run.on_fault(index, at),
+                FleetEvent::FaultRecovery { index } => run.on_fault_recovery(index, at),
+                FleetEvent::KvTransferComplete { transfer } => {
+                    run.on_kv_transfer_complete(transfer, at);
+                }
+                FleetEvent::ControlTick { index } => run.on_control_tick(index),
+                FleetEvent::Arrival { index } => run.on_arrival(index),
+                FleetEvent::StepCompletion { slot } => run.on_step_completion(slot, at),
             }
         }
-        // Disaggregation is active only when decode pods exist; a ratio-0
-        // config (empty decode set) takes the co-located code path below
-        // bit-for-bit (pinned by the `disagg_equivalence` suite).
-        let mut disagg: Option<Disagg> = self
-            .disagg
-            .take()
-            .filter(|d| !d.decode.is_empty())
-            .map(|cfg| Disagg::new(cfg, slots.len()));
-        let mut events: Vec<ScaleEvent> = Vec::new();
-        let mut unroutable: Vec<u64> = Vec::new();
-        let mut failed_ids: Vec<u64> = Vec::new();
-        let mut peak_replicas = slots.len();
-        let mut rr_cursor = 0usize;
-        let mut next_arrival = 0usize;
-        let mut drain_ticks = 0usize;
-        let mut drain_incomplete = false;
-        let mut drain_incomplete_replicas: Vec<usize> = Vec::new();
+        run.finish()
+    }
+}
 
-        let ticks = self.autoscaler.consults_ticks();
-        let mut queue = EventQueue::new();
-        if let Some(first) = trace.first() {
-            queue.push(first.arrival_ms, FleetEvent::Arrival { index: 0 });
-        }
-        if ticks {
-            queue.push(self.config.tick_ms, FleetEvent::ControlTick { index: 1 });
-        }
+/// Runtime state of the injected faults: the schedule resolved once at run
+/// start, one outcome record per fault, and what each fault's recovery must
+/// undo. An empty schedule leaves all of it empty.
+struct FaultState {
+    specs: Vec<FaultSpec>,
+    records: Vec<FaultRecord>,
+    /// Per-fault re-admission buffer: a crashed replica's lost requests,
+    /// held until its recovery event routes them.
+    readmit: Vec<Vec<Request>>,
+    /// The slots each degrade or partition actually degraded, so its
+    /// recovery restores exactly what it broke — overlapping degradations
+    /// are counted, not clobbered.
+    degraded: Vec<Vec<usize>>,
+    /// Crash recoveries still in flight: the tick schedule must outlive
+    /// them, or buffered requests re-admitted after the fleet drained would
+    /// never be driven (and would vanish from the conservation ledger).
+    pending_readmissions: usize,
+}
 
-        // Resolve the fault schedule once (deterministic) and inject every
-        // fault as an ordinary event. An empty schedule pushes nothing: the
-        // event stream — and therefore the whole run — is exactly the
-        // no-fault-injection stream.
-        let fault_specs: Vec<FaultSpec> = self.faults.resolve(slots.len());
-        let mut fault_records: Vec<FaultRecord> = fault_specs
+impl FaultState {
+    fn new(specs: Vec<FaultSpec>) -> Self {
+        let records = specs
             .iter()
             .map(|spec| FaultRecord {
                 at_ms: spec.at_ms,
@@ -1373,632 +1315,888 @@ impl FleetController {
                 recovered_at_ms: None,
             })
             .collect();
-        // Per-fault re-admission buffer (crashes) and the slots a fault
-        // actually degraded (degrades/partitions), so its recovery restores
-        // exactly what it broke — overlapping degradations are counted, not
-        // clobbered.
-        let mut readmit_buffers: Vec<Vec<Request>> = vec![Vec::new(); fault_specs.len()];
-        let mut degraded_sets: Vec<Vec<usize>> = vec![Vec::new(); fault_specs.len()];
-        // Crash recoveries still in flight: the tick schedule must outlive
-        // them, or buffered requests re-admitted after the fleet drained
-        // would never be driven (and would vanish from the conservation
-        // ledger). Zero on the no-faults path, where the condition is inert.
-        let mut pending_readmissions = 0usize;
-        for (index, spec) in fault_specs.iter().enumerate() {
-            queue.push(spec.at_ms, FleetEvent::Fault { index });
+        Self {
+            readmit: vec![Vec::new(); specs.len()],
+            degraded: vec![Vec::new(); specs.len()],
+            records,
+            specs,
+            pending_readmissions: 0,
         }
-
-        let mut eligible: Vec<usize> = Vec::new();
-        while let Some((at, event)) = queue.pop() {
-            match event {
-                FleetEvent::WarmupComplete { slot } => {
-                    // Sorts before any tick or arrival at the same instant:
-                    // the replica is routable the moment warm-up lands. Late
-                    // events for already-retired slots are harmless flips.
-                    if slots[slot].warming {
-                        if let Some(sink) = &self.sink {
-                            sink.emit(TraceEvent::WarmupComplete {
-                                replica: slot,
-                                at_ms: at,
-                            });
-                        }
-                    }
-                    slots[slot].warming = false;
-                }
-                FleetEvent::DrainRetire { slot } => {
-                    if slots[slot].retired_ms.is_none() {
-                        slots[slot].retired_ms = Some(at);
-                        if let Some(sink) = &self.sink {
-                            sink.emit(TraceEvent::Retired {
-                                replica: slot,
-                                at_ms: at,
-                            });
-                        }
-                    }
-                }
-                FleetEvent::Fault { index } => {
-                    let kind = fault_specs[index].kind.clone();
-                    match kind {
-                        FaultKind::ReplicaCrash { replica } => {
-                            if replica >= slots.len() || slots[replica].retired_ms.is_some() {
-                                // Crashing a replica that never existed or
-                                // already left the fleet is a no-op.
-                                continue;
-                            }
-                            // Work the replica finished before the crash
-                            // survives; everything in flight is ripped out.
-                            slots[replica].driver.advance_to(at);
-                            if let Some(d) = disagg.as_mut() {
-                                // Prefill halves that finished before the
-                                // crash still hold their KV: hand them off
-                                // before the in-flight rip-out below.
-                                d.collect_handoffs(
-                                    replica,
-                                    &slots,
-                                    &mut queue,
-                                    self.sink.as_ref(),
-                                    &mut failed_ids,
-                                    at,
-                                );
-                            }
-                            let (running, queued) = slots[replica].driver.take_inflight();
-                            slots[replica].crashed = true;
-                            slots[replica].retired_ms = Some(at);
-                            let record = &mut fault_records[index];
-                            record.lost_running = running.len();
-                            record.lost_queued = queued.len();
-                            if let Some(sink) = &self.sink {
-                                sink.emit(TraceEvent::ReplicaCrashed {
-                                    replica,
-                                    at_ms: at,
-                                    lost_running: running.len(),
-                                    lost_queued: queued.len(),
-                                });
-                            }
-                            let lost: Vec<Request> = running.into_iter().chain(queued).collect();
-                            if self.recovery.readmit {
-                                // Survivors take over once the weight
-                                // transfer lands; the recovery event routes
-                                // the buffered requests.
-                                readmit_buffers[index] = lost;
-                                pending_readmissions += 1;
-                                if let Some(sink) = &self.sink {
-                                    sink.emit(TraceEvent::RecoveryStarted {
-                                        replica,
-                                        at_ms: at,
-                                        transfer_ms: self.recovery.transfer_ms,
-                                    });
-                                }
-                                queue.push(
-                                    at + self.recovery.transfer_ms,
-                                    FleetEvent::FaultRecovery { index },
-                                );
-                            } else {
-                                record.failed = lost.len();
-                                failed_ids.extend(lost.iter().map(|r| r.id));
-                            }
-                            if self.recovery.replace {
-                                if let Some(factory) = &self.factory {
-                                    let commissioned =
-                                        slots.iter().filter(|s| s.commissioned()).count();
-                                    if commissioned < self.config.max_replicas {
-                                        // Cold replacement through the normal
-                                        // warm-up path, plus the weight
-                                        // transfer on top.
-                                        let ready =
-                                            at + self.config.warmup_ms + self.recovery.transfer_ms;
-                                        let mut slot = Slot::new(factory(), scfg, at, ready, true);
-                                        if let Some(sink) = &self.sink {
-                                            slot.driver.attach_sink(sink.clone(), slots.len());
-                                            sink.emit(TraceEvent::ReplicaCommissioned {
-                                                replica: slots.len(),
-                                                at_ms: at,
-                                                ready_ms: ready,
-                                            });
-                                        }
-                                        slots.push(slot);
-                                        queue.push(
-                                            ready,
-                                            FleetEvent::WarmupComplete {
-                                                slot: slots.len() - 1,
-                                            },
-                                        );
-                                        let record = &mut fault_records[index];
-                                        record.replacement = Some(slots.len() - 1);
-                                        record.recovered_at_ms = Some(ready);
-                                        peak_replicas = peak_replicas
-                                            .max(slots.iter().filter(|s| s.commissioned()).count());
-                                    }
-                                }
-                            }
-                        }
-                        FaultKind::LinkDegrade {
-                            replica,
-                            duration_ms,
-                        } => {
-                            if replica < slots.len() && slots[replica].retired_ms.is_none() {
-                                slots[replica].degraded += 1;
-                                degraded_sets[index].push(replica);
-                                if let Some(sink) = &self.sink {
-                                    sink.emit(TraceEvent::LinkDegraded {
-                                        replica,
-                                        at_ms: at,
-                                        until_ms: at + duration_ms,
-                                    });
-                                }
-                                queue.push(at + duration_ms, FleetEvent::FaultRecovery { index });
-                            }
-                        }
-                        FaultKind::IslandPartition {
-                            island,
-                            replicas,
-                            duration_ms,
-                        } => {
-                            for &replica in &replicas {
-                                if replica < slots.len() && slots[replica].retired_ms.is_none() {
-                                    slots[replica].degraded += 1;
-                                    degraded_sets[index].push(replica);
-                                }
-                            }
-                            if !degraded_sets[index].is_empty() {
-                                if let Some(sink) = &self.sink {
-                                    sink.emit(TraceEvent::IslandPartitioned {
-                                        island,
-                                        replicas: degraded_sets[index].len(),
-                                        at_ms: at,
-                                        until_ms: at + duration_ms,
-                                    });
-                                }
-                                queue.push(at + duration_ms, FleetEvent::FaultRecovery { index });
-                            }
-                        }
-                    }
-                }
-                FleetEvent::FaultRecovery { index } => match &fault_specs[index].kind {
-                    FaultKind::ReplicaCrash { replica } => {
-                        let lost = std::mem::take(&mut readmit_buffers[index]);
-                        pending_readmissions -= 1;
-                        // Route the buffered requests exactly like fresh
-                        // arrivals at the recovery instant: advance the
-                        // fleet, filter eligibility, apply the dispatch
-                        // policy. The latency clock restarts here — the
-                        // request re-enters the fleet now (which also keeps
-                        // enqueue order nondecreasing on the new replica).
-                        for slot in slots.iter_mut() {
-                            slot.driver.advance_to(at);
-                        }
-                        if let Some(d) = disagg.as_mut() {
-                            // The bulk advance may have surfaced prefill
-                            // completions; start their transfers (landings
-                            // clamped to `at`).
-                            for i in 0..slots.len() {
-                                d.collect_handoffs(
-                                    i,
-                                    &slots,
-                                    &mut queue,
-                                    self.sink.as_ref(),
-                                    &mut failed_ids,
-                                    at,
-                                );
-                            }
-                        }
-                        let mut readmitted = 0usize;
-                        let mut failed = 0usize;
-                        for request in lost {
-                            let moved = match disagg.as_ref() {
-                                // Disaggregated survivors re-enter through a
-                                // prefill pod. A split request restarts as
-                                // its prefill half — the transferred KV died
-                                // with the pod, so the prompt recomputes and
-                                // hands off again when it finishes.
-                                Some(d) if d.originals.contains_key(&request.id) => Request {
-                                    arrival_ms: at,
-                                    output_len: 1,
-                                    ..request
-                                },
-                                _ => Request {
-                                    arrival_ms: at,
-                                    ..request
-                                },
-                            };
-                            eligible.clear();
-                            match disagg.as_ref() {
-                                Some(d) => {
-                                    eligible.extend(d.cfg.prefill.iter().copied().filter(|&i| {
-                                        slots[i].routable()
-                                            && slots[i].driver.can_ever_admit(&moved)
-                                    }))
-                                }
-                                None => eligible.extend(
-                                    slots
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(_, slot)| {
-                                            slot.routable() && slot.driver.can_ever_admit(&moved)
-                                        })
-                                        .map(|(i, _)| i),
-                                ),
-                            }
-                            match pick_replica(
-                                self.config.policy,
-                                &eligible,
-                                &slots,
-                                &mut rr_cursor,
-                            ) {
-                                Some(target) => {
-                                    if let Some(sink) = &self.sink {
-                                        sink.emit(TraceEvent::Routed {
-                                            id: moved.id,
-                                            replica: target,
-                                            at_ms: at,
-                                        });
-                                    }
-                                    slots[target].driver.enqueue(moved);
-                                    slots[target].assigned_ids.push(moved.id);
-                                    if let Some(d) = disagg.as_mut() {
-                                        d.arm_chain(&mut queue, &slots, target, at);
-                                    }
-                                    readmitted += 1;
-                                }
-                                None => {
-                                    failed += 1;
-                                    failed_ids.push(moved.id);
-                                }
-                            }
-                        }
-                        let record = &mut fault_records[index];
-                        record.readmitted = readmitted;
-                        record.failed += failed;
-                        record.recovered_at_ms =
-                            Some(record.recovered_at_ms.map_or(at, |r| r.max(at)));
-                        if let Some(sink) = &self.sink {
-                            sink.emit(TraceEvent::RecoveryComplete {
-                                replica: *replica,
-                                at_ms: at,
-                                readmitted,
-                                failed,
-                            });
-                        }
-                        if !ticks && next_arrival >= trace.len() && disagg.is_none() {
-                            // No tick schedule and no arrivals left to
-                            // restart the step chains: re-arm them for every
-                            // replica that now holds work. (A replica with an
-                            // already-live chain just drains through two
-                            // interleaved chains — step_once is state-driven,
-                            // so the duplicate is harmless and deterministic.)
-                            // Disaggregated runs skip this: their chains are
-                            // armed at every enqueue and tracked per slot.
-                            for (i, slot) in slots.iter().enumerate() {
-                                if !slot.driver.is_drained() {
-                                    queue.push(
-                                        slot.driver.clock_ms(),
-                                        FleetEvent::StepCompletion { slot: i },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    FaultKind::LinkDegrade { .. } | FaultKind::IslandPartition { .. } => {
-                        // Restore exactly the links this fault degraded;
-                        // overlapping degradations keep the slot un-routable
-                        // until the last one clears.
-                        for &replica in &degraded_sets[index] {
-                            slots[replica].degraded = slots[replica].degraded.saturating_sub(1);
-                            if let Some(sink) = &self.sink {
-                                sink.emit(TraceEvent::LinkRestored { replica, at_ms: at });
-                            }
-                        }
-                        if !degraded_sets[index].is_empty() {
-                            fault_records[index].recovered_at_ms = Some(at);
-                        }
-                    }
-                },
-                FleetEvent::ControlTick { index } => {
-                    // Derived, never accumulated: tick k is exactly
-                    // k * tick_ms, so 10^6 ticks land where tick 10^6
-                    // should, not where 10^6 rounded additions drifted to.
-                    let t = index as f64 * self.config.tick_ms;
-                    let trace_done = next_arrival >= trace.len();
-                    if trace_done
-                        && pending_readmissions == 0
-                        && disagg.as_ref().is_none_or(|d| d.in_flight == 0)
-                        && slots.iter().all(|s| s.driver.is_drained())
-                    {
-                        // The legacy drain loop stopped ticking here; drop
-                        // the schedule and let remaining events drain.
-                        continue;
-                    }
-                    control_tick(
-                        t,
-                        &self.config,
-                        self.autoscaler.as_mut(),
-                        self.factory.as_deref(),
-                        &mut slots,
-                        &mut events,
-                        &mut peak_replicas,
-                        &mut queue,
-                        self.sink.as_ref(),
-                    );
-                    if let Some(d) = disagg.as_mut() {
-                        // The tick's bulk advance may have surfaced prefill
-                        // completions; start their transfers (landings
-                        // clamped to `t`).
-                        for i in 0..slots.len() {
-                            d.collect_handoffs(
-                                i,
-                                &slots,
-                                &mut queue,
-                                self.sink.as_ref(),
-                                &mut failed_ids,
-                                t,
-                            );
-                        }
-                    }
-                    if trace_done {
-                        drain_ticks += 1;
-                        if drain_ticks >= self.config.max_drain_ticks
-                            && slots.iter().any(|s| !s.driver.is_drained())
-                        {
-                            drain_incomplete = true;
-                            drain_incomplete_replicas = slots
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, s)| !s.driver.is_drained())
-                                .map(|(i, _)| i)
-                                .collect();
-                            continue; // stop the schedule; degraded metrics
-                        }
-                    }
-                    queue.push(
-                        (index + 1) as f64 * self.config.tick_ms,
-                        FleetEvent::ControlTick { index: index + 1 },
-                    );
-                }
-                FleetEvent::Arrival { index } => {
-                    let request = &trace[index];
-                    if let Some(sink) = &self.sink {
-                        sink.emit(TraceEvent::Arrival {
-                            id: request.id,
-                            at_ms: request.arrival_ms,
-                        });
-                    }
-                    if let Some(d) = disagg.as_mut() {
-                        // Disaggregated routing: prefill pods only. The
-                        // prefill half runs the prompt and produces the
-                        // first output token (the final prefill forward);
-                        // the rest of the generation decodes elsewhere after
-                        // the KV handoff. Slots are not bulk-advanced here —
-                        // their step chains drive them, which is what lets
-                        // prefill completions surface at exact step
-                        // boundaries instead of at the next arrival.
-                        let sub = if request.output_len > 1 {
-                            Request {
-                                output_len: 1,
-                                ..*request
-                            }
-                        } else {
-                            *request
-                        };
-                        eligible.clear();
-                        eligible.extend(d.cfg.prefill.iter().copied().filter(|&i| {
-                            slots[i].routable() && slots[i].driver.can_ever_admit(&sub)
-                        }));
-                        let picked =
-                            pick_replica(self.config.policy, &eligible, &slots, &mut rr_cursor);
-                        match picked {
-                            Some(target) => {
-                                if let Some(sink) = &self.sink {
-                                    sink.emit(TraceEvent::Routed {
-                                        id: request.id,
-                                        replica: target,
-                                        at_ms: request.arrival_ms,
-                                    });
-                                }
-                                if request.output_len > 1 {
-                                    d.originals.insert(request.id, *request);
-                                }
-                                slots[target].driver.enqueue(sub);
-                                slots[target].assigned_ids.push(request.id);
-                                d.arm_chain(&mut queue, &slots, target, request.arrival_ms);
-                            }
-                            None => {
-                                if let Some(sink) = &self.sink {
-                                    sink.emit(TraceEvent::Unroutable {
-                                        id: request.id,
-                                        at_ms: request.arrival_ms,
-                                    });
-                                }
-                                unroutable.push(request.id);
-                            }
-                        }
-                    } else {
-                        for slot in slots.iter_mut() {
-                            slot.driver.advance_to(request.arrival_ms);
-                        }
-
-                        // Capability-aware routing from live state: ready,
-                        // not draining, kernels support the model, and the
-                        // memory budget could ever admit the request.
-                        eligible.clear();
-                        eligible.extend(
-                            slots
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, slot)| {
-                                    slot.routable() && slot.driver.can_ever_admit(request)
-                                })
-                                .map(|(i, _)| i),
-                        );
-                        let picked =
-                            pick_replica(self.config.policy, &eligible, &slots, &mut rr_cursor);
-                        match picked {
-                            Some(target) => {
-                                if let Some(sink) = &self.sink {
-                                    sink.emit(TraceEvent::Routed {
-                                        id: request.id,
-                                        replica: target,
-                                        at_ms: request.arrival_ms,
-                                    });
-                                }
-                                slots[target].driver.enqueue(*request);
-                                slots[target].assigned_ids.push(request.id);
-                            }
-                            None => {
-                                if let Some(sink) = &self.sink {
-                                    sink.emit(TraceEvent::Unroutable {
-                                        id: request.id,
-                                        at_ms: request.arrival_ms,
-                                    });
-                                }
-                                unroutable.push(request.id);
-                            }
-                        }
-                    }
-
-                    next_arrival = index + 1;
-                    if let Some(next) = trace.get(next_arrival) {
-                        queue.push(
-                            next.arrival_ms,
-                            FleetEvent::Arrival {
-                                index: next_arrival,
-                            },
-                        );
-                    } else if !ticks && disagg.is_none() {
-                        // No tick schedule to advance the fleet: drain each
-                        // replica one step completion at a time. (A
-                        // disaggregated fleet is already chain-driven and
-                        // skips this.)
-                        for (i, slot) in slots.iter().enumerate() {
-                            if !slot.driver.is_drained() {
-                                queue.push(
-                                    slot.driver.clock_ms(),
-                                    FleetEvent::StepCompletion { slot: i },
-                                );
-                            }
-                        }
-                    }
-                }
-                FleetEvent::KvTransferComplete { transfer } => {
-                    let d = disagg
-                        .as_mut()
-                        .expect("transfer events exist only on disaggregated runs");
-                    let PendingTransfer {
-                        id,
-                        from,
-                        to,
-                        bytes,
-                    } = d.transfers[transfer];
-                    d.in_flight -= 1;
-                    let original = d.originals[&id];
-                    let remainder = Request {
-                        id,
-                        arrival_ms: at,
-                        prompt_len: original.prompt_len,
-                        output_len: original.output_len - 1,
-                    };
-                    if slots[to].routable() && slots[to].driver.can_ever_admit(&remainder) {
-                        if let Some(sink) = &self.sink {
-                            sink.emit(TraceEvent::KvTransferComplete {
-                                id,
-                                from,
-                                to,
-                                bytes,
-                                at_ms: at,
-                            });
-                        }
-                        slots[to].driver.enqueue_handoff(remainder);
-                        slots[to].assigned_ids.push(id);
-                        d.arm_chain(&mut queue, &slots, to, at);
-                    } else if self.recovery.readmit {
-                        // The decode pod died (or went unroutable) while the
-                        // KV was on the wire. The prefix still lives on the
-                        // prefill pod, so re-transfer to another decode pod.
-                        match d.pick_decode_pod(&slots, &remainder) {
-                            Some(next) => {
-                                let row = d
-                                    .prefill_pos
-                                    .get(from)
-                                    .copied()
-                                    .flatten()
-                                    .expect("transfers originate on prefill pods");
-                                let col = d
-                                    .cfg
-                                    .decode
-                                    .iter()
-                                    .position(|&s| s == next)
-                                    .expect("pick_decode_pod returns configured pods");
-                                let link = d.cfg.links[row][col];
-                                if let Some(sink) = &self.sink {
-                                    sink.emit(TraceEvent::KvTransferStarted {
-                                        id,
-                                        from,
-                                        to: next,
-                                        bytes,
-                                        at_ms: at,
-                                    });
-                                }
-                                let retry = d.transfers.len();
-                                d.transfers.push(PendingTransfer {
-                                    id,
-                                    from,
-                                    to: next,
-                                    bytes,
-                                });
-                                d.in_flight += 1;
-                                queue.push(
-                                    at + link.transfer_ms(bytes),
-                                    FleetEvent::KvTransferComplete { transfer: retry },
-                                );
-                            }
-                            None => failed_ids.push(id),
-                        }
-                    } else {
-                        failed_ids.push(id);
-                    }
-                }
-                FleetEvent::StepCompletion { slot } => {
-                    if slots[slot].driver.step_once() {
-                        queue.push(
-                            slots[slot].driver.clock_ms(),
-                            FleetEvent::StepCompletion { slot },
-                        );
-                    } else if let Some(d) = disagg.as_mut() {
-                        d.chain_died(slot);
-                    }
-                    if let Some(d) = disagg.as_mut() {
-                        d.collect_handoffs(
-                            slot,
-                            &slots,
-                            &mut queue,
-                            self.sink.as_ref(),
-                            &mut failed_ids,
-                            at,
-                        );
-                    }
-                }
-            }
-        }
-
-        let ledger = disagg.map(|d| DisaggLedger {
-            originals: d.originals,
-            decode: d.cfg.decode,
-        });
-        finalize(
-            slots,
-            events,
-            unroutable,
-            failed_ids,
-            fault_records,
-            peak_replicas,
-            drain_incomplete,
-            drain_incomplete_replicas,
-            ledger,
-        )
     }
 }
 
-/// Apply the dispatch policy to the eligible set — shared between fresh
-/// arrivals and post-crash re-admissions so the two can never drift.
+/// The state of one [`FleetController::run`]: the replica slots, the event
+/// queue, the fault and disaggregation state, and the ledgers the metrics
+/// are built from. `run` hands every popped event to the `on_*` method of
+/// its [`FleetEvent`] variant (drain retirements go straight to
+/// [`Self::retire`]).
+struct FleetRun<'a> {
+    config: FleetConfig,
+    trace: &'a [Request],
+    autoscaler: Box<dyn AutoscalePolicy>,
+    factory: Option<ReplicaFactory>,
+    sink: Option<SharedSink>,
+    recovery: RecoveryPolicy,
+    /// Whether the autoscaler is consulted on a control-tick schedule.
+    ticks: bool,
+    slots: Vec<Slot>,
+    queue: EventQueue,
+    faults: FaultState,
+    /// Present only when decode pods exist: a ratio-0 config (empty decode
+    /// set) takes the co-located path bit-for-bit (pinned by the
+    /// `disagg_equivalence` suite).
+    disagg: Option<Disagg>,
+    scale_events: Vec<ScaleEvent>,
+    unroutable: Vec<u64>,
+    failed_ids: Vec<u64>,
+    peak_replicas: usize,
+    rr_cursor: usize,
+    /// Index of the next trace request to arrive.
+    next_arrival: usize,
+    drain_ticks: usize,
+    /// Slots still holding work when the drain cap hit (empty otherwise).
+    drain_incomplete_replicas: Vec<usize>,
+    /// The dispatcher's eligible set, reused across routings.
+    eligible: Vec<usize>,
+}
+
+impl<'a> FleetRun<'a> {
+    /// Commission the initial fleet and schedule the first arrival, the
+    /// first control tick (when the policy consults ticks) and every fault.
+    fn new(controller: FleetController, trace: &'a [Request]) -> Self {
+        let FleetController {
+            config,
+            initial,
+            factory,
+            autoscaler,
+            sink,
+            faults,
+            recovery,
+            disagg,
+        } = controller;
+        let mut slots: Vec<Slot> = initial
+            .into_iter()
+            .map(|backend| Slot::new(backend, config.scheduler, 0.0, 0.0, false))
+            .collect();
+        if let Some(sink) = &sink {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                slot.driver.attach_sink(sink.clone(), i);
+                sink.emit(TraceEvent::ReplicaCommissioned {
+                    replica: i,
+                    at_ms: 0.0,
+                    ready_ms: 0.0,
+                });
+            }
+        }
+        let disagg = disagg
+            .filter(|d| !d.decode.is_empty())
+            .map(|cfg| Disagg::new(cfg, slots.len()));
+        let ticks = autoscaler.consults_ticks();
+        let mut queue = EventQueue::new();
+        if let Some(first) = trace.first() {
+            queue.push(first.arrival_ms, FleetEvent::Arrival { index: 0 });
+        }
+        if ticks {
+            queue.push(config.tick_ms, FleetEvent::ControlTick { index: 1 });
+        }
+        // Every fault is an ordinary event. An empty schedule pushes
+        // nothing: the event stream — and therefore the whole run — is
+        // exactly the no-fault-injection stream.
+        let faults = FaultState::new(faults.resolve(slots.len()));
+        for (index, spec) in faults.specs.iter().enumerate() {
+            queue.push(spec.at_ms, FleetEvent::Fault { index });
+        }
+        Self {
+            config,
+            trace,
+            autoscaler,
+            factory,
+            sink,
+            recovery,
+            ticks,
+            peak_replicas: slots.len(),
+            slots,
+            queue,
+            faults,
+            disagg,
+            scale_events: Vec::new(),
+            unroutable: Vec::new(),
+            failed_ids: Vec::new(),
+            rr_cursor: 0,
+            next_arrival: 0,
+            drain_ticks: 0,
+            drain_incomplete_replicas: Vec::new(),
+            eligible: Vec::new(),
+        }
+    }
+
+    /// Record `event` on the installed sink, if any.
+    #[inline]
+    fn emit(&self, event: TraceEvent) {
+        if let Some(sink) = &self.sink {
+            sink.emit(event);
+        }
+    }
+
+    /// Replicas in the fleet (possibly warming), neither draining nor
+    /// retired.
+    fn commissioned(&self) -> usize {
+        self.slots.iter().filter(|s| s.commissioned()).count()
+    }
+
+    /// [`FleetEvent::WarmupComplete`]: the event sorts before any tick or
+    /// arrival at the same instant, so the replica is routable the moment
+    /// warm-up lands. Late events for already-retired slots are harmless
+    /// flips.
+    fn on_warmup_complete(&mut self, slot: usize, at: f64) {
+        if self.slots[slot].warming {
+            self.emit(TraceEvent::WarmupComplete {
+                replica: slot,
+                at_ms: at,
+            });
+        }
+        self.slots[slot].warming = false;
+    }
+
+    /// [`FleetEvent::DrainRetire`], and the control tick's retirement of
+    /// drained, draining replicas: the slot leaves the fleet at `at`.
+    fn retire(&mut self, slot: usize, at: f64) {
+        if self.slots[slot].retired_ms.is_none() {
+            self.slots[slot].retired_ms = Some(at);
+            self.emit(TraceEvent::Retired {
+                replica: slot,
+                at_ms: at,
+            });
+        }
+    }
+
+    /// [`FleetEvent::Fault`]: inject fault `index`.
+    fn on_fault(&mut self, index: usize, at: f64) {
+        match self.faults.specs[index].kind.clone() {
+            FaultKind::ReplicaCrash { replica } => self.crash(index, replica, at),
+            FaultKind::LinkDegrade {
+                replica,
+                duration_ms,
+            } => {
+                if self.degrade(index, &[replica]) {
+                    self.emit(TraceEvent::LinkDegraded {
+                        replica,
+                        at_ms: at,
+                        until_ms: at + duration_ms,
+                    });
+                    self.queue
+                        .push(at + duration_ms, FleetEvent::FaultRecovery { index });
+                }
+            }
+            FaultKind::IslandPartition {
+                island,
+                replicas,
+                duration_ms,
+            } => {
+                if self.degrade(index, &replicas) {
+                    self.emit(TraceEvent::IslandPartitioned {
+                        island,
+                        replicas: self.faults.degraded[index].len(),
+                        at_ms: at,
+                        until_ms: at + duration_ms,
+                    });
+                    self.queue
+                        .push(at + duration_ms, FleetEvent::FaultRecovery { index });
+                }
+            }
+        }
+    }
+
+    /// Crash `replica` for fault `index`. Work it finished before the crash
+    /// survives; everything in flight is ripped out and buffered for
+    /// re-admission or failed, and the recovery policy may commission a
+    /// cold replacement.
+    fn crash(&mut self, index: usize, replica: usize, at: f64) {
+        if replica >= self.slots.len() || self.slots[replica].retired_ms.is_some() {
+            // Crashing a replica that never existed or already left the
+            // fleet is a no-op.
+            return;
+        }
+        self.slots[replica].driver.advance_to(at);
+        // Prefill halves that finished before the crash still hold their
+        // KV: hand them off before the in-flight rip-out below.
+        self.collect_handoffs(replica, at);
+        let (running, queued) = self.slots[replica].driver.take_inflight();
+        self.slots[replica].retired_ms = Some(at);
+        let record = &mut self.faults.records[index];
+        record.lost_running = running.len();
+        record.lost_queued = queued.len();
+        self.emit(TraceEvent::ReplicaCrashed {
+            replica,
+            at_ms: at,
+            lost_running: running.len(),
+            lost_queued: queued.len(),
+        });
+        let lost: Vec<Request> = running.into_iter().chain(queued).collect();
+        if self.recovery.readmit {
+            // Survivors take over once the weight transfer lands; the
+            // recovery event routes the buffered requests.
+            self.faults.readmit[index] = lost;
+            self.faults.pending_readmissions += 1;
+            self.emit(TraceEvent::RecoveryStarted {
+                replica,
+                at_ms: at,
+                transfer_ms: self.recovery.transfer_ms,
+            });
+            self.queue.push(
+                at + self.recovery.transfer_ms,
+                FleetEvent::FaultRecovery { index },
+            );
+        } else {
+            self.faults.records[index].failed = lost.len();
+            self.failed_ids.extend(lost.iter().map(|r| r.id));
+        }
+        if self.recovery.replace
+            && self.factory.is_some()
+            && self.commissioned() < self.config.max_replicas
+        {
+            // Cold replacement through the normal warm-up path, plus the
+            // weight transfer on top.
+            let ready = at + self.config.warmup_ms + self.recovery.transfer_ms;
+            let slot = self.commission(at, ready);
+            let record = &mut self.faults.records[index];
+            record.replacement = Some(slot);
+            record.recovered_at_ms = Some(ready);
+        }
+    }
+
+    /// Link-degrade every live slot among `replicas` on behalf of fault
+    /// `index`; returns whether any was.
+    fn degrade(&mut self, index: usize, replicas: &[usize]) -> bool {
+        for &replica in replicas {
+            if replica < self.slots.len() && self.slots[replica].retired_ms.is_none() {
+                self.slots[replica].degraded += 1;
+                self.faults.degraded[index].push(replica);
+            }
+        }
+        !self.faults.degraded[index].is_empty()
+    }
+
+    /// [`FleetEvent::FaultRecovery`]: a crash's weight transfer landed, or
+    /// a degraded link or partitioned island restored.
+    fn on_fault_recovery(&mut self, index: usize, at: f64) {
+        match self.faults.specs[index].kind {
+            FaultKind::ReplicaCrash { replica } => self.readmit(index, replica, at),
+            FaultKind::LinkDegrade { .. } | FaultKind::IslandPartition { .. } => {
+                // Restore exactly the links this fault degraded; overlapping
+                // degradations keep the slot un-routable until the last one
+                // clears.
+                for &replica in &self.faults.degraded[index] {
+                    self.slots[replica].degraded = self.slots[replica].degraded.saturating_sub(1);
+                    self.emit(TraceEvent::LinkRestored { replica, at_ms: at });
+                }
+                if !self.faults.degraded[index].is_empty() {
+                    self.faults.records[index].recovered_at_ms = Some(at);
+                }
+            }
+        }
+    }
+
+    /// Route crash `index`'s buffered requests exactly like fresh arrivals
+    /// at the recovery instant: advance the fleet, filter eligibility, apply
+    /// the dispatch policy. The latency clock restarts here — the request
+    /// re-enters the fleet now (which also keeps enqueue order
+    /// nondecreasing on the new replica).
+    fn readmit(&mut self, index: usize, replica: usize, at: f64) {
+        let lost = std::mem::take(&mut self.faults.readmit[index]);
+        self.faults.pending_readmissions -= 1;
+        self.advance_all(at);
+        self.collect_all_handoffs(at);
+        let mut readmitted = 0usize;
+        let mut failed = 0usize;
+        for request in lost {
+            // Disaggregated survivors re-enter through a prefill pod. A
+            // split request restarts as its prefill half — the transferred
+            // KV died with the pod, so the prompt recomputes and hands off
+            // again when it finishes.
+            let split = self
+                .disagg
+                .as_ref()
+                .is_some_and(|d| d.originals.contains_key(&request.id));
+            let moved = Request {
+                arrival_ms: at,
+                output_len: if split { 1 } else { request.output_len },
+                ..request
+            };
+            if self.route(moved, at).is_some() {
+                readmitted += 1;
+            } else {
+                failed += 1;
+                self.failed_ids.push(moved.id);
+            }
+        }
+        let record = &mut self.faults.records[index];
+        record.readmitted = readmitted;
+        record.failed += failed;
+        record.recovered_at_ms = Some(record.recovered_at_ms.map_or(at, |r| r.max(at)));
+        self.emit(TraceEvent::RecoveryComplete {
+            replica,
+            at_ms: at,
+            readmitted,
+            failed,
+        });
+        self.rearm_after_trace();
+    }
+
+    /// [`FleetEvent::KvTransferComplete`]: a handoff landed. A live decode
+    /// pod takes the remainder. If the pod died (or went unroutable) while
+    /// the KV was on the wire, the prefix still lives on the prefill pod,
+    /// so re-admission re-transfers to another decode pod.
+    fn on_kv_transfer_complete(&mut self, transfer: usize, at: f64) {
+        let d = self
+            .disagg
+            .as_mut()
+            .expect("transfer events exist only on disaggregated runs");
+        let PendingTransfer {
+            id,
+            from,
+            to,
+            bytes,
+        } = d.transfers[transfer];
+        d.in_flight -= 1;
+        let remainder = d.decode_half(id, at).expect("only split requests transfer");
+        if self.slots[to].routable() && self.slots[to].driver.can_ever_admit(&remainder) {
+            self.emit(TraceEvent::KvTransferComplete {
+                id,
+                from,
+                to,
+                bytes,
+                at_ms: at,
+            });
+            self.slots[to].driver.enqueue_handoff(remainder);
+            self.slots[to].assigned_ids.push(id);
+            if let Some(d) = self.disagg.as_mut() {
+                d.arm_chain(&mut self.queue, &self.slots, to, at);
+            }
+        } else if self.recovery.readmit {
+            self.start_transfer(id, from, at, at);
+        } else {
+            self.failed_ids.push(id);
+        }
+    }
+
+    /// [`FleetEvent::ControlTick`]: advance every replica to the tick,
+    /// retire drained draining replicas, observe, apply the autoscale
+    /// decision, and schedule the next tick — unless the fleet has drained
+    /// or the drain cap hit.
+    fn on_control_tick(&mut self, index: u64) {
+        // Derived, never accumulated: tick k is exactly k * tick_ms, so
+        // 10^6 ticks land where tick 10^6 should, not where 10^6 rounded
+        // additions drifted to.
+        let t = index as f64 * self.config.tick_ms;
+        let trace_done = self.next_arrival >= self.trace.len();
+        if trace_done
+            && self.faults.pending_readmissions == 0
+            && self.disagg.as_ref().is_none_or(|d| d.in_flight == 0)
+            && self.slots.iter().all(|s| s.driver.is_drained())
+        {
+            // The legacy drain loop stopped ticking here; drop the schedule
+            // and let remaining events drain.
+            return;
+        }
+        self.advance_all(t);
+        // Retirements at this very tick land before the observation below
+        // (the legacy loop retired before observing) and after every step
+        // the advance emitted.
+        for i in 0..self.slots.len() {
+            let slot = &self.slots[i];
+            if slot.draining && slot.retired_ms.is_none() && slot.driver.is_drained() {
+                self.retire(i, t);
+            }
+        }
+        let obs = observe(t, &self.config, &self.slots);
+        // What the autoscale policy is about to see — the gauge row the
+        // metrics registry snapshots its per-replica time series at.
+        self.emit(TraceEvent::ControlTick {
+            at_ms: t,
+            routable: obs.routable_replicas,
+            warming: obs.warming_replicas,
+            p95_ttft_ms: obs.p95_ttft_ms,
+            utilization: obs.utilization,
+            queued: obs.queued_requests,
+            outstanding_tokens: obs.outstanding_tokens,
+        });
+        match self.autoscaler.decide(&obs) {
+            ScaleDecision::Hold => {}
+            ScaleDecision::ScaleOut => self.scale_out(t, &obs),
+            ScaleDecision::ScaleIn => self.scale_in(t, &obs),
+        }
+        // The advance may have surfaced prefill completions; start their
+        // transfers (landings clamped to `t`) only now, so a decode pod
+        // this tick began draining takes no new handoff.
+        self.collect_all_handoffs(t);
+        if trace_done {
+            self.drain_ticks += 1;
+            if self.drain_ticks >= self.config.max_drain_ticks {
+                self.drain_incomplete_replicas = (0..self.slots.len())
+                    .filter(|&i| !self.slots[i].driver.is_drained())
+                    .collect();
+                if !self.drain_incomplete_replicas.is_empty() {
+                    return; // stop the schedule; degraded metrics
+                }
+            }
+        }
+        self.queue.push(
+            (index + 1) as f64 * self.config.tick_ms,
+            FleetEvent::ControlTick { index: index + 1 },
+        );
+    }
+
+    /// Commission one more replica, subject to `max_replicas` and to a
+    /// factory being installed.
+    fn scale_out(&mut self, t: f64, obs: &FleetObservation) {
+        let commissioned = self.commissioned();
+        if commissioned >= self.config.max_replicas || self.factory.is_none() {
+            return;
+        }
+        // Even a zero-length warm-up goes through the queue: its completion
+        // sorts before every other event at `t`, so the replica is routable
+        // for same-instant arrivals.
+        self.commission(t, t + self.config.warmup_ms);
+        self.emit(TraceEvent::ScaleOut {
+            at_ms: t,
+            replicas_after: commissioned + 1,
+        });
+        self.scale_events.push(ScaleEvent {
+            at_ms: t,
+            kind: ScaleKind::Out,
+            replicas_after: commissioned + 1,
+            reason: describe_observation(obs),
+        });
+    }
+
+    /// Start draining one replica, subject to the capable-replica floor.
+    fn scale_in(&mut self, t: f64, obs: &FleetObservation) {
+        let commissioned = self.commissioned();
+        let min_replicas = self.config.min_replicas;
+        // The floor is counted over replicas that can actually *serve* the
+        // model: draining must never remove the last capable replica (a
+        // heterogeneous fleet may carry dead weight whose kernels or
+        // weights can never admit anything, and that dead weight must not
+        // satisfy the floor). Warming capable replicas carry no traffic
+        // yet, so they skip the routable check here — but they still count
+        // toward the commissioned-capable floor the `allowed` gate below
+        // enforces.
+        let routable_capable = self
+            .slots
+            .iter()
+            .filter(|s| s.routable() && s.driver.can_serve_model())
+            .count();
+        let candidate = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.commissioned())
+            .filter(|(_, s)| {
+                !s.driver.can_serve_model() || s.warming || routable_capable > min_replicas
+            })
+            .min_by(|(ia, a), (ib, b)| {
+                // Dead-weight replicas drain first...
+                a.driver
+                    .can_serve_model()
+                    .cmp(&b.driver.can_serve_model())
+                    // ...then the least-loaded...
+                    .then(
+                        a.driver
+                            .outstanding_tokens()
+                            .cmp(&b.driver.outstanding_tokens()),
+                    )
+                    // ...preferring the newest replica (LIFO scale-in)...
+                    .then(
+                        b.spawned_ms
+                            .partial_cmp(&a.spawned_ms)
+                            .expect("spawn times are finite"),
+                    )
+                    // ...and break remaining ties deterministically.
+                    .then(ib.cmp(ia))
+            })
+            .map(|(i, _)| i);
+        let Some(i) = candidate else {
+            return;
+        };
+        // The floor is over *capable* replicas: dead weight never satisfies
+        // it, so draining dead weight is allowed whenever at least one
+        // commissioned replica remains, while draining a capable replica
+        // must leave the capable count at or above the floor.
+        let commissioned_capable = self
+            .slots
+            .iter()
+            .filter(|s| s.commissioned() && s.driver.can_serve_model())
+            .count();
+        let allowed = if self.slots[i].driver.can_serve_model() {
+            commissioned_capable > min_replicas
+        } else {
+            commissioned > 1
+        };
+        if !allowed {
+            return;
+        }
+        self.slots[i].draining = true;
+        self.emit(TraceEvent::DrainStarted {
+            replica: i,
+            at_ms: t,
+        });
+        self.emit(TraceEvent::ScaleIn {
+            at_ms: t,
+            replicas_after: commissioned - 1,
+        });
+        if self.slots[i].driver.is_drained() {
+            // Already empty: retires at this very instant. The event sorts
+            // before any tick or arrival at `t`, so nothing can observe the
+            // slot in between.
+            self.queue.push(t, FleetEvent::DrainRetire { slot: i });
+        }
+        self.scale_events.push(ScaleEvent {
+            at_ms: t,
+            kind: ScaleKind::In,
+            replicas_after: commissioned - 1,
+            reason: describe_observation(obs),
+        });
+    }
+
+    /// Commission a cold replica from the factory at `at`; it warms up
+    /// until `ready`. Returns its slot index.
+    fn commission(&mut self, at: f64, ready: f64) -> usize {
+        let factory = self.factory.as_ref().expect("callers check for a factory");
+        let replica = self.slots.len();
+        let mut slot = Slot::new(factory(), self.config.scheduler, at, ready, true);
+        if let Some(sink) = &self.sink {
+            slot.driver.attach_sink(sink.clone(), replica);
+        }
+        self.emit(TraceEvent::ReplicaCommissioned {
+            replica,
+            at_ms: at,
+            ready_ms: ready,
+        });
+        self.slots.push(slot);
+        self.queue
+            .push(ready, FleetEvent::WarmupComplete { slot: replica });
+        self.peak_replicas = self.peak_replicas.max(self.commissioned());
+        replica
+    }
+
+    /// [`FleetEvent::Arrival`]: route trace request `index`, then schedule
+    /// the next arrival (or, after the last one, re-arm the step chains).
+    fn on_arrival(&mut self, index: usize) {
+        let request = self.trace[index];
+        let at = request.arrival_ms;
+        self.emit(TraceEvent::Arrival {
+            id: request.id,
+            at_ms: at,
+        });
+        let routed = if self.disagg.is_some() {
+            // The prefill half runs the prompt and produces the first output
+            // token (the final prefill forward); the rest of the generation
+            // decodes elsewhere after the KV handoff. Slots are not
+            // bulk-advanced here — their step chains drive them, which is
+            // what lets prefill completions surface at exact step boundaries
+            // instead of at the next arrival.
+            let split = request.output_len > 1;
+            let prefill_half = Request {
+                output_len: if split { 1 } else { request.output_len },
+                ..request
+            };
+            let routed = self.route(prefill_half, at);
+            if split && routed.is_some() {
+                if let Some(d) = self.disagg.as_mut() {
+                    d.originals.insert(request.id, request);
+                }
+            }
+            routed
+        } else {
+            self.advance_all(at);
+            self.route(request, at)
+        };
+        if routed.is_none() {
+            self.emit(TraceEvent::Unroutable {
+                id: request.id,
+                at_ms: at,
+            });
+            self.unroutable.push(request.id);
+        }
+        self.next_arrival = index + 1;
+        if let Some(next) = self.trace.get(self.next_arrival) {
+            self.queue.push(
+                next.arrival_ms,
+                FleetEvent::Arrival {
+                    index: self.next_arrival,
+                },
+            );
+        } else {
+            self.rearm_after_trace();
+        }
+    }
+
+    /// Route `request` at `at` from live replica state: among the replicas
+    /// that are routable (ready, not draining, link healthy) and could ever
+    /// admit it — prefill pods only on a disaggregated run — apply the
+    /// dispatch policy and enqueue on the pick, arming its step chain on a
+    /// disaggregated run. Returns `None`, touching no replica, when none
+    /// qualifies.
+    fn route(&mut self, request: Request, at: f64) -> Option<usize> {
+        let slots = &self.slots;
+        let fits = |&i: &usize| slots[i].routable() && slots[i].driver.can_ever_admit(&request);
+        self.eligible.clear();
+        match &self.disagg {
+            Some(d) => self
+                .eligible
+                .extend(d.cfg.prefill.iter().copied().filter(fits)),
+            None => self.eligible.extend((0..slots.len()).filter(fits)),
+        }
+        let target = pick_replica(
+            self.config.policy,
+            &self.eligible,
+            slots,
+            &mut self.rr_cursor,
+        )?;
+        self.emit(TraceEvent::Routed {
+            id: request.id,
+            replica: target,
+            at_ms: at,
+        });
+        self.slots[target].driver.enqueue(request);
+        self.slots[target].assigned_ids.push(request.id);
+        if let Some(d) = self.disagg.as_mut() {
+            d.arm_chain(&mut self.queue, &self.slots, target, at);
+        }
+        Some(target)
+    }
+
+    /// Once the trace is exhausted, start a step chain for every replica
+    /// that still holds work — on co-located runs without a tick schedule,
+    /// where nothing else would advance the fleet. Ticked runs advance on
+    /// ticks, and disaggregated runs arm a chain at every enqueue. A
+    /// replica with an already-live chain just drains through two
+    /// interleaved chains — `step_once` is state-driven, so the duplicate
+    /// is harmless and deterministic.
+    fn rearm_after_trace(&mut self) {
+        if self.ticks || self.disagg.is_some() || self.next_arrival < self.trace.len() {
+            return;
+        }
+        for (i, slot) in self.slots.iter().enumerate() {
+            if !slot.driver.is_drained() {
+                self.queue.push(
+                    slot.driver.clock_ms(),
+                    FleetEvent::StepCompletion { slot: i },
+                );
+            }
+        }
+    }
+
+    /// [`FleetEvent::StepCompletion`]: run the slot's next engine step and
+    /// keep its chain alive while it has work; on a disaggregated run, hand
+    /// off any prefill half the step finished.
+    fn on_step_completion(&mut self, slot: usize, at: f64) {
+        let driver = &mut self.slots[slot].driver;
+        if driver.step_once() {
+            self.queue
+                .push(driver.clock_ms(), FleetEvent::StepCompletion { slot });
+        } else if let Some(d) = self.disagg.as_mut() {
+            d.chain_died(slot);
+        }
+        self.collect_handoffs(slot, at);
+    }
+
+    /// Bulk-advance every replica to `t`.
+    fn advance_all(&mut self, t: f64) {
+        for slot in &mut self.slots {
+            slot.driver.advance_to(t);
+        }
+    }
+
+    /// After a bulk advance, start the transfers of every prefill half it
+    /// surfaced (landings clamped to `now`).
+    fn collect_all_handoffs(&mut self, now: f64) {
+        for slot in 0..self.slots.len() {
+            self.collect_handoffs(slot, now);
+        }
+    }
+
+    /// Start the KV transfers of `slot`'s newly finished prefill halves (a
+    /// no-op off the prefill set and on co-located runs).
+    fn collect_handoffs(&mut self, slot: usize, now: f64) {
+        let Some(d) = &self.disagg else {
+            return;
+        };
+        if d.prefill_pos.get(slot).copied().flatten().is_none() {
+            return;
+        }
+        let (watermark, done) = (d.watermark[slot], self.slots[slot].driver.completed().len());
+        for k in watermark..done {
+            let finished = &self.slots[slot].driver.completed()[k];
+            let (id, finished_ms) = (finished.request.id, finished.finished_ms);
+            self.start_transfer(id, slot, finished_ms, now);
+        }
+        if let Some(d) = self.disagg.as_mut() {
+            d.watermark[slot] = done;
+        }
+    }
+
+    /// Hand the KV of split request `id`, whose prefill half finished on
+    /// prefill pod `from` at `start_ms`, to the decode pod with the most KV
+    /// headroom, or fail the request when no decode pod could ever take its
+    /// remainder. `now` is the current event time: a completion surfaced by
+    /// a bulk advance may predate it, so the landing is clamped to `now` —
+    /// the event queue stays causal and decode-pod enqueue order stays
+    /// nondecreasing. Untrimmed single-token requests finish entirely on
+    /// the prefill pod and never transfer.
+    fn start_transfer(&mut self, id: u64, from: usize, start_ms: f64, now: f64) {
+        let d = self
+            .disagg
+            .as_mut()
+            .expect("transfers exist only on disaggregated runs");
+        let Some(remainder) = d.decode_half(id, start_ms) else {
+            return;
+        };
+        let Some(to) = d.pick_decode_pod(&self.slots, &remainder) else {
+            // No decode pod can ever take the remainder: the request dies
+            // here, not silently in a queue.
+            self.failed_ids.push(id);
+            return;
+        };
+        let row = d.prefill_pos[from].expect("transfers originate on prefill pods");
+        let col = d
+            .cfg
+            .decode
+            .iter()
+            .position(|&s| s == to)
+            .expect("pick_decode_pod returns configured pods");
+        let bytes = d.cfg.memory.kv_bytes(remainder.prompt_len);
+        let landing = (start_ms + d.cfg.links[row][col].transfer_ms(bytes)).max(now);
+        let transfer = d.transfers.len();
+        d.transfers.push(PendingTransfer {
+            id,
+            from,
+            to,
+            bytes,
+        });
+        d.in_flight += 1;
+        self.queue
+            .push(landing, FleetEvent::KvTransferComplete { transfer });
+        self.emit(TraceEvent::KvTransferStarted {
+            id,
+            from,
+            to,
+            bytes,
+            at_ms: start_ms,
+        });
+    }
+
+    /// Fold the finished slots, timelines and ledgers into fleet metrics.
+    ///
+    /// Raw figures — output tokens, makespan, rejections, per-replica
+    /// breakdowns — sum over the replicas. The pooled latency distributions
+    /// stitch each split request's prefill half (arrival, admission, first
+    /// token) to its decode half (completion), so a handoff counts once,
+    /// end to end, rather than as two short requests. A split id with no
+    /// decode-pod completion never finished (it died in a crash or a failed
+    /// handoff) and is excluded — it is already on the failed ledger. A
+    /// co-located run has no split ids, so every completion pools as is.
+    fn finish(self) -> FleetMetrics {
+        let (originals, decode_pods): (BTreeMap<u64, Request>, BTreeSet<usize>) = match self.disagg
+        {
+            Some(d) => (d.originals, d.cfg.decode.into_iter().collect()),
+            None => Default::default(),
+        };
+        let mut per_replica = Vec::with_capacity(self.slots.len());
+        let mut latencies = Vec::new();
+        let mut ttfts = Vec::new();
+        let mut tpots = Vec::new();
+        let mut completed = 0usize;
+        let mut rejected = self.unroutable.len();
+        let mut output_tokens = 0usize;
+        let mut makespan_ms = 0.0f64;
+        // id → (earliest prefill-half admission, earliest prefill-half first
+        // token, decode-half completion). A crash can re-prefill a request,
+        // so the prefill side takes minima; at most one decode completion
+        // exists per id.
+        let mut halves: BTreeMap<u64, (f64, f64, Option<f64>)> = BTreeMap::new();
+        for (i, slot) in self.slots.into_iter().enumerate() {
+            let result = slot.driver.finish();
+            rejected += result.rejected.len();
+            output_tokens += result.output_tokens();
+            makespan_ms = makespan_ms.max(result.makespan_ms);
+            for c in &result.completed {
+                if originals.contains_key(&c.request.id) {
+                    let entry =
+                        halves
+                            .entry(c.request.id)
+                            .or_insert((f64::INFINITY, f64::INFINITY, None));
+                    if decode_pods.contains(&i) {
+                        entry.2 = Some(c.finished_ms);
+                    } else {
+                        entry.0 = entry.0.min(c.admitted_ms);
+                        entry.1 = entry.1.min(c.first_token_ms);
+                    }
+                } else {
+                    completed += 1;
+                    latencies.push(c.latency_ms());
+                    ttfts.push(c.ttft_ms());
+                    tpots.extend(c.tpot_ms());
+                }
+            }
+            per_replica.push(ReplicaBreakdown {
+                engine: result.engine,
+                metrics: ServingMetrics::from_result(&result),
+                description: slot.description,
+                spawned_ms: slot.spawned_ms,
+                ready_ms: slot.ready_ms,
+                retired_ms: slot.retired_ms,
+                assigned: slot.assigned_ids.len(),
+                assigned_ids: slot.assigned_ids,
+            });
+        }
+        // BTreeMap iteration is ordered by id, so the stitched pool is
+        // deterministic without an explicit sort.
+        for (id, (admitted_ms, first_token_ms, finished)) in halves {
+            let (Some(finished_ms), true) = (finished, admitted_ms.is_finite()) else {
+                continue;
+            };
+            let stitched = CompletedRequest {
+                request: originals[&id],
+                admitted_ms,
+                first_token_ms,
+                finished_ms,
+            };
+            completed += 1;
+            latencies.push(stitched.latency_ms());
+            ttfts.push(stitched.ttft_ms());
+            tpots.extend(stitched.tpot_ms());
+        }
+        FleetMetrics {
+            engine: per_replica
+                .first()
+                .map(|r| r.engine)
+                .unwrap_or(EngineKind::Samoyeds),
+            replicas: self.peak_replicas,
+            completed,
+            rejected,
+            output_tokens_per_s: if makespan_ms > 0.0 {
+                output_tokens as f64 / (makespan_ms / 1e3)
+            } else {
+                0.0
+            },
+            request_latency: latency_summary(&latencies),
+            ttft: latency_summary(&ttfts),
+            tpot: latency_summary(&tpots),
+            makespan_ms,
+            per_replica,
+            scale_events: self.scale_events,
+            unroutable_ids: self.unroutable,
+            failed_ids: self.failed_ids,
+            faults: self.faults.records,
+            drain_incomplete: !self.drain_incomplete_replicas.is_empty(),
+            drain_incomplete_replicas: self.drain_incomplete_replicas,
+        }
+    }
+}
+
+/// Apply the dispatch policy to the eligible set.
 fn pick_replica(
     policy: DispatchPolicy,
     eligible: &[usize],
@@ -2018,185 +2216,6 @@ fn pick_replica(
             .min_by_key(|&&i| slots[i].driver.outstanding_tokens())
             .copied(),
     }
-}
-
-/// One control tick: advance every replica to `t`, retire drained draining
-/// replicas, observe, and apply the autoscale decision.
-#[allow(clippy::too_many_arguments)]
-fn control_tick(
-    t: f64,
-    config: &FleetConfig,
-    autoscaler: &mut dyn AutoscalePolicy,
-    factory: Option<&dyn Fn() -> Box<dyn ExecutionBackend>>,
-    slots: &mut Vec<Slot>,
-    events: &mut Vec<ScaleEvent>,
-    peak_replicas: &mut usize,
-    queue: &mut EventQueue,
-    sink: Option<&SharedSink>,
-) {
-    for (i, slot) in slots.iter_mut().enumerate() {
-        slot.driver.advance_to(t);
-        if slot.draining && slot.retired_ms.is_none() && slot.driver.is_drained() {
-            queue.push(t, FleetEvent::DrainRetire { slot: i });
-        }
-    }
-    // Retirements scheduled at this very tick must land before the
-    // observation below — the legacy loop retired before observing.
-    while let Some((at, FleetEvent::DrainRetire { slot })) =
-        queue.pop_if(|at, e| at == t && matches!(e, FleetEvent::DrainRetire { .. }))
-    {
-        if slots[slot].retired_ms.is_none() {
-            slots[slot].retired_ms = Some(at);
-            if let Some(sink) = sink {
-                sink.emit(TraceEvent::Retired {
-                    replica: slot,
-                    at_ms: at,
-                });
-            }
-        }
-    }
-
-    let obs = observe(t, config, slots);
-    if let Some(sink) = sink {
-        // What the autoscale policy is about to see — the gauge row the
-        // metrics registry snapshots its per-replica time series at.
-        sink.emit(TraceEvent::ControlTick {
-            at_ms: t,
-            routable: obs.routable_replicas,
-            warming: obs.warming_replicas,
-            p95_ttft_ms: obs.p95_ttft_ms,
-            utilization: obs.utilization,
-            queued: obs.queued_requests,
-            outstanding_tokens: obs.outstanding_tokens,
-        });
-    }
-    match autoscaler.decide(&obs) {
-        ScaleDecision::Hold => {}
-        ScaleDecision::ScaleOut => {
-            let commissioned = slots.iter().filter(|s| s.commissioned()).count();
-            if commissioned < config.max_replicas {
-                if let Some(factory) = factory {
-                    let mut slot =
-                        Slot::new(factory(), config.scheduler, t, t + config.warmup_ms, true);
-                    if let Some(sink) = sink {
-                        slot.driver.attach_sink((*sink).clone(), slots.len());
-                        sink.emit(TraceEvent::ReplicaCommissioned {
-                            replica: slots.len(),
-                            at_ms: t,
-                            ready_ms: t + config.warmup_ms,
-                        });
-                        sink.emit(TraceEvent::ScaleOut {
-                            at_ms: t,
-                            replicas_after: commissioned + 1,
-                        });
-                    }
-                    slots.push(slot);
-                    // Even a zero-length warm-up goes through the queue: its
-                    // completion sorts before every other event at `t`, so
-                    // the replica is routable for same-instant arrivals.
-                    queue.push(
-                        t + config.warmup_ms,
-                        FleetEvent::WarmupComplete {
-                            slot: slots.len() - 1,
-                        },
-                    );
-                    events.push(ScaleEvent {
-                        at_ms: t,
-                        kind: ScaleKind::Out,
-                        replicas_after: commissioned + 1,
-                        reason: describe_observation(&obs),
-                    });
-                }
-            }
-        }
-        ScaleDecision::ScaleIn => {
-            let commissioned = slots.iter().filter(|s| s.commissioned()).count();
-            // The floor is counted over replicas that can actually *serve*
-            // the model: draining must never remove the last capable
-            // replica (a heterogeneous fleet may carry dead weight whose
-            // kernels or weights can never admit anything, and that dead
-            // weight must not satisfy the floor). Warming capable replicas
-            // carry no traffic yet, so they skip the routable check here —
-            // but they still count toward the commissioned-capable floor
-            // the `allowed` gate below enforces.
-            let routable_capable = slots
-                .iter()
-                .filter(|s| s.routable() && s.driver.can_serve_model())
-                .count();
-            let candidate = slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.commissioned())
-                .filter(|(_, s)| {
-                    !s.driver.can_serve_model()
-                        || s.warming
-                        || routable_capable > config.min_replicas
-                })
-                .min_by(|(ia, a), (ib, b)| {
-                    // Dead-weight replicas drain first...
-                    a.driver
-                        .can_serve_model()
-                        .cmp(&b.driver.can_serve_model())
-                        // ...then the least-loaded...
-                        .then(
-                            a.driver
-                                .outstanding_tokens()
-                                .cmp(&b.driver.outstanding_tokens()),
-                        )
-                        // ...preferring the newest replica (LIFO scale-in)...
-                        .then(
-                            b.spawned_ms
-                                .partial_cmp(&a.spawned_ms)
-                                .expect("spawn times are finite"),
-                        )
-                        // ...and break remaining ties deterministically.
-                        .then(ib.cmp(ia))
-                })
-                .map(|(i, _)| i);
-            if let Some(i) = candidate {
-                // The floor is over *capable* replicas: dead weight never
-                // satisfies it, so draining dead weight is allowed whenever
-                // at least one commissioned replica remains, while draining
-                // a capable replica must leave the capable count at or
-                // above the floor.
-                let commissioned_capable = slots
-                    .iter()
-                    .filter(|s| s.commissioned() && s.driver.can_serve_model())
-                    .count();
-                let allowed = if slots[i].driver.can_serve_model() {
-                    commissioned_capable > config.min_replicas
-                } else {
-                    commissioned > 1
-                };
-                if allowed {
-                    slots[i].draining = true;
-                    if let Some(sink) = sink {
-                        sink.emit(TraceEvent::DrainStarted {
-                            replica: i,
-                            at_ms: t,
-                        });
-                        sink.emit(TraceEvent::ScaleIn {
-                            at_ms: t,
-                            replicas_after: commissioned - 1,
-                        });
-                    }
-                    if slots[i].driver.is_drained() {
-                        // Already empty: retires at this very instant. The
-                        // event sorts before any tick or arrival at `t`, so
-                        // nothing can observe the slot in between.
-                        queue.push(t, FleetEvent::DrainRetire { slot: i });
-                    }
-                    events.push(ScaleEvent {
-                        at_ms: t,
-                        kind: ScaleKind::In,
-                        replicas_after: commissioned - 1,
-                        reason: describe_observation(&obs),
-                    });
-                }
-            }
-        }
-    }
-    *peak_replicas = (*peak_replicas).max(slots.iter().filter(|s| s.commissioned()).count());
 }
 
 /// Build the tick's observation from live replica state.
@@ -2272,257 +2291,6 @@ fn describe_observation(obs: &FleetObservation) -> String {
         obs.utilization * 100.0,
         obs.queued_requests,
     )
-}
-
-/// Fold the finished slots, timeline, unroutable set and fault ledger into
-/// fleet metrics.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    slots: Vec<Slot>,
-    scale_events: Vec<ScaleEvent>,
-    unroutable_ids: Vec<u64>,
-    failed_ids: Vec<u64>,
-    faults: Vec<FaultRecord>,
-    peak_replicas: usize,
-    drain_incomplete: bool,
-    drain_incomplete_replicas: Vec<usize>,
-    ledger: Option<DisaggLedger>,
-) -> FleetMetrics {
-    let records: Vec<ReplicaRecord> = slots
-        .into_iter()
-        .map(|slot| {
-            let Slot {
-                driver,
-                description,
-                spawned_ms,
-                ready_ms,
-                retired_ms,
-                assigned_ids,
-                ..
-            } = slot;
-            ReplicaRecord {
-                description,
-                spawned_ms,
-                ready_ms,
-                retired_ms,
-                assigned_ids,
-                result: driver.finish(),
-            }
-        })
-        .collect();
-    let mut metrics = match ledger {
-        Some(ledger) => aggregate_disaggregated(
-            peak_replicas,
-            records,
-            scale_events,
-            unroutable_ids,
-            drain_incomplete,
-            &ledger,
-        ),
-        None => aggregate(
-            peak_replicas,
-            records,
-            scale_events,
-            unroutable_ids,
-            drain_incomplete,
-        ),
-    };
-    metrics.failed_ids = failed_ids;
-    metrics.faults = faults;
-    metrics.drain_incomplete_replicas = drain_incomplete_replicas;
-    metrics
-}
-
-/// What [`aggregate_disaggregated`] needs to stitch split requests back
-/// together: the original request behind every split id, and which slots
-/// were decode pods (a split id counts as completed exactly when its
-/// remainder finished on one of them).
-struct DisaggLedger {
-    originals: BTreeMap<u64, Request>,
-    decode: Vec<usize>,
-}
-
-/// One replica's finished run plus its control-plane bookkeeping — the input
-/// row of [`aggregate`].
-struct ReplicaRecord {
-    description: String,
-    spawned_ms: f64,
-    ready_ms: f64,
-    retired_ms: Option<f64>,
-    assigned_ids: Vec<u64>,
-    result: SimulationResult,
-}
-
-/// Pool per-replica results of a co-located run into fleet metrics.
-fn aggregate(
-    replicas: usize,
-    records: Vec<ReplicaRecord>,
-    scale_events: Vec<ScaleEvent>,
-    unroutable_ids: Vec<u64>,
-    drain_incomplete: bool,
-) -> FleetMetrics {
-    let mut per_replica = Vec::with_capacity(records.len());
-    let mut latencies = Vec::new();
-    let mut ttfts = Vec::new();
-    let mut tpots = Vec::new();
-    let mut completed = 0usize;
-    let mut rejected = unroutable_ids.len();
-    let mut output_tokens = 0usize;
-    let mut makespan_ms = 0.0f64;
-    for record in records {
-        let result = &record.result;
-        completed += result.completed.len();
-        rejected += result.rejected.len();
-        output_tokens += result.output_tokens();
-        makespan_ms = makespan_ms.max(result.makespan_ms);
-        latencies.extend(result.completed.iter().map(|c| c.latency_ms()));
-        ttfts.extend(result.completed.iter().map(|c| c.ttft_ms()));
-        tpots.extend(result.completed.iter().filter_map(|c| c.tpot_ms()));
-        per_replica.push(ReplicaBreakdown {
-            engine: result.engine,
-            metrics: ServingMetrics::from_result(result),
-            description: record.description,
-            spawned_ms: record.spawned_ms,
-            ready_ms: record.ready_ms,
-            retired_ms: record.retired_ms,
-            assigned: record.assigned_ids.len(),
-            assigned_ids: record.assigned_ids,
-        });
-    }
-    FleetMetrics {
-        engine: per_replica
-            .first()
-            .map(|r| r.engine)
-            .unwrap_or(EngineKind::Samoyeds),
-        replicas,
-        completed,
-        rejected,
-        output_tokens_per_s: if makespan_ms > 0.0 {
-            output_tokens as f64 / (makespan_ms / 1e3)
-        } else {
-            0.0
-        },
-        request_latency: latency_summary(&latencies),
-        ttft: latency_summary(&ttfts),
-        tpot: latency_summary(&tpots),
-        makespan_ms,
-        per_replica,
-        scale_events,
-        unroutable_ids,
-        failed_ids: Vec::new(),
-        faults: Vec::new(),
-        drain_incomplete,
-        drain_incomplete_replicas: Vec::new(),
-    }
-}
-
-/// Pool per-replica results of a disaggregated run. Raw figures — output
-/// tokens, makespan, rejections, per-replica breakdowns — sum exactly as in
-/// [`aggregate`]; the pooled latency distributions instead stitch each split
-/// request's prefill half (arrival, admission, first token) to its decode
-/// half (completion) so a handoff counts once, end to end, rather than as
-/// two short requests. A split id with no decode-pod completion never
-/// finished (it died in a crash or a failed handoff) and is excluded — it is
-/// already on the failed ledger.
-fn aggregate_disaggregated(
-    replicas: usize,
-    records: Vec<ReplicaRecord>,
-    scale_events: Vec<ScaleEvent>,
-    unroutable_ids: Vec<u64>,
-    drain_incomplete: bool,
-    ledger: &DisaggLedger,
-) -> FleetMetrics {
-    let decode_pods: BTreeSet<usize> = ledger.decode.iter().copied().collect();
-    let mut per_replica = Vec::with_capacity(records.len());
-    let mut latencies = Vec::new();
-    let mut ttfts = Vec::new();
-    let mut tpots = Vec::new();
-    let mut completed = 0usize;
-    let mut rejected = unroutable_ids.len();
-    let mut output_tokens = 0usize;
-    let mut makespan_ms = 0.0f64;
-    // id → (earliest prefill-half admission, earliest prefill-half first
-    // token, decode-half completion). A crash can re-prefill a request, so
-    // the prefill side takes minima; at most one decode completion exists
-    // per id.
-    let mut halves: BTreeMap<u64, (f64, f64, Option<f64>)> = BTreeMap::new();
-    for (slot, record) in records.into_iter().enumerate() {
-        let result = &record.result;
-        rejected += result.rejected.len();
-        output_tokens += result.output_tokens();
-        makespan_ms = makespan_ms.max(result.makespan_ms);
-        for c in &result.completed {
-            if ledger.originals.contains_key(&c.request.id) {
-                let entry =
-                    halves
-                        .entry(c.request.id)
-                        .or_insert((f64::INFINITY, f64::INFINITY, None));
-                if decode_pods.contains(&slot) {
-                    entry.2 = Some(c.finished_ms);
-                } else {
-                    entry.0 = entry.0.min(c.admitted_ms);
-                    entry.1 = entry.1.min(c.first_token_ms);
-                }
-            } else {
-                completed += 1;
-                latencies.push(c.latency_ms());
-                ttfts.push(c.ttft_ms());
-                tpots.extend(c.tpot_ms());
-            }
-        }
-        per_replica.push(ReplicaBreakdown {
-            engine: result.engine,
-            metrics: ServingMetrics::from_result(result),
-            description: record.description,
-            spawned_ms: record.spawned_ms,
-            ready_ms: record.ready_ms,
-            retired_ms: record.retired_ms,
-            assigned: record.assigned_ids.len(),
-            assigned_ids: record.assigned_ids,
-        });
-    }
-    // BTreeMap iteration is ordered by id, so the stitched pool is
-    // deterministic without an explicit sort.
-    for (id, (admitted_ms, first_token_ms, finished)) in halves {
-        let (Some(finished_ms), true) = (finished, admitted_ms.is_finite()) else {
-            continue;
-        };
-        let stitched = CompletedRequest {
-            request: ledger.originals[&id],
-            admitted_ms,
-            first_token_ms,
-            finished_ms,
-        };
-        completed += 1;
-        latencies.push(stitched.latency_ms());
-        ttfts.push(stitched.ttft_ms());
-        tpots.extend(stitched.tpot_ms());
-    }
-    FleetMetrics {
-        engine: per_replica
-            .first()
-            .map(|r| r.engine)
-            .unwrap_or(EngineKind::Samoyeds),
-        replicas,
-        completed,
-        rejected,
-        output_tokens_per_s: if makespan_ms > 0.0 {
-            output_tokens as f64 / (makespan_ms / 1e3)
-        } else {
-            0.0
-        },
-        request_latency: latency_summary(&latencies),
-        ttft: latency_summary(&ttfts),
-        tpot: latency_summary(&tpots),
-        makespan_ms,
-        per_replica,
-        scale_events,
-        unroutable_ids,
-        failed_ids: Vec::new(),
-        faults: Vec::new(),
-        drain_incomplete,
-        drain_incomplete_replicas: Vec::new(),
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from dense weights to
 //! pruned formats, kernels, MoE engines and experiment reports.
 
+use samoyeds::dist::{ClusterEngine, DisaggSweepReport, FaultSweepReport};
 use samoyeds::gpu_sim::DeviceSpec;
 use samoyeds::kernels::gemm_dense::DenseGemm;
 use samoyeds::kernels::samoyeds_kernel::{SamoyedsKernel, SamoyedsOptions};
@@ -11,7 +12,7 @@ use samoyeds::moe::expert::ExpertWeights;
 use samoyeds::moe::memory::{batch_experiment_seq_len, max_batch_size};
 use samoyeds::moe::router::TopKRouter;
 use samoyeds::pruning::accuracy::{ProxyTask, PruneMethod};
-use samoyeds::serve::{compare_engines, SchedulerConfig, TraceConfig};
+use samoyeds::serve::{compare_engines, FaultKind, SchedulerConfig, TraceConfig};
 use samoyeds::sparse::prune::PruneFormat;
 use samoyeds::sparse::samoyeds::SamoyedsConfig;
 use samoyeds::sparse::{DenseMatrix, SamoyedsWeight, SelInput, SparseFormat};
@@ -157,6 +158,114 @@ fn samoyeds_serves_models_the_dense_engines_cannot_hold() {
     assert_eq!(dense.completed, 0);
     assert!(sparse.servable);
     assert!(sparse.completed > 0);
+}
+
+#[test]
+fn fault_sweep_recovers_with_zero_lost_requests_under_readmission() {
+    let report = FaultSweepReport::sweep(&MoeModelConfig::qwen2_moe(), &SchedulerConfig::default());
+    assert_eq!(report.entries.len(), 3);
+    // The transfer bill comes from the placement layer and is real.
+    assert!(report.transfer_ms > 0.0 && report.transfer_ms.is_finite());
+    assert!(report.transfer_bytes > 0.0);
+    // Acceptance criterion: finite recovery time, zero lost requests when
+    // re-admission is on.
+    let (recovery_ms, failed) = report.readmit_recovery().expect("crash recovered");
+    assert!(recovery_ms.is_finite() && recovery_ms >= report.transfer_ms - 1e-6);
+    assert_eq!(failed, 0);
+    for e in &report.entries {
+        // Conservation in every cell: served + rejected + failed covers the
+        // offered trace.
+        assert_eq!(
+            e.metrics.completed + e.metrics.rejected + e.metrics.failed(),
+            report.num_requests,
+            "{}",
+            e.policy
+        );
+        assert_eq!(e.metrics.faults.len(), 2, "{}", e.policy);
+    }
+    // Fail-fast loses the crashed replica's in-flight work; the
+    // re-admission policies do not.
+    let fail_fast = &report.entries[0];
+    assert!(fail_fast.metrics.failed() > 0);
+    assert_eq!(report.entries[1].metrics.failed(), 0);
+    assert_eq!(report.entries[2].metrics.failed(), 0);
+    // The replacement policy commissions a new replica.
+    let crash = report.entries[2]
+        .metrics
+        .faults
+        .iter()
+        .find(|f| matches!(f.kind, FaultKind::ReplicaCrash { .. }))
+        .unwrap();
+    assert!(crash.replacement.is_some());
+    // The re-admission run's trace carries fault + recovery instants.
+    let json = report.chrome_trace();
+    assert!(json.contains("\"replica crashed\""));
+    assert!(json.contains("\"recovery started\""));
+    assert!(json.contains("\"recovery complete\""));
+    assert!(json.contains("\"link degraded\""));
+    assert!(json.contains("\"link restored\""));
+    let rows = report.render_markdown();
+    assert!(rows.iter().any(|r| r.contains("fail-fast")));
+    assert!(rows.iter().any(|r| r.contains("re-admit + replace")));
+    assert!(rows.iter().any(|r| r.starts_with("drain:")));
+}
+
+#[test]
+fn disagg_sweep_shows_compression_unlocking_the_decode_pods() {
+    let report =
+        DisaggSweepReport::sweep(&MoeModelConfig::qwen2_moe(), &SchedulerConfig::default());
+    // 3 engines x 3 prefill:decode splits.
+    assert_eq!(report.entries.len(), 9);
+    for e in &report.entries {
+        assert_eq!(e.prefill_pods + e.decode_pods, report.slots);
+        match e.engine {
+            // The memory story: dense bf16 weights do not fit the 12 GiB
+            // decode pods, so every dense split is rejected by validation
+            // before anything runs.
+            ClusterEngine::Dense => assert!(e.outcome.is_none()),
+            ClusterEngine::Venom | ClusterEngine::Samoyeds => {
+                let o = e.outcome.as_ref().expect("compressed cells run");
+                // Conservation in every feasible cell.
+                assert_eq!(
+                    o.metrics.completed + o.metrics.rejected + o.metrics.failed(),
+                    report.num_requests,
+                    "{} {}:{}",
+                    e.engine.name(),
+                    e.prefill_pods,
+                    e.decode_pods
+                );
+                // Every completion decoded remotely, so handoffs flowed and
+                // the transfer phase showed up in the attribution.
+                assert!(o.intra_transfers + o.spine_transfers > 0);
+                assert!(o.intra_bytes + o.spine_bytes > 0.0);
+                assert!(o.attribution.transfer.mean_ms > 0.0);
+                // Topology pricing: the 2:2 split puts all prefill in
+                // island 0 and all decode in island 1, so every handoff
+                // crosses the spine; the 1:3 and 3:1 splits each keep one
+                // prefill-decode pair inside an island (GPU 0 - 1 and
+                // GPU 2 - 3 respectively) and see both kinds.
+                if e.prefill_pods == 2 {
+                    assert_eq!(o.intra_transfers, 0);
+                } else {
+                    assert!(o.intra_transfers > 0 && o.spine_transfers > 0);
+                }
+            }
+        }
+    }
+    // The acceptance contrast: Samoyeds has a best feasible split, dense
+    // has none at all.
+    let (samoyeds, dense) = report
+        .ratio_contrast()
+        .expect("samoyeds cells are feasible");
+    assert!(samoyeds.1 >= 1);
+    assert!(dense.is_none());
+    // The designated run's trace carries the transfer spans.
+    let json = report.chrome_trace();
+    assert!(json.contains("\"kv transfer started\""));
+    assert!(json.contains("\"kv transfer complete\""));
+    let rows = report.render_markdown();
+    assert!(rows.iter().any(|r| r.contains("| Dense | 1:3 | OOM |")));
+    assert!(rows.iter().any(|r| r.contains("best split")));
 }
 
 #[test]
