@@ -190,11 +190,7 @@ impl ClusterBackend {
 
 impl ExecutionBackend for ClusterBackend {
     fn engine_kind(&self) -> EngineKind {
-        self.sim
-            .cluster()
-            .engine
-            .engine(&self.sim.cluster().device)
-            .kind()
+        self.sim.engine().kind()
     }
 
     fn model(&self) -> &MoeModelConfig {
@@ -202,11 +198,7 @@ impl ExecutionBackend for ClusterBackend {
     }
 
     fn supports(&self, config: &MoeModelConfig) -> bool {
-        self.sim
-            .cluster()
-            .engine
-            .engine(&self.sim.cluster().device)
-            .supports(config)
+        self.sim.engine().supports(config)
     }
 
     fn memory(&self) -> &dyn MemoryBudget {

@@ -16,6 +16,7 @@ use crate::placement::{ClusterEngine, ClusterMemoryModel, ExpertPlacement, Place
 use crate::topology::{ClusterTopology, FlowMatrix};
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
+use samoyeds_moe::engines::Engine;
 use samoyeds_moe::router::RoutingPlan;
 use samoyeds_sparse::{Result, SparseError};
 use serde::{Deserialize, Serialize};
@@ -194,6 +195,11 @@ impl ClusterStepReport {
 pub struct ClusterSimulator {
     cluster: ClusterConfig,
     model: MoeModelConfig,
+    /// `model` without its shared experts: what each rank's routed shard
+    /// is priced as (the replicated shared experts are priced separately,
+    /// over the rank's local tokens).
+    routed_model: MoeModelConfig,
+    engine: Engine,
     memory: ClusterMemoryModel,
     topology: ClusterTopology,
 }
@@ -201,9 +207,15 @@ pub struct ClusterSimulator {
 impl ClusterSimulator {
     /// Build the simulator.
     pub fn new(cluster: ClusterConfig, model: MoeModelConfig) -> Self {
+        let routed_model = MoeModelConfig {
+            num_shared_experts: 0,
+            ..model.clone()
+        };
         Self {
             memory: ClusterMemoryModel::new(&cluster.device, cluster.engine, &model),
             topology: cluster.resolved_topology(),
+            engine: cluster.engine.engine(&cluster.device),
+            routed_model,
             cluster,
             model,
         }
@@ -222,6 +234,11 @@ impl ClusterSimulator {
     /// The model being served.
     pub fn model(&self) -> &MoeModelConfig {
         &self.model
+    }
+
+    /// The engine every rank's compute is priced with.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// The per-GPU memory model placements are validated against.
@@ -244,19 +261,15 @@ impl ClusterSimulator {
     /// near-fixed cost per expert for indexing the full batch, so an
     /// expert's cost is its fixed share plus its token-dependent share.
     pub fn expert_cost_profile(&self, plan: &RoutingPlan) -> Vec<usize> {
-        let engine = self.cluster.engine.engine(&self.cluster.device);
-        let mut routed_cfg = self.model.clone();
-        routed_cfg.num_shared_experts = 0;
         (0..plan.num_experts())
             .map(|e| {
-                let single = RoutingPlan {
-                    num_tokens: plan.num_tokens,
-                    top_k: plan.top_k,
-                    expert_tokens: vec![plan.expert_tokens[e].clone()],
-                    expert_weights: vec![plan.expert_weights[e].clone()],
-                };
-                let ms = engine
-                    .moe_layer_cost(&routed_cfg, plan.num_tokens, &single)
+                let ms = self
+                    .engine
+                    .moe_layer_cost_for_loads(
+                        &self.routed_model,
+                        plan.num_tokens,
+                        &[plan.tokens_for(e)],
+                    )
                     .time_ms;
                 (ms * 1e6) as usize
             })
@@ -350,29 +363,22 @@ impl ClusterSimulator {
             plan.shard(placement.assignments())?
         };
         let locals = self.local_tokens(plan.num_tokens);
-        let engine = self.cluster.engine.engine(&self.cluster.device);
 
         // Routed experts: each GPU runs its shard; the SEL arrays index the
         // global token batch, so `num_tokens` stays the full batch. Shared
         // experts are replicated and run over the GPU's local tokens only.
-        let mut routed_cfg = self.model.clone();
-        routed_cfg.num_shared_experts = 0;
-        let empty_plan = |local: usize| RoutingPlan {
-            num_tokens: local,
-            top_k: self.model.top_k,
-            expert_tokens: Vec::new(),
-            expert_weights: Vec::new(),
-        };
         let mut per_gpu_compute_ms = Vec::with_capacity(g);
         let mut sharded_assignments = 0usize;
         for (gpu, shard) in shards.iter().enumerate() {
             sharded_assignments += shard.total_assignments();
-            let mut ms = engine
-                .moe_layer_cost(&routed_cfg, plan.num_tokens, shard)
+            let mut ms = self
+                .engine
+                .moe_layer_cost(&self.routed_model, plan.num_tokens, shard)
                 .time_ms;
             if self.model.num_shared_experts > 0 && locals[gpu] > 0 {
-                ms += engine
-                    .moe_layer_cost(&self.model, locals[gpu], &empty_plan(locals[gpu]))
+                ms += self
+                    .engine
+                    .moe_layer_cost_for_loads(&self.model, locals[gpu], &[])
                     .time_ms;
             }
             per_gpu_compute_ms.push(ms);

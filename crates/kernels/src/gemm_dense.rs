@@ -14,7 +14,7 @@ use samoyeds_sparse::{DenseMatrix, Result};
 /// Simulated cuBLAS-like dense GEMM.
 #[derive(Debug, Clone)]
 pub struct DenseGemm {
-    device: DeviceSpec,
+    cost: CostModel,
     tiling: TilingConfig,
 }
 
@@ -23,12 +23,15 @@ impl DenseGemm {
     /// tiling.
     pub fn new(device: DeviceSpec) -> Self {
         let tiling = TilingConfig::VENDOR_LARGE.shrink_to_fit(&device, false);
-        Self { device, tiling }
+        Self {
+            cost: CostModel::new(device),
+            tiling,
+        }
     }
 
     /// The device this kernel targets.
     pub fn device(&self) -> &DeviceSpec {
-        &self.device
+        self.cost.device()
     }
 
     /// Build the performance profile for a problem (uses all `n` logical
@@ -50,9 +53,10 @@ impl DenseGemm {
         p.traffic.smem_bytes = total_reads;
         p.traffic.coalescing_efficiency = 1.0;
         p.traffic.smem_bank_passes = 1.0;
-        let occ = Occupancy::compute(&self.device, &launch);
-        let concurrent = occ.blocks_per_sm * self.device.sm_count;
-        p.l2_hit_fraction = tiled_gemm_l2_hit(k, t.mb, t.nb, concurrent, self.device.l2_bytes);
+        let device = self.device();
+        let occ = Occupancy::compute(device, &launch);
+        let concurrent = occ.blocks_per_sm * device.sm_count;
+        p.l2_hit_fraction = tiled_gemm_l2_hit(k, t.mb, t.nb, concurrent, device.l2_bytes);
 
         // Vendor-library quality.
         p.compute_efficiency = 0.85;
@@ -63,7 +67,13 @@ impl DenseGemm {
 
     /// Predicted statistics for a problem.
     pub fn stats(&self, problem: &GemmProblem) -> KernelStats {
-        CostModel::new(self.device.clone()).evaluate(&self.profile(problem))
+        self.cost.evaluate(&self.profile(problem))
+    }
+
+    /// Predicted execution time of a problem in milliseconds, bit-identical
+    /// to `stats(problem).time_ms` without building the statistics record.
+    pub fn time_ms(&self, problem: &GemmProblem) -> f64 {
+        self.cost.execution_time_s(&self.profile(problem)) * 1e3
     }
 
     /// Functionally execute `C = A * B` and return the result together with
@@ -114,6 +124,20 @@ mod tests {
         let a = kernel.stats(&dense_problem);
         let b = kernel.stats(&routed);
         assert!((a.time_ms - b.time_ms).abs() / a.time_ms < 1e-9);
+    }
+
+    #[test]
+    fn time_ms_is_the_stats_time_bit_for_bit() {
+        for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
+            let kernel = DenseGemm::new(device);
+            for n in [1usize, 7, 64, 216, 4096] {
+                let problem = GemmProblem::dense(2048, 1408, n);
+                assert_eq!(
+                    kernel.time_ms(&problem).to_bits(),
+                    kernel.stats(&problem).time_ms.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -82,9 +82,12 @@ impl Default for SamoyedsOptions {
 /// The Samoyeds sparse-sparse matrix-multiplication kernel.
 #[derive(Debug, Clone)]
 pub struct SamoyedsKernel {
-    device: DeviceSpec,
+    cost: CostModel,
     tiling: TilingConfig,
     options: SamoyedsOptions,
+    /// Shared-memory bank passes of the B-tile staging, fixed by the tiling
+    /// and the staging layout.
+    smem_bank_passes: f64,
 }
 
 impl SamoyedsKernel {
@@ -97,9 +100,10 @@ impl SamoyedsKernel {
     pub fn with_options(device: DeviceSpec, options: SamoyedsOptions) -> Self {
         let tiling = TilingConfig::DEFAULT_4070S.shrink_to_fit(&device, true);
         Self {
-            device,
+            cost: CostModel::new(device),
             tiling,
             options,
+            smem_bank_passes: Self::staging_passes(options, tiling),
         }
     }
 
@@ -107,12 +111,22 @@ impl SamoyedsKernel {
     /// portability experiments).
     pub fn with_tiling(mut self, tiling: TilingConfig) -> Self {
         self.tiling = tiling;
+        self.smem_bank_passes = Self::staging_passes(self.options, tiling);
         self
+    }
+
+    fn staging_passes(options: SamoyedsOptions, tiling: TilingConfig) -> f64 {
+        let layout = if options.swizzled_smem {
+            SharedLayout::Swizzled
+        } else {
+            SharedLayout::Naive
+        };
+        staging_report(layout, tiling.kb, tiling.nb).passes as f64
     }
 
     /// The device this kernel targets.
     pub fn device(&self) -> &DeviceSpec {
-        &self.device
+        self.cost.device()
     }
 
     /// The active optimisation set.
@@ -198,30 +212,25 @@ impl SamoyedsKernel {
             p.traffic.gmem_write_bytes += spill_bytes * 0.5;
         }
 
-        let layout = if self.options.swizzled_smem {
-            SharedLayout::Swizzled
-        } else {
-            SharedLayout::Naive
-        };
-        p.traffic.smem_bank_passes = staging_report(layout, t.kb, t.nb).passes as f64;
+        p.traffic.smem_bank_passes = self.smem_bank_passes;
         p.traffic.coalescing_efficiency = if self.options.metadata_packing {
             1.0
         } else {
             0.8
         };
-        let occ = Occupancy::compute(&self.device, &launch);
-        let concurrent = occ.blocks_per_sm * self.device.sm_count;
+        let device = self.device();
+        let occ = Occupancy::compute(device, &launch);
+        let concurrent = occ.blocks_per_sm * device.sm_count;
         // The reduction the wave actually walks is the compressed one.
         let effective_k = ((k as f64 * keep).ceil() as usize).max(1);
-        p.l2_hit_fraction =
-            tiled_gemm_l2_hit(effective_k, t.mb, t.nb, concurrent, self.device.l2_bytes);
+        p.l2_hit_fraction = tiled_gemm_l2_hit(effective_k, t.mb, t.nb, concurrent, device.l2_bytes);
 
         p.compute_efficiency = if self.options.data_stationary {
             0.8
         } else {
             0.62
         };
-        p.pipeline_overlap = if self.device.has_async_copy {
+        p.pipeline_overlap = if device.has_async_copy {
             (0.7 + 0.08 * t.stages as f64).min(0.95)
         } else {
             0.4
@@ -232,7 +241,13 @@ impl SamoyedsKernel {
 
     /// Predicted statistics for a problem.
     pub fn stats(&self, problem: &GemmProblem) -> KernelStats {
-        CostModel::new(self.device.clone()).evaluate(&self.profile(problem))
+        self.cost.evaluate(&self.profile(problem))
+    }
+
+    /// Predicted execution time of a problem in milliseconds, bit-identical
+    /// to `stats(problem).time_ms` without building the statistics record.
+    pub fn time_ms(&self, problem: &GemmProblem) -> f64 {
+        self.cost.execution_time_s(&self.profile(problem)) * 1e3
     }
 
     /// Functionally execute `C = W * B[:, SEL]` (or `W * B` when input
@@ -534,5 +549,36 @@ mod tests {
         let ada = SamoyedsKernel::new(DeviceSpec::rtx4070_super()).profile(&problem);
         let mi300 = SamoyedsKernel::new(DeviceSpec::amd_mi300()).profile(&problem);
         assert!(mi300.pipeline_overlap < ada.pipeline_overlap);
+    }
+
+    #[test]
+    fn time_ms_is_the_stats_time_bit_for_bit() {
+        let problems = [
+            GemmProblem::samoyeds(2048, 1408, 216, 64, SamoyedsConfig::DEFAULT),
+            GemmProblem::samoyeds(1408, 2048, 64, 64, SamoyedsConfig::DEFAULT),
+            GemmProblem::samoyeds(4096, 4096, 4096, 1024, SamoyedsConfig::N1_M2_V32),
+        ];
+        let options = [
+            SamoyedsOptions::FULL,
+            SamoyedsOptions::WEIGHT_ONLY,
+            SamoyedsOptions {
+                swizzled_smem: false,
+                ..SamoyedsOptions::FULL
+            },
+        ];
+        for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
+            for opts in options {
+                let kernel = SamoyedsKernel::with_options(device.clone(), opts);
+                let retiled = kernel.clone().with_tiling(TilingConfig::VENDOR_LARGE);
+                for problem in &problems {
+                    for k in [&kernel, &retiled] {
+                        assert_eq!(
+                            k.time_ms(problem).to_bits(),
+                            k.stats(problem).time_ms.to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

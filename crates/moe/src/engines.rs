@@ -4,11 +4,12 @@
 //! and Samoyeds (dual-side structured sparsity on the Sparse Tensor Cores).
 //!
 //! Each engine converts a model configuration, a number of tokens and a
-//! routing plan into a [`LayerCost`]: the predicted MoE-layer execution time
-//! on a device plus the memory the layer's weights and transient activations
-//! occupy. The differences between engines are exactly the data-flow
-//! redundancies of §3.1 (permutation copies, un-permutation round trips,
-//! per-expert launches, padding) and the kernel each one can call.
+//! routing plan's per-expert token counts into a [`LayerCost`]: the
+//! predicted MoE-layer execution time on a device plus the memory the
+//! layer's weights and transient activations occupy. The differences
+//! between engines are exactly the data-flow redundancies of §3.1
+//! (permutation copies, un-permutation round trips, per-expert launches,
+//! padding) and the kernel each one can call.
 
 use crate::config::MoeModelConfig;
 use crate::expert::{ExpertWeights, SamoyedsExpertWeights};
@@ -189,22 +190,41 @@ impl Engine {
     }
 
     /// Predicted cost of one MoE layer for `num_tokens` tokens routed by
-    /// `plan`.
+    /// `plan`: [`Self::moe_layer_cost_for_loads`] over the plan's per-expert
+    /// token counts.
     pub fn moe_layer_cost(
         &self,
         config: &MoeModelConfig,
         num_tokens: usize,
         plan: &RoutingPlan,
     ) -> LayerCost {
+        self.moe_layer_cost_for_loads(config, num_tokens, &plan.expert_loads())
+    }
+
+    /// Predicted cost of one MoE layer for `num_tokens` tokens, `loads[e]`
+    /// of which are routed to expert `e`.
+    ///
+    /// Every engine prices an expert from its token count alone (the length
+    /// of its `SEL` array), so the loads are all of the routing the cost
+    /// model reads. Within one call each distinct per-expert price is
+    /// computed once, and the terms are still added one per expert in
+    /// expert order, so the result is bit-identical to pricing every expert
+    /// separately.
+    pub fn moe_layer_cost_for_loads(
+        &self,
+        config: &MoeModelConfig,
+        num_tokens: usize,
+        loads: &[usize],
+    ) -> LayerCost {
         if !self.supports(config) {
             return LayerCost::unsupported();
         }
         let time_ms = match self.kind {
-            EngineKind::Transformers => self.time_transformers(config, num_tokens, plan, false),
-            EngineKind::MegaBlocks => self.time_grouped(config, num_tokens, plan, 128, 0.9),
-            EngineKind::VllmDs => self.time_fused_dense(config, num_tokens, plan, 64),
-            EngineKind::Pit => self.time_pit(config, num_tokens, plan),
-            EngineKind::Samoyeds => self.time_samoyeds(config, num_tokens, plan),
+            EngineKind::Transformers => self.time_transformers(config, num_tokens, loads),
+            EngineKind::MegaBlocks => self.time_grouped(config, num_tokens, loads, 128, 0.9),
+            EngineKind::VllmDs => self.time_padded_dense(config, num_tokens, loads, 64, 0.3),
+            EngineKind::Pit => self.time_padded_dense(config, num_tokens, loads, 16, 0.5),
+            EngineKind::Samoyeds => self.time_samoyeds(config, num_tokens, loads),
         };
         LayerCost {
             time_ms,
@@ -212,21 +232,6 @@ impl Engine {
             activation_bytes: self.activation_bytes(config, num_tokens),
             supported: true,
         }
-    }
-
-    /// Expert GEMM helper: the three projections of one expert over `tokens`
-    /// tokens, costed with the dense cuBLAS-like kernel.
-    fn dense_expert_time_ms(&self, config: &MoeModelConfig, tokens: usize) -> f64 {
-        if tokens == 0 {
-            return 0.0;
-        }
-        let gemm = DenseGemm::new(self.device.clone());
-        let h = config.hidden_size;
-        let i = config.intermediate_size;
-        let gate = gemm.stats(&GemmProblem::dense(i, h, tokens)).time_ms;
-        let up = gemm.stats(&GemmProblem::dense(i, h, tokens)).time_ms;
-        let down = gemm.stats(&GemmProblem::dense(h, i, tokens)).time_ms;
-        gate + up + down
     }
 
     /// Extra time of an element-wise pass (activation or weighted
@@ -246,48 +251,29 @@ impl Engine {
 
     /// Transformers-style execution: permute, per-expert dense GEMMs with
     /// standalone activations, un-permute with weighted accumulation.
-    /// `fused_activation` is exposed so the Samoyeds "+W" breakdown point can
-    /// reuse this data flow with sparse kernels.
     fn time_transformers(
         &self,
         config: &MoeModelConfig,
         num_tokens: usize,
-        plan: &RoutingPlan,
-        weight_sparse: bool,
+        loads: &[usize],
     ) -> f64 {
         let h = config.hidden_size;
         let i = config.intermediate_size;
+        let mut dense = DenseTimes::new(&self.device, config);
         let mut total = 0.0;
         // Input permutation: every routed token is copied into its expert's
         // buffer.
-        let permuted_tokens: usize = (0..plan.num_experts()).map(|e| plan.tokens_for(e)).sum();
+        let permuted_tokens: usize = loads.iter().sum();
         total += self.copy_pass_ms((permuted_tokens * h) as f64 * 2.0);
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            if tokens == 0 {
-                continue;
-            }
-            total += if weight_sparse {
-                self.samoyeds_expert_time_ms(config, tokens, tokens, SamoyedsOptions::WEIGHT_ONLY)
-            } else {
-                self.dense_expert_time_ms(config, tokens)
-            };
+        for &tokens in loads.iter().filter(|&&t| t > 0) {
+            total += dense.expert_ms(tokens);
             // Standalone activation + gating multiply over the intermediate.
             total += self.elementwise_pass_ms(i, tokens, config.activation);
             total += self.elementwise_pass_ms(i, tokens, Activation::Identity);
         }
         // Shared experts process every token.
         for _ in 0..config.num_shared_experts {
-            total += if weight_sparse {
-                self.samoyeds_expert_time_ms(
-                    config,
-                    num_tokens,
-                    num_tokens,
-                    SamoyedsOptions::WEIGHT_ONLY,
-                )
-            } else {
-                self.dense_expert_time_ms(config, num_tokens)
-            };
+            total += dense.expert_ms(num_tokens);
             total += self.elementwise_pass_ms(i, num_tokens, config.activation);
         }
         // Weighted un-permutation: expert outputs are written to global
@@ -303,156 +289,71 @@ impl Engine {
         &self,
         config: &MoeModelConfig,
         num_tokens: usize,
-        plan: &RoutingPlan,
+        loads: &[usize],
         block: usize,
         fusion_quality: f64,
     ) -> f64 {
         let h = config.hidden_size;
         let i = config.intermediate_size;
-        let gemm = DenseGemm::new(self.device.clone());
-        let mut gemm_ms = 0.0;
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            if tokens == 0 {
-                continue;
-            }
-            let padded = tokens.div_ceil(block) * block;
-            gemm_ms += gemm.stats(&GemmProblem::dense(i, h, padded)).time_ms * 2.0;
-            gemm_ms += gemm.stats(&GemmProblem::dense(h, i, padded)).time_ms;
-        }
+        let mut dense = DenseTimes::new(&self.device, config);
+        let gemm_ms = dense.padded_experts_ms(loads, block);
         // Grouping removes the per-expert launch overheads except one, and
         // fuses most of the element-wise work.
-        let launches_saved = (plan.num_experts().saturating_sub(1) * 3) as f64 * 5.0e-3;
+        let launches_saved = (loads.len().saturating_sub(1) * 3) as f64 * 5.0e-3;
         let mut total = gemm_ms - launches_saved.min(gemm_ms * 0.1);
         total +=
             (1.0 - fusion_quality) * self.elementwise_pass_ms(i, num_tokens, config.activation);
         // Shared experts are ordinary dense GEMMs.
         for _ in 0..config.num_shared_experts {
-            total += self.dense_expert_time_ms(config, num_tokens);
+            total += dense.expert_ms(num_tokens);
         }
         // Token gather/scatter still happens once each way.
-        total += self.copy_pass_ms((plan.total_assignments() * h) as f64 * 2.0);
+        let assignments: usize = loads.iter().sum();
+        total += self.copy_pass_ms((assignments * h) as f64 * 2.0);
         total
     }
 
-    /// Fused dense MoE kernel (vLLM-DS-like): in-kernel gather, tokens padded
-    /// to the kernel tile, fused activation and accumulation.
-    fn time_fused_dense(
+    /// Padded dense execution with an in-kernel gather, in two flavours:
+    ///
+    /// * vLLM-DS-like fused MoE kernel (`pad` 64, `gather_share` 0.3): tokens
+    ///   padded to the kernel tile, fused activation and accumulation. The
+    ///   fused kernel eliminates the separate permute/un-permute passes and
+    ///   the element-wise kernels; only a small in-kernel gather cost
+    ///   proportional to the routed tokens remains.
+    /// * PIT-like execution (`pad` 16, `gather_share` 0.5): micro-tile
+    ///   permutation-invariant packing removes almost all padding waste, but
+    ///   the compute stays on the dense tensor cores and the packing itself
+    ///   costs one extra pass over the tokens.
+    fn time_padded_dense(
         &self,
         config: &MoeModelConfig,
         num_tokens: usize,
-        plan: &RoutingPlan,
-        tile: usize,
+        loads: &[usize],
+        pad: usize,
+        gather_share: f64,
     ) -> f64 {
         let h = config.hidden_size;
-        let i = config.intermediate_size;
-        let gemm = DenseGemm::new(self.device.clone());
-        let mut total = 0.0;
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            if tokens == 0 {
-                continue;
-            }
-            let padded = tokens.div_ceil(tile) * tile;
-            total += gemm.stats(&GemmProblem::dense(i, h, padded)).time_ms * 2.0;
-            total += gemm.stats(&GemmProblem::dense(h, i, padded)).time_ms;
-        }
-        // The fused kernel eliminates the separate permute/un-permute passes
-        // and the element-wise kernels; only a small in-kernel gather cost
-        // proportional to the routed tokens remains.
-        total += self.copy_pass_ms((plan.total_assignments() * h) as f64 * 2.0) * 0.3;
+        let mut dense = DenseTimes::new(&self.device, config);
+        let mut total = dense.padded_experts_ms(loads, pad);
+        let assignments: usize = loads.iter().sum();
+        total += self.copy_pass_ms((assignments * h) as f64 * 2.0) * gather_share;
         for _ in 0..config.num_shared_experts {
-            total += self.dense_expert_time_ms(config, num_tokens);
+            total += dense.expert_ms(num_tokens);
         }
         total
-    }
-
-    /// PIT-like execution: micro-tile permutation invariant packing removes
-    /// padding waste entirely but the compute stays on the dense tensor
-    /// cores and the packing itself costs one extra pass over the tokens.
-    fn time_pit(&self, config: &MoeModelConfig, num_tokens: usize, plan: &RoutingPlan) -> f64 {
-        let h = config.hidden_size;
-        let i = config.intermediate_size;
-        let gemm = DenseGemm::new(self.device.clone());
-        let mut total = 0.0;
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            if tokens == 0 {
-                continue;
-            }
-            // Micro-tiles of 16 remove almost all padding.
-            let padded = tokens.div_ceil(16) * 16;
-            total += gemm.stats(&GemmProblem::dense(i, h, padded)).time_ms * 2.0;
-            total += gemm.stats(&GemmProblem::dense(h, i, padded)).time_ms;
-        }
-        total += self.copy_pass_ms((plan.total_assignments() * h) as f64 * 2.0) * 0.5;
-        for _ in 0..config.num_shared_experts {
-            total += self.dense_expert_time_ms(config, num_tokens);
-        }
-        total
-    }
-
-    /// Cost of one expert (three projections) under the Samoyeds kernel with
-    /// the given options. `selected` is the number of routed tokens, `total`
-    /// the logical token count the SEL array indexes into.
-    fn samoyeds_expert_time_ms(
-        &self,
-        config: &MoeModelConfig,
-        selected: usize,
-        total: usize,
-        options: SamoyedsOptions,
-    ) -> f64 {
-        if selected == 0 {
-            return 0.0;
-        }
-        let h = config.hidden_size;
-        let i = config.intermediate_size;
-        let kernel = SamoyedsKernel::with_options(self.device.clone(), options);
-        // Padding to the kernel's N-tile (the §6.2 padding effect).
-        let nb = TilingConfig::DEFAULT_4070S.nb;
-        let padded = selected.div_ceil(nb.min(64)) * nb.min(64);
-        // With input sparsity the kernel indexes the full token buffer through
-        // the SEL array; without it (the "+W" data flow) the expert receives
-        // an already-gathered buffer of just its own tokens.
-        let logical_n = if options.input_sparsity {
-            total.max(padded)
-        } else {
-            padded
-        };
-        let gate = kernel
-            .stats(&GemmProblem::samoyeds(
-                i,
-                h,
-                logical_n,
-                padded,
-                self.samoyeds_cfg,
-            ))
-            .time_ms;
-        let down = kernel
-            .stats(&GemmProblem::samoyeds(
-                h,
-                i,
-                padded,
-                padded,
-                self.samoyeds_cfg,
-            ))
-            .time_ms;
-        gate * 2.0 + down
     }
 
     /// Samoyeds execution: dual-side sparse kernels straight off the SEL
     /// arrays, fused activation and weighted accumulation, no permute
     /// round-trips.
-    fn time_samoyeds(&self, config: &MoeModelConfig, num_tokens: usize, plan: &RoutingPlan) -> f64 {
+    fn time_samoyeds(&self, config: &MoeModelConfig, num_tokens: usize, loads: &[usize]) -> f64 {
+        let mut samoyeds = SamoyedsTimes::new(self, config, num_tokens);
         let mut total = 0.0;
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            total +=
-                self.samoyeds_expert_time_ms(config, tokens, num_tokens, self.samoyeds_options);
+        for &tokens in loads {
+            total += samoyeds.expert_ms(tokens);
         }
         for _ in 0..config.num_shared_experts {
-            total +=
-                self.samoyeds_expert_time_ms(config, num_tokens, num_tokens, self.samoyeds_options);
+            total += samoyeds.expert_ms(num_tokens);
         }
         // The weighted accumulation is fused; only the final dense output
         // write remains, which the kernel already accounts for. A residual
@@ -461,7 +362,8 @@ impl Engine {
         if !self.samoyeds_options.input_sparsity {
             // The "+W" configuration keeps the permute/un-permute flow.
             let h = config.hidden_size;
-            total += self.copy_pass_ms((plan.total_assignments() * h) as f64 * 2.0 * 3.0);
+            let assignments: usize = loads.iter().sum();
+            total += self.copy_pass_ms((assignments * h) as f64 * 2.0 * 3.0);
         }
         total
     }
@@ -555,6 +457,135 @@ impl Engine {
     /// want to evaluate extra kernels consistently).
     pub fn cost_model(&self) -> CostModel {
         CostModel::new(self.device.clone())
+    }
+}
+
+/// Look `key` up in a per-call price memo, pricing and recording it on a
+/// miss. A call has at most one key per expert, so a linear scan is enough.
+fn memoized<V: Copy>(memo: &mut Vec<(usize, V)>, key: usize, price: impl FnOnce() -> V) -> V {
+    if let Some(&(_, value)) = memo.iter().find(|(k, _)| *k == key) {
+        return value;
+    }
+    let value = price();
+    memo.push((key, value));
+    value
+}
+
+/// The dense (cuBLAS-like) projection times of one pricing call, keyed by
+/// token count. For a fixed device and model a GEMM's time depends on its
+/// column count alone, so each distinct count is priced once, through one
+/// kernel built on the first miss.
+struct DenseTimes<'a> {
+    device: &'a DeviceSpec,
+    hidden: usize,
+    intermediate: usize,
+    gemm: Option<DenseGemm>,
+    /// `(tokens, (gate or up projection ms, down projection ms))`.
+    memo: Vec<(usize, (f64, f64))>,
+}
+
+impl<'a> DenseTimes<'a> {
+    fn new(device: &'a DeviceSpec, config: &MoeModelConfig) -> Self {
+        Self {
+            device,
+            hidden: config.hidden_size,
+            intermediate: config.intermediate_size,
+            gemm: None,
+            memo: Vec::new(),
+        }
+    }
+
+    /// `(gate or up, down)` projection times over `tokens` columns.
+    fn projections_ms(&mut self, tokens: usize) -> (f64, f64) {
+        let (h, i) = (self.hidden, self.intermediate);
+        memoized(&mut self.memo, tokens, || {
+            let gemm = self
+                .gemm
+                .get_or_insert_with(|| DenseGemm::new(self.device.clone()));
+            (
+                gemm.time_ms(&GemmProblem::dense(i, h, tokens)),
+                gemm.time_ms(&GemmProblem::dense(h, i, tokens)),
+            )
+        })
+    }
+
+    /// One expert's three projections (gate + up + down) over `tokens`.
+    fn expert_ms(&mut self, tokens: usize) -> f64 {
+        if tokens == 0 {
+            return 0.0;
+        }
+        let (gate_up, down) = self.projections_ms(tokens);
+        gate_up + gate_up + down
+    }
+
+    /// Every active expert's GEMMs over its tokens padded to `pad`, gate and
+    /// up as one doubled term, summed in expert order.
+    fn padded_experts_ms(&mut self, loads: &[usize], pad: usize) -> f64 {
+        let mut total = 0.0;
+        for &tokens in loads.iter().filter(|&&t| t > 0) {
+            let (gate_up, down) = self.projections_ms(tokens.div_ceil(pad) * pad);
+            total += gate_up * 2.0;
+            total += down;
+        }
+        total
+    }
+}
+
+/// The Samoyeds expert times of one pricing call, keyed by token count
+/// padded to the N-tile. For a fixed batch an expert's time depends on
+/// nothing else, so each distinct padded count is priced once, through one
+/// kernel built on the first miss.
+struct SamoyedsTimes<'a> {
+    engine: &'a Engine,
+    hidden: usize,
+    intermediate: usize,
+    /// The logical token count the SEL arrays index into.
+    num_tokens: usize,
+    kernel: Option<SamoyedsKernel>,
+    /// `(padded tokens, expert ms)`.
+    memo: Vec<(usize, f64)>,
+}
+
+impl<'a> SamoyedsTimes<'a> {
+    fn new(engine: &'a Engine, config: &MoeModelConfig, num_tokens: usize) -> Self {
+        Self {
+            engine,
+            hidden: config.hidden_size,
+            intermediate: config.intermediate_size,
+            num_tokens,
+            kernel: None,
+            memo: Vec::new(),
+        }
+    }
+
+    /// Cost of one expert (three projections) over `selected` routed tokens.
+    fn expert_ms(&mut self, selected: usize) -> f64 {
+        if selected == 0 {
+            return 0.0;
+        }
+        let (h, i) = (self.hidden, self.intermediate);
+        let engine = self.engine;
+        let options = engine.samoyeds_options;
+        // Padding to the kernel's N-tile (the §6.2 padding effect).
+        let nb = TilingConfig::DEFAULT_4070S.nb.min(64);
+        let padded = selected.div_ceil(nb) * nb;
+        // With input sparsity the kernel indexes the full token buffer
+        // through the SEL array; without it (the "+W" data flow) the expert
+        // receives an already-gathered buffer of just its own tokens.
+        let logical_n = if options.input_sparsity {
+            self.num_tokens.max(padded)
+        } else {
+            padded
+        };
+        memoized(&mut self.memo, padded, || {
+            let kernel = self.kernel.get_or_insert_with(|| {
+                SamoyedsKernel::with_options(engine.device.clone(), options)
+            });
+            let cfg = engine.samoyeds_cfg;
+            let gate = kernel.time_ms(&GemmProblem::samoyeds(i, h, logical_n, padded, cfg));
+            let down = kernel.time_ms(&GemmProblem::samoyeds(h, i, padded, padded, cfg));
+            gate * 2.0 + down
+        })
     }
 }
 

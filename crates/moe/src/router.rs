@@ -284,69 +284,102 @@ impl TopKRouter {
     /// `TopKRouter::new(num_experts, top_k, s).unwrap().route(n)` with the
     /// same skew.
     pub fn route_seeded(&self, seed: u64, num_tokens: usize) -> RoutingPlan {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut expert_tokens: Vec<Vec<u32>> = vec![Vec::new(); self.num_experts];
         let mut expert_weights: Vec<Vec<f32>> = vec![Vec::new(); self.num_experts];
-        let mut experts: Vec<usize> = (0..self.num_experts).collect();
+        let mut exps: Vec<f32> = Vec::with_capacity(self.top_k);
+        self.sample(seed, num_tokens, |token, chosen, logits| {
+            // Softmax over the chosen experts' logits.
+            let max = logits.iter().cloned().fold(f32::MIN, f32::max);
+            exps.clear();
+            exps.extend(logits.iter().map(|l| (l - max).exp()));
+            let sum: f32 = exps.iter().sum();
+            for (&e, w) in chosen.iter().zip(exps.iter()) {
+                expert_tokens[e].push(token);
+                expert_weights[e].push(w / sum);
+            }
+        });
+        RoutingPlan {
+            num_tokens,
+            top_k: self.top_k,
+            expert_tokens,
+            expert_weights,
+        }
+    }
+
+    /// The per-expert token counts of [`Self::route_seeded`] without the
+    /// plan: `router.route_loads_seeded(s, n)` equals
+    /// `router.route_seeded(s, n).expert_loads()`. The sampler makes the
+    /// same draws, logits included, but builds no token lists and computes
+    /// no weights. This is all a cost model that prices an expert by the
+    /// length of its selection array needs.
+    pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize) -> Vec<usize> {
+        let mut loads = vec![0usize; self.num_experts];
+        self.sample(seed, num_tokens, |_, chosen, _| {
+            for &e in chosen {
+                loads[e] += 1;
+            }
+        });
+        loads
+    }
+
+    /// The seeded sampler behind both routing outputs: for each token in
+    /// order, draw its `top_k` distinct experts, then one logit per chosen
+    /// expert, and hand `(token, chosen, logits)` to `visit`.
+    fn sample(&self, seed: u64, num_tokens: usize, mut visit: impl FnMut(u32, &[usize], &[f32])) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut logits: Vec<f32> = Vec::with_capacity(self.top_k);
+        let draw_logits = |rng: &mut ChaCha8Rng, logits: &mut Vec<f32>| {
+            logits.clear();
+            logits.extend((0..self.top_k).map(|_| rng.gen_range(-1.0f32..1.0)));
+        };
+        if self.skew == 0.0 {
+            let mut experts: Vec<usize> = (0..self.num_experts).collect();
+            for token in 0..num_tokens {
+                experts.shuffle(&mut rng);
+                draw_logits(&mut rng, &mut logits);
+                visit(token as u32, &experts[..self.top_k], &logits);
+            }
+            return;
+        }
         // Clamp to the smallest positive float: extreme skews underflow the
         // Zipf tail to 0.0, which would leave the sampler with an empty
         // distribution once the hot experts are drawn.
         let popularity: Vec<f64> = (0..self.num_experts)
             .map(|e| (1.0 / ((e + 1) as f64).powf(self.skew)).max(f64::MIN_POSITIVE))
             .collect();
-        let mut chosen_buf: Vec<usize> = Vec::with_capacity(self.top_k);
+        let mut chosen: Vec<usize> = Vec::with_capacity(self.top_k);
         let mut remaining = popularity.clone();
         for token in 0..num_tokens {
-            let chosen: &[usize] = if self.skew == 0.0 {
-                experts.shuffle(&mut rng);
-                &experts[..self.top_k]
-            } else {
-                // Weighted sampling without replacement over the popularity
-                // distribution.
-                chosen_buf.clear();
-                remaining.copy_from_slice(&popularity);
-                for _ in 0..self.top_k {
-                    let total: f64 = remaining.iter().sum();
-                    let mut draw = rng.gen_range(0.0..total);
-                    // Fallback to the last still-available expert: rounding
-                    // in the running subtraction can leave `draw` above
-                    // every probability, and a fixed fallback could pick an
-                    // already-chosen expert (duplicating a token in its
-                    // list).
-                    let mut pick = remaining
-                        .iter()
-                        .rposition(|&p| p > 0.0)
-                        .expect("top_k <= num_experts leaves an expert available");
-                    for (e, &p) in remaining.iter().enumerate() {
-                        if p <= 0.0 {
-                            continue;
-                        }
-                        if draw < p {
-                            pick = e;
-                            break;
-                        }
-                        draw -= p;
+            // Weighted sampling without replacement over the popularity
+            // distribution.
+            chosen.clear();
+            remaining.copy_from_slice(&popularity);
+            for _ in 0..self.top_k {
+                let total: f64 = remaining.iter().sum();
+                let mut draw = rng.gen_range(0.0..total);
+                // Fallback to the last still-available expert: rounding in
+                // the running subtraction can leave `draw` above every
+                // probability, and a fixed fallback could pick an
+                // already-chosen expert (duplicating a token in its list).
+                let mut pick = remaining
+                    .iter()
+                    .rposition(|&p| p > 0.0)
+                    .expect("top_k <= num_experts leaves an expert available");
+                for (e, &p) in remaining.iter().enumerate() {
+                    if p <= 0.0 {
+                        continue;
                     }
-                    remaining[pick] = 0.0;
-                    chosen_buf.push(pick);
+                    if draw < p {
+                        pick = e;
+                        break;
+                    }
+                    draw -= p;
                 }
-                &chosen_buf
-            };
-            // Softmax over random logits for the chosen experts.
-            let logits: Vec<f32> = chosen.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let max = logits.iter().cloned().fold(f32::MIN, f32::max);
-            let exps: Vec<f32> = logits.iter().map(|l| (l - max).exp()).collect();
-            let sum: f32 = exps.iter().sum();
-            for (&e, w) in chosen.iter().zip(exps.iter()) {
-                expert_tokens[e].push(token as u32);
-                expert_weights[e].push(w / sum);
+                remaining[pick] = 0.0;
+                chosen.push(pick);
             }
-        }
-        RoutingPlan {
-            num_tokens,
-            top_k: self.top_k,
-            expert_tokens,
-            expert_weights,
+            draw_logits(&mut rng, &mut logits);
+            visit(token as u32, &chosen, &logits);
         }
     }
 }

@@ -308,7 +308,7 @@ impl SingleGpuBackend {
         Self {
             engine: Engine::new(engine_kind, device.clone()),
             memory: MemoryModel::new(&device, engine_kind, config),
-            // Built once; reseeded per step via `route_seeded` instead of
+            // Built once; reseeded per step via `route_loads_seeded` instead of
             // being reconstructed on the per-step hot path.
             router: TopKRouter::for_config(config, scfg.routing_seed),
             device,
@@ -360,12 +360,15 @@ impl ExecutionBackend for SingleGpuBackend {
 
     fn step_cost(&self, workload: &StepWorkload<'_>) -> StepCost {
         let step_tokens = workload.step_tokens();
-        let plan = self
+        // The engines price an expert by its token count alone, so the
+        // counts-only routing output prices the step exactly as the full
+        // plan would.
+        let loads = self
             .router
-            .route_seeded(self.routing_seed ^ workload.step_index, step_tokens);
+            .route_loads_seeded(self.routing_seed ^ workload.step_index, step_tokens);
         let moe_ms = self
             .engine
-            .moe_layer_cost(&self.config, step_tokens, &plan)
+            .moe_layer_cost_for_loads(&self.config, step_tokens, &loads)
             .time_ms;
         let attention_ms = attention_step_ms(
             &self.device,

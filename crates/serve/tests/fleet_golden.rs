@@ -10,10 +10,18 @@
 //! number *or* to the order of emitted events shows up. The blocks live in
 //! `tests/golden/fleet_run.txt`; on a mismatch the test prints the fresh
 //! block so a deliberate change can be reviewed and pasted in.
+//!
+//! Underneath every step price sits `Engine::moe_layer_cost`, so
+//! `tests/golden/layer_costs.txt` pins it directly: one line per (device,
+//! model, engine configuration, token count) with the exact bits of
+//! `time_ms`. A pricing change shows up there as a table of changed cells
+//! before it surfaces as a shifted makespan above.
 
 use samoyeds_gpu_sim::DeviceSpec;
+use samoyeds_kernels::samoyeds_kernel::SamoyedsOptions;
 use samoyeds_moe::config::MoeModelConfig;
-use samoyeds_moe::engines::EngineKind;
+use samoyeds_moe::engines::{Engine, EngineKind};
+use samoyeds_moe::router::TopKRouter;
 use samoyeds_serve::{
     BurstPhase, BurstyTraceConfig, DisaggregationConfig, ExecutionBackend, FaultKind,
     FaultSchedule, FaultSpec, FleetConfig, FleetController, FleetMetrics, KvLink, MemoryModel,
@@ -381,4 +389,88 @@ fn drain_cap_stops_the_run_with_work_outstanding() {
     assert!(metrics.drain_incomplete);
     assert!(!metrics.drain_incomplete_replicas.is_empty());
     check("drain_cap", trace.len(), &metrics, &events);
+}
+
+/// One line per priced cell: every engine, the Samoyeds breakdown presets,
+/// token counts around the N-tile (64) and 16/128-token padding boundaries,
+/// a shared-expert model, the ReLU model two engines cannot run and an
+/// 8-expert model, on the datacenter and the consumer card.
+fn render_layer_costs() -> String {
+    let engines: Vec<(&str, EngineKind, SamoyedsOptions)> = vec![
+        (
+            "Transformers",
+            EngineKind::Transformers,
+            SamoyedsOptions::FULL,
+        ),
+        ("MegaBlocks", EngineKind::MegaBlocks, SamoyedsOptions::FULL),
+        ("vLLM-DS", EngineKind::VllmDs, SamoyedsOptions::FULL),
+        ("PIT", EngineKind::Pit, SamoyedsOptions::FULL),
+        ("Samoyeds", EngineKind::Samoyeds, SamoyedsOptions::FULL),
+        (
+            "Samoyeds+W",
+            EngineKind::Samoyeds,
+            SamoyedsOptions::WEIGHT_ONLY,
+        ),
+        (
+            "Samoyeds+WI",
+            EngineKind::Samoyeds,
+            SamoyedsOptions::WEIGHT_INPUT,
+        ),
+        (
+            "Samoyeds+WIT",
+            EngineKind::Samoyeds,
+            SamoyedsOptions::WEIGHT_INPUT_LAYOUT,
+        ),
+    ];
+    let models = [
+        MoeModelConfig::qwen2_moe(),
+        MoeModelConfig::openmoe_34b(),
+        MoeModelConfig::mixtral_8x7b(),
+    ];
+    let mut out = String::new();
+    for (device_name, device) in [
+        ("a100", DeviceSpec::a100_40g()),
+        ("4070s", DeviceSpec::rtx4070_super()),
+    ] {
+        for model in &models {
+            let router = TopKRouter::for_config(model, 7);
+            for tokens in [0usize, 1, 7, 64, 65, 216, 2048] {
+                let plan = router.route(tokens);
+                for (engine_name, kind, options) in &engines {
+                    let time_ms = Engine::new(*kind, device.clone())
+                        .with_samoyeds_options(*options)
+                        .moe_layer_cost(model, tokens, &plan)
+                        .time_ms;
+                    writeln!(
+                        out,
+                        "{device_name} {} {engine_name} tokens={tokens} bits={:016x} time_ms={time_ms:?}",
+                        model.name,
+                        time_ms.to_bits()
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn moe_layer_costs_match_the_golden_price_table() {
+    let fresh = render_layer_costs();
+    let golden = include_str!("golden/layer_costs.txt");
+    if fresh != golden {
+        let changed: Vec<String> = golden
+            .lines()
+            .zip(fresh.lines())
+            .filter(|(old, new)| old != new)
+            .map(|(old, new)| format!("- {old}\n+ {new}"))
+            .collect();
+        println!(
+            "{} changed cells:\n{}\nfresh table:\n{fresh}",
+            changed.len(),
+            changed.join("\n")
+        );
+        panic!("layer costs differ from tests/golden/layer_costs.txt (fresh table printed above)");
+    }
 }

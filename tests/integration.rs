@@ -12,7 +12,12 @@ use samoyeds::moe::expert::ExpertWeights;
 use samoyeds::moe::memory::{batch_experiment_seq_len, max_batch_size};
 use samoyeds::moe::router::TopKRouter;
 use samoyeds::pruning::accuracy::{ProxyTask, PruneMethod};
-use samoyeds::serve::{compare_engines, FaultKind, SchedulerConfig, TraceConfig};
+use samoyeds::serve::backend::{attention_step_ms, auxiliary_step_ms, StepCost, StepWorkload};
+use samoyeds::serve::batch::StepBatch;
+use samoyeds::serve::{
+    compare_engines, ExecutionBackend, FaultKind, Request, RunningRequest, SchedulerConfig,
+    SingleGpuBackend, TraceConfig,
+};
 use samoyeds::sparse::prune::PruneFormat;
 use samoyeds::sparse::samoyeds::SamoyedsConfig;
 use samoyeds::sparse::{DenseMatrix, SamoyedsWeight, SelInput, SparseFormat};
@@ -292,4 +297,93 @@ fn experiment_harness_smoke() {
     assert!(rows.iter().any(|r| r.contains("Mixtral-8x22B")));
     let rows = run_experiment(Experiment::Fig14MoeLayer);
     assert!(rows.iter().any(|r| r.contains("NS")));
+}
+
+/// A step of exactly `tokens` tokens: one prefill chunk plus `tokens / 2`
+/// decodes at assorted context lengths.
+fn step_of(tokens: usize) -> (Vec<RunningRequest>, StepBatch) {
+    let decodes = tokens / 2;
+    let request = |id: u64, prompt_len: usize| Request {
+        id,
+        arrival_ms: 0.0,
+        prompt_len,
+        output_len: 64,
+    };
+    let mut prefilling = RunningRequest::new(request(0, 4096), 0.0);
+    prefilling.prefilled = 37;
+    let mut running = vec![prefilling];
+    for d in 0..decodes {
+        let mut r = RunningRequest::new(request(d as u64 + 1, 16 + 7 * d % 500), 0.0);
+        r.prefilled = r.request.prompt_len;
+        r.decoded = 1 + d % 60;
+        running.push(r);
+    }
+    let batch = StepBatch {
+        prefill: vec![(0, tokens - decodes)],
+        decode: (1..=decodes).collect(),
+    };
+    (running, batch)
+}
+
+#[test]
+fn single_gpu_step_cost_equals_the_full_plan_recombination_bit_for_bit() {
+    // The serving backend prices from counts-only routing and per-call price
+    // memos; recombining the step from the full routing plan and a fresh
+    // engine, term by term, must give the same bits.
+    let scfg = SchedulerConfig::default();
+    let model = MoeModelConfig::qwen2_moe();
+    for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
+        for kind in [EngineKind::Samoyeds, EngineKind::Transformers] {
+            let backend = SingleGpuBackend::new(device.clone(), &model, kind, &scfg);
+            let router = TopKRouter::for_config(&model, scfg.routing_seed);
+            let engine = Engine::new(kind, device.clone());
+            for tokens in [1usize, 8, 64, 65, 216, 2048] {
+                let (running, batch) = step_of(tokens);
+                assert_eq!(batch.total_tokens(), tokens);
+                for step_index in [0u64, 1, 17, 4_321, u64::MAX] {
+                    let plan = router.route_seeded(scfg.routing_seed ^ step_index, tokens);
+                    let moe_ms = engine.moe_layer_cost(&model, tokens, &plan).time_ms;
+                    let attention_ms =
+                        attention_step_ms(&device, &model, scfg.attention, &batch, &running);
+                    let other_ms = auxiliary_step_ms(&device, &model, tokens);
+                    let expected = StepCost::compute_only(
+                        (moe_ms + attention_ms + other_ms) * model.num_layers as f64
+                            + scfg.step_overhead_ms,
+                    );
+                    let priced = backend.step_cost(&StepWorkload {
+                        batch: &batch,
+                        running: &running,
+                        step_index,
+                    });
+                    assert_eq!(
+                        priced.compute_ms.to_bits(),
+                        expected.compute_ms.to_bits(),
+                        "{} {} tokens={tokens} step={step_index}",
+                        device.name,
+                        kind.name()
+                    );
+                    assert_eq!(priced, expected);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn counts_only_routing_matches_the_full_plan_loads() {
+    for config in MoeModelConfig::table2() {
+        for skew in [0.0, 1.2, 1100.0] {
+            let router = TopKRouter::for_config(&config, 3).with_skew(skew);
+            for tokens in [0usize, 1, 7, 64, 65, 216, 2048] {
+                for seed in [0u64, 11, u64::MAX] {
+                    assert_eq!(
+                        router.route_loads_seeded(seed, tokens),
+                        router.route_seeded(seed, tokens).expert_loads(),
+                        "{} skew={skew} tokens={tokens} seed={seed}",
+                        config.name
+                    );
+                }
+            }
+        }
+    }
 }
