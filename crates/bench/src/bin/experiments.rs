@@ -27,10 +27,10 @@ fn main() {
     let out_dir = Path::new("results");
     fs::create_dir_all(out_dir).expect("create results directory");
     for exp in selected {
-        // simlint::allow(wallclock): bench-harness progress timing only —
-        // this bin is outside the simulation (crates/bench/src/bin is
-        // wall-clock-exempt by rule, the waiver documents why); nothing the
-        // experiments compute depends on the measured duration
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "progress timing for the console only; no result depends on it"
+        )]
         let started = std::time::Instant::now();
         let rows = run_experiment(exp);
         let report = rows.join("\n");

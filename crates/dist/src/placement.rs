@@ -468,21 +468,13 @@ impl ExpertPlacement {
     pub fn imbalance(&self, loads: &[usize]) -> f64 {
         let effective = self.effective_gpu_loads(loads);
         let total: f64 = effective.iter().sum();
-        // simlint::allow(float-eq): division guard — a sum of non-negative
-        // loads is exactly 0.0 only when every load is zero
+        // Division guard: a sum of non-negative loads is exactly 0.0 only
+        // when every load is zero.
         if total == 0.0 {
             return 1.0;
         }
         let mean = total / effective.len() as f64;
         effective.iter().fold(0.0f64, |m, &l| m.max(l)) / mean
-    }
-
-    /// Per-GPU resident weight bytes under `memory` (base + owned experts).
-    pub fn per_gpu_weight_bytes(&self, memory: &ClusterMemoryModel) -> Vec<f64> {
-        self.gpu_experts
-            .iter()
-            .map(|owned| memory.base_bytes() + owned.len() as f64 * memory.expert_bytes())
-            .collect()
     }
 
     /// Check every GPU against its memory budget, reporting *every*
@@ -587,7 +579,10 @@ impl RecoveryPlan {
 /// Errors if `crashed_gpu` is out of range, if no survivor remains, if a
 /// sole-copy expert is lost without a `checkpoint_gpu`, or if the surviving
 /// GPUs lack the memory headroom to absorb the lost experts.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the crash, its loads, the topology and the memory budget are independent inputs"
+)]
 pub fn replan_after_crash(
     placement: &ExpertPlacement,
     crashed_gpu: usize,

@@ -15,9 +15,8 @@ use crate::placement::{replan_after_crash, ClusterEngine, ClusterMemoryModel, Pl
 use crate::topology::ClusterTopology;
 use rayon::prelude::*;
 use samoyeds_gpu_sim::DeviceSpec;
-use samoyeds_kernels::samoyeds_kernel::SamoyedsOptions;
 use samoyeds_moe::config::MoeModelConfig;
-use samoyeds_moe::engines::{Engine, EngineKind};
+use samoyeds_moe::engines::EngineKind;
 use samoyeds_moe::router::TopKRouter;
 use samoyeds_serve::{
     chrome_trace_json, request_timelines, AttributionSummary, BurstyTraceConfig,
@@ -1302,33 +1301,17 @@ impl DisaggSweepReport {
     /// Pods in every cell's fleet: GPUs of the 2×2 demo topology.
     const SLOTS: usize = 4;
 
-    /// The serve-level engine a [`ClusterEngine`]'s memory accounting maps
-    /// onto (VENOM stores the same compressed weights Samoyeds does).
-    fn memory_kind(engine: ClusterEngine) -> EngineKind {
-        match engine {
-            ClusterEngine::Dense => EngineKind::Transformers,
-            ClusterEngine::Venom | ClusterEngine::Samoyeds => EngineKind::Samoyeds,
-        }
-    }
-
-    /// One pod: the representation's memory model with its compute pricing
-    /// — VENOM swaps in the weight-only ("+W") Samoyeds kernels.
+    /// One pod: the representation's engine prices the steps, and the
+    /// engine's kind sets the memory model (VENOM's "+W" Samoyeds engine
+    /// stores the same compressed weights Samoyeds does).
     fn backend(
         engine: ClusterEngine,
         device: &DeviceSpec,
         model: &MoeModelConfig,
         scfg: &SchedulerConfig,
     ) -> Box<dyn ExecutionBackend> {
-        let backend = SingleGpuBackend::new(device.clone(), model, Self::memory_kind(engine), scfg);
-        match engine {
-            ClusterEngine::Venom => Box::new(
-                backend.with_engine(
-                    Engine::new(EngineKind::Samoyeds, device.clone())
-                        .with_samoyeds_options(SamoyedsOptions::WEIGHT_ONLY),
-                ),
-            ),
-            _ => Box::new(backend),
-        }
+        let e = engine.engine(device);
+        Box::new(SingleGpuBackend::new(device.clone(), model, e.kind(), scfg).with_engine(e))
     }
 
     /// Run the sweep over [`FleetAutoscaleReport::demo_trace`]. Every cell
@@ -1373,7 +1356,11 @@ impl DisaggSweepReport {
                 let disagg = DisaggregationConfig {
                     prefill: prefill_ids,
                     decode: decode_ids,
-                    memory: MemoryModel::new(&decode_device, Self::memory_kind(engine), model),
+                    memory: MemoryModel::new(
+                        &decode_device,
+                        engine.engine(&decode_device).kind(),
+                        model,
+                    ),
                     links,
                 };
                 let config = FleetConfig {
@@ -1485,7 +1472,10 @@ impl DisaggSweepReport {
     /// dense's — `None` on the dense side when no dense split is feasible,
     /// i.e. the compressed weights are what makes the 12 GiB decode pods
     /// usable at all, shifting the achievable prefill:decode ratio.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "two (prefill, decode) splits; a named type would hide which side is optional"
+    )]
     pub fn ratio_contrast(&self) -> Option<((usize, usize), Option<(usize, usize)>)> {
         Some((
             self.best_ratio(ClusterEngine::Samoyeds)?,
@@ -1698,8 +1688,8 @@ mod tests {
             .iter()
             .find(|e| {
                 e.fleet == FleetKind::Mixed
-                    // simlint::allow(float-eq): selects the sweep cell built
-                    // from this exact literal — no arithmetic in between
+                    // Exact: selects the sweep cell built from this literal,
+                    // with no arithmetic in between.
                     && e.slo_ms == 400.0
                     && e.policy == DispatchPolicy::LeastOutstandingTokens
             })

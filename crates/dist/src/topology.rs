@@ -32,7 +32,7 @@
 
 use crate::link::LinkSpec;
 use samoyeds_gpu_sim::DeviceSpec;
-use samoyeds_serve::{Diagnostic, Validate, ValidationReport};
+use samoyeds_serve::{Diagnostic, ValidationReport};
 use samoyeds_sparse::{Result, SparseError};
 use serde::{Deserialize, Serialize};
 
@@ -215,31 +215,6 @@ impl ClusterTopology {
         self
     }
 
-    /// [`ClusterTopology::with_pair_override`] with the endpoint checks
-    /// applied eagerly: rejects out-of-range GPU ids, self-links, and a
-    /// second override for a pair that already has one — the same rules
-    /// [`ClusterTopology::validate`] enforces, but at the construction site
-    /// instead of whenever validation eventually runs.
-    pub fn try_with_pair_override(self, a: usize, b: usize, link: LinkSpec) -> Result<Self> {
-        let n = self.num_gpus();
-        if a >= n || b >= n || a == b {
-            return Err(SparseError::config(format!(
-                "pair override ({a}, {b}) invalid for a {n}-GPU topology"
-            )));
-        }
-        if self
-            .pair_overrides
-            .iter()
-            .any(|p| (p.a == a && p.b == b) || (p.a == b && p.b == a))
-        {
-            return Err(SparseError::config(format!(
-                "duplicate pair override for GPUs ({a}, {b}); replace the \
-                 existing entry instead of stacking a second link"
-            )));
-        }
-        Ok(self.with_pair_override(a, b, link))
-    }
-
     /// Total GPUs across all islands.
     pub fn num_gpus(&self) -> usize {
         self.islands.iter().map(|i| i.gpus).sum()
@@ -310,35 +285,13 @@ impl ClusterTopology {
         }
     }
 
-    /// Check internal consistency: override endpoints in range and
-    /// distinct, and at most one override per (unordered) GPU pair — a
-    /// duplicate would charge the pair's traffic once per entry.
+    /// Check internal consistency, failing on the first problem. Use
+    /// [`Self::validation`] to see them all.
     pub fn validate(&self) -> Result<()> {
-        if self.islands.is_empty() || self.num_gpus() == 0 {
-            return Err(SparseError::config(
-                "topology needs at least one island of at least one GPU",
-            ));
+        match self.validation().diagnostics().first() {
+            Some(d) => Err(SparseError::config(d.message.clone())),
+            None => Ok(()),
         }
-        let n = self.num_gpus();
-        for (i, o) in self.pair_overrides.iter().enumerate() {
-            if o.a >= n || o.b >= n || o.a == o.b {
-                return Err(SparseError::config(format!(
-                    "pair override ({}, {}) invalid for a {}-GPU topology",
-                    o.a, o.b, n
-                )));
-            }
-            if self.pair_overrides[..i]
-                .iter()
-                .any(|p| (p.a == o.a && p.b == o.b) || (p.a == o.b && p.b == o.a))
-            {
-                return Err(SparseError::config(format!(
-                    "duplicate pair override for GPUs ({}, {}); replace the \
-                     existing entry instead of stacking a second link",
-                    o.a, o.b
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Whether a dedicated link covers the `(a, b)` pair (in either
@@ -349,15 +302,15 @@ impl ClusterTopology {
             .find(|o| (o.a == a && o.b == b) || (o.a == b && o.b == a))
             .map(|o| &o.link)
     }
-}
 
-impl Validate for ClusterTopology {
-    /// The diagnostic form of [`ClusterTopology::validate`]: the same
-    /// invariants, but every violation is reported at once instead of
-    /// stopping at the first. Codes: `topology::empty`,
+    /// Every internal-consistency problem at once: at least one GPU,
+    /// override endpoints in range and distinct, and at most one override
+    /// per (unordered) GPU pair — a duplicate would charge the pair's
+    /// traffic once per entry. Codes: `topology::empty`,
     /// `topology::override-out-of-range`, `topology::override-self-link`,
     /// `topology::override-duplicate`.
-    fn validate_into(&self, report: &mut ValidationReport) {
+    pub fn validation(&self) -> ValidationReport {
+        let mut report = ValidationReport::new();
         if self.islands.is_empty() || self.num_gpus() == 0 {
             report.push(Diagnostic::deny(
                 "topology::empty",
@@ -365,15 +318,17 @@ impl Validate for ClusterTopology {
                 "topology needs at least one island of at least one GPU",
                 "add an island with gpus >= 1",
             ));
-            return;
+            return report;
         }
         let n = self.num_gpus();
+        // Built only when a diagnostic is pushed: the cluster simulator
+        // validates on every step.
+        let ctx = |i: usize, o: &PairOverride| format!("pair_overrides[{i}] ({}, {})", o.a, o.b);
         for (i, o) in self.pair_overrides.iter().enumerate() {
-            let ctx = format!("pair_overrides[{i}] ({}, {})", o.a, o.b);
             if o.a >= n || o.b >= n {
                 report.push(Diagnostic::deny(
                     "topology::override-out-of-range",
-                    ctx.clone(),
+                    ctx(i, o),
                     format!("endpoint out of range for a {n}-GPU topology"),
                     "use GPU ids below num_gpus()",
                 ));
@@ -381,7 +336,7 @@ impl Validate for ClusterTopology {
             if o.a == o.b {
                 report.push(Diagnostic::deny(
                     "topology::override-self-link",
-                    ctx.clone(),
+                    ctx(i, o),
                     format!("GPU {} cannot have a dedicated link to itself", o.a),
                     "use two distinct GPU ids",
                 ));
@@ -392,7 +347,7 @@ impl Validate for ClusterTopology {
             {
                 report.push(Diagnostic::deny(
                     "topology::override-duplicate",
-                    ctx,
+                    ctx(i, o),
                     format!(
                         "duplicate pair override for GPUs ({}, {}) — the pair's traffic \
                          would be charged once per entry",
@@ -402,10 +357,9 @@ impl Validate for ClusterTopology {
                 ));
             }
         }
+        report
     }
-}
 
-impl ClusterTopology {
     /// Price one all-to-all direction over the per-pair `flows`.
     ///
     /// Phase 1 runs every island's local all-to-all concurrently (cost =
@@ -644,32 +598,5 @@ mod tests {
             .with_pair_override(1, 0, LinkSpec::nvlink3())
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn try_with_pair_override_rejects_bad_endpoints_at_construction() {
-        let topo = ClusterTopology::flat(2, LinkSpec::nvlink3());
-        // Out of range, self-link, duplicate (either direction): rejected
-        // eagerly instead of waiting for validate().
-        assert!(topo
-            .clone()
-            .try_with_pair_override(0, 5, LinkSpec::nvlink3())
-            .is_err());
-        assert!(topo
-            .clone()
-            .try_with_pair_override(1, 1, LinkSpec::nvlink3())
-            .is_err());
-        let with_link = topo
-            .clone()
-            .try_with_pair_override(0, 1, LinkSpec::pcie_gen4())
-            .expect("in-range distinct pair is accepted");
-        assert!(with_link
-            .clone()
-            .try_with_pair_override(1, 0, LinkSpec::nvlink3())
-            .is_err());
-        // The accepted topology passes full validation and prices traffic
-        // over the dedicated link like the unchecked builder would.
-        assert!(with_link.validate().is_ok());
-        assert_eq!(with_link.pair_overrides.len(), 1);
     }
 }

@@ -9,7 +9,7 @@ use samoyeds_dist::{
 };
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
-use samoyeds_serve::{FaultKind, FaultSchedule, FaultSpec, Validate};
+use samoyeds_serve::{FaultKind, FaultSchedule, FaultSpec};
 
 fn two_islands() -> ClusterTopology {
     ClusterTopology::symmetric(2, 4, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr())

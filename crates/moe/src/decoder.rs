@@ -36,13 +36,17 @@ impl DecoderBreakdown {
     }
 }
 
+/// The routing seed every decoder layer draws its plan from: all engines
+/// are compared under the same routing, as the paper's §6.3 fairness note
+/// requires.
+const ROUTING_SEED: u64 = 42;
+
 /// A decoder layer bound to a device, an engine and an attention kind.
 #[derive(Debug, Clone)]
 pub struct DecoderLayer {
     device: DeviceSpec,
     engine: Engine,
     attention: AttentionKind,
-    routing_seed: u64,
 }
 
 impl DecoderLayer {
@@ -52,20 +56,12 @@ impl DecoderLayer {
             engine: Engine::new(engine_kind, device.clone()),
             device,
             attention,
-            routing_seed: 42,
         }
     }
 
     /// Replace the engine (keeps the device and attention kind).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Use a specific routing seed (all engines must be compared under the
-    /// same routing, as the paper's §6.3 fairness note requires).
-    pub fn with_routing_seed(mut self, seed: u64) -> Self {
-        self.routing_seed = seed;
         self
     }
 
@@ -82,7 +78,7 @@ impl DecoderLayer {
         seq_len: usize,
     ) -> DecoderBreakdown {
         let tokens = batch * seq_len.min(config.max_seq_len);
-        let plan = TopKRouter::for_config(config, self.routing_seed).route(tokens);
+        let plan = TopKRouter::for_config(config, ROUTING_SEED).route(tokens);
         let moe = self.engine.moe_layer_cost(config, tokens, &plan);
         // Attention cost is per sequence (scores do not cross sequences).
         let attention_ms = attention_time_ms(
@@ -106,7 +102,7 @@ impl DecoderLayer {
     /// Full layer cost (time + memory) for `batch x seq_len` tokens.
     pub fn layer_cost(&self, config: &MoeModelConfig, batch: usize, seq_len: usize) -> LayerCost {
         let tokens = batch * seq_len.min(config.max_seq_len);
-        let plan = TopKRouter::for_config(config, self.routing_seed).route(tokens);
+        let plan = TopKRouter::for_config(config, ROUTING_SEED).route(tokens);
         let moe = self.engine.moe_layer_cost(config, tokens, &plan);
         let breakdown = self.breakdown(config, batch, seq_len);
         LayerCost {

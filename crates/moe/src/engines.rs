@@ -14,7 +14,7 @@
 use crate::config::MoeModelConfig;
 use crate::expert::{ExpertWeights, SamoyedsExpertWeights};
 use crate::router::RoutingPlan;
-use samoyeds_gpu_sim::{CostModel, DeviceSpec};
+use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_kernels::fusion::{standalone_epilogue_cost, Activation};
 use samoyeds_kernels::gemm_dense::DenseGemm;
 use samoyeds_kernels::samoyeds_kernel::{SamoyedsKernel, SamoyedsOptions};
@@ -101,7 +101,6 @@ impl LayerCost {
 pub struct Engine {
     kind: EngineKind,
     device: DeviceSpec,
-    samoyeds_cfg: SamoyedsConfig,
     samoyeds_options: SamoyedsOptions,
 }
 
@@ -111,16 +110,8 @@ impl Engine {
         Self {
             kind,
             device,
-            samoyeds_cfg: SamoyedsConfig::DEFAULT,
             samoyeds_options: SamoyedsOptions::FULL,
         }
-    }
-
-    /// Override the Samoyeds sparsity configuration (only meaningful for the
-    /// Samoyeds engine).
-    pub fn with_samoyeds_config(mut self, cfg: SamoyedsConfig) -> Self {
-        self.samoyeds_cfg = cfg;
-        self
     }
 
     /// Override the Samoyeds optimisation toggles (used by the Figure 17
@@ -161,8 +152,9 @@ impl Engine {
             // Samoyeds stores the compressed (data + metadata + indices)
             // form: 25% of the values, ~12.5% metadata overhead.
             EngineKind::Samoyeds => {
-                dense * (1.0 - self.samoyeds_cfg.sparsity()) * 1.125
-                    + config.params_per_moe_layer() as f64 / self.samoyeds_cfg.v as f64
+                let cfg = SamoyedsConfig::DEFAULT;
+                dense * (1.0 - cfg.sparsity()) * 1.125
+                    + config.params_per_moe_layer() as f64 / cfg.v as f64
             }
         }
     }
@@ -452,12 +444,6 @@ impl Engine {
             })
             .collect()
     }
-
-    /// The cost model bound to this engine's device (handy for callers that
-    /// want to evaluate extra kernels consistently).
-    pub fn cost_model(&self) -> CostModel {
-        CostModel::new(self.device.clone())
-    }
 }
 
 /// Look `key` up in a per-call price memo, pricing and recording it on a
@@ -581,7 +567,7 @@ impl<'a> SamoyedsTimes<'a> {
             let kernel = self.kernel.get_or_insert_with(|| {
                 SamoyedsKernel::with_options(engine.device.clone(), options)
             });
-            let cfg = engine.samoyeds_cfg;
+            let cfg = SamoyedsConfig::DEFAULT;
             let gate = kernel.time_ms(&GemmProblem::samoyeds(i, h, logical_n, padded, cfg));
             let down = kernel.time_ms(&GemmProblem::samoyeds(h, i, padded, padded, cfg));
             gate * 2.0 + down

@@ -161,14 +161,6 @@ impl StepCost {
         self
     }
 
-    /// Attribute the collective time to its intra-island and spine legs
-    /// (telemetry only; does not change [`Self::total_ms`]).
-    pub fn with_collective_split(mut self, intra_island_ms: f64, spine_ms: f64) -> Self {
-        self.intra_island_ms = intra_island_ms;
-        self.spine_ms = spine_ms;
-        self
-    }
-
     /// Total step duration under the cost's overlap model.
     pub fn total_ms(&self) -> f64 {
         self.overlap.blend_ms(self.compute_ms, self.collective_ms)

@@ -19,6 +19,10 @@
 //! recoveries, KV-transfer landings, control ticks, arrivals, and step
 //! completions — and ties within a class are FIFO by insertion sequence.
 
+// A poisoned queue should surface as a diagnostic, not a panic mid-sweep;
+// CI's `clippy -D warnings` turns an `.unwrap()` here into an error.
+#![warn(clippy::unwrap_used)]
+
 /// One schedulable occurrence in the fleet simulation.
 ///
 /// The variants carry indices into the controller's slot table or trace
@@ -87,7 +91,8 @@ impl FleetEvent {
     /// a pod that just recovered sees it alive) but before the tick and the
     /// arrivals at the same instant: the decode pod holds the request before
     /// the autoscaler observes the fleet and before same-instant arrivals
-    /// route.
+    /// route. This match is the only copy of the order: a new variant picks
+    /// its slot here.
     fn class(self) -> u8 {
         match self {
             FleetEvent::WarmupComplete { .. } => 0,
@@ -225,6 +230,36 @@ mod tests {
                 FleetEvent::StepCompletion { slot: 0 },
             ]
         );
+    }
+
+    #[test]
+    fn classes_are_the_declaration_order() {
+        let events = [
+            FleetEvent::WarmupComplete { slot: 0 },
+            FleetEvent::DrainRetire { slot: 0 },
+            FleetEvent::Fault { index: 0 },
+            FleetEvent::FaultRecovery { index: 0 },
+            FleetEvent::KvTransferComplete { transfer: 0 },
+            FleetEvent::ControlTick { index: 0 },
+            FleetEvent::Arrival { index: 0 },
+            FleetEvent::StepCompletion { slot: 0 },
+        ];
+        for (position, event) in events.into_iter().enumerate() {
+            // Exhaustive on purpose: a new variant does not compile until it
+            // is listed above, in declaration order.
+            match event {
+                FleetEvent::WarmupComplete { .. }
+                | FleetEvent::DrainRetire { .. }
+                | FleetEvent::Fault { .. }
+                | FleetEvent::FaultRecovery { .. }
+                | FleetEvent::KvTransferComplete { .. }
+                | FleetEvent::ControlTick { .. }
+                | FleetEvent::Arrival { .. }
+                | FleetEvent::StepCompletion { .. } => {
+                    assert_eq!(usize::from(event.class()), position, "{event:?}");
+                }
+            }
+        }
     }
 
     #[test]

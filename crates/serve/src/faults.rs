@@ -19,6 +19,11 @@
 //! (pinned by the `fault_equivalence` suite), and a seeded schedule replays
 //! identically across runs (pinned by proptest).
 
+// A malformed schedule should surface as a diagnostic, not a panic
+// mid-sweep; CI's `clippy -D warnings` turns an `.unwrap()` here into an
+// error.
+#![warn(clippy::unwrap_used)]
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};

@@ -228,12 +228,6 @@ impl SloAutoscaler {
         }
     }
 
-    /// Replace the scale-out breach streak length.
-    pub fn with_breach_ticks(mut self, breach_ticks: usize) -> Self {
-        self.breach_ticks = breach_ticks.max(1);
-        self
-    }
-
     /// Replace the scale-in idle threshold and streak length.
     pub fn with_scale_in(mut self, low_utilization: f64, idle_ticks: usize) -> Self {
         self.low_utilization = low_utilization;

@@ -96,4 +96,4 @@ pub use telemetry::{
     NullSink, RequestTimeline, SharedSink, TickSnapshot, TraceEvent, TraceRecorder, TraceSink,
 };
 pub use trace::{BurstPhase, BurstyTraceConfig, TraceConfig};
-pub use validate::{Diagnostic, Severity, Validate, ValidationReport};
+pub use validate::{Diagnostic, Severity, ValidationReport};

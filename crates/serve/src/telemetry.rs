@@ -1108,8 +1108,8 @@ fn json_escape(s: &str) -> String {
 /// Format a finite `f64` for JSON (trace timestamps are microseconds with
 /// fractional precision preserved).
 fn json_num(v: f64) -> String {
-    // simlint::allow(float-eq): rendering check, not control flow — fract()
-    // is exactly 0.0 iff the value is an integer, which is what JSON needs
+    // fract() is exactly 0.0 iff the value is an integer, which is what
+    // JSON needs.
     if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {

@@ -11,9 +11,7 @@
 //!   was found in, a message and a hint;
 //! * [`ValidationReport`] — an ordered collection of diagnostics with
 //!   rustc-style rendering ([`ValidationReport::render`]) and a
-//!   fail-with-everything panic ([`ValidationReport::assert_valid`]);
-//! * [`Validate`] — the trait configuration types implement to pour their
-//!   diagnostics into a shared report.
+//!   fail-with-everything panic ([`ValidationReport::assert_valid`]).
 //!
 //! `FleetController::run` validates first and panics with *all* deny
 //! diagnostics at once instead of tripping over the first assert;
@@ -205,23 +203,6 @@ impl ValidationReport {
 impl fmt::Display for ValidationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
-    }
-}
-
-/// Implemented by configuration types that can check themselves statically.
-///
-/// Implementations must be pure: no simulator state may be touched, so a
-/// configuration that validates cleanly runs bit-for-bit identically to one
-/// that was never validated.
-pub trait Validate {
-    /// Pour this value's findings into `report`.
-    fn validate_into(&self, report: &mut ValidationReport);
-
-    /// Convenience: collect this value's findings into a fresh report.
-    fn validation(&self) -> ValidationReport {
-        let mut report = ValidationReport::new();
-        self.validate_into(&mut report);
-        report
     }
 }
 

@@ -159,7 +159,10 @@ mod legacy {
         finalize(slots, events, unroutable, peak_replicas)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "frozen verbatim copy of the retired loop's helper"
+    )]
     fn control_tick(
         t: f64,
         config: &FleetConfig,

@@ -9,13 +9,21 @@
 //! rendering and of the recorded `TraceEvent` stream, so any change to a
 //! number *or* to the order of emitted events shows up. The blocks live in
 //! `tests/golden/fleet_run.txt`; on a mismatch the test prints the fresh
-//! block so a deliberate change can be reviewed and pasted in.
+//! block.
 //!
 //! Underneath every step price sits `Engine::moe_layer_cost`, so
 //! `tests/golden/layer_costs.txt` pins it directly: one line per (device,
 //! model, engine configuration, token count) with the exact bits of
 //! `time_ms`. A pricing change shows up there as a table of changed cells
 //! before it surfaces as a shifted makespan above.
+//!
+//! After a deliberate change, one command rewrites both files from the
+//! current code (each scenario replaces only its own block), and `git diff`
+//! shows what moved:
+//!
+//! ```text
+//! UPDATE_GOLDENS=1 cargo test -p samoyeds-serve --test fleet_golden
+//! ```
 
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_kernels::samoyeds_kernel::SamoyedsOptions;
@@ -29,8 +37,30 @@ use samoyeds_serve::{
     SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder,
 };
 use std::fmt::Write;
+use std::path::Path;
+use std::sync::Mutex;
 
 const GOLDEN: &str = include_str!("golden/fleet_run.txt");
+
+/// Whether this run rewrites the golden files instead of comparing.
+fn updating_goldens() -> bool {
+    std::env::var_os("UPDATE_GOLDENS").is_some_and(|v| v == "1")
+}
+
+/// Rewrite `tests/golden/<file>` to `edit` of its current contents. The
+/// tests run on parallel threads, so the read-modify-write is serialised.
+fn update_golden(file: &str, edit: impl FnOnce(&str) -> String) {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _guard = LOCK.lock().expect("an earlier golden update panicked");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let old = std::fs::read_to_string(&path).expect("read the golden file");
+    let new = edit(&old);
+    if new != old {
+        std::fs::write(&path, new).expect("write the golden file");
+    }
+}
 
 fn a100() -> Box<dyn ExecutionBackend> {
     Box::new(SingleGpuBackend::new(
@@ -166,11 +196,36 @@ fn golden_block(name: &str) -> Option<String> {
     Some(block)
 }
 
+/// `golden` with the `[name]` block replaced by `fresh`, or with `fresh`
+/// appended if the scenario is new. Blocks are separated by one blank line.
+fn with_block(golden: &str, name: &str, fresh: &str) -> String {
+    let header = format!("[{name}]");
+    let mut blocks: Vec<&str> = golden
+        .split("\n\n")
+        .map(str::trim_end)
+        .filter(|b| !b.is_empty())
+        .collect();
+    let fresh = fresh.trim_end();
+    match blocks
+        .iter()
+        .position(|b| b.lines().next() == Some(&header))
+    {
+        Some(i) => blocks[i] = fresh,
+        None => blocks.push(fresh),
+    }
+    blocks.join("\n\n") + "\n"
+}
+
 fn check(name: &str, offered: usize, metrics: &FleetMetrics, events: &[TraceEvent]) {
     let fresh = render(name, offered, metrics, events);
-    if golden_block(name).as_deref() != Some(fresh.as_str()) {
+    if updating_goldens() {
+        update_golden("fleet_run.txt", |golden| with_block(golden, name, &fresh));
+    } else if golden_block(name).as_deref() != Some(fresh.as_str()) {
         println!("fresh rendering of [{name}]:\n{fresh}");
-        panic!("[{name}] differs from tests/golden/fleet_run.txt (fresh block printed above)");
+        panic!(
+            "[{name}] differs from tests/golden/fleet_run.txt (fresh block printed above); \
+             rerun with UPDATE_GOLDENS=1 to rewrite it"
+        );
     }
 }
 
@@ -459,7 +514,9 @@ fn render_layer_costs() -> String {
 fn moe_layer_costs_match_the_golden_price_table() {
     let fresh = render_layer_costs();
     let golden = include_str!("golden/layer_costs.txt");
-    if fresh != golden {
+    if updating_goldens() {
+        update_golden("layer_costs.txt", |_| fresh);
+    } else if fresh != golden {
         let changed: Vec<String> = golden
             .lines()
             .zip(fresh.lines())
@@ -471,6 +528,9 @@ fn moe_layer_costs_match_the_golden_price_table() {
             changed.len(),
             changed.join("\n")
         );
-        panic!("layer costs differ from tests/golden/layer_costs.txt (fresh table printed above)");
+        panic!(
+            "layer costs differ from tests/golden/layer_costs.txt (fresh table printed above); \
+             rerun with UPDATE_GOLDENS=1 to rewrite it"
+        );
     }
 }

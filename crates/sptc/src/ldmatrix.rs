@@ -159,8 +159,10 @@ mod tests {
         // All offsets of one row must remain distinct and within the row.
         let stride = 128;
         for row in 0..16 {
-            // simlint::allow(hashmap): membership-only set in a test — the
-            // iteration order is never observed
+            #[allow(
+                clippy::disallowed_types,
+                reason = "membership-only set in a test; its iteration order is never observed"
+            )]
             let mut seen = std::collections::HashSet::new();
             for col in 0..64 {
                 let off = shared_offset(SharedLayout::Swizzled, row, col, stride, 2);
