@@ -8,8 +8,8 @@
 //! Running both over shared flow patterns, presets and whole simulator
 //! steps and asserting exact `f64` equality proves the refactor moved the
 //! collective pricing behind `ClusterTopology` without changing a single
-//! predicted number — the same pattern as `backend_equivalence` /
-//! `fleet_event_equivalence` in `samoyeds-serve`.
+//! predicted number — the same pattern as `backend_equivalence` in
+//! `samoyeds-serve`.
 
 use samoyeds_dist::{
     ClusterConfig, ClusterEngine, ClusterSimulator, ClusterTopology, FlowMatrix, LinkSpec,

@@ -10,13 +10,12 @@
 //! what lets a 100-replica fleet chew through a million-request trace in
 //! seconds instead of minutes.
 //!
-//! Determinism is load-bearing: the fleet equivalence suites pin the event
-//! loop bit-for-bit against the frozen tick-driven loop, so ordering between
-//! events that share a timestamp must be total and must reproduce the legacy
-//! loop's interleaving. Two events at the same time are ordered by *event
-//! class* — warm-up completions first (a replica is routable the instant its
-//! warm-up lands), then drain retirements, injected faults and their
-//! recoveries, KV-transfer landings, control ticks, arrivals, and step
+//! Determinism is load-bearing: the `fleet_golden` snapshots pin every
+//! emitted event and metric bit for bit, so ordering between events that
+//! share a timestamp must be total. Two events at the same time are ordered
+//! by *event class* — warm-up completions first (a replica is routable the
+//! instant its warm-up lands), then drain retirements, injected faults and
+//! their recoveries, KV-transfer landings, control ticks, arrivals, and step
 //! completions — and ties within a class are FIFO by insertion sequence.
 
 // A poisoned queue should surface as a diagnostic, not a panic mid-sweep;
@@ -77,22 +76,20 @@ pub enum FleetEvent {
 }
 
 impl FleetEvent {
-    /// Same-timestamp ordering class: lower fires first. The order encodes
-    /// the legacy tick loop's interleaving — warm-ups land before the tick
-    /// that would observe them, retirements precede observation, ticks at
-    /// `t` run before arrivals at `t` (the legacy loop drained
-    /// `next_tick <= arrival_ms` before routing), and step completions only
-    /// matter once routing at that instant is done. Faults land after
-    /// retirements but before the tick (and arrival) at the same instant:
-    /// the autoscaler observes the damage, and a request arriving the
-    /// instant a replica crashes is never routed to the corpse. A recovery
-    /// coinciding with the fault that scheduled it fires after it. A KV
-    /// transfer landing fires after recoveries (a re-routed transfer aimed at
-    /// a pod that just recovered sees it alive) but before the tick and the
-    /// arrivals at the same instant: the decode pod holds the request before
-    /// the autoscaler observes the fleet and before same-instant arrivals
-    /// route. This match is the only copy of the order: a new variant picks
-    /// its slot here.
+    /// Same-timestamp ordering class: lower fires first. Warm-ups land
+    /// before the tick that would observe them, retirements precede
+    /// observation, ticks at `t` run before arrivals at `t`, and a step
+    /// starting at `t` runs once routing at that instant is done, so it
+    /// admits what arrived then. Faults land after retirements but before
+    /// the tick (and arrival) at the same instant: the autoscaler observes
+    /// the damage, and a request arriving the instant a replica crashes is
+    /// never routed to the corpse. A recovery coinciding with the fault that
+    /// scheduled it fires after it. A KV transfer landing fires after
+    /// recoveries (a re-routed transfer aimed at a pod that just recovered
+    /// sees it alive) but before the tick and the arrivals at the same
+    /// instant: the decode pod holds the request before the autoscaler
+    /// observes the fleet and before same-instant arrivals route. This match
+    /// is the only copy of the order: a new variant picks its slot here.
     fn class(self) -> u8 {
         match self {
             FleetEvent::WarmupComplete { .. } => 0,

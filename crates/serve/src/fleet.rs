@@ -11,9 +11,8 @@
 //! * **Capability-aware dispatch** — each request is routed *at its arrival
 //!   time* from live replica state: kernel support
 //!   ([`ExecutionBackend::supports`]), admission headroom
-//!   ([`MemoryBudget`](crate::backend::MemoryBudget) via
-//!   [`ReplicaDriver::can_ever_admit`]) and outstanding work (which decays
-//!   as replicas make progress), under a [`DispatchPolicy`].
+//!   ([`MemoryBudget`](crate::backend::MemoryBudget)) and outstanding work
+//!   (which decays as replicas make progress), under a [`DispatchPolicy`].
 //! * **SLO-driven autoscaling** — a pluggable [`AutoscalePolicy`] is
 //!   consulted every control tick: scale out on p95-TTFT SLO breach (new
 //!   replicas charged a warm-up delay before they take traffic), scale in on
@@ -22,16 +21,20 @@
 //! * **Event-driven core** — [`FleetController::run`] is a next-event loop
 //!   over an [`EventQueue`]: arrivals, step completions, control ticks,
 //!   warm-up completions and drain retirements pop in timestamp order and
-//!   the clock jumps between them, so idle periods cost zero work. Policies
-//!   that never scale ([`AutoscalePolicy::consults_ticks`] returns `false`)
-//!   elide the tick schedule entirely and the fleet advances purely on
-//!   arrivals and step completions — the regime where a 100-replica fleet
-//!   absorbs a million-request trace in seconds. The event loop is pinned
-//!   bit-for-bit against the frozen tick-driven loop in
-//!   `fleet_event_equivalence.rs`. A run keeps its state in one private
+//!   the clock jumps between them, so idle periods cost zero work. Every
+//!   replica with work runs on its own step chain: one
+//!   [`FleetEvent::StepCompletion`] per engine step, armed when work is
+//!   enqueued and lapsing when the replica drains. Arrivals, ticks and
+//!   faults never step a replica themselves, so each sees replica state at
+//!   its own instant: a request waiting for the boundary of the step in
+//!   flight is still queued. Policies that never scale
+//!   ([`AutoscalePolicy::consults_ticks`] returns `false`) elide the tick
+//!   schedule entirely — the regime where a 100-replica fleet absorbs a
+//!   million-request trace in seconds. A run keeps its state in one private
 //!   struct with one handler method per [`FleetEvent`] variant; routing,
 //!   KV-transfer start, commissioning and retirement each live in one
-//!   method the handlers share.
+//!   method the handlers share. The `fleet_golden` suite pins fixed,
+//!   heterogeneous, autoscaled, faulted and disaggregated runs.
 //! * **Prefill/decode disaggregation** — opt-in via
 //!   [`FleetController::with_disaggregation`]: arrivals run chunked prefill
 //!   on *prefill pods*, the finished prompt KV
@@ -85,11 +88,12 @@ pub struct FleetConfig {
     pub min_replicas: usize,
     /// The fleet never scales above this many commissioned replicas.
     pub max_replicas: usize,
-    /// Safety cap on post-trace drain ticks. A degenerate configuration
-    /// (e.g. a draining fleet that can never finish its backlog) used to
-    /// panic mid-sweep; instead, once this many drain ticks have run with
-    /// work still outstanding, the run stops ticking and returns degraded
-    /// metrics with [`FleetMetrics::drain_incomplete`] set.
+    /// Safety cap on post-trace drain ticks, for runs whose autoscale
+    /// policy consults ticks (a run without ticks always drains). Once this
+    /// many control ticks have fired after the last arrival with a replica
+    /// still holding work, the run stops: every pending event, step chains
+    /// included, is dropped, and the metrics come back degraded with
+    /// [`FleetMetrics::drain_incomplete`] set.
     pub max_drain_ticks: usize,
 }
 
@@ -364,9 +368,9 @@ pub struct FleetMetrics {
     /// fault injection).
     pub faults: Vec<FaultRecord>,
     /// Whether the post-trace drain hit [`FleetConfig::max_drain_ticks`]
-    /// with work still outstanding. When set, the run stopped ticking
-    /// instead of panicking and every figure above reflects only the work
-    /// finished up to that point — treat the metrics as degraded.
+    /// with work still outstanding. When set, the run stopped there instead
+    /// of panicking and every figure above reflects only the work finished
+    /// up to that point — treat the metrics as degraded.
     pub drain_incomplete: bool,
     /// The replica slots that still held work when the drain cap hit
     /// (empty when [`Self::drain_incomplete`] is false) — *which* replicas
@@ -490,6 +494,10 @@ struct Slot {
     /// Count of active link degradations (a degrade and an island partition
     /// can overlap): the dispatcher routes nothing here while it is > 0.
     degraded: u32,
+    /// Whether the slot's step chain is live: at most one pending
+    /// [`FleetEvent::StepCompletion`] per slot, armed when work is enqueued
+    /// and cleared when a step finds none.
+    chain_armed: bool,
     assigned_ids: Vec<u64>,
 }
 
@@ -511,6 +519,7 @@ impl Slot {
             draining: false,
             retired_ms: None,
             degraded: 0,
+            chain_armed: false,
             assigned_ids: Vec::new(),
         }
     }
@@ -614,11 +623,10 @@ struct PendingTransfer {
 }
 
 /// Runtime state of a disaggregated run: pod roles, per-prefill-pod
-/// completion watermarks, the original request behind every split id, the
-/// pending-transfer table, and the per-slot step-chain liveness flags that
-/// replace the co-located loop's bulk `advance_to` calls (chains discover
-/// prefill completions at their exact step boundaries, so transfers start
-/// at the moment the prefix finishes rather than at the next arrival).
+/// completion watermarks, the original request behind every split id and
+/// the pending-transfer table. Each prefill pod's step chain surfaces its
+/// completions step by step, so a transfer starts at the moment its prefix
+/// finishes.
 struct Disagg {
     cfg: DisaggregationConfig,
     /// Slot index → its row in the link matrix (`None` off the prefill set;
@@ -633,9 +641,6 @@ struct Disagg {
     originals: BTreeMap<u64, Request>,
     transfers: Vec<PendingTransfer>,
     in_flight: usize,
-    /// Whether a `StepCompletion` chain is live for each slot — at most one
-    /// pending step event per slot, re-armed on enqueue.
-    chain_armed: Vec<bool>,
 }
 
 impl Disagg {
@@ -651,31 +656,6 @@ impl Disagg {
             originals: BTreeMap::new(),
             transfers: Vec::new(),
             in_flight: 0,
-            chain_armed: vec![false; slots],
-        }
-    }
-
-    /// Ensure a step chain is live for `slot`, scheduling its next step no
-    /// earlier than `at` (the current event time — a chain must never pop in
-    /// the past).
-    fn arm_chain(&mut self, queue: &mut EventQueue, slots: &[Slot], slot: usize, at: f64) {
-        if self.chain_armed.len() <= slot {
-            self.chain_armed.resize(slot + 1, false);
-        }
-        if !self.chain_armed[slot] {
-            self.chain_armed[slot] = true;
-            queue.push(
-                at.max(slots[slot].driver.clock_ms()),
-                FleetEvent::StepCompletion { slot },
-            );
-        }
-    }
-
-    /// The slot's chain found no more work and lapsed; the next enqueue
-    /// re-arms it.
-    fn chain_died(&mut self, slot: usize) {
-        if let Some(armed) = self.chain_armed.get_mut(slot) {
-            *armed = false;
         }
     }
 
@@ -1237,16 +1217,17 @@ impl FleetController {
     /// This is a next-event loop over an [`EventQueue`]: arrivals, step
     /// completions, control ticks, warm-up completions and drain
     /// retirements pop in timestamp order (same-time ties broken by event
-    /// class, reproducing the legacy tick loop's interleaving) and simulated
-    /// time jumps straight between them. The run's state lives in one
-    /// private struct, and each popped event goes to the one method that
-    /// handles its [`FleetEvent`] variant. The tick schedule exists only
-    /// while the policy wants it ([`AutoscalePolicy::consults_ticks`]); tick
-    /// `k` fires at exactly `k * tick_ms` — derived per tick, never
-    /// accumulated, so the schedule cannot drift over long traces. If the
-    /// post-trace drain exceeds [`FleetConfig::max_drain_ticks`], the run
-    /// returns degraded metrics with [`FleetMetrics::drain_incomplete`] set
-    /// instead of panicking.
+    /// class) and simulated time jumps straight between them. Each replica
+    /// with work advances on its own chain of step completions. The run's
+    /// state lives in one private struct, and each popped event goes to the
+    /// one method that handles its [`FleetEvent`] variant. The tick schedule
+    /// exists only while the policy wants it
+    /// ([`AutoscalePolicy::consults_ticks`]); tick `k` fires at exactly
+    /// `k * tick_ms` — derived per tick, never accumulated, so the schedule
+    /// cannot drift over long traces. If the post-trace drain exceeds
+    /// [`FleetConfig::max_drain_ticks`], the run stops and returns degraded
+    /// metrics with [`FleetMetrics::drain_incomplete`] set instead of
+    /// panicking.
     ///
     /// # Panics
     /// Panics if [`Self::validate`] finds any deny-severity diagnostic —
@@ -1268,7 +1249,7 @@ impl FleetController {
                 }
                 FleetEvent::ControlTick { index } => run.on_control_tick(index),
                 FleetEvent::Arrival { index } => run.on_arrival(index),
-                FleetEvent::StepCompletion { slot } => run.on_step_completion(slot, at),
+                FleetEvent::StepCompletion { slot } => run.on_step_completion(slot),
             }
         }
         run.finish()
@@ -1288,9 +1269,9 @@ struct FaultState {
     /// recovery restores exactly what it broke — overlapping degradations
     /// are counted, not clobbered.
     degraded: Vec<Vec<usize>>,
-    /// Crash recoveries still in flight: the tick schedule must outlive
-    /// them, or buffered requests re-admitted after the fleet drained would
-    /// never be driven (and would vanish from the conservation ledger).
+    /// Crash recoveries still in flight: the tick schedule outlives them,
+    /// so requests re-admitted after the fleet drained still run under the
+    /// autoscaler and the drain cap.
     pending_readmissions: usize,
 }
 
@@ -1331,8 +1312,6 @@ struct FleetRun<'a> {
     factory: Option<ReplicaFactory>,
     sink: Option<SharedSink>,
     recovery: RecoveryPolicy,
-    /// Whether the autoscaler is consulted on a control-tick schedule.
-    ticks: bool,
     slots: Vec<Slot>,
     queue: EventQueue,
     faults: FaultState,
@@ -1385,12 +1364,11 @@ impl<'a> FleetRun<'a> {
         let disagg = disagg
             .filter(|d| !d.decode.is_empty())
             .map(|cfg| Disagg::new(cfg, slots.len()));
-        let ticks = autoscaler.consults_ticks();
         let mut queue = EventQueue::new();
         if let Some(first) = trace.first() {
             queue.push(first.arrival_ms, FleetEvent::Arrival { index: 0 });
         }
-        if ticks {
+        if autoscaler.consults_ticks() {
             queue.push(config.tick_ms, FleetEvent::ControlTick { index: 1 });
         }
         // Every fault is an ordinary event. An empty schedule pushes
@@ -1407,7 +1385,6 @@ impl<'a> FleetRun<'a> {
             factory,
             sink,
             recovery,
-            ticks,
             peak_replicas: slots.len(),
             slots,
             queue,
@@ -1501,20 +1478,16 @@ impl<'a> FleetRun<'a> {
         }
     }
 
-    /// Crash `replica` for fault `index`. Work it finished before the crash
-    /// survives; everything in flight is ripped out and buffered for
-    /// re-admission or failed, and the recovery policy may commission a
-    /// cold replacement.
+    /// Crash `replica` for fault `index`. Work its steps already finished
+    /// survives, handoffs included; the admitted and the queued requests are
+    /// ripped out and buffered for re-admission or failed, and the recovery
+    /// policy may commission a cold replacement.
     fn crash(&mut self, index: usize, replica: usize, at: f64) {
         if replica >= self.slots.len() || self.slots[replica].retired_ms.is_some() {
             // Crashing a replica that never existed or already left the
             // fleet is a no-op.
             return;
         }
-        self.slots[replica].driver.advance_to(at);
-        // Prefill halves that finished before the crash still hold their
-        // KV: hand them off before the in-flight rip-out below.
-        self.collect_handoffs(replica, at);
         let (running, queued) = self.slots[replica].driver.take_inflight();
         self.slots[replica].retired_ms = Some(at);
         let record = &mut self.faults.records[index];
@@ -1592,15 +1565,13 @@ impl<'a> FleetRun<'a> {
     }
 
     /// Route crash `index`'s buffered requests exactly like fresh arrivals
-    /// at the recovery instant: advance the fleet, filter eligibility, apply
-    /// the dispatch policy. The latency clock restarts here — the request
-    /// re-enters the fleet now (which also keeps enqueue order
-    /// nondecreasing on the new replica).
+    /// at the recovery instant: filter eligibility, apply the dispatch
+    /// policy. The latency clock restarts here — the request re-enters the
+    /// fleet now (which also keeps enqueue order nondecreasing on the new
+    /// replica).
     fn readmit(&mut self, index: usize, replica: usize, at: f64) {
         let lost = std::mem::take(&mut self.faults.readmit[index]);
         self.faults.pending_readmissions -= 1;
-        self.advance_all(at);
-        self.collect_all_handoffs(at);
         let mut readmitted = 0usize;
         let mut failed = 0usize;
         for request in lost {
@@ -1634,7 +1605,6 @@ impl<'a> FleetRun<'a> {
             readmitted,
             failed,
         });
-        self.rearm_after_trace();
     }
 
     /// [`FleetEvent::KvTransferComplete`]: a handoff landed. A live decode
@@ -1664,20 +1634,18 @@ impl<'a> FleetRun<'a> {
             });
             self.slots[to].driver.enqueue_handoff(remainder);
             self.slots[to].assigned_ids.push(id);
-            if let Some(d) = self.disagg.as_mut() {
-                d.arm_chain(&mut self.queue, &self.slots, to, at);
-            }
+            self.arm_chain(to, at);
         } else if self.recovery.readmit {
-            self.start_transfer(id, from, at, at);
+            self.start_transfer(id, from, at);
         } else {
             self.failed_ids.push(id);
         }
     }
 
-    /// [`FleetEvent::ControlTick`]: advance every replica to the tick,
-    /// retire drained draining replicas, observe, apply the autoscale
-    /// decision, and schedule the next tick — unless the fleet has drained
-    /// or the drain cap hit.
+    /// [`FleetEvent::ControlTick`]: retire drained draining replicas,
+    /// observe, apply the autoscale decision, and schedule the next tick —
+    /// unless the fleet has drained. At the drain cap with work outstanding
+    /// the run stops instead.
     fn on_control_tick(&mut self, index: u64) {
         // Derived, never accumulated: tick k is exactly k * tick_ms, so
         // 10^6 ticks land where tick 10^6 should, not where 10^6 rounded
@@ -1689,14 +1657,10 @@ impl<'a> FleetRun<'a> {
             && self.disagg.as_ref().is_none_or(|d| d.in_flight == 0)
             && self.slots.iter().all(|s| s.driver.is_drained())
         {
-            // The legacy drain loop stopped ticking here; drop the schedule
-            // and let remaining events drain.
+            // Drop the schedule and let remaining events drain.
             return;
         }
-        self.advance_all(t);
-        // Retirements at this very tick land before the observation below
-        // (the legacy loop retired before observing) and after every step
-        // the advance emitted.
+        // Retirements at this very tick land before the observation below.
         for i in 0..self.slots.len() {
             let slot = &self.slots[i];
             if slot.draining && slot.retired_ms.is_none() && slot.driver.is_drained() {
@@ -1720,10 +1684,6 @@ impl<'a> FleetRun<'a> {
             ScaleDecision::ScaleOut => self.scale_out(t, &obs),
             ScaleDecision::ScaleIn => self.scale_in(t, &obs),
         }
-        // The advance may have surfaced prefill completions; start their
-        // transfers (landings clamped to `t`) only now, so a decode pod
-        // this tick began draining takes no new handoff.
-        self.collect_all_handoffs(t);
         if trace_done {
             self.drain_ticks += 1;
             if self.drain_ticks >= self.config.max_drain_ticks {
@@ -1731,7 +1691,11 @@ impl<'a> FleetRun<'a> {
                     .filter(|&i| !self.slots[i].driver.is_drained())
                     .collect();
                 if !self.drain_incomplete_replicas.is_empty() {
-                    return; // stop the schedule; degraded metrics
+                    // Stop the run: step chains, transfers and recoveries
+                    // still pending are dropped with the schedule, so the
+                    // metrics show only the work done by now.
+                    self.queue = EventQueue::new();
+                    return;
                 }
             }
         }
@@ -1875,7 +1839,7 @@ impl<'a> FleetRun<'a> {
     }
 
     /// [`FleetEvent::Arrival`]: route trace request `index`, then schedule
-    /// the next arrival (or, after the last one, re-arm the step chains).
+    /// the next arrival.
     fn on_arrival(&mut self, index: usize) {
         let request = self.trace[index];
         let at = request.arrival_ms;
@@ -1883,29 +1847,20 @@ impl<'a> FleetRun<'a> {
             id: request.id,
             at_ms: at,
         });
-        let routed = if self.disagg.is_some() {
-            // The prefill half runs the prompt and produces the first output
-            // token (the final prefill forward); the rest of the generation
-            // decodes elsewhere after the KV handoff. Slots are not
-            // bulk-advanced here — their step chains drive them, which is
-            // what lets prefill completions surface at exact step boundaries
-            // instead of at the next arrival.
-            let split = request.output_len > 1;
-            let prefill_half = Request {
-                output_len: if split { 1 } else { request.output_len },
-                ..request
-            };
-            let routed = self.route(prefill_half, at);
-            if split && routed.is_some() {
-                if let Some(d) = self.disagg.as_mut() {
-                    d.originals.insert(request.id, request);
-                }
-            }
-            routed
-        } else {
-            self.advance_all(at);
-            self.route(request, at)
+        // On a disaggregated run the prefill half runs the prompt and
+        // produces the first output token (the final prefill forward); the
+        // rest of the generation decodes elsewhere after the KV handoff.
+        let split = self.disagg.is_some() && request.output_len > 1;
+        let first_half = Request {
+            output_len: if split { 1 } else { request.output_len },
+            ..request
         };
+        let routed = self.route(first_half, at);
+        if split && routed.is_some() {
+            if let Some(d) = self.disagg.as_mut() {
+                d.originals.insert(request.id, request);
+            }
+        }
         if routed.is_none() {
             self.emit(TraceEvent::Unroutable {
                 id: request.id,
@@ -1921,17 +1876,14 @@ impl<'a> FleetRun<'a> {
                     index: self.next_arrival,
                 },
             );
-        } else {
-            self.rearm_after_trace();
         }
     }
 
     /// Route `request` at `at` from live replica state: among the replicas
     /// that are routable (ready, not draining, link healthy) and could ever
     /// admit it — prefill pods only on a disaggregated run — apply the
-    /// dispatch policy and enqueue on the pick, arming its step chain on a
-    /// disaggregated run. Returns `None`, touching no replica, when none
-    /// qualifies.
+    /// dispatch policy and enqueue on the pick, arming its step chain.
+    /// Returns `None`, touching no replica, when none qualifies.
     fn route(&mut self, request: Request, at: f64) -> Option<usize> {
         let slots = &self.slots;
         let fits = |&i: &usize| slots[i].routable() && slots[i].driver.can_ever_admit(&request);
@@ -1955,65 +1907,41 @@ impl<'a> FleetRun<'a> {
         });
         self.slots[target].driver.enqueue(request);
         self.slots[target].assigned_ids.push(request.id);
-        if let Some(d) = self.disagg.as_mut() {
-            d.arm_chain(&mut self.queue, &self.slots, target, at);
-        }
+        self.arm_chain(target, at);
         Some(target)
     }
 
-    /// Once the trace is exhausted, start a step chain for every replica
-    /// that still holds work — on co-located runs without a tick schedule,
-    /// where nothing else would advance the fleet. Ticked runs advance on
-    /// ticks, and disaggregated runs arm a chain at every enqueue. A
-    /// replica with an already-live chain just drains through two
-    /// interleaved chains — `step_once` is state-driven, so the duplicate
-    /// is harmless and deterministic.
-    fn rearm_after_trace(&mut self) {
-        if self.ticks || self.disagg.is_some() || self.next_arrival < self.trace.len() {
-            return;
-        }
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !slot.driver.is_drained() {
-                self.queue.push(
-                    slot.driver.clock_ms(),
-                    FleetEvent::StepCompletion { slot: i },
-                );
-            }
+    /// Ensure `slot`'s step chain is live, its next step no earlier than
+    /// `at` (the current event time — a chain never pops in the past).
+    fn arm_chain(&mut self, slot: usize, at: f64) {
+        let s = &mut self.slots[slot];
+        if !s.chain_armed {
+            s.chain_armed = true;
+            self.queue.push(
+                at.max(s.driver.clock_ms()),
+                FleetEvent::StepCompletion { slot },
+            );
         }
     }
 
     /// [`FleetEvent::StepCompletion`]: run the slot's next engine step and
-    /// keep its chain alive while it has work; on a disaggregated run, hand
-    /// off any prefill half the step finished.
-    fn on_step_completion(&mut self, slot: usize, at: f64) {
-        let driver = &mut self.slots[slot].driver;
-        if driver.step_once() {
+    /// keep its chain alive while it has work (the next enqueue re-arms a
+    /// lapsed chain); on a disaggregated run, hand off any prefill half the
+    /// step finished.
+    fn on_step_completion(&mut self, slot: usize) {
+        let s = &mut self.slots[slot];
+        if s.driver.step_once() {
             self.queue
-                .push(driver.clock_ms(), FleetEvent::StepCompletion { slot });
-        } else if let Some(d) = self.disagg.as_mut() {
-            d.chain_died(slot);
+                .push(s.driver.clock_ms(), FleetEvent::StepCompletion { slot });
+        } else {
+            s.chain_armed = false;
         }
-        self.collect_handoffs(slot, at);
-    }
-
-    /// Bulk-advance every replica to `t`.
-    fn advance_all(&mut self, t: f64) {
-        for slot in &mut self.slots {
-            slot.driver.advance_to(t);
-        }
-    }
-
-    /// After a bulk advance, start the transfers of every prefill half it
-    /// surfaced (landings clamped to `now`).
-    fn collect_all_handoffs(&mut self, now: f64) {
-        for slot in 0..self.slots.len() {
-            self.collect_handoffs(slot, now);
-        }
+        self.collect_handoffs(slot);
     }
 
     /// Start the KV transfers of `slot`'s newly finished prefill halves (a
     /// no-op off the prefill set and on co-located runs).
-    fn collect_handoffs(&mut self, slot: usize, now: f64) {
+    fn collect_handoffs(&mut self, slot: usize) {
         let Some(d) = &self.disagg else {
             return;
         };
@@ -2024,7 +1952,7 @@ impl<'a> FleetRun<'a> {
         for k in watermark..done {
             let finished = &self.slots[slot].driver.completed()[k];
             let (id, finished_ms) = (finished.request.id, finished.finished_ms);
-            self.start_transfer(id, slot, finished_ms, now);
+            self.start_transfer(id, slot, finished_ms);
         }
         if let Some(d) = self.disagg.as_mut() {
             d.watermark[slot] = done;
@@ -2034,12 +1962,11 @@ impl<'a> FleetRun<'a> {
     /// Hand the KV of split request `id`, whose prefill half finished on
     /// prefill pod `from` at `start_ms`, to the decode pod with the most KV
     /// headroom, or fail the request when no decode pod could ever take its
-    /// remainder. `now` is the current event time: a completion surfaced by
-    /// a bulk advance may predate it, so the landing is clamped to `now` —
-    /// the event queue stays causal and decode-pod enqueue order stays
-    /// nondecreasing. Untrimmed single-token requests finish entirely on
-    /// the prefill pod and never transfer.
-    fn start_transfer(&mut self, id: u64, from: usize, start_ms: f64, now: f64) {
+    /// remainder. `start_ms` is never before the current event time: a step
+    /// chain applies a step's completions when the step starts, so the
+    /// landing keeps the event queue causal. Untrimmed single-token requests
+    /// finish entirely on the prefill pod and never transfer.
+    fn start_transfer(&mut self, id: u64, from: usize, start_ms: f64) {
         let d = self
             .disagg
             .as_mut()
@@ -2061,7 +1988,7 @@ impl<'a> FleetRun<'a> {
             .position(|&s| s == to)
             .expect("pick_decode_pod returns configured pods");
         let bytes = d.cfg.memory.kv_bytes(remainder.prompt_len);
-        let landing = (start_ms + d.cfg.links[row][col].transfer_ms(bytes)).max(now);
+        let landing = start_ms + d.cfg.links[row][col].transfer_ms(bytes);
         let transfer = d.transfers.len();
         d.transfers.push(PendingTransfer {
             id,
@@ -2659,6 +2586,80 @@ mod tests {
         let (ticks, exact) = *seen.borrow();
         assert!(ticks >= 1_000_000, "only {ticks} ticks fired");
         assert!(exact, "a tick fired off the k * tick_ms grid");
+    }
+
+    /// Records the observation of every control tick.
+    struct ObservationProbe(std::rc::Rc<std::cell::RefCell<Vec<FleetObservation>>>);
+
+    impl AutoscalePolicy for ObservationProbe {
+        fn decide(&mut self, obs: &FleetObservation) -> ScaleDecision {
+            self.0.borrow_mut().push(*obs);
+            ScaleDecision::Hold
+        }
+    }
+
+    #[test]
+    fn a_tick_inside_a_step_counts_the_request_waiting_for_its_boundary() {
+        // The 2048-token prompt's first prefill step runs from 0 ms past the
+        // 5 ms tick. The request arriving at 1 ms is admitted only at that
+        // step's boundary, so at the tick it is still queued.
+        let scfg = SchedulerConfig::default();
+        let trace = [
+            Request {
+                id: 0,
+                arrival_ms: 0.0,
+                prompt_len: 2048,
+                output_len: 4,
+            },
+            Request {
+                id: 1,
+                arrival_ms: 1.0,
+                prompt_len: 16,
+                output_len: 2,
+            },
+        ];
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let metrics = FleetController::new(FleetConfig {
+            tick_ms: 5.0,
+            ..FleetConfig::default()
+        })
+        .with_replica(single(DeviceSpec::a100_40g(), EngineKind::Samoyeds, &scfg))
+        .with_autoscaler(ObservationProbe(seen.clone()))
+        .run(&trace);
+        assert_eq!(metrics.completed, 2);
+        let first = seen.borrow()[0];
+        assert_eq!(first.now_ms, 5.0);
+        assert_eq!(first.queued_requests, 1, "{first:?}");
+    }
+
+    #[test]
+    fn a_crash_inside_a_step_loses_the_waiting_request_as_queued() {
+        // Round-robin puts the requests at 0 and 1 ms on replica 0. The first
+        // one's prefill step is still running at the 2 ms crash, so the
+        // second has not been admitted yet.
+        let scfg = SchedulerConfig::default();
+        let mk = |id: u64, arrival_ms: f64| Request {
+            id,
+            arrival_ms,
+            prompt_len: 256,
+            output_len: 8,
+        };
+        let metrics = FleetController::new(FleetConfig {
+            policy: DispatchPolicy::RoundRobin,
+            ..FleetConfig::default()
+        })
+        .with_replica(single(DeviceSpec::a100_40g(), EngineKind::Samoyeds, &scfg))
+        .with_replica(single(DeviceSpec::a100_40g(), EngineKind::Samoyeds, &scfg))
+        .with_faults(crash_at(2.0, 0), RecoveryPolicy::readmit_after(10.0))
+        .run(&[mk(0, 0.0), mk(1, 0.5), mk(2, 1.0)]);
+        assert_eq!(metrics.per_replica[0].assigned_ids, vec![0, 2]);
+        let record = &metrics.faults[0];
+        assert_eq!(
+            (record.lost_running, record.lost_queued),
+            (1, 1),
+            "{record:?}"
+        );
+        assert_eq!(metrics.completed, 3);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use memory::{MemoryModel, KV_DTYPE_BYTES};
 pub use metrics::{latency_summary, LatencySummary, ServingMetrics};
 pub use report::{compare_engines, render_markdown};
 pub use request::{CompletedRequest, Phase, Request, RunningRequest};
-pub use scheduler::{ReplicaDriver, Scheduler, SchedulerConfig, SimulationResult, StepRecord};
+pub use scheduler::{Scheduler, SchedulerConfig, SimulationResult, StepRecord};
 pub use telemetry::{
     chrome_trace_json, request_timelines, AttributionSummary, LogLinearHistogram, MetricsRegistry,
     NullSink, RequestTimeline, SharedSink, TickSnapshot, TraceEvent, TraceRecorder, TraceSink,

@@ -182,12 +182,10 @@ impl<B: ExecutionBackend> Scheduler<B> {
         self.backend.memory()
     }
 
-    /// Run the trace to completion and return the full simulation record.
-    ///
-    /// This is the offline front door over [`ReplicaDriver`]: enqueue the
-    /// whole trace, drive the replica to drain, finish. Online callers (the
-    /// fleet controller) build the driver directly and interleave
-    /// [`ReplicaDriver::enqueue`] with [`ReplicaDriver::advance_to`].
+    /// Run the trace to completion and return the full simulation record:
+    /// enqueue the whole trace, step the replica until it drains, finish.
+    /// The fleet controller drives the same per-replica loop one step at a
+    /// time, interleaved with routing.
     pub fn run(&self, trace: &[Request]) -> SimulationResult {
         let mut driver = ReplicaDriver::new(&self.backend, self.scfg);
         if let Some(sink) = &self.sink {
@@ -196,23 +194,23 @@ impl<B: ExecutionBackend> Scheduler<B> {
         for request in trace {
             driver.enqueue(*request);
         }
-        driver.advance_to(f64::INFINITY);
+        while driver.step_once() {}
         driver.finish()
     }
 }
 
-/// An incrementally-driven serving replica: the continuous-batching loop of
-/// [`Scheduler::run`], restructured so a control plane can interleave
-/// request routing with simulated execution.
+/// An incrementally-driven serving replica: the continuous-batching loop
+/// behind [`Scheduler::run`], one engine step per [`Self::step_once`] call,
+/// so the fleet controller can interleave request routing with simulated
+/// execution.
 ///
 /// The driver owns the replica's full runtime state — arrival queue, running
 /// set, KV reservations, simulated clock — and exposes it live (outstanding
 /// tokens, admission headroom, busy time), which is exactly what an online
 /// dispatcher needs to route each request *at its arrival time* instead of
-/// splitting the trace ahead of time. `enqueue` + `advance_to(∞)` reproduces
-/// the one-shot `run` bit for bit (pinned by the backend-equivalence suite).
+/// splitting the trace ahead of time.
 #[derive(Debug, Clone)]
-pub struct ReplicaDriver<B: ExecutionBackend> {
+pub(crate) struct ReplicaDriver<B: ExecutionBackend> {
     backend: B,
     scfg: SchedulerConfig,
     queue: VecDeque<Request>,
@@ -290,11 +288,6 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     pub fn attach_sink(&mut self, sink: SharedSink, replica_id: usize) {
         self.sink = Some(sink);
         self.replica_id = replica_id;
-    }
-
-    /// The backend the driver executes on.
-    pub fn backend(&self) -> &B {
-        &self.backend
     }
 
     /// Hand the driver a request. Requests must arrive in nondecreasing
@@ -402,11 +395,6 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
         self.backend.memory().budget_bytes() - self.backend.memory().footprint_bytes(committed, 0)
     }
 
-    /// Executed steps so far.
-    pub fn steps(&self) -> &[StepRecord] {
-        &self.result.steps
-    }
-
     /// Earliest arrival among requests that have not produced their first
     /// token yet (queued or still prefilling) — the head-of-line waiting age
     /// an SLO autoscaler watches.
@@ -440,45 +428,13 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
         busy
     }
 
-    /// Advance simulated time up to `until_ms`: admit arrived requests and
-    /// execute engine steps while the replica has work and its clock is
-    /// before `until_ms`. A step started before `until_ms` may finish after
-    /// it (requests arriving mid-step wait for the step boundary, exactly as
-    /// in the one-shot run). An idle replica never advances past `until_ms`.
-    pub fn advance_to(&mut self, until_ms: f64) {
-        if !self.result.supported {
-            return;
-        }
-        loop {
-            self.admit_arrived();
-
-            if self.running.is_empty() {
-                match self.queue.front() {
-                    // Drained: idle until more work is enqueued.
-                    None => break,
-                    // Idle-jump to the next arrival, but never past the
-                    // horizon — an event at `until_ms` may route new work.
-                    Some(next) if next.arrival_ms <= until_ms => {
-                        self.clock_ms = self.clock_ms.max(next.arrival_ms);
-                        continue;
-                    }
-                    Some(_) => break,
-                }
-            }
-
-            if self.clock_ms >= until_ms {
-                break;
-            }
-            self.execute_step();
-        }
-    }
-
     /// Execute the replica's next unit of work — admission, an idle jump to
     /// the next queued arrival if the running set is empty, and exactly one
-    /// engine step — and report whether work remains afterwards. This is the
-    /// primitive of the event-driven fleet drain loop: repeated `step_once`
-    /// calls reach exactly the state `advance_to(f64::INFINITY)` reaches,
-    /// one step-completion event at a time.
+    /// engine step — and report whether work remains afterwards. A step's
+    /// progress and completions apply when it starts, and the clock moves
+    /// to its end: requests enqueued meanwhile wait for that boundary. The
+    /// fleet controller calls this once per step-completion event;
+    /// [`Scheduler::run`] calls it until it returns `false`.
     pub fn step_once(&mut self) -> bool {
         if !self.result.supported {
             return false;
@@ -744,18 +700,18 @@ mod tests {
         }
         .generate();
         let mut d = driver();
-        let mut horizon = 0.0;
         for request in &trace {
-            while horizon < request.arrival_ms {
-                horizon += 37.0;
-                d.advance_to(horizon.min(request.arrival_ms));
+            // Step until the step in flight spans the arrival, as the fleet's
+            // step chain does.
+            while d.clock_ms() < request.arrival_ms && d.step_once() {
                 assert_eq!(d.outstanding_tokens(), recomputed_outstanding(&d));
             }
             d.enqueue(*request);
             assert_eq!(d.outstanding_tokens(), recomputed_outstanding(&d));
         }
-        d.advance_to(f64::INFINITY);
-        assert_eq!(d.outstanding_tokens(), recomputed_outstanding(&d));
+        while d.step_once() {
+            assert_eq!(d.outstanding_tokens(), recomputed_outstanding(&d));
+        }
         assert_eq!(d.outstanding_tokens(), 0);
         assert!(d.is_drained());
     }
@@ -770,7 +726,7 @@ mod tests {
             prompt_len: 50_000_000,
             output_len: 1,
         });
-        d.advance_to(f64::INFINITY);
+        assert!(!d.step_once(), "the rejection leaves no work");
         assert_eq!(d.outstanding_tokens(), 0);
         let result = d.finish();
         assert_eq!(result.rejected.len(), 1);
@@ -790,8 +746,8 @@ mod tests {
         for request in &trace {
             d.enqueue(*request);
         }
-        // Advance partway: some completed, some running, some queued.
-        d.advance_to(trace[trace.len() / 2].arrival_ms);
+        // Step partway: some completed, some running, some queued.
+        while d.clock_ms() < trace[trace.len() / 2].arrival_ms && d.step_once() {}
         let completed_before = d.completed().len();
         let (running, queued) = d.take_inflight();
         assert_eq!(
@@ -822,7 +778,7 @@ mod tests {
             request.output_len,
             "a handoff only owes its decode tokens"
         );
-        d.advance_to(f64::INFINITY);
+        while d.step_once() {}
         assert_eq!(d.outstanding_tokens(), 0);
         let result = d.finish();
         assert_eq!(result.completed.len(), 1);
@@ -833,41 +789,5 @@ mod tests {
             .steps
             .iter()
             .all(|s| s.prefill_tokens == 0 && s.decode_tokens == 1));
-    }
-
-    #[test]
-    fn step_once_drains_to_the_same_state_as_advance_to_infinity() {
-        let trace = TraceConfig {
-            num_requests: 24,
-            arrival_rate_rps: 20.0,
-            prompt_len_range: (32, 256),
-            output_len_range: (4, 16),
-            seed: 5,
-        }
-        .generate();
-        let mut by_steps = driver();
-        for request in &trace {
-            by_steps.enqueue(*request);
-        }
-        let mut by_horizon = by_steps.clone();
-
-        while by_steps.step_once() {}
-        by_horizon.advance_to(f64::INFINITY);
-
-        assert!(by_steps.is_drained() && by_horizon.is_drained());
-        let a = by_steps.finish();
-        let b = by_horizon.finish();
-        assert_eq!(a.completed.len(), b.completed.len());
-        assert_eq!(a.makespan_ms, b.makespan_ms);
-        assert_eq!(a.steps.len(), b.steps.len());
-        for (x, y) in a.steps.iter().zip(&b.steps) {
-            assert_eq!(x.start_ms, y.start_ms);
-            assert_eq!(x.time_ms, y.time_ms);
-        }
-        for (x, y) in a.completed.iter().zip(&b.completed) {
-            assert_eq!(x.request.id, y.request.id);
-            assert_eq!(x.first_token_ms, y.first_token_ms);
-            assert_eq!(x.finished_ms, y.finished_ms);
-        }
     }
 }

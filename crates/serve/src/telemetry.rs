@@ -7,8 +7,8 @@
 //! chunking, collective spine traffic or autoscaler warm-up. This module
 //! opens the box without touching the numbers:
 //!
-//! * [`TraceSink`] — the recording trait. The [`FleetController`],
-//!   [`Scheduler`] and [`ReplicaDriver`] emit one [`TraceEvent`] per
+//! * [`TraceSink`] — the recording trait. The [`FleetController`] and
+//!   every replica's scheduler loop emit one [`TraceEvent`] per
 //!   lifecycle transition (arrival → routing → admission → step spans with
 //!   the compute / collective / intra-island / spine split → first token →
 //!   completion, plus replica warm-up / drain / scale events and control
@@ -33,8 +33,6 @@
 //!   prefill→decode handoff for disaggregated ones).
 //!
 //! [`FleetController`]: crate::fleet::FleetController
-//! [`Scheduler`]: crate::scheduler::Scheduler
-//! [`ReplicaDriver`]: crate::scheduler::ReplicaDriver
 
 use std::cell::RefCell;
 use std::rc::Rc;

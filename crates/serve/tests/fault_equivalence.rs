@@ -5,10 +5,9 @@
 //! `RecoveryPolicy` has to reproduce the plain controller bit for bit —
 //! every `FleetMetrics` field, every latency percentile, every scale-event
 //! reason string, every per-replica breakdown. The scenarios mirror the
-//! `fleet_event_equivalence` suite (fixed fleets, heterogeneous round-robin,
-//! SLO autoscaling with warm-up, zero warm-up on a 250 ms tick) so the pin
-//! covers the same surface the event-core refactor pinned. Same
-//! discipline as `backend_equivalence.rs` and `fleet_event_equivalence.rs`.
+//! fleet shapes the `fleet_golden` suite pins (fixed fleets, heterogeneous
+//! round-robin, SLO autoscaling with warm-up, zero warm-up on a 250 ms
+//! tick).
 
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;

@@ -1,7 +1,8 @@
-//! Golden snapshots of `FleetController::run` on the paths no equivalence
-//! suite reaches: faults that actually fire, disaggregated handoffs that
-//! restart, crash replacement under autoscaling, post-trace re-admission and
-//! the drain cap.
+//! Golden snapshots of `FleetController::run`: fixed, heterogeneous and
+//! autoscaled fleets on a steady and a bursty trace, plus the paths no
+//! equivalence suite reaches — faults that actually fire, disaggregated
+//! handoffs that restart, crash replacement under autoscaling, post-trace
+//! re-admission and the drain cap.
 //!
 //! Each scenario renders a compact, line-oriented block — request counts,
 //! makespan and TTFT percentiles, per-replica assignment, the fault and
@@ -31,10 +32,10 @@ use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::router::TopKRouter;
 use samoyeds_serve::{
-    BurstPhase, BurstyTraceConfig, DisaggregationConfig, ExecutionBackend, FaultKind,
-    FaultSchedule, FaultSpec, FleetConfig, FleetController, FleetMetrics, KvLink, MemoryModel,
-    NoAutoscale, RecoveryPolicy, Request, SchedulerConfig, SharedSink, SingleGpuBackend,
-    SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder,
+    BurstPhase, BurstyTraceConfig, DisaggregationConfig, DispatchPolicy, ExecutionBackend,
+    FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController, FleetMetrics, KvLink,
+    MemoryModel, NoAutoscale, RecoveryPolicy, Request, SchedulerConfig, SharedSink,
+    SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder,
 };
 use std::fmt::Write;
 use std::path::Path;
@@ -62,13 +63,21 @@ fn update_golden(file: &str, edit: impl FnOnce(&str) -> String) {
     }
 }
 
-fn a100() -> Box<dyn ExecutionBackend> {
+fn single(device: DeviceSpec, engine: EngineKind) -> Box<dyn ExecutionBackend> {
     Box::new(SingleGpuBackend::new(
-        DeviceSpec::a100_40g(),
+        device,
         &MoeModelConfig::qwen2_moe(),
-        EngineKind::Samoyeds,
+        engine,
         &SchedulerConfig::default(),
     ))
+}
+
+fn a100() -> Box<dyn ExecutionBackend> {
+    single(DeviceSpec::a100_40g(), EngineKind::Samoyeds)
+}
+
+fn rtx4070s(engine: EngineKind) -> Box<dyn ExecutionBackend> {
+    single(DeviceSpec::rtx4070_super(), engine)
 }
 
 fn poisson(num_requests: usize, arrival_rate_rps: f64, seed: u64) -> Vec<Request> {
@@ -217,6 +226,13 @@ fn with_block(golden: &str, name: &str, fresh: &str) -> String {
 }
 
 fn check(name: &str, offered: usize, metrics: &FleetMetrics, events: &[TraceEvent]) {
+    // A capped drain stops the run: it cannot have finished every request.
+    if metrics.drain_incomplete {
+        assert!(
+            metrics.completed + metrics.rejected + metrics.failed() < offered,
+            "[{name}] hit the drain cap yet accounted for all {offered} requests"
+        );
+    }
     let fresh = render(name, offered, metrics, events);
     if updating_goldens() {
         update_golden("fleet_run.txt", |golden| with_block(golden, name, &fresh));
@@ -227,6 +243,112 @@ fn check(name: &str, offered: usize, metrics: &FleetMetrics, events: &[TraceEven
              rerun with UPDATE_GOLDENS=1 to rewrite it"
         );
     }
+}
+
+/// Serve a steady Poisson trace and a calm → spike → calm burst on the fleet
+/// `build` makes, and check blocks `<name>_poisson` and `<name>_bursty`.
+fn check_steady_and_bursty(name: &str, build: impl Fn() -> FleetController) {
+    let poisson = TraceConfig {
+        num_requests: 48,
+        arrival_rate_rps: 30.0,
+        prompt_len_range: (32, 384),
+        output_len_range: (4, 32),
+        seed: 23,
+    }
+    .generate();
+    let bursty = BurstyTraceConfig {
+        phases: vec![
+            BurstPhase {
+                arrival_rate_rps: 2.0,
+                num_requests: 8,
+            },
+            BurstPhase {
+                arrival_rate_rps: 150.0,
+                num_requests: 60,
+            },
+            BurstPhase {
+                arrival_rate_rps: 2.0,
+                num_requests: 8,
+            },
+        ],
+        prompt_len_range: (64, 256),
+        output_len_range: (16, 48),
+        seed: 17,
+    }
+    .generate();
+    for (trace_name, trace) in [("poisson", poisson), ("bursty", bursty)] {
+        let (metrics, events) = run(build(), &trace);
+        assert_eq!(
+            metrics.completed + metrics.rejected + metrics.failed(),
+            trace.len()
+        );
+        check(
+            &format!("{name}_{trace_name}"),
+            trace.len(),
+            &metrics,
+            &events,
+        );
+    }
+}
+
+#[test]
+fn fixed_fleet_runs_without_control_ticks() {
+    // NoAutoscale elides the tick schedule: only arrivals and step
+    // completions move the fleet.
+    check_steady_and_bursty("fixed_no_ticks", || {
+        FleetController::new(FleetConfig::default())
+            .with_replica(a100())
+            .with_replica(a100())
+    });
+}
+
+#[test]
+fn heterogeneous_round_robin_fleet_skips_dead_weight() {
+    // Dense weights never fit the 12 GiB card: round-robin's cursor walks
+    // only the two replicas that can admit.
+    let config = FleetConfig {
+        policy: DispatchPolicy::RoundRobin,
+        ..FleetConfig::default()
+    };
+    check_steady_and_bursty("heterogeneous_round_robin", || {
+        FleetController::new(config)
+            .with_replica(a100())
+            .with_replica(rtx4070s(EngineKind::Samoyeds))
+            .with_replica(rtx4070s(EngineKind::Transformers))
+    });
+}
+
+#[test]
+fn autoscaled_fleet_scales_out_and_back_in() {
+    let config = FleetConfig {
+        warmup_ms: 500.0,
+        max_replicas: 4,
+        ..FleetConfig::default()
+    };
+    check_steady_and_bursty("autoscaled", || {
+        FleetController::new(config)
+            .with_replica(a100())
+            .with_factory(a100)
+            .with_autoscaler(SloAutoscaler::new(400.0))
+    });
+}
+
+#[test]
+fn zero_warmup_fleet_on_a_250ms_tick() {
+    // A zero-length warm-up lands at its own scale-out tick, and an odd
+    // 250 ms period stresses the tick/arrival interleaving.
+    let config = FleetConfig {
+        tick_ms: 250.0,
+        warmup_ms: 0.0,
+        max_replicas: 3,
+        ..FleetConfig::default()
+    };
+    check_steady_and_bursty("zero_warmup_250ms_tick", || {
+        FleetController::new(config)
+            .with_replica(rtx4070s(EngineKind::Samoyeds))
+            .with_factory(|| rtx4070s(EngineKind::Samoyeds))
+            .with_autoscaler(SloAutoscaler::new(900.0))
+    });
 }
 
 #[test]
@@ -385,7 +507,7 @@ fn autoscaled_crash_is_replaced_and_a_partition_heals() {
 }
 
 #[test]
-fn fixed_fleet_recovery_after_the_last_arrival_rearms_the_step_chains() {
+fn fixed_fleet_readmits_after_the_last_arrival() {
     let trace = poisson(16, 40.0, 13);
     let last_arrival = trace.last().unwrap().arrival_ms;
     let controller = FleetController::new(FleetConfig::default())
@@ -415,9 +537,10 @@ fn fixed_fleet_recovery_after_the_last_arrival_rearms_the_step_chains() {
     );
 }
 
-#[test]
-fn drain_cap_stops_the_run_with_work_outstanding() {
-    let trace = vec![
+/// A heavy request at 0 ms and a light one at 2 ms: neither finishes
+/// within three 1 ms drain ticks.
+fn drain_cap_trace() -> Vec<Request> {
+    vec![
         Request {
             id: 0,
             arrival_ms: 0.0,
@@ -430,13 +553,22 @@ fn drain_cap_stops_the_run_with_work_outstanding() {
             prompt_len: 64,
             output_len: 4,
         },
-    ];
-    let config = FleetConfig {
+    ]
+}
+
+/// 1 ms control ticks, and a drain cap of three of them.
+fn drain_cap_config() -> FleetConfig {
+    FleetConfig {
         tick_ms: 1.0,
         max_drain_ticks: 3,
         ..FleetConfig::default()
-    };
-    let controller = FleetController::new(config)
+    }
+}
+
+#[test]
+fn drain_cap_stops_the_run_with_work_outstanding() {
+    let trace = drain_cap_trace();
+    let controller = FleetController::new(drain_cap_config())
         .with_replica(a100())
         .with_replica(a100())
         .with_autoscaler(SloAutoscaler::new(1e12));
@@ -444,6 +576,23 @@ fn drain_cap_stops_the_run_with_work_outstanding() {
     assert!(metrics.drain_incomplete);
     assert!(!metrics.drain_incomplete_replicas.is_empty());
     check("drain_cap", trace.len(), &metrics, &events);
+}
+
+#[test]
+fn drain_cap_stops_the_step_chains_of_a_disaggregated_run() {
+    let trace = drain_cap_trace();
+    let link = KvLink {
+        latency_us: 5.0,
+        bandwidth_gbps: 50.0,
+    };
+    let controller = FleetController::new(drain_cap_config())
+        .with_replica(a100())
+        .with_replica(a100())
+        .with_disaggregation(disagg(vec![0], vec![1], link))
+        .with_autoscaler(SloAutoscaler::new(1e12));
+    let (metrics, events) = run(controller, &trace);
+    assert!(metrics.drain_incomplete);
+    check("drain_cap_disagg", trace.len(), &metrics, &events);
 }
 
 /// One line per priced cell: every engine, the Samoyeds breakdown presets,

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: the full pipeline from dense weights to
 //! pruned formats, kernels, MoE engines and experiment reports.
 
-use samoyeds::dist::{ClusterEngine, DisaggSweepReport, FaultSweepReport};
+use samoyeds::dist::{
+    ClusterEngine, DisaggSweepReport, FaultSweepReport, FleetAutoscaleReport, TopologySweepReport,
+};
 use samoyeds::gpu_sim::DeviceSpec;
 use samoyeds::kernels::gemm_dense::DenseGemm;
 use samoyeds::kernels::samoyeds_kernel::{SamoyedsKernel, SamoyedsOptions};
@@ -271,6 +273,66 @@ fn disagg_sweep_shows_compression_unlocking_the_decode_pods() {
     let rows = report.render_markdown();
     assert!(rows.iter().any(|r| r.contains("| Dense | 1:3 | OOM |")));
     assert!(rows.iter().any(|r| r.contains("best split")));
+}
+
+#[test]
+fn autoscale_sweep_shows_samoyeds_absorbing_the_spike_with_fewer_scale_outs() {
+    let report = FleetAutoscaleReport::sweep(
+        &MoeModelConfig::qwen2_moe(),
+        &FleetAutoscaleReport::demo_trace(),
+        &SchedulerConfig::default(),
+    );
+    // 3 fleets x 2 policies x 2 SLOs.
+    assert_eq!(report.entries.len(), 12);
+    // Every cell conserves the trace.
+    for e in &report.entries {
+        assert_eq!(
+            e.metrics.completed + e.metrics.rejected,
+            report.num_requests,
+            "{} {} {}",
+            e.fleet.name(),
+            e.policy.name(),
+            e.slo_ms
+        );
+        assert_eq!(e.metrics.rejected, 0);
+    }
+    // The headline: at the tight SLO, the dense fleet needs more
+    // scale-outs than the Samoyeds fleet to absorb the same spike.
+    let (samoyeds, dense) = report.scale_out_contrast().expect("both cells exist");
+    assert!(
+        samoyeds < dense,
+        "samoyeds {samoyeds} scale-outs vs dense {dense}"
+    );
+    let rows = report.render_markdown();
+    assert!(rows.len() >= 3 + 12);
+    assert!(rows.iter().any(|r| r.contains("A100 pod + 4070S")));
+}
+
+#[test]
+fn topology_sweep_shows_the_spine_becoming_the_straggler() {
+    let report = TopologySweepReport::sweep(&MoeModelConfig::qwen2_moe(), 4096, 1.5, 42);
+    // 3 layouts x 3 engines.
+    assert_eq!(report.entries.len(), 9);
+    // The acceptance cell: on skewed routing the 2x4 NVLink+IB layout's
+    // collective time is spine-bound and exceeds the flat-NVLink baseline.
+    let (hier, flat, spine) = report.spine_bound_contrast().expect("cells exist");
+    assert!(hier > flat, "hierarchical {hier} vs flat {flat}");
+    assert!(spine > 0.0);
+    assert!(spine > hier - spine, "spine {spine} of {hier} is the bound");
+    // Flat cells never pay the spine; hierarchical cells always do.
+    for e in &report.entries {
+        if let Some(o) = e.outcome {
+            if e.num_islands == 1 {
+                assert_eq!(o.spine_ms, 0.0, "{}", e.topology);
+                assert_eq!(o.intra_island_ms, o.all_to_all_ms);
+            } else {
+                assert!(o.spine_ms > 0.0, "{}", e.topology);
+            }
+        }
+    }
+    let rows = report.render_markdown();
+    assert!(rows.len() >= 3 + 9);
+    assert!(rows.iter().any(|r| r.contains("InfiniBand NDR spine")));
 }
 
 #[test]
