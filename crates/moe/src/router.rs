@@ -10,7 +10,6 @@
 //! engines, §6.3).
 
 use crate::config::MoeModelConfig;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -283,21 +282,40 @@ impl TopKRouter {
     /// `router.route_seeded(s, n)` equals
     /// `TopKRouter::new(num_experts, top_k, s).unwrap().route(n)` with the
     /// same skew.
+    ///
+    /// One seeded stream serves the whole call: it draws every token's
+    /// experts first, then one logit per chosen expert, token by token. The
+    /// expert draws alone fix the per-expert counts, so every token and
+    /// weight list is allocated at its exact length before it is filled.
     pub fn route_seeded(&self, seed: u64, num_tokens: usize) -> RoutingPlan {
-        let mut expert_tokens: Vec<Vec<u32>> = vec![Vec::new(); self.num_experts];
-        let mut expert_weights: Vec<Vec<f32>> = vec![Vec::new(); self.num_experts];
-        let mut exps: Vec<f32> = Vec::with_capacity(self.top_k);
-        self.sample(seed, num_tokens, |token, chosen, logits| {
-            // Softmax over the chosen experts' logits.
-            let max = logits.iter().cloned().fold(f32::MIN, f32::max);
-            exps.clear();
-            exps.extend(logits.iter().map(|l| (l - max).exp()));
-            let sum: f32 = exps.iter().sum();
-            for (&e, w) in chosen.iter().zip(exps.iter()) {
-                expert_tokens[e].push(token);
-                expert_weights[e].push(w / sum);
-            }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut picks: Vec<usize> = Vec::with_capacity(num_tokens * self.top_k);
+        self.sample(&mut rng, num_tokens, |chosen| {
+            picks.extend_from_slice(chosen)
         });
+        let mut loads = vec![0usize; self.num_experts];
+        for &e in &picks {
+            loads[e] += 1;
+        }
+        let mut expert_tokens: Vec<Vec<u32>> =
+            loads.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut expert_weights: Vec<Vec<f32>> =
+            loads.iter().map(|&n| Vec::with_capacity(n)).collect();
+        // `chunks_exact(0)` panics; a zero-`top_k` plan routes nothing.
+        if self.top_k > 0 {
+            let mut exps = vec![0.0f32; self.top_k];
+            for (token, chosen) in picks.chunks_exact(self.top_k).enumerate() {
+                // Softmax over the chosen experts' logits.
+                exps.fill_with(|| rng.gen_range(-1.0f32..1.0));
+                let max = exps.iter().copied().fold(f32::MIN, f32::max);
+                exps.iter_mut().for_each(|x| *x = (*x - max).exp());
+                let sum: f32 = exps.iter().sum();
+                for (&e, &x) in chosen.iter().zip(&exps) {
+                    expert_tokens[e].push(token as u32);
+                    expert_weights[e].push(x / sum);
+                }
+            }
+        }
         RoutingPlan {
             num_tokens,
             top_k: self.top_k,
@@ -308,13 +326,14 @@ impl TopKRouter {
 
     /// The per-expert token counts of [`Self::route_seeded`] without the
     /// plan: `router.route_loads_seeded(s, n)` equals
-    /// `router.route_seeded(s, n).expert_loads()`. The sampler makes the
-    /// same draws, logits included, but builds no token lists and computes
-    /// no weights. This is all a cost model that prices an expert by the
-    /// length of its selection array needs.
+    /// `router.route_seeded(s, n).expert_loads()`. The expert draws come
+    /// first in `route_seeded`'s stream, so this makes exactly those draws
+    /// and stops before the logits: no token lists, no weights. This is all
+    /// a cost model that prices an expert by the length of its selection
+    /// array needs.
     pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize) -> Vec<usize> {
         let mut loads = vec![0usize; self.num_experts];
-        self.sample(seed, num_tokens, |_, chosen, _| {
+        self.sample(&mut ChaCha8Rng::seed_from_u64(seed), num_tokens, |chosen| {
             for &e in chosen {
                 loads[e] += 1;
             }
@@ -322,22 +341,25 @@ impl TopKRouter {
         loads
     }
 
-    /// The seeded sampler behind both routing outputs: for each token in
-    /// order, draw its `top_k` distinct experts, then one logit per chosen
-    /// expert, and hand `(token, chosen, logits)` to `visit`.
-    fn sample(&self, seed: u64, num_tokens: usize, mut visit: impl FnMut(u32, &[usize], &[f32])) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut logits: Vec<f32> = Vec::with_capacity(self.top_k);
-        let draw_logits = |rng: &mut ChaCha8Rng, logits: &mut Vec<f32>| {
-            logits.clear();
-            logits.extend((0..self.top_k).map(|_| rng.gen_range(-1.0f32..1.0)));
-        };
+    /// The expert draws behind both routing outputs: for each token in
+    /// order, draw its `top_k` distinct experts from `rng` and hand them to
+    /// `visit`.
+    ///
+    /// Uniform routing is a partial Fisher–Yates shuffle over one expert
+    /// array kept for the whole call: position `i` swaps with a uniform
+    /// pick from `i..num_experts`, for `i` in `0..top_k`, so a token costs
+    /// `top_k` draws. Whatever order the previous token left, the first
+    /// `top_k` positions are then a uniform draw of `top_k` distinct
+    /// experts. Skewed routing samples without replacement from the Zipf
+    /// popularity, one draw per pick.
+    fn sample(&self, rng: &mut ChaCha8Rng, num_tokens: usize, mut visit: impl FnMut(&[usize])) {
         if self.skew == 0.0 {
             let mut experts: Vec<usize> = (0..self.num_experts).collect();
-            for token in 0..num_tokens {
-                experts.shuffle(&mut rng);
-                draw_logits(&mut rng, &mut logits);
-                visit(token as u32, &experts[..self.top_k], &logits);
+            for _ in 0..num_tokens {
+                for i in 0..self.top_k {
+                    experts.swap(i, rng.gen_range(i..self.num_experts));
+                }
+                visit(&experts[..self.top_k]);
             }
             return;
         }
@@ -349,7 +371,7 @@ impl TopKRouter {
             .collect();
         let mut chosen: Vec<usize> = Vec::with_capacity(self.top_k);
         let mut remaining = popularity.clone();
-        for token in 0..num_tokens {
+        for _ in 0..num_tokens {
             // Weighted sampling without replacement over the popularity
             // distribution.
             chosen.clear();
@@ -378,8 +400,7 @@ impl TopKRouter {
                 remaining[pick] = 0.0;
                 chosen.push(pick);
             }
-            draw_logits(&mut rng, &mut logits);
-            visit(token as u32, &chosen, &logits);
+            visit(&chosen);
         }
     }
 }
@@ -655,6 +676,104 @@ mod tests {
         for e in 0..8 {
             let frac = plan.tokens_for(e) as f64 / expected_avg;
             assert!(frac > 0.7 && frac < 1.3, "expert {e} load fraction {frac}");
+        }
+    }
+
+    // The sampler's distribution pins. Each bound is the χ² quantile at
+    // p = 1e-6 for its degrees of freedom, so a correct sampler fails a
+    // given seed with probability 1e-6; the seeds are fixed, so the tests
+    // are deterministic.
+    const SEEDS: [u64; 5] = [1, 2, 3, 42, 1234];
+
+    /// Pearson's χ² of observed counts against expected counts.
+    fn chi_square(observed: &[usize], expected: &[f64]) -> f64 {
+        observed
+            .iter()
+            .zip(expected)
+            .map(|(&o, &e)| (o as f64 - e).powi(2) / e)
+            .sum()
+    }
+
+    /// Each token's experts, ascending, rebuilt from a plan's token lists.
+    fn token_sets(plan: &RoutingPlan) -> Vec<Vec<usize>> {
+        let mut sets = vec![Vec::with_capacity(plan.top_k); plan.num_tokens];
+        for (e, tokens) in plan.expert_tokens.iter().enumerate() {
+            for &t in tokens {
+                sets[t as usize].push(e);
+            }
+        }
+        sets
+    }
+
+    #[test]
+    fn uniform_loads_pass_chi_square() {
+        // 60 experts, top-4, 30k tokens: 2,000 expected per expert, df 59.
+        let router = TopKRouter::new(60, 4, 0).unwrap();
+        for seed in SEEDS {
+            let chi2 = chi_square(&router.route_loads_seeded(seed, 30_000), &[2_000.0; 60]);
+            assert!(chi2 < 125.7, "seed {seed}: chi2 {chi2}");
+        }
+    }
+
+    #[test]
+    fn uniform_expert_pairs_pass_chi_square() {
+        // 8 experts, top-2, 28k tokens: 28 unordered pairs, 1,000 expected
+        // each, df 27.
+        let router = TopKRouter::new(8, 2, 0).unwrap();
+        for seed in SEEDS {
+            let mut pairs = [[0usize; 8]; 8];
+            for set in token_sets(&router.route_seeded(seed, 28_000)) {
+                pairs[set[0]][set[1]] += 1;
+            }
+            let observed: Vec<usize> = (0..8)
+                .flat_map(|a| (a + 1..8).map(move |b| (a, b)))
+                .map(|(a, b)| pairs[a][b])
+                .collect();
+            let chi2 = chi_square(&observed, &[1_000.0; 28]);
+            assert!(chi2 < 77.2, "seed {seed}: chi2 {chi2}");
+        }
+    }
+
+    #[test]
+    fn consecutive_tokens_overlap_hypergeometrically() {
+        // The expert array carries over from token to token, yet each
+        // token's top-4-of-60 set must be independent of the one before:
+        // their overlap follows Hypergeometric(60, 4, 4). Overlaps >= 2
+        // (about 1.9% of pairs) are pooled, df 2.
+        let router = TopKRouter::new(60, 4, 0).unwrap();
+        let choose =
+            |n: u32, k: u32| (0..k).fold(1.0, |acc, i| acc * f64::from(n - i) / f64::from(i + 1));
+        let p: Vec<f64> = (0..=4)
+            .map(|k| choose(4, k) * choose(56, 4 - k) / choose(60, 4))
+            .collect();
+        for seed in SEEDS {
+            let sets = token_sets(&router.route_seeded(seed, 30_000));
+            let mut observed = [0usize; 3];
+            for w in sets.windows(2) {
+                let overlap = w[1].iter().filter(|e| w[0].contains(e)).count();
+                observed[overlap.min(2)] += 1;
+            }
+            let pairs = (sets.len() - 1) as f64;
+            let expected = [p[0] * pairs, p[1] * pairs, (p[2] + p[3] + p[4]) * pairs];
+            let chi2 = chi_square(&observed, &expected);
+            assert!(
+                chi2 < 27.6,
+                "seed {seed}: chi2 {chi2} observed {observed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn zipf_top1_loads_follow_the_popularity() {
+        // Skew 1.2, 16 experts, top-1, 20k tokens: expert e is drawn with
+        // probability proportional to (e + 1)^-1.2, df 15.
+        let router = TopKRouter::new(16, 1, 0).unwrap().with_skew(1.2);
+        let popularity: Vec<f64> = (1..=16).map(|e| f64::from(e).powf(-1.2)).collect();
+        let total: f64 = popularity.iter().sum();
+        let expected: Vec<f64> = popularity.iter().map(|p| p / total * 20_000.0).collect();
+        for seed in SEEDS {
+            let chi2 = chi_square(&router.route_loads_seeded(seed, 20_000), &expected);
+            assert!(chi2 < 56.5, "seed {seed}: chi2 {chi2}");
         }
     }
 }

@@ -819,8 +819,10 @@ impl FleetController {
     /// `fleet::ceiling-below-floor`, `fleet::nonpositive-tick`,
     /// `fleet::nonpositive-window`, `fleet::negative-warmup`,
     /// `fleet::zero-drain-cap`, `fleet::unsorted-trace`,
-    /// `fault::negative-time`, `fault::replica-out-of-range`,
-    /// `fault::negative-duration`, `disagg::empty-role`,
+    /// `fleet::top-k-out-of-range` (an initial replica's model routes to
+    /// more experts than it has), `fault::negative-time`,
+    /// `fault::replica-out-of-range`, `fault::negative-duration`,
+    /// `disagg::empty-role`,
     /// `disagg::role-out-of-range`, `disagg::overlapping-roles`,
     /// `disagg::link-shape`, `disagg::bad-link`,
     /// `disagg::decode-cannot-hold-model`, `slo::nonpositive`,
@@ -919,6 +921,23 @@ impl FleetController {
                 ),
                 "sort the trace by arrival_ms before serving it",
             ));
+        }
+        for (slot, b) in self.initial.iter().enumerate() {
+            let model = b.model();
+            if model.top_k > model.num_experts {
+                report.push(Diagnostic::deny(
+                    "fleet::top-k-out-of-range",
+                    format!("replica {slot}"),
+                    format!(
+                        "{} routes each token to top_k = {} experts but its model has \
+                         only {} — the first step it prices would panic",
+                        b.describe(),
+                        model.top_k,
+                        model.num_experts
+                    ),
+                    "set top_k <= num_experts",
+                ));
+            }
         }
         let capable =
             |b: &dyn ExecutionBackend| b.supports(b.model()) && b.memory().can_hold_model();

@@ -13,9 +13,13 @@ use samoyeds_serve::{
 };
 
 fn replica() -> Box<dyn ExecutionBackend> {
+    replica_of(&MoeModelConfig::qwen2_moe())
+}
+
+fn replica_of(model: &MoeModelConfig) -> Box<dyn ExecutionBackend> {
     Box::new(SingleGpuBackend::new(
         DeviceSpec::a100_40g(),
-        &MoeModelConfig::qwen2_moe(),
+        model,
         EngineKind::Samoyeds,
         &SchedulerConfig::default(),
     ))
@@ -166,6 +170,29 @@ fn fault_past_trace_end_and_empty_partition_are_warnings() {
         .diagnostics()
         .iter()
         .all(|d| d.severity == Severity::Warning));
+}
+
+#[test]
+fn top_k_beyond_the_expert_count_is_denied_and_zero_top_k_still_runs() {
+    let with_top_k = |top_k| {
+        let mut model = MoeModelConfig::qwen2_moe();
+        model.top_k = top_k;
+        FleetController::new(FleetConfig::default()).with_replica(replica_of(&model))
+    };
+    // Qwen2-MoE has 60 experts: routing each token to 61 of them would
+    // panic on the first priced step.
+    let report = with_top_k(61).validate(&short_trace());
+    assert!(
+        report.has("fleet::top-k-out-of-range"),
+        "{}",
+        report.render()
+    );
+    assert!(!report.passes());
+    // `top_k = 0` routes no token at all; it validates and serves the trace.
+    let trace = short_trace();
+    let report = with_top_k(0).validate(&trace);
+    assert!(report.passes(), "{}", report.render());
+    assert_eq!(with_top_k(0).run(&trace).completed, trace.len());
 }
 
 #[test]

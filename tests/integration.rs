@@ -433,17 +433,33 @@ fn single_gpu_step_cost_equals_the_full_plan_recombination_bit_for_bit() {
 
 #[test]
 fn counts_only_routing_matches_the_full_plan_loads() {
-    for config in MoeModelConfig::table2() {
+    // Every Table 2 model, plus the edge inputs: a model that routes no
+    // token (`top_k = 0`), every expert per token, and one expert per token.
+    let mut no_routing = MoeModelConfig::qwen2_moe();
+    no_routing.top_k = 0;
+    let routers = MoeModelConfig::table2()
+        .iter()
+        .chain([&no_routing])
+        .map(|config| (config.name.clone(), TopKRouter::for_config(config, 3)))
+        .chain([
+            ("8 of 8".to_string(), TopKRouter::new(8, 8, 3).unwrap()),
+            ("1 of 8".to_string(), TopKRouter::new(8, 1, 3).unwrap()),
+        ])
+        .collect::<Vec<_>>();
+    for (name, base) in &routers {
         for skew in [0.0, 1.2, 1100.0] {
-            let router = TopKRouter::for_config(&config, 3).with_skew(skew);
+            let router = base.clone().with_skew(skew);
             for tokens in [0usize, 1, 7, 64, 65, 216, 2048] {
                 for seed in [0u64, 11, u64::MAX] {
-                    assert_eq!(
-                        router.route_loads_seeded(seed, tokens),
-                        router.route_seeded(seed, tokens).expert_loads(),
-                        "{} skew={skew} tokens={tokens} seed={seed}",
-                        config.name
-                    );
+                    let loads = router.route_loads_seeded(seed, tokens);
+                    let plan = router.route_seeded(seed, tokens);
+                    let at = format!("{name} skew={skew} tokens={tokens} seed={seed}");
+                    assert_eq!(loads, plan.expert_loads(), "{at}");
+                    // With `top_k = 0` this pins an empty plan and all-zero loads.
+                    assert_eq!(plan.total_assignments(), tokens * plan.top_k, "{at}");
+                    if plan.top_k == plan.num_experts() {
+                        assert!(loads.iter().all(|&l| l == tokens), "{at}");
+                    }
                 }
             }
         }
