@@ -1,5 +1,5 @@
 //! Criterion benches over the cluster scheduler step loop: placement,
-//! sharding and all-to-all accounting at increasing GPU counts.
+//! count-based dispatch and all-to-all accounting at increasing GPU counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use samoyeds_dist::{

@@ -7,11 +7,12 @@
 //! the way it drives one GPU. Two things change relative to
 //! [`SingleGpuBackend`](samoyeds_serve::SingleGpuBackend):
 //!
-//! * **Step cost** — each step routes its batch, shards the plan across the
-//!   pod, and pays the *straggler* GPU's MoE compute plus the α-β
-//!   dispatch/combine collectives per layer. Attention and the
-//!   norm/router auxiliaries are data-parallel across the pod (each rank
-//!   hosts its share of the batch), so they divide by the GPU count.
+//! * **Step cost** — each step routes its batch, dispatches each expert's
+//!   tokens to its replicas across the pod, and pays the *straggler* GPU's
+//!   MoE compute plus the α-β dispatch/combine collectives per layer.
+//!   Attention and the norm/router auxiliaries are data-parallel across
+//!   the pod (each rank hosts its share of the batch), so they divide by
+//!   the GPU count.
 //! * **Admission** — the budget is the straggler GPU under a balanced
 //!   placement: `ceil(E/g)` routed experts (plus any replicated hot
 //!   experts), a `ceil/g` share of the KV cache and of the step's

@@ -1,15 +1,17 @@
-//! The cluster scheduler: shard a routing plan across expert-parallel GPUs,
-//! charge per-GPU compute through the existing engine cost model plus the
-//! all-to-all transfer time, and report utilization and straggler effects.
+//! The cluster scheduler: dispatch a routing plan's per-expert token counts
+//! to expert-parallel GPUs, charge per-GPU compute through the existing
+//! engine cost model plus the all-to-all transfer time, and report
+//! utilization and straggler effects.
 //!
 //! One cluster step is one forward pass of the model's MoE layers over a
 //! token batch: tokens live interleaved across GPUs (token `t` on GPU
 //! `t mod g`), every layer dispatches them to their experts' owners
-//! (all-to-all), each GPU runs its expert shard plus the replicated shared
-//! experts over its local tokens, and the outputs return (second
-//! all-to-all). The step time of a layer is the *slowest* GPU's compute —
-//! the collectives synchronise the cluster, so load imbalance turns directly
-//! into idle time everywhere else — plus both collectives.
+//! (all-to-all; a replicated expert's tokens go to its nearest replicas),
+//! each GPU runs its expert shard plus the replicated shared experts over
+//! its local tokens, and the outputs return (second all-to-all). The step
+//! time of a layer is the *slowest* GPU's compute — the collectives
+//! synchronise the cluster, so load imbalance turns directly into idle
+//! time everywhere else — plus both collectives.
 
 use crate::link::LinkSpec;
 use crate::placement::{ClusterEngine, ClusterMemoryModel, ExpertPlacement, PlacementStrategy};
@@ -128,8 +130,8 @@ pub struct ClusterStepReport {
     pub layer_time_ms: f64,
     /// Full-model step time (`layer_time_ms` × layers).
     pub model_time_ms: f64,
-    /// Token-expert assignments actually executed across all shards
-    /// (equals the plan's `total_assignments`; the conservation invariant).
+    /// Token-expert assignments dispatched across all replicas (equals the
+    /// plan's `total_assignments`; the conservation invariant).
     pub sharded_assignments: usize,
 }
 
@@ -321,86 +323,42 @@ impl ClusterSimulator {
         placement: ExpertPlacement,
     ) -> Result<ClusterStepReport> {
         let g = self.cluster.num_gpus;
-        if self.topology.num_gpus() != g {
-            return Err(SparseError::config(format!(
-                "topology spans {} GPUs but the cluster has {g}",
-                self.topology.num_gpus()
-            )));
+        for (what, gpus) in [
+            ("topology", self.topology.num_gpus()),
+            ("placement", placement.num_gpus()),
+        ] {
+            if gpus != g {
+                return Err(SparseError::config(format!(
+                    "{what} spans {gpus} GPUs but the cluster has {g}"
+                )));
+            }
         }
         self.topology.validate()?;
-        // On a hierarchical topology a replicated expert's tokens dispatch
-        // to a replica inside their own island (zero spine bytes for that
-        // expert), round-robin across the island's replicas so a strategy
-        // like ReplicateHot keeps splitting the hot load within each
-        // island; the flat path keeps the legacy round-robin split so a
-        // single-island topology reproduces today's numbers exactly.
-        let shards = if self.topology.num_islands() > 1 {
-            let island_of = self.topology.island_lookup();
-            let islands = self.topology.num_islands();
-            // Per (expert, island): the indices (into the expert's owner
-            // list, assignment-iteration order — the order `shard_with`
-            // presents) of the replicas living in that island, precomputed
-            // once so the per-token pick is a table lookup.
-            let mut island_replicas: Vec<Vec<Vec<usize>>> =
-                vec![vec![Vec::new(); islands]; plan.num_experts()];
-            let mut seen = vec![0usize; plan.num_experts()];
-            for (rank, owned) in placement.assignments().iter().enumerate() {
-                // Out-of-range ids fall through to shard_with's validation.
-                for &e in owned.iter().filter(|&&e| e < plan.num_experts()) {
-                    island_replicas[e][island_of[rank]].push(seen[e]);
-                    seen[e] += 1;
-                }
-            }
-            plan.shard_with(placement.assignments(), |e, t, owners| {
-                let same = &island_replicas[e][island_of[t as usize % g]];
-                if same.is_empty() {
-                    t as usize % owners.len()
-                } else {
-                    same[t as usize % same.len()]
-                }
-            })?
-        } else {
-            plan.shard(placement.assignments())?
-        };
+        let (loads, flows) = self.dispatch(plan, &placement)?;
+
+        // Routed experts: each GPU prices its replicas' token counts; the SEL
+        // arrays index the global token batch, so `num_tokens` stays the
+        // full batch. Shared experts are replicated and run over the GPU's
+        // local tokens only.
         let locals = self.local_tokens(plan.num_tokens);
-
-        // Routed experts: each GPU runs its shard; the SEL arrays index the
-        // global token batch, so `num_tokens` stays the full batch. Shared
-        // experts are replicated and run over the GPU's local tokens only.
-        let mut per_gpu_compute_ms = Vec::with_capacity(g);
-        let mut sharded_assignments = 0usize;
-        for (gpu, shard) in shards.iter().enumerate() {
-            sharded_assignments += shard.total_assignments();
-            let mut ms = self
-                .engine
-                .moe_layer_cost(&self.routed_model, plan.num_tokens, shard)
-                .time_ms;
-            if self.model.num_shared_experts > 0 && locals[gpu] > 0 {
-                ms += self
+        let per_gpu_compute_ms: Vec<f64> = loads
+            .iter()
+            .zip(locals)
+            .map(|(gpu_loads, local)| {
+                let mut ms = self
                     .engine
-                    .moe_layer_cost_for_loads(&self.model, locals[gpu], &[])
+                    .moe_layer_cost_for_loads(&self.routed_model, plan.num_tokens, gpu_loads)
                     .time_ms;
-            }
-            per_gpu_compute_ms.push(ms);
-        }
-
-        // All-to-all: a token routed to an expert on another GPU crosses
-        // the fabric on dispatch and its expert output crosses back on
-        // combine. Exact per-pair byte flows from the shard map, priced by
-        // the topology (intra-island phase + spine leader exchange; a flat
-        // topology degenerates to the single-level α-β cost over the
-        // per-GPU totals — every accumulated value is an exact integer in
-        // f64, so the row sums match the legacy per-GPU accumulation bit
-        // for bit).
-        let token_bytes = self.model.hidden_size as f64 * 2.0;
-        let mut flows = FlowMatrix::new(g);
-        for (gpu, shard) in shards.iter().enumerate() {
-            for tokens in &shard.expert_tokens {
-                for &t in tokens {
-                    flows.add(t as usize % g, gpu, token_bytes);
+                if self.model.num_shared_experts > 0 && local > 0 {
+                    ms += self
+                        .engine
+                        .moe_layer_cost_for_loads(&self.model, local, &[])
+                        .time_ms;
                 }
-            }
-        }
+                ms
+            })
+            .collect();
+
         // Combine moves the same bytes in reverse, and both phase costs are
         // symmetric in their endpoints, so the step pays the dispatch
         // collective twice.
@@ -421,8 +379,85 @@ impl ClusterSimulator {
             cross_island_bytes: 2.0 * cost.cross_island_bytes,
             layer_time_ms,
             model_time_ms: layer_time_ms * self.model.num_layers as f64,
-            sharded_assignments,
+            sharded_assignments: loads.iter().flatten().sum(),
         })
+    }
+
+    /// Dispatch `plan` over `placement`: each GPU's token count per owned
+    /// replica (in owned order) and the dispatch's per-pair byte flows.
+    ///
+    /// The kernels price an expert by its token count alone, so all that
+    /// matters is how many of each expert's tokens start on each rank
+    /// (token `t` lives on rank `t mod g`). The `n` tokens of an expert
+    /// from source rank `r` go to its nearest replicas: those on `r`
+    /// itself, else those in `r`'s island, else all of them. Each of these
+    /// `k` replicas, in assignment order, takes `⌊n/k⌋`; the `n mod k`
+    /// leftovers go one each to the replicas from index `r mod k` on,
+    /// wrapping around. Every flow is an exact integer in f64, so the
+    /// order of accumulation cannot change a bit.
+    fn dispatch(
+        &self,
+        plan: &RoutingPlan,
+        placement: &ExpertPlacement,
+    ) -> Result<(Vec<Vec<usize>>, FlowMatrix)> {
+        let g = self.cluster.num_gpus;
+        let experts = plan.num_experts();
+        // Every replica of each expert as (rank, slot in the rank's owned
+        // list), in assignment order.
+        let mut replicas: Vec<Vec<(usize, usize)>> = vec![Vec::new(); experts];
+        for (rank, owned) in placement.assignments().iter().enumerate() {
+            for (slot, &e) in owned.iter().enumerate() {
+                if e >= experts {
+                    return Err(SparseError::config(format!(
+                        "expert {e} out of range (plan has {experts})"
+                    )));
+                }
+                replicas[e].push((rank, slot));
+            }
+        }
+        let island_of = self.topology.island_lookup();
+        let token_bytes = self.model.hidden_size as f64 * 2.0;
+        let mut loads: Vec<Vec<usize>> = placement
+            .assignments()
+            .iter()
+            .map(|owned| vec![0; owned.len()])
+            .collect();
+        let mut flows = FlowMatrix::new(g);
+        let mut from = vec![0usize; g];
+        for (e, (tokens, replicas)) in plan.expert_tokens.iter().zip(&replicas).enumerate() {
+            if tokens.is_empty() {
+                continue;
+            }
+            if replicas.is_empty() {
+                return Err(SparseError::config(format!(
+                    "expert {e} has {} routed tokens but no rank owns it",
+                    tokens.len()
+                )));
+            }
+            from.fill(0);
+            for &t in tokens {
+                from[t as usize % g] += 1;
+            }
+            for (src, &n) in from.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                // 0: the source rank itself, 1: its island, 2: elsewhere.
+                let distance = |rank: usize| {
+                    usize::from(rank != src) + usize::from(island_of[rank] != island_of[src])
+                };
+                let nearest = replicas.iter().map(|&(rank, _)| distance(rank)).min();
+                let near = || {
+                    replicas
+                        .iter()
+                        .filter(|&&(rank, _)| Some(distance(rank)) == nearest)
+                };
+                let k = near().count();
+                for (i, &(rank, slot)) in near().enumerate() {
+                    let share = n / k + usize::from((i + k - src % k) % k < n % k);
+                    loads[rank][slot] += share;
+                    flows.add(src, rank, share as f64 * token_bytes);
+                }
+            }
+        }
+        Ok((loads, flows))
     }
 }
 
@@ -722,30 +757,41 @@ mod tests {
             t_island.spine_ms,
             t_greedy.spine_ms
         );
-        // Conservation still holds through the affinity-aware sharding.
+        // Conservation still holds through the island-affinity dispatch.
         assert_eq!(t_island.sharded_assignments, skewed.total_assignments());
+    }
+
+    /// A top-1 plan over `num_tokens` tokens that routes `routed[e]` to
+    /// expert `e` and nothing to the rest of `config`'s experts.
+    fn hand_plan(config: &MoeModelConfig, num_tokens: usize, routed: Vec<Vec<u32>>) -> RoutingPlan {
+        let mut expert_tokens = routed;
+        expert_tokens.resize(config.num_experts, Vec::new());
+        RoutingPlan {
+            num_tokens,
+            top_k: 1,
+            expert_weights: expert_tokens.iter().map(|t| vec![1.0; t.len()]).collect(),
+            expert_tokens,
+        }
+    }
+
+    /// An explicit placement; a step reads only its shard map.
+    fn hand_placement(gpu_experts: Vec<Vec<usize>>) -> ExpertPlacement {
+        ExpertPlacement {
+            strategy: PlacementStrategy::ReplicateHot { hot: 1 },
+            gpu_experts,
+        }
     }
 
     #[test]
     fn replicated_experts_split_their_load_within_each_island() {
-        // Regression: the island-affinity shard must round-robin an
-        // island's tokens across ALL of the island's replicas, not pile
-        // them on the first one — otherwise ReplicateHot degenerates to
-        // one loaded rank per island on hierarchical topologies.
+        // Regression: an island's tokens must split across ALL of the
+        // island's replicas, not pile onto the first one — otherwise
+        // ReplicateHot degenerates to one loaded rank per island on
+        // hierarchical topologies.
         let mut config = MoeModelConfig::qwen2_moe();
         config.num_shared_experts = 0;
         // Degenerate plan: every token routed to expert 0 only.
-        let hot_tokens: Vec<u32> = (0..256).collect();
-        let mut expert_tokens = vec![Vec::new(); config.num_experts];
-        let mut expert_weights = vec![Vec::new(); config.num_experts];
-        expert_weights[0] = vec![1.0; hot_tokens.len()];
-        expert_tokens[0] = hot_tokens;
-        let plan = RoutingPlan {
-            num_tokens: 256,
-            top_k: 1,
-            expert_tokens,
-            expert_weights,
-        };
+        let plan = hand_plan(&config, 256, vec![(0..256).collect()]);
         let sim = ClusterSimulator::new(
             ClusterConfig::new(DeviceSpec::a100_40g(), 4, ClusterEngine::Samoyeds)
                 .with_topology(
@@ -758,7 +804,7 @@ mod tests {
                     .unwrap(),
                 )
                 .with_strategy(PlacementStrategy::ReplicateHot { hot: 1 }),
-            config,
+            config.clone(),
         );
         let report = sim.step(&plan).unwrap();
         assert_eq!(report.sharded_assignments, plan.total_assignments());
@@ -774,6 +820,96 @@ mod tests {
             "per-GPU compute spread too wide: {:?}",
             report.per_gpu_compute_ms
         );
+
+        // Flat pod, experts 0 and 1 on every rank: 0 takes the even token
+        // ids and 1 the odd ones, so a token's position in its expert's list
+        // is not its id. Every token stays on its own rank's replica.
+        let flat = ClusterSimulator::new(
+            ClusterConfig::new(DeviceSpec::a100_40g(), 4, ClusterEngine::Samoyeds),
+            config.clone(),
+        );
+        let plan = hand_plan(
+            &config,
+            600,
+            vec![(0..600).step_by(2).collect(), (1..600).step_by(2).collect()],
+        );
+        let report = flat
+            .step_with_placement(&plan, hand_placement(vec![vec![0, 1]; 4]))
+            .unwrap();
+        assert_eq!(report.all_to_all_ms, 0.0);
+        assert_eq!(report.sharded_assignments, 600);
+
+        // 2x3 islands, expert 0 on ranks 0 and 1 only: island 0's tokens
+        // stay inside it, and each of island 1's 300 tokens crosses the
+        // spine once per direction.
+        let sim = ClusterSimulator::new(
+            ClusterConfig::new(DeviceSpec::a100_40g(), 6, ClusterEngine::Samoyeds).with_topology(
+                ClusterTopology::symmetric(2, 3, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr())
+                    .unwrap(),
+            ),
+            config.clone(),
+        );
+        let placement = hand_placement(vec![vec![0], vec![0], vec![], vec![], vec![], vec![]]);
+        let report = sim
+            .step_with_placement(
+                &hand_plan(&config, 600, vec![(0..600).collect()]),
+                placement,
+            )
+            .unwrap();
+        assert_eq!(report.sharded_assignments, 600);
+        let token_bytes = config.hidden_size as f64 * 2.0;
+        assert_eq!(report.cross_island_bytes, 2.0 * 300.0 * token_bytes);
+        assert_eq!(report.cross_island_bytes, 1_689_600.0);
+
+        // The leftover rotation, at the count level: expert 0 on ranks 1
+        // and 2 of island 0. Rank 0 sends 3 tokens to its island's two
+        // replicas; the leftover goes to index 0 mod 2, rank 1. Island 1
+        // holds no replica, so rank 3's 5 tokens split across both; the
+        // leftover goes to index 3 mod 2, rank 2.
+        let plan = hand_plan(&config, 30, vec![vec![0, 3, 6, 9, 12, 15, 21, 27]]);
+        let placement = hand_placement(vec![vec![], vec![0], vec![0], vec![], vec![], vec![]]);
+        let (loads, flows) = sim.dispatch(&plan, &placement).unwrap();
+        assert_eq!(loads[1], vec![2 + 2]);
+        assert_eq!(loads[2], vec![1 + 3]);
+        assert_eq!(flows.get(0, 1), 2.0 * token_bytes);
+        assert_eq!(flows.get(0, 2), token_bytes);
+        assert_eq!(flows.get(3, 1), 2.0 * token_bytes);
+        assert_eq!(flows.get(3, 2), 3.0 * token_bytes);
+    }
+
+    #[test]
+    fn placements_that_cannot_serve_the_plan_are_step_errors() {
+        // Regression: a 3-GPU placement on a 2-GPU cluster indexed past the
+        // per-GPU tables and panicked, and a 1-GPU one priced a single GPU,
+        // halving the mean compute.
+        let config = MoeModelConfig::qwen2_moe();
+        let plan = plan(&config, 64);
+        let sim = ClusterSimulator::new(
+            ClusterConfig::new(DeviceSpec::a100_40g(), 2, ClusterEngine::Samoyeds),
+            config,
+        );
+        let error = |gpu_experts: Vec<Vec<usize>>| {
+            sim.step_with_placement(&plan, hand_placement(gpu_experts))
+                .unwrap_err()
+                .to_string()
+        };
+        let round_robin =
+            |gpus: usize| (0..gpus).map(|g| (g..60).step_by(gpus).collect()).collect();
+        for gpus in [3, 1] {
+            assert!(error(round_robin(gpus)).contains(&format!(
+                "placement spans {gpus} GPUs but the cluster has 2"
+            )));
+        }
+        let mut out_of_range: Vec<Vec<usize>> = round_robin(2);
+        out_of_range[1].push(60);
+        assert!(error(out_of_range).contains("expert 60 out of range (plan has 60)"));
+        let mut unowned: Vec<Vec<usize>> = round_robin(2);
+        unowned[0].retain(|&e| e != 0);
+        let stranded = format!(
+            "expert 0 has {} routed tokens but no rank owns it",
+            plan.tokens_for(0)
+        );
+        assert!(error(unowned).contains(&stranded));
     }
 
     #[test]

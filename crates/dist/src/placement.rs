@@ -432,8 +432,9 @@ impl ExpertPlacement {
         self.gpu_experts.len()
     }
 
-    /// The shard map in the shape [`samoyeds_moe::router::RoutingPlan::shard`]
-    /// consumes.
+    /// The shard map: for each GPU, the global expert ids it owns, in the
+    /// order [`ClusterSimulator::step_with_placement`](crate::ClusterSimulator::step_with_placement)
+    /// prices them.
     pub fn assignments(&self) -> &[Vec<usize>] {
         &self.gpu_experts
     }

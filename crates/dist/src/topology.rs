@@ -96,8 +96,9 @@ impl HierarchicalCost {
 }
 
 /// Exact per-pair byte flows of one collective direction: `bytes[src][dst]`
-/// for `src != dst`. Built by the cluster simulator from the sharded
-/// routing plan, consumed by [`ClusterTopology::all_to_all_ms`].
+/// for `src != dst`. Built by the cluster simulator from each expert's
+/// per-source-rank token counts and where its replicas live, consumed by
+/// [`ClusterTopology::all_to_all_ms`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowMatrix {
     gpus: usize,

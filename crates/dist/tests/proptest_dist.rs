@@ -1,12 +1,12 @@
 //! Property-based invariants of the distributed layer: token conservation
-//! across all-to-all sharding (flat and island-sharded), memory-budget
+//! across expert-parallel dispatch (flat and island layouts), memory-budget
 //! safety of every placement (topology-aware included), and monotonicity
 //! of the hierarchical collective cost.
 
 use proptest::prelude::*;
 use samoyeds_dist::{
     replan_after_crash, ClusterBackend, ClusterConfig, ClusterEngine, ClusterMemoryModel,
-    ClusterSimulator, ClusterTopology, FlowMatrix, LinkSpec, PlacementStrategy,
+    ClusterSimulator, ClusterTopology, ExpertPlacement, FlowMatrix, LinkSpec, PlacementStrategy,
 };
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
@@ -45,51 +45,8 @@ fn split_flows(topology: &ClusterTopology, intra: f64, cross: f64) -> FlowMatrix
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharding a routing plan across any assignment (including replicated
-    /// experts) never creates or drops token-expert assignments.
-    #[test]
-    fn sharding_conserves_tokens(
-        num_experts in 2usize..24,
-        top_k_raw in 1usize..6,
-        tokens in 1usize..400,
-        gpus in 1usize..9,
-        replicate_first in any::<bool>(),
-        skew in 0.0f64..2.0,
-        seed in any::<u64>(),
-    ) {
-        let top_k = top_k_raw.min(num_experts);
-        let plan = TopKRouter::new(num_experts, top_k, seed)
-            .unwrap()
-            .with_skew(skew)
-            .route(tokens);
-        // Synthetic assignment: round-robin, optionally replicating expert 0
-        // on every GPU.
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); gpus];
-        for e in 0..num_experts {
-            assignments[e % gpus].push(e);
-        }
-        if replicate_first {
-            for (g, owned) in assignments.iter_mut().enumerate() {
-                if g != 0 {
-                    owned.push(0);
-                }
-            }
-        }
-        let shards = plan.shard(&assignments).unwrap();
-        let sharded: usize = shards.iter().map(|s| s.total_assignments()).sum();
-        prop_assert_eq!(sharded, plan.total_assignments());
-        prop_assert_eq!(plan.total_assignments(), tokens * top_k);
-        // Every shard's token lists stay strictly ascending (valid SEL
-        // arrays over the global batch).
-        for shard in &shards {
-            for et in &shard.expert_tokens {
-                prop_assert!(et.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
-
     /// The full cluster step conserves assignments end to end, through
-    /// placement, sharding and the all-to-all accounting.
+    /// placement, dispatch and the all-to-all accounting.
     #[test]
     fn cluster_step_conserves_tokens(
         tokens in 16usize..512,
@@ -246,11 +203,12 @@ proptest! {
         }
     }
 
-    /// Token conservation holds across island-sharded routing plans: the
-    /// full hierarchical cluster step executes exactly the plan's
-    /// token-expert assignments, whatever the island layout, placement
-    /// strategy or skew — and a single-island layout never touches the
-    /// spine.
+    /// Token conservation holds across island layouts: the full
+    /// hierarchical cluster step executes exactly the plan's token-expert
+    /// assignments, whatever the island layout, placement strategy or skew,
+    /// and a single-island layout never touches the spine. The same holds
+    /// for a synthetic round-robin placement, optionally with expert 0 on
+    /// every rank, whose tokens then never leave their source rank.
     #[test]
     fn island_sharded_steps_conserve_tokens(
         tokens in 16usize..512,
@@ -259,6 +217,7 @@ proptest! {
         strategy in arb_strategy(),
         skew in 0.0f64..1.6,
         seed in any::<u64>(),
+        replicate_first in any::<bool>(),
     ) {
         let model = MoeModelConfig::qwen2_moe();
         let plan = TopKRouter::for_config(&model, seed).with_skew(skew).route(tokens);
@@ -272,9 +231,9 @@ proptest! {
         .unwrap();
         let sim = ClusterSimulator::new(
             ClusterConfig::new(DeviceSpec::a100_40g(), gpus, ClusterEngine::Samoyeds)
-                .with_topology(topology)
+                .with_topology(topology.clone())
                 .with_strategy(strategy),
-            model,
+            model.clone(),
         );
         if let Ok(report) = sim.step(&plan) {
             prop_assert_eq!(report.sharded_assignments, plan.total_assignments());
@@ -290,6 +249,48 @@ proptest! {
             for u in report.utilization() {
                 prop_assert!((0.0..=1.0).contains(&u));
             }
+        }
+
+        let mut gpu_experts: Vec<Vec<usize>> = vec![Vec::new(); gpus];
+        for e in 0..model.num_experts {
+            gpu_experts[e % gpus].push(e);
+        }
+        if replicate_first {
+            for owned in gpu_experts.iter_mut().skip(1) {
+                owned.push(0);
+            }
+        }
+        let placement = ExpertPlacement {
+            strategy: PlacementStrategy::RoundRobin,
+            gpu_experts,
+        };
+        let everywhere = placement
+            .replica_counts(model.num_experts)
+            .iter()
+            .all(|&c| c == gpus);
+        // Each token crosses the spine iff its expert has no replica on its
+        // own rank and its sole owner lives in another island.
+        let token_bytes = model.hidden_size as f64 * 2.0;
+        let mut crossing = 0.0;
+        for (e, routed) in plan.expert_tokens.iter().enumerate() {
+            for &t in routed {
+                let src = t as usize % gpus;
+                let stays = e == 0 && replicate_first;
+                if !stays && topology.island_of(src) != topology.island_of(e % gpus) {
+                    crossing += 2.0 * token_bytes;
+                }
+            }
+        }
+        let sim = ClusterSimulator::new(
+            ClusterConfig::new(DeviceSpec::a100_40g(), gpus, ClusterEngine::Samoyeds)
+                .with_topology(topology),
+            model,
+        );
+        let report = sim.step_with_placement(&plan, placement).unwrap();
+        prop_assert_eq!(report.sharded_assignments, plan.total_assignments());
+        prop_assert_eq!(report.cross_island_bytes, crossing);
+        if everywhere {
+            prop_assert_eq!(report.all_to_all_ms, 0.0);
         }
     }
 

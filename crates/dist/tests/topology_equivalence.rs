@@ -3,8 +3,10 @@
 //!
 //! `legacy` below freezes the collective cost path exactly as it existed
 //! before the hierarchical-topology refactor: the per-GPU send/recv
-//! accumulation of `ClusterSimulator::step_with_placement` and the
-//! single-level `LinkSpec::all_to_all_ms` formula, copied line for line.
+//! accumulation of `ClusterSimulator::step_with_placement` (reading each
+//! owner's token lists from the plan, as the pinned placements replicate
+//! no expert) and the single-level `LinkSpec::all_to_all_ms` formula,
+//! copied line for line.
 //! Running both over shared flow patterns, presets and whole simulator
 //! steps and asserting exact `f64` equality proves the refactor moved the
 //! collective pricing behind `ClusterTopology` without changing a single
@@ -40,20 +42,23 @@ mod legacy {
         link.latency_us * 1e-3 * (gpus - 1) as f64 + busiest / (link.bandwidth_gbps * 1e9) * 1e3
     }
 
-    /// Verbatim pre-refactor step collective: accumulate per-GPU send/recv
-    /// bytes from the shard map (token `t` resides on GPU `t mod g`), pay
-    /// the dispatch collective twice (combine moves the same bytes back).
+    /// The pre-refactor step collective: accumulate per-GPU send/recv bytes
+    /// from the shard map (token `t` resides on GPU `t mod g`), pay the
+    /// dispatch collective twice (combine moves the same bytes back). Each
+    /// owner reads its experts' token lists straight from the plan, which
+    /// is the shard map exactly when no expert is replicated.
     pub fn step_all_to_all_ms(
         link: &LinkSpec,
-        shards: &[RoutingPlan],
+        plan: &RoutingPlan,
+        assignments: &[Vec<usize>],
         g: usize,
         token_bytes: f64,
     ) -> f64 {
         let mut send = vec![0.0f64; g];
         let mut recv = vec![0.0f64; g];
-        for (gpu, shard) in shards.iter().enumerate() {
-            for tokens in &shard.expert_tokens {
-                for &t in tokens {
+        for (gpu, owned) in assignments.iter().enumerate() {
+            for &e in owned {
+                for &t in &plan.expert_tokens[e] {
                     let src = t as usize % g;
                     if src != gpu {
                         send[src] += token_bytes;
@@ -201,8 +206,8 @@ fn simulator_steps_are_bit_identical_with_an_explicit_flat_topology() {
 fn simulator_collectives_match_the_frozen_per_gpu_accumulation() {
     // End to end: the (default, flat) simulator's collective time equals
     // the frozen pre-refactor accumulation recomputed from the same
-    // placement and shard map — across devices, engines, pod sizes, skew
-    // and fabric presets.
+    // placement and plan — across devices, engines, pod sizes, skew and
+    // fabric presets.
     let model = MoeModelConfig::qwen2_moe();
     let token_bytes = model.hidden_size as f64 * 2.0;
     for (device, engines) in [
@@ -220,8 +225,19 @@ fn simulator_collectives_match_the_frozen_per_gpu_accumulation() {
                             model.clone(),
                         );
                         let placement = sim.placement_for(&plan).unwrap();
-                        let shards = plan.shard(placement.assignments()).unwrap();
-                        let frozen = legacy::step_all_to_all_ms(&link, &shards, gpus, token_bytes);
+                        // Capacity-greedy replicates nothing, so every
+                        // expert's tokens go to its sole owner.
+                        assert!(placement
+                            .replica_counts(model.num_experts)
+                            .iter()
+                            .all(|&c| c == 1));
+                        let frozen = legacy::step_all_to_all_ms(
+                            &link,
+                            &plan,
+                            placement.assignments(),
+                            gpus,
+                            token_bytes,
+                        );
                         let report = sim.step_with_placement(&plan, placement).unwrap();
                         assert_eq!(
                             report.all_to_all_ms, frozen,

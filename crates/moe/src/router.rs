@@ -83,144 +83,6 @@ impl RoutingPlan {
     pub fn expert_loads(&self) -> Vec<usize> {
         self.expert_tokens.iter().map(|t| t.len()).collect()
     }
-
-    /// Shard the plan across expert-parallel ranks.
-    ///
-    /// `assignments[g]` lists the global expert ids owned by rank `g`; the
-    /// returned plan for rank `g` contains exactly those experts, renumbered
-    /// in the given order, with `num_tokens`/`top_k` unchanged (selection
-    /// arrays still index the global token batch). An expert may appear on
-    /// several ranks (a replicated hot expert): its token list is then split
-    /// round-robin across the replicas, so token assignments are conserved —
-    /// the shards' `total_assignments` always sum to the plan's.
-    ///
-    /// Errors if an expert id is out of range or a non-idle expert is left
-    /// unplaced (its tokens would be dropped).
-    pub fn shard(&self, assignments: &[Vec<usize>]) -> Result<Vec<RoutingPlan>> {
-        let owners = self.collect_owners(assignments)?;
-        let mut next_replica = vec![0usize; self.num_experts()];
-        let mut shards = Vec::with_capacity(assignments.len());
-        for owned in assignments {
-            let mut expert_tokens = Vec::with_capacity(owned.len());
-            let mut expert_weights = Vec::with_capacity(owned.len());
-            for &e in owned {
-                let replica = next_replica[e];
-                next_replica[e] += 1;
-                let stride = owners[e].len();
-                // The round-robin slice keeps token indices ascending, as
-                // the SelectionArray constructor requires.
-                let tokens: Vec<u32> = self.expert_tokens[e]
-                    .iter()
-                    .skip(replica)
-                    .step_by(stride)
-                    .copied()
-                    .collect();
-                let weights: Vec<f32> = self.expert_weights[e]
-                    .iter()
-                    .skip(replica)
-                    .step_by(stride)
-                    .copied()
-                    .collect();
-                expert_tokens.push(tokens);
-                expert_weights.push(weights);
-            }
-            shards.push(RoutingPlan {
-                num_tokens: self.num_tokens,
-                top_k: self.top_k,
-                expert_tokens,
-                expert_weights,
-            });
-        }
-        Ok(shards)
-    }
-
-    /// Collect the owning ranks of every expert across `assignments`
-    /// (assignment-iteration order), validating that ids are in range and
-    /// that no expert with routed tokens is left unplaced — the shared
-    /// contract of [`RoutingPlan::shard`] and [`RoutingPlan::shard_with`].
-    fn collect_owners(&self, assignments: &[Vec<usize>]) -> Result<Vec<Vec<usize>>> {
-        let mut owners: Vec<Vec<usize>> = vec![Vec::new(); self.num_experts()];
-        for (rank, owned) in assignments.iter().enumerate() {
-            for &e in owned {
-                if e >= self.num_experts() {
-                    return Err(SparseError::config(format!(
-                        "expert {e} out of range (plan has {})",
-                        self.num_experts()
-                    )));
-                }
-                owners[e].push(rank);
-            }
-        }
-        for (e, ranks) in owners.iter().enumerate() {
-            if ranks.is_empty() && !self.expert_tokens[e].is_empty() {
-                return Err(SparseError::config(format!(
-                    "expert {e} has {} routed tokens but no rank owns it",
-                    self.expert_tokens[e].len()
-                )));
-            }
-        }
-        Ok(owners)
-    }
-
-    /// Shard the plan like [`RoutingPlan::shard`], but let the caller pick
-    /// which replica serves each token of a replicated expert.
-    ///
-    /// `pick(expert, token, owners)` is called once per routed token of
-    /// every expert with more than one owner; `owners` lists the owning
-    /// ranks in assignment-iteration order (rank ascending, position within
-    /// a rank's list preserved) and the returned index selects one of them
-    /// (clamped into range). Topology-aware callers use this to keep a
-    /// token on the replica inside its own island so its dispatch never
-    /// crosses the spine. Token assignments are conserved exactly as in
-    /// `shard`: each token goes to exactly one replica and token lists
-    /// stay ascending.
-    pub fn shard_with<F>(&self, assignments: &[Vec<usize>], mut pick: F) -> Result<Vec<RoutingPlan>>
-    where
-        F: FnMut(usize, u32, &[usize]) -> usize,
-    {
-        let owners = self.collect_owners(assignments)?;
-
-        // Partition each expert's token list across its replica instances
-        // (filtering keeps the per-replica lists ascending).
-        let mut split_tokens: Vec<Vec<Vec<u32>>> = Vec::with_capacity(self.num_experts());
-        let mut split_weights: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.num_experts());
-        for (e, ranks) in owners.iter().enumerate() {
-            let replicas = ranks.len().max(1);
-            let mut tokens: Vec<Vec<u32>> = vec![Vec::new(); replicas];
-            let mut weights: Vec<Vec<f32>> = vec![Vec::new(); replicas];
-            for (i, &t) in self.expert_tokens[e].iter().enumerate() {
-                let choice = if replicas == 1 {
-                    0
-                } else {
-                    pick(e, t, ranks).min(replicas - 1)
-                };
-                tokens[choice].push(t);
-                weights[choice].push(self.expert_weights[e][i]);
-            }
-            split_tokens.push(tokens);
-            split_weights.push(weights);
-        }
-
-        let mut next_replica = vec![0usize; self.num_experts()];
-        let mut shards = Vec::with_capacity(assignments.len());
-        for owned in assignments {
-            let mut expert_tokens = Vec::with_capacity(owned.len());
-            let mut expert_weights = Vec::with_capacity(owned.len());
-            for &e in owned {
-                let replica = next_replica[e];
-                next_replica[e] += 1;
-                expert_tokens.push(std::mem::take(&mut split_tokens[e][replica]));
-                expert_weights.push(std::mem::take(&mut split_weights[e][replica]));
-            }
-            shards.push(RoutingPlan {
-                num_tokens: self.num_tokens,
-                top_k: self.top_k,
-                expert_tokens,
-                expert_weights,
-            });
-        }
-        Ok(shards)
-    }
 }
 
 /// A deterministic top-k router.
@@ -523,100 +385,6 @@ mod tests {
         // A different seed changes at least the assignment pattern.
         let c = TopKRouter::for_config(&config, 100).route(333);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn sharding_conserves_assignments_and_renumbers_experts() {
-        let plan = TopKRouter::new(8, 2, 21).unwrap().route(256);
-        // 8 experts over 4 ranks, contiguous blocks of two.
-        let assignments: Vec<Vec<usize>> = (0..4).map(|g| vec![2 * g, 2 * g + 1]).collect();
-        let shards = plan.shard(&assignments).unwrap();
-        assert_eq!(shards.len(), 4);
-        let total: usize = shards.iter().map(|s| s.total_assignments()).sum();
-        assert_eq!(total, plan.total_assignments());
-        for (g, shard) in shards.iter().enumerate() {
-            assert_eq!(shard.num_experts(), 2);
-            assert_eq!(shard.num_tokens, plan.num_tokens);
-            assert_eq!(shard.top_k, plan.top_k);
-            for local in 0..2 {
-                assert_eq!(
-                    shard.expert_tokens[local],
-                    plan.expert_tokens[2 * g + local]
-                );
-                // Selection arrays still index the global batch.
-                let sel = shard.selection(local).unwrap();
-                assert_eq!(sel.total(), plan.num_tokens);
-            }
-        }
-    }
-
-    #[test]
-    fn sharding_splits_replicated_experts_without_losing_tokens() {
-        let plan = TopKRouter::new(4, 2, 5).unwrap().route(101);
-        // Expert 0 replicated on both ranks; the rest split.
-        let assignments = vec![vec![0, 1], vec![0, 2, 3]];
-        let shards = plan.shard(&assignments).unwrap();
-        let replica_a = &shards[0].expert_tokens[0];
-        let replica_b = &shards[1].expert_tokens[0];
-        assert_eq!(replica_a.len() + replica_b.len(), plan.tokens_for(0));
-        // Replicas are disjoint, ascending, and merge back to the original.
-        let mut merged: Vec<u32> = replica_a.iter().chain(replica_b.iter()).copied().collect();
-        merged.sort_unstable();
-        assert_eq!(&merged, &plan.expert_tokens[0]);
-        assert!(replica_a.windows(2).all(|w| w[0] < w[1]));
-        assert!(replica_b.windows(2).all(|w| w[0] < w[1]));
-        // The replicas' loads differ by at most one token (round-robin).
-        assert!(replica_a.len().abs_diff(replica_b.len()) <= 1);
-        let total: usize = shards.iter().map(|s| s.total_assignments()).sum();
-        assert_eq!(total, plan.total_assignments());
-    }
-
-    #[test]
-    fn sharding_rejects_bad_assignments() {
-        let plan = TopKRouter::new(4, 2, 5).unwrap().route(64);
-        // Out-of-range expert id.
-        assert!(plan.shard(&[vec![0, 1], vec![2, 9]]).is_err());
-        // Expert 3 has routed tokens but no owner.
-        assert!(plan.shard(&[vec![0, 1], vec![2]]).is_err());
-        // shard_with enforces the same contract.
-        assert!(plan
-            .shard_with(&[vec![0, 1], vec![2, 9]], |_, _, _| 0)
-            .is_err());
-        assert!(plan
-            .shard_with(&[vec![0, 1], vec![2]], |_, _, _| 0)
-            .is_err());
-    }
-
-    #[test]
-    fn shard_with_routes_tokens_to_the_picked_replica() {
-        let plan = TopKRouter::new(4, 2, 7).unwrap().route(128);
-        // Expert 0 replicated on both ranks; even tokens to the rank-0
-        // replica, odd tokens to the rank-1 replica (an affinity rule).
-        let assignments = vec![vec![0, 1], vec![0, 2, 3]];
-        let shards = plan
-            .shard_with(&assignments, |e, t, owners| {
-                assert_eq!(e, 0, "pick only runs for replicated experts");
-                assert_eq!(owners, &[0, 1]);
-                (t % 2) as usize
-            })
-            .unwrap();
-        let total: usize = shards.iter().map(|s| s.total_assignments()).sum();
-        assert_eq!(total, plan.total_assignments());
-        assert!(shards[0].expert_tokens[0].iter().all(|t| t % 2 == 0));
-        assert!(shards[1].expert_tokens[0].iter().all(|t| t % 2 == 1));
-        for shard in &shards {
-            for et in &shard.expert_tokens {
-                assert!(et.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-        // Singly-owned experts keep their full token lists.
-        assert_eq!(shards[0].expert_tokens[1], plan.expert_tokens[1]);
-        // Out-of-range picks clamp to the last replica instead of dropping
-        // tokens.
-        let clamped = plan.shard_with(&assignments, |_, _, _| 99).unwrap();
-        let total: usize = clamped.iter().map(|s| s.total_assignments()).sum();
-        assert_eq!(total, plan.total_assignments());
-        assert!(clamped[0].expert_tokens[0].is_empty());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! pruned formats, kernels, MoE engines and experiment reports.
 
 use samoyeds::dist::{
-    ClusterEngine, DisaggSweepReport, FaultSweepReport, FleetAutoscaleReport, TopologySweepReport,
+    ClusterConfig, ClusterEngine, ClusterSimulator, ClusterTopology, DisaggSweepReport,
+    FaultSweepReport, FleetAutoscaleReport, LinkSpec, PlacementStrategy, TopologySweepReport,
 };
 use samoyeds::gpu_sim::DeviceSpec;
 use samoyeds::kernels::gemm_dense::DenseGemm;
@@ -333,6 +334,45 @@ fn topology_sweep_shows_the_spine_becoming_the_straggler() {
     let rows = report.render_markdown();
     assert!(rows.len() >= 3 + 9);
     assert!(rows.iter().any(|r| r.contains("InfiniBand NDR spine")));
+
+    // The placement table's setup: one replica of each hot expert per
+    // island beats both capacity-greedy and pod-wide hot replication on
+    // spine time and on step time.
+    let model = MoeModelConfig::qwen2_moe();
+    let plan = TopKRouter::for_config(&model, 9).with_skew(1.5).route(4096);
+    let topology =
+        ClusterTopology::symmetric(2, 4, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr()).unwrap();
+    let step = |strategy| {
+        ClusterSimulator::new(
+            ClusterConfig::new(DeviceSpec::a100_40g(), 8, ClusterEngine::Samoyeds)
+                .with_topology(topology.clone())
+                .with_strategy(strategy),
+            model.clone(),
+        )
+        .step(&plan)
+        .unwrap()
+    };
+    let per_island = step(PlacementStrategy::ReplicateHotPerIsland { hot: 2 });
+    for strategy in [
+        PlacementStrategy::CapacityGreedy,
+        PlacementStrategy::ReplicateHot { hot: 2 },
+    ] {
+        let other = step(strategy);
+        assert!(
+            per_island.spine_ms < other.spine_ms,
+            "spine {} vs {} {}",
+            per_island.spine_ms,
+            strategy.name(),
+            other.spine_ms
+        );
+        assert!(
+            per_island.layer_time_ms < other.layer_time_ms,
+            "step {} vs {} {}",
+            per_island.layer_time_ms,
+            strategy.name(),
+            other.layer_time_ms
+        );
+    }
 }
 
 #[test]
