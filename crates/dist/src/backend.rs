@@ -7,9 +7,13 @@
 //! the way it drives one GPU. Two things change relative to
 //! [`SingleGpuBackend`](samoyeds_serve::SingleGpuBackend):
 //!
-//! * **Step cost** — each step routes its batch, dispatches each expert's
-//!   tokens to its replicas across the pod, and pays the *straggler* GPU's
-//!   MoE compute plus the α-β dispatch/combine collectives per layer.
+//! * **Step cost** — each step routes its batch to token counts per
+//!   (expert, source rank), never to a full routing plan: the kernels
+//!   price an expert by its token count alone, and dispatch needs only how
+//!   many of each expert's tokens start on each rank. It then dispatches
+//!   each expert's tokens to its replicas across the pod and pays the
+//!   *straggler* GPU's MoE compute plus the α-β dispatch/combine
+//!   collectives per layer.
 //!   Attention and the norm/router auxiliaries are data-parallel across
 //!   the pod (each rank hosts its share of the batch), so they divide by
 //!   the GPU count.
@@ -210,24 +214,32 @@ impl ExecutionBackend for ClusterBackend {
         let cluster = self.sim.cluster();
         let model = self.sim.model();
         let step_tokens = workload.step_tokens();
-        let plan = self
-            .router
-            .route_seeded(self.routing_seed ^ workload.step_index, step_tokens);
-
-        // Serving-path placement: balance the plan's token-count loads (free
-        // to compute, unlike the per-expert engine cost profile the static
-        // sweeps use — this runs every step) and validate against the rank's
-        // *actual* residency: its ceiling share of the running set's KV
-        // cache, not just the step's tokens. If the configured strategy
-        // cannot place under that (e.g. hot-expert replication without
-        // headroom, or a skew-packed rank), fall back to round-robin, whose
-        // balanced `ceil(E/g)` expert counts the admission budget guarantees
-        // to fit.
+        // The cluster step needs only how many of each expert's tokens start
+        // on each rank, so the step routes to those counts, never to a
+        // plan's token ids and weights.
         let gpus = cluster.num_gpus.max(1);
+        let rank_loads = self.router.route_loads_seeded(
+            self.routing_seed ^ workload.step_index,
+            step_tokens,
+            gpus,
+        );
+
+        // Serving-path placement: balance the per-expert token counts, the
+        // rows of `rank_loads` summed (free to compute, unlike the
+        // per-expert engine cost profile the static sweeps use — this runs
+        // every step), and validate against the rank's *actual* residency:
+        // its ceiling share of the running set's KV cache, not just the
+        // step's tokens. If the configured strategy cannot place under that
+        // (e.g. hot-expert replication without headroom, or a skew-packed
+        // rank), fall back to round-robin, whose balanced `ceil(E/g)` expert
+        // counts the admission budget guarantees to fit.
         let kv_tokens: usize = workload.running.iter().map(|r| r.context_tokens()).sum();
         let kv_local = kv_tokens.div_ceil(gpus);
         let step_local = step_tokens.div_ceil(gpus);
-        let loads = plan.expert_loads();
+        let loads: Vec<usize> = rank_loads
+            .chunks_exact(gpus)
+            .map(|row| row.iter().sum())
+            .collect();
         let placement = cluster
             .strategy
             .place_on(
@@ -247,7 +259,7 @@ impl ExecutionBackend for ClusterBackend {
                 )
             });
         let report = placement
-            .and_then(|p| self.sim.step_with_placement(&plan, p))
+            .and_then(|p| self.sim.step_with_rank_loads(step_tokens, &rank_loads, p))
             .expect(
                 "admission admitted a step the cluster cannot place \
                  (straggler budget and balanced placement disagree)",

@@ -314,12 +314,38 @@ impl ClusterSimulator {
         self.step_with_placement(plan, placement)
     }
 
-    /// Execute one cluster step over `plan` under an explicit `placement`
-    /// (the serving backend supplies its own, with fallback, so a transient
-    /// placement failure never aborts a running trace).
+    /// Execute one cluster step over `plan` under an explicit `placement`:
+    /// an adapter that counts the plan per (expert, source rank) with
+    /// [`RoutingPlan::rank_loads`] and prices those counts with
+    /// [`Self::step_with_rank_loads`].
     pub fn step_with_placement(
         &self,
         plan: &RoutingPlan,
+        placement: ExpertPlacement,
+    ) -> Result<ClusterStepReport> {
+        // `rank_loads` cannot count into 0 ranks. A 0-GPU cluster fails the
+        // topology check of `step_with_rank_loads` before the matrix is
+        // read, so one rank stands in for it.
+        let ranks = self.cluster.num_gpus.max(1);
+        self.step_with_rank_loads(plan.num_tokens, &plan.rank_loads(ranks), placement)
+    }
+
+    /// Execute one cluster step over a batch of `num_tokens` tokens under
+    /// an explicit `placement` (the serving backend supplies its own, with
+    /// fallback, so a transient placement failure never aborts a running
+    /// trace). `rank_loads` is the batch's routing counted per (expert,
+    /// source rank) on this cluster's `g` GPUs, in the layout of
+    /// [`TopKRouter::route_loads_seeded`](samoyeds_moe::router::TopKRouter::route_loads_seeded):
+    /// entry `e * g + r` counts expert `e`'s tokens that start on rank `r`.
+    ///
+    /// Errors if the topology or the placement spans a different number
+    /// of GPUs than the cluster, if the topology is invalid, if the
+    /// matrix's length is not a multiple of `g`, or if the placement
+    /// cannot serve the counts.
+    pub fn step_with_rank_loads(
+        &self,
+        num_tokens: usize,
+        rank_loads: &[usize],
         placement: ExpertPlacement,
     ) -> Result<ClusterStepReport> {
         let g = self.cluster.num_gpus;
@@ -333,21 +359,28 @@ impl ClusterSimulator {
                 )));
             }
         }
+        // A valid topology has at least one GPU, so `g > 0` from here on.
         self.topology.validate()?;
-        let (loads, flows) = self.dispatch(plan, &placement)?;
+        if !rank_loads.len().is_multiple_of(g) {
+            return Err(SparseError::config(format!(
+                "{} routing counts do not split into rows of {g} ranks",
+                rank_loads.len()
+            )));
+        }
+        let (loads, flows) = self.dispatch(rank_loads, &placement)?;
 
         // Routed experts: each GPU prices its replicas' token counts; the SEL
         // arrays index the global token batch, so `num_tokens` stays the
         // full batch. Shared experts are replicated and run over the GPU's
         // local tokens only.
-        let locals = self.local_tokens(plan.num_tokens);
+        let locals = self.local_tokens(num_tokens);
         let per_gpu_compute_ms: Vec<f64> = loads
             .iter()
             .zip(locals)
             .map(|(gpu_loads, local)| {
                 let mut ms = self
                     .engine
-                    .moe_layer_cost_for_loads(&self.routed_model, plan.num_tokens, gpu_loads)
+                    .moe_layer_cost_for_loads(&self.routed_model, num_tokens, gpu_loads)
                     .time_ms;
                 if self.model.num_shared_experts > 0 && local > 0 {
                     ms += self
@@ -369,7 +402,7 @@ impl ClusterSimulator {
         let layer_time_ms = straggler + all_to_all_ms;
         Ok(ClusterStepReport {
             num_gpus: g,
-            tokens: plan.num_tokens,
+            tokens: num_tokens,
             placement,
             per_gpu_compute_ms,
             all_to_all_ms,
@@ -383,8 +416,10 @@ impl ClusterSimulator {
         })
     }
 
-    /// Dispatch `plan` over `placement`: each GPU's token count per owned
-    /// replica (in owned order) and the dispatch's per-pair byte flows.
+    /// Dispatch the per-(expert, source rank) counts `rank_loads` (one row
+    /// of `g` ranks per expert) over `placement`: each GPU's token count
+    /// per owned replica (in owned order) and the dispatch's per-pair byte
+    /// flows.
     ///
     /// The kernels price an expert by its token count alone, so all that
     /// matters is how many of each expert's tokens start on each rank
@@ -397,11 +432,11 @@ impl ClusterSimulator {
     /// order of accumulation cannot change a bit.
     fn dispatch(
         &self,
-        plan: &RoutingPlan,
+        rank_loads: &[usize],
         placement: &ExpertPlacement,
     ) -> Result<(Vec<Vec<usize>>, FlowMatrix)> {
         let g = self.cluster.num_gpus;
-        let experts = plan.num_experts();
+        let experts = rank_loads.len() / g;
         // Every replica of each expert as (rank, slot in the rank's owned
         // list), in assignment order.
         let mut replicas: Vec<Vec<(usize, usize)>> = vec![Vec::new(); experts];
@@ -423,20 +458,15 @@ impl ClusterSimulator {
             .map(|owned| vec![0; owned.len()])
             .collect();
         let mut flows = FlowMatrix::new(g);
-        let mut from = vec![0usize; g];
-        for (e, (tokens, replicas)) in plan.expert_tokens.iter().zip(&replicas).enumerate() {
-            if tokens.is_empty() {
+        for (e, (from, replicas)) in rank_loads.chunks_exact(g).zip(&replicas).enumerate() {
+            let routed: usize = from.iter().sum();
+            if routed == 0 {
                 continue;
             }
             if replicas.is_empty() {
                 return Err(SparseError::config(format!(
-                    "expert {e} has {} routed tokens but no rank owns it",
-                    tokens.len()
+                    "expert {e} has {routed} routed tokens but no rank owns it"
                 )));
-            }
-            from.fill(0);
-            for &t in tokens {
-                from[t as usize % g] += 1;
             }
             for (src, &n) in from.iter().enumerate().filter(|&(_, &n)| n > 0) {
                 // 0: the source rank itself, 1: its island, 2: elsewhere.
@@ -868,7 +898,7 @@ mod tests {
         // leftover goes to index 3 mod 2, rank 2.
         let plan = hand_plan(&config, 30, vec![vec![0, 3, 6, 9, 12, 15, 21, 27]]);
         let placement = hand_placement(vec![vec![], vec![0], vec![0], vec![], vec![], vec![]]);
-        let (loads, flows) = sim.dispatch(&plan, &placement).unwrap();
+        let (loads, flows) = sim.dispatch(&plan.rank_loads(6), &placement).unwrap();
         assert_eq!(loads[1], vec![2 + 2]);
         assert_eq!(loads[2], vec![1 + 3]);
         assert_eq!(flows.get(0, 1), 2.0 * token_bytes);
@@ -910,6 +940,28 @@ mod tests {
             plan.tokens_for(0)
         );
         assert!(error(unowned).contains(&stranded));
+
+        // A count matrix must hold one column per rank.
+        let mut ragged = plan.rank_loads(2);
+        ragged.pop();
+        let ragged = sim
+            .step_with_rank_loads(64, &ragged, hand_placement(round_robin(2)))
+            .unwrap_err()
+            .to_string();
+        assert!(ragged.contains("119 routing counts do not split into rows of 2 ranks"));
+
+        // A 0-GPU cluster is an error on both entry points, never a
+        // division by zero.
+        let empty = ClusterSimulator::new(
+            ClusterConfig::new(DeviceSpec::a100_40g(), 0, ClusterEngine::Samoyeds),
+            MoeModelConfig::qwen2_moe(),
+        );
+        assert!(empty.step(&plan).is_err());
+        let no_gpus = empty
+            .step_with_placement(&plan, hand_placement(Vec::new()))
+            .unwrap_err()
+            .to_string();
+        assert!(no_gpus.contains("topology needs at least one island of at least one GPU"));
     }
 
     #[test]

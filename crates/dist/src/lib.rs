@@ -21,9 +21,10 @@
 //! * [`placement`] — round-robin, capacity-aware greedy and
 //!   replicated-hot-expert placement, validated against per-GPU memory
 //!   budgets derived from the engines' weight representations;
-//! * [`cluster`] — the cluster scheduler: dispatches a
-//!   [`RoutingPlan`](samoyeds_moe::router::RoutingPlan)'s per-(expert,
-//!   source rank) token counts to the experts' replicas, charges per-GPU
+//! * [`cluster`] — the cluster scheduler: dispatches per-(expert, source
+//!   rank) token counts, straight from the router or counted from a
+//!   [`RoutingPlan`](samoyeds_moe::router::RoutingPlan), to the experts'
+//!   replicas, charges per-GPU
 //!   compute through the existing engine/`gpu-sim` cost model plus
 //!   all-to-all transfer time, and tracks utilization and
 //!   straggler-induced step time;

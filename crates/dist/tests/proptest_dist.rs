@@ -220,7 +220,8 @@ proptest! {
         replicate_first in any::<bool>(),
     ) {
         let model = MoeModelConfig::qwen2_moe();
-        let plan = TopKRouter::for_config(&model, seed).with_skew(skew).route(tokens);
+        let router = TopKRouter::for_config(&model, seed).with_skew(skew);
+        let plan = router.route(tokens);
         let gpus = islands * gpus_per_island;
         let topology = ClusterTopology::symmetric(
             islands,
@@ -249,6 +250,23 @@ proptest! {
             for u in report.utilization() {
                 prop_assert!((0.0..=1.0).contains(&u));
             }
+            // The counts entry point prices the router's per-(expert,
+            // source rank) counts exactly as the plan entry point prices
+            // the plan.
+            let counted = sim
+                .step_with_rank_loads(
+                    tokens,
+                    &router.route_loads_seeded(seed, tokens, gpus),
+                    report.placement.clone(),
+                )
+                .unwrap();
+            prop_assert_eq!(&counted.per_gpu_compute_ms, &report.per_gpu_compute_ms);
+            prop_assert_eq!(counted.all_to_all_ms, report.all_to_all_ms);
+            prop_assert_eq!(counted.intra_island_ms, report.intra_island_ms);
+            prop_assert_eq!(counted.spine_ms, report.spine_ms);
+            prop_assert_eq!(counted.override_ms, report.override_ms);
+            prop_assert_eq!(counted.cross_island_bytes, report.cross_island_bytes);
+            prop_assert_eq!(counted.sharded_assignments, report.sharded_assignments);
         }
 
         let mut gpu_experts: Vec<Vec<usize>> = vec![Vec::new(); gpus];

@@ -83,6 +83,24 @@ impl RoutingPlan {
     pub fn expert_loads(&self) -> Vec<usize> {
         self.expert_tokens.iter().map(|t| t.len()).collect()
     }
+
+    /// The plan's tokens counted per (expert, source rank), in the layout
+    /// of [`TopKRouter::route_loads_seeded`]: entry `e * ranks + r` counts
+    /// the tokens `t` routed to expert `e` with `t % ranks == r` (token `t`
+    /// starts on rank `t mod ranks`). Each expert's row sums to its
+    /// [`Self::expert_loads`] entry.
+    ///
+    /// Panics if `ranks` is 0.
+    pub fn rank_loads(&self, ranks: usize) -> Vec<usize> {
+        assert!(ranks > 0, "routing counts need at least one rank");
+        let mut loads = vec![0usize; self.num_experts() * ranks];
+        for (row, tokens) in loads.chunks_exact_mut(ranks).zip(&self.expert_tokens) {
+            for &t in tokens {
+                row[t as usize % ranks] += 1;
+            }
+        }
+        loads
+    }
 }
 
 /// A deterministic top-k router.
@@ -186,18 +204,31 @@ impl TopKRouter {
         }
     }
 
-    /// The per-expert token counts of [`Self::route_seeded`] without the
-    /// plan: `router.route_loads_seeded(s, n)` equals
-    /// `router.route_seeded(s, n).expert_loads()`. The expert draws come
-    /// first in `route_seeded`'s stream, so this makes exactly those draws
-    /// and stops before the logits: no token lists, no weights. This is all
-    /// a cost model that prices an expert by the length of its selection
-    /// array needs.
-    pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize) -> Vec<usize> {
-        let mut loads = vec![0usize; self.num_experts];
+    /// The token counts of [`Self::route_seeded`] per (expert, source
+    /// rank), without the plan: a flat `num_experts × ranks` vector whose
+    /// entry `e * ranks + r` counts the tokens `t` routed to expert `e` with
+    /// `t % ranks == r`. `router.route_loads_seeded(s, n, r)` equals
+    /// `router.route_seeded(s, n).rank_loads(r)`, so `ranks = 1` gives the
+    /// per-expert loads, `route_seeded(s, n).expert_loads()`. The expert
+    /// draws come first in `route_seeded`'s stream, so this makes exactly
+    /// those draws and stops before the logits: no token lists, no weights.
+    /// This is all a cost model that prices an expert by the length of its
+    /// selection array needs, and, with one row per expert and one column
+    /// per rank, all an expert-parallel step needs to dispatch tokens that
+    /// start interleaved across `ranks` GPUs.
+    ///
+    /// Panics if `ranks` is 0.
+    pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize, ranks: usize) -> Vec<usize> {
+        assert!(ranks > 0, "routing counts need at least one rank");
+        let mut loads = vec![0usize; self.num_experts * ranks];
+        let mut rank = 0;
         self.sample(&mut ChaCha8Rng::seed_from_u64(seed), num_tokens, |chosen| {
             for &e in chosen {
-                loads[e] += 1;
+                loads[e * ranks + rank] += 1;
+            }
+            rank += 1;
+            if rank == ranks {
+                rank = 0;
             }
         });
         loads
@@ -478,7 +509,7 @@ mod tests {
         // 60 experts, top-4, 30k tokens: 2,000 expected per expert, df 59.
         let router = TopKRouter::new(60, 4, 0).unwrap();
         for seed in SEEDS {
-            let chi2 = chi_square(&router.route_loads_seeded(seed, 30_000), &[2_000.0; 60]);
+            let chi2 = chi_square(&router.route_loads_seeded(seed, 30_000, 1), &[2_000.0; 60]);
             assert!(chi2 < 125.7, "seed {seed}: chi2 {chi2}");
         }
     }
@@ -540,7 +571,7 @@ mod tests {
         let total: f64 = popularity.iter().sum();
         let expected: Vec<f64> = popularity.iter().map(|p| p / total * 20_000.0).collect();
         for seed in SEEDS {
-            let chi2 = chi_square(&router.route_loads_seeded(seed, 20_000), &expected);
+            let chi2 = chi_square(&router.route_loads_seeded(seed, 20_000, 1), &expected);
             assert!(chi2 < 56.5, "seed {seed}: chi2 {chi2}");
         }
     }

@@ -355,9 +355,9 @@ impl ExecutionBackend for SingleGpuBackend {
         // The engines price an expert by its token count alone, so the
         // counts-only routing output prices the step exactly as the full
         // plan would.
-        let loads = self
-            .router
-            .route_loads_seeded(self.routing_seed ^ workload.step_index, step_tokens);
+        let loads =
+            self.router
+                .route_loads_seeded(self.routing_seed ^ workload.step_index, step_tokens, 1);
         let moe_ms = self
             .engine
             .moe_layer_cost_for_loads(&self.config, step_tokens, &loads)

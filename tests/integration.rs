@@ -2,8 +2,9 @@
 //! pruned formats, kernels, MoE engines and experiment reports.
 
 use samoyeds::dist::{
-    ClusterConfig, ClusterEngine, ClusterSimulator, ClusterTopology, DisaggSweepReport,
-    FaultSweepReport, FleetAutoscaleReport, LinkSpec, PlacementStrategy, TopologySweepReport,
+    ClusterBackend, ClusterConfig, ClusterEngine, ClusterSimulator, ClusterTopology,
+    DisaggSweepReport, FaultSweepReport, FleetAutoscaleReport, LinkSpec, PlacementStrategy,
+    TopologySweepReport,
 };
 use samoyeds::gpu_sim::DeviceSpec;
 use samoyeds::kernels::gemm_dense::DenseGemm;
@@ -472,6 +473,90 @@ fn single_gpu_step_cost_equals_the_full_plan_recombination_bit_for_bit() {
 }
 
 #[test]
+fn cluster_step_cost_equals_the_full_plan_recombination_bit_for_bit() {
+    // The pod backend prices from counts per (expert, source rank) and
+    // never builds a routing plan; recombining the step from the full plan
+    // (its loads, the placement with its round-robin fallback, the cluster
+    // step and the data-parallel attention and auxiliary costs) must give
+    // the same bits.
+    let scfg = SchedulerConfig::default();
+    let model = MoeModelConfig::qwen2_moe();
+    let islands =
+        ClusterTopology::symmetric(2, 2, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr()).unwrap();
+    let a100 = |gpus, engine| ClusterConfig::new(DeviceSpec::a100_40g(), gpus, engine);
+    let pods = [
+        // The prefill pod of the `pods_disagg_faults` benchmark workload.
+        a100(4, ClusterEngine::Samoyeds).with_topology(islands.clone()),
+        // Flat replication: the rank-local tier and the leftover rotation.
+        a100(4, ClusterEngine::Samoyeds).with_strategy(PlacementStrategy::ReplicateHot { hot: 2 }),
+        a100(4, ClusterEngine::Samoyeds)
+            .with_topology(islands)
+            .with_strategy(PlacementStrategy::ReplicateHotPerIsland { hot: 2 }),
+        // Uneven residency: 3 ranks.
+        a100(3, ClusterEngine::Dense),
+        // The weight-only ("+W") pricing path.
+        a100(4, ClusterEngine::Venom),
+    ];
+    let router = TopKRouter::for_config(&model, scfg.routing_seed);
+    let layers = model.num_layers as f64;
+    for cluster in pods {
+        let backend = ClusterBackend::new(cluster.clone(), model.clone(), &scfg);
+        let sim = ClusterSimulator::new(cluster.clone(), model.clone());
+        let g = cluster.num_gpus;
+        for tokens in [1usize, 8, 64, 65, 216, 2048] {
+            let (running, batch) = step_of(tokens);
+            let kv_tokens: usize = running.iter().map(|r| r.context_tokens()).sum();
+            let (kv_local, step_local) = (kv_tokens.div_ceil(g), tokens.div_ceil(g));
+            let attention_ms =
+                attention_step_ms(&cluster.device, &model, scfg.attention, &batch, &running)
+                    / g as f64;
+            let other_ms = auxiliary_step_ms(&cluster.device, &model, tokens) / g as f64;
+            for step_index in [0u64, 1, 17, 4_321, u64::MAX] {
+                let plan = router.route_seeded(scfg.routing_seed ^ step_index, tokens);
+                let loads = plan.expert_loads();
+                let report = cluster
+                    .strategy
+                    .place_on(&loads, sim.topology(), sim.memory(), kv_local, step_local)
+                    .or_else(|_| {
+                        PlacementStrategy::RoundRobin.place(
+                            &loads,
+                            g,
+                            sim.memory(),
+                            kv_local,
+                            step_local,
+                        )
+                    })
+                    .and_then(|placement| sim.step_with_placement(&plan, placement))
+                    .unwrap();
+                let expected = StepCost {
+                    compute_ms: (report.straggler_ms() + attention_ms + other_ms) * layers
+                        + scfg.step_overhead_ms,
+                    collective_ms: report.all_to_all_ms * layers,
+                    intra_island_ms: report.intra_island_ms * layers,
+                    spine_ms: report.spine_ms * layers,
+                    overlap: backend.overlap(),
+                };
+                let priced = backend.step_cost(&StepWorkload {
+                    batch: &batch,
+                    running: &running,
+                    step_index,
+                });
+                let at = format!("{} tokens={tokens} step={step_index}", backend.describe());
+                for (what, got, want) in [
+                    ("compute", priced.compute_ms, expected.compute_ms),
+                    ("collective", priced.collective_ms, expected.collective_ms),
+                    ("intra", priced.intra_island_ms, expected.intra_island_ms),
+                    ("spine", priced.spine_ms, expected.spine_ms),
+                ] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what} {at}");
+                }
+                assert_eq!(priced, expected, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
 fn counts_only_routing_matches_the_full_plan_loads() {
     // Every Table 2 model, plus the edge inputs: a model that routes no
     // token (`top_k = 0`), every expert per token, and one expert per token.
@@ -491,14 +576,24 @@ fn counts_only_routing_matches_the_full_plan_loads() {
             let router = base.clone().with_skew(skew);
             for tokens in [0usize, 1, 7, 64, 65, 216, 2048] {
                 for seed in [0u64, 11, u64::MAX] {
-                    let loads = router.route_loads_seeded(seed, tokens);
                     let plan = router.route_seeded(seed, tokens);
+                    let expert_loads = plan.expert_loads();
                     let at = format!("{name} skew={skew} tokens={tokens} seed={seed}");
-                    assert_eq!(loads, plan.expert_loads(), "{at}");
+                    // One rank is the per-expert loads; more ranks than
+                    // tokens leave whole columns empty.
+                    for ranks in [1usize, 2, 3, 4, 8] {
+                        let loads = router.route_loads_seeded(seed, tokens, ranks);
+                        assert_eq!(loads, plan.rank_loads(ranks), "{at} ranks={ranks}");
+                        let rows: Vec<usize> = loads
+                            .chunks_exact(ranks)
+                            .map(|row| row.iter().sum())
+                            .collect();
+                        assert_eq!(rows, expert_loads, "{at} ranks={ranks}");
+                    }
                     // With `top_k = 0` this pins an empty plan and all-zero loads.
                     assert_eq!(plan.total_assignments(), tokens * plan.top_k, "{at}");
                     if plan.top_k == plan.num_experts() {
-                        assert!(loads.iter().all(|&l| l == tokens), "{at}");
+                        assert!(expert_loads.iter().all(|&l| l == tokens), "{at}");
                     }
                 }
             }
