@@ -1,5 +1,12 @@
 //! Criterion benches over the MoE-layer and decoder-layer cost evaluation
-//! (Figures 14-16) and the routing substrate.
+//! (Figures 14-16), the routing substrate, and the per-step pricing a
+//! serving replica pays: `SingleGpuBackend::step_cost` on a
+//! `fleet_poisson`-shaped step and on a short decode step, and its layers,
+//! `attention_step_ms` and `Engine::moe_layer_cost_for_loads` on an engine
+//! reused across calls.
+//!
+//! Run with `BENCH_JSON=<absolute path>` to also write the results as one
+//! JSON document (CI uploads it as the `BENCH_moe` artifact, ungated).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use samoyeds_gpu_sim::DeviceSpec;
@@ -8,6 +15,11 @@ use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::decoder::DecoderLayer;
 use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::router::TopKRouter;
+use samoyeds_serve::backend::{attention_step_ms, StepWorkload};
+use samoyeds_serve::batch::StepBatch;
+use samoyeds_serve::{
+    ExecutionBackend, Request, RunningRequest, SchedulerConfig, SingleGpuBackend,
+};
 
 fn bench_moe_layer_cost(c: &mut Criterion) {
     let dev = DeviceSpec::rtx4070_super();
@@ -40,10 +52,104 @@ fn bench_router(c: &mut Criterion) {
     });
 }
 
+/// A request of `prompt_len` prompt tokens with `prefilled` of them
+/// prefilled and `decoded` output tokens produced.
+fn running(id: u64, prompt_len: usize, prefilled: usize, decoded: usize) -> RunningRequest {
+    let mut r = RunningRequest::new(
+        Request {
+            id,
+            arrival_ms: 0.0,
+            prompt_len,
+            output_len: 16,
+        },
+        0.0,
+    );
+    r.prefilled = prefilled;
+    r.decoded = decoded;
+    r
+}
+
+/// A `fleet_poisson`-shaped step of 206 tokens: five fresh prompts of 16-64
+/// tokens prefilled whole (170 tokens) next to 36 short-context decodes.
+fn poisson_step() -> (Vec<RunningRequest>, StepBatch) {
+    let prompts = [16usize, 27, 34, 41, 52];
+    let mut requests: Vec<RunningRequest> = prompts
+        .iter()
+        .enumerate()
+        .map(|(id, &p)| running(id as u64, p, 0, 0))
+        .collect();
+    for d in 0..36 {
+        let prompt = 16 + 7 * d % 49;
+        requests.push(running(requests.len() as u64, prompt, prompt, 1 + d % 15));
+    }
+    let batch = StepBatch {
+        prefill: prompts.iter().copied().enumerate().collect(),
+        decode: (prompts.len()..requests.len()).collect(),
+    };
+    (requests, batch)
+}
+
+/// An 8-token decode-only step at assorted short contexts.
+fn decode_step() -> (Vec<RunningRequest>, StepBatch) {
+    let requests: Vec<RunningRequest> = (0..8)
+        .map(|d| running(d as u64, 16 + 6 * d, 16 + 6 * d, 1 + d))
+        .collect();
+    let batch = StepBatch {
+        prefill: Vec::new(),
+        decode: (0..requests.len()).collect(),
+    };
+    (requests, batch)
+}
+
+fn bench_step_pricing(c: &mut Criterion) {
+    let device = DeviceSpec::a100_40g();
+    let model = MoeModelConfig::qwen2_moe();
+    let scfg = SchedulerConfig::default();
+    let backend = SingleGpuBackend::new(device.clone(), &model, EngineKind::Samoyeds, &scfg);
+    let mut group = c.benchmark_group("step_pricing");
+    for (label, (requests, batch)) in [("poisson_206", poisson_step()), ("decode_8", decode_step())]
+    {
+        group.bench_with_input(
+            BenchmarkId::new("single_gpu_step_cost", label),
+            &label,
+            |b, _| {
+                // A fresh routing seed every iteration, as in a serving run.
+                let mut step_index = 0u64;
+                b.iter(|| {
+                    step_index += 1;
+                    backend.step_cost(&StepWorkload {
+                        batch: &batch,
+                        running: &requests,
+                        step_index,
+                    })
+                })
+            },
+        );
+    }
+    let (requests, batch) = poisson_step();
+    group.bench_function("attention_step_ms/poisson_206", |b| {
+        b.iter(|| attention_step_ms(&device, &model, scfg.attention, &batch, &requests))
+    });
+    let router = TopKRouter::for_config(&model, scfg.routing_seed);
+    for kind in [EngineKind::Samoyeds, EngineKind::Transformers] {
+        let engine = Engine::new(kind, device.clone());
+        for tokens in [8usize, 216] {
+            let loads = router.route_loads_seeded(42, tokens, 1);
+            group.bench_with_input(
+                BenchmarkId::new(format!("moe_layer_cost_for_loads/{}", kind.name()), tokens),
+                &tokens,
+                |b, &t| b.iter(|| engine.moe_layer_cost_for_loads(&model, t, &loads)),
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_moe_layer_cost,
     bench_decoder_layer,
-    bench_router
+    bench_router,
+    bench_step_pricing
 );
 criterion_main!(benches);

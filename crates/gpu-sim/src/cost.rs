@@ -25,10 +25,15 @@ use crate::stats::KernelStats;
 use serde::{Deserialize, Serialize};
 
 /// The work and traffic profile of one simulated kernel execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Building and evaluating a profile allocates nothing: the kernel name is a
+/// static string, copied into an owned one only when [`CostModel::evaluate`]
+/// builds the [`KernelStats`] record.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelProfile {
     /// Human-readable kernel name (appears in stats and experiment output).
-    pub name: String,
+    /// Every kernel model names itself with a literal.
+    pub name: &'static str,
     /// FLOPs executed on the dense tensor-core path.
     pub flops_tensor_dense: f64,
     /// Logical FLOPs executed through `mma.sp` (the sparse tensor path, which
@@ -56,9 +61,9 @@ pub struct KernelProfile {
 
 impl KernelProfile {
     /// A profile with no work — useful as a starting point for builders.
-    pub fn empty(name: impl Into<String>, launch: LaunchConfig) -> Self {
+    pub fn empty(name: &'static str, launch: LaunchConfig) -> Self {
         Self {
-            name: name.into(),
+            name,
             flops_tensor_dense: 0.0,
             flops_tensor_sparse: 0.0,
             flops_cuda: 0.0,
@@ -162,7 +167,7 @@ impl CostModel {
         let time_s = self.execution_time_s(p);
         let occ = Occupancy::compute(&self.device, &p.launch);
         KernelStats {
-            kernel: p.name.clone(),
+            kernel: p.name.to_string(),
             device: self.device.name.clone(),
             time_ms: time_s * 1e3,
             total_flops: p.total_flops(),

@@ -16,49 +16,76 @@ pub enum AttentionKind {
     Flash,
 }
 
-/// Predicted execution time of one attention block over `tokens` tokens.
+/// The attention cost model of one (device, model, attention kind) triple,
+/// built around one dense GEMM model that prices every projection and score
+/// product. Build it once and price as many sequence lengths as needed;
+/// [`attention_time_ms`] builds a fresh one per call.
+#[derive(Debug, Clone)]
+pub struct AttentionModel {
+    gemm: DenseGemm,
+    kind: AttentionKind,
+    hidden: usize,
+    heads: usize,
+}
+
+impl AttentionModel {
+    /// The attention model of `config` under `kind` on `device`.
+    pub fn new(device: &DeviceSpec, config: &MoeModelConfig, kind: AttentionKind) -> Self {
+        Self {
+            gemm: DenseGemm::new(device.clone()),
+            kind,
+            hidden: config.hidden_size,
+            heads: config.num_heads.max(1),
+        }
+    }
+
+    /// Predicted execution time of one attention block over `tokens` tokens.
+    pub fn time_ms(&self, tokens: usize) -> f64 {
+        let (h, heads) = (self.hidden, self.heads);
+
+        // Q, K, V and output projections: four h x h GEMMs over the tokens.
+        let proj = self.gemm.time_ms(&GemmProblem::dense(h, h, tokens)) * 4.0;
+
+        // Score (`QK^T`) and value (`PV`) products: 2 * tokens^2 * h FLOPs
+        // each, split across heads (head dimension h / heads).
+        let head_dim = (h / heads).max(1);
+        let per_head_score = self
+            .gemm
+            .time_ms(&GemmProblem::dense(tokens, head_dim, tokens));
+        let per_head_value = self
+            .gemm
+            .time_ms(&GemmProblem::dense(tokens, tokens, head_dim));
+        let score_ms = (per_head_score + per_head_value) * heads as f64;
+
+        match self.kind {
+            AttentionKind::Standard => {
+                // Softmax + the materialised n x n probability matrix
+                // round-trips through HBM (read + write of scores, read of
+                // probs).
+                let score_bytes = (tokens * tokens * heads) as f64 * 2.0;
+                let bandwidth = self.gemm.device().mem_bandwidth_gbps;
+                let softmax_ms = (3.0 * score_bytes / (bandwidth * 1e9)) * 1e3;
+                proj + score_ms + softmax_ms
+            }
+            AttentionKind::Flash => {
+                // Tiling keeps the scores on chip: the score/value products
+                // keep their FLOPs but lose the HBM round-trips; an extra 10%
+                // covers the online-softmax rescaling.
+                proj + score_ms * 0.65
+            }
+        }
+    }
+}
+
+/// Predicted execution time of one attention block over `tokens` tokens:
+/// [`AttentionModel::time_ms`] on a model built for this call.
 pub fn attention_time_ms(
     device: &DeviceSpec,
     config: &MoeModelConfig,
     tokens: usize,
     kind: AttentionKind,
 ) -> f64 {
-    let h = config.hidden_size;
-    let gemm = DenseGemm::new(device.clone());
-
-    // Q, K, V and output projections: four h x h GEMMs over the tokens.
-    let proj = gemm.stats(&GemmProblem::dense(h, h, tokens)).time_ms * 4.0;
-
-    // Score (`QK^T`) and value (`PV`) products: 2 * tokens^2 * h FLOPs each,
-    // split across heads (head dimension h / heads).
-    let heads = config.num_heads.max(1);
-    let head_dim = (h / heads).max(1);
-    let mut score_ms = 0.0;
-    for _ in 0..1 {
-        let per_head_score = gemm
-            .stats(&GemmProblem::dense(tokens, head_dim, tokens))
-            .time_ms;
-        let per_head_value = gemm
-            .stats(&GemmProblem::dense(tokens, tokens, head_dim))
-            .time_ms;
-        score_ms += (per_head_score + per_head_value) * heads as f64;
-    }
-
-    match kind {
-        AttentionKind::Standard => {
-            // Softmax + the materialised n x n probability matrix round-trips
-            // through HBM (read + write of scores, read of probs).
-            let score_bytes = (tokens * tokens * heads) as f64 * 2.0;
-            let softmax_ms = (3.0 * score_bytes / (device.mem_bandwidth_gbps * 1e9)) * 1e3;
-            proj + score_ms + softmax_ms
-        }
-        AttentionKind::Flash => {
-            // Tiling keeps the scores on chip: the score/value products keep
-            // their FLOPs but lose the HBM round-trips; an extra 10% covers
-            // the online-softmax rescaling.
-            proj + score_ms * 0.65
-        }
-    }
+    AttentionModel::new(device, config, kind).time_ms(tokens)
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@ use samoyeds_kernels::{GemmProblem, TilingConfig};
 use samoyeds_sparse::samoyeds::SamoyedsConfig;
 use samoyeds_sparse::{DenseMatrix, Result, SelInput, SelectionArray, SparseError};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Which execution engine a cost was produced by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -97,28 +98,60 @@ impl LayerCost {
 }
 
 /// An MoE execution engine bound to a device.
+///
+/// The engine builds each analytical kernel it prices with — the dense GEMM
+/// model and the Samoyeds kernel model — once, on the first pricing call
+/// that needs it, and reuses it for every later call. A kernel depends only
+/// on the device and the Samoyeds options, so a reused engine prices exactly
+/// like a fresh one. The kernels are boxed behind [`OnceLock`]s: an engine
+/// that never prices (the memory models build one) stays small, builds
+/// nothing and remains `Sync`.
 #[derive(Debug, Clone)]
 pub struct Engine {
     kind: EngineKind,
     device: DeviceSpec,
     samoyeds_options: SamoyedsOptions,
+    dense_gemm: OnceLock<Box<DenseGemm>>,
+    samoyeds_kernel: OnceLock<Box<SamoyedsKernel>>,
 }
 
 impl Engine {
-    /// Create an engine of the given kind on a device.
+    /// Create an engine of the given kind on a device. No kernel is built
+    /// until the first pricing call.
     pub fn new(kind: EngineKind, device: DeviceSpec) -> Self {
         Self {
             kind,
             device,
             samoyeds_options: SamoyedsOptions::FULL,
+            dense_gemm: OnceLock::new(),
+            samoyeds_kernel: OnceLock::new(),
         }
     }
 
     /// Override the Samoyeds optimisation toggles (used by the Figure 17
-    /// breakdown).
+    /// breakdown). Drops the cached Samoyeds kernel, which was built with the
+    /// old toggles; the next pricing call builds one with the new ones.
     pub fn with_samoyeds_options(mut self, options: SamoyedsOptions) -> Self {
         self.samoyeds_options = options;
+        self.samoyeds_kernel = OnceLock::new();
         self
+    }
+
+    /// The dense GEMM model, built on first use.
+    fn dense_gemm(&self) -> &DenseGemm {
+        self.dense_gemm
+            .get_or_init(|| Box::new(DenseGemm::new(self.device.clone())))
+    }
+
+    /// The Samoyeds kernel model under the engine's options, built on first
+    /// use.
+    fn samoyeds_kernel(&self) -> &SamoyedsKernel {
+        self.samoyeds_kernel.get_or_init(|| {
+            Box::new(SamoyedsKernel::with_options(
+                self.device.clone(),
+                self.samoyeds_options,
+            ))
+        })
     }
 
     /// The engine kind.
@@ -251,7 +284,7 @@ impl Engine {
     ) -> f64 {
         let h = config.hidden_size;
         let i = config.intermediate_size;
-        let mut dense = DenseTimes::new(&self.device, config);
+        let mut dense = DenseTimes::new(self, config);
         let mut total = 0.0;
         // Input permutation: every routed token is copied into its expert's
         // buffer.
@@ -287,7 +320,7 @@ impl Engine {
     ) -> f64 {
         let h = config.hidden_size;
         let i = config.intermediate_size;
-        let mut dense = DenseTimes::new(&self.device, config);
+        let mut dense = DenseTimes::new(self, config);
         let gemm_ms = dense.padded_experts_ms(loads, block);
         // Grouping removes the per-expert launch overheads except one, and
         // fuses most of the element-wise work.
@@ -325,7 +358,7 @@ impl Engine {
         gather_share: f64,
     ) -> f64 {
         let h = config.hidden_size;
-        let mut dense = DenseTimes::new(&self.device, config);
+        let mut dense = DenseTimes::new(self, config);
         let mut total = dense.padded_experts_ms(loads, pad);
         let assignments: usize = loads.iter().sum();
         total += self.copy_pass_ms((assignments * h) as f64 * 2.0) * gather_share;
@@ -459,24 +492,22 @@ fn memoized<V: Copy>(memo: &mut Vec<(usize, V)>, key: usize, price: impl FnOnce(
 
 /// The dense (cuBLAS-like) projection times of one pricing call, keyed by
 /// token count. For a fixed device and model a GEMM's time depends on its
-/// column count alone, so each distinct count is priced once, through one
-/// kernel built on the first miss.
+/// column count alone, so each distinct count is priced once, through the
+/// engine's dense GEMM model.
 struct DenseTimes<'a> {
-    device: &'a DeviceSpec,
+    engine: &'a Engine,
     hidden: usize,
     intermediate: usize,
-    gemm: Option<DenseGemm>,
     /// `(tokens, (gate or up projection ms, down projection ms))`.
     memo: Vec<(usize, (f64, f64))>,
 }
 
 impl<'a> DenseTimes<'a> {
-    fn new(device: &'a DeviceSpec, config: &MoeModelConfig) -> Self {
+    fn new(engine: &'a Engine, config: &MoeModelConfig) -> Self {
         Self {
-            device,
+            engine,
             hidden: config.hidden_size,
             intermediate: config.intermediate_size,
-            gemm: None,
             memo: Vec::new(),
         }
     }
@@ -485,9 +516,7 @@ impl<'a> DenseTimes<'a> {
     fn projections_ms(&mut self, tokens: usize) -> (f64, f64) {
         let (h, i) = (self.hidden, self.intermediate);
         memoized(&mut self.memo, tokens, || {
-            let gemm = self
-                .gemm
-                .get_or_insert_with(|| DenseGemm::new(self.device.clone()));
+            let gemm = self.engine.dense_gemm();
             (
                 gemm.time_ms(&GemmProblem::dense(i, h, tokens)),
                 gemm.time_ms(&GemmProblem::dense(h, i, tokens)),
@@ -519,15 +548,14 @@ impl<'a> DenseTimes<'a> {
 
 /// The Samoyeds expert times of one pricing call, keyed by token count
 /// padded to the N-tile. For a fixed batch an expert's time depends on
-/// nothing else, so each distinct padded count is priced once, through one
-/// kernel built on the first miss.
+/// nothing else, so each distinct padded count is priced once, through the
+/// engine's Samoyeds kernel model.
 struct SamoyedsTimes<'a> {
     engine: &'a Engine,
     hidden: usize,
     intermediate: usize,
     /// The logical token count the SEL arrays index into.
     num_tokens: usize,
-    kernel: Option<SamoyedsKernel>,
     /// `(padded tokens, expert ms)`.
     memo: Vec<(usize, f64)>,
 }
@@ -539,7 +567,6 @@ impl<'a> SamoyedsTimes<'a> {
             hidden: config.hidden_size,
             intermediate: config.intermediate_size,
             num_tokens,
-            kernel: None,
             memo: Vec::new(),
         }
     }
@@ -551,22 +578,19 @@ impl<'a> SamoyedsTimes<'a> {
         }
         let (h, i) = (self.hidden, self.intermediate);
         let engine = self.engine;
-        let options = engine.samoyeds_options;
         // Padding to the kernel's N-tile (the §6.2 padding effect).
         let nb = TilingConfig::DEFAULT_4070S.nb.min(64);
         let padded = selected.div_ceil(nb) * nb;
         // With input sparsity the kernel indexes the full token buffer
         // through the SEL array; without it (the "+W" data flow) the expert
         // receives an already-gathered buffer of just its own tokens.
-        let logical_n = if options.input_sparsity {
+        let logical_n = if engine.samoyeds_options.input_sparsity {
             self.num_tokens.max(padded)
         } else {
             padded
         };
         memoized(&mut self.memo, padded, || {
-            let kernel = self.kernel.get_or_insert_with(|| {
-                SamoyedsKernel::with_options(engine.device.clone(), options)
-            });
+            let kernel = engine.samoyeds_kernel();
             let cfg = SamoyedsConfig::DEFAULT;
             let gate = kernel.time_ms(&GemmProblem::samoyeds(i, h, logical_n, padded, cfg));
             let down = kernel.time_ms(&GemmProblem::samoyeds(h, i, padded, padded, cfg));

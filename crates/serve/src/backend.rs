@@ -23,7 +23,7 @@ use crate::memory::{MemoryModel, KV_DTYPE_BYTES};
 use crate::request::RunningRequest;
 use crate::scheduler::SchedulerConfig;
 use samoyeds_gpu_sim::DeviceSpec;
-use samoyeds_moe::attention::{attention_time_ms, AttentionKind};
+use samoyeds_moe::attention::{AttentionKind, AttentionModel};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::router::TopKRouter;
@@ -239,6 +239,14 @@ impl<B: ExecutionBackend + ?Sized> ExecutionBackend for Box<B> {
 /// the causal-attention cost of extending their context; each decode token
 /// pays one pass over its request's KV cache. Shared between the single-GPU
 /// and cluster backends so the two can never diverge on attention pricing.
+///
+/// One call builds at most one [`AttentionModel`], and only when the batch
+/// has prefill chunks, and prices each distinct context length once (fresh
+/// chunks all start from the same one-token context). The increments are
+/// still added chunk by chunk in batch order, so the sum is bit-identical to
+/// pricing every chunk with [`attention_time_ms`].
+///
+/// [`attention_time_ms`]: samoyeds_moe::attention::attention_time_ms
 pub fn attention_step_ms(
     device: &DeviceSpec,
     config: &MoeModelConfig,
@@ -247,12 +255,24 @@ pub fn attention_step_ms(
     running: &[RunningRequest],
 ) -> f64 {
     let mut attention_ms = 0.0;
-    for &(i, chunk) in &batch.prefill {
-        let before = running[i].prefilled;
-        let after = (before + chunk).min(config.max_seq_len);
-        let inc = attention_time_ms(device, config, after, attention)
-            - attention_time_ms(device, config, before.max(1), attention);
-        attention_ms += inc.max(0.0);
+    if !batch.prefill.is_empty() {
+        let model = AttentionModel::new(device, config, attention);
+        // `(context tokens, attention ms)`; at most two keys per chunk.
+        let mut memo: Vec<(usize, f64)> = Vec::with_capacity(2 * batch.prefill.len());
+        let mut time_ms = |tokens: usize| {
+            if let Some(&(_, ms)) = memo.iter().find(|(t, _)| *t == tokens) {
+                return ms;
+            }
+            let ms = model.time_ms(tokens);
+            memo.push((tokens, ms));
+            ms
+        };
+        for &(i, chunk) in &batch.prefill {
+            let before = running[i].prefilled;
+            let after = (before + chunk).min(config.max_seq_len);
+            let inc = time_ms(after) - time_ms(before.max(1));
+            attention_ms += inc.max(0.0);
+        }
     }
     let bandwidth = device.mem_bandwidth_gbps * 1e9;
     for &i in &batch.decode {

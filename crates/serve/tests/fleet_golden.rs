@@ -12,13 +12,16 @@
 //! `tests/golden/fleet_run.txt`; on a mismatch the test prints the fresh
 //! block.
 //!
-//! Underneath every step price sits `Engine::moe_layer_cost`, so
-//! `tests/golden/layer_costs.txt` pins it directly: one line per (device,
-//! model, engine configuration, token count) with the exact bits of
-//! `time_ms`. A pricing change shows up there as a table of changed cells
-//! before it surfaces as a shifted makespan above.
+//! Underneath every step price sit `Engine::moe_layer_cost` and the
+//! attention model, so two price tables pin them directly, each line with
+//! the exact bits of one price: `tests/golden/layer_costs.txt` has one line
+//! per (device, model, engine configuration, token count), and
+//! `tests/golden/attention_costs.txt` one per (device, model, attention
+//! kind) and sequence length of `attention_time_ms` or step batch of
+//! `attention_step_ms`. A pricing change shows up there as a table of
+//! changed cells before it surfaces as a shifted makespan above.
 //!
-//! After a deliberate change, one command rewrites both files from the
+//! After a deliberate change, one command rewrites all three files from the
 //! current code (each scenario replaces only its own block), and `git diff`
 //! shows what moved:
 //!
@@ -28,13 +31,16 @@
 
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_kernels::samoyeds_kernel::SamoyedsOptions;
+use samoyeds_moe::attention::{attention_time_ms, AttentionKind};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::router::TopKRouter;
+use samoyeds_serve::backend::attention_step_ms;
+use samoyeds_serve::batch::StepBatch;
 use samoyeds_serve::{
     BurstPhase, BurstyTraceConfig, DisaggregationConfig, DispatchPolicy, ExecutionBackend,
     FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController, FleetMetrics, KvLink,
-    MemoryModel, NoAutoscale, RecoveryPolicy, Request, SchedulerConfig, SharedSink,
+    MemoryModel, NoAutoscale, RecoveryPolicy, Request, RunningRequest, SchedulerConfig, SharedSink,
     SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder,
 };
 use std::fmt::Write;
@@ -659,12 +665,12 @@ fn render_layer_costs() -> String {
     out
 }
 
-#[test]
-fn moe_layer_costs_match_the_golden_price_table() {
-    let fresh = render_layer_costs();
-    let golden = include_str!("golden/layer_costs.txt");
+/// Compare a freshly rendered price table with `tests/golden/<file>`, or
+/// rewrite the file under `UPDATE_GOLDENS=1`. On a mismatch, print the
+/// changed cells and the fresh table to paste in.
+fn check_price_table(file: &str, golden: &str, fresh: String) {
     if updating_goldens() {
-        update_golden("layer_costs.txt", |_| fresh);
+        update_golden(file, |_| fresh);
     } else if fresh != golden {
         let changed: Vec<String> = golden
             .lines()
@@ -678,8 +684,119 @@ fn moe_layer_costs_match_the_golden_price_table() {
             changed.join("\n")
         );
         panic!(
-            "layer costs differ from tests/golden/layer_costs.txt (fresh table printed above); \
+            "prices differ from tests/golden/{file} (fresh table printed above); \
              rerun with UPDATE_GOLDENS=1 to rewrite it"
         );
     }
+}
+
+#[test]
+fn moe_layer_costs_match_the_golden_price_table() {
+    check_price_table(
+        "layer_costs.txt",
+        include_str!("golden/layer_costs.txt"),
+        render_layer_costs(),
+    );
+}
+
+/// The step batches `attention_step_ms` is pinned on for `model`: a mixed
+/// batch, a decode-only batch and an empty one.
+fn attention_batches(
+    model: &MoeModelConfig,
+) -> Vec<(&'static str, Vec<RunningRequest>, StepBatch)> {
+    let request = |id: u64, prompt_len: usize, prefilled: usize, decoded: usize| {
+        let mut r = RunningRequest::new(
+            Request {
+                id,
+                arrival_ms: 0.0,
+                prompt_len,
+                output_len: 64,
+            },
+            0.0,
+        );
+        r.prefilled = prefilled;
+        r.decoded = decoded;
+        r
+    };
+    let max = model.max_seq_len;
+    let mixed = vec![
+        // Two fresh chunks with the same prompt length.
+        request(0, 216, 0, 0),
+        request(1, 216, 0, 0),
+        // Resumed at 512.
+        request(2, 1024, 512, 0),
+        // Crosses the model's maximum sequence length.
+        request(3, max + 512, max - 100, 0),
+        // Ends where the resumed chunk starts.
+        request(4, 1024, 448, 0),
+        // Two decodes.
+        request(5, 100, 100, 5),
+        request(6, 3000, 3000, 40),
+    ];
+    let mixed_batch = StepBatch {
+        prefill: vec![(0, 216), (1, 216), (2, 64), (3, 256), (4, 64)],
+        decode: vec![5, 6],
+    };
+    let decodes = vec![
+        request(0, 16, 16, 1),
+        request(1, 700, 700, 63),
+        request(2, max, max, 9),
+    ];
+    let decode_batch = StepBatch {
+        prefill: Vec::new(),
+        decode: vec![0, 1, 2],
+    };
+    vec![
+        ("mixed", mixed, mixed_batch),
+        ("decode-only", decodes, decode_batch),
+        ("empty", Vec::new(), StepBatch::default()),
+    ]
+}
+
+/// One line per priced cell: `attention_time_ms` over sequence lengths
+/// around the 64-column tile and up to 8K tokens, then `attention_step_ms`
+/// on each of [`attention_batches`], for both attention kinds on two
+/// models and the datacenter and consumer cards.
+fn render_attention_costs() -> String {
+    let models = [MoeModelConfig::qwen2_moe(), MoeModelConfig::mixtral_8x7b()];
+    let mut out = String::new();
+    for (device_name, device) in [
+        ("a100", DeviceSpec::a100_40g()),
+        ("4070s", DeviceSpec::rtx4070_super()),
+    ] {
+        for model in &models {
+            for kind in [AttentionKind::Flash, AttentionKind::Standard] {
+                for tokens in [1usize, 7, 64, 65, 216, 512, 2048, 8192] {
+                    let time_ms = attention_time_ms(&device, model, tokens, kind);
+                    writeln!(
+                        out,
+                        "{device_name} {} {kind:?} tokens={tokens} bits={:016x} time_ms={time_ms:?}",
+                        model.name,
+                        time_ms.to_bits()
+                    )
+                    .unwrap();
+                }
+                for (batch_name, running, batch) in attention_batches(model) {
+                    let time_ms = attention_step_ms(&device, model, kind, &batch, &running);
+                    writeln!(
+                        out,
+                        "{device_name} {} {kind:?} step={batch_name} bits={:016x} time_ms={time_ms:?}",
+                        model.name,
+                        time_ms.to_bits()
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn attention_costs_match_the_golden_price_table() {
+    check_price_table(
+        "attention_costs.txt",
+        include_str!("golden/attention_costs.txt"),
+        render_attention_costs(),
+    );
 }

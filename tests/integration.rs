@@ -600,3 +600,58 @@ fn counts_only_routing_matches_the_full_plan_loads() {
         }
     }
 }
+
+#[test]
+fn a_reused_engine_prices_like_a_fresh_one_bit_for_bit() {
+    // An engine builds its kernels on the first pricing call and keeps them.
+    // Price once under the full Samoyeds options, switch to each of the
+    // golden price table's engine configurations, then walk its grid: every
+    // cell must match a fresh engine's price, so a kernel cached under the
+    // old options would show up here.
+    let configurations = [
+        (EngineKind::Transformers, SamoyedsOptions::FULL),
+        (EngineKind::MegaBlocks, SamoyedsOptions::FULL),
+        (EngineKind::VllmDs, SamoyedsOptions::FULL),
+        (EngineKind::Pit, SamoyedsOptions::FULL),
+        (EngineKind::Samoyeds, SamoyedsOptions::FULL),
+        (EngineKind::Samoyeds, SamoyedsOptions::WEIGHT_ONLY),
+        (EngineKind::Samoyeds, SamoyedsOptions::WEIGHT_INPUT),
+        (EngineKind::Samoyeds, SamoyedsOptions::WEIGHT_INPUT_LAYOUT),
+    ];
+    let models = [
+        MoeModelConfig::qwen2_moe(),
+        MoeModelConfig::openmoe_34b(),
+        MoeModelConfig::mixtral_8x7b(),
+    ];
+    let warmup_model = MoeModelConfig::qwen2_moe();
+    let warmup_plan = TopKRouter::for_config(&warmup_model, 7).route(64);
+    let mut cells = 0;
+    for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
+        for (kind, options) in configurations {
+            let warm = Engine::new(kind, device.clone());
+            warm.moe_layer_cost(&warmup_model, 64, &warmup_plan);
+            let reused = warm.with_samoyeds_options(options);
+            for model in &models {
+                let router = TopKRouter::for_config(model, 7);
+                for tokens in [0usize, 1, 7, 64, 65, 216, 2048] {
+                    let plan = router.route(tokens);
+                    let fresh = Engine::new(kind, device.clone())
+                        .with_samoyeds_options(options)
+                        .moe_layer_cost(model, tokens, &plan)
+                        .time_ms;
+                    let priced = reused.moe_layer_cost(model, tokens, &plan).time_ms;
+                    assert_eq!(
+                        priced.to_bits(),
+                        fresh.to_bits(),
+                        "{} {} {options:?} {} tokens={tokens}",
+                        device.name,
+                        kind.name(),
+                        model.name
+                    );
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 336);
+}
