@@ -75,7 +75,7 @@ impl ClusterAdmissionBudget {
             PlacementStrategy::ReplicateHotPerIsland { hot } => {
                 let hot = hot.min(experts);
                 let cold = experts - hot;
-                let islands = cluster.resolved_topology().num_islands().min(num_gpus);
+                let islands = cluster.topology.num_islands().min(num_gpus);
                 let replica_hosts = (islands * hot).min(num_gpus);
                 let balanced = hot + cold.div_ceil(num_gpus);
                 if replica_hosts < num_gpus {

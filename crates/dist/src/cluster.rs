@@ -34,13 +34,9 @@ pub struct ClusterConfig {
     pub engine: ClusterEngine,
     /// Expert placement strategy.
     pub strategy: PlacementStrategy,
-    /// The fabric binding the ranks together when no explicit topology is
-    /// set (a single flat island over this link).
-    pub link: LinkSpec,
-    /// Optional hierarchical interconnect. `None` means one flat island
-    /// over [`ClusterConfig::link`], which reproduces the single-level α-β
-    /// collective cost exactly (pinned by `topology_equivalence`).
-    pub topology: Option<ClusterTopology>,
+    /// The interconnect collectives are priced over: one flat island over
+    /// the device's native link unless set otherwise.
+    pub topology: ClusterTopology,
 }
 
 impl ClusterConfig {
@@ -49,12 +45,11 @@ impl ClusterConfig {
     /// placement.
     pub fn new(device: DeviceSpec, num_gpus: usize, engine: ClusterEngine) -> Self {
         Self {
-            link: LinkSpec::for_device(&device),
+            topology: ClusterTopology::flat(num_gpus, LinkSpec::for_device(&device)),
             device,
             num_gpus,
             engine,
             strategy: PlacementStrategy::CapacityGreedy,
-            topology: None,
         }
     }
 
@@ -64,10 +59,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Replace the flat interconnect (ignored once
-    /// [`ClusterConfig::with_topology`] sets an explicit topology).
+    /// Bind every GPU into one flat island over `link`, replacing any
+    /// topology set before.
     pub fn with_link(mut self, link: LinkSpec) -> Self {
-        self.link = link;
+        self.topology = ClusterTopology::flat(self.num_gpus, link);
         self
     }
 
@@ -76,7 +71,7 @@ impl ClusterConfig {
     /// error from [`ClusterSimulator::step`] and as a construction panic
     /// from `ClusterBackend::new`.
     pub fn with_topology(mut self, topology: ClusterTopology) -> Self {
-        self.topology = Some(topology);
+        self.topology = topology;
         self
     }
 
@@ -85,16 +80,8 @@ impl ClusterConfig {
     /// on the native fabric, stitched by an InfiniBand NDR spine once the
     /// fleet outgrows one node (see [`ClusterTopology::for_device`]).
     pub fn with_node_topology(mut self) -> Self {
-        self.topology = Some(ClusterTopology::for_device(&self.device, self.num_gpus));
+        self.topology = ClusterTopology::for_device(&self.device, self.num_gpus);
         self
-    }
-
-    /// The effective topology: the explicit one, or a single flat island
-    /// over [`ClusterConfig::link`].
-    pub fn resolved_topology(&self) -> ClusterTopology {
-        self.topology
-            .clone()
-            .unwrap_or_else(|| ClusterTopology::flat(self.num_gpus, self.link.clone()))
     }
 }
 
@@ -203,7 +190,6 @@ pub struct ClusterSimulator {
     routed_model: MoeModelConfig,
     engine: Engine,
     memory: ClusterMemoryModel,
-    topology: ClusterTopology,
 }
 
 impl ClusterSimulator {
@@ -215,7 +201,6 @@ impl ClusterSimulator {
         };
         Self {
             memory: ClusterMemoryModel::new(&cluster.device, cluster.engine, &model),
-            topology: cluster.resolved_topology(),
             engine: cluster.engine.engine(&cluster.device),
             routed_model,
             cluster,
@@ -230,7 +215,7 @@ impl ClusterSimulator {
 
     /// The interconnect topology collectives are priced over.
     pub fn topology(&self) -> &ClusterTopology {
-        &self.topology
+        &self.cluster.topology
     }
 
     /// The model being served.
@@ -285,7 +270,7 @@ impl ClusterSimulator {
         let per_gpu = plan.num_tokens.div_ceil(self.cluster.num_gpus.max(1));
         self.cluster.strategy.place_on(
             &self.expert_cost_profile(plan),
-            &self.topology,
+            &self.cluster.topology,
             &self.memory,
             per_gpu,
             per_gpu,
@@ -350,7 +335,7 @@ impl ClusterSimulator {
     ) -> Result<ClusterStepReport> {
         let g = self.cluster.num_gpus;
         for (what, gpus) in [
-            ("topology", self.topology.num_gpus()),
+            ("topology", self.cluster.topology.num_gpus()),
             ("placement", placement.num_gpus()),
         ] {
             if gpus != g {
@@ -360,7 +345,7 @@ impl ClusterSimulator {
             }
         }
         // A valid topology has at least one GPU, so `g > 0` from here on.
-        self.topology.validate()?;
+        self.cluster.topology.validate()?;
         if !rank_loads.len().is_multiple_of(g) {
             return Err(SparseError::config(format!(
                 "{} routing counts do not split into rows of {g} ranks",
@@ -395,7 +380,7 @@ impl ClusterSimulator {
         // Combine moves the same bytes in reverse, and both phase costs are
         // symmetric in their endpoints, so the step pays the dispatch
         // collective twice.
-        let cost = self.topology.all_to_all_ms(&flows);
+        let cost = self.cluster.topology.all_to_all_ms(&flows);
         let all_to_all_ms = 2.0 * cost.total_ms();
 
         let straggler = per_gpu_compute_ms.iter().fold(0.0f64, |m, &t| m.max(t));
@@ -450,7 +435,7 @@ impl ClusterSimulator {
                 replicas[e].push((rank, slot));
             }
         }
-        let island_of = self.topology.island_lookup();
+        let island_of = self.cluster.topology.island_lookup();
         let token_bytes = self.model.hidden_size as f64 * 2.0;
         let mut loads: Vec<Vec<usize>> = placement
             .assignments()
@@ -1009,6 +994,25 @@ mod tests {
             config,
         );
         assert!(a100.topology().is_flat());
+        // Without a node layout a cluster is one flat island over the
+        // device's native link, and `with_link` rebinds it flat over
+        // another link, replacing any topology set before.
+        let islands =
+            ClusterTopology::symmetric(4, 2, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr())
+                .unwrap();
+        for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
+            let base = ClusterConfig::new(device.clone(), 8, ClusterEngine::Samoyeds);
+            assert_eq!(
+                base.topology,
+                ClusterTopology::flat(8, LinkSpec::for_device(&device))
+            );
+            for config in [base.clone(), base.with_topology(islands.clone())] {
+                assert_eq!(
+                    config.with_link(LinkSpec::nvlink4()).topology,
+                    ClusterTopology::flat(8, LinkSpec::nvlink4())
+                );
+            }
+        }
     }
 
     #[test]

@@ -91,18 +91,6 @@ impl LinkSpec {
         }
         self.latency_us * 1e-3 * (gpus - 1) as f64 + busiest / (self.bandwidth_gbps * 1e9) * 1e3
     }
-
-    /// Convenience: an all-to-all where `total_bytes` are spread uniformly —
-    /// each of the `gpus` endpoints sends and receives `total_bytes / gpus`,
-    /// a fraction `(gpus - 1) / gpus` of it remote.
-    pub fn all_to_all_uniform_ms(&self, gpus: usize, total_bytes: f64) -> f64 {
-        if gpus <= 1 {
-            return 0.0;
-        }
-        let per_gpu = total_bytes / gpus as f64 * (gpus - 1) as f64 / gpus as f64;
-        let v = vec![per_gpu; gpus];
-        self.all_to_all_ms(&v, &v)
-    }
 }
 
 /// The serve-side point-to-point view of a link (latency and bandwidth), as
@@ -175,8 +163,10 @@ mod tests {
     #[test]
     fn more_gpus_pay_more_startup_latency() {
         let link = LinkSpec::pcie_gen4();
-        let two = link.all_to_all_uniform_ms(2, 1e6);
-        let eight = link.all_to_all_uniform_ms(8, 1e6);
+        // 1 MB spread uniformly: each of `g` endpoints sends and receives
+        // the remote `(g - 1) / g` of its `1e6 / g` share.
+        let two = link.all_to_all_ms(&[2.5e5; 2], &[2.5e5; 2]);
+        let eight = link.all_to_all_ms(&[109_375.0; 8], &[109_375.0; 8]);
         // The same total volume spread over more GPUs lowers the per-GPU
         // bandwidth term but pays more per-peer messages; with a tiny
         // payload the latency term dominates.

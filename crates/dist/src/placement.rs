@@ -577,9 +577,10 @@ impl RecoveryPlan {
 /// if none is given. The resulting transfer is priced as one all-to-all
 /// over `topology`, honoring dedicated pair links.
 ///
-/// Errors if `crashed_gpu` is out of range, if no survivor remains, if a
-/// sole-copy expert is lost without a `checkpoint_gpu`, or if the surviving
-/// GPUs lack the memory headroom to absorb the lost experts.
+/// Errors if `crashed_gpu` or `checkpoint_gpu` is out of range, if no
+/// survivor remains, if a sole-copy expert is lost without a
+/// `checkpoint_gpu`, or if the surviving GPUs lack the memory headroom to
+/// absorb the lost experts.
 #[allow(
     clippy::too_many_arguments,
     reason = "the crash, its loads, the topology and the memory budget are independent inputs"
@@ -598,6 +599,11 @@ pub fn replan_after_crash(
     if crashed_gpu >= num_gpus {
         return Err(SparseError::config(format!(
             "crashed GPU {crashed_gpu} out of range for a {num_gpus}-GPU placement"
+        )));
+    }
+    if let Some(checkpoint) = checkpoint_gpu.filter(|&g| g >= num_gpus) {
+        return Err(SparseError::config(format!(
+            "checkpoint GPU {checkpoint} out of range for a {num_gpus}-GPU placement"
         )));
     }
     if num_gpus < 2 {
@@ -858,6 +864,22 @@ mod tests {
         assert!(plan.transfer_bytes > 0.0);
         assert!(plan.transfer_ms() > 0.0 && plan.transfer_ms().is_finite());
         plan.placement.validate(&memory, 1024, 1024).unwrap();
+        // A checkpoint GPU outside the placement is an error up front, not
+        // an out-of-bounds transfer.
+        for checkpoint in [8, 99] {
+            let err = replan_after_crash(
+                &placement,
+                0,
+                &loads,
+                &topology,
+                &memory,
+                1024,
+                1024,
+                Some(checkpoint),
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{err}");
+        }
     }
 
     #[test]

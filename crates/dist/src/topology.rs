@@ -26,9 +26,9 @@
 //! A single flat island reproduces the single-level α-β cost **exactly**:
 //! phase 1 degenerates to [`LinkSpec::all_to_all_ms`] over the full
 //! per-GPU byte vectors and phase 2 carries zero bytes (the spine phase of
-//! any topology with no cross-island traffic costs exactly 0). The
-//! `topology_equivalence` suite pins this bit for bit against the frozen
-//! pre-refactor formula.
+//! any topology with no cross-island traffic costs exactly 0). A unit test
+//! pins this identity, and the root golden table
+//! `tests/golden/collective_costs.txt` pins both prices bit for bit.
 
 use crate::link::LinkSpec;
 use samoyeds_gpu_sim::DeviceSpec;

@@ -8,8 +8,9 @@
 //! [`ExecutionBackend`]. Two implementations exist:
 //!
 //! * [`SingleGpuBackend`] (this module) — one device running one execution
-//!   engine, the original serving configuration. Its cost model is the
-//!   pre-refactor `Scheduler` pricing, bit for bit.
+//!   engine, the original serving configuration. The root golden table
+//!   `tests/golden/scheduler_runs.txt` pins its `Scheduler` runs bit for
+//!   bit.
 //! * `ClusterBackend` (in `samoyeds-dist`) — an expert-parallel cluster:
 //!   per-GPU straggler compute plus α-β dispatch/combine collectives, with
 //!   admission against the straggler GPU's memory budget.
@@ -292,9 +293,9 @@ pub fn auxiliary_step_ms(device: &DeviceSpec, config: &MoeModelConfig, step_toke
 }
 
 /// One device running one execution engine — the original serving
-/// configuration, wrapped behind the backend trait. Reproduces the
-/// pre-refactor scheduler cost model exactly (the backend-equivalence suite
-/// pins this token for token).
+/// configuration, wrapped behind the backend trait. Its step prices are
+/// pinned bit for bit by the root goldens (`scheduler_runs.txt`,
+/// `layer_costs.txt`, `attention_costs.txt`).
 #[derive(Debug, Clone)]
 pub struct SingleGpuBackend {
     device: DeviceSpec,

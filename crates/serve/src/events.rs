@@ -10,7 +10,7 @@
 //! what lets a 100-replica fleet chew through a million-request trace in
 //! seconds instead of minutes.
 //!
-//! Determinism is load-bearing: the `fleet_golden` snapshots pin every
+//! Determinism is load-bearing: the root `goldens` snapshots pin every
 //! emitted event and metric bit for bit, so ordering between events that
 //! share a timestamp must be total. Two events at the same time are ordered
 //! by *event class* — warm-up completions first (a replica is routable the

@@ -33,7 +33,7 @@
 //!   million-request trace in seconds. A run keeps its state in one private
 //!   struct with one handler method per [`FleetEvent`] variant; routing,
 //!   KV-transfer start, commissioning and retirement each live in one
-//!   method the handlers share. The `fleet_golden` suite pins fixed,
+//!   method the handlers share. The root `goldens` suite pins fixed,
 //!   heterogeneous, autoscaled, faulted and disaggregated runs.
 //! * **Prefill/decode disaggregation** — opt-in via
 //!   [`FleetController::with_disaggregation`]: arrivals run chunked prefill

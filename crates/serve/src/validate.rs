@@ -19,8 +19,8 @@
 //! [`FleetController::validate`](crate::fleet::FleetController::validate)
 //! themselves to render warnings too. Validation is pure analysis: a
 //! configuration that passes produces bit-for-bit identical simulator
-//! output to the pre-validation behavior (pinned by the `fleet_golden` and
-//! `validation` suites).
+//! output to the pre-validation behavior (pinned by the root `goldens` and
+//! the `validation` suites).
 //!
 //! Diagnostic codes are stable, documented identifiers (`fleet::…`,
 //! `fault::…`, `slo::…`, `topology::…`, `placement::…`) so tests and

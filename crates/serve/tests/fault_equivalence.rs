@@ -5,7 +5,7 @@
 //! `RecoveryPolicy` has to reproduce the plain controller bit for bit —
 //! every `FleetMetrics` field, every latency percentile, every scale-event
 //! reason string, every per-replica breakdown. The scenarios mirror the
-//! fleet shapes the `fleet_golden` suite pins (fixed fleets, heterogeneous
+//! fleet shapes the root `goldens` suite pins (fixed fleets, heterogeneous
 //! round-robin, SLO autoscaling with warm-up, zero warm-up on a 250 ms
 //! tick).
 

@@ -1,7 +1,7 @@
 //! Telemetry is observation, never steering: installing any sink must leave
-//! every `FleetMetrics` field bit-identical to the sink-free run — the same
-//! frozen-path discipline the backend/fleet/event equivalence suites
-//! enforce. This suite pins that, and checks the event stream agrees with
+//! every `FleetMetrics` field bit-identical to the sink-free run, the same
+//! live equivalence the fault and disaggregation suites check for their
+//! layers. This suite pins that, and checks the event stream agrees with
 //! the metrics it shadows.
 
 use samoyeds_gpu_sim::DeviceSpec;

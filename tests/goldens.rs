@@ -1,47 +1,50 @@
-//! Golden snapshots of `FleetController::run`: fixed, heterogeneous and
-//! autoscaled fleets on a steady and a bursty trace, plus the paths no
-//! equivalence suite reaches — faults that actually fire, disaggregated
-//! handoffs that restart, crash replacement under autoscaling, post-trace
-//! re-admission and the drain cap.
+//! Golden snapshots of the simulator, one harness for every crate: each
+//! file under `tests/golden/` is rendered from the current code and
+//! compared line for line, and a mismatch prints the fresh rendering.
 //!
-//! Each scenario renders a compact, line-oriented block — request counts,
-//! makespan and TTFT percentiles, per-replica assignment, the fault and
-//! scale timelines — plus FNV-1a digests of the full `FleetMetrics` debug
-//! rendering and of the recorded `TraceEvent` stream, so any change to a
-//! number *or* to the order of emitted events shows up. The blocks live in
-//! `tests/golden/fleet_run.txt`; on a mismatch the test prints the fresh
-//! block.
+//! `fleet_run.txt` pins `FleetController::run` — fixed, heterogeneous and
+//! autoscaled fleets on a steady and a bursty trace, faults that fire,
+//! disaggregated handoffs that restart, crash replacement, post-trace
+//! re-admission and the drain cap — one block per scenario: request
+//! counts, makespan and TTFT percentiles, per-replica assignment, the fault
+//! and scale timelines, and FNV-1a digests of the `FleetMetrics` debug
+//! rendering and of the recorded `TraceEvent` stream, so a changed number
+//! *or* a reordered event shows up. `scheduler_runs.txt` pins single-GPU
+//! `Scheduler::run`, one line per run.
 //!
-//! Underneath every step price sit `Engine::moe_layer_cost` and the
-//! attention model, so two price tables pin them directly, each line with
-//! the exact bits of one price: `tests/golden/layer_costs.txt` has one line
-//! per (device, model, engine configuration, token count), and
-//! `tests/golden/attention_costs.txt` one per (device, model, attention
-//! kind) and sequence length of `attention_time_ms` or step batch of
-//! `attention_step_ms`. A pricing change shows up there as a table of
-//! changed cells before it surfaces as a shifted makespan above.
+//! The price tables hold one price's exact bits per line:
+//! `layer_costs.txt` for `Engine::moe_layer_cost` per (device, model,
+//! engine configuration, token count), `attention_costs.txt` for
+//! `attention_time_ms` and `attention_step_ms`, and `collective_costs.txt`
+//! for flat-topology and `LinkSpec` all-to-alls and the collective legs of
+//! cluster steps. A pricing change shows up there as a table of changed
+//! cells before it surfaces as a shifted makespan.
 //!
-//! After a deliberate change, one command rewrites all three files from the
-//! current code (each scenario replaces only its own block), and `git diff`
-//! shows what moved:
+//! After a deliberate change, one command rewrites every file from the
+//! current code (each fleet scenario replaces only its own block), and
+//! `git diff` shows what moved:
 //!
 //! ```text
-//! UPDATE_GOLDENS=1 cargo test -p samoyeds-serve --test fleet_golden
+//! UPDATE_GOLDENS=1 cargo test --test goldens
 //! ```
 
-use samoyeds_gpu_sim::DeviceSpec;
-use samoyeds_kernels::samoyeds_kernel::SamoyedsOptions;
-use samoyeds_moe::attention::{attention_time_ms, AttentionKind};
-use samoyeds_moe::config::MoeModelConfig;
-use samoyeds_moe::engines::{Engine, EngineKind};
-use samoyeds_moe::router::TopKRouter;
-use samoyeds_serve::backend::attention_step_ms;
-use samoyeds_serve::batch::StepBatch;
-use samoyeds_serve::{
-    BurstPhase, BurstyTraceConfig, DisaggregationConfig, DispatchPolicy, ExecutionBackend,
-    FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController, FleetMetrics, KvLink,
-    MemoryModel, NoAutoscale, RecoveryPolicy, Request, RunningRequest, SchedulerConfig, SharedSink,
-    SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder,
+use samoyeds::dist::{
+    ClusterConfig, ClusterEngine, ClusterSimulator, ClusterTopology, FlowMatrix, LinkSpec,
+};
+use samoyeds::gpu_sim::DeviceSpec;
+use samoyeds::kernels::samoyeds_kernel::SamoyedsOptions;
+use samoyeds::moe::attention::{attention_time_ms, AttentionKind};
+use samoyeds::moe::config::MoeModelConfig;
+use samoyeds::moe::engines::{Engine, EngineKind};
+use samoyeds::moe::router::TopKRouter;
+use samoyeds::serve::backend::attention_step_ms;
+use samoyeds::serve::batch::StepBatch;
+use samoyeds::serve::{
+    BatchLimits, BurstPhase, BurstyTraceConfig, DisaggregationConfig, DispatchPolicy,
+    ExecutionBackend, FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController,
+    FleetMetrics, KvLink, MemoryModel, NoAutoscale, RecoveryPolicy, Request, RunningRequest,
+    Scheduler, SchedulerConfig, SharedSink, SimulationResult, SingleGpuBackend, SloAutoscaler,
+    TraceConfig, TraceEvent, TraceRecorder,
 };
 use std::fmt::Write;
 use std::path::Path;
@@ -665,10 +668,10 @@ fn render_layer_costs() -> String {
     out
 }
 
-/// Compare a freshly rendered price table with `tests/golden/<file>`, or
-/// rewrite the file under `UPDATE_GOLDENS=1`. On a mismatch, print the
-/// changed cells and the fresh table to paste in.
-fn check_price_table(file: &str, golden: &str, fresh: String) {
+/// Compare a freshly rendered table with `tests/golden/<file>`, or rewrite
+/// the file under `UPDATE_GOLDENS=1`. On a mismatch, print the changed
+/// cells and the fresh table to paste in.
+fn check_table(file: &str, golden: &str, fresh: String) {
     if updating_goldens() {
         update_golden(file, |_| fresh);
     } else if fresh != golden {
@@ -684,7 +687,7 @@ fn check_price_table(file: &str, golden: &str, fresh: String) {
             changed.join("\n")
         );
         panic!(
-            "prices differ from tests/golden/{file} (fresh table printed above); \
+            "cells differ from tests/golden/{file} (fresh table printed above); \
              rerun with UPDATE_GOLDENS=1 to rewrite it"
         );
     }
@@ -692,7 +695,7 @@ fn check_price_table(file: &str, golden: &str, fresh: String) {
 
 #[test]
 fn moe_layer_costs_match_the_golden_price_table() {
-    check_price_table(
+    check_table(
         "layer_costs.txt",
         include_str!("golden/layer_costs.txt"),
         render_layer_costs(),
@@ -794,9 +797,257 @@ fn render_attention_costs() -> String {
 
 #[test]
 fn attention_costs_match_the_golden_price_table() {
-    check_price_table(
+    check_table(
         "attention_costs.txt",
         include_str!("golden/attention_costs.txt"),
         render_attention_costs(),
+    );
+}
+
+/// One line for a single-GPU `Scheduler::run`: its counts, the bits of its
+/// makespan, peak memory and budget, and digests of every step's
+/// `(time_ms, memory_bytes, collective_ms)` bits and of the request records.
+fn scheduler_run_line(label: &str, run: &SimulationResult) -> String {
+    assert!(
+        run.steps.iter().all(|s| s.collective_ms == 0.0),
+        "{label}: a single GPU pays no collectives"
+    );
+    let step_bits: Vec<u8> = run
+        .steps
+        .iter()
+        .flat_map(|s| [s.time_ms, s.memory_bytes, s.collective_ms])
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    format!(
+        "{label} {:?} supported={} admitted={} completed={} rejected={} steps={} \
+         makespan_bits={:016x} peak_memory_bits={:016x} budget_bits={:016x} steps_fnv={:016x} \
+         completed_fnv={:016x} rejected_fnv={:016x} makespan_ms={:?}\n",
+        run.engine,
+        run.supported,
+        run.admitted,
+        run.completed.len(),
+        run.rejected.len(),
+        run.steps.len(),
+        run.makespan_ms.to_bits(),
+        run.peak_memory_bytes.to_bits(),
+        run.budget_bytes.to_bits(),
+        fnv1a(&step_bits),
+        fnv1a(format!("{:?}", run.completed).as_bytes()),
+        fnv1a(format!("{:?}", run.rejected).as_bytes()),
+        run.makespan_ms,
+    )
+}
+
+/// One line per single-GPU `Scheduler::run`: three device/model pairs × two
+/// traces × three engines on the default configuration, a run under tight
+/// batch limits with a custom routing seed, and an engine that cannot run
+/// its model (it rejects the whole trace without simulating a step).
+fn render_scheduler_runs() -> String {
+    let trace =
+        |num_requests, arrival_rate_rps, prompt_len_range, output_len_range, seed| TraceConfig {
+            num_requests,
+            arrival_rate_rps,
+            prompt_len_range,
+            output_len_range,
+            seed,
+        };
+    let (a100, rtx) = (DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super());
+    let (qwen, deepseek) = (MoeModelConfig::qwen2_moe(), MoeModelConfig::deepseek_moe());
+    let scfg = SchedulerConfig::default();
+    let mut out = String::new();
+    for (device_name, device, model) in [
+        ("a100", &a100, &qwen),
+        ("a100", &a100, &deepseek),
+        ("4070s", &rtx, &qwen),
+    ] {
+        for trace in [
+            trace(24, 12.0, (32, 256), (4, 24), 7),
+            trace(40, 4.0, (64, 512), (16, 64), 42),
+        ] {
+            let label = format!("{device_name} {} trace_seed={}", model.name, trace.seed);
+            let requests = trace.generate();
+            for engine in [
+                EngineKind::Samoyeds,
+                EngineKind::Transformers,
+                EngineKind::VllmDs,
+            ] {
+                let run =
+                    Scheduler::new(device.clone(), model.clone(), engine, scfg).run(&requests);
+                out += &scheduler_run_line(&label, &run);
+            }
+        }
+    }
+    let tight = SchedulerConfig {
+        limits: BatchLimits {
+            max_batched_tokens: 96,
+            max_running: 3,
+            prefill_chunk: 48,
+        },
+        routing_seed: 1234,
+        ..scfg
+    };
+    let run = Scheduler::new(a100.clone(), qwen, EngineKind::Samoyeds, tight)
+        .run(&trace(20, 20.0, (16, 200), (2, 12), 99).generate());
+    out += &scheduler_run_line(
+        "a100 Qwen2-MoE tight_limits routing_seed=1234 trace_seed=99",
+        &run,
+    );
+    // OpenMoE's ReLU activation has no vLLM-DS kernels.
+    let five = TraceConfig {
+        num_requests: 5,
+        ..TraceConfig::default()
+    };
+    let run = Scheduler::new(
+        a100,
+        MoeModelConfig::openmoe_34b(),
+        EngineKind::VllmDs,
+        scfg,
+    )
+    .run(&five.generate());
+    out += &scheduler_run_line("a100 OpenMoE-34B unsupported", &run);
+    out
+}
+
+#[test]
+fn single_gpu_scheduler_runs_match_the_golden_table() {
+    check_table(
+        "scheduler_runs.txt",
+        include_str!("golden/scheduler_runs.txt"),
+        render_scheduler_runs(),
+    );
+}
+
+/// Both NVLink generations, PCIe and the InfiniBand spine.
+fn link_presets() -> [LinkSpec; 4] {
+    [
+        LinkSpec::nvlink3(),
+        LinkSpec::nvlink4(),
+        LinkSpec::pcie_gen4(),
+        LinkSpec::infiniband_ndr(),
+    ]
+}
+
+/// Uniform, skewed, one-hot, empty and single-GPU exchanges. Byte values
+/// are integer-valued, as every real flow is a token count times an
+/// integer token width.
+fn flow_patterns() -> Vec<(&'static str, FlowMatrix)> {
+    let mut uniform = FlowMatrix::new(4);
+    for s in 0..4 {
+        for d in 0..4 {
+            uniform.add(s, d, 4096.0 * 131.0);
+        }
+    }
+    // GPU 0 is the hot owner (the imbalanced-expert shape).
+    let mut skewed = FlowMatrix::new(4);
+    for s in 1..4 {
+        skewed.add(s, 0, 4096.0 * (977.0 + s as f64));
+        skewed.add(0, s, 4096.0 * 13.0);
+    }
+    let mut one_hot = FlowMatrix::new(8);
+    one_hot.add(6, 1, 4096.0 * 50021.0);
+    vec![
+        ("uniform", uniform),
+        ("skewed", skewed),
+        ("one-hot", one_hot),
+        ("empty", FlowMatrix::new(4)),
+        ("single-gpu", FlowMatrix::new(1)),
+    ]
+}
+
+/// One line per collective price: a flat topology and
+/// `LinkSpec::all_to_all_ms` over each preset and flow pattern, then over
+/// skewed per-GPU send/recv vectors, then the collective legs of
+/// capacity-greedy Qwen2-MoE cluster steps across devices, engines, pod
+/// sizes, fabrics and routing skews.
+fn render_collective_costs() -> String {
+    let mut out = String::new();
+    for link in link_presets() {
+        for (pattern, flows) in flow_patterns() {
+            let n = flows.gpus();
+            let send: Vec<f64> = (0..n).map(|g| flows.sent_by(g)).collect();
+            let recv: Vec<f64> = (0..n).map(|g| flows.received_by(g)).collect();
+            let flat = ClusterTopology::flat(n, link.clone()).all_to_all_ms(&flows);
+            let direct = link.all_to_all_ms(&send, &recv);
+            assert_eq!(flat.total_ms(), direct, "{} {pattern}", link.name);
+            assert_eq!(flat.spine_ms, 0.0);
+            assert_eq!(flat.override_ms, 0.0);
+            assert_eq!(flat.cross_island_bytes, 0.0);
+            writeln!(
+                out,
+                "{} {pattern} gpus={n} flat_bits={:016x} link_bits={:016x} ms={direct:?}",
+                link.name,
+                flat.total_ms().to_bits(),
+                direct.to_bits()
+            )
+            .unwrap();
+        }
+        // Each GPU sends its whole budget to its neighbour, so the flat
+        // topology sees exactly `send` as row sums; the direct form takes
+        // a recv-heavy vector too.
+        let send = [6.0e8, 0.0, 3.2e7, 1.6e5];
+        let recv = [0.0, 5.9e8, 4.1e7, 2.0e5];
+        let mut ring = FlowMatrix::new(4);
+        for (g, &bytes) in send.iter().enumerate() {
+            ring.add(g, (g + 1) % 4, bytes);
+        }
+        let flat = ClusterTopology::flat(4, link.clone()).all_to_all_ms(&ring);
+        let direct = link.all_to_all_ms(&send, &recv);
+        writeln!(
+            out,
+            "{} skewed-vectors ring_flat_bits={:016x} link_bits={:016x} ms={direct:?}",
+            link.name,
+            flat.total_ms().to_bits(),
+            direct.to_bits()
+        )
+        .unwrap();
+    }
+    let model = MoeModelConfig::qwen2_moe();
+    let (a100, rtx) = (DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super());
+    let cells = ClusterEngine::all()
+        .map(|engine| ("a100", &a100, engine))
+        .into_iter()
+        .chain([("4070s", &rtx, ClusterEngine::Samoyeds)]);
+    for (device_name, device, engine) in cells {
+        for gpus in [2usize, 4, 8] {
+            for link in link_presets() {
+                for skew in [0.0f64, 1.5] {
+                    let plan = TopKRouter::for_config(&model, 7).with_skew(skew).route(768);
+                    let sim = ClusterSimulator::new(
+                        ClusterConfig::new(device.clone(), gpus, engine).with_link(link.clone()),
+                        model.clone(),
+                    );
+                    let placement = sim.placement_for(&plan).unwrap();
+                    // Capacity-greedy replicates nothing: every expert's
+                    // tokens go to its sole owner.
+                    assert!(placement
+                        .replica_counts(model.num_experts)
+                        .iter()
+                        .all(|&c| c == 1));
+                    let step = sim.step_with_placement(&plan, placement).unwrap();
+                    writeln!(
+                        out,
+                        "{device_name} {} gpus={gpus} {} skew={skew} all_to_all_bits={:016x} \
+                         intra_bits={:016x} spine_bits={:016x} all_to_all_ms={:?}",
+                        engine.name(),
+                        link.name,
+                        step.all_to_all_ms.to_bits(),
+                        step.intra_island_ms.to_bits(),
+                        step.spine_ms.to_bits(),
+                        step.all_to_all_ms
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn collective_costs_match_the_golden_price_table() {
+    check_table(
+        "collective_costs.txt",
+        include_str!("golden/collective_costs.txt"),
+        render_collective_costs(),
     );
 }
