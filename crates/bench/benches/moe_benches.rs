@@ -1,9 +1,10 @@
 //! Criterion benches over the MoE-layer and decoder-layer cost evaluation
-//! (Figures 14-16), the routing substrate, and the per-step pricing a
-//! serving replica pays: `SingleGpuBackend::step_cost` on a
-//! `fleet_poisson`-shaped step and on a short decode step, and its layers,
-//! `attention_step_ms` and `Engine::moe_layer_cost_for_loads` on an engine
-//! reused across calls.
+//! (Figures 14-16), the routing substrate (the full plan, and the
+//! counts-only `route_loads_seeded` at a single-GPU and a pod step's
+//! shape), and the per-step pricing a serving replica pays:
+//! `SingleGpuBackend::step_cost` on a `fleet_poisson`-shaped step and on a
+//! short decode step, and its layers, `attention_step_ms` and
+//! `Engine::moe_layer_cost_for_loads` on an engine reused across calls.
 //!
 //! Run with `BENCH_JSON=<absolute path>` to also write the results as one
 //! JSON document (CI uploads it as the `BENCH_moe` artifact, ungated).
@@ -50,6 +51,26 @@ fn bench_router(c: &mut Criterion) {
     c.bench_function("router_4096_tokens_64_experts", |b| {
         b.iter(|| router.route(4096))
     });
+    // The counts-only draw at the two shapes serving steps route, on
+    // Qwen2-MoE: a `fleet_poisson`-shaped single-GPU step (206 tokens, one
+    // rank) and a 4-GPU pod's 512-token prefill step.
+    let router = TopKRouter::for_config(&MoeModelConfig::qwen2_moe(), 7);
+    let mut group = c.benchmark_group("route_loads_seeded");
+    for (tokens, ranks) in [(206usize, 1usize), (512, 4)] {
+        group.bench_with_input(
+            BenchmarkId::new("qwen2", format!("tokens{tokens}_ranks{ranks}")),
+            &(tokens, ranks),
+            |b, &(t, r)| {
+                // A fresh routing seed every iteration, as in a serving run.
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    router.route_loads_seeded(seed, t, r)
+                })
+            },
+        );
+    }
+    group.finish();
 }
 
 /// A request of `prompt_len` prompt tokens with `prefilled` of them

@@ -577,10 +577,10 @@ impl RecoveryPlan {
 /// if none is given. The resulting transfer is priced as one all-to-all
 /// over `topology`, honoring dedicated pair links.
 ///
-/// Errors if `crashed_gpu` or `checkpoint_gpu` is out of range, if no
-/// survivor remains, if a sole-copy expert is lost without a
-/// `checkpoint_gpu`, or if the surviving GPUs lack the memory headroom to
-/// absorb the lost experts.
+/// Errors if `crashed_gpu` or `checkpoint_gpu` is out of range, if
+/// `checkpoint_gpu` is the crashed GPU, if no survivor remains, if a
+/// sole-copy expert is lost without a `checkpoint_gpu`, or if the surviving
+/// GPUs lack the memory headroom to absorb the lost experts.
 #[allow(
     clippy::too_many_arguments,
     reason = "the crash, its loads, the topology and the memory budget are independent inputs"
@@ -604,6 +604,11 @@ pub fn replan_after_crash(
     if let Some(checkpoint) = checkpoint_gpu.filter(|&g| g >= num_gpus) {
         return Err(SparseError::config(format!(
             "checkpoint GPU {checkpoint} out of range for a {num_gpus}-GPU placement"
+        )));
+    }
+    if checkpoint_gpu == Some(crashed_gpu) {
+        return Err(SparseError::config(format!(
+            "checkpoint GPU {crashed_gpu} is the crashed GPU"
         )));
     }
     if num_gpus < 2 {
@@ -880,6 +885,38 @@ mod tests {
             .unwrap_err();
             assert!(err.to_string().contains("out of range"), "{err}");
         }
+    }
+
+    #[test]
+    fn replan_rejects_the_crashed_gpu_as_its_checkpoint() {
+        use crate::link::LinkSpec;
+        use crate::topology::ClusterTopology;
+        // The fault sweep's recovery: 2×4 capacity-greedy Qwen2-MoE on
+        // A100, uniform loads, GPU 0 crashed. A checkpoint staged behind
+        // the dead GPU cannot stream the sole-copy experts it lost.
+        let (memory, config) = qwen_on_a100();
+        let loads = vec![1_024usize; config.num_experts];
+        let topology =
+            ClusterTopology::symmetric(2, 4, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr())
+                .unwrap();
+        let placement = PlacementStrategy::CapacityGreedy
+            .place_on(&loads, &topology, &memory, 1_024, 1_024)
+            .unwrap();
+        let replan = |checkpoint| {
+            replan_after_crash(
+                &placement,
+                0,
+                &loads,
+                &topology,
+                &memory,
+                1_024,
+                1_024,
+                Some(checkpoint),
+            )
+        };
+        let err = replan(0).unwrap_err();
+        assert!(err.to_string().contains("crashed GPU"), "{err}");
+        assert!(replan(4).is_ok());
     }
 
     #[test]

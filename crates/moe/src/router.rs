@@ -10,11 +10,11 @@
 //! engines, §6.3).
 
 use crate::config::MoeModelConfig;
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use samoyeds_sparse::{Result, SelectionArray, SparseError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The routing decision for one batch of tokens.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,6 +100,27 @@ impl RoutingPlan {
             }
         }
         loads
+    }
+}
+
+/// One 64-bit word of the uniform sampler: the Fisher–Yates positions it
+/// decodes, the product `P` of their spans, and the rejection threshold
+/// `2^64 mod P`, computed once per routing call.
+#[derive(Debug, PartialEq)]
+struct Word {
+    positions: Range<usize>,
+    product: u64,
+    threshold: u64,
+}
+
+impl Word {
+    fn new(positions: Range<usize>, product: u64) -> Self {
+        Self {
+            positions,
+            product,
+            // `2^64 - P` and `2^64` agree modulo `P`.
+            threshold: product.wrapping_neg() % product,
+        }
     }
 }
 
@@ -234,23 +255,66 @@ impl TopKRouter {
         loads
     }
 
+    /// The uniform sampler's 64-bit words per token: the Fisher–Yates
+    /// positions `0..top_k` grouped greedily, in order, so that the product
+    /// of each word's spans `num_experts - i` stays at most 2^32 (a lone
+    /// span above that still gets a word of its own). The cap keeps a
+    /// word's rejection chance, below `P / 2^64`, under 2^-32. Qwen2-MoE,
+    /// Mixtral, MiniCPM and OpenMoE need one word per token, DeepSeek-MoE's
+    /// top-6-of-64 two.
+    fn words(&self) -> Vec<Word> {
+        let mut words = Vec::new();
+        let mut start = 0;
+        let mut product = 1u64;
+        for i in 0..self.top_k {
+            let span = (self.num_experts - i) as u64;
+            if i > start && product.saturating_mul(span) > 1 << 32 {
+                words.push(Word::new(start..i, product));
+                start = i;
+                product = 1;
+            }
+            product *= span;
+        }
+        if start < self.top_k {
+            words.push(Word::new(start..self.top_k, product));
+        }
+        words
+    }
+
     /// The expert draws behind both routing outputs: for each token in
     /// order, draw its `top_k` distinct experts from `rng` and hand them to
     /// `visit`.
     ///
     /// Uniform routing is a partial Fisher–Yates shuffle over one expert
     /// array kept for the whole call: position `i` swaps with a uniform
-    /// pick from `i..num_experts`, for `i` in `0..top_k`, so a token costs
-    /// `top_k` draws. Whatever order the previous token left, the first
-    /// `top_k` positions are then a uniform draw of `top_k` distinct
-    /// experts. Skewed routing samples without replacement from the Zipf
-    /// popularity, one draw per pick.
-    fn sample(&self, rng: &mut ChaCha8Rng, num_tokens: usize, mut visit: impl FnMut(&[usize])) {
+    /// pick from `i..num_experts`, for `i` in `0..top_k`. Whatever order
+    /// the previous token left, the first `top_k` positions are then a
+    /// uniform draw of `top_k` distinct experts. The picks are decoded from
+    /// whole 64-bit words ([`Self::words`]), not drawn one by one: position
+    /// `i` multiplies the word `x` by its span, picks `i` plus the high
+    /// half and carries the low half on to the next position, so a word's
+    /// picks are the mixed-radix digits of `⌊x·P / 2^64⌋`, `P` being the
+    /// product of its spans. A word whose `x·P mod 2^64` falls below
+    /// `2^64 mod P` is redrawn (Lemire's rejection); that leaves each of
+    /// the `P` digit tuples exactly `⌊2^64 / P⌋` accepted words, so every
+    /// ordered tuple of picks is exactly equally likely. Skewed routing
+    /// samples without replacement from the Zipf popularity, one draw per
+    /// pick.
+    fn sample<R: RngCore>(&self, rng: &mut R, num_tokens: usize, mut visit: impl FnMut(&[usize])) {
         if self.skew == 0.0 {
+            let words = self.words();
             let mut experts: Vec<usize> = (0..self.num_experts).collect();
             for _ in 0..num_tokens {
-                for i in 0..self.top_k {
-                    experts.swap(i, rng.gen_range(i..self.num_experts));
+                for word in &words {
+                    let mut x = rng.next_u64();
+                    while x.wrapping_mul(word.product) < word.threshold {
+                        x = rng.next_u64();
+                    }
+                    for i in word.positions.clone() {
+                        let wide = u128::from(x) * (self.num_experts - i) as u128;
+                        experts.swap(i, i + (wide >> 64) as usize);
+                        x = wide as u64;
+                    }
                 }
                 visit(&experts[..self.top_k]);
             }
@@ -534,6 +598,31 @@ mod tests {
     }
 
     #[test]
+    fn first_tokens_draw_every_ordered_pair_equally() {
+        // The pins above see each token after the array has mixed, and a
+        // mixed array makes a token's experts uniform whatever the decode.
+        // A call's first token starts from the identity array instead, where
+        // each ordered pair of 8 experts comes from exactly one pair of
+        // digits: 28k one-token calls, seeded from the fixed seed's stream,
+        // 500 expected per ordered pair, df 55.
+        let router = TopKRouter::new(8, 2, 0).unwrap();
+        for seed in SEEDS {
+            let mut seeds = ChaCha8Rng::seed_from_u64(seed);
+            let mut pairs = [[0usize; 8]; 8];
+            for _ in 0..28_000 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seeds.next_u64());
+                router.sample(&mut rng, 1, |c| pairs[c[0]][c[1]] += 1);
+            }
+            let observed: Vec<usize> = (0..8)
+                .flat_map(|a| (0..8).filter(move |&b| b != a).map(move |b| (a, b)))
+                .map(|(a, b)| pairs[a][b])
+                .collect();
+            let chi2 = chi_square(&observed, &[500.0; 56]);
+            assert!(chi2 < 119.9, "seed {seed}: chi2 {chi2}");
+        }
+    }
+
+    #[test]
     fn consecutive_tokens_overlap_hypergeometrically() {
         // The expert array carries over from token to token, yet each
         // token's top-4-of-60 set must be independent of the one before:
@@ -559,6 +648,138 @@ mod tests {
                 chi2 < 27.6,
                 "seed {seed}: chi2 {chi2} observed {observed:?}"
             );
+        }
+    }
+
+    #[test]
+    fn deepseek_top6_loads_pass_chi_square() {
+        // DeepSeek-MoE's top-6-of-64, the two-word path: 32k tokens, 3,000
+        // expected per expert, df 63.
+        let router = TopKRouter::for_config(&MoeModelConfig::deepseek_moe(), 0);
+        assert_eq!(router.words().len(), 2);
+        for seed in SEEDS {
+            let chi2 = chi_square(&router.route_loads_seeded(seed, 32_000, 1), &[3_000.0; 64]);
+            assert!(chi2 < 131.4, "seed {seed}: chi2 {chi2}");
+        }
+    }
+
+    /// An `RngCore` that replays chosen words.
+    struct Words(std::vec::IntoIter<u64>);
+
+    impl RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("the test supplies every word drawn")
+        }
+    }
+
+    /// One token's picks from a fresh expert array, by the definition the
+    /// sampler must meet: each word `x` is the number `⌊x·P / 2^64⌋`, whose
+    /// mixed-radix digits (radix `num_experts - i` at position `i`, the
+    /// first position most significant) are the Fisher–Yates offsets.
+    fn mixed_radix_picks(num_experts: usize, words: &[(Range<usize>, u64)]) -> Vec<usize> {
+        let mut experts: Vec<usize> = (0..num_experts).collect();
+        for (positions, x) in words {
+            let product: u128 = positions
+                .clone()
+                .map(|i| (num_experts - i) as u128)
+                .product();
+            let mut value = (u128::from(*x) * product) >> 64;
+            let mut offsets = vec![0; positions.len()];
+            for (slot, i) in offsets.iter_mut().zip(positions.clone()).rev() {
+                let span = (num_experts - i) as u128;
+                *slot = (value % span) as usize;
+                value /= span;
+            }
+            for (i, offset) in positions.clone().zip(offsets) {
+                experts.swap(i, i + offset);
+            }
+        }
+        experts.truncate(words.last().map_or(0, |(p, _)| p.end));
+        experts
+    }
+
+    #[test]
+    fn a_token_takes_the_mixed_radix_digits_of_its_words() {
+        let drawn = |router: &TopKRouter, words: Vec<u64>| {
+            let mut picks = Vec::new();
+            router.sample(&mut Words(words.into_iter()), 1, |c| picks = c.to_vec());
+            picks
+        };
+        let xs = [
+            0x0123_4567_89ab_cdef,
+            0xfedc_ba98_7654_3210,
+            u64::MAX,
+            (1 << 63) + 1,
+            0x9e37_79b9_7f4a_7c15,
+        ];
+        // Qwen2-MoE, one word per token.
+        let qwen = TopKRouter::new(60, 4, 0).unwrap();
+        for x in xs {
+            assert_eq!(drawn(&qwen, vec![x]), mixed_radix_picks(60, &[(0..4, x)]));
+        }
+        // DeepSeek-MoE, positions 0..5 from the first word, 5 from the second.
+        let deepseek = TopKRouter::new(64, 6, 0).unwrap();
+        for (x, y) in xs.into_iter().zip(xs.into_iter().rev()) {
+            assert_eq!(
+                drawn(&deepseek, vec![x, y]),
+                mixed_radix_picks(64, &[(0..5, x), (5..6, y)])
+            );
+        }
+        // A word whose low half `x·P mod 2^64` falls below `2^64 mod P` is
+        // skipped whole: Mixtral's P = 56 has threshold 16, and 0 and 2^61
+        // (2^61 · 56 = 7 · 2^64) are two such words.
+        let mixtral = TopKRouter::new(8, 2, 0).unwrap();
+        assert_eq!(mixtral.words()[0].threshold, 16);
+        for x in xs {
+            let expected = mixed_radix_picks(8, &[(0..2, x)]);
+            assert_eq!(drawn(&mixtral, vec![0, 1 << 61, x]), expected);
+        }
+    }
+
+    #[test]
+    fn every_shipped_config_groups_its_draws_into_pinned_words() {
+        let pinned = [
+            ("Qwen2-MoE", vec![(0..4, 60 * 59 * 58 * 57)]),
+            (
+                "DeepSeek-MoE",
+                vec![(0..5, 64 * 63 * 62 * 61 * 60), (5..6, 59)],
+            ),
+            ("MiniCPM-MoE", vec![(0..2, 8 * 7)]),
+            ("OpenMoE-34B", vec![(0..2, 32 * 31)]),
+            ("Mixtral-8x7B", vec![(0..2, 8 * 7)]),
+            ("Mixtral-8x22B", vec![(0..2, 8 * 7)]),
+        ];
+        let configs = MoeModelConfig::table2();
+        assert_eq!(configs.len(), pinned.len());
+        for (config, (name, words)) in configs.iter().zip(pinned) {
+            assert_eq!(config.name, name);
+            let expected: Vec<Word> = words
+                .into_iter()
+                .map(|(positions, product)| Word {
+                    positions,
+                    product,
+                    threshold: ((1u128 << 64) % u128::from(product)) as u64,
+                })
+                .collect();
+            assert_eq!(
+                TopKRouter::for_config(config, 0).words(),
+                expected,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn top_k_of_every_expert_routes_every_token_everywhere() {
+        // 8! fits one word; 16! takes two (16·15·…·8 ≤ 2^32, then 7!).
+        for (experts, words) in [(8usize, 1usize), (16, 2)] {
+            let router = TopKRouter::new(experts, experts, 0).unwrap();
+            assert_eq!(router.words().len(), words);
+            for seed in SEEDS {
+                assert_eq!(router.route_loads_seeded(seed, 101, 1), vec![101; experts]);
+                let plan = router.route_seeded(seed, 101);
+                assert!(plan.expert_tokens.iter().all(|t| t.len() == 101));
+            }
         }
     }
 
