@@ -2,7 +2,9 @@
 //! count-based dispatch and all-to-all accounting at increasing GPU counts,
 //! plus the whole per-step price a serving pod pays,
 //! `ClusterBackend::step_cost` (routing to per-(expert, source rank)
-//! counts, placement and the cluster step), at increasing prefill sizes.
+//! counts, placement and the cluster step), at increasing prefill sizes,
+//! and that price's fixed part without the routing: `place_on` and
+//! `step_with_rank_loads` on a 512-token prefill.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use samoyeds_dist::{
@@ -83,15 +85,18 @@ fn bench_hierarchical_step(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cluster_backend_step_cost(c: &mut Criterion) {
-    // The prefill pod of fleetbench's `pods_disagg_faults` workload: 4
-    // A100s in 2×2 NVLink 3 islands over an InfiniBand NDR spine.
+/// The prefill pod of fleetbench's `pods_disagg_faults` workload: 4 A100s
+/// in 2×2 NVLink 3 islands over an InfiniBand NDR spine.
+fn prefill_pod() -> ClusterConfig {
     let topology =
         ClusterTopology::symmetric(2, 2, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr())
             .expect("valid layout");
+    ClusterConfig::new(DeviceSpec::a100_40g(), 4, ClusterEngine::Samoyeds).with_topology(topology)
+}
+
+fn bench_cluster_backend_step_cost(c: &mut Criterion) {
     let backend = ClusterBackend::new(
-        ClusterConfig::new(DeviceSpec::a100_40g(), 4, ClusterEngine::Samoyeds)
-            .with_topology(topology),
+        prefill_pod(),
         MoeModelConfig::qwen2_moe(),
         &SchedulerConfig::default(),
     );
@@ -131,11 +136,61 @@ fn bench_cluster_backend_step_cost(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_pod_fixed_cost(c: &mut Criterion) {
+    // What `ClusterBackend::step_cost` pays per 512-token prefill on the
+    // prefill pod besides routing: the router's counts for a ring of step
+    // seeds are drawn before timing.
+    let sim = ClusterSimulator::new(prefill_pod(), MoeModelConfig::qwen2_moe());
+    let seed = SchedulerConfig::default().routing_seed;
+    let router = TopKRouter::for_config(sim.model(), seed);
+    let (tokens, gpus) = (512usize, sim.cluster().num_gpus);
+    // A lone fresh prefill holds no KV yet and puts a quarter of its
+    // tokens on each GPU.
+    let (kv_local, step_local) = (0, tokens.div_ceil(gpus));
+    let steps: Vec<(Vec<usize>, Vec<usize>)> = (1..=64u64)
+        .map(|step_index| {
+            let rank_loads = router.route_loads_seeded(seed ^ step_index, tokens, gpus);
+            let loads = rank_loads
+                .chunks_exact(gpus)
+                .map(|row| row.iter().sum())
+                .collect();
+            (rank_loads, loads)
+        })
+        .collect();
+    let place = |loads: &[usize]| {
+        sim.cluster()
+            .strategy
+            .place_on(loads, sim.topology(), sim.memory(), kv_local, step_local)
+            .expect("the prefill pod places a 512-token step")
+    };
+    let mut group = c.benchmark_group("pod_fixed_cost");
+    group.bench_function("place_on/prefill_tokens_512", |b| {
+        let mut ring = steps.iter().cycle();
+        b.iter(|| place(&ring.next().expect("a non-empty ring").1))
+    });
+    let placed: Vec<_> = steps
+        .iter()
+        .map(|(rank_loads, loads)| (rank_loads, place(loads)))
+        .collect();
+    group.bench_function("step_with_rank_loads/prefill_tokens_512", |b| {
+        let mut ring = placed.iter().cycle();
+        b.iter(|| {
+            let (rank_loads, placement) = ring.next().expect("a non-empty ring");
+            // The step takes its placement by value, so every iteration
+            // also times a clone of it.
+            sim.step_with_rank_loads(tokens, rank_loads, placement.clone())
+                .expect("the placement serves its own counts")
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cluster_step,
     bench_placement_strategies,
     bench_hierarchical_step,
-    bench_cluster_backend_step_cost
+    bench_cluster_backend_step_cost,
+    bench_pod_fixed_cost
 );
 criterion_main!(benches);

@@ -233,15 +233,6 @@ impl ClusterSimulator {
         &self.memory
     }
 
-    /// Tokens resident on each GPU for a batch of `tokens` (interleaved
-    /// residency: token `t` on GPU `t mod g`).
-    fn local_tokens(&self, tokens: usize) -> Vec<usize> {
-        let g = self.cluster.num_gpus;
-        (0..g)
-            .map(|gpu| tokens / g + usize::from(gpu < tokens % g))
-            .collect()
-    }
-
     /// Predicted per-expert cost profile (nanoseconds) under this cluster's
     /// engine — what a load-aware placement actually needs to balance. Raw
     /// token counts are a poor proxy: the SEL-driven kernels pay a
@@ -323,6 +314,12 @@ impl ClusterSimulator {
     /// [`TopKRouter::route_loads_seeded`](samoyeds_moe::router::TopKRouter::route_loads_seeded):
     /// entry `e * g + r` counts expert `e`'s tokens that start on rank `r`.
     ///
+    /// Each GPU's compute is its replicas' token counts priced as one
+    /// routed shard over the full batch, plus the replicated shared experts
+    /// over the GPU's local tokens. Local shares differ by at most one
+    /// token, so the shared experts are priced once per distinct share (at
+    /// most twice a step), not once per GPU.
+    ///
     /// Errors if the topology or the placement spans a different number
     /// of GPUs than the cluster, if the topology is invalid, if the
     /// matrix's length is not a multiple of `g`, or if the placement
@@ -357,21 +354,33 @@ impl ClusterSimulator {
         // Routed experts: each GPU prices its replicas' token counts; the SEL
         // arrays index the global token batch, so `num_tokens` stays the
         // full batch. Shared experts are replicated and run over the GPU's
-        // local tokens only.
-        let locals = self.local_tokens(num_tokens);
+        // local tokens only: with token `t` on GPU `t mod g`, GPU `r` hosts
+        // `base` tokens, plus one if `r < extra`.
+        let shared_ms = |local: usize| {
+            (self.model.num_shared_experts > 0 && local > 0).then(|| {
+                self.engine
+                    .moe_layer_cost_for_loads(&self.model, local, &[])
+                    .time_ms
+            })
+        };
+        let (base, extra) = (num_tokens / g, num_tokens % g);
+        let shared_short = shared_ms(base);
+        let shared_long = if extra > 0 { shared_ms(base + 1) } else { None };
         let per_gpu_compute_ms: Vec<f64> = loads
             .iter()
-            .zip(locals)
-            .map(|(gpu_loads, local)| {
+            .enumerate()
+            .map(|(gpu, gpu_loads)| {
                 let mut ms = self
                     .engine
                     .moe_layer_cost_for_loads(&self.routed_model, num_tokens, gpu_loads)
                     .time_ms;
-                if self.model.num_shared_experts > 0 && local > 0 {
-                    ms += self
-                        .engine
-                        .moe_layer_cost_for_loads(&self.model, local, &[])
-                        .time_ms;
+                let shared = if gpu < extra {
+                    shared_long
+                } else {
+                    shared_short
+                };
+                if let Some(shared) = shared {
+                    ms += shared;
                 }
                 ms
             })
@@ -413,8 +422,16 @@ impl ClusterSimulator {
     /// itself, else those in `r`'s island, else all of them. Each of these
     /// `k` replicas, in assignment order, takes `⌊n/k⌋`; the `n mod k`
     /// leftovers go one each to the replicas from index `r mod k` on,
-    /// wrapping around. Every flow is an exact integer in f64, so the
-    /// order of accumulation cannot change a bit.
+    /// wrapping around. At `k = 1` the rule gives the one nearest replica
+    /// all `n` tokens, so that case skips the division. Under the shipped
+    /// [`PlacementStrategy`]s it covers every cell of a placement that
+    /// replicates nothing, and every cell a replicated expert serves from
+    /// `r` itself or from `r`'s island. Every flow is an exact integer in
+    /// f64, so the order of accumulation cannot change a bit.
+    ///
+    /// The expert → replica index is one flat expert-major array, built
+    /// per call by counting each expert's replicas and then filling them
+    /// in assignment order, so no expert allocates a list of its own.
     fn dispatch(
         &self,
         rank_loads: &[usize],
@@ -422,32 +439,46 @@ impl ClusterSimulator {
     ) -> Result<(Vec<Vec<usize>>, FlowMatrix)> {
         let g = self.cluster.num_gpus;
         let experts = rank_loads.len() / g;
-        // Every replica of each expert as (rank, slot in the rank's owned
-        // list), in assignment order.
-        let mut replicas: Vec<Vec<(usize, usize)>> = vec![Vec::new(); experts];
-        for (rank, owned) in placement.assignments().iter().enumerate() {
+        let assignments = placement.assignments();
+        // Expert `e`'s replicas, as (rank, slot in the rank's owned list) in
+        // assignment order, are `replicas[offsets[e]..offsets[e + 1]]`.
+        let mut offsets = vec![0usize; experts + 1];
+        for &e in assignments.iter().flatten() {
+            if e >= experts {
+                return Err(SparseError::config(format!(
+                    "expert {e} out of range (plan has {experts})"
+                )));
+            }
+            offsets[e + 1] += 1;
+        }
+        for e in 0..experts {
+            offsets[e + 1] += offsets[e];
+        }
+        let mut replicas = vec![(0, 0); offsets[experts]];
+        for (rank, owned) in assignments.iter().enumerate() {
             for (slot, &e) in owned.iter().enumerate() {
-                if e >= experts {
-                    return Err(SparseError::config(format!(
-                        "expert {e} out of range (plan has {experts})"
-                    )));
-                }
-                replicas[e].push((rank, slot));
+                replicas[offsets[e]] = (rank, slot);
+                offsets[e] += 1;
             }
         }
+        // The fill advanced each offset to its expert's end, which is the
+        // next expert's start: shift them back by one.
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+
         let island_of = self.cluster.topology.island_lookup();
         let token_bytes = self.model.hidden_size as f64 * 2.0;
-        let mut loads: Vec<Vec<usize>> = placement
-            .assignments()
+        let mut loads: Vec<Vec<usize>> = assignments
             .iter()
             .map(|owned| vec![0; owned.len()])
             .collect();
         let mut flows = FlowMatrix::new(g);
-        for (e, (from, replicas)) in rank_loads.chunks_exact(g).zip(&replicas).enumerate() {
+        for (e, from) in rank_loads.chunks_exact(g).enumerate() {
             let routed: usize = from.iter().sum();
             if routed == 0 {
                 continue;
             }
+            let replicas = &replicas[offsets[e]..offsets[e + 1]];
             if replicas.is_empty() {
                 return Err(SparseError::config(format!(
                     "expert {e} has {routed} routed tokens but no rank owns it"
@@ -458,14 +489,26 @@ impl ClusterSimulator {
                 let distance = |rank: usize| {
                     usize::from(rank != src) + usize::from(island_of[rank] != island_of[src])
                 };
-                let nearest = replicas.iter().map(|&(rank, _)| distance(rank)).min();
-                let near = || {
-                    replicas
-                        .iter()
-                        .filter(|&&(rank, _)| Some(distance(rank)) == nearest)
-                };
-                let k = near().count();
-                for (i, &(rank, slot)) in near().enumerate() {
+                // The nearest tier, its first replica and its size `k`.
+                let (mut nearest, mut first, mut k) = (usize::MAX, replicas[0], 0);
+                for &(rank, slot) in replicas {
+                    let d = distance(rank);
+                    if d < nearest {
+                        (nearest, first, k) = (d, (rank, slot), 1);
+                    } else if d == nearest {
+                        k += 1;
+                    }
+                }
+                if k == 1 {
+                    let (rank, slot) = first;
+                    loads[rank][slot] += n;
+                    flows.add(src, rank, n as f64 * token_bytes);
+                    continue;
+                }
+                let near = replicas
+                    .iter()
+                    .filter(|&&(rank, _)| distance(rank) == nearest);
+                for (i, &(rank, slot)) in near.enumerate() {
                     let share = n / k + usize::from((i + k - src % k) % k < n % k);
                     loads[rank][slot] += share;
                     flows.add(src, rank, share as f64 * token_bytes);

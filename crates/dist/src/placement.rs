@@ -291,7 +291,16 @@ impl PlacementStrategy {
         }
         let num_experts = loads.len();
         let capacity = memory.max_experts_per_gpu(resident_tokens, step_tokens);
-        let mut gpu_experts: Vec<Vec<usize>> = vec![Vec::new(); num_gpus];
+        let mut gpu_experts: Vec<Vec<usize>> = (0..num_gpus)
+            .map(|_| Vec::with_capacity(num_experts.min(capacity)))
+            .collect();
+        // Experts in descending load order, ties by id. The key is unique,
+        // so an unstable sort gives the one order.
+        let by_load = || {
+            let mut order: Vec<usize> = (0..num_experts).collect();
+            order.sort_unstable_by_key(|&e| (std::cmp::Reverse(loads[e]), e));
+            order
+        };
 
         // The one tie-breaking rule every pass uses: least effective load,
         // then fewest owned experts, then lowest GPU id.
@@ -344,36 +353,28 @@ impl PlacementStrategy {
                 }
             }
             PlacementStrategy::CapacityGreedy => {
-                let mut order: Vec<usize> = (0..num_experts).collect();
-                order.sort_by_key(|&e| (std::cmp::Reverse(loads[e]), e));
                 let mut effective = vec![0.0f64; num_gpus];
-                greedy(&mut order.into_iter(), &mut gpu_experts, &mut effective)?;
+                greedy(&mut by_load().into_iter(), &mut gpu_experts, &mut effective)?;
             }
             PlacementStrategy::ReplicateHot { hot } => {
-                let mut order: Vec<usize> = (0..num_experts).collect();
-                order.sort_by_key(|&e| (std::cmp::Reverse(loads[e]), e));
-                let hot_set: Vec<usize> = order.iter().take(*hot).copied().collect();
+                let order = by_load();
+                let (hot_set, cold) = order.split_at((*hot).min(num_experts));
                 let mut effective = vec![0.0f64; num_gpus];
-                for &e in &hot_set {
+                for &e in hot_set {
                     // A replica on every GPU; the traffic splits g ways.
                     for (g, owned) in gpu_experts.iter_mut().enumerate() {
                         owned.push(e);
                         effective[g] += loads[e] as f64 / num_gpus as f64;
                     }
                 }
-                greedy(
-                    &mut order.into_iter().skip(*hot),
-                    &mut gpu_experts,
-                    &mut effective,
-                )?;
+                greedy(&mut cold.iter().copied(), &mut gpu_experts, &mut effective)?;
             }
             PlacementStrategy::ReplicateHotPerIsland { hot } => {
                 let num_islands = island_of.iter().copied().max().unwrap_or(0) + 1;
-                let mut order: Vec<usize> = (0..num_experts).collect();
-                order.sort_by_key(|&e| (std::cmp::Reverse(loads[e]), e));
-                let hot_set: Vec<usize> = order.iter().take(*hot).copied().collect();
+                let order = by_load();
+                let (hot_set, cold) = order.split_at((*hot).min(num_experts));
                 let mut effective = vec![0.0f64; num_gpus];
-                for &e in &hot_set {
+                for &e in hot_set {
                     // One replica per island, on the island's least-loaded
                     // GPU with headroom; intra-island dispatch splits the
                     // expert's traffic across the islands.
@@ -399,11 +400,7 @@ impl PlacementStrategy {
                         }
                     }
                 }
-                greedy(
-                    &mut order.into_iter().skip(*hot),
-                    &mut gpu_experts,
-                    &mut effective,
-                )?;
+                greedy(&mut cold.iter().copied(), &mut gpu_experts, &mut effective)?;
             }
         }
 
@@ -440,6 +437,8 @@ impl ExpertPlacement {
     }
 
     /// How many replicas each of `num_experts` experts has.
+    ///
+    /// Panics if some GPU owns an expert id `>= num_experts`.
     pub fn replica_counts(&self, num_experts: usize) -> Vec<usize> {
         let mut counts = vec![0usize; num_experts];
         for owned in &self.gpu_experts {
@@ -452,6 +451,8 @@ impl ExpertPlacement {
 
     /// Per-GPU effective token load under `loads` (a replicated expert's
     /// load splits evenly across its replicas).
+    ///
+    /// Panics if some GPU owns an expert id `>= loads.len()`.
     pub fn effective_gpu_loads(&self, loads: &[usize]) -> Vec<f64> {
         let replicas = self.replica_counts(loads.len());
         self.gpu_experts
@@ -466,6 +467,8 @@ impl ExpertPlacement {
     }
 
     /// Load imbalance across GPUs: max effective load over the mean.
+    ///
+    /// Panics if some GPU owns an expert id `>= loads.len()`.
     pub fn imbalance(&self, loads: &[usize]) -> f64 {
         let effective = self.effective_gpu_loads(loads);
         let total: f64 = effective.iter().sum();
@@ -578,9 +581,10 @@ impl RecoveryPlan {
 /// over `topology`, honoring dedicated pair links.
 ///
 /// Errors if `crashed_gpu` or `checkpoint_gpu` is out of range, if
-/// `checkpoint_gpu` is the crashed GPU, if no survivor remains, if a
-/// sole-copy expert is lost without a `checkpoint_gpu`, or if the surviving
-/// GPUs lack the memory headroom to absorb the lost experts.
+/// `checkpoint_gpu` is the crashed GPU, if no survivor remains, if `loads`
+/// does not cover every expert the placement owns, if a sole-copy expert is
+/// lost without a `checkpoint_gpu`, or if the surviving GPUs lack the
+/// memory headroom to absorb the lost experts.
 #[allow(
     clippy::too_many_arguments,
     reason = "the crash, its loads, the topology and the memory budget are independent inputs"
@@ -622,13 +626,24 @@ pub fn replan_after_crash(
             topology.num_gpus()
         )));
     }
+    if let Some((gpu, e)) = placement
+        .gpu_experts
+        .iter()
+        .enumerate()
+        .find_map(|(g, owned)| owned.iter().find(|&&e| e >= loads.len()).map(|&e| (g, e)))
+    {
+        return Err(SparseError::config(format!(
+            "loads cover {} experts but GPU {gpu} owns expert {e}",
+            loads.len()
+        )));
+    }
     let capacity = memory.max_experts_per_gpu(resident_tokens, step_tokens);
     let island_of = topology.island_lookup();
 
     let mut gpu_experts = placement.gpu_experts.clone();
     let mut lost: Vec<usize> = std::mem::take(&mut gpu_experts[crashed_gpu]);
     // Hottest first, ties by id: the order the greedy core would use.
-    lost.sort_by_key(|&e| (std::cmp::Reverse(loads.get(e).copied().unwrap_or(0)), e));
+    lost.sort_by_key(|&e| (std::cmp::Reverse(loads[e]), e));
 
     // Effective load per survivor under the post-crash replica counts.
     let interim = ExpertPlacement {
@@ -641,7 +656,7 @@ pub fn replan_after_crash(
     let mut flows = crate::topology::FlowMatrix::new(num_gpus);
     let expert_bytes = memory.expert_bytes();
     for e in lost {
-        let load = loads.get(e).copied().unwrap_or(0) as f64;
+        let load = loads[e] as f64;
         let dest = (0..num_gpus)
             .filter(|&g| {
                 g != crashed_gpu && gpu_experts[g].len() < capacity && !gpu_experts[g].contains(&e)
@@ -917,6 +932,45 @@ mod tests {
         let err = replan(0).unwrap_err();
         assert!(err.to_string().contains("crashed GPU"), "{err}");
         assert!(replan(4).is_ok());
+    }
+
+    #[test]
+    fn replan_rejects_loads_that_miss_an_owned_expert() {
+        use crate::link::LinkSpec;
+        use crate::topology::ClusterTopology;
+        // Regression: the fault sweep's 2×4 capacity-greedy recovery with
+        // loads for only the first 10 experts panicked with an out-of-bounds
+        // index while counting replicas.
+        let (memory, config) = qwen_on_a100();
+        let topology =
+            ClusterTopology::symmetric(2, 4, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr())
+                .unwrap();
+        let loads = vec![1_024usize; config.num_experts];
+        let placement = PlacementStrategy::CapacityGreedy
+            .place_on(&loads, &topology, &memory, 1_024, 1_024)
+            .unwrap();
+        let first_uncovered = placement.gpu_experts[0]
+            .iter()
+            .copied()
+            .find(|&e| e >= 10)
+            .unwrap();
+        let err = replan_after_crash(
+            &placement,
+            0,
+            &loads[..10],
+            &topology,
+            &memory,
+            1_024,
+            1_024,
+            Some(4),
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains(&format!(
+                "loads cover 10 experts but GPU 0 owns expert {first_uncovered}"
+            )),
+            "{err}"
+        );
     }
 
     #[test]

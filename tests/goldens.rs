@@ -15,9 +15,11 @@
 //! The price tables hold one price's exact bits per line:
 //! `layer_costs.txt` for `Engine::moe_layer_cost` per (device, model,
 //! engine configuration, token count), `attention_costs.txt` for
-//! `attention_time_ms` and `attention_step_ms`, and `collective_costs.txt`
+//! `attention_time_ms` and `attention_step_ms`, `collective_costs.txt`
 //! for flat-topology and `LinkSpec` all-to-alls and the collective legs of
-//! cluster steps. A pricing change shows up there as a table of changed
+//! cluster steps, and `pod_step_costs.txt` for `ClusterBackend::step_cost`
+//! (including its round-robin fallback) and a crash-recovered pod's
+//! per-GPU compute. A pricing change shows up there as a table of changed
 //! cells before it surfaces as a shifted makespan.
 //!
 //! After a deliberate change, one command rewrites every file from the
@@ -29,7 +31,8 @@
 //! ```
 
 use samoyeds::dist::{
-    ClusterConfig, ClusterEngine, ClusterSimulator, ClusterTopology, FlowMatrix, LinkSpec,
+    replan_after_crash, ClusterBackend, ClusterConfig, ClusterEngine, ClusterSimulator,
+    ClusterTopology, FlowMatrix, LinkSpec, PlacementStrategy,
 };
 use samoyeds::gpu_sim::DeviceSpec;
 use samoyeds::kernels::samoyeds_kernel::SamoyedsOptions;
@@ -37,7 +40,7 @@ use samoyeds::moe::attention::{attention_time_ms, AttentionKind};
 use samoyeds::moe::config::MoeModelConfig;
 use samoyeds::moe::engines::{Engine, EngineKind};
 use samoyeds::moe::router::TopKRouter;
-use samoyeds::serve::backend::attention_step_ms;
+use samoyeds::serve::backend::{attention_step_ms, StepCost, StepWorkload};
 use samoyeds::serve::batch::StepBatch;
 use samoyeds::serve::{
     BatchLimits, BurstPhase, BurstyTraceConfig, DisaggregationConfig, DispatchPolicy,
@@ -1049,5 +1052,189 @@ fn collective_costs_match_the_golden_price_table() {
         "collective_costs.txt",
         include_str!("golden/collective_costs.txt"),
         render_collective_costs(),
+    );
+}
+
+/// A `tokens`-token pod step: a chunk of one long prompt plus `tokens / 2`
+/// decodes, decode `d` attending over its `context(d)`-token prompt.
+fn pod_step(tokens: usize, context: impl Fn(usize) -> usize) -> (Vec<RunningRequest>, StepBatch) {
+    let decodes = tokens / 2;
+    let request = |id: u64, prompt_len: usize, prefilled: usize| {
+        let mut r = RunningRequest::new(
+            Request {
+                id,
+                arrival_ms: 0.0,
+                prompt_len,
+                output_len: 64,
+            },
+            0.0,
+        );
+        r.prefilled = prefilled;
+        r
+    };
+    let running = std::iter::once(request(0, 4096, 37))
+        .chain((0..decodes).map(|d| request(d as u64 + 1, context(d), context(d))))
+        .collect();
+    let batch = StepBatch {
+        prefill: vec![(0, tokens - decodes)],
+        decode: (1..=decodes).collect(),
+    };
+    (running, batch)
+}
+
+fn step_cost_line(label: &str, cost: &StepCost) -> String {
+    format!(
+        "{label} compute_bits={:016x} collective_bits={:016x} intra_bits={:016x} \
+         spine_bits={:016x} compute_ms={:?} collective_ms={:?}\n",
+        cost.compute_ms.to_bits(),
+        cost.collective_ms.to_bits(),
+        cost.intra_island_ms.to_bits(),
+        cost.spine_ms.to_bits(),
+        cost.compute_ms,
+        cost.collective_ms,
+    )
+}
+
+/// One line per priced pod step: `ClusterBackend::step_cost` on the five
+/// pods of the tier-1 full-plan recombination test, then on a replicating
+/// pod too full for its strategy (the step falls back to round-robin),
+/// then the per-GPU compute and collective of a crash-recovered pod whose
+/// surviving hot replicas split rank 0's tokens three ways.
+fn render_pod_step_costs() -> String {
+    let scfg = SchedulerConfig::default();
+    let model = MoeModelConfig::qwen2_moe();
+    let router = TopKRouter::for_config(&model, scfg.routing_seed);
+    let islands =
+        ClusterTopology::symmetric(2, 2, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr()).unwrap();
+    let a100 = |gpus, engine| ClusterConfig::new(DeviceSpec::a100_40g(), gpus, engine);
+    let replicate_hot = PlacementStrategy::ReplicateHot { hot: 2 };
+    let pods = [
+        // The prefill pod of the `pods_disagg_faults` benchmark workload.
+        a100(4, ClusterEngine::Samoyeds).with_topology(islands.clone()),
+        a100(4, ClusterEngine::Samoyeds).with_strategy(replicate_hot),
+        a100(4, ClusterEngine::Samoyeds)
+            .with_topology(islands)
+            .with_strategy(PlacementStrategy::ReplicateHotPerIsland { hot: 2 }),
+        a100(3, ClusterEngine::Dense),
+        a100(4, ClusterEngine::Venom),
+    ];
+    let steps = [0u64, 17, u64::MAX];
+    let mut out = String::new();
+    for cluster in pods {
+        let backend = ClusterBackend::new(cluster, model.clone(), &scfg);
+        for tokens in [1usize, 8, 64, 65, 216, 2048] {
+            let (running, batch) = pod_step(tokens, |d| 16 + 7 * d % 500);
+            for step_index in steps {
+                let cost = backend.step_cost(&StepWorkload {
+                    batch: &batch,
+                    running: &running,
+                    step_index,
+                });
+                let label = format!("{} tokens={tokens} step={step_index}", backend.describe());
+                out += &step_cost_line(&label, &cost);
+            }
+        }
+    }
+
+    // 33 decodes over 8,192-token contexts leave each 12 GiB card room for
+    // fewer experts than the 8 hot replicas plus a quarter of the other 52:
+    // the configured placement errs, and round-robin's 15 experts per GPU
+    // price the step.
+    let cluster = ClusterConfig::new(DeviceSpec::rtx4070_super(), 4, ClusterEngine::Samoyeds)
+        .with_strategy(PlacementStrategy::ReplicateHot { hot: 8 });
+    let sim = ClusterSimulator::new(cluster.clone(), model.clone());
+    let backend = ClusterBackend::new(cluster.clone(), model.clone(), &scfg);
+    let tokens = 66;
+    let (running, batch) = pod_step(tokens, |_| 8_192);
+    let kv_tokens: usize = running.iter().map(|r| r.context_tokens()).sum();
+    let kv_local = kv_tokens.div_ceil(4);
+    assert!(kv_local >= 67_000, "{kv_local} resident KV tokens per GPU");
+    for step_index in steps {
+        let loads = router.route_loads_seeded(scfg.routing_seed ^ step_index, tokens, 1);
+        let placed = cluster.strategy.place_on(
+            &loads,
+            sim.topology(),
+            sim.memory(),
+            kv_local,
+            tokens.div_ceil(4),
+        );
+        let err = placed.expect_err("the hot replicas cannot fit").to_string();
+        assert!(err.contains("no GPU has memory headroom"), "{err}");
+        let cost = backend.step_cost(&StepWorkload {
+            batch: &batch,
+            running: &running,
+            step_index,
+        });
+        let label = format!(
+            "fallback {} kv_local={kv_local} tokens={tokens} step={step_index}",
+            backend.describe()
+        );
+        out += &step_cost_line(&label, &cost);
+    }
+
+    // Flat hot-expert replication with GPU 0 crashed. Every survivor already
+    // holds both hot experts, and `replan_after_crash` errs on a lost copy
+    // that no survivor lacks, so GPU 0's hot copies are dropped first (each
+    // hot expert keeps three replicas) and only its cold experts move.
+    let sim = ClusterSimulator::new(
+        a100(4, ClusterEngine::Samoyeds).with_strategy(replicate_hot),
+        model.clone(),
+    );
+    for tokens in [65usize, 512, 2048] {
+        let plan = router.route_seeded(scfg.routing_seed, tokens);
+        let mut placement = sim.placement_for(&plan).unwrap();
+        let replicas = placement.replica_counts(model.num_experts);
+        placement.gpu_experts[0].retain(|&e| replicas[e] == 1);
+        let per_gpu = tokens.div_ceil(4);
+        let recovered = replan_after_crash(
+            &placement,
+            0,
+            &plan.expert_loads(),
+            sim.topology(),
+            sim.memory(),
+            per_gpu,
+            per_gpu,
+            Some(1),
+        )
+        .unwrap()
+        .placement;
+        // Rank 0 still hosts a quarter of the tokens, and its hot-expert
+        // tokens have three equally near replicas.
+        let hot: Vec<usize> = (0..model.num_experts)
+            .filter(|&e| replicas[e] == 4)
+            .collect();
+        assert_eq!(hot.len(), 2);
+        let counts = recovered.replica_counts(model.num_experts);
+        assert!(hot.iter().all(|&e| counts[e] == 3), "{counts:?}");
+        let rank_loads = plan.rank_loads(4);
+        assert!(hot.iter().any(|&e| rank_loads[e * 4] > 0));
+        let step = sim.step_with_placement(&plan, recovered).unwrap();
+        assert_eq!(step.sharded_assignments, plan.total_assignments());
+        let per_gpu_bits: Vec<String> = step
+            .per_gpu_compute_ms
+            .iter()
+            .map(|ms| format!("{:016x}", ms.to_bits()))
+            .collect();
+        writeln!(
+            out,
+            "crash-recovered {} tokens={tokens} per_gpu_bits=[{}] all_to_all_bits={:016x} \
+             sharded_assignments={} all_to_all_ms={:?}",
+            sim.cluster().strategy.name(),
+            per_gpu_bits.join(","),
+            step.all_to_all_ms.to_bits(),
+            step.sharded_assignments,
+            step.all_to_all_ms,
+        )
+        .unwrap();
+    }
+    out
+}
+
+#[test]
+fn pod_step_costs_match_the_golden_price_table() {
+    check_table(
+        "pod_step_costs.txt",
+        include_str!("golden/pod_step_costs.txt"),
+        render_pod_step_costs(),
     );
 }
