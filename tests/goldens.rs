@@ -346,6 +346,24 @@ fn autoscaled_fleet_scales_out_and_back_in() {
 }
 
 #[test]
+fn heterogeneous_autoscaled_fleet_scales_out_with_a100s() {
+    // A mixed fleet whose scale-outs are A100s: routing, admission, steps,
+    // scale-out and scale-in, warm-up and drain all fire.
+    let config = FleetConfig {
+        warmup_ms: 500.0,
+        max_replicas: 4,
+        ..FleetConfig::default()
+    };
+    check_steady_and_bursty("heterogeneous_autoscaled", || {
+        FleetController::new(config)
+            .with_replica(a100())
+            .with_replica(rtx4070s(EngineKind::Samoyeds))
+            .with_factory(a100)
+            .with_autoscaler(SloAutoscaler::new(400.0))
+    });
+}
+
+#[test]
 fn zero_warmup_fleet_on_a_250ms_tick() {
     // A zero-length warm-up lands at its own scale-out tick, and an odd
     // 250 ms period stresses the tick/arrival interleaving.
