@@ -573,7 +573,9 @@ impl RecoveryPlan {
 /// GPU with memory headroom that does not already own it — least effective
 /// load first, then fewest owned experts, then lowest GPU id (the same
 /// tie-break as the greedy placement core), taking the hottest experts
-/// first. The weights stream from a surviving replica of the same expert
+/// first. A copy that every survivor already holds (a hot expert replicated
+/// on every GPU) is not moved: its tokens split over the survivors' copies.
+/// The weights stream from a surviving replica of the same expert
 /// (preferring one in the destination's island, so the copy stays off the
 /// spine); a *sole-copy* expert has no survivor, so its weights stream from
 /// `checkpoint_gpu` — the GPU staging host checkpoints — and the call fails
@@ -583,8 +585,8 @@ impl RecoveryPlan {
 /// Errors if `crashed_gpu` or `checkpoint_gpu` is out of range, if
 /// `checkpoint_gpu` is the crashed GPU, if no survivor remains, if `loads`
 /// does not cover every expert the placement owns, if a sole-copy expert is
-/// lost without a `checkpoint_gpu`, or if the surviving GPUs lack the
-/// memory headroom to absorb the lost experts.
+/// lost without a `checkpoint_gpu`, or if no survivor that lacks a lost
+/// expert has the memory headroom to absorb it.
 #[allow(
     clippy::too_many_arguments,
     reason = "the crash, its loads, the topology and the memory budget are independent inputs"
@@ -656,6 +658,10 @@ pub fn replan_after_crash(
     let mut flows = crate::topology::FlowMatrix::new(num_gpus);
     let expert_bytes = memory.expert_bytes();
     for e in lost {
+        // A copy every survivor already holds needs no new home.
+        if (0..num_gpus).all(|g| g == crashed_gpu || gpu_experts[g].contains(&e)) {
+            continue;
+        }
         let load = loads[e] as f64;
         let dest = (0..num_gpus)
             .filter(|&g| {
@@ -1024,6 +1030,46 @@ mod tests {
         assert!(
             replan_after_crash(&one_gpu, 0, &[1], &flat, &memory, 1024, 1024, Some(0)).is_err()
         );
+    }
+
+    #[test]
+    fn replan_keeps_hot_copies_every_survivor_already_holds() {
+        use crate::link::LinkSpec;
+        use crate::topology::ClusterTopology;
+        // Regression: on a flat hot-replicated pod every survivor already
+        // owns GPU 0's hot copies, and the replan failed for want of a GPU
+        // to take them.
+        let (memory, config) = qwen_on_a100();
+        let loads: Vec<usize> = (0..config.num_experts)
+            .map(|e| (4096.0 / ((e + 1) as f64).powf(1.3)) as usize)
+            .collect();
+        let placement = PlacementStrategy::ReplicateHot { hot: 2 }
+            .place(&loads, 4, &memory, 1024, 1024)
+            .unwrap();
+        let replicas = placement.replica_counts(config.num_experts);
+        let hot: Vec<usize> = (0..config.num_experts)
+            .filter(|&e| replicas[e] == 4)
+            .collect();
+        assert_eq!(hot.len(), 2);
+        let topology = ClusterTopology::flat(4, LinkSpec::nvlink3());
+        let plan = replan_after_crash(
+            &placement,
+            0,
+            &loads,
+            &topology,
+            &memory,
+            1024,
+            1024,
+            Some(1),
+        )
+        .unwrap();
+        assert!(plan.moves.iter().all(|m| !hot.contains(&m.expert)));
+        let counts = plan.placement.replica_counts(config.num_experts);
+        assert!(hot.iter().all(|&e| counts[e] == 3), "{counts:?}");
+        for &e in placement.gpu_experts[0].iter().filter(|e| !hot.contains(e)) {
+            assert_eq!(plan.moves.iter().filter(|m| m.expert == e).count(), 1);
+        }
+        assert!(plan.placement.gpu_experts[0].is_empty());
     }
 
     #[test]

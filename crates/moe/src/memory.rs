@@ -17,6 +17,18 @@ use serde::{Deserialize, Serialize};
 /// the context, allocator fragmentation and framework overheads).
 pub const USABLE_FRACTION: f64 = 0.95;
 
+/// Bytes per KV-cache element (bf16/fp16). The single source of truth for
+/// the KV dtype width: [`footprint`], the serving memory model and the
+/// serving cost model's per-decode-token cache read all route through this
+/// constant, so they can never disagree about the cache's byte width.
+pub const KV_DTYPE_BYTES: f64 = 2.0;
+
+/// Device memory usable by the workload, in bytes: the capacity times
+/// [`USABLE_FRACTION`].
+pub fn usable_bytes(device: &DeviceSpec) -> f64 {
+    device.mem_capacity_gib * 1024.0 * 1024.0 * 1024.0 * USABLE_FRACTION
+}
+
 /// Memory footprint of one decoder layer at a given batch size.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemoryFootprint {
@@ -55,7 +67,7 @@ pub fn footprint(
     MemoryFootprint {
         moe_weight_bytes: engine.weight_bytes(config),
         attention_weight_bytes: config.params_per_attention() as f64 * 2.0,
-        kv_cache_bytes: 2.0 * tokens as f64 * config.hidden_size as f64 * 2.0,
+        kv_cache_bytes: 2.0 * tokens as f64 * config.hidden_size as f64 * KV_DTYPE_BYTES,
         activation_bytes: engine.activation_bytes(config, tokens),
     }
 }
@@ -68,8 +80,7 @@ pub fn fits(
     batch: usize,
     seq_len: usize,
 ) -> bool {
-    let budget = device.mem_capacity_gib * 1024.0 * 1024.0 * 1024.0 * USABLE_FRACTION;
-    footprint(device, engine_kind, config, batch, seq_len).total() <= budget
+    footprint(device, engine_kind, config, batch, seq_len).total() <= usable_bytes(device)
 }
 
 /// Maximum batch size (0 if even batch 1 does not fit — the OOM entries of

@@ -16,8 +16,9 @@
 //! The schedule is resolved *before* the run starts and every fault is an
 //! ordinary event in the deterministic queue, so a fleet with an empty
 //! schedule is bit-for-bit identical to one without fault injection at all
-//! (pinned by the `fault_equivalence` suite), and a seeded schedule replays
-//! identically across runs (pinned by proptest).
+//! (pinned under every recovery policy by the root golden harness
+//! `tests/goldens.rs`), and a seeded schedule replays identically across
+//! runs (pinned by proptest).
 
 // A malformed schedule should surface as a diagnostic, not a panic
 // mid-sweep; CI's `clippy -D warnings` turns an `.unwrap()` here into an

@@ -44,7 +44,8 @@
 //!   [`FleetEvent::KvTransferComplete`] event; a crashed decode pod's
 //!   in-flight requests re-prefill or re-transfer under the
 //!   [`RecoveryPolicy`]. The ratio-0 endpoint (no decode pods) is
-//!   bit-for-bit the co-located fleet, pinned by `disagg_equivalence.rs`.
+//!   bit-for-bit the co-located fleet, pinned on every steady and bursty
+//!   fleet of the root golden harness `tests/goldens.rs`.
 
 // Keeps the run decomposed: clippy.toml at the workspace root sets the
 // threshold, and CI's `clippy -D warnings` turns a long function into an
@@ -576,8 +577,8 @@ impl KvLink {
 /// event hierarchy after fault recoveries and before control ticks.
 ///
 /// An empty decode set disables disaggregation entirely: the controller
-/// takes the ordinary co-located code path bit-for-bit (pinned by the
-/// `disagg_equivalence` suite), which is the ratio-0 endpoint of a
+/// takes the ordinary co-located code path bit-for-bit (pinned by the root
+/// golden harness `tests/goldens.rs`), which is the ratio-0 endpoint of a
 /// prefill:decode ratio sweep.
 #[derive(Debug, Clone)]
 pub struct DisaggregationConfig {
@@ -755,9 +756,9 @@ impl FleetController {
     /// Install a telemetry sink: the run emits the full request lifecycle
     /// (arrival → routing → admission → step spans → first token →
     /// completion), replica lifecycle (commission, warm-up, drain, retire)
-    /// and control-tick observations there. Without one, nothing is emitted
-    /// and every metric is bit-identical (pinned by the
-    /// `telemetry_equivalence` suite).
+    /// and control-tick observations there. Without one, nothing is emitted;
+    /// with or without one, every metric is bit-identical (pinned on every
+    /// fleet golden of the root harness `tests/goldens.rs`).
     pub fn with_sink(mut self, sink: SharedSink) -> Self {
         self.sink = Some(sink);
         self
@@ -789,7 +790,8 @@ impl FleetController {
     /// The schedule is resolved once at run start and injected through the
     /// event queue, so the run stays fully deterministic; an empty schedule
     /// leaves the controller bit-for-bit identical to one without fault
-    /// injection (pinned by the `fault_equivalence` suite).
+    /// injection under every recovery policy (pinned by the root golden
+    /// harness `tests/goldens.rs`).
     pub fn with_faults(mut self, schedule: FaultSchedule, recovery: RecoveryPolicy) -> Self {
         self.faults = schedule;
         self.recovery = recovery;
@@ -798,8 +800,8 @@ impl FleetController {
 
     /// Split the fleet into prefill and decode pods (see
     /// [`DisaggregationConfig`]). A config with an empty decode set is
-    /// inert: the run is bit-for-bit the co-located run (pinned by the
-    /// `disagg_equivalence` suite).
+    /// inert: the run is bit-for-bit the co-located run (pinned by the root
+    /// golden harness `tests/goldens.rs`).
     pub fn with_disaggregation(mut self, config: DisaggregationConfig) -> Self {
         self.disagg = Some(config);
         self
@@ -1335,8 +1337,8 @@ struct FleetRun<'a> {
     queue: EventQueue,
     faults: FaultState,
     /// Present only when decode pods exist: a ratio-0 config (empty decode
-    /// set) takes the co-located path bit-for-bit (pinned by the
-    /// `disagg_equivalence` suite).
+    /// set) takes the co-located path bit-for-bit (pinned by the root golden
+    /// harness `tests/goldens.rs`).
     disagg: Option<Disagg>,
     scale_events: Vec<ScaleEvent>,
     unroutable: Vec<u64>,
@@ -2937,27 +2939,6 @@ mod tests {
             1
         );
         assert_eq!(metrics.faults[0].recovery_ms(), Some(1_000.0));
-    }
-
-    #[test]
-    fn empty_fault_schedule_is_inert() {
-        let scfg = SchedulerConfig::default();
-        let trace = steady_trace(20, 15.0);
-        let plain = FleetController::new(FleetConfig::default())
-            .with_replica(single(DeviceSpec::a100_40g(), EngineKind::Samoyeds, &scfg))
-            .with_replica(single(DeviceSpec::a100_40g(), EngineKind::Samoyeds, &scfg))
-            .run(&trace);
-        let with_faults = FleetController::new(FleetConfig::default())
-            .with_replica(single(DeviceSpec::a100_40g(), EngineKind::Samoyeds, &scfg))
-            .with_replica(single(DeviceSpec::a100_40g(), EngineKind::Samoyeds, &scfg))
-            .with_faults(FaultSchedule::none(), RecoveryPolicy::default())
-            .run(&trace);
-        // The full bit-for-bit pin lives in the `fault_equivalence` suite;
-        // this is the smoke check.
-        assert_eq!(plain.completed, with_faults.completed);
-        assert_eq!(plain.makespan_ms, with_faults.makespan_ms);
-        assert!(with_faults.faults.is_empty());
-        assert!(with_faults.failed_ids.is_empty());
     }
 
     fn memory_model() -> MemoryModel {

@@ -12,13 +12,8 @@ use crate::backend::MemoryBudget;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
-use samoyeds_moe::memory::USABLE_FRACTION;
-
-/// Bytes per KV-cache element (bf16/fp16). The single source of truth for
-/// the KV dtype width: both the resident-cache accounting below and the
-/// per-decode-token read in the backend cost model route through this
-/// constant, so the two can never disagree about the cache's byte width.
-pub const KV_DTYPE_BYTES: f64 = 2.0;
+use samoyeds_moe::memory::usable_bytes;
+pub use samoyeds_moe::memory::KV_DTYPE_BYTES;
 
 /// Memory model of one (device, engine, model) combination.
 #[derive(Debug, Clone)]
@@ -41,7 +36,7 @@ impl MemoryModel {
             weight_bytes_total: per_layer_weights * layers,
             // K and V per token per layer at the shared KV dtype width.
             kv_bytes_per_token: 2.0 * config.hidden_size as f64 * KV_DTYPE_BYTES * layers,
-            budget_bytes: device.mem_capacity_gib * 1024.0 * 1024.0 * 1024.0 * USABLE_FRACTION,
+            budget_bytes: usable_bytes(device),
             engine,
             config: config.clone(),
         }

@@ -235,8 +235,8 @@ pub(crate) struct ReplicaDriver<B: ExecutionBackend> {
     step_index: u64,
     result: SimulationResult,
     /// Telemetry sink, if one is attached. `None` (the default) keeps the
-    /// hot path at a single branch — the telemetry-equivalence suite pins
-    /// the metrics bit-for-bit either way.
+    /// hot path at a single branch — the root golden harness
+    /// `tests/goldens.rs` pins the results bit-for-bit either way.
     sink: Option<SharedSink>,
     /// Slot label stamped on emitted events (0 for standalone drivers).
     replica_id: usize,

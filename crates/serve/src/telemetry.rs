@@ -14,8 +14,9 @@
 //!   completion, plus replica warm-up / drain / scale events and control
 //!   ticks). Events are `Copy` and carry indices, never strings, so a sink
 //!   call is a memcpy — and with no sink installed the hot path pays one
-//!   `Option` check and allocates nothing. The `telemetry_equivalence` suite
-//!   pins `FleetMetrics` bit-for-bit with and without a sink.
+//!   `Option` check and allocates nothing. The root golden harness
+//!   `tests/goldens.rs` pins `FleetMetrics` bit-for-bit with and without a
+//!   sink.
 //! * [`NullSink`] — the explicit do-nothing sink, for measuring the cost of
 //!   the dynamic-dispatch path itself.
 //! * [`TraceRecorder`] — an in-memory sink with an optional bounded ring so
@@ -345,8 +346,8 @@ impl TraceEvent {
 /// A destination for [`TraceEvent`]s.
 ///
 /// Implementations must not feed anything back into the simulation: sinks
-/// observe, they never steer, which is what lets the equivalence suite pin
-/// the metrics bit-for-bit with any sink installed.
+/// observe, they never steer, which is what lets the root golden harness
+/// `tests/goldens.rs` pin the metrics bit-for-bit with any sink installed.
 pub trait TraceSink {
     /// Record one event. Called on the simulation hot path — keep it cheap.
     fn record(&mut self, event: TraceEvent);
@@ -894,7 +895,8 @@ impl TraceSink for MetricsRegistry {
 /// The phases partition the end-to-end latency exactly:
 /// `queue_ms + prefill_ms + transfer_ms + decode_ms == latency_ms` (each
 /// phase is a difference of adjacent timestamps, so the telescoping sum is
-/// exact up to float rounding — the equivalence suite checks the tolerance).
+/// exact up to float rounding — the `telemetry_stream` suite checks the
+/// tolerance).
 /// Co-located requests have `transfer_ms == 0`, collapsing to the classic
 /// three-phase split.
 #[derive(Debug, Clone, Copy, PartialEq)]

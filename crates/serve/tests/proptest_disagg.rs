@@ -150,7 +150,7 @@ proptest! {
     }
 
     /// Seeded determinism: a disaggregated run is a pure function of its
-    /// configuration — running it twice yields identical metrics and an
+    /// configuration — running it twice yields bit-identical metrics and an
     /// identical event stream.
     #[test]
     fn identical_disagg_runs_replay_bit_for_bit(
@@ -171,14 +171,9 @@ proptest! {
         let link = KvLink { latency_us: 8.0, bandwidth_gbps: 25.0 };
         let (first, first_events) = run_disagg(&trace, slots, prefill, link);
         let (second, second_events) = run_disagg(&trace, slots, prefill, link);
-        prop_assert_eq!(first.completed, second.completed);
-        prop_assert_eq!(first.rejected, second.rejected);
-        prop_assert_eq!(first.failed_ids, second.failed_ids);
-        prop_assert_eq!(first.output_tokens_per_s, second.output_tokens_per_s);
-        prop_assert_eq!(first.request_latency, second.request_latency);
-        prop_assert_eq!(first.ttft, second.ttft);
-        prop_assert_eq!(first.tpot, second.tpot);
-        prop_assert_eq!(first.makespan_ms, second.makespan_ms);
+        // `Debug` prints every field, and every float in round-trip
+        // precision: equal renderings are bit-identical metrics.
+        prop_assert_eq!(format!("{first:?}"), format!("{second:?}"));
         prop_assert_eq!(first_events, second_events);
     }
 }

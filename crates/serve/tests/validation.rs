@@ -1,15 +1,16 @@
 //! Static-validation coverage for the fleet control plane: every class of
 //! invalid configuration is rejected with its documented diagnostic code
 //! before any event runs, all problems are surfaced at once, and a valid
-//! configuration produces bit-for-bit identical metrics whether or not it
-//! was explicitly validated first.
+//! configuration validates clean. That validating first leaves a run bit for
+//! bit unchanged is checked on the fleet goldens of the root harness
+//! `tests/goldens.rs`.
 
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_serve::{
-    ExecutionBackend, FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController,
-    FleetMetrics, Request, SchedulerConfig, Severity, SingleGpuBackend, SloAutoscaler, TraceConfig,
+    ExecutionBackend, FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController, Request,
+    SchedulerConfig, Severity, SingleGpuBackend, SloAutoscaler, TraceConfig,
 };
 
 fn replica() -> Box<dyn ExecutionBackend> {
@@ -237,49 +238,7 @@ fn run_panics_listing_every_problem_at_once() {
 }
 
 #[test]
-fn valid_configs_are_clean_and_metrics_are_bit_for_bit_unchanged() {
-    let trace = short_trace();
-    let report = controller().validate(&trace);
+fn valid_configs_are_clean() {
+    let report = controller().validate(&short_trace());
     assert!(report.is_clean(), "{}", report.render());
-
-    // Explicitly validating first must not perturb the run in any way.
-    let direct = controller().run(&trace);
-    let validated = {
-        let c = controller();
-        c.validate(&trace).assert_valid();
-        c.run(&trace)
-    };
-    assert_bitwise_equal(&direct, &validated);
-}
-
-/// Field-by-field bit-for-bit comparison (FleetMetrics has no PartialEq).
-fn assert_bitwise_equal(a: &FleetMetrics, b: &FleetMetrics) {
-    assert_eq!(a.replicas, b.replicas);
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(a.rejected, b.rejected);
-    assert_eq!(
-        a.output_tokens_per_s.to_bits(),
-        b.output_tokens_per_s.to_bits()
-    );
-    assert_eq!(a.makespan_ms.to_bits(), b.makespan_ms.to_bits());
-    assert_eq!(
-        a.request_latency.p50_ms.to_bits(),
-        b.request_latency.p50_ms.to_bits()
-    );
-    assert_eq!(
-        a.request_latency.p95_ms.to_bits(),
-        b.request_latency.p95_ms.to_bits()
-    );
-    assert_eq!(a.ttft.p50_ms.to_bits(), b.ttft.p50_ms.to_bits());
-    assert_eq!(a.ttft.p95_ms.to_bits(), b.ttft.p95_ms.to_bits());
-    assert_eq!(a.tpot.p50_ms.to_bits(), b.tpot.p50_ms.to_bits());
-    assert_eq!(a.tpot.p95_ms.to_bits(), b.tpot.p95_ms.to_bits());
-    assert_eq!(a.unroutable_ids, b.unroutable_ids);
-    assert_eq!(a.failed_ids, b.failed_ids);
-    assert_eq!(a.drain_incomplete, b.drain_incomplete);
-    assert_eq!(a.per_replica.len(), b.per_replica.len());
-    for (ra, rb) in a.per_replica.iter().zip(&b.per_replica) {
-        assert_eq!(ra.assigned_ids, rb.assigned_ids);
-        assert_eq!(ra.ready_ms.to_bits(), rb.ready_ms.to_bits());
-    }
 }

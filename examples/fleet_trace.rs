@@ -2,13 +2,13 @@
 //! autoscale demo with a recording telemetry sink and look at everything the
 //! sink saw.
 //!
-//! The run itself is bit-identical to the sink-free one (the equivalence
-//! suite pins this); on top of it the example prints the lifecycle counters
-//! from the metrics registry, the per-request latency attribution table
-//! (queue wait / prefill / decode telescoping exactly to end-to-end
-//! latency), a few control-tick snapshots, and writes `fleet_trace.json` —
-//! a Chrome trace-event file with one track per replica you can load in
-//! `chrome://tracing` or <https://ui.perfetto.dev>.
+//! The run itself is bit-identical to the sink-free one (the root golden
+//! harness `tests/goldens.rs` pins this); on top of it the example prints
+//! the lifecycle counters from the metrics registry, the per-request latency
+//! attribution table (queue wait / prefill / decode telescoping exactly to
+//! end-to-end latency), a few control-tick snapshots, and writes
+//! `fleet_trace.json` — a Chrome trace-event file with one track per replica
+//! you can load in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! Run with `cargo run --release --example fleet_trace`.
 

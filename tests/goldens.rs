@@ -12,6 +12,14 @@
 //! *or* a reordered event shows up. `scheduler_runs.txt` pins single-GPU
 //! `Scheduler::run`, one line per run.
 //!
+//! A layer that is installed but does nothing must change no output bit.
+//! Every fleet block reruns with no sink, a `NullSink`, a `MetricsRegistry`
+//! and a bounded recorder; every Poisson and bursty fleet also reruns after
+//! an explicit `validate`, under an empty fault schedule with each recovery
+//! policy, and with a disaggregation config that has no decode pods; every
+//! scheduler run reruns with a recorder. Each rerun must render the same
+//! `Debug` string as the recorded run.
+//!
 //! The price tables hold one price's exact bits per line:
 //! `layer_costs.txt` for `Engine::moe_layer_cost` per (device, model,
 //! engine configuration, token count), `attention_costs.txt` for
@@ -45,11 +53,11 @@ use samoyeds::serve::batch::StepBatch;
 use samoyeds::serve::{
     BatchLimits, BurstPhase, BurstyTraceConfig, DisaggregationConfig, DispatchPolicy,
     ExecutionBackend, FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController,
-    FleetMetrics, KvLink, MemoryModel, NoAutoscale, RecoveryPolicy, Request, RunningRequest,
-    Scheduler, SchedulerConfig, SharedSink, SimulationResult, SingleGpuBackend, SloAutoscaler,
-    TraceConfig, TraceEvent, TraceRecorder,
+    FleetMetrics, KvLink, MemoryModel, MetricsRegistry, NoAutoscale, NullSink, RecoveryPolicy,
+    Request, RunningRequest, Scheduler, SchedulerConfig, SharedSink, SimulationResult,
+    SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder,
 };
-use std::fmt::Write;
+use std::fmt::{Debug, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -119,14 +127,6 @@ fn disagg(prefill: Vec<usize>, decode: Vec<usize>, link: KvLink) -> Disaggregati
         &MoeModelConfig::qwen2_moe(),
     );
     DisaggregationConfig::uniform(prefill, decode, memory, link)
-}
-
-/// Run `controller` over `trace` with a recorder attached.
-fn run(controller: FleetController, trace: &[Request]) -> (FleetMetrics, Vec<TraceEvent>) {
-    let (sink, recorder) = SharedSink::new(TraceRecorder::new());
-    let metrics = controller.with_sink(sink).run(trace);
-    let events = recorder.borrow().events();
-    (metrics, events)
 }
 
 /// 64-bit FNV-1a.
@@ -257,8 +257,81 @@ fn check(name: &str, offered: usize, metrics: &FleetMetrics, events: &[TraceEven
     }
 }
 
+/// A fast prefill → decode link.
+fn fast_link() -> KvLink {
+    KvLink {
+        latency_us: 5.0,
+        bandwidth_gbps: 50.0,
+    }
+}
+
+/// Panic unless `fresh`, a run with `layer` installed, renders exactly as
+/// `recorded`, the run behind block `[name]`. `Debug` prints every field,
+/// and every float in round-trip precision, so equal renderings mean
+/// bit-identical results.
+fn assert_inert<T: Debug>(name: &str, layer: &str, recorded: &T, fresh: &T) {
+    let (recorded, fresh) = (format!("{recorded:?}"), format!("{fresh:?}"));
+    if fresh != recorded {
+        let at = recorded
+            .chars()
+            .zip(fresh.chars())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let near = |s: &str| {
+            s.chars()
+                .skip(at.saturating_sub(40))
+                .take(120)
+                .collect::<String>()
+        };
+        panic!(
+            "[{name}] {layer} changed the run; the renderings part at char {at}:\n- {}\n+ {}",
+            near(&recorded),
+            near(&fresh)
+        );
+    }
+}
+
+/// Run the fleet `build` makes over `trace` with a recorder attached, check
+/// it against block `[name]` of `fleet_run.txt`, and check that running it
+/// with no sink, a `NullSink`, a `MetricsRegistry` or a bounded recorder
+/// leaves its metrics unchanged.
+fn check_run(
+    name: &str,
+    build: impl Fn() -> FleetController,
+    trace: &[Request],
+) -> (FleetMetrics, Vec<TraceEvent>) {
+    let (sink, recorder) = SharedSink::new(TraceRecorder::new());
+    let metrics = build().with_sink(sink).run(trace);
+    let events = recorder.borrow().events();
+    check(name, trace.len(), &metrics, &events);
+    assert_inert(
+        name,
+        "running without a sink",
+        &metrics,
+        &build().run(trace),
+    );
+    let sinks = [
+        ("a NullSink", SharedSink::new(NullSink).0),
+        (
+            "a MetricsRegistry",
+            SharedSink::new(MetricsRegistry::new()).0,
+        ),
+        (
+            "a bounded TraceRecorder",
+            SharedSink::new(TraceRecorder::bounded(64)).0,
+        ),
+    ];
+    for (layer, sink) in sinks {
+        assert_inert(name, layer, &metrics, &build().with_sink(sink).run(trace));
+    }
+    (metrics, events)
+}
+
 /// Serve a steady Poisson trace and a calm → spike → calm burst on the fleet
 /// `build` makes, and check blocks `<name>_poisson` and `<name>_bursty`.
+/// Besides the sinks [`check_run`] installs, validating first, an empty
+/// fault schedule under each recovery policy and a disaggregation config
+/// with no decode pods must each leave every run unchanged.
 fn check_steady_and_bursty(name: &str, build: impl Fn() -> FleetController) {
     let poisson = TraceConfig {
         num_requests: 48,
@@ -289,16 +362,39 @@ fn check_steady_and_bursty(name: &str, build: impl Fn() -> FleetController) {
     }
     .generate();
     for (trace_name, trace) in [("poisson", poisson), ("bursty", bursty)] {
-        let (metrics, events) = run(build(), &trace);
+        let name = format!("{name}_{trace_name}");
+        let (metrics, _) = check_run(&name, &build, &trace);
         assert_eq!(
             metrics.completed + metrics.rejected + metrics.failed(),
             trace.len()
         );
-        check(
-            &format!("{name}_{trace_name}"),
-            trace.len(),
+        let validated = build();
+        validated.validate(&trace).assert_valid();
+        assert_inert(&name, "validating first", &metrics, &validated.run(&trace));
+        for recovery in [
+            RecoveryPolicy::default(),
+            RecoveryPolicy::fail_fast(),
+            RecoveryPolicy::readmit_and_replace(25.0),
+        ] {
+            let layer = format!("an empty fault schedule under {recovery:?}");
+            let fresh = build()
+                .with_faults(FaultSchedule::none(), recovery)
+                .run(&trace);
+            assert_inert(&name, &layer, &metrics, &fresh);
+        }
+        // Scale-outs commission on control ticks, all after 0 ms, so the
+        // replicas spawned at 0 are the initial fleet: all prefill pods.
+        let initial = metrics
+            .per_replica
+            .iter()
+            .filter(|r| r.spawned_ms == 0.0)
+            .count();
+        let prefill_only = disagg((0..initial).collect(), Vec::new(), fast_link());
+        assert_inert(
+            &name,
+            "a disaggregation config with no decode pods",
             &metrics,
-            &events,
+            &build().with_disaggregation(prefill_only).run(&trace),
         );
     }
 }
@@ -401,13 +497,18 @@ fn decode_pod_crash_with_kv_on_the_wire_restarts_the_transfer() {
         ),
         (700.0, FaultKind::ReplicaCrash { replica: crashed }),
     ]);
-    let controller = FleetController::new(FleetConfig::default())
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_disaggregation(disagg(vec![0], vec![1, 2], link))
-        .with_faults(faults, RecoveryPolicy::readmit_after(30.0));
-    let (metrics, events) = run(controller, &trace);
+    let (metrics, events) = check_run(
+        "disagg_decode_crash_readmit",
+        || {
+            FleetController::new(FleetConfig::default())
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_disaggregation(disagg(vec![0], vec![1, 2], link))
+                .with_faults(faults.clone(), RecoveryPolicy::readmit_after(30.0))
+        },
+        &trace,
+    );
 
     // Some transfer started toward the crashed pod, never landed there, and
     // restarted toward another decode pod without being routed again.
@@ -434,41 +535,30 @@ fn decode_pod_crash_with_kv_on_the_wire_restarts_the_transfer() {
         metrics.completed + metrics.rejected + metrics.failed(),
         trace.len()
     );
-    check(
-        "disagg_decode_crash_readmit",
-        trace.len(),
-        &metrics,
-        &events,
-    );
 }
 
 #[test]
 fn prefill_pod_crash_fails_fast() {
     let trace = poisson(30, 30.0, 8);
-    let link = KvLink {
-        latency_us: 5.0,
-        bandwidth_gbps: 50.0,
-    };
-    let controller = FleetController::new(FleetConfig::default())
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_disaggregation(disagg(vec![0, 1], vec![2], link))
-        .with_faults(
-            scripted(vec![(400.0, FaultKind::ReplicaCrash { replica: 0 })]),
-            RecoveryPolicy::fail_fast(),
-        );
-    let (metrics, events) = run(controller, &trace);
+    let (metrics, _) = check_run(
+        "disagg_prefill_crash_fail_fast",
+        || {
+            FleetController::new(FleetConfig::default())
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_disaggregation(disagg(vec![0, 1], vec![2], fast_link()))
+                .with_faults(
+                    scripted(vec![(400.0, FaultKind::ReplicaCrash { replica: 0 })]),
+                    RecoveryPolicy::fail_fast(),
+                )
+        },
+        &trace,
+    );
     assert!(metrics.faults[0].failed > 0, "{:?}", metrics.faults);
     assert_eq!(
         metrics.completed + metrics.rejected + metrics.failed(),
         trace.len()
-    );
-    check(
-        "disagg_prefill_crash_fail_fast",
-        trace.len(),
-        &metrics,
-        &events,
     );
 }
 
@@ -510,14 +600,19 @@ fn autoscaled_crash_is_replaced_and_a_partition_heals() {
             },
         ),
     ]);
-    let controller = FleetController::new(config)
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_factory(a100)
-        .with_autoscaler(SloAutoscaler::new(150.0))
-        .with_faults(faults, RecoveryPolicy::readmit_and_replace(50.0));
-    let (metrics, events) = run(controller, &trace);
+    let (metrics, _) = check_run(
+        "autoscaled_crash_replace_partition",
+        || {
+            FleetController::new(config)
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_factory(a100)
+                .with_autoscaler(SloAutoscaler::new(150.0))
+                .with_faults(faults.clone(), RecoveryPolicy::readmit_and_replace(50.0))
+        },
+        &trace,
+    );
     let crash = metrics
         .faults
         .iter()
@@ -528,30 +623,29 @@ fn autoscaled_crash_is_replaced_and_a_partition_heals() {
         metrics.completed + metrics.rejected + metrics.failed(),
         trace.len()
     );
-    check(
-        "autoscaled_crash_replace_partition",
-        trace.len(),
-        &metrics,
-        &events,
-    );
 }
 
 #[test]
 fn fixed_fleet_readmits_after_the_last_arrival() {
     let trace = poisson(16, 40.0, 13);
     let last_arrival = trace.last().unwrap().arrival_ms;
-    let controller = FleetController::new(FleetConfig::default())
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_autoscaler(NoAutoscale)
-        .with_faults(
-            scripted(vec![(
-                last_arrival - 20.0,
-                FaultKind::ReplicaCrash { replica: 0 },
-            )]),
-            RecoveryPolicy::readmit_after(200.0),
-        );
-    let (metrics, events) = run(controller, &trace);
+    let (metrics, _) = check_run(
+        "fixed_post_trace_readmission",
+        || {
+            FleetController::new(FleetConfig::default())
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_autoscaler(NoAutoscale)
+                .with_faults(
+                    scripted(vec![(
+                        last_arrival - 20.0,
+                        FaultKind::ReplicaCrash { replica: 0 },
+                    )]),
+                    RecoveryPolicy::readmit_after(200.0),
+                )
+        },
+        &trace,
+    );
     let record = &metrics.faults[0];
     assert!(record.readmitted > 0, "{record:?}");
     assert!(
@@ -559,12 +653,6 @@ fn fixed_fleet_readmits_after_the_last_arrival() {
         "{record:?}"
     );
     assert_eq!(metrics.completed, trace.len());
-    check(
-        "fixed_post_trace_readmission",
-        trace.len(),
-        &metrics,
-        &events,
-    );
 }
 
 /// A heavy request at 0 ms and a light one at 2 ms: neither finishes
@@ -597,32 +685,34 @@ fn drain_cap_config() -> FleetConfig {
 
 #[test]
 fn drain_cap_stops_the_run_with_work_outstanding() {
-    let trace = drain_cap_trace();
-    let controller = FleetController::new(drain_cap_config())
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_autoscaler(SloAutoscaler::new(1e12));
-    let (metrics, events) = run(controller, &trace);
+    let (metrics, _) = check_run(
+        "drain_cap",
+        || {
+            FleetController::new(drain_cap_config())
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_autoscaler(SloAutoscaler::new(1e12))
+        },
+        &drain_cap_trace(),
+    );
     assert!(metrics.drain_incomplete);
     assert!(!metrics.drain_incomplete_replicas.is_empty());
-    check("drain_cap", trace.len(), &metrics, &events);
 }
 
 #[test]
 fn drain_cap_stops_the_step_chains_of_a_disaggregated_run() {
-    let trace = drain_cap_trace();
-    let link = KvLink {
-        latency_us: 5.0,
-        bandwidth_gbps: 50.0,
-    };
-    let controller = FleetController::new(drain_cap_config())
-        .with_replica(a100())
-        .with_replica(a100())
-        .with_disaggregation(disagg(vec![0], vec![1], link))
-        .with_autoscaler(SloAutoscaler::new(1e12));
-    let (metrics, events) = run(controller, &trace);
+    let (metrics, _) = check_run(
+        "drain_cap_disagg",
+        || {
+            FleetController::new(drain_cap_config())
+                .with_replica(a100())
+                .with_replica(a100())
+                .with_disaggregation(disagg(vec![0], vec![1], fast_link()))
+                .with_autoscaler(SloAutoscaler::new(1e12))
+        },
+        &drain_cap_trace(),
+    );
     assert!(metrics.drain_incomplete);
-    check("drain_cap_disagg", trace.len(), &metrics, &events);
 }
 
 /// One line per priced cell: every engine, the Samoyeds breakdown presets,
@@ -859,6 +949,16 @@ fn scheduler_run_line(label: &str, run: &SimulationResult) -> String {
     )
 }
 
+/// Run `scheduler` over `requests`, and check that running it again with a
+/// recording sink leaves the result unchanged.
+fn scheduler_run(label: &str, scheduler: Scheduler, requests: &[Request]) -> SimulationResult {
+    let run = scheduler.run(requests);
+    let (sink, _) = SharedSink::new(TraceRecorder::new());
+    let traced = scheduler.with_sink(sink).run(requests);
+    assert_inert(label, "a recording sink", &run, &traced);
+    run
+}
+
 /// One line per single-GPU `Scheduler::run`: three device/model pairs × two
 /// traces × three engines on the default configuration, a run under tight
 /// batch limits with a custom routing seed, and an engine that cannot run
@@ -892,8 +992,8 @@ fn render_scheduler_runs() -> String {
                 EngineKind::Transformers,
                 EngineKind::VllmDs,
             ] {
-                let run =
-                    Scheduler::new(device.clone(), model.clone(), engine, scfg).run(&requests);
+                let scheduler = Scheduler::new(device.clone(), model.clone(), engine, scfg);
+                let run = scheduler_run(&format!("{label} {engine:?}"), scheduler, &requests);
                 out += &scheduler_run_line(&label, &run);
             }
         }
@@ -907,25 +1007,30 @@ fn render_scheduler_runs() -> String {
         routing_seed: 1234,
         ..scfg
     };
-    let run = Scheduler::new(a100.clone(), qwen, EngineKind::Samoyeds, tight)
-        .run(&trace(20, 20.0, (16, 200), (2, 12), 99).generate());
-    out += &scheduler_run_line(
-        "a100 Qwen2-MoE tight_limits routing_seed=1234 trace_seed=99",
-        &run,
+    let label = "a100 Qwen2-MoE tight_limits routing_seed=1234 trace_seed=99";
+    let run = scheduler_run(
+        label,
+        Scheduler::new(a100.clone(), qwen, EngineKind::Samoyeds, tight),
+        &trace(20, 20.0, (16, 200), (2, 12), 99).generate(),
     );
+    out += &scheduler_run_line(label, &run);
     // OpenMoE's ReLU activation has no vLLM-DS kernels.
     let five = TraceConfig {
         num_requests: 5,
         ..TraceConfig::default()
     };
-    let run = Scheduler::new(
-        a100,
-        MoeModelConfig::openmoe_34b(),
-        EngineKind::VllmDs,
-        scfg,
-    )
-    .run(&five.generate());
-    out += &scheduler_run_line("a100 OpenMoE-34B unsupported", &run);
+    let label = "a100 OpenMoE-34B unsupported";
+    let run = scheduler_run(
+        label,
+        Scheduler::new(
+            a100,
+            MoeModelConfig::openmoe_34b(),
+            EngineKind::VllmDs,
+            scfg,
+        ),
+        &five.generate(),
+    );
+    out += &scheduler_run_line(label, &run);
     out
 }
 
@@ -1191,18 +1296,16 @@ fn render_pod_step_costs() -> String {
     }
 
     // Flat hot-expert replication with GPU 0 crashed. Every survivor already
-    // holds both hot experts, and `replan_after_crash` errs on a lost copy
-    // that no survivor lacks, so GPU 0's hot copies are dropped first (each
-    // hot expert keeps three replicas) and only its cold experts move.
+    // holds both hot experts, so each keeps three replicas and only GPU 0's
+    // cold experts move.
     let sim = ClusterSimulator::new(
         a100(4, ClusterEngine::Samoyeds).with_strategy(replicate_hot),
         model.clone(),
     );
     for tokens in [65usize, 512, 2048] {
         let plan = router.route_seeded(scfg.routing_seed, tokens);
-        let mut placement = sim.placement_for(&plan).unwrap();
+        let placement = sim.placement_for(&plan).unwrap();
         let replicas = placement.replica_counts(model.num_experts);
-        placement.gpu_experts[0].retain(|&e| replicas[e] == 1);
         let per_gpu = tokens.div_ceil(4);
         let recovered = replan_after_crash(
             &placement,
