@@ -284,10 +284,8 @@ impl ExecutionBackend for ClusterBackend {
             compute_ms: (report.straggler_ms() + attention_ms + other_ms) * layers
                 + self.step_overhead_ms,
             collective_ms: report.all_to_all_ms * layers,
-            // Attribution for telemetry: where the collective time went. On
-            // an overridden-pair topology intra + spine can undershoot the
-            // max-blended all-to-all figure; the exporter reports the legs
-            // as measured rather than rescaling them to fit.
+            // Attribution for telemetry: where the collective time went,
+            // the intra-island and spine legs of the same all-to-all.
             intra_island_ms: report.intra_island_ms * layers,
             spine_ms: report.spine_ms * layers,
             overlap: self.overlap,

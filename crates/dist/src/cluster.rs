@@ -100,17 +100,12 @@ pub struct ClusterStepReport {
     /// Dispatch + combine all-to-all time of one layer, milliseconds.
     pub all_to_all_ms: f64,
     /// Intra-island share of the collectives (dispatch + combine),
-    /// milliseconds. Equals `all_to_all_ms` on a flat topology without
-    /// pair overrides.
+    /// milliseconds. Equals `all_to_all_ms` on a flat topology.
     pub intra_island_ms: f64,
     /// Spine (inter-island leader exchange) share of the collectives
     /// (dispatch + combine), milliseconds. Exactly 0 on a flat topology or
     /// when no token crosses an island boundary.
     pub spine_ms: f64,
-    /// Dedicated pair-override link share of the collectives (dispatch +
-    /// combine), milliseconds; runs concurrently with the phases, so
-    /// `all_to_all_ms = max(intra_island_ms + spine_ms, override_ms)`.
-    pub override_ms: f64,
     /// Bytes crossing island boundaries in one layer (dispatch + combine).
     pub cross_island_bytes: f64,
     /// One layer's step time: slowest GPU + both collectives.
@@ -402,7 +397,6 @@ impl ClusterSimulator {
             all_to_all_ms,
             intra_island_ms: 2.0 * cost.intra_ms,
             spine_ms: 2.0 * cost.spine_ms,
-            override_ms: 2.0 * cost.override_ms,
             cross_island_bytes: 2.0 * cost.cross_island_bytes,
             layer_time_ms,
             model_time_ms: layer_time_ms * self.model.num_layers as f64,
@@ -656,7 +650,6 @@ mod tests {
             all_to_all_ms: 0.0,
             intra_island_ms: 0.0,
             spine_ms: 0.0,
-            override_ms: 0.0,
             cross_island_bytes: 0.0,
             layer_time_ms: 0.0,
             model_time_ms: 0.0,
@@ -990,33 +983,6 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(no_gpus.contains("topology needs at least one island of at least one GPU"));
-    }
-
-    #[test]
-    fn pair_override_time_is_surfaced_on_the_step_report() {
-        // A 2-GPU PCIe host with a dedicated NVLink bridge: the whole
-        // collective rides the bridge, and the report attributes that time
-        // instead of leaving it as phantom all-to-all ms.
-        let config = MoeModelConfig::qwen2_moe();
-        let plan = plan(&config, 512);
-        let sim = ClusterSimulator::new(
-            ClusterConfig::new(DeviceSpec::a100_40g(), 2, ClusterEngine::Samoyeds).with_topology(
-                ClusterTopology::flat(2, LinkSpec::pcie_gen4()).with_pair_override(
-                    0,
-                    1,
-                    LinkSpec::nvlink3(),
-                ),
-            ),
-            config,
-        );
-        let report = sim.step(&plan).unwrap();
-        assert!(report.override_ms > 0.0);
-        assert_eq!(report.intra_island_ms, 0.0);
-        assert_eq!(report.spine_ms, 0.0);
-        assert_eq!(
-            report.all_to_all_ms,
-            (report.intra_island_ms + report.spine_ms).max(report.override_ms)
-        );
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! * [`link`] — interconnect presets (NVLink / PCIe / InfiniBand) and the
 //!   α-β all-to-all collective cost over per-GPU byte counts;
 //! * [`topology`] — [`ClusterTopology`]: GPUs grouped into NVLink/PCIe
-//!   islands stitched by an InfiniBand spine (plus heterogeneous per-pair
-//!   overrides), priced as a two-phase hierarchical all-to-all over exact
-//!   per-pair byte flows; a flat single island reproduces the single-level
-//!   α-β cost bit for bit;
+//!   islands stitched by an InfiniBand spine, priced as a two-phase
+//!   hierarchical all-to-all over exact per-pair byte flows; a flat single
+//!   island reproduces the single-level α-β cost bit for bit;
 //! * [`placement`] — round-robin, capacity-aware greedy and
 //!   replicated-hot-expert placement, validated against per-GPU memory
 //!   budgets derived from the engines' weight representations;
@@ -82,5 +81,5 @@ pub use report::{
     FleetAutoscaleReport, FleetKind, FleetTraceReport, TopologySweepEntry, TopologySweepOutcome,
     TopologySweepReport,
 };
-pub use topology::{ClusterTopology, FlowMatrix, HierarchicalCost, Island, PairOverride};
+pub use topology::{ClusterTopology, FlowMatrix, HierarchicalCost, Island};
 pub use validate::validate_fault_schedule;

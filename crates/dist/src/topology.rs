@@ -12,9 +12,8 @@
 //!
 //! [`ClusterTopology`] groups the GPUs of a cluster into *islands* (each
 //! with its own intra-island [`LinkSpec`]) bound by a *spine*
-//! [`LinkSpec`], with optional heterogeneous per-pair overrides for
-//! dedicated point-to-point links. The all-to-all is priced in two phases,
-//! the classic hierarchical decomposition:
+//! [`LinkSpec`]. The all-to-all is priced in two phases, the classic
+//! hierarchical decomposition:
 //!
 //! 1. **intra-island** — every island runs a local all-to-all over its own
 //!    fabric, concurrently with the other islands (the phase costs the
@@ -45,30 +44,15 @@ pub struct Island {
     pub link: LinkSpec,
 }
 
-/// A dedicated heterogeneous link between one specific GPU pair,
-/// overriding whatever phase its traffic would normally ride (an NVLink
-/// bridge between two otherwise-PCIe consumer cards, or a degraded cable).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PairOverride {
-    /// First endpoint (global GPU id).
-    pub a: usize,
-    /// Second endpoint (global GPU id).
-    pub b: usize,
-    /// The dedicated link the pair's traffic uses instead.
-    pub link: LinkSpec,
-}
-
-/// GPUs grouped into islands bound by a spine, with optional per-pair
-/// overrides. Global GPU ids are assigned contiguously in island order:
-/// island 0 owns GPUs `0..islands[0].gpus`, island 1 the next block, etc.
+/// GPUs grouped into islands bound by a spine. Global GPU ids are assigned
+/// contiguously in island order: island 0 owns GPUs `0..islands[0].gpus`,
+/// island 1 the next block, etc.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterTopology {
     /// The islands, in GPU-id order.
     pub islands: Vec<Island>,
     /// The inter-island spine fabric (unused when there is one island).
     pub spine: LinkSpec,
-    /// Dedicated per-pair links carved out of the standard phases.
-    pub pair_overrides: Vec<PairOverride>,
 }
 
 /// The two-phase cost of one hierarchical all-to-all (one direction:
@@ -80,18 +64,14 @@ pub struct HierarchicalCost {
     pub intra_ms: f64,
     /// Island-leader exchange over the spine, milliseconds.
     pub spine_ms: f64,
-    /// Slowest dedicated pair link, milliseconds (overridden pairs run
-    /// concurrently with the standard phases).
-    pub override_ms: f64,
     /// Total bytes crossing island boundaries (one direction).
     pub cross_island_bytes: f64,
 }
 
 impl HierarchicalCost {
-    /// End-to-end collective time: the two serial phases, overlapped with
-    /// the dedicated pair links.
+    /// End-to-end collective time: the two serial phases.
     pub fn total_ms(&self) -> f64 {
-        (self.intra_ms + self.spine_ms).max(self.override_ms)
+        self.intra_ms + self.spine_ms
     }
 }
 
@@ -153,7 +133,6 @@ impl ClusterTopology {
                 gpus: num_gpus,
                 link,
             }],
-            pair_overrides: Vec::new(),
         }
     }
 
@@ -178,7 +157,6 @@ impl ClusterTopology {
                 })
                 .collect(),
             spine,
-            pair_overrides: Vec::new(),
         })
     }
 
@@ -203,17 +181,7 @@ impl ClusterTopology {
         Self {
             islands,
             spine: LinkSpec::infiniband_ndr(),
-            pair_overrides: Vec::new(),
         }
-    }
-
-    /// Add a dedicated link between GPUs `a` and `b` (global ids); their
-    /// traffic leaves the standard phases and rides this link concurrently.
-    /// At most one override per pair — [`ClusterTopology::validate`]
-    /// rejects duplicates (to swap a pair's link, replace its entry).
-    pub fn with_pair_override(mut self, a: usize, b: usize, link: LinkSpec) -> Self {
-        self.pair_overrides.push(PairOverride { a, b, link });
-        self
     }
 
     /// Total GPUs across all islands.
@@ -227,9 +195,9 @@ impl ClusterTopology {
     }
 
     /// Whether the topology collapses to the single-level model: one
-    /// island, no overrides.
+    /// island.
     pub fn is_flat(&self) -> bool {
-        self.islands.len() == 1 && self.pair_overrides.is_empty()
+        self.islands.len() == 1
     }
 
     /// The island owning GPU `gpu` (ids are contiguous in island order).
@@ -295,21 +263,8 @@ impl ClusterTopology {
         }
     }
 
-    /// Whether a dedicated link covers the `(a, b)` pair (in either
-    /// direction).
-    fn override_for(&self, a: usize, b: usize) -> Option<&LinkSpec> {
-        self.pair_overrides
-            .iter()
-            .find(|o| (o.a == a && o.b == b) || (o.a == b && o.b == a))
-            .map(|o| &o.link)
-    }
-
-    /// Every internal-consistency problem at once: at least one GPU,
-    /// override endpoints in range and distinct, and at most one override
-    /// per (unordered) GPU pair — a duplicate would charge the pair's
-    /// traffic once per entry. Codes: `topology::empty`,
-    /// `topology::override-out-of-range`, `topology::override-self-link`,
-    /// `topology::override-duplicate`.
+    /// Every internal-consistency problem at once: the topology needs at
+    /// least one GPU. Code: `topology::empty`.
     pub fn validation(&self) -> ValidationReport {
         let mut report = ValidationReport::new();
         if self.islands.is_empty() || self.num_gpus() == 0 {
@@ -319,44 +274,6 @@ impl ClusterTopology {
                 "topology needs at least one island of at least one GPU",
                 "add an island with gpus >= 1",
             ));
-            return report;
-        }
-        let n = self.num_gpus();
-        // Built only when a diagnostic is pushed: the cluster simulator
-        // validates on every step.
-        let ctx = |i: usize, o: &PairOverride| format!("pair_overrides[{i}] ({}, {})", o.a, o.b);
-        for (i, o) in self.pair_overrides.iter().enumerate() {
-            if o.a >= n || o.b >= n {
-                report.push(Diagnostic::deny(
-                    "topology::override-out-of-range",
-                    ctx(i, o),
-                    format!("endpoint out of range for a {n}-GPU topology"),
-                    "use GPU ids below num_gpus()",
-                ));
-            }
-            if o.a == o.b {
-                report.push(Diagnostic::deny(
-                    "topology::override-self-link",
-                    ctx(i, o),
-                    format!("GPU {} cannot have a dedicated link to itself", o.a),
-                    "use two distinct GPU ids",
-                ));
-            }
-            if self.pair_overrides[..i]
-                .iter()
-                .any(|p| (p.a == o.a && p.b == o.b) || (p.a == o.b && p.b == o.a))
-            {
-                report.push(Diagnostic::deny(
-                    "topology::override-duplicate",
-                    ctx(i, o),
-                    format!(
-                        "duplicate pair override for GPUs ({}, {}) — the pair's traffic \
-                         would be charged once per entry",
-                        o.a, o.b
-                    ),
-                    "replace the existing entry instead of stacking a second link",
-                ));
-            }
         }
         report
     }
@@ -365,11 +282,10 @@ impl ClusterTopology {
     ///
     /// Phase 1 runs every island's local all-to-all concurrently (cost =
     /// slowest island); phase 2 exchanges the aggregated cross-island bytes
-    /// between island leaders over the spine. Traffic between overridden
-    /// pairs is removed from both phases and charged on its dedicated link,
-    /// overlapped with the phases. A flat topology prices to exactly the
-    /// single-level `LinkSpec::all_to_all_ms` over the per-GPU byte
-    /// vectors; zero cross-island traffic makes the spine phase exactly 0.
+    /// between island leaders over the spine. A flat topology prices to
+    /// exactly the single-level `LinkSpec::all_to_all_ms` over the per-GPU
+    /// byte vectors; zero cross-island traffic makes the spine phase exactly
+    /// 0.
     pub fn all_to_all_ms(&self, flows: &FlowMatrix) -> HierarchicalCost {
         let n = self.num_gpus();
         // A mismatched matrix would silently drop (or misattribute) traffic;
@@ -381,18 +297,6 @@ impl ClusterTopology {
             flows.gpus()
         );
 
-        // Dedicated pair links first: their traffic leaves the phases.
-        let mut override_ms = 0.0f64;
-        for o in &self.pair_overrides {
-            let forward = o.link.point_to_point_ms(flows.get(o.a, o.b));
-            let backward = o.link.point_to_point_ms(flows.get(o.b, o.a));
-            // Full-duplex dedicated link: both directions in parallel.
-            override_ms = override_ms.max(forward.max(backward));
-        }
-        let rides_phases = |a: usize, b: usize| {
-            self.pair_overrides.is_empty() || self.override_for(a, b).is_none()
-        };
-
         // Phase 1: each island's local all-to-all over its own fabric.
         let mut intra_ms = 0.0f64;
         for (k, island) in self.islands.iter().enumerate() {
@@ -403,7 +307,7 @@ impl ClusterTopology {
                 let mut s = 0.0;
                 let mut r = 0.0;
                 for j in members.clone() {
-                    if i != j && rides_phases(i, j) {
+                    if i != j {
                         s += flows.get(i, j);
                         r += flows.get(j, i);
                     }
@@ -423,7 +327,7 @@ impl ClusterTopology {
         for src in 0..n {
             let src_island = island_lookup[src];
             for dst in 0..n {
-                if src == dst || island_lookup[dst] == src_island || !rides_phases(src, dst) {
+                if src == dst || island_lookup[dst] == src_island {
                     continue;
                 }
                 let b = flows.get(src, dst);
@@ -437,7 +341,6 @@ impl ClusterTopology {
         HierarchicalCost {
             intra_ms,
             spine_ms,
-            override_ms,
             cross_island_bytes,
         }
     }
@@ -537,28 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_overrides_reroute_traffic_onto_the_dedicated_link() {
-        let nvlink_bridge = LinkSpec::nvlink3();
-        let topo = ClusterTopology::flat(2, LinkSpec::pcie_gen4()).with_pair_override(
-            0,
-            1,
-            nvlink_bridge.clone(),
-        );
-        topo.validate().unwrap();
-        let mut flows = FlowMatrix::new(2);
-        flows.add(0, 1, 1e8);
-        flows.add(1, 0, 1e8);
-        let cost = topo.all_to_all_ms(&flows);
-        // All traffic rides the bridge: the PCIe phase is empty and the
-        // total is the full-duplex point-to-point time on NVLink.
-        assert_eq!(cost.intra_ms, 0.0);
-        assert_eq!(cost.spine_ms, 0.0);
-        assert_eq!(cost.override_ms, nvlink_bridge.point_to_point_ms(1e8));
-        let plain = ClusterTopology::flat(2, LinkSpec::pcie_gen4());
-        assert!(cost.total_ms() < plain.all_to_all_ms(&flows).total_ms());
-    }
-
-    #[test]
     fn degenerate_topologies_cost_nothing() {
         // 1 GPU, and 1 island of 1: no peers, no phases.
         for topo in [
@@ -577,27 +458,5 @@ mod tests {
         assert!(
             ClusterTopology::symmetric(2, 0, LinkSpec::nvlink3(), LinkSpec::nvlink3()).is_err()
         );
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_overrides() {
-        let topo = ClusterTopology::flat(2, LinkSpec::nvlink3());
-        assert!(topo
-            .clone()
-            .with_pair_override(0, 5, LinkSpec::nvlink3())
-            .validate()
-            .is_err());
-        assert!(topo
-            .clone()
-            .with_pair_override(1, 1, LinkSpec::nvlink3())
-            .validate()
-            .is_err());
-        // One link per pair: a second override for the same (unordered)
-        // pair would charge the traffic twice, so validate rejects it.
-        assert!(topo
-            .with_pair_override(0, 1, LinkSpec::pcie_gen4())
-            .with_pair_override(1, 0, LinkSpec::nvlink3())
-            .validate()
-            .is_err());
     }
 }

@@ -264,7 +264,6 @@ proptest! {
             prop_assert_eq!(counted.all_to_all_ms, report.all_to_all_ms);
             prop_assert_eq!(counted.intra_island_ms, report.intra_island_ms);
             prop_assert_eq!(counted.spine_ms, report.spine_ms);
-            prop_assert_eq!(counted.override_ms, report.override_ms);
             prop_assert_eq!(counted.cross_island_bytes, report.cross_island_bytes);
             prop_assert_eq!(counted.sharded_assignments, report.sharded_assignments);
         }

@@ -1,11 +1,11 @@
-//! Static-validation coverage for the distributed layer: topology
-//! invariants surfaced all at once, over-budget placements listing every
-//! offending GPU, and fault schedules checked against the island structure
-//! they target — each rejected before any simulation runs.
+//! Static-validation coverage for the distributed layer: an empty topology,
+//! over-budget placements listing every offending GPU, and fault schedules
+//! checked against the island structure they target — each rejected before
+//! any simulation runs.
 
 use samoyeds_dist::{
     validate_fault_schedule, ClusterEngine, ClusterMemoryModel, ClusterTopology, ExpertPlacement,
-    LinkSpec, PairOverride, PlacementStrategy,
+    LinkSpec, PlacementStrategy,
 };
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
@@ -17,49 +17,10 @@ fn two_islands() -> ClusterTopology {
 }
 
 #[test]
-fn topology_reports_every_override_problem_at_once() {
-    let mut topology = two_islands();
-    topology.pair_overrides = vec![
-        // Out of range for 8 GPUs.
-        PairOverride {
-            a: 0,
-            b: 12,
-            link: LinkSpec::nvlink3(),
-        },
-        // Self link.
-        PairOverride {
-            a: 3,
-            b: 3,
-            link: LinkSpec::nvlink3(),
-        },
-        // A valid link...
-        PairOverride {
-            a: 1,
-            b: 2,
-            link: LinkSpec::nvlink3(),
-        },
-        // ...duplicated in reverse orientation.
-        PairOverride {
-            a: 2,
-            b: 1,
-            link: LinkSpec::nvlink3(),
-        },
-    ];
-    let report = topology.validation();
-    assert!(report.has("topology::override-out-of-range"));
-    assert!(report.has("topology::override-self-link"));
-    assert!(report.has("topology::override-duplicate"));
-    assert_eq!(report.deny_count(), 3, "{}", report.render());
-    // The first-error Result form still rejects it too.
-    assert!(topology.validate().is_err());
-}
-
-#[test]
 fn empty_topology_is_denied() {
     let topology = ClusterTopology {
         islands: Vec::new(),
         spine: LinkSpec::infiniband_ndr(),
-        pair_overrides: Vec::new(),
     };
     let report = topology.validation();
     assert!(report.has("topology::empty"));

@@ -5,8 +5,15 @@
 //! product) with the final projection. Fusion removes one full round-trip of
 //! the intermediate tensor through global memory per fused operator and
 //! eliminates the extra kernel launch.
+//!
+//! The engines in `samoyeds-moe` model fusion by what they leave out. An
+//! unfused baseline pays [`standalone_epilogue_cost`] for every element-wise
+//! pass it runs as its own kernel: Transformers for each activation, gating
+//! multiply and weighted accumulation, MegaBlocks for the share of the
+//! activation it does not fuse. Samoyeds (like the fused vLLM-DS and PIT
+//! kernels) pays nothing for its epilogue; the fused epilogue's CUDA-core
+//! FLOPs are not charged to any kernel profile.
 
-use samoyeds_gpu_sim::KernelProfile;
 use samoyeds_sparse::DenseMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -52,44 +59,18 @@ impl Activation {
     }
 }
 
-/// Fuse an element-wise epilogue (activation over an `m x n` bf16 tensor)
-/// into a producing kernel's profile: the epilogue FLOPs are added to the
-/// CUDA-core stream but the intermediate write + re-read disappears.
-pub fn fuse_elementwise_epilogue(profile: &mut KernelProfile, m: usize, n: usize, act: Activation) {
-    profile.flops_cuda += act.flops_per_element() * (m * n) as f64;
-    // No extra traffic: the values are transformed while still in registers.
-}
-
-/// The cost of running the same epilogue as a standalone kernel: read the
-/// intermediate, write the result, plus a launch overhead. Returns
+/// The cost of running an element-wise epilogue over an `m x n` bf16 tensor
+/// as a standalone kernel: read the intermediate, write the result, plus a
+/// launch overhead. Returns
 /// `(extra_read_bytes, extra_write_bytes, extra_cuda_flops, overhead_us)`.
 pub fn standalone_epilogue_cost(m: usize, n: usize, act: Activation) -> (f64, f64, f64, f64) {
     let bytes = (m * n) as f64 * 2.0;
     (bytes, bytes, act.flops_per_element() * (m * n) as f64, 5.0)
 }
 
-/// Fuse the weighted-accumulation epilogue (scale each output column by its
-/// router weight and accumulate into the shared output) into the profile.
-pub fn fuse_weighted_accumulation(profile: &mut KernelProfile, m: usize, n: usize) {
-    // One multiply + one add per element, still on the CUDA cores, and the
-    // accumulation target is written once (already counted by the producing
-    // kernel) instead of read-modify-written by a separate kernel.
-    profile.flops_cuda += 2.0 * (m * n) as f64;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use samoyeds_gpu_sim::LaunchConfig;
-
-    fn launch() -> LaunchConfig {
-        LaunchConfig {
-            grid_blocks: 64,
-            block_threads: 128,
-            regs_per_thread: 128,
-            shared_bytes_per_block: 32 * 1024,
-        }
-    }
 
     #[test]
     fn activation_values_are_sane() {
@@ -109,17 +90,6 @@ mod tests {
         let m = DenseMatrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
         let r = Activation::Relu.apply_matrix(&m);
         assert_eq!(r.as_slice(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn fusing_adds_flops_but_no_traffic() {
-        let mut p = KernelProfile::empty("k", launch());
-        let before_traffic = p.traffic.dram_bytes();
-        fuse_elementwise_epilogue(&mut p, 128, 256, Activation::Silu);
-        assert!(p.flops_cuda > 0.0);
-        assert_eq!(p.traffic.dram_bytes(), before_traffic);
-        fuse_weighted_accumulation(&mut p, 128, 256);
-        assert!(p.flops_cuda >= 6.0 * 128.0 * 256.0 + 2.0 * 128.0 * 256.0);
     }
 
     #[test]

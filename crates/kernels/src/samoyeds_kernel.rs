@@ -276,7 +276,7 @@ impl SamoyedsKernel {
             input.matrix().clone()
         };
         let out = if weight.config().v.is_multiple_of(MMA_K_SPARSE) {
-            self.execute_fragmentwise(weight, &b)?
+            self.execute_fragmentwise(weight, &b)?.0
         } else {
             weight.spmm(&b)?
         };
@@ -290,17 +290,19 @@ impl SamoyedsKernel {
         Ok((out, self.stats(&problem)))
     }
 
-    /// The tile/fragment execution path of Algorithm 1.
+    /// The tile/fragment execution path of Algorithm 1. Returns the product
+    /// and the number of `mma.sp.m16n8k32` issues it made.
     fn execute_fragmentwise(
         &self,
         weight: &SamoyedsWeight,
         b: &DenseMatrix,
-    ) -> Result<DenseMatrix> {
+    ) -> Result<(DenseMatrix, u64)> {
         let cfg = weight.config();
         let cols = b.cols();
         let comp_rows = weight.compressed_rows();
         let frags_per_window = cfg.v / MMA_K_SPARSE;
         let mut out = DenseMatrix::zeros(weight.rows(), cols);
+        let mut issues = 0u64;
 
         for comp_r0 in (0..comp_rows).step_by(MMA_M) {
             for j0 in (0..cols).step_by(MMA_N) {
@@ -320,6 +322,7 @@ impl SamoyedsKernel {
                             MMA_N,
                         );
                         mma_sp_m16n8k32(&a, &b_frag, &mut c_frag, false)?;
+                        issues += 1;
                     }
                     // Scatter/accumulate into the original rows this window's
                     // Sub-Rows belong to.
@@ -340,7 +343,7 @@ impl SamoyedsKernel {
                 }
             }
         }
-        Ok(out)
+        Ok((out, issues))
     }
 
     /// Assemble the compressed `A` fragment for 16 compressed rows starting
@@ -448,6 +451,31 @@ mod tests {
         let (out, _) = kernel.execute(&weight, &input).unwrap();
         assert_eq!(out.cols(), 32);
         assert!(out.allclose(&weight.spmm(&b).unwrap(), 1e-3, 1e-3));
+    }
+
+    #[test]
+    fn profile_prices_the_mma_sp_issues_of_the_fragment_path() {
+        // On tile-divisible shapes the cost model's sparse tensor FLOPs are
+        // exactly the FLOPs of the `mma.sp` fragments Algorithm 1 issues over
+        // the routed columns. Each problem's batch is 4x its routed columns.
+        let kernel = SamoyedsKernel::new(DeviceSpec::rtx4070_super());
+        let flops_per_issue = (2 * MMA_M * MMA_N * MMA_K_SPARSE) as f64;
+        let shapes = [
+            (SamoyedsConfig::N1_M2_V32, 64, 128, 40),
+            (SamoyedsConfig { n: 1, m: 2, v: 64 }, 32, 256, 16),
+            (SamoyedsConfig::N4_M8_V32, 128, 512, 24),
+        ];
+        for (seed, (cfg, m, k, n)) in (11u64..).zip(shapes) {
+            let weight = make_weight(m, k, cfg, seed);
+            let routed = DenseMatrix::random(k, n, seed + 100);
+            let (_, issues) = kernel.execute_fragmentwise(&weight, &routed).unwrap();
+            let problem = GemmProblem::samoyeds(m, k, 4 * n, n, cfg);
+            assert_eq!(
+                issues as f64 * flops_per_issue,
+                kernel.profile(&problem).flops_tensor_sparse,
+                "{cfg:?} {m}x{k}x{n}: {issues} issues"
+            );
+        }
     }
 
     #[test]

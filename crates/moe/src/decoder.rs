@@ -41,6 +41,17 @@ impl DecoderBreakdown {
 /// requires.
 const ROUTING_SEED: u64 = 42;
 
+/// Per-layer cost of everything that is neither MoE nor attention over
+/// `step_tokens` tokens, in milliseconds: norms and residual adds (two
+/// passes over the hidden states) plus the tiny router GEMM. The decoder
+/// layer and the serving backends all price it here.
+#[inline]
+pub fn auxiliary_step_ms(device: &DeviceSpec, config: &MoeModelConfig, step_tokens: usize) -> f64 {
+    let bandwidth = device.mem_bandwidth_gbps * 1e9;
+    let h = config.hidden_size as f64;
+    4.0 * step_tokens as f64 * h * 2.0 / bandwidth * 1e3 + 0.02
+}
+
 /// A decoder layer bound to a device, an engine and an attention kind.
 #[derive(Debug, Clone)]
 pub struct DecoderLayer {
@@ -70,13 +81,14 @@ impl DecoderLayer {
         &self.engine
     }
 
-    /// Time breakdown of one decoder layer over `batch x seq_len` tokens.
-    pub fn breakdown(
+    /// Route `batch x seq_len` tokens once and price the layer: the MoE
+    /// block's cost and the whole layer's time breakdown.
+    fn price(
         &self,
         config: &MoeModelConfig,
         batch: usize,
         seq_len: usize,
-    ) -> DecoderBreakdown {
+    ) -> (LayerCost, DecoderBreakdown) {
         let tokens = batch * seq_len.min(config.max_seq_len);
         let plan = TopKRouter::for_config(config, ROUTING_SEED).route(tokens);
         let moe = self.engine.moe_layer_cost(config, tokens, &plan);
@@ -87,24 +99,27 @@ impl DecoderLayer {
             seq_len.min(config.max_seq_len),
             self.attention,
         ) * batch as f64;
-        // Norms, residuals and the router: two passes over the hidden states
-        // plus the tiny router GEMM.
-        let h = config.hidden_size as f64;
-        let other_ms =
-            (4.0 * tokens as f64 * h * 2.0 / (self.device.mem_bandwidth_gbps * 1e9)) * 1e3 + 0.02;
-        DecoderBreakdown {
+        let breakdown = DecoderBreakdown {
             attention_ms,
             moe_ms: moe.time_ms,
-            other_ms,
-        }
+            other_ms: auxiliary_step_ms(&self.device, config, tokens),
+        };
+        (moe, breakdown)
+    }
+
+    /// Time breakdown of one decoder layer over `batch x seq_len` tokens.
+    pub fn breakdown(
+        &self,
+        config: &MoeModelConfig,
+        batch: usize,
+        seq_len: usize,
+    ) -> DecoderBreakdown {
+        self.price(config, batch, seq_len).1
     }
 
     /// Full layer cost (time + memory) for `batch x seq_len` tokens.
     pub fn layer_cost(&self, config: &MoeModelConfig, batch: usize, seq_len: usize) -> LayerCost {
-        let tokens = batch * seq_len.min(config.max_seq_len);
-        let plan = TopKRouter::for_config(config, ROUTING_SEED).route(tokens);
-        let moe = self.engine.moe_layer_cost(config, tokens, &plan);
-        let breakdown = self.breakdown(config, batch, seq_len);
+        let (moe, breakdown) = self.price(config, batch, seq_len);
         LayerCost {
             time_ms: breakdown.total_ms(),
             weight_bytes: moe.weight_bytes + config.params_per_attention() as f64 * 2.0,

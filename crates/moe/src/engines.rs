@@ -459,24 +459,6 @@ impl Engine {
         }
         Ok(out)
     }
-
-    /// Convenience: evaluate the MoE-layer time of every engine on the same
-    /// routing plan, in [`EngineKind::all`] order.
-    pub fn compare_all(
-        device: &DeviceSpec,
-        config: &MoeModelConfig,
-        num_tokens: usize,
-        plan: &RoutingPlan,
-    ) -> Vec<(EngineKind, LayerCost)> {
-        EngineKind::all()
-            .into_iter()
-            .map(|kind| {
-                let cost =
-                    Engine::new(kind, device.clone()).moe_layer_cost(config, num_tokens, plan);
-                (kind, cost)
-            })
-            .collect()
-    }
 }
 
 /// Look `key` up in a per-call price memo, pricing and recording it on a
@@ -637,13 +619,10 @@ mod tests {
         let device = DeviceSpec::rtx4070_super();
         let config = MoeModelConfig::mixtral_8x7b();
         let plan = plan_for(&config, 4096);
-        let results = Engine::compare_all(&device, &config, 4096, &plan);
         let time = |k: EngineKind| {
-            results
-                .iter()
-                .find(|(kind, _)| *kind == k)
-                .map(|(_, c)| c.time_ms)
-                .unwrap()
+            Engine::new(k, device.clone())
+                .moe_layer_cost(&config, 4096, &plan)
+                .time_ms
         };
         let samoyeds = time(EngineKind::Samoyeds);
         let transformers = time(EngineKind::Transformers);

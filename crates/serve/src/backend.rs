@@ -30,6 +30,8 @@ use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::router::TopKRouter;
 use serde::{Deserialize, Serialize};
 
+pub use samoyeds_moe::decoder::auxiliary_step_ms;
+
 /// The memory-accounting surface admission control needs: a budget and a
 /// footprint. For a single GPU the footprint is the whole model; for a
 /// cluster it is the *straggler* GPU (the rank with the most experts and
@@ -282,14 +284,6 @@ pub fn attention_step_ms(
         attention_ms += kv_bytes / bandwidth * 1e3 + 2.0e-3;
     }
     attention_ms
-}
-
-/// Per-layer cost of everything that is neither MoE nor attention: norms,
-/// residual adds and the router GEMM, as in the decoder-layer model.
-pub fn auxiliary_step_ms(device: &DeviceSpec, config: &MoeModelConfig, step_tokens: usize) -> f64 {
-    let bandwidth = device.mem_bandwidth_gbps * 1e9;
-    let h = config.hidden_size as f64;
-    4.0 * step_tokens as f64 * h * 2.0 / bandwidth * 1e3 + 0.02
 }
 
 /// One device running one execution engine — the original serving

@@ -40,10 +40,9 @@ pub enum FaultKind {
         /// Replica slot that crashes.
         replica: usize,
     },
-    /// The replica's link degrades (a flapping cable, a congested switch —
-    /// the `PairOverride` story from `dist::topology`): already-admitted
-    /// requests keep being served, but the dispatcher stops routing new
-    /// work to it until the link recovers.
+    /// The replica's link degrades (a flapping cable, a congested switch):
+    /// already-admitted requests keep being served, but the dispatcher stops
+    /// routing new work to it until the link recovers.
     LinkDegrade {
         /// Replica slot whose link degrades.
         replica: usize,

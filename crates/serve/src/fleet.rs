@@ -232,13 +232,6 @@ impl SloAutoscaler {
             idle_streak: 0,
         }
     }
-
-    /// Replace the scale-in idle threshold and streak length.
-    pub fn with_scale_in(mut self, low_utilization: f64, idle_ticks: usize) -> Self {
-        self.low_utilization = low_utilization;
-        self.idle_ticks = idle_ticks.max(1);
-        self
-    }
 }
 
 impl AutoscalePolicy for SloAutoscaler {
@@ -2474,7 +2467,11 @@ mod tests {
 
     #[test]
     fn slo_autoscaler_streaks_gate_the_decisions() {
-        let mut policy = SloAutoscaler::new(500.0).with_scale_in(0.3, 2);
+        let mut policy = SloAutoscaler {
+            low_utilization: 0.3,
+            idle_ticks: 2,
+            ..SloAutoscaler::new(500.0)
+        };
         let breach = FleetObservation {
             now_ms: 0.0,
             routable_replicas: 1,
@@ -2520,7 +2517,11 @@ mod tests {
 
     #[test]
     fn slo_autoscaler_freezes_every_streak_while_capacity_warms() {
-        let mut policy = SloAutoscaler::new(500.0).with_scale_in(0.3, 2);
+        let mut policy = SloAutoscaler {
+            low_utilization: 0.3,
+            idle_ticks: 2,
+            ..SloAutoscaler::new(500.0)
+        };
         // Idle ticks while a replica is warming must not accrue the idle
         // streak: the fleet looks idle only because the new capacity has
         // not started taking traffic yet, and scaling in here would cancel

@@ -474,17 +474,19 @@ impl TraceSink for TraceRecorder {
     }
 }
 
-/// A log-linear histogram: power-of-two octaves split into linear
-/// sub-buckets, the classic HdrHistogram-style layout. Relative error is
-/// bounded by `1 / sub_buckets` per octave at a fixed, tiny footprint —
-/// unlike keeping raw samples, a million-step run costs the same memory as a
+/// Linear sub-buckets per power-of-two octave of a [`LogLinearHistogram`].
+const SUB_BUCKETS: usize = 16;
+
+/// A log-linear histogram: 64 power-of-two octaves split into 16 linear
+/// sub-buckets each, the classic HdrHistogram-style layout. Relative error
+/// is bounded by `1 / 16` per octave at a fixed, tiny footprint — unlike
+/// keeping raw samples, a million-step run costs the same memory as a
 /// ten-step run.
 #[derive(Debug, Clone)]
 pub struct LogLinearHistogram {
-    /// `octaves * sub_buckets` counts; octave `o` covers `[2^o, 2^(o+1))`
+    /// `64 * SUB_BUCKETS` counts; octave `o` covers `[2^o, 2^(o+1))`
     /// times the base unit (values below 1.0 land in octave 0).
     counts: Vec<u64>,
-    sub_buckets: usize,
     count: u64,
     sum: f64,
     min: f64,
@@ -501,19 +503,8 @@ impl LogLinearHistogram {
     /// 64 octaves of 16 sub-buckets: ~6% worst-case relative error over the
     /// full positive `f64` range the simulator produces.
     pub fn new() -> Self {
-        Self::with_sub_buckets(16)
-    }
-
-    /// A histogram with `sub_buckets` linear buckets per power-of-two
-    /// octave.
-    ///
-    /// # Panics
-    /// Panics if `sub_buckets` is zero.
-    pub fn with_sub_buckets(sub_buckets: usize) -> Self {
-        assert!(sub_buckets >= 1, "need at least one sub-bucket per octave");
         Self {
-            counts: vec![0; 64 * sub_buckets],
-            sub_buckets,
+            counts: vec![0; 64 * SUB_BUCKETS],
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -539,13 +530,13 @@ impl LogLinearHistogram {
         } else {
             (1u64 << octave) as f64
         };
-        let sub = (((v - lo) / width * self.sub_buckets as f64) as usize).min(self.sub_buckets - 1);
-        octave * self.sub_buckets + sub
+        let sub = (((v - lo) / width * SUB_BUCKETS as f64) as usize).min(SUB_BUCKETS - 1);
+        octave * SUB_BUCKETS + sub
     }
 
     fn bucket_midpoint(&self, index: usize) -> f64 {
-        let octave = index / self.sub_buckets;
-        let sub = index % self.sub_buckets;
+        let octave = index / SUB_BUCKETS;
+        let sub = index % SUB_BUCKETS;
         let lo = if octave == 0 {
             0.0
         } else {
@@ -556,7 +547,7 @@ impl LogLinearHistogram {
         } else {
             (1u64 << octave) as f64
         };
-        lo + width * (sub as f64 + 0.5) / self.sub_buckets as f64
+        lo + width * (sub as f64 + 0.5) / SUB_BUCKETS as f64
     }
 
     /// Record one non-negative sample (NaN is ignored).
@@ -1465,7 +1456,7 @@ mod tests {
         // NaN is ignored, tiny and sub-1.0 values land in octave zero.
         h.record(f64::NAN);
         assert_eq!(h.count(), 1000);
-        let mut small = LogLinearHistogram::with_sub_buckets(4);
+        let mut small = LogLinearHistogram::new();
         small.record(0.0);
         small.record(0.3);
         small.record(1.7);

@@ -5,8 +5,8 @@
 //!
 //! * [`dense::DenseMatrix`] — the baseline row-major dense representation and
 //!   the reference GEMM used as a correctness oracle everywhere else.
-//! * [`coo::CooMatrix`] and [`csr::CsrMatrix`] — unstructured formats used by
-//!   the Sputnik-like baseline kernel.
+//! * [`csr::CsrMatrix`] — the unstructured format the Sputnik-like baseline
+//!   kernel (`samoyeds-kernels`' `CsrSpmm`) multiplies.
 //! * [`nm::NmMatrix`] — element-wise N:M structured sparsity (2:4 being the
 //!   hardware-supported instance), encoded as compressed values plus a 2-bit
 //!   metadata matrix exactly as consumed by `mma.sp`.
@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod error;
@@ -40,7 +39,6 @@ pub mod sel;
 pub mod traits;
 pub mod venom;
 
-pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};

@@ -5,8 +5,8 @@ use samoyeds_sparse::nm::NmConfig;
 use samoyeds_sparse::packing;
 use samoyeds_sparse::venom::VenomConfig;
 use samoyeds_sparse::{
-    CooMatrix, CsrMatrix, DenseMatrix, NmMatrix, SamoyedsConfig, SamoyedsWeight, SelectionArray,
-    SparseFormat, VenomMatrix,
+    CsrMatrix, DenseMatrix, NmMatrix, SamoyedsConfig, SamoyedsWeight, SelectionArray, SparseFormat,
+    VenomMatrix,
 };
 
 fn arb_dense(max_rows: usize, max_cols: usize) -> impl Strategy<Value = DenseMatrix> {
@@ -16,13 +16,6 @@ fn arb_dense(max_rows: usize, max_cols: usize) -> impl Strategy<Value = DenseMat
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn coo_roundtrip(d in arb_dense(24, 24)) {
-        let coo = CooMatrix::from_dense(&d);
-        prop_assert_eq!(coo.to_dense(), d.clone());
-        prop_assert_eq!(coo.nnz(), d.nnz());
-    }
 
     #[test]
     fn csr_roundtrip(d in arb_dense(24, 24)) {

@@ -2,32 +2,26 @@
 //! Samoyeds kernels.
 //!
 //! The paper's kernels are written against the PTX `mma`/`mma.sp` warp-level
-//! matrix instructions, the `ldmatrix` collective load and the `cp.async`
-//! asynchronous global→shared copy (§2.3, §4.1, §5.1). None of those exist on
-//! a CPU, so this crate provides:
+//! matrix instructions and the `ldmatrix` collective load (§2.3, §4.1, §4.4).
+//! Neither exists on a CPU, so this crate provides:
 //!
 //! * [`mma`] — bit-faithful *functional* semantics of the dense
 //!   `mma.m16n8k16` and sparse `mma.sp.m16n8k32` tile operations (values are
 //!   computed exactly, operands optionally pass through bf16 rounding);
-//! * [`instruction`] — static descriptors of each instruction (tile shape,
-//!   FLOPs, operand bytes, issue cost) consumed by the analytical cost model
-//!   in `samoyeds-gpu-sim`;
 //! * [`ldmatrix`] — the collective shared-memory→register load, including the
-//!   bank-conflict behaviour of swizzled vs. naive shared-memory layouts;
-//! * [`cp_async`] — the asynchronous copy pipeline bookkeeping (commit
-//!   groups / wait groups) that Algorithm 1's fetch/compute overlap relies on.
+//!   bank-conflict behaviour of swizzled vs. naive shared-memory layouts.
 //!
-//! Keeping the functional and timing aspects separate lets every kernel in
-//! `samoyeds-kernels` be verified for numerical correctness on the CPU while
-//! its performance is predicted by the same instruction stream.
+//! `samoyeds-kernels`' `SamoyedsKernel` uses both: its functional path runs
+//! Algorithm 1 fragment by fragment through [`mma_sp_m16n8k32`], and its cost
+//! model charges the shared-memory bank passes of
+//! [`ldmatrix::staging_report`]. A unit test there checks that the cost
+//! model's sparse tensor FLOPs equal the FLOPs of the `mma.sp` issues the
+//! functional path makes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cp_async;
-pub mod instruction;
 pub mod ldmatrix;
 pub mod mma;
 
-pub use instruction::{Instruction, InstructionKind, MMA_M16N8K16, MMA_SP_M16N8K32};
 pub use mma::{mma_m16n8k16, mma_sp_m16n8k32, MmaTile, SparseATile};
