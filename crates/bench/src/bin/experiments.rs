@@ -6,40 +6,45 @@
 //! cargo run --release -p samoyeds-bench --bin experiments            # all
 //! cargo run --release -p samoyeds-bench --bin experiments fig12_kernel_perf table3_max_batch
 //! ```
+//!
+//! An unknown id fails the whole run before any experiment starts: the
+//! binary exits 1 and lists the known ids.
 
-use samoyeds_bench::{all_experiments, run_experiment};
+use samoyeds_bench::EXPERIMENTS;
 use std::fs;
 use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let selected = all_experiments()
-        .into_iter()
-        .filter(|e| args.is_empty() || args.iter().any(|a| a == e.id()))
-        .collect::<Vec<_>>();
-    if selected.is_empty() {
-        eprintln!("no experiment matched; known ids:");
-        for e in all_experiments() {
-            eprintln!("  {}", e.id());
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|arg| !EXPERIMENTS.iter().any(|(id, _)| id == arg))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id: {}; known ids:", unknown.join(", "));
+        for (id, _) in EXPERIMENTS {
+            eprintln!("  {id}");
         }
         std::process::exit(1);
     }
     let out_dir = Path::new("results");
     fs::create_dir_all(out_dir).expect("create results directory");
-    for exp in selected {
+    for (id, run) in EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| args.is_empty() || args.iter().any(|a| a == id))
+    {
         #[allow(
             clippy::disallowed_methods,
             reason = "progress timing for the console only; no result depends on it"
         )]
         let started = std::time::Instant::now();
-        let rows = run_experiment(exp);
-        let report = rows.join("\n");
+        let report = run().join("\n");
         println!(
-            "\n=== {} ({:.1}s) ===\n{report}",
-            exp.id(),
+            "\n=== {id} ({:.1}s) ===\n{report}",
             started.elapsed().as_secs_f64()
         );
-        fs::write(out_dir.join(format!("{}.md", exp.id())), report + "\n")
+        fs::write(out_dir.join(format!("{id}.md")), report + "\n")
             .expect("write experiment report");
     }
 }

@@ -1,10 +1,10 @@
 //! Experiment harness: one function per table and figure of the paper.
 //!
-//! Every function returns its result as a markdown table (a `Vec<String>` of
-//! lines) so the `experiments` binary can print it and write it into
-//! `results/`. The functions are deterministic and run entirely on the
-//! analytical cost model, so the full harness completes in seconds in
-//! release mode.
+//! Every function returns its result as markdown lines (a `Vec<String>`),
+//! and [`EXPERIMENTS`] registers each under the id the `experiments` binary
+//! prints it as and writes it to (`results/<id>.md`). The functions are
+//! deterministic and run entirely on the analytical cost model, so the full
+//! harness completes in under a second in release mode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,5 +12,5 @@
 pub mod experiments;
 pub mod perf;
 
-pub use experiments::{all_experiments, run_experiment, Experiment};
+pub use experiments::{ExperimentEntry, EXPERIMENTS};
 pub use perf::{parse_bench_json, regressions, BenchTimings, Regression};

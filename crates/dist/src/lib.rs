@@ -78,8 +78,7 @@ pub use report::{
     render_fleet_sizing, render_placement_comparison, render_topology_placement, ClusterReport,
     ClusterServingEntry, ClusterServingReport, DisaggSweepEntry, DisaggSweepOutcome,
     DisaggSweepReport, FaultSweepEntry, FaultSweepReport, FleetAutoscaleEntry,
-    FleetAutoscaleReport, FleetKind, FleetTraceReport, TopologySweepEntry, TopologySweepOutcome,
-    TopologySweepReport,
+    FleetAutoscaleReport, FleetKind, FleetTraceReport, TopologySweepEntry, TopologySweepReport,
 };
 pub use topology::{ClusterTopology, FlowMatrix, HierarchicalCost, Island};
 pub use validate::validate_fault_schedule;

@@ -9,7 +9,7 @@
 //! canonical (outer × inner) enumeration order either way.
 
 use crate::backend::ClusterBackend;
-use crate::cluster::{min_gpus_to_fit, ClusterConfig, ClusterSimulator};
+use crate::cluster::{min_gpus_to_fit, ClusterConfig, ClusterSimulator, ClusterStepReport};
 use crate::link::LinkSpec;
 use crate::placement::{replan_after_crash, ClusterEngine, ClusterMemoryModel, PlacementStrategy};
 use crate::topology::ClusterTopology;
@@ -22,8 +22,9 @@ use samoyeds_serve::{
     chrome_trace_json, request_timelines, AttributionSummary, BurstyTraceConfig,
     DisaggregationConfig, DispatchPolicy, ExecutionBackend, FaultKind, FaultSchedule, FaultSpec,
     FleetConfig, FleetController, FleetMetrics, KvLink, MemoryModel, MetricsRegistry,
-    RecoveryPolicy, Request, RequestTimeline, Scheduler, SchedulerConfig, ServingMetrics,
-    SharedSink, SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder, TraceSink,
+    RecoveryPolicy, Request, RequestTimeline, ResultTable, Scheduler, SchedulerConfig,
+    ServingMetrics, SharedSink, SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent,
+    TraceRecorder, TraceSink,
 };
 
 /// One (device, engine, GPU-count) cell of the sweep.
@@ -36,23 +37,8 @@ pub struct ClusterSweepEntry {
     /// GPUs in the cluster.
     pub num_gpus: usize,
     /// `None` when no placement fits the per-GPU memory budgets (the OOM
-    /// cells); otherwise the step outcome.
-    pub outcome: Option<ClusterSweepOutcome>,
-}
-
-/// The measured quantities of one feasible cell.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterSweepOutcome {
-    /// Full-model step time over the batch, milliseconds.
-    pub model_time_ms: f64,
-    /// One layer's all-to-all time, milliseconds.
-    pub all_to_all_ms: f64,
-    /// Collective share of the layer step.
-    pub all_to_all_fraction: f64,
-    /// Batch tokens per second through the MoE stack.
-    pub tokens_per_s: f64,
-    /// Lowest per-GPU utilization in the step.
-    pub min_utilization: f64,
+    /// cells); otherwise the step report.
+    pub outcome: Option<ClusterStepReport>,
 }
 
 /// A GPU-count sweep of one model over devices × engines.
@@ -88,18 +74,11 @@ impl ClusterReport {
                     ClusterConfig::new(device.clone(), *num_gpus, *engine),
                     model.clone(),
                 );
-                let outcome = sim.step(&plan).ok().map(|report| ClusterSweepOutcome {
-                    model_time_ms: report.model_time_ms,
-                    all_to_all_ms: report.all_to_all_ms,
-                    all_to_all_fraction: report.all_to_all_fraction(),
-                    tokens_per_s: report.tokens_per_s(),
-                    min_utilization: report.utilization().into_iter().fold(1.0f64, f64::min),
-                });
                 ClusterSweepEntry {
                     device: device.name.clone(),
                     engine: *engine,
                     num_gpus: *num_gpus,
-                    outcome,
+                    outcome: sim.step(&plan).ok(),
                 }
             })
             .collect();
@@ -121,61 +100,55 @@ impl ClusterReport {
 
     /// Render the sweep as a markdown table.
     pub fn render_markdown(&self) -> Vec<String> {
-        let mut rows = vec![
+        let mut table = ResultTable::titled(
             format!(
                 "Cluster sweep: {} ({} tokens/batch, expert-parallel)",
                 self.model, self.tokens
             ),
-            "| Device | Engine | GPUs | Model step ms | All-to-all ms/layer | A2A share | tok/s | Min util |"
-                .to_string(),
-            "|---|---|---|---|---|---|---|---|".to_string(),
-        ];
+            "Device | Engine | GPUs | Model step ms | All-to-all ms/layer | A2A share | tok/s | \
+             Min util",
+        );
         for e in &self.entries {
-            match e.outcome {
-                None => rows.push(format!(
-                    "| {} | {} | {} | OOM | - | - | - | - |",
-                    e.device,
-                    e.engine.name(),
-                    e.num_gpus
-                )),
-                Some(o) => rows.push(format!(
-                    "| {} | {} | {} | {:.2} | {:.4} | {:.0}% | {:.0} | {:.0}% |",
-                    e.device,
-                    e.engine.name(),
-                    e.num_gpus,
-                    o.model_time_ms,
-                    o.all_to_all_ms,
-                    o.all_to_all_fraction * 100.0,
-                    o.tokens_per_s,
-                    o.min_utilization * 100.0,
-                )),
+            match &e.outcome {
+                None => table.row(&[&e.device, &e.engine.name(), &e.num_gpus, &"OOM"]),
+                Some(r) => {
+                    let min_utilization = r.utilization().into_iter().fold(1.0f64, f64::min);
+                    table.row(&[
+                        &e.device,
+                        &e.engine.name(),
+                        &e.num_gpus,
+                        &format!("{:.2}", r.model_time_ms),
+                        &format!("{:.4}", r.all_to_all_ms),
+                        &format!("{:.0}%", r.all_to_all_fraction() * 100.0),
+                        &format!("{:.0}", r.tokens_per_s()),
+                        &format!("{:.0}%", min_utilization * 100.0),
+                    ]);
+                }
             }
         }
-        rows
+        table.render_markdown()
     }
 }
 
 /// Fleet-sizing table: minimum GPUs per (device, engine) for `model`.
 pub fn render_fleet_sizing(model: &MoeModelConfig, tokens: usize) -> Vec<String> {
-    let mut rows = vec![
+    let mut table = ResultTable::titled(
         format!("Fleet sizing: minimum GPUs holding {}", model.name),
-        "| Device | Dense | VENOM | Samoyeds |".to_string(),
-        "|---|---|---|---|".to_string(),
-    ];
+        "Device | Dense | VENOM | Samoyeds",
+    );
     for device in [DeviceSpec::rtx4070_super(), DeviceSpec::a100_40g()] {
         let min = |engine| match min_gpus_to_fit(&device, engine, model, tokens, 16) {
             Some(g) => g.to_string(),
             None => ">16".to_string(),
         };
-        rows.push(format!(
-            "| {} | {} | {} | {} |",
-            device.name,
-            min(ClusterEngine::Dense),
-            min(ClusterEngine::Venom),
-            min(ClusterEngine::Samoyeds),
-        ));
+        table.row(&[
+            &device.name,
+            &min(ClusterEngine::Dense),
+            &min(ClusterEngine::Venom),
+            &min(ClusterEngine::Samoyeds),
+        ]);
     }
-    rows
+    table.render_markdown()
 }
 
 /// Placement-strategy comparison on a skewed routing plan: straggler step
@@ -191,7 +164,7 @@ pub fn render_placement_comparison(
     let plan = TopKRouter::for_config(model, seed)
         .with_skew(skew)
         .route(tokens);
-    let mut rows = vec![
+    let mut table = ResultTable::titled(
         format!(
             "Placement comparison: {} on {} x {} (skew {:.1}, imbalance {:.2})",
             model.name,
@@ -200,10 +173,8 @@ pub fn render_placement_comparison(
             skew,
             plan.imbalance()
         ),
-        "| Strategy | Straggler ms/layer | Mean ms/layer | Layer step ms | GPU imbalance |"
-            .to_string(),
-        "|---|---|---|---|---|".to_string(),
-    ];
+        "Strategy | Straggler ms/layer | Mean ms/layer | Layer step ms | GPU imbalance",
+    );
     for strategy in [
         PlacementStrategy::RoundRobin,
         PlacementStrategy::CapacityGreedy,
@@ -215,18 +186,17 @@ pub fn render_placement_comparison(
             model.clone(),
         );
         match sim.step(&plan) {
-            Ok(report) => rows.push(format!(
-                "| {} | {:.2} | {:.2} | {:.2} | {:.2} |",
-                strategy.name(),
-                report.straggler_ms(),
-                report.mean_compute_ms(),
-                report.layer_time_ms,
-                report.placement.imbalance(&plan.expert_loads()),
-            )),
-            Err(_) => rows.push(format!("| {} | OOM | - | - | - |", strategy.name())),
+            Ok(report) => table.row(&[
+                &strategy.name(),
+                &format!("{:.2}", report.straggler_ms()),
+                &format!("{:.2}", report.mean_compute_ms()),
+                &format!("{:.2}", report.layer_time_ms),
+                &format!("{:.2}", report.placement.imbalance(&plan.expert_loads())),
+            ]),
+            Err(_) => table.row(&[&strategy.name(), &"OOM"]),
         }
     }
-    rows
+    table.render_markdown()
 }
 
 /// One (topology, engine) cell of the topology sweep.
@@ -239,25 +209,8 @@ pub struct TopologySweepEntry {
     /// Weight representation.
     pub engine: ClusterEngine,
     /// `None` when no placement fits the per-GPU budgets; otherwise the
-    /// step outcome.
-    pub outcome: Option<TopologySweepOutcome>,
-}
-
-/// The measured quantities of one feasible topology-sweep cell.
-#[derive(Debug, Clone, Copy)]
-pub struct TopologySweepOutcome {
-    /// Full-model step time over the batch, milliseconds.
-    pub model_time_ms: f64,
-    /// Dispatch + combine all-to-all per layer, milliseconds.
-    pub all_to_all_ms: f64,
-    /// Intra-island share of the collectives, milliseconds.
-    pub intra_island_ms: f64,
-    /// Spine share of the collectives, milliseconds.
-    pub spine_ms: f64,
-    /// Spine share of the layer step time.
-    pub spine_fraction: f64,
-    /// Batch tokens per second through the MoE stack.
-    pub tokens_per_s: f64,
+    /// step report.
+    pub outcome: Option<ClusterStepReport>,
 }
 
 /// The topology sweep: the same 8-GPU fleet and skewed routing plan priced
@@ -314,19 +267,11 @@ impl TopologySweepReport {
                         .with_topology(topology.clone()),
                     model.clone(),
                 );
-                let outcome = sim.step(&plan).ok().map(|r| TopologySweepOutcome {
-                    model_time_ms: r.model_time_ms,
-                    all_to_all_ms: r.all_to_all_ms,
-                    intra_island_ms: r.intra_island_ms,
-                    spine_ms: r.spine_ms,
-                    spine_fraction: r.spine_fraction(),
-                    tokens_per_s: r.tokens_per_s(),
-                });
                 TopologySweepEntry {
                     topology: topology.name(),
                     num_islands: topology.num_islands(),
                     engine: *engine,
-                    outcome,
+                    outcome: sim.step(&plan).ok(),
                 }
             })
             .collect();
@@ -347,44 +292,48 @@ impl TopologySweepReport {
             self.entries
                 .iter()
                 .find(|e| e.num_islands == islands && e.engine == ClusterEngine::Samoyeds)
-                .and_then(|e| e.outcome)
+                .and_then(|e| e.outcome.as_ref())
         };
         let hier = cell(2)?;
         let flat = cell(1)?;
         Some((hier.all_to_all_ms, flat.all_to_all_ms, hier.spine_ms))
     }
 
-    /// Render the sweep as a markdown table.
+    /// Render the sweep as a markdown table, closed by the spine-bound
+    /// contrast line.
     pub fn render_markdown(&self) -> Vec<String> {
-        let mut rows = vec![
+        let mut table = ResultTable::titled(
             format!(
                 "Topology sweep: {} ({} tokens/batch, routing skew {:.1}, 8 GPUs)",
                 self.model, self.tokens, self.skew
             ),
-            "| Topology | Engine | Model step ms | A2A ms/layer | intra ms | spine ms | Spine share | tok/s |"
-                .to_string(),
-            "|---|---|---|---|---|---|---|---|".to_string(),
-        ];
+            "Topology | Engine | Model step ms | A2A ms/layer | intra ms | spine ms | \
+             Spine share | tok/s",
+        );
         for e in &self.entries {
-            match e.outcome {
-                None => rows.push(format!(
-                    "| {} | {} | OOM | - | - | - | - | - |",
-                    e.topology,
-                    e.engine.name()
-                )),
-                Some(o) => rows.push(format!(
-                    "| {} | {} | {:.2} | {:.4} | {:.4} | {:.4} | {:.0}% | {:.0} |",
-                    e.topology,
-                    e.engine.name(),
-                    o.model_time_ms,
-                    o.all_to_all_ms,
-                    o.intra_island_ms,
-                    o.spine_ms,
-                    o.spine_fraction * 100.0,
-                    o.tokens_per_s,
-                )),
+            match &e.outcome {
+                None => table.row(&[&e.topology, &e.engine.name(), &"OOM"]),
+                Some(r) => table.row(&[
+                    &e.topology,
+                    &e.engine.name(),
+                    &format!("{:.2}", r.model_time_ms),
+                    &format!("{:.4}", r.all_to_all_ms),
+                    &format!("{:.4}", r.intra_island_ms),
+                    &format!("{:.4}", r.spine_ms),
+                    &format!("{:.0}%", r.spine_fraction() * 100.0),
+                    &format!("{:.0}", r.tokens_per_s()),
+                ]),
             }
         }
+        let mut rows = table.render_markdown();
+        rows.push(String::new());
+        rows.push(match self.spine_bound_contrast() {
+            Some((hier, flat, spine)) => format!(
+                "-> spine-bound: on 2×4 NVLink+IB the collectives cost {hier:.3} ms/layer \
+                 ({spine:.3} ms on the spine alone) vs {flat:.3} ms on flat NVLink"
+            ),
+            None => "-> no spine-bound contrast cell in this sweep".to_string(),
+        });
         rows
     }
 }
@@ -403,17 +352,15 @@ pub fn render_topology_placement(
         .with_skew(skew)
         .route(tokens);
     let device = DeviceSpec::a100_40g();
-    let mut rows = vec![
+    let mut table = ResultTable::titled(
         format!(
             "Topology-aware placement: {} on {} (skew {:.1})",
             model.name,
             topology.name(),
             skew
         ),
-        "| Strategy | Spine ms/layer | Cross-island MB/layer | A2A ms/layer | Layer step ms |"
-            .to_string(),
-        "|---|---|---|---|---|".to_string(),
-    ];
+        "Strategy | Spine ms/layer | Cross-island MB/layer | A2A ms/layer | Layer step ms",
+    );
     for strategy in [
         PlacementStrategy::CapacityGreedy,
         PlacementStrategy::ReplicateHot { hot: 2 },
@@ -426,18 +373,17 @@ pub fn render_topology_placement(
             model.clone(),
         );
         match sim.step(&plan) {
-            Ok(r) => rows.push(format!(
-                "| {} | {:.4} | {:.1} | {:.4} | {:.2} |",
-                strategy.name(),
-                r.spine_ms,
-                r.cross_island_bytes / 1e6,
-                r.all_to_all_ms,
-                r.layer_time_ms,
-            )),
-            Err(_) => rows.push(format!("| {} | OOM | - | - | - |", strategy.name())),
+            Ok(r) => table.row(&[
+                &strategy.name(),
+                &format!("{:.4}", r.spine_ms),
+                &format!("{:.1}", r.cross_island_bytes / 1e6),
+                &format!("{:.4}", r.all_to_all_ms),
+                &format!("{:.2}", r.layer_time_ms),
+            ]),
+            Err(_) => table.row(&[&strategy.name(), &"OOM"]),
         }
     }
-    rows
+    table.render_markdown()
 }
 
 /// One (device, link, engine, GPU-count) cell of the cluster-serving sweep.
@@ -541,44 +487,54 @@ impl ClusterServingReport {
             .map(|s| (s.device.clone(), s.link.clone(), s.num_gpus))
     }
 
-    /// Render the sweep as a markdown table.
+    /// Render the sweep as a markdown table, closed by the admission
+    /// contrast line.
     pub fn render_markdown(&self) -> Vec<String> {
-        let mut rows = vec![
+        let mut table = ResultTable::titled(
             format!(
                 "Cluster serving: {} ({} requests, continuous batching over the cluster backend)",
                 self.model, self.num_requests
             ),
-            "| Device | Link | Engine | GPUs | Served | Rejected | tok/s (output) | p95 ms | TTFT p95 ms | A2A share | Peak GiB/GPU |"
-                .to_string(),
-            "|---|---|---|---|---|---|---|---|---|---|---|".to_string(),
-        ];
+            "Device | Link | Engine | GPUs | Served | Rejected | tok/s (output) | p95 ms | \
+             TTFT p95 ms | A2A share | Peak GiB/GPU",
+        );
         for e in &self.entries {
-            if !e.metrics.servable {
-                rows.push(format!(
-                    "| {} | {} | {} | {} | OOM | {} | - | - | - | - | - |",
-                    e.device,
-                    e.link,
-                    e.engine.name(),
-                    e.num_gpus,
-                    e.metrics.rejected,
-                ));
+            let m = &e.metrics;
+            let engine = e.engine.name();
+            if !m.servable {
+                table.row(&[
+                    &e.device,
+                    &e.link,
+                    &engine,
+                    &e.num_gpus,
+                    &"OOM",
+                    &m.rejected,
+                ]);
                 continue;
             }
-            rows.push(format!(
-                "| {} | {} | {} | {} | {} | {} | {:.0} | {:.0} | {:.0} | {:.0}% | {:.1} |",
-                e.device,
-                e.link,
-                e.engine.name(),
-                e.num_gpus,
-                e.metrics.completed,
-                e.metrics.rejected,
-                e.metrics.output_tokens_per_s,
-                e.metrics.request_latency.p95_ms,
-                e.metrics.ttft.p95_ms,
-                e.collective_fraction * 100.0,
-                e.metrics.peak_memory_gib,
-            ));
+            table.row(&[
+                &e.device,
+                &e.link,
+                &engine,
+                &e.num_gpus,
+                &m.completed,
+                &m.rejected,
+                &format!("{:.0}", m.output_tokens_per_s),
+                &format!("{:.0}", m.request_latency.p95_ms),
+                &format!("{:.0}", m.ttft.p95_ms),
+                &format!("{:.0}%", e.collective_fraction * 100.0),
+                &format!("{:.1}", m.peak_memory_gib),
+            ]);
         }
+        let mut rows = table.render_markdown();
+        rows.push(String::new());
+        rows.push(match self.admission_contrast() {
+            Some((device, link, gpus)) => format!(
+                "-> admission contrast: on {gpus}x {device} ({link}) the Samoyeds weights \
+                 admit the trace while dense weights are rejected for memory"
+            ),
+            None => "-> no admission-contrast cell in this sweep".to_string(),
+        });
         rows
     }
 }
@@ -611,6 +567,22 @@ impl FleetKind {
             FleetKind::SamoyedsSingles => "A100 Samoyeds singles",
             FleetKind::DenseSingles => "A100 dense singles",
             FleetKind::Mixed => "A100 pod + 4070S (Samoyeds)",
+        }
+    }
+
+    /// The fleet knobs of the autoscale story: 200 ms ticks, a 1 s window,
+    /// a 1.5 s warm-up and at most 6 replicas; the mixed fleet keeps a
+    /// floor of two replicas, the homogeneous fleets one.
+    pub fn config(&self, scheduler: &SchedulerConfig, policy: DispatchPolicy) -> FleetConfig {
+        FleetConfig {
+            scheduler: *scheduler,
+            policy,
+            tick_ms: 200.0,
+            window_ms: 1_000.0,
+            warmup_ms: 1_500.0,
+            min_replicas: if *self == FleetKind::Mixed { 2 } else { 1 },
+            max_replicas: 6,
+            ..FleetConfig::default()
         }
     }
 
@@ -723,9 +695,7 @@ impl FleetAutoscaleReport {
         }
     }
 
-    /// Run the sweep over `trace` with the fleet knobs used everywhere in
-    /// the autoscale story (200 ms ticks, 1 s window, 1.5 s warm-up, at
-    /// most 6 replicas; the mixed fleet keeps a floor of two replicas).
+    /// Run the sweep over `trace` with each fleet's [`FleetKind::config`].
     pub fn sweep(
         model: &MoeModelConfig,
         trace: &BurstyTraceConfig,
@@ -748,16 +718,7 @@ impl FleetAutoscaleReport {
         let entries: Vec<FleetAutoscaleEntry> = cells
             .par_iter()
             .map(|&(fleet, policy, slo_ms)| {
-                let config = FleetConfig {
-                    scheduler: *scfg,
-                    policy,
-                    tick_ms: 200.0,
-                    window_ms: 1_000.0,
-                    warmup_ms: 1_500.0,
-                    min_replicas: if fleet == FleetKind::Mixed { 2 } else { 1 },
-                    max_replicas: 6,
-                    ..FleetConfig::default()
-                };
+                let config = fleet.config(scfg, policy);
                 let controller = fleet.controller(model, config, &SloAutoscaler::new(slo_ms));
                 FleetAutoscaleEntry {
                     fleet,
@@ -791,32 +752,41 @@ impl FleetAutoscaleReport {
         ))
     }
 
-    /// Render the sweep as a markdown table.
+    /// Render the sweep as a markdown table, closed by the scale-out
+    /// contrast line.
     pub fn render_markdown(&self) -> Vec<String> {
-        let mut rows = vec![
+        let mut table = ResultTable::titled(
             format!(
                 "Fleet autoscale: {} ({} requests, bursty trace, online control plane)",
                 self.model, self.num_requests
             ),
-            "| Fleet | Policy | SLO ms | Served | Rejected | tok/s | TTFT p95 ms | Peak replicas | Scale-outs | Scale-ins |"
-                .to_string(),
-            "|---|---|---|---|---|---|---|---|---|---|".to_string(),
-        ];
+            "Fleet | Policy | SLO ms | Served | Rejected | tok/s | TTFT p95 ms | \
+             Peak replicas | Scale-outs | Scale-ins",
+        );
         for e in &self.entries {
-            rows.push(format!(
-                "| {} | {} | {:.0} | {} | {} | {:.0} | {:.0} | {} | {} | {} |",
-                e.fleet.name(),
-                e.policy.name(),
-                e.slo_ms,
-                e.metrics.completed,
-                e.metrics.rejected,
-                e.metrics.output_tokens_per_s,
-                e.metrics.ttft.p95_ms,
-                e.metrics.replicas,
-                e.metrics.scale_outs(),
-                e.metrics.scale_ins(),
-            ));
+            let m = &e.metrics;
+            table.row(&[
+                &e.fleet.name(),
+                &e.policy.name(),
+                &format!("{:.0}", e.slo_ms),
+                &m.completed,
+                &m.rejected,
+                &format!("{:.0}", m.output_tokens_per_s),
+                &format!("{:.0}", m.ttft.p95_ms),
+                &m.replicas,
+                &m.scale_outs(),
+                &m.scale_ins(),
+            ]);
         }
+        let mut rows = table.render_markdown();
+        rows.push(String::new());
+        rows.push(match self.scale_out_contrast() {
+            Some((samoyeds, dense)) => format!(
+                "-> scale-out contrast at the tight SLO: Samoyeds singles absorb the spike \
+                 with {samoyeds} scale-outs where dense singles need {dense}"
+            ),
+            None => "-> no scale-out contrast cell in this sweep".to_string(),
+        });
         rows
     }
 }
@@ -852,16 +822,7 @@ impl FleetTraceReport {
     /// carries exactly one sink.
     pub fn demo(model: &MoeModelConfig, scfg: &SchedulerConfig) -> Self {
         let requests = FleetAutoscaleReport::demo_trace().generate();
-        let config = FleetConfig {
-            scheduler: *scfg,
-            policy: DispatchPolicy::LeastOutstandingTokens,
-            tick_ms: 200.0,
-            window_ms: 1_000.0,
-            warmup_ms: 1_500.0,
-            min_replicas: 2,
-            max_replicas: 6,
-            ..FleetConfig::default()
-        };
+        let config = FleetKind::Mixed.config(scfg, DispatchPolicy::LeastOutstandingTokens);
         let (sink, recorder) = SharedSink::new(TraceRecorder::new());
         let metrics = FleetKind::Mixed
             .controller(model, config, &SloAutoscaler::new(400.0))
@@ -1177,13 +1138,13 @@ impl FaultSweepReport {
     }
 
     /// Render the sweep as markdown: the policy table plus the re-admission
-    /// run's fault timeline and drain status.
+    /// run's fault timeline and drain status, closed by the recovery line.
     pub fn render_markdown(&self) -> Vec<String> {
         let pct = |v: Option<f64>| match v {
             Some(f) => format!("{:.0}%", f * 100.0),
             None => "-".to_string(),
         };
-        let mut rows = vec![
+        let mut table = ResultTable::titled(
             format!(
                 "Fault sweep: {} ({} requests, crash at {:.1} s, transfer {:.1} ms \
                  / {:.0} MiB priced over the 2×4 topology)",
@@ -1193,13 +1154,12 @@ impl FaultSweepReport {
                 self.transfer_ms,
                 self.transfer_bytes / (1u64 << 20) as f64,
             ),
-            format!(
-                "| policy | served | failed | re-admitted | recovery (ms) | \
-                 SLO {:.0} ms before | during | after |",
+            &format!(
+                "policy | served | failed | re-admitted | recovery (ms) | \
+                 SLO {:.0} ms before | during | after",
                 self.slo_ms
             ),
-            "|---|---|---|---|---|---|---|---|".to_string(),
-        ];
+        );
         for e in &self.entries {
             let crash = e
                 .metrics
@@ -1210,23 +1170,31 @@ impl FaultSweepReport {
                 Some(ms) => format!("{ms:.1}"),
                 None => "-".to_string(),
             };
-            rows.push(format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} |",
-                e.policy,
-                e.metrics.completed,
-                e.metrics.failed(),
-                crash.map(|f| f.readmitted).unwrap_or(0),
-                recovery,
-                pct(e.slo_before),
-                pct(e.slo_during),
-                pct(e.slo_after),
-            ));
+            table.row(&[
+                &e.policy,
+                &e.metrics.completed,
+                &e.metrics.failed(),
+                &crash.map(|f| f.readmitted).unwrap_or(0),
+                &recovery,
+                &pct(e.slo_before),
+                &pct(e.slo_during),
+                &pct(e.slo_after),
+            ]);
         }
+        let mut rows = table.render_markdown();
         if let Some(readmit) = self.entries.iter().find(|e| e.policy == "re-admit") {
             rows.push(String::new());
             rows.extend(readmit.metrics.render_fault_timeline());
             rows.push(format!("drain: {}", readmit.metrics.drain_status()));
         }
+        rows.push(String::new());
+        rows.push(match self.readmit_recovery() {
+            Some((recovery_ms, failed)) => format!(
+                "-> re-admission recovers the crash in {recovery_ms:.1} ms with \
+                 {failed} requests lost"
+            ),
+            None => "-> no crash-recovery cell in this sweep".to_string(),
+        });
         rows
     }
 }
@@ -1493,43 +1461,34 @@ impl DisaggSweepReport {
     /// contrast line.
     pub fn render_markdown(&self) -> Vec<String> {
         let mib = |b: f64| b / (1u64 << 20) as f64;
-        let mut rows = vec![
+        let mut table = ResultTable::titled(
             format!(
                 "Disaggregation sweep: {} ({} requests over {} pods — A100 prefill, \
                  RTX 4070 Super decode; KV handoffs ride NVLink 3 inside an island, \
                  InfiniBand NDR across the spine)",
                 self.model, self.num_requests, self.slots
             ),
-            "| engine | prefill:decode | served | failed | p95 TTFT (ms) | out tok/s | \
-             handoff mean (ms) | KV intra (n / MiB) | KV spine (n / MiB) |"
-                .to_string(),
-            "|---|---|---|---|---|---|---|---|---|".to_string(),
-        ];
+            "engine | prefill:decode | served | failed | p95 TTFT (ms) | out tok/s | \
+             handoff mean (ms) | KV intra (n / MiB) | KV spine (n / MiB)",
+        );
         for e in &self.entries {
+            let split = format!("{}:{}", e.prefill_pods, e.decode_pods);
             match &e.outcome {
-                None => rows.push(format!(
-                    "| {} | {}:{} | OOM | - | - | - | - | - | - |",
-                    e.engine.name(),
-                    e.prefill_pods,
-                    e.decode_pods
-                )),
-                Some(o) => rows.push(format!(
-                    "| {} | {}:{} | {} | {} | {:.1} | {:.0} | {:.2} | {} / {:.0} | {} / {:.0} |",
-                    e.engine.name(),
-                    e.prefill_pods,
-                    e.decode_pods,
-                    o.metrics.completed,
-                    o.metrics.failed(),
-                    o.metrics.ttft.p95_ms,
-                    o.metrics.output_tokens_per_s,
-                    o.attribution.transfer.mean_ms,
-                    o.intra_transfers,
-                    mib(o.intra_bytes),
-                    o.spine_transfers,
-                    mib(o.spine_bytes),
-                )),
+                None => table.row(&[&e.engine.name(), &split, &"OOM"]),
+                Some(o) => table.row(&[
+                    &e.engine.name(),
+                    &split,
+                    &o.metrics.completed,
+                    &o.metrics.failed(),
+                    &format!("{:.1}", o.metrics.ttft.p95_ms),
+                    &format!("{:.0}", o.metrics.output_tokens_per_s),
+                    &format!("{:.2}", o.attribution.transfer.mean_ms),
+                    &format!("{} / {:.0}", o.intra_transfers, mib(o.intra_bytes)),
+                    &format!("{} / {:.0}", o.spine_transfers, mib(o.spine_bytes)),
+                ]),
             }
         }
+        let mut rows = table.render_markdown();
         if let Some((samoyeds, dense)) = self.ratio_contrast() {
             rows.push(String::new());
             rows.push(match dense {
@@ -1569,11 +1528,11 @@ mod tests {
         assert!(dense > samoyeds, "dense {dense} vs samoyeds {samoyeds}");
         // Every feasible multi-GPU cell has a nonzero all-to-all component.
         for e in &report.entries {
-            if let Some(o) = e.outcome {
+            if let Some(o) = &e.outcome {
                 if e.num_gpus > 1 {
                     assert!(o.all_to_all_ms > 0.0, "{} {:?}", e.device, e.engine);
                 }
-                assert!(o.tokens_per_s > 0.0);
+                assert!(o.tokens_per_s() > 0.0);
             }
         }
         let rows = report.render_markdown();
@@ -1641,55 +1600,6 @@ mod tests {
         assert_eq!(share("A100", "NVLink", 1), 0.0);
         assert!(share("A100", "NVLink", 4) > 0.0);
         assert!(share("A100", "PCIe", 4) > share("A100", "NVLink", 4));
-    }
-
-    fn autoscale_fixture() -> FleetAutoscaleReport {
-        FleetAutoscaleReport::sweep(
-            &MoeModelConfig::qwen2_moe(),
-            &FleetAutoscaleReport::demo_trace(),
-            &SchedulerConfig::default(),
-        )
-    }
-
-    #[test]
-    fn mixed_fleet_scales_out_on_breach_and_back_in_with_a_timeline() {
-        let report = autoscale_fixture();
-        let mixed = report
-            .entries
-            .iter()
-            .find(|e| {
-                e.fleet == FleetKind::Mixed
-                    // Exact: selects the sweep cell built from this literal,
-                    // with no arithmetic in between.
-                    && e.slo_ms == 400.0
-                    && e.policy == DispatchPolicy::LeastOutstandingTokens
-            })
-            .expect("mixed cell exists");
-        let m = &mixed.metrics;
-        // The heterogeneous pair is the floor; the burst pushes past it and
-        // the fleet comes back down afterwards.
-        assert!(m.scale_outs() >= 1, "{:?}", m.scale_events);
-        assert!(m.scale_ins() >= 1, "{:?}", m.scale_events);
-        assert!(m.replicas > 2);
-        let first_out = m
-            .scale_events
-            .iter()
-            .find(|e| e.kind == samoyeds_serve::ScaleKind::Out)
-            .expect("scale-out happened");
-        assert!(m
-            .scale_events
-            .iter()
-            .any(|e| e.kind == samoyeds_serve::ScaleKind::In && e.at_ms > first_out.at_ms));
-        for e in &m.scale_events {
-            assert!(e.replicas_after >= 2, "floor violated: {e:?}");
-        }
-        // Both device classes took traffic.
-        assert!(m.per_replica[0].description.contains("cluster 2x"));
-        assert!(m.per_replica[1].description.contains("4070"));
-        assert!(m.per_replica[0].assigned > 0);
-        assert!(m.per_replica[1].assigned > 0);
-        // The timeline renders with one row per event.
-        assert_eq!(m.render_timeline().len(), 2 + m.scale_events.len());
     }
 
     #[test]

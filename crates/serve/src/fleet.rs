@@ -59,6 +59,7 @@ use crate::events::{EventQueue, FleetEvent};
 use crate::faults::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, RecoveryPolicy};
 use crate::memory::MemoryModel;
 use crate::metrics::{latency_summary, LatencySummary, ServingMetrics};
+use crate::report::ResultTable;
 use crate::request::{CompletedRequest, Request, RunningRequest};
 use crate::scheduler::{ReplicaDriver, SchedulerConfig};
 use crate::telemetry::{SharedSink, TraceEvent};
@@ -391,23 +392,20 @@ impl FleetMetrics {
 
     /// Render the scaling timeline as markdown rows.
     pub fn render_timeline(&self) -> Vec<String> {
-        let mut rows = vec![
-            "| t (s) | event | replicas after | reason |".to_string(),
-            "|---|---|---|---|".to_string(),
-        ];
+        let mut table = ResultTable::new("t (s) | event | replicas after | reason");
         for e in &self.scale_events {
-            rows.push(format!(
-                "| {:.2} | {} | {} | {} |",
-                e.at_ms / 1e3,
-                match e.kind {
-                    ScaleKind::Out => "scale-out",
-                    ScaleKind::In => "scale-in",
-                },
-                e.replicas_after,
-                e.reason,
-            ));
+            let event = match e.kind {
+                ScaleKind::Out => "scale-out",
+                ScaleKind::In => "scale-in",
+            };
+            table.row(&[
+                &format!("{:.2}", e.at_ms / 1e3),
+                &event,
+                &e.replicas_after,
+                &e.reason,
+            ]);
         }
-        rows
+        table.render_markdown()
     }
 
     /// Requests lost to crashes and never re-admitted.
@@ -418,11 +416,9 @@ impl FleetMetrics {
     /// Render the fault timeline as markdown rows (header only when no
     /// faults fired).
     pub fn render_fault_timeline(&self) -> Vec<String> {
-        let mut rows = vec![
-            "| t (s) | fault | lost (run/queue) | re-admitted | failed | recovery (ms) |"
-                .to_string(),
-            "|---|---|---|---|---|---|".to_string(),
-        ];
+        let mut table = ResultTable::new(
+            "t (s) | fault | lost (run/queue) | re-admitted | failed | recovery (ms)",
+        );
         for f in &self.faults {
             let what = match &f.kind {
                 FaultKind::ReplicaCrash { replica } => format!("crash replica {replica}"),
@@ -433,19 +429,17 @@ impl FleetMetrics {
                     island, replicas, ..
                 } => format!("partition island {island} ({} replicas)", replicas.len()),
             };
-            rows.push(format!(
-                "| {:.2} | {} | {}/{} | {} | {} | {} |",
-                f.at_ms / 1e3,
-                what,
-                f.lost_running,
-                f.lost_queued,
-                f.readmitted,
-                f.failed,
-                f.recovery_ms()
+            table.row(&[
+                &format!("{:.2}", f.at_ms / 1e3),
+                &what,
+                &format!("{}/{}", f.lost_running, f.lost_queued),
+                &f.readmitted,
+                &f.failed,
+                &f.recovery_ms()
                     .map_or_else(|| "-".to_string(), |ms| format!("{ms:.0}")),
-            ));
+            ]);
         }
-        rows
+        table.render_markdown()
     }
 
     /// One-line drain status for reports: which replicas were still busy

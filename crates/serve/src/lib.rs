@@ -20,8 +20,8 @@
 //! * [`scheduler`] — the continuous-batching scheduler and step cost model;
 //! * [`metrics`] — percentile latency summaries (request latency, TTFT,
 //!   per-output-token latency) and throughput;
-//! * [`report`] — per-engine comparison on a shared trace, rendered as
-//!   markdown;
+//! * [`report`] — per-engine comparison on a shared trace, and the
+//!   [`ResultTable`] every markdown report renders through;
 //! * [`events`] — the deterministic event queue (next-event time advance)
 //!   the fleet control plane runs on;
 //! * [`faults`] — deterministic fault injection (replica crashes, link
@@ -88,7 +88,7 @@ pub use fleet::{
 };
 pub use memory::{MemoryModel, KV_DTYPE_BYTES};
 pub use metrics::{latency_summary, LatencySummary, ServingMetrics};
-pub use report::{compare_engines, render_markdown};
+pub use report::{compare_engines, render_markdown, ResultTable};
 pub use request::{CompletedRequest, Phase, Request, RunningRequest};
 pub use scheduler::{Scheduler, SchedulerConfig, SimulationResult, StepRecord};
 pub use telemetry::{

@@ -39,6 +39,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::metrics::{latency_summary, LatencySummary};
+use crate::report::ResultTable;
 
 /// One structured observation from the simulator.
 ///
@@ -1061,21 +1062,23 @@ impl AttributionSummary {
 
     /// Render as markdown rows (phase | mean | p50 | p95 | max).
     pub fn render_markdown(&self) -> Vec<String> {
-        let row = |name: &str, s: &LatencySummary| {
-            format!(
-                "| {name} | {:.1} | {:.1} | {:.1} | {:.1} |",
-                s.mean_ms, s.p50_ms, s.p95_ms, s.max_ms
-            )
-        };
-        vec![
-            "| phase | mean (ms) | p50 (ms) | p95 (ms) | max (ms) |".to_string(),
-            "|---|---|---|---|---|".to_string(),
-            row("queue wait", &self.queue),
-            row("prefill", &self.prefill),
-            row("kv transfer", &self.transfer),
-            row("decode", &self.decode),
-            row("end-to-end", &self.latency),
-        ]
+        let mut table = ResultTable::new("phase | mean (ms) | p50 (ms) | p95 (ms) | max (ms)");
+        for (name, s) in [
+            ("queue wait", &self.queue),
+            ("prefill", &self.prefill),
+            ("kv transfer", &self.transfer),
+            ("decode", &self.decode),
+            ("end-to-end", &self.latency),
+        ] {
+            table.row(&[
+                &name,
+                &format!("{:.1}", s.mean_ms),
+                &format!("{:.1}", s.p50_ms),
+                &format!("{:.1}", s.p95_ms),
+                &format!("{:.1}", s.max_ms),
+            ]);
+        }
+        table.render_markdown()
     }
 }
 

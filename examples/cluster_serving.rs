@@ -28,21 +28,13 @@ fn main() {
     };
     let scfg = SchedulerConfig::default();
 
-    // The full sweep: fabrics x engines x pod sizes, one shared trace.
-    let report = ClusterServingReport::sweep(&model, &trace, &scfg);
-    for line in report.render_markdown() {
+    // The full sweep: fabrics x engines x pod sizes, one shared trace,
+    // closed by the cell where compression turns a rejected trace into a
+    // served one.
+    for line in ClusterServingReport::sweep(&model, &trace, &scfg).render_markdown() {
         println!("{line}");
     }
-
-    // The headline cell: where compression turns a rejected trace into a
-    // served one.
-    match report.admission_contrast() {
-        Some((device, link, gpus)) => println!(
-            "\n-> on {gpus}x {device} ({link}): Samoyeds admits the trace, \
-             dense weights are rejected for memory\n"
-        ),
-        None => println!("\n-> no admission contrast for this model\n"),
-    }
+    println!();
 
     // One pod in detail, driven through the same generic scheduler that
     // serves a single GPU.

@@ -11,7 +11,7 @@
 
 use samoyeds::dist::{FleetAutoscaleReport, FleetKind};
 use samoyeds::moe::config::MoeModelConfig;
-use samoyeds::serve::{DispatchPolicy, FleetConfig, SchedulerConfig, SloAutoscaler};
+use samoyeds::serve::{DispatchPolicy, SchedulerConfig, SloAutoscaler};
 
 fn main() {
     let model = MoeModelConfig::qwen2_moe();
@@ -19,16 +19,7 @@ fn main() {
     let scfg = SchedulerConfig::default();
 
     // The headline run in detail: the mixed fleet under a tight SLO.
-    let config = FleetConfig {
-        scheduler: scfg,
-        policy: DispatchPolicy::LeastOutstandingTokens,
-        tick_ms: 200.0,
-        window_ms: 1_000.0,
-        warmup_ms: 1_500.0,
-        min_replicas: 2,
-        max_replicas: 6,
-        ..FleetConfig::default()
-    };
+    let config = FleetKind::Mixed.config(&scfg, DispatchPolicy::LeastOutstandingTokens);
     let requests = trace.generate();
     let controller = FleetKind::Mixed.controller(&model, config, &SloAutoscaler::new(400.0));
     // Validate-first: reject an ill-formed experiment before a single event
@@ -67,17 +58,10 @@ fn main() {
         );
     }
 
-    // The full sweep: fleets x policies x SLOs on the shared trace.
+    // The full sweep: fleets x policies x SLOs on the shared trace, closed
+    // by the scale-out contrast.
     println!();
-    let report = FleetAutoscaleReport::sweep(&model, &trace, &scfg);
-    for line in report.render_markdown() {
+    for line in FleetAutoscaleReport::sweep(&model, &trace, &scfg).render_markdown() {
         println!("{line}");
-    }
-    match report.scale_out_contrast() {
-        Some((samoyeds, dense)) => println!(
-            "\n-> at the tight SLO, Samoyeds singles absorb the spike with {samoyeds} \
-             scale-outs where dense singles need {dense}\n"
-        ),
-        None => println!("\n-> no scale-out contrast for this model\n"),
     }
 }

@@ -32,19 +32,6 @@ fn main() {
         println!("{line}");
     }
 
-    match report.ratio_contrast() {
-        Some((samoyeds, Some(dense))) => println!(
-            "\nSamoyeds serves best at {}:{} vs dense at {}:{}",
-            samoyeds.0, samoyeds.1, dense.0, dense.1
-        ),
-        Some((samoyeds, None)) => println!(
-            "\nSamoyeds serves best at {}:{}; dense cannot disaggregate here — \
-             the 12 GiB decode pods cannot hold its weights",
-            samoyeds.0, samoyeds.1
-        ),
-        None => println!("\nno feasible Samoyeds split — nothing to contrast"),
-    }
-
     let json = report.chrome_trace();
     let path = "fleet_disagg.json";
     match std::fs::write(path, &json) {

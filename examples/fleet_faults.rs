@@ -30,15 +30,6 @@ fn main() {
         println!("{line}");
     }
 
-    match report.readmit_recovery() {
-        Some((recovery_ms, failed)) => println!(
-            "\nre-admission recovers the crash in {recovery_ms:.1} ms with \
-             {failed} requests lost (weight transfer: {:.1} ms over the spine)",
-            report.transfer_ms
-        ),
-        None => println!("\nre-admission run recorded no crash — nothing to recover"),
-    }
-
     let json = report.chrome_trace();
     let path = "fleet_faults.json";
     match std::fs::write(path, &json) {

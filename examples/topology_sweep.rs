@@ -27,18 +27,12 @@ fn main() {
         _ => MoeModelConfig::qwen2_moe(),
     };
 
-    // The full sweep: three layouts x three engines, one shared skewed plan.
-    let report = TopologySweepReport::sweep(&model, 4096, 1.5, 42);
-    for line in report.render_markdown() {
+    // The full sweep: three layouts x three engines, one shared skewed plan,
+    // closed by the spine-bound contrast.
+    for line in TopologySweepReport::sweep(&model, 4096, 1.5, 42).render_markdown() {
         println!("{line}");
     }
-    match report.spine_bound_contrast() {
-        Some((hier, flat, spine)) => println!(
-            "\n-> spine-bound: 2×4 NVLink+IB pays {hier:.3} ms/layer of collectives \
-             ({spine:.3} ms on the spine alone) where flat NVLink pays {flat:.3} ms\n"
-        ),
-        None => println!("\n-> no spine-bound contrast for this model\n"),
-    }
+    println!();
 
     // Topology-aware placement on the 2x4 layout: one replica of each hot
     // expert per island keeps its tokens off the spine.

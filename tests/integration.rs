@@ -2,9 +2,9 @@
 //! pruned formats, kernels, MoE engines and experiment reports.
 
 use samoyeds::dist::{
-    ClusterBackend, ClusterConfig, ClusterEngine, ClusterSimulator, ClusterTopology,
-    DisaggSweepReport, FaultSweepReport, FleetAutoscaleReport, LinkSpec, PlacementStrategy,
-    TopologySweepReport,
+    render_topology_placement, ClusterBackend, ClusterConfig, ClusterEngine, ClusterSimulator,
+    ClusterTopology, DisaggSweepReport, FaultSweepReport, FleetAutoscaleReport, FleetKind,
+    LinkSpec, PlacementStrategy, TopologySweepReport,
 };
 use samoyeds::gpu_sim::DeviceSpec;
 use samoyeds::kernels::gemm_dense::DenseGemm;
@@ -19,8 +19,8 @@ use samoyeds::pruning::accuracy::{ProxyTask, PruneMethod};
 use samoyeds::serve::backend::{attention_step_ms, auxiliary_step_ms, StepCost, StepWorkload};
 use samoyeds::serve::batch::StepBatch;
 use samoyeds::serve::{
-    compare_engines, ExecutionBackend, FaultKind, Request, RunningRequest, SchedulerConfig,
-    SingleGpuBackend, TraceConfig,
+    compare_engines, DispatchPolicy, ExecutionBackend, FaultKind, Request, RunningRequest,
+    ScaleKind, SchedulerConfig, SingleGpuBackend, TraceConfig,
 };
 use samoyeds::sparse::prune::PruneFormat;
 use samoyeds::sparse::samoyeds::SamoyedsConfig;
@@ -217,6 +217,17 @@ fn fault_sweep_recovers_with_zero_lost_requests_under_readmission() {
     assert!(rows.iter().any(|r| r.contains("fail-fast")));
     assert!(rows.iter().any(|r| r.contains("re-admit + replace")));
     assert!(rows.iter().any(|r| r.starts_with("drain:")));
+    // Three policy rows, the fault timeline, the drain status and the
+    // headline.
+    assert!(rows.len() >= 3 + 3 + 2, "{} rows", rows.len());
+    // Text unique to the Some branch: losing the recovery cell fails here
+    // instead of matching the fallback.
+    assert!(
+        rows.iter()
+            .any(|r| r.contains("-> re-admission recovers the crash")),
+        "{rows:?}"
+    );
+    assert!(rows.iter().any(|r| r.contains("0 requests lost")));
 }
 
 #[test]
@@ -306,8 +317,53 @@ fn autoscale_sweep_shows_samoyeds_absorbing_the_spike_with_fewer_scale_outs() {
         "samoyeds {samoyeds} scale-outs vs dense {dense}"
     );
     let rows = report.render_markdown();
-    assert!(rows.len() >= 3 + 12);
+    // All 12 sweep cells render, plus the headline line, whose text is
+    // unique to the Some branch: a sweep that loses the contrast cell fails
+    // here instead of matching the "no scale-out contrast" fallback.
+    assert!(rows.len() >= 3 + 12 + 2, "{} rows", rows.len());
     assert!(rows.iter().any(|r| r.contains("A100 pod + 4070S")));
+    assert!(
+        rows.iter().any(|r| r.contains("absorb the spike")),
+        "{rows:?}"
+    );
+
+    // The mixed fleet at the tight SLO: the heterogeneous pair is the
+    // floor; the burst pushes past it and the fleet comes back down
+    // afterwards.
+    let mixed = report
+        .entries
+        .iter()
+        .find(|e| {
+            e.fleet == FleetKind::Mixed
+                // Exact: selects the sweep cell built from this literal,
+                // with no arithmetic in between.
+                && e.slo_ms == 400.0
+                && e.policy == DispatchPolicy::LeastOutstandingTokens
+        })
+        .expect("mixed cell exists");
+    let m = &mixed.metrics;
+    assert!(m.scale_outs() >= 1, "{:?}", m.scale_events);
+    assert!(m.scale_ins() >= 1, "{:?}", m.scale_events);
+    assert!(m.replicas > 2);
+    let first_out = m
+        .scale_events
+        .iter()
+        .find(|e| e.kind == ScaleKind::Out)
+        .expect("scale-out happened");
+    assert!(m
+        .scale_events
+        .iter()
+        .any(|e| e.kind == ScaleKind::In && e.at_ms > first_out.at_ms));
+    for e in &m.scale_events {
+        assert!(e.replicas_after >= 2, "floor violated: {e:?}");
+    }
+    // Both device classes took traffic.
+    assert!(m.per_replica[0].description.contains("cluster 2x"));
+    assert!(m.per_replica[1].description.contains("4070"));
+    assert!(m.per_replica[0].assigned > 0);
+    assert!(m.per_replica[1].assigned > 0);
+    // The timeline renders with one row per event.
+    assert_eq!(m.render_timeline().len(), 2 + m.scale_events.len());
 }
 
 #[test]
@@ -323,7 +379,7 @@ fn topology_sweep_shows_the_spine_becoming_the_straggler() {
     assert!(spine > hier - spine, "spine {spine} of {hier} is the bound");
     // Flat cells never pay the spine; hierarchical cells always do.
     for e in &report.entries {
-        if let Some(o) = e.outcome {
+        if let Some(o) = &e.outcome {
             if e.num_islands == 1 {
                 assert_eq!(o.spine_ms, 0.0, "{}", e.topology);
                 assert_eq!(o.intra_island_ms, o.all_to_all_ms);
@@ -333,8 +389,15 @@ fn topology_sweep_shows_the_spine_becoming_the_straggler() {
         }
     }
     let rows = report.render_markdown();
-    assert!(rows.len() >= 3 + 9);
+    // The 3x3 sweep table and the headline, whose text is unique to the
+    // Some branch: a sweep that loses the spine-bound cell fails here
+    // instead of matching the fallback.
+    assert!(rows.len() >= 3 + 9 + 2, "{} rows", rows.len());
     assert!(rows.iter().any(|r| r.contains("InfiniBand NDR spine")));
+    assert!(
+        rows.iter().any(|r| r.contains("-> spine-bound")),
+        "{rows:?}"
+    );
 
     // The placement table's setup: one replica of each hot expert per
     // island beats both capacity-greedy and pod-wide hot replication on
@@ -343,6 +406,9 @@ fn topology_sweep_shows_the_spine_becoming_the_straggler() {
     let plan = TopKRouter::for_config(&model, 9).with_skew(1.5).route(4096);
     let topology =
         ClusterTopology::symmetric(2, 4, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr()).unwrap();
+    let placement = render_topology_placement(&model, &topology, 4096, 1.5, 9);
+    assert!(placement.len() >= 6, "{} rows", placement.len());
+    assert!(placement.iter().any(|r| r.contains("replicate-hot-island")));
     let step = |strategy| {
         ClusterSimulator::new(
             ClusterConfig::new(DeviceSpec::a100_40g(), 8, ClusterEngine::Samoyeds)
@@ -394,11 +460,11 @@ fn accuracy_pipeline_runs_for_every_method() {
 
 #[test]
 fn experiment_harness_smoke() {
-    use samoyeds_bench::{run_experiment, Experiment};
-    let rows = run_experiment(Experiment::Table3MaxBatch);
+    use samoyeds_bench::experiments::{fig14_moe_layer, table3_max_batch};
+    let rows = table3_max_batch();
     assert!(rows.len() >= 8);
     assert!(rows.iter().any(|r| r.contains("Mixtral-8x22B")));
-    let rows = run_experiment(Experiment::Fig14MoeLayer);
+    let rows = fig14_moe_layer();
     assert!(rows.iter().any(|r| r.contains("NS")));
 }
 
