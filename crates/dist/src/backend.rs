@@ -27,12 +27,11 @@
 
 use crate::cluster::{ClusterConfig, ClusterSimulator};
 use crate::placement::{ClusterMemoryModel, PlacementStrategy};
-use samoyeds_moe::attention::AttentionKind;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_moe::router::TopKRouter;
 use samoyeds_serve::backend::{
-    attention_step_ms, auxiliary_step_ms, ExecutionBackend, MemoryBudget, OverlapModel, StepCost,
+    auxiliary_step_ms, ExecutionBackend, MemoryBudget, OverlapModel, StepAttention, StepCost,
     StepWorkload,
 };
 use samoyeds_serve::SchedulerConfig;
@@ -128,11 +127,16 @@ pub struct ClusterBackend {
     sim: ClusterSimulator,
     budget: ClusterAdmissionBudget,
     router: TopKRouter,
-    attention: AttentionKind,
+    attention: StepAttention,
     routing_seed: u64,
     step_overhead_ms: f64,
     overlap: OverlapModel,
 }
+
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<ClusterBackend>();
+};
 
 impl ClusterBackend {
     /// Build the backend for one (cluster, model) pair, taking the
@@ -160,7 +164,7 @@ impl ClusterBackend {
             budget,
             router,
             sim,
-            attention: scfg.attention,
+            attention: StepAttention::new(scfg.attention),
             routing_seed: scfg.routing_seed,
             step_overhead_ms: scfg.step_overhead_ms,
             overlap: OverlapModel::Serial,
@@ -270,13 +274,10 @@ impl ExecutionBackend for ClusterBackend {
         // cost divides across the pod.
         let g = cluster.num_gpus.max(1) as f64;
         let device = &cluster.device;
-        let attention_ms = attention_step_ms(
-            device,
-            model,
-            self.attention,
-            workload.batch,
-            workload.running,
-        ) / g;
+        let attention_ms = self
+            .attention
+            .step_ms(device, model, workload.batch, workload.running)
+            / g;
         let other_ms = auxiliary_step_ms(device, model, step_tokens) / g;
 
         let layers = model.num_layers as f64;

@@ -5,8 +5,10 @@
 //!
 //! Every sweep cell is deterministic and independent of its neighbours, so
 //! each sweep enumerates its cell descriptors up front and prices them with
-//! a rayon `par_iter` — cells fill all cores and the entry order stays the
-//! canonical (outer × inner) enumeration order either way.
+//! a rayon `par_iter`. The workspace's vendored `rayon` is a sequential
+//! stand-in (`par_iter` is `iter`), so the cells run one after another on
+//! one core, in the canonical (outer × inner) enumeration order, which is
+//! also the entry order a parallel `rayon` would keep.
 
 use crate::backend::ClusterBackend;
 use crate::cluster::{min_gpus_to_fit, ClusterConfig, ClusterSimulator, ClusterStepReport};

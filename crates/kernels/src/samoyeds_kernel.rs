@@ -516,6 +516,29 @@ mod tests {
     }
 
     #[test]
+    fn with_input_sparsity_the_batch_width_does_not_move_the_price() {
+        // The MoE engines key a Samoyeds expert's price by its selected
+        // column count alone, whatever batch its SEL array indexes.
+        let cfg = SamoyedsConfig::DEFAULT;
+        for opts in [
+            SamoyedsOptions::WEIGHT_INPUT,
+            SamoyedsOptions::WEIGHT_INPUT_LAYOUT,
+            SamoyedsOptions::FULL,
+        ] {
+            assert!(opts.input_sparsity);
+            let kernel = SamoyedsKernel::with_options(DeviceSpec::a100_40g(), opts);
+            for (m, k, selected) in [(1408, 2048, 64), (2048, 1408, 192)] {
+                let time_ms = |n| {
+                    kernel
+                        .time_ms(&GemmProblem::samoyeds(m, k, n, selected, cfg))
+                        .to_bits()
+                };
+                assert_eq!(time_ms(selected), time_ms(4096), "{opts:?} {m}x{k}");
+            }
+        }
+    }
+
+    #[test]
     fn every_disabled_optimisation_costs_time() {
         let device = DeviceSpec::rtx4070_super();
         let problem = GemmProblem::samoyeds(4096, 4096, 2048, 512, SamoyedsConfig::DEFAULT);

@@ -2,6 +2,7 @@
 //! time-breakdown experiment (Figure 2) and the end-to-end decoder layer.
 
 use crate::config::MoeModelConfig;
+use crate::price_cache::PriceCache;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_kernels::gemm_dense::DenseGemm;
 use samoyeds_kernels::GemmProblem;
@@ -19,14 +20,24 @@ pub enum AttentionKind {
 /// The attention cost model of one (device, model, attention kind) triple,
 /// built around one dense GEMM model that prices every projection and score
 /// product. Build it once and price as many sequence lengths as needed;
-/// [`attention_time_ms`] builds a fresh one per call.
+/// [`attention_time_ms`] builds a fresh one per call. A long-lived model
+/// also keeps the price of every sequence length asked of
+/// [`Self::cached_time_ms`].
 #[derive(Debug, Clone)]
 pub struct AttentionModel {
     gemm: DenseGemm,
     kind: AttentionKind,
     hidden: usize,
     heads: usize,
+    /// `time_ms(tokens)` per length priced through [`Self::cached_time_ms`];
+    /// the model prices one shape, `()`.
+    prices: PriceCache<(), f64>,
 }
+
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<AttentionModel>();
+};
 
 impl AttentionModel {
     /// The attention model of `config` under `kind` on `device`.
@@ -36,7 +47,18 @@ impl AttentionModel {
             kind,
             hidden: config.hidden_size,
             heads: config.num_heads.max(1),
+            prices: PriceCache::new(),
         }
+    }
+
+    /// [`Self::time_ms`] through the model's price table: each sequence
+    /// length is priced once per model, then looked up, bit-identically.
+    /// The returned pricer holds the table's lock until it is dropped, so
+    /// one pricer serves a whole step and takes one lock; drop it before
+    /// asking for another.
+    pub fn cached_time_ms(&self) -> impl FnMut(usize) -> f64 + '_ {
+        let mut prices = self.prices.lock(());
+        move |tokens| prices.get_or_insert_with(tokens, || self.time_ms(tokens))
     }
 
     /// Predicted execution time of one attention block over `tokens` tokens.

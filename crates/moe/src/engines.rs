@@ -13,6 +13,7 @@
 
 use crate::config::MoeModelConfig;
 use crate::expert::{ExpertWeights, SamoyedsExpertWeights};
+use crate::price_cache::{PriceCache, Prices};
 use crate::router::RoutingPlan;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_kernels::fusion::{standalone_epilogue_cost, Activation};
@@ -101,11 +102,15 @@ impl LayerCost {
 ///
 /// The engine builds each analytical kernel it prices with — the dense GEMM
 /// model and the Samoyeds kernel model — once, on the first pricing call
-/// that needs it, and reuses it for every later call. A kernel depends only
-/// on the device and the Samoyeds options, so a reused engine prices exactly
-/// like a fresh one. The kernels are boxed behind [`OnceLock`]s: an engine
-/// that never prices (the memory models build one) stays small, builds
-/// nothing and remains `Sync`.
+/// that needs it, and reuses it for every later call. It also keeps every
+/// expert projection price it computes, keyed by kernel, the model's hidden
+/// and intermediate sizes and the column count (the token count, padded to
+/// the N-tile for Samoyeds): the price depends on nothing else once the
+/// device and the Samoyeds options are fixed, so a reused engine prices
+/// exactly like a fresh one, across models and token counts. The kernels are
+/// boxed behind [`OnceLock`]s and the price table starts empty: an engine
+/// that never prices (the memory models build one) stays small, builds and
+/// allocates nothing and remains `Send + Sync`.
 #[derive(Debug, Clone)]
 pub struct Engine {
     kind: EngineKind,
@@ -113,7 +118,27 @@ pub struct Engine {
     samoyeds_options: SamoyedsOptions,
     dense_gemm: OnceLock<Box<DenseGemm>>,
     samoyeds_kernel: OnceLock<Box<SamoyedsKernel>>,
+    /// `(gate or up projection ms, down projection ms)` per [`Shape`] and
+    /// column count.
+    prices: PriceCache<Shape, (f64, f64)>,
 }
+
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Engine>();
+};
+
+/// The kernel an expert projection is priced with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kernel {
+    Dense,
+    Samoyeds,
+}
+
+/// `(kernel, hidden, intermediate)`: with the column count, everything an
+/// expert's projection prices depend on, for a fixed device and Samoyeds
+/// options.
+type Shape = (Kernel, usize, usize);
 
 impl Engine {
     /// Create an engine of the given kind on a device. No kernel is built
@@ -125,15 +150,18 @@ impl Engine {
             samoyeds_options: SamoyedsOptions::FULL,
             dense_gemm: OnceLock::new(),
             samoyeds_kernel: OnceLock::new(),
+            prices: PriceCache::new(),
         }
     }
 
     /// Override the Samoyeds optimisation toggles (used by the Figure 17
-    /// breakdown). Drops the cached Samoyeds kernel, which was built with the
-    /// old toggles; the next pricing call builds one with the new ones.
+    /// breakdown). Drops the cached Samoyeds kernel and the price table,
+    /// which were built with the old toggles; the next pricing call builds a
+    /// kernel with the new ones and the table starts empty.
     pub fn with_samoyeds_options(mut self, options: SamoyedsOptions) -> Self {
         self.samoyeds_options = options;
         self.samoyeds_kernel = OnceLock::new();
+        self.prices = PriceCache::new();
         self
     }
 
@@ -231,10 +259,10 @@ impl Engine {
     ///
     /// Every engine prices an expert from its token count alone (the length
     /// of its `SEL` array), so the loads are all of the routing the cost
-    /// model reads. Within one call each distinct per-expert price is
-    /// computed once, and the terms are still added one per expert in
-    /// expert order, so the result is bit-identical to pricing every expert
-    /// separately.
+    /// model reads. Each distinct per-expert price is computed once per
+    /// engine and looked up in its price table afterwards (one lock per
+    /// call), and the terms are still added one per expert in expert order,
+    /// so the result is bit-identical to pricing every expert separately.
     pub fn moe_layer_cost_for_loads(
         &self,
         config: &MoeModelConfig,
@@ -461,44 +489,35 @@ impl Engine {
     }
 }
 
-/// Look `key` up in a per-call price memo, pricing and recording it on a
-/// miss. A call has at most one key per expert, so a linear scan is enough.
-fn memoized<V: Copy>(memo: &mut Vec<(usize, V)>, key: usize, price: impl FnOnce() -> V) -> V {
-    if let Some(&(_, value)) = memo.iter().find(|(k, _)| *k == key) {
-        return value;
-    }
-    let value = price();
-    memo.push((key, value));
-    value
-}
-
-/// The dense (cuBLAS-like) projection times of one pricing call, keyed by
-/// token count. For a fixed device and model a GEMM's time depends on its
-/// column count alone, so each distinct count is priced once, through the
-/// engine's dense GEMM model.
+/// The dense (cuBLAS-like) projection times of one model's experts, keyed
+/// by token count. For a fixed device and model a GEMM's time depends on its
+/// column count alone, so each distinct count is priced once per engine,
+/// through its dense GEMM model, and looked up in its price table after.
 struct DenseTimes<'a> {
     engine: &'a Engine,
     hidden: usize,
     intermediate: usize,
-    /// `(tokens, (gate or up projection ms, down projection ms))`.
-    memo: Vec<(usize, (f64, f64))>,
+    /// `(gate or up projection ms, down projection ms)` per token count,
+    /// locked for one pricing call.
+    prices: Prices<'a, Shape, (f64, f64)>,
 }
 
 impl<'a> DenseTimes<'a> {
     fn new(engine: &'a Engine, config: &MoeModelConfig) -> Self {
+        let (hidden, intermediate) = (config.hidden_size, config.intermediate_size);
         Self {
             engine,
-            hidden: config.hidden_size,
-            intermediate: config.intermediate_size,
-            memo: Vec::new(),
+            hidden,
+            intermediate,
+            prices: engine.prices.lock((Kernel::Dense, hidden, intermediate)),
         }
     }
 
     /// `(gate or up, down)` projection times over `tokens` columns.
     fn projections_ms(&mut self, tokens: usize) -> (f64, f64) {
-        let (h, i) = (self.hidden, self.intermediate);
-        memoized(&mut self.memo, tokens, || {
-            let gemm = self.engine.dense_gemm();
+        let (h, i, engine) = (self.hidden, self.intermediate, self.engine);
+        self.prices.get_or_insert_with(tokens, || {
+            let gemm = engine.dense_gemm();
             (
                 gemm.time_ms(&GemmProblem::dense(i, h, tokens)),
                 gemm.time_ms(&GemmProblem::dense(h, i, tokens)),
@@ -528,28 +547,30 @@ impl<'a> DenseTimes<'a> {
     }
 }
 
-/// The Samoyeds expert times of one pricing call, keyed by token count
-/// padded to the N-tile. For a fixed batch an expert's time depends on
-/// nothing else, so each distinct padded count is priced once, through the
-/// engine's Samoyeds kernel model.
+/// The Samoyeds projection times of one model's experts, keyed by token
+/// count padded to the N-tile. An expert's time depends on nothing else, so
+/// each distinct padded count is priced once per engine, through its
+/// Samoyeds kernel model, and looked up in its price table after.
 struct SamoyedsTimes<'a> {
     engine: &'a Engine,
     hidden: usize,
     intermediate: usize,
     /// The logical token count the SEL arrays index into.
     num_tokens: usize,
-    /// `(padded tokens, expert ms)`.
-    memo: Vec<(usize, f64)>,
+    /// `(gate or up projection ms, down projection ms)` per padded token
+    /// count, locked for one pricing call.
+    prices: Prices<'a, Shape, (f64, f64)>,
 }
 
 impl<'a> SamoyedsTimes<'a> {
     fn new(engine: &'a Engine, config: &MoeModelConfig, num_tokens: usize) -> Self {
+        let (hidden, intermediate) = (config.hidden_size, config.intermediate_size);
         Self {
             engine,
-            hidden: config.hidden_size,
-            intermediate: config.intermediate_size,
+            hidden,
+            intermediate,
             num_tokens,
-            memo: Vec::new(),
+            prices: engine.prices.lock((Kernel::Samoyeds, hidden, intermediate)),
         }
     }
 
@@ -558,8 +579,7 @@ impl<'a> SamoyedsTimes<'a> {
         if selected == 0 {
             return 0.0;
         }
-        let (h, i) = (self.hidden, self.intermediate);
-        let engine = self.engine;
+        let (h, i, engine) = (self.hidden, self.intermediate, self.engine);
         // Padding to the kernel's N-tile (the §6.2 padding effect).
         let nb = TilingConfig::DEFAULT_4070S.nb.min(64);
         let padded = selected.div_ceil(nb) * nb;
@@ -571,13 +591,18 @@ impl<'a> SamoyedsTimes<'a> {
         } else {
             padded
         };
-        memoized(&mut self.memo, padded, || {
+        // The key leaves `logical_n` out: with input sparsity the kernel
+        // prices the `padded` selected columns whatever buffer they index,
+        // and without it `logical_n` is `padded`.
+        let (gate, down) = self.prices.get_or_insert_with(padded, || {
             let kernel = engine.samoyeds_kernel();
             let cfg = SamoyedsConfig::DEFAULT;
-            let gate = kernel.time_ms(&GemmProblem::samoyeds(i, h, logical_n, padded, cfg));
-            let down = kernel.time_ms(&GemmProblem::samoyeds(h, i, padded, padded, cfg));
-            gate * 2.0 + down
-        })
+            (
+                kernel.time_ms(&GemmProblem::samoyeds(i, h, logical_n, padded, cfg)),
+                kernel.time_ms(&GemmProblem::samoyeds(h, i, padded, padded, cfg)),
+            )
+        });
+        gate * 2.0 + down
     }
 }
 

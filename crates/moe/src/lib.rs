@@ -27,6 +27,7 @@ pub mod decoder;
 pub mod engines;
 pub mod expert;
 pub mod memory;
+mod price_cache;
 pub mod router;
 
 pub use config::MoeModelConfig;

@@ -29,6 +29,7 @@ use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::router::TopKRouter;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 pub use samoyeds_moe::decoder::auxiliary_step_ms;
 
@@ -238,18 +239,72 @@ impl<B: ExecutionBackend + ?Sized> ExecutionBackend for Box<B> {
     delegate_execution_backend!();
 }
 
-/// Incremental attention cost of one layer over the step: prefill chunks pay
-/// the causal-attention cost of extending their context; each decode token
-/// pays one pass over its request's KV cache. Shared between the single-GPU
-/// and cluster backends so the two can never diverge on attention pricing.
-///
-/// One call builds at most one [`AttentionModel`], and only when the batch
-/// has prefill chunks, and prices each distinct context length once (fresh
-/// chunks all start from the same one-token context). The increments are
-/// still added chunk by chunk in batch order, so the sum is bit-identical to
-/// pricing every chunk with [`attention_time_ms`].
-///
-/// [`attention_time_ms`]: samoyeds_moe::attention::attention_time_ms
+/// One backend's attention pricing across its steps. The backend's
+/// [`AttentionModel`] is built on the first step with prefill chunks and
+/// kept, boxed, for every later step, so each context length is priced once
+/// per backend; a backend that never prefills builds nothing.
+#[derive(Debug, Clone)]
+pub struct StepAttention {
+    kind: AttentionKind,
+    model: OnceLock<Box<AttentionModel>>,
+}
+
+impl StepAttention {
+    /// Attention priced under `kind`. Builds nothing until the first step
+    /// with prefill chunks.
+    pub fn new(kind: AttentionKind) -> Self {
+        Self {
+            kind,
+            model: OnceLock::new(),
+        }
+    }
+
+    /// Incremental attention cost of one layer over the step: prefill chunks
+    /// pay the causal-attention cost of extending their context; each decode
+    /// token pays one pass over its request's KV cache. Shared between the
+    /// single-GPU and cluster backends so the two can never diverge on
+    /// attention pricing.
+    ///
+    /// `device` and `config` build the model on the first step with prefill
+    /// chunks, so pass the same ones on every call. A step reads the model's
+    /// price table under one lock and prices only the context lengths no
+    /// earlier step asked for; the increments are still added chunk by chunk
+    /// in batch order, so the sum is bit-identical to pricing every chunk
+    /// with [`attention_time_ms`].
+    ///
+    /// [`attention_time_ms`]: samoyeds_moe::attention::attention_time_ms
+    pub fn step_ms(
+        &self,
+        device: &DeviceSpec,
+        config: &MoeModelConfig,
+        batch: &StepBatch,
+        running: &[RunningRequest],
+    ) -> f64 {
+        let mut attention_ms = 0.0;
+        if !batch.prefill.is_empty() {
+            let model = self
+                .model
+                .get_or_init(|| Box::new(AttentionModel::new(device, config, self.kind)));
+            let mut time_ms = model.cached_time_ms();
+            for &(i, chunk) in &batch.prefill {
+                let before = running[i].prefilled;
+                let after = (before + chunk).min(config.max_seq_len);
+                let inc = time_ms(after) - time_ms(before.max(1));
+                attention_ms += inc.max(0.0);
+            }
+        }
+        let bandwidth = device.mem_bandwidth_gbps * 1e9;
+        for &i in &batch.decode {
+            let ctx = running[i].context_tokens().min(config.max_seq_len);
+            let kv_bytes = 2.0 * ctx as f64 * config.hidden_size as f64 * KV_DTYPE_BYTES;
+            attention_ms += kv_bytes / bandwidth * 1e3 + 2.0e-3;
+        }
+        attention_ms
+    }
+}
+
+/// [`StepAttention::step_ms`] on a model built for this call: the price of
+/// one step's attention with nothing kept.
 pub fn attention_step_ms(
     device: &DeviceSpec,
     config: &MoeModelConfig,
@@ -257,33 +312,7 @@ pub fn attention_step_ms(
     batch: &StepBatch,
     running: &[RunningRequest],
 ) -> f64 {
-    let mut attention_ms = 0.0;
-    if !batch.prefill.is_empty() {
-        let model = AttentionModel::new(device, config, attention);
-        // `(context tokens, attention ms)`; at most two keys per chunk.
-        let mut memo: Vec<(usize, f64)> = Vec::with_capacity(2 * batch.prefill.len());
-        let mut time_ms = |tokens: usize| {
-            if let Some(&(_, ms)) = memo.iter().find(|(t, _)| *t == tokens) {
-                return ms;
-            }
-            let ms = model.time_ms(tokens);
-            memo.push((tokens, ms));
-            ms
-        };
-        for &(i, chunk) in &batch.prefill {
-            let before = running[i].prefilled;
-            let after = (before + chunk).min(config.max_seq_len);
-            let inc = time_ms(after) - time_ms(before.max(1));
-            attention_ms += inc.max(0.0);
-        }
-    }
-    let bandwidth = device.mem_bandwidth_gbps * 1e9;
-    for &i in &batch.decode {
-        let ctx = running[i].context_tokens().min(config.max_seq_len);
-        let kv_bytes = 2.0 * ctx as f64 * config.hidden_size as f64 * KV_DTYPE_BYTES;
-        attention_ms += kv_bytes / bandwidth * 1e3 + 2.0e-3;
-    }
-    attention_ms
+    StepAttention::new(attention).step_ms(device, config, batch, running)
 }
 
 /// One device running one execution engine — the original serving
@@ -297,10 +326,15 @@ pub struct SingleGpuBackend {
     engine: Engine,
     memory: MemoryModel,
     router: TopKRouter,
-    attention: AttentionKind,
+    attention: StepAttention,
     routing_seed: u64,
     step_overhead_ms: f64,
 }
+
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<SingleGpuBackend>();
+};
 
 impl SingleGpuBackend {
     /// Build the backend for one (device, model, engine) triple, taking the
@@ -320,7 +354,7 @@ impl SingleGpuBackend {
             router: TopKRouter::for_config(config, scfg.routing_seed),
             device,
             config: config.clone(),
-            attention: scfg.attention,
+            attention: StepAttention::new(scfg.attention),
             routing_seed: scfg.routing_seed,
             step_overhead_ms: scfg.step_overhead_ms,
         }
@@ -377,13 +411,9 @@ impl ExecutionBackend for SingleGpuBackend {
             .engine
             .moe_layer_cost_for_loads(&self.config, step_tokens, &loads)
             .time_ms;
-        let attention_ms = attention_step_ms(
-            &self.device,
-            &self.config,
-            self.attention,
-            workload.batch,
-            workload.running,
-        );
+        let attention_ms =
+            self.attention
+                .step_ms(&self.device, &self.config, workload.batch, workload.running);
         let other_ms = auxiliary_step_ms(&self.device, &self.config, step_tokens);
         StepCost::compute_only(
             (moe_ms + attention_ms + other_ms) * self.config.num_layers as f64

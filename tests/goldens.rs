@@ -48,7 +48,7 @@ use samoyeds::moe::attention::{attention_time_ms, AttentionKind};
 use samoyeds::moe::config::MoeModelConfig;
 use samoyeds::moe::engines::{Engine, EngineKind};
 use samoyeds::moe::router::TopKRouter;
-use samoyeds::serve::backend::{attention_step_ms, StepCost, StepWorkload};
+use samoyeds::serve::backend::{attention_step_ms, StepAttention, StepCost, StepWorkload};
 use samoyeds::serve::batch::StepBatch;
 use samoyeds::serve::{
     BatchLimits, BurstPhase, BurstyTraceConfig, DisaggregationConfig, DispatchPolicy,
@@ -913,6 +913,52 @@ fn attention_costs_match_the_golden_price_table() {
         include_str!("golden/attention_costs.txt"),
         render_attention_costs(),
     );
+}
+
+#[test]
+fn a_backends_attention_model_prices_like_a_fresh_one_bit_for_bit() {
+    // The serving backends price attention through one long-lived
+    // `StepAttention`, whose model keeps the price of every context length
+    // it was asked. Price the golden table's step batches and one fresh
+    // prompt per golden sequence length (64 and 65 are neighbours) through
+    // one, in order and then in reverse (every length a cache hit): each
+    // must match a fresh `attention_step_ms` bit for bit.
+    let mut cells = 0;
+    for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
+        for model in [MoeModelConfig::qwen2_moe(), MoeModelConfig::mixtral_8x7b()] {
+            let mut batches = attention_batches(&model);
+            for tokens in [7usize, 64, 65, 216, 512, 2048, 8192] {
+                let request = Request {
+                    id: 0,
+                    arrival_ms: 0.0,
+                    prompt_len: tokens,
+                    output_len: 1,
+                };
+                let batch = StepBatch {
+                    prefill: vec![(0, tokens)],
+                    decode: Vec::new(),
+                };
+                batches.push(("prompt", vec![RunningRequest::new(request, 0.0)], batch));
+            }
+            for kind in [AttentionKind::Flash, AttentionKind::Standard] {
+                let attention = StepAttention::new(kind);
+                for (name, running, batch) in batches.iter().chain(batches.iter().rev()) {
+                    let fresh = attention_step_ms(&device, &model, kind, batch, running);
+                    let priced = attention.step_ms(&device, &model, batch, running);
+                    assert_eq!(
+                        priced.to_bits(),
+                        fresh.to_bits(),
+                        "{} {} {kind:?} step={name} prefill={:?}",
+                        device.name,
+                        model.name,
+                        batch.prefill
+                    );
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 160);
 }
 
 /// One line for a single-GPU `Scheduler::run`: its counts, the bits of its

@@ -669,11 +669,14 @@ fn counts_only_routing_matches_the_full_plan_loads() {
 
 #[test]
 fn a_reused_engine_prices_like_a_fresh_one_bit_for_bit() {
-    // An engine builds its kernels on the first pricing call and keeps them.
-    // Price once under the full Samoyeds options, switch to each of the
-    // golden price table's engine configurations, then walk its grid: every
-    // cell must match a fresh engine's price, so a kernel cached under the
-    // old options would show up here.
+    // An engine builds its kernels on the first pricing call and keeps them
+    // and every price it computes. Price once under the full Samoyeds
+    // options, switch to each of the golden price table's engine
+    // configurations, then walk its grid twice: in order, and in reverse
+    // model and token order, where every price is a cache hit and
+    // consecutive cells cross models of different sizes. Every cell must
+    // match a fresh engine's price, so a kernel or a price cached under the
+    // old options, or under another model's shape, would show up here.
     let configurations = [
         (EngineKind::Transformers, SamoyedsOptions::FULL),
         (EngineKind::MegaBlocks, SamoyedsOptions::FULL),
@@ -697,6 +700,7 @@ fn a_reused_engine_prices_like_a_fresh_one_bit_for_bit() {
             let warm = Engine::new(kind, device.clone());
             warm.moe_layer_cost(&warmup_model, 64, &warmup_plan);
             let reused = warm.with_samoyeds_options(options);
+            let mut grid = Vec::new();
             for model in &models {
                 let router = TopKRouter::for_config(model, 7);
                 for tokens in [0usize, 1, 7, 64, 65, 216, 2048] {
@@ -705,19 +709,22 @@ fn a_reused_engine_prices_like_a_fresh_one_bit_for_bit() {
                         .with_samoyeds_options(options)
                         .moe_layer_cost(model, tokens, &plan)
                         .time_ms;
-                    let priced = reused.moe_layer_cost(model, tokens, &plan).time_ms;
-                    assert_eq!(
-                        priced.to_bits(),
-                        fresh.to_bits(),
-                        "{} {} {options:?} {} tokens={tokens}",
-                        device.name,
-                        kind.name(),
-                        model.name
-                    );
-                    cells += 1;
+                    grid.push((model, tokens, plan, fresh));
                 }
+            }
+            for (model, tokens, plan, fresh) in grid.iter().chain(grid.iter().rev()) {
+                let priced = reused.moe_layer_cost(model, *tokens, plan).time_ms;
+                assert_eq!(
+                    priced.to_bits(),
+                    fresh.to_bits(),
+                    "{} {} {options:?} {} tokens={tokens}",
+                    device.name,
+                    kind.name(),
+                    model.name
+                );
+                cells += 1;
             }
         }
     }
-    assert_eq!(cells, 336);
+    assert_eq!(cells, 2 * 336);
 }
