@@ -1,10 +1,13 @@
 //! Criterion benches over the MoE-layer and decoder-layer cost evaluation
 //! (Figures 14-16), the routing substrate (the full plan, and the
-//! counts-only `route_loads_seeded` at a single-GPU and a pod step's
-//! shape), and the per-step pricing a serving replica pays:
-//! `SingleGpuBackend::step_cost` on a `fleet_poisson`-shaped step and on a
-//! short decode step, and its layers, `attention_step_ms` and
-//! `Engine::moe_layer_cost_for_loads` on an engine reused across calls.
+//! counts-only `route_loads_seeded` at a decode step's, a single-GPU
+//! prefill step's and a pod step's shape), and the per-step pricing a
+//! serving replica pays: `SingleGpuBackend::step_cost` on a
+//! `fleet_poisson`-shaped step and on a short decode step (Samoyeds, and
+//! dense Transformers for the decode step), and its layers,
+//! `attention_step_ms` and `Engine::moe_layer_cost_for_loads` on an engine
+//! reused across calls, over a ring of 64 steps' loads so that the zero
+//! pattern changes from call to call as it does in serving.
 //!
 //! Run with `BENCH_JSON=<absolute path>` to also write the results as one
 //! JSON document (CI uploads it as the `BENCH_moe` artifact, ungated).
@@ -51,12 +54,14 @@ fn bench_router(c: &mut Criterion) {
     c.bench_function("router_4096_tokens_64_experts", |b| {
         b.iter(|| router.route(4096))
     });
-    // The counts-only draw at the two shapes serving steps route, on
-    // Qwen2-MoE: a `fleet_poisson`-shaped single-GPU step (206 tokens, one
-    // rank) and a 4-GPU pod's 512-token prefill step.
+    // The counts-only draw at the shapes serving steps route, on
+    // Qwen2-MoE: a `fleet_decode_autoscale`-shaped decode step (8 tokens,
+    // one rank), where the router's fixed per-call cost shows, a
+    // `fleet_poisson`-shaped single-GPU step (206 tokens, one rank) and a
+    // 4-GPU pod's 512-token prefill step.
     let router = TopKRouter::for_config(&MoeModelConfig::qwen2_moe(), 7);
     let mut group = c.benchmark_group("route_loads_seeded");
-    for (tokens, ranks) in [(206usize, 1usize), (512, 4)] {
+    for (tokens, ranks) in [(8usize, 1usize), (206, 1), (512, 4)] {
         group.bench_with_input(
             BenchmarkId::new("qwen2", format!("tokens{tokens}_ranks{ranks}")),
             &(tokens, ranks),
@@ -126,26 +131,35 @@ fn bench_step_pricing(c: &mut Criterion) {
     let device = DeviceSpec::a100_40g();
     let model = MoeModelConfig::qwen2_moe();
     let scfg = SchedulerConfig::default();
-    let backend = SingleGpuBackend::new(device.clone(), &model, EngineKind::Samoyeds, &scfg);
+    let backend = |kind| SingleGpuBackend::new(device.clone(), &model, kind, &scfg);
     let mut group = c.benchmark_group("step_pricing");
-    for (label, (requests, batch)) in [("poisson_206", poisson_step()), ("decode_8", decode_step())]
-    {
-        group.bench_with_input(
-            BenchmarkId::new("single_gpu_step_cost", label),
-            &label,
-            |b, _| {
-                // A fresh routing seed every iteration, as in a serving run.
-                let mut step_index = 0u64;
-                b.iter(|| {
-                    step_index += 1;
-                    backend.step_cost(&StepWorkload {
-                        batch: &batch,
-                        running: &requests,
-                        step_index,
-                    })
+    let samoyeds = "single_gpu_step_cost";
+    // The dense quarter of `fleet_decode_autoscale`'s replicas.
+    let dense = "single_gpu_step_cost/Transformers";
+    let cells = [
+        (
+            samoyeds,
+            EngineKind::Samoyeds,
+            "poisson_206",
+            poisson_step(),
+        ),
+        (samoyeds, EngineKind::Samoyeds, "decode_8", decode_step()),
+        (dense, EngineKind::Transformers, "decode_8", decode_step()),
+    ];
+    for (name, kind, label, (requests, batch)) in cells {
+        let backend = backend(kind);
+        group.bench_with_input(BenchmarkId::new(name, label), &label, |b, _| {
+            // A fresh routing seed every iteration, as in a serving run.
+            let mut step_index = 0u64;
+            b.iter(|| {
+                step_index += 1;
+                backend.step_cost(&StepWorkload {
+                    batch: &batch,
+                    running: &requests,
+                    step_index,
                 })
-            },
-        );
+            })
+        });
     }
     let (requests, batch) = poisson_step();
     group.bench_function("attention_step_ms/poisson_206", |b| {
@@ -155,11 +169,24 @@ fn bench_step_pricing(c: &mut Criterion) {
     for kind in [EngineKind::Samoyeds, EngineKind::Transformers] {
         let engine = Engine::new(kind, device.clone());
         for tokens in [8usize, 216] {
-            let loads = router.route_loads_seeded(42, tokens, 1);
+            // The loads of a ring of 64 step seeds, drawn before timing: one
+            // fixed load vector would let the branch predictor learn its
+            // zero pattern, which no serving step repeats.
+            let ring: Vec<Vec<usize>> = (1..=64u64)
+                .map(|step_index| {
+                    router.route_loads_seeded(scfg.routing_seed ^ step_index, tokens, 1)
+                })
+                .collect();
             group.bench_with_input(
                 BenchmarkId::new(format!("moe_layer_cost_for_loads/{}", kind.name()), tokens),
                 &tokens,
-                |b, &t| b.iter(|| engine.moe_layer_cost_for_loads(&model, t, &loads)),
+                |b, &t| {
+                    let mut loads = ring.iter().cycle();
+                    b.iter(|| {
+                        let loads = loads.next().expect("a non-empty ring");
+                        engine.moe_layer_cost_for_loads(&model, t, loads)
+                    })
+                },
             );
         }
     }

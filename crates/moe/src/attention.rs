@@ -29,8 +29,9 @@ pub struct AttentionModel {
     kind: AttentionKind,
     hidden: usize,
     heads: usize,
-    /// `time_ms(tokens)` per length priced through [`Self::cached_time_ms`];
-    /// the model prices one shape, `()`.
+    /// `time_ms(tokens)` in a row indexed by the length, for the lengths
+    /// priced through [`Self::cached_time_ms`]; the model prices one shape,
+    /// `()`.
     prices: PriceCache<(), f64>,
 }
 
@@ -51,11 +52,12 @@ impl AttentionModel {
         }
     }
 
-    /// [`Self::time_ms`] through the model's price table: each sequence
-    /// length is priced once per model, then looked up, bit-identically.
-    /// The returned pricer holds the table's lock until it is dropped, so
-    /// one pricer serves a whole step and takes one lock; drop it before
-    /// asking for another.
+    /// [`Self::time_ms`] through the model's price row: each sequence
+    /// length is priced once per model, the first time it is asked for, and
+    /// afterwards read from the row entry it indexes, bit-identically. Only
+    /// the lengths asked for are priced. The returned pricer holds the row's
+    /// lock until it is dropped, so one pricer serves a whole step and takes
+    /// one lock; drop it before asking for another.
     pub fn cached_time_ms(&self) -> impl FnMut(usize) -> f64 + '_ {
         let mut prices = self.prices.lock(());
         move |tokens| prices.get_or_insert_with(tokens, || self.time_ms(tokens))

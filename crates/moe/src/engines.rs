@@ -13,7 +13,7 @@
 
 use crate::config::MoeModelConfig;
 use crate::expert::{ExpertWeights, SamoyedsExpertWeights};
-use crate::price_cache::{PriceCache, Prices};
+use crate::price_cache::{Price, PriceCache, Prices};
 use crate::router::RoutingPlan;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_kernels::fusion::{standalone_epilogue_cost, Activation};
@@ -103,14 +103,15 @@ impl LayerCost {
 /// The engine builds each analytical kernel it prices with — the dense GEMM
 /// model and the Samoyeds kernel model — once, on the first pricing call
 /// that needs it, and reuses it for every later call. It also keeps every
-/// expert projection price it computes, keyed by kernel, the model's hidden
-/// and intermediate sizes and the column count (the token count, padded to
-/// the N-tile for Samoyeds): the price depends on nothing else once the
-/// device and the Samoyeds options are fixed, so a reused engine prices
-/// exactly like a fresh one, across models and token counts. The kernels are
-/// boxed behind [`OnceLock`]s and the price table starts empty: an engine
-/// that never prices (the memory models build one) stays small, builds and
-/// allocates nothing and remains `Send + Sync`.
+/// expert price it computes, one row per model shape, indexed directly by
+/// what the price depends on: a Samoyeds expert's N-tile bucket
+/// `⌈tokens / 64⌉` (see [`Self::moe_layer_cost_for_loads`]), a dense
+/// expert's column count. Nothing else moves a price once the device and the
+/// Samoyeds options are fixed, so a reused engine prices exactly like a
+/// fresh one, across models and token counts. The kernels are boxed behind
+/// [`OnceLock`]s and the price rows start empty: an engine that never prices
+/// (the memory models build one) stays small, builds and allocates nothing
+/// and remains `Send + Sync`.
 #[derive(Debug, Clone)]
 pub struct Engine {
     kind: EngineKind,
@@ -118,9 +119,11 @@ pub struct Engine {
     samoyeds_options: SamoyedsOptions,
     dense_gemm: OnceLock<Box<DenseGemm>>,
     samoyeds_kernel: OnceLock<Box<SamoyedsKernel>>,
-    /// `(gate or up projection ms, down projection ms)` per [`Shape`] and
-    /// column count.
-    prices: PriceCache<Shape, (f64, f64)>,
+    /// A dense expert's prices per [`DenseShape`] and column count.
+    dense_prices: PriceCache<DenseShape, DensePrice>,
+    /// One Samoyeds expert's time (gate, up and down projections) per
+    /// `(hidden, intermediate)` and N-tile bucket.
+    samoyeds_prices: PriceCache<(usize, usize), f64>,
 }
 
 const _: () = {
@@ -128,17 +131,22 @@ const _: () = {
     send_sync::<Engine>();
 };
 
-/// The kernel an expert projection is priced with.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Kernel {
-    Dense,
-    Samoyeds,
-}
+/// `(hidden, intermediate, activation)`: with the column count, everything
+/// a dense expert's prices depend on, for a fixed device.
+type DenseShape = (usize, usize, Activation);
 
-/// `(kernel, hidden, intermediate)`: with the column count, everything an
-/// expert's projection prices depend on, for a fixed device and Samoyeds
-/// options.
-type Shape = (Kernel, usize, usize);
+/// The Samoyeds kernel's N-tile: an expert's tokens pad to a multiple of it
+/// (the §6.2 padding effect).
+const N_TILE: usize = if TilingConfig::DEFAULT_4070S.nb < 64 {
+    TilingConfig::DEFAULT_4070S.nb
+} else {
+    64
+};
+
+/// The N-tile bucket `⌈tokens / N_TILE⌉` a Samoyeds expert is priced by.
+fn n_tile_bucket(tokens: usize) -> usize {
+    tokens.div_ceil(N_TILE)
+}
 
 impl Engine {
     /// Create an engine of the given kind on a device. No kernel is built
@@ -150,18 +158,20 @@ impl Engine {
             samoyeds_options: SamoyedsOptions::FULL,
             dense_gemm: OnceLock::new(),
             samoyeds_kernel: OnceLock::new(),
-            prices: PriceCache::new(),
+            dense_prices: PriceCache::new(),
+            samoyeds_prices: PriceCache::new(),
         }
     }
 
     /// Override the Samoyeds optimisation toggles (used by the Figure 17
-    /// breakdown). Drops the cached Samoyeds kernel and the price table,
-    /// which were built with the old toggles; the next pricing call builds a
-    /// kernel with the new ones and the table starts empty.
+    /// breakdown). Drops the cached Samoyeds kernel and its prices, which
+    /// were built with the old toggles; the next pricing call builds a
+    /// kernel with the new ones and its rows start empty. Dense prices do
+    /// not depend on the toggles and are kept.
     pub fn with_samoyeds_options(mut self, options: SamoyedsOptions) -> Self {
         self.samoyeds_options = options;
         self.samoyeds_kernel = OnceLock::new();
-        self.prices = PriceCache::new();
+        self.samoyeds_prices = PriceCache::new();
         self
     }
 
@@ -260,9 +270,14 @@ impl Engine {
     /// Every engine prices an expert from its token count alone (the length
     /// of its `SEL` array), so the loads are all of the routing the cost
     /// model reads. Each distinct per-expert price is computed once per
-    /// engine and looked up in its price table afterwards (one lock per
-    /// call), and the terms are still added one per expert in expert order,
-    /// so the result is bit-identical to pricing every expert separately.
+    /// engine and read from its price row afterwards, under one lock per
+    /// call. Samoyeds fills its row through the call's largest N-tile bucket
+    /// (at most 32 buckets at 2,048 tokens), so each expert costs one row
+    /// read, a zero-load expert reading the zero price of bucket 0; dense
+    /// engines price only the column counts asked for. The terms are still
+    /// added one per expert in expert order, and adding a zero leaves the
+    /// positive running sum unchanged, so the result is bit-identical to
+    /// pricing every active expert separately.
     pub fn moe_layer_cost_for_loads(
         &self,
         config: &MoeModelConfig,
@@ -318,11 +333,12 @@ impl Engine {
         // buffer.
         let permuted_tokens: usize = loads.iter().sum();
         total += self.copy_pass_ms((permuted_tokens * h) as f64 * 2.0);
-        for &tokens in loads.iter().filter(|&&t| t > 0) {
-            total += dense.expert_ms(tokens);
+        for &tokens in loads {
+            let price = dense.price(tokens);
+            total += price.gate_up + price.down;
             // Standalone activation + gating multiply over the intermediate.
-            total += self.elementwise_pass_ms(i, tokens, config.activation);
-            total += self.elementwise_pass_ms(i, tokens, Activation::Identity);
+            total += price.activation;
+            total += price.gating;
         }
         // Shared experts process every token.
         for _ in 0..config.num_shared_experts {
@@ -400,13 +416,26 @@ impl Engine {
     /// arrays, fused activation and weighted accumulation, no permute
     /// round-trips.
     fn time_samoyeds(&self, config: &MoeModelConfig, num_tokens: usize, loads: &[usize]) -> f64 {
-        let mut samoyeds = SamoyedsTimes::new(self, config, num_tokens);
+        let shared_tokens = if config.num_shared_experts > 0 {
+            num_tokens
+        } else {
+            0
+        };
+        let largest = loads.iter().fold(shared_tokens, |max, &t| max.max(t));
+        // One row read per expert: the row holds every bucket through the
+        // largest this call needs, bucket 0 the zero price of an idle expert.
+        let mut prices = self
+            .samoyeds_prices
+            .lock((config.hidden_size, config.intermediate_size));
+        let expert_ms = prices.through(n_tile_bucket(largest), |bucket| {
+            self.samoyeds_expert_ms(config, num_tokens, bucket)
+        });
         let mut total = 0.0;
         for &tokens in loads {
-            total += samoyeds.expert_ms(tokens);
+            total += expert_ms[n_tile_bucket(tokens)];
         }
         for _ in 0..config.num_shared_experts {
-            total += samoyeds.expert_ms(num_tokens);
+            total += expert_ms[n_tile_bucket(num_tokens)];
         }
         // The weighted accumulation is fused; only the final dense output
         // write remains, which the kernel already accounts for. A residual
@@ -419,6 +448,28 @@ impl Engine {
             total += self.copy_pass_ms((assignments * h) as f64 * 2.0 * 3.0);
         }
         total
+    }
+
+    /// One Samoyeds expert's time, its three projections, over the
+    /// `bucket`-th N-tile of tokens out of a `num_tokens`-token batch. Its
+    /// tokens pad to the tile (the §6.2 padding effect), so the bucket alone
+    /// keys the price: with input sparsity the kernel indexes the full token
+    /// buffer through the SEL array but prices only the `padded` selected
+    /// columns, whatever buffer they index; without it (the "+W" data flow)
+    /// the expert receives an already-gathered buffer of just its own tokens.
+    fn samoyeds_expert_ms(&self, config: &MoeModelConfig, num_tokens: usize, bucket: usize) -> f64 {
+        let (h, i) = (config.hidden_size, config.intermediate_size);
+        let padded = bucket * N_TILE;
+        let logical_n = if self.samoyeds_options.input_sparsity {
+            num_tokens.max(padded)
+        } else {
+            padded
+        };
+        let kernel = self.samoyeds_kernel();
+        let cfg = SamoyedsConfig::DEFAULT;
+        let gate = kernel.time_ms(&GemmProblem::samoyeds(i, h, logical_n, padded, cfg));
+        let down = kernel.time_ms(&GemmProblem::samoyeds(h, i, padded, padded, cfg));
+        gate * 2.0 + down
     }
 
     /// Functional reference forward of the whole MoE layer under
@@ -489,120 +540,96 @@ impl Engine {
     }
 }
 
-/// The dense (cuBLAS-like) projection times of one model's experts, keyed
-/// by token count. For a fixed device and model a GEMM's time depends on its
-/// column count alone, so each distinct count is priced once per engine,
-/// through its dense GEMM model, and looked up in its price table after.
+/// A dense expert's prices over one column count, in milliseconds.
+#[derive(Debug, Clone, Copy)]
+struct DensePrice {
+    /// The gate and up projections together.
+    gate_up: f64,
+    /// The down projection.
+    down: f64,
+    /// Transformers' standalone activation pass over the intermediate.
+    activation: f64,
+    /// Transformers' standalone gating multiply over the intermediate.
+    gating: f64,
+}
+
+impl Price for DensePrice {
+    const ZERO: Self = Self {
+        gate_up: 0.0,
+        down: 0.0,
+        activation: 0.0,
+        gating: 0.0,
+    };
+    const UNPRICED: Self = Self {
+        gate_up: f64::NAN,
+        ..Self::ZERO
+    };
+
+    fn is_priced(&self) -> bool {
+        !self.gate_up.is_nan()
+    }
+}
+
+/// The dense (cuBLAS-like) prices of one model's experts, keyed by column
+/// count. For a fixed device and model a GEMM's time depends on its column
+/// count alone, so each distinct count is priced once per engine, through
+/// its dense GEMM model, and read from the model's row after. Only the
+/// counts asked for are priced: pricing every count below 2,048 from cold
+/// would cost about a millisecond.
 struct DenseTimes<'a> {
     engine: &'a Engine,
     hidden: usize,
     intermediate: usize,
-    /// `(gate or up projection ms, down projection ms)` per token count,
-    /// locked for one pricing call.
-    prices: Prices<'a, Shape, (f64, f64)>,
+    activation: Activation,
+    /// The model's row, locked for one pricing call.
+    prices: Prices<'a, DenseShape, DensePrice>,
 }
 
 impl<'a> DenseTimes<'a> {
     fn new(engine: &'a Engine, config: &MoeModelConfig) -> Self {
         let (hidden, intermediate) = (config.hidden_size, config.intermediate_size);
+        let activation = config.activation;
         Self {
             engine,
             hidden,
             intermediate,
-            prices: engine.prices.lock((Kernel::Dense, hidden, intermediate)),
+            activation,
+            prices: engine.dense_prices.lock((hidden, intermediate, activation)),
         }
     }
 
-    /// `(gate or up, down)` projection times over `tokens` columns.
-    fn projections_ms(&mut self, tokens: usize) -> (f64, f64) {
-        let (h, i, engine) = (self.hidden, self.intermediate, self.engine);
+    /// An expert's prices over `tokens` columns: zero for none.
+    fn price(&mut self, tokens: usize) -> DensePrice {
+        let (h, i, activation, engine) =
+            (self.hidden, self.intermediate, self.activation, self.engine);
         self.prices.get_or_insert_with(tokens, || {
             let gemm = engine.dense_gemm();
-            (
-                gemm.time_ms(&GemmProblem::dense(i, h, tokens)),
-                gemm.time_ms(&GemmProblem::dense(h, i, tokens)),
-            )
+            let gate_or_up = gemm.time_ms(&GemmProblem::dense(i, h, tokens));
+            DensePrice {
+                gate_up: gate_or_up + gate_or_up,
+                down: gemm.time_ms(&GemmProblem::dense(h, i, tokens)),
+                activation: engine.elementwise_pass_ms(i, tokens, activation),
+                gating: engine.elementwise_pass_ms(i, tokens, Activation::Identity),
+            }
         })
     }
 
     /// One expert's three projections (gate + up + down) over `tokens`.
     fn expert_ms(&mut self, tokens: usize) -> f64 {
-        if tokens == 0 {
-            return 0.0;
-        }
-        let (gate_up, down) = self.projections_ms(tokens);
-        gate_up + gate_up + down
+        let price = self.price(tokens);
+        price.gate_up + price.down
     }
 
-    /// Every active expert's GEMMs over its tokens padded to `pad`, gate and
-    /// up as one doubled term, summed in expert order.
+    /// Every expert's GEMMs over its tokens padded to `pad`, gate and up as
+    /// one term, summed in expert order (an idle expert adds zeros).
     fn padded_experts_ms(&mut self, loads: &[usize], pad: usize) -> f64 {
         let mut total = 0.0;
-        for &tokens in loads.iter().filter(|&&t| t > 0) {
-            let (gate_up, down) = self.projections_ms(tokens.div_ceil(pad) * pad);
-            total += gate_up * 2.0;
-            total += down;
+        for &tokens in loads {
+            let price = self.price(tokens.div_ceil(pad) * pad);
+            total += price.gate_up;
+            total += price.down;
         }
         total
-    }
-}
-
-/// The Samoyeds projection times of one model's experts, keyed by token
-/// count padded to the N-tile. An expert's time depends on nothing else, so
-/// each distinct padded count is priced once per engine, through its
-/// Samoyeds kernel model, and looked up in its price table after.
-struct SamoyedsTimes<'a> {
-    engine: &'a Engine,
-    hidden: usize,
-    intermediate: usize,
-    /// The logical token count the SEL arrays index into.
-    num_tokens: usize,
-    /// `(gate or up projection ms, down projection ms)` per padded token
-    /// count, locked for one pricing call.
-    prices: Prices<'a, Shape, (f64, f64)>,
-}
-
-impl<'a> SamoyedsTimes<'a> {
-    fn new(engine: &'a Engine, config: &MoeModelConfig, num_tokens: usize) -> Self {
-        let (hidden, intermediate) = (config.hidden_size, config.intermediate_size);
-        Self {
-            engine,
-            hidden,
-            intermediate,
-            num_tokens,
-            prices: engine.prices.lock((Kernel::Samoyeds, hidden, intermediate)),
-        }
-    }
-
-    /// Cost of one expert (three projections) over `selected` routed tokens.
-    fn expert_ms(&mut self, selected: usize) -> f64 {
-        if selected == 0 {
-            return 0.0;
-        }
-        let (h, i, engine) = (self.hidden, self.intermediate, self.engine);
-        // Padding to the kernel's N-tile (the §6.2 padding effect).
-        let nb = TilingConfig::DEFAULT_4070S.nb.min(64);
-        let padded = selected.div_ceil(nb) * nb;
-        // With input sparsity the kernel indexes the full token buffer
-        // through the SEL array; without it (the "+W" data flow) the expert
-        // receives an already-gathered buffer of just its own tokens.
-        let logical_n = if engine.samoyeds_options.input_sparsity {
-            self.num_tokens.max(padded)
-        } else {
-            padded
-        };
-        // The key leaves `logical_n` out: with input sparsity the kernel
-        // prices the `padded` selected columns whatever buffer they index,
-        // and without it `logical_n` is `padded`.
-        let (gate, down) = self.prices.get_or_insert_with(padded, || {
-            let kernel = engine.samoyeds_kernel();
-            let cfg = SamoyedsConfig::DEFAULT;
-            (
-                kernel.time_ms(&GemmProblem::samoyeds(i, h, logical_n, padded, cfg)),
-                kernel.time_ms(&GemmProblem::samoyeds(h, i, padded, padded, cfg)),
-            )
-        });
-        gate * 2.0 + down
     }
 }
 

@@ -15,6 +15,7 @@ use rand_chacha::ChaCha8Rng;
 use samoyeds_sparse::{Result, SelectionArray, SparseError};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// The routing decision for one batch of tokens.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,8 +106,8 @@ impl RoutingPlan {
 
 /// One 64-bit word of the uniform sampler: the Fisher–Yates positions it
 /// decodes, the product `P` of their spans, and the rejection threshold
-/// `2^64 mod P`, computed once per routing call.
-#[derive(Debug, PartialEq)]
+/// `2^64 mod P`, computed once per router.
+#[derive(Debug, Clone, PartialEq)]
 struct Word {
     positions: Range<usize>,
     product: u64,
@@ -131,6 +132,9 @@ pub struct TopKRouter {
     top_k: usize,
     seed: u64,
     skew: f64,
+    /// The uniform sampler's words, grouped on the first uniform draw and
+    /// kept for every later one (see [`Self::words`]).
+    words: OnceLock<Box<[Word]>>,
 }
 
 impl TopKRouter {
@@ -141,6 +145,7 @@ impl TopKRouter {
             top_k: config.top_k,
             seed,
             skew: 0.0,
+            words: OnceLock::new(),
         }
     }
 
@@ -156,6 +161,7 @@ impl TopKRouter {
             top_k,
             seed,
             skew: 0.0,
+            words: OnceLock::new(),
         })
     }
 
@@ -262,23 +268,30 @@ impl TopKRouter {
     /// word's rejection chance, below `P / 2^64`, under 2^-32. Qwen2-MoE,
     /// Mixtral, MiniCPM and OpenMoE need one word per token, DeepSeek-MoE's
     /// top-6-of-64 two.
-    fn words(&self) -> Vec<Word> {
-        let mut words = Vec::new();
-        let mut start = 0;
-        let mut product = 1u64;
-        for i in 0..self.top_k {
-            let span = (self.num_experts - i) as u64;
-            if i > start && product.saturating_mul(span) > 1 << 32 {
-                words.push(Word::new(start..i, product));
-                start = i;
-                product = 1;
+    ///
+    /// The words, their divisions included, are worked out on the first
+    /// call and kept. Not before: a router is built for configs that
+    /// validation goes on to deny, and for `top_k` above the expert count
+    /// the spans would underflow.
+    fn words(&self) -> &[Word] {
+        self.words.get_or_init(|| {
+            let mut words = Vec::new();
+            let mut start = 0;
+            let mut product = 1u64;
+            for i in 0..self.top_k {
+                let span = (self.num_experts - i) as u64;
+                if i > start && product.saturating_mul(span) > 1 << 32 {
+                    words.push(Word::new(start..i, product));
+                    start = i;
+                    product = 1;
+                }
+                product *= span;
             }
-            product *= span;
-        }
-        if start < self.top_k {
-            words.push(Word::new(start..self.top_k, product));
-        }
-        words
+            if start < self.top_k {
+                words.push(Word::new(start..self.top_k, product));
+            }
+            words.into_boxed_slice()
+        })
     }
 
     /// The expert draws behind both routing outputs: for each token in
@@ -302,21 +315,25 @@ impl TopKRouter {
     /// pick.
     fn sample<R: RngCore>(&self, rng: &mut R, num_tokens: usize, mut visit: impl FnMut(&[usize])) {
         if self.skew == 0.0 {
+            // Read once: the router holds a `OnceLock`, so the compiler may
+            // not assume its fields stay put across the loop's stores and
+            // would reload them for every token.
+            let (num_experts, top_k) = (self.num_experts, self.top_k);
             let words = self.words();
-            let mut experts: Vec<usize> = (0..self.num_experts).collect();
+            let mut experts: Vec<usize> = (0..num_experts).collect();
             for _ in 0..num_tokens {
-                for word in &words {
+                for word in words {
                     let mut x = rng.next_u64();
                     while x.wrapping_mul(word.product) < word.threshold {
                         x = rng.next_u64();
                     }
                     for i in word.positions.clone() {
-                        let wide = u128::from(x) * (self.num_experts - i) as u128;
+                        let wide = u128::from(x) * (num_experts - i) as u128;
                         experts.swap(i, i + (wide >> 64) as usize);
                         x = wide as u64;
                     }
                 }
-                visit(&experts[..self.top_k]);
+                visit(&experts[..top_k]);
             }
             return;
         }

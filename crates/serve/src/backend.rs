@@ -267,7 +267,7 @@ impl StepAttention {
     ///
     /// `device` and `config` build the model on the first step with prefill
     /// chunks, so pass the same ones on every call. A step reads the model's
-    /// price table under one lock and prices only the context lengths no
+    /// price row under one lock and prices only the context lengths no
     /// earlier step asked for; the increments are still added chunk by chunk
     /// in batch order, so the sum is bit-identical to pricing every chunk
     /// with [`attention_time_ms`].

@@ -53,32 +53,40 @@ impl StepBatch {
     pub fn is_empty(&self) -> bool {
         self.prefill.is_empty() && self.decode.is_empty()
     }
+
+    /// Replace the batch with the next step from the running set under
+    /// `limits`, as [`build_step`] builds it, reusing the batch's buffers.
+    pub(crate) fn refill(&mut self, running: &[RunningRequest], limits: &BatchLimits) {
+        self.prefill.clear();
+        self.decode.clear();
+        // Decode first: every decoding request advances one token per step
+        // so token-level latency stays bounded.
+        for (i, r) in running.iter().enumerate() {
+            if r.phase() == Phase::Decode {
+                self.decode.push(i);
+            }
+        }
+        let mut budget = limits.max_batched_tokens.saturating_sub(self.decode.len());
+        // Fill the rest with prompt chunks, FCFS in admission order.
+        for (i, r) in running.iter().enumerate() {
+            if budget == 0 {
+                break;
+            }
+            if r.phase() == Phase::Prefill {
+                let chunk = r.prompt_remaining().min(limits.prefill_chunk).min(budget);
+                if chunk > 0 {
+                    self.prefill.push((i, chunk));
+                    budget -= chunk;
+                }
+            }
+        }
+    }
 }
 
 /// Build the next step from the running set under `limits`.
 pub fn build_step(running: &[RunningRequest], limits: &BatchLimits) -> StepBatch {
     let mut batch = StepBatch::default();
-    // Decode first: every decoding request advances one token per step so
-    // token-level latency stays bounded.
-    for (i, r) in running.iter().enumerate() {
-        if r.phase() == Phase::Decode {
-            batch.decode.push(i);
-        }
-    }
-    let mut budget = limits.max_batched_tokens.saturating_sub(batch.decode.len());
-    // Fill the rest with prompt chunks, FCFS in admission order.
-    for (i, r) in running.iter().enumerate() {
-        if budget == 0 {
-            break;
-        }
-        if r.phase() == Phase::Prefill {
-            let chunk = r.prompt_remaining().min(limits.prefill_chunk).min(budget);
-            if chunk > 0 {
-                batch.prefill.push((i, chunk));
-                budget -= chunk;
-            }
-        }
-    }
+    batch.refill(running, limits);
     batch
 }
 

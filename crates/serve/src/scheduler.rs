@@ -11,7 +11,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::backend::{ExecutionBackend, MemoryBudget, SingleGpuBackend, StepWorkload};
-use crate::batch::{build_step, BatchLimits};
+use crate::batch::{BatchLimits, StepBatch};
 use crate::request::{CompletedRequest, Request, RunningRequest};
 use crate::telemetry::{SharedSink, TraceEvent};
 use samoyeds_gpu_sim::DeviceSpec;
@@ -209,12 +209,18 @@ impl<B: ExecutionBackend> Scheduler<B> {
 /// tokens, admission headroom, busy time), which is exactly what an online
 /// dispatcher needs to route each request *at its arrival time* instead of
 /// splitting the trace ahead of time.
+///
+/// A step allocates nothing of its own: the driver refills one
+/// [`StepBatch`] it keeps across steps and retires finished requests from
+/// the running set in place.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplicaDriver<B: ExecutionBackend> {
     backend: B,
     scfg: SchedulerConfig,
     queue: VecDeque<Request>,
     running: Vec<RunningRequest>,
+    /// The step being executed, refilled from `running` at each step.
+    batch: StepBatch,
     /// KV tokens reserved for admitted requests at their full final length
     /// (conservative: admission never needs preemption).
     reserved_tokens: usize,
@@ -272,6 +278,7 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
             scfg,
             queue: VecDeque::new(),
             running: Vec::new(),
+            batch: StepBatch::default(),
             reserved_tokens: 0,
             outstanding: 0,
             prefilled_ids: BTreeSet::new(),
@@ -513,10 +520,11 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     /// Execute exactly one engine step over the current running set.
     fn execute_step(&mut self) {
         let limits = self.scfg.limits;
-        let batch = build_step(&self.running, &limits);
+        self.batch.refill(&self.running, &limits);
+        let batch = &self.batch;
         debug_assert!(!batch.is_empty(), "running set with no schedulable work");
         let cost = self.backend.step_cost(&StepWorkload {
-            batch: &batch,
+            batch,
             running: &self.running,
             step_index: self.step_index,
         });
@@ -579,34 +587,36 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
             }
         }
 
-        // Retire finished requests and release their KV reservation.
-        let mut still_running = Vec::with_capacity(self.running.len());
-        for r in self.running.drain(..) {
-            if r.decoded >= r.request.output_len {
-                self.reserved_tokens -= r.request.total_tokens();
-                let completed = CompletedRequest {
-                    request: r.request,
-                    admitted_ms: r.admitted_ms,
-                    first_token_ms: r.first_token_ms.unwrap_or(self.clock_ms),
-                    finished_ms: self.clock_ms,
-                };
-                if let Some(sink) = &self.sink {
-                    sink.emit(TraceEvent::Completed {
-                        id: completed.request.id,
-                        replica: self.replica_id,
-                        arrival_ms: completed.request.arrival_ms,
-                        admitted_ms: completed.admitted_ms,
-                        first_token_ms: completed.first_token_ms,
-                        finished_ms: completed.finished_ms,
-                        output_len: completed.request.output_len,
-                    });
-                }
-                self.result.completed.push(completed);
-            } else {
-                still_running.push(r);
+        // Retire finished requests, in admission order, and release their
+        // KV reservation.
+        let clock_ms = self.clock_ms;
+        let (sink, replica_id) = (&self.sink, self.replica_id);
+        let (reserved_tokens, completed) = (&mut self.reserved_tokens, &mut self.result.completed);
+        self.running.retain(|r| {
+            if r.decoded < r.request.output_len {
+                return true;
             }
-        }
-        self.running = still_running;
+            *reserved_tokens -= r.request.total_tokens();
+            let done = CompletedRequest {
+                request: r.request,
+                admitted_ms: r.admitted_ms,
+                first_token_ms: r.first_token_ms.unwrap_or(clock_ms),
+                finished_ms: clock_ms,
+            };
+            if let Some(sink) = sink {
+                sink.emit(TraceEvent::Completed {
+                    id: done.request.id,
+                    replica: replica_id,
+                    arrival_ms: done.request.arrival_ms,
+                    admitted_ms: done.admitted_ms,
+                    first_token_ms: done.first_token_ms,
+                    finished_ms: done.finished_ms,
+                    output_len: done.request.output_len,
+                });
+            }
+            completed.push(done);
+            false
+        });
 
         // Account the step. KV during the step includes the tokens being
         // written, which the per-request reservations upper-bound.
@@ -660,6 +670,7 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::build_step;
     use crate::trace::TraceConfig;
     use samoyeds_moe::config::MoeModelConfig;
 
@@ -713,6 +724,78 @@ mod tests {
             assert_eq!(d.outstanding_tokens(), recomputed_outstanding(&d));
         }
         assert_eq!(d.outstanding_tokens(), 0);
+        assert!(d.is_drained());
+    }
+
+    #[test]
+    fn the_reused_batch_and_in_place_retirement_match_a_fresh_build_and_drain() {
+        let request = |id, arrival_ms, prompt_len, output_len| Request {
+            id,
+            arrival_ms,
+            prompt_len,
+            output_len,
+        };
+        let mut d = driver();
+        // Four short prompts that finish at different steps, ahead of three
+        // 512-token prompts: the first step prefills 1,568 tokens, the
+        // second only decodes and retires requests 1 and 3 while 0 and 2,
+        // admitted before them, keep running.
+        for (id, output_len) in [(0, 6), (1, 2), (2, 3), (3, 2)] {
+            d.enqueue(request(id, 0.0, 8, output_len));
+        }
+        for id in 4..7 {
+            d.enqueue(request(id, 0.0, 512, 4));
+        }
+        let running_ids = |running: &[RunningRequest]| -> Vec<u64> {
+            running.iter().map(|r| r.request.id).collect()
+        };
+        let completed_ids = |completed: &[CompletedRequest]| -> Vec<u64> {
+            completed.iter().map(|c| c.request.id).collect()
+        };
+        let mut out_of_order_steps = 0;
+        for step in 0.. {
+            if step == 3 {
+                // A late prompt brings prefill chunks back after decode-only
+                // steps.
+                d.enqueue(request(7, d.clock_ms(), 600, 2));
+            }
+            d.admit_arrived();
+            let before = d.running.clone();
+            let completed_before = d.completed().len();
+            let more = d.step_once();
+            let fresh = build_step(&before, &d.scfg.limits);
+            assert_eq!(d.batch.prefill, fresh.prefill, "step {step}");
+            assert_eq!(d.batch.decode, fresh.decode, "step {step}");
+            // The drain loop retired finished requests in running-set
+            // order and kept the rest in it.
+            let still = running_ids(&d.running);
+            let (kept, retired): (Vec<u64>, Vec<u64>) = running_ids(&before)
+                .into_iter()
+                .partition(|id| still.contains(id));
+            assert_eq!(still, kept, "step {step}");
+            let completed = completed_ids(&d.completed()[completed_before..]);
+            assert_eq!(completed, retired, "step {step}");
+            // Ids follow admission order.
+            if retired.iter().any(|&done| kept.iter().any(|&id| id < done)) {
+                out_of_order_steps += 1;
+            }
+            if !more {
+                break;
+            }
+        }
+        assert!(out_of_order_steps > 0);
+        let steps: Vec<(usize, usize)> = d
+            .result
+            .steps
+            .iter()
+            .map(|s| (s.prefill_tokens, s.decode_tokens))
+            .collect();
+        let large_prefill = 4 * 8 + 3 * 512;
+        let late_prefill = [(512, 4), (600 - 512, 1)];
+        assert_eq!(steps[..3], [(large_prefill, 0), (0, 7), (0, 5)]);
+        assert_eq!(steps[3..5], late_prefill);
+        assert_eq!(steps[5..], [(0, 2)]);
+        assert_eq!(d.completed().len(), 8);
         assert!(d.is_drained());
     }
 

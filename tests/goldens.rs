@@ -715,10 +715,23 @@ fn drain_cap_stops_the_step_chains_of_a_disaggregated_run() {
     assert!(metrics.drain_incomplete);
 }
 
-/// One line per priced cell: every engine, the Samoyeds breakdown presets,
-/// token counts around the N-tile (64) and 16/128-token padding boundaries,
-/// a shared-expert model, the ReLU model two engines cannot run and an
-/// 8-expert model, on the datacenter and the consumer card.
+/// The layer price table's models: a shared-expert model, the ReLU model
+/// two engines cannot run and an 8-expert model.
+fn layer_models() -> [MoeModelConfig; 3] {
+    [
+        MoeModelConfig::qwen2_moe(),
+        MoeModelConfig::openmoe_34b(),
+        MoeModelConfig::mixtral_8x7b(),
+    ]
+}
+
+/// The layer price table's token counts: around the N-tile (64) and the
+/// 16/128-token padding boundaries, up to a full 2,048-token step.
+const LAYER_TOKENS: [usize; 7] = [0, 1, 7, 64, 65, 216, 2048];
+
+/// One line per priced cell: every engine and the Samoyeds breakdown
+/// presets over [`layer_models`] and [`LAYER_TOKENS`], on the datacenter and
+/// the consumer card.
 fn render_layer_costs() -> String {
     let engines: Vec<(&str, EngineKind, SamoyedsOptions)> = vec![
         (
@@ -746,19 +759,14 @@ fn render_layer_costs() -> String {
             SamoyedsOptions::WEIGHT_INPUT_LAYOUT,
         ),
     ];
-    let models = [
-        MoeModelConfig::qwen2_moe(),
-        MoeModelConfig::openmoe_34b(),
-        MoeModelConfig::mixtral_8x7b(),
-    ];
     let mut out = String::new();
     for (device_name, device) in [
         ("a100", DeviceSpec::a100_40g()),
         ("4070s", DeviceSpec::rtx4070_super()),
     ] {
-        for model in &models {
+        for model in &layer_models() {
             let router = TopKRouter::for_config(model, 7);
-            for tokens in [0usize, 1, 7, 64, 65, 216, 2048] {
+            for tokens in LAYER_TOKENS {
                 let plan = router.route(tokens);
                 for (engine_name, kind, options) in &engines {
                     let time_ms = Engine::new(*kind, device.clone())
@@ -811,6 +819,62 @@ fn moe_layer_costs_match_the_golden_price_table() {
         include_str!("golden/layer_costs.txt"),
         render_layer_costs(),
     );
+}
+
+#[test]
+fn an_engine_warmed_on_a_full_step_prices_like_a_fresh_one_bit_for_bit() {
+    // A Samoyeds engine fills its price row through the largest N-tile
+    // bucket a call needs and reads bucket 0 for an idle expert; a dense
+    // engine keeps every column count it priced, with the zero price at 0.
+    // Warm one engine per configuration on a 2,048-token step of every
+    // model, then price the layer table's cells, an all-zero load vector
+    // and the empty loads `ClusterSimulator` passes for shared experts at
+    // each of its token counts: every price must match a fresh engine's.
+    let configurations = [
+        (EngineKind::Transformers, SamoyedsOptions::FULL),
+        (EngineKind::MegaBlocks, SamoyedsOptions::FULL),
+        (EngineKind::VllmDs, SamoyedsOptions::FULL),
+        (EngineKind::Pit, SamoyedsOptions::FULL),
+        (EngineKind::Samoyeds, SamoyedsOptions::FULL),
+        (EngineKind::Samoyeds, SamoyedsOptions::WEIGHT_ONLY),
+    ];
+    let models = layer_models();
+    let mut cells = 0;
+    for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
+        for (kind, options) in configurations {
+            let fresh = || Engine::new(kind, device.clone()).with_samoyeds_options(options);
+            let warmed = fresh();
+            for model in &models {
+                let plan = TopKRouter::for_config(model, 7).route(2048);
+                warmed.moe_layer_cost(model, 2048, &plan);
+            }
+            for model in &models {
+                let router = TopKRouter::for_config(model, 7);
+                for tokens in LAYER_TOKENS {
+                    let zero = vec![0; model.num_experts];
+                    let inputs = [
+                        ("cell", router.route(tokens).expert_loads()),
+                        ("zero loads", zero),
+                        ("no loads", Vec::new()),
+                    ];
+                    for (input, loads) in inputs {
+                        let priced = warmed.moe_layer_cost_for_loads(model, tokens, &loads);
+                        let expected = fresh().moe_layer_cost_for_loads(model, tokens, &loads);
+                        assert_eq!(
+                            priced.time_ms.to_bits(),
+                            expected.time_ms.to_bits(),
+                            "{} {} {options:?} {} tokens={tokens} {input}",
+                            device.name,
+                            kind.name(),
+                            model.name
+                        );
+                        cells += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 2 * 6 * 3 * 7 * 3);
 }
 
 /// The step batches `attention_step_ms` is pinned on for `model`: a mixed
