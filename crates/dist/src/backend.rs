@@ -94,11 +94,6 @@ impl ClusterAdmissionBudget {
         }
     }
 
-    /// The per-GPU memory model underneath.
-    pub fn memory_model(&self) -> &ClusterMemoryModel {
-        &self.memory
-    }
-
     /// Routed experts resident on the straggler GPU.
     pub fn max_experts_per_gpu(&self) -> usize {
         self.max_experts_per_gpu
@@ -130,7 +125,6 @@ pub struct ClusterBackend {
     attention: StepAttention,
     routing_seed: u64,
     step_overhead_ms: f64,
-    overlap: OverlapModel,
 }
 
 const _: () = {
@@ -167,23 +161,15 @@ impl ClusterBackend {
             attention: StepAttention::new(scfg.attention),
             routing_seed: scfg.routing_seed,
             step_overhead_ms: scfg.step_overhead_ms,
-            overlap: OverlapModel::Serial,
         }
     }
 
-    /// Replace the compute/all-to-all overlap model (default:
-    /// [`OverlapModel::Serial`], the fully-synchronous step).
-    /// [`OverlapModel::Pipelined`] models DeepSpeed-MoE-style pipelined
-    /// dispatch: each step's duration blends to
-    /// `max(compute_ms, collective_ms)` instead of their sum.
-    pub fn with_overlap(mut self, overlap: OverlapModel) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// The configured overlap model.
+    /// Always [`OverlapModel::Serial`]: a pod's step pays its compute and
+    /// its all-to-all in sequence. Kept only for fleetbench's `probe.rs`,
+    /// which builds its replayed [`StepCost`] from it (see
+    /// [`OverlapModel`]).
     pub fn overlap(&self) -> OverlapModel {
-        self.overlap
+        OverlapModel::Serial
     }
 
     /// The cluster simulator pricing the MoE steps.
@@ -289,7 +275,7 @@ impl ExecutionBackend for ClusterBackend {
             // the intra-island and spine legs of the same all-to-all.
             intra_island_ms: report.intra_island_ms * layers,
             spine_ms: report.spine_ms * layers,
-            overlap: self.overlap,
+            overlap: OverlapModel::Serial,
         }
     }
 
@@ -383,20 +369,19 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_overlap_blends_to_the_max_of_compute_and_collectives() {
+    fn a_pcie_pod_step_pays_compute_then_collectives() {
         use samoyeds_serve::backend::StepWorkload;
         use samoyeds_serve::batch::{build_step, BatchLimits};
         use samoyeds_serve::request::{Request, RunningRequest};
 
-        // A PCIe pod makes the collective share substantial, so the blend
-        // is visibly different from the sum.
+        // A PCIe pod makes the collective share substantial.
         let cluster = ClusterConfig::new(DeviceSpec::a100_40g(), 4, ClusterEngine::Samoyeds)
             .with_link(crate::link::LinkSpec::pcie_gen4());
-        let scfg = SchedulerConfig::default();
-        let serial = ClusterBackend::new(cluster.clone(), MoeModelConfig::qwen2_moe(), &scfg);
-        let pipelined = ClusterBackend::new(cluster, MoeModelConfig::qwen2_moe(), &scfg)
-            .with_overlap(samoyeds_serve::OverlapModel::Pipelined);
-        assert_eq!(pipelined.overlap(), samoyeds_serve::OverlapModel::Pipelined);
+        let backend = ClusterBackend::new(
+            cluster,
+            MoeModelConfig::qwen2_moe(),
+            &SchedulerConfig::default(),
+        );
 
         let running = vec![RunningRequest::new(
             Request {
@@ -413,25 +398,9 @@ mod tests {
             running: &running,
             step_index: 0,
         };
-        let s = serial.step_cost(&workload);
-        let p = pipelined.step_cost(&workload);
-        // Identical components, different blend: the pinned overlap law.
-        assert_eq!(s.compute_ms, p.compute_ms);
-        assert_eq!(s.collective_ms, p.collective_ms);
-        assert!(s.collective_ms > 0.0);
-        assert_eq!(s.total_ms(), s.compute_ms + s.collective_ms);
-        assert_eq!(p.total_ms(), p.compute_ms.max(p.collective_ms));
-        assert!(p.total_ms() < s.total_ms());
-
-        // End to end, the pipelined pod drains the same trace no slower.
-        let trace = small_trace().generate();
-        let t_serial = Scheduler::from_backend(serial, scfg)
-            .run(&trace)
-            .makespan_ms;
-        let t_pipelined = Scheduler::from_backend(pipelined, scfg)
-            .run(&trace)
-            .makespan_ms;
-        assert!(t_pipelined < t_serial, "{t_pipelined} vs {t_serial}");
+        let cost = backend.step_cost(&workload);
+        assert!(cost.collective_ms > 0.0);
+        assert_eq!(cost.total_ms(), cost.compute_ms + cost.collective_ms);
     }
 
     #[test]

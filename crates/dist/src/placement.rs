@@ -147,12 +147,6 @@ impl ClusterMemoryModel {
         self.budget_bytes
     }
 
-    /// Bytes replicated on every GPU (attention + router + shared experts,
-    /// all layers).
-    pub fn base_bytes(&self) -> f64 {
-        self.base_bytes
-    }
-
     /// Bytes of one routed expert across all layers.
     pub fn expert_bytes(&self) -> f64 {
         self.expert_bytes

@@ -91,15 +91,6 @@ impl ClusterReport {
         }
     }
 
-    /// Smallest swept GPU count at which (device, engine) fits, if any.
-    pub fn min_feasible_gpus(&self, device: &str, engine: ClusterEngine) -> Option<usize> {
-        self.entries
-            .iter()
-            .filter(|e| e.device == device && e.engine == engine && e.outcome.is_some())
-            .map(|e| e.num_gpus)
-            .min()
-    }
-
     /// Render the sweep as a markdown table.
     pub fn render_markdown(&self) -> Vec<String> {
         let mut table = ResultTable::titled(
@@ -1520,12 +1511,17 @@ mod tests {
         let consumer = &DeviceSpec::rtx4070_super().name;
         // Samoyeds holds the model on a single consumer card; dense needs a
         // strictly larger cluster.
-        let samoyeds = report
-            .min_feasible_gpus(consumer, ClusterEngine::Samoyeds)
-            .unwrap();
-        let dense = report
-            .min_feasible_gpus(consumer, ClusterEngine::Dense)
-            .unwrap();
+        let min_feasible_gpus = |engine| {
+            report
+                .entries
+                .iter()
+                .filter(|e| &e.device == consumer && e.engine == engine && e.outcome.is_some())
+                .map(|e| e.num_gpus)
+                .min()
+                .unwrap()
+        };
+        let samoyeds = min_feasible_gpus(ClusterEngine::Samoyeds);
+        let dense = min_feasible_gpus(ClusterEngine::Dense);
         assert_eq!(samoyeds, 1);
         assert!(dense > samoyeds, "dense {dense} vs samoyeds {samoyeds}");
         // Every feasible multi-GPU cell has a nonzero all-to-all component.

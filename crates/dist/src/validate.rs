@@ -38,7 +38,7 @@ pub fn validate_fault_schedule(
     replicas: usize,
 ) -> ValidationReport {
     let mut report = ValidationReport::new();
-    for (i, spec) in schedule.resolve(replicas).iter().enumerate() {
+    for (i, spec) in schedule.resolve().iter().enumerate() {
         let FaultKind::IslandPartition {
             island,
             replicas: members,

@@ -80,23 +80,6 @@ impl KernelProfile {
     pub fn total_flops(&self) -> f64 {
         self.flops_tensor_dense + self.flops_tensor_sparse + self.flops_cuda
     }
-
-    /// Merge another profile executed back-to-back in the same launch (used
-    /// when a fused kernel chains several GEMMs).
-    pub fn merge_sequential(&mut self, other: &KernelProfile) {
-        self.flops_tensor_dense += other.flops_tensor_dense;
-        self.flops_tensor_sparse += other.flops_tensor_sparse;
-        self.flops_cuda += other.flops_cuda;
-        self.traffic.merge(&other.traffic);
-        // Weighted by DRAM traffic for the cache behaviour.
-        let a = self.traffic.dram_bytes() - other.traffic.dram_bytes();
-        let b = other.traffic.dram_bytes();
-        if a + b > 0.0 {
-            self.l2_hit_fraction =
-                (self.l2_hit_fraction * a.max(0.0) + other.l2_hit_fraction * b) / (a.max(0.0) + b);
-        }
-        self.launch.grid_blocks += other.launch.grid_blocks;
-    }
 }
 
 /// The cost model: device plus evaluation knobs.
@@ -284,18 +267,6 @@ mod tests {
         let t = model.execution_time_s(&p);
         assert!(t >= 4.9e-6);
         assert!(t < 1e-4);
-    }
-
-    #[test]
-    fn merge_sequential_accumulates_work() {
-        let mut a = gemm_profile(1024, 1024, 1024, false);
-        let b = gemm_profile(1024, 1024, 1024, true);
-        let flops_before = a.total_flops();
-        let blocks_before = a.launch.grid_blocks;
-        a.merge_sequential(&b);
-        assert!(a.total_flops() > flops_before);
-        assert_eq!(a.launch.grid_blocks, blocks_before + b.launch.grid_blocks);
-        assert!(a.flops_tensor_sparse > 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The presets cover every platform the paper touches: the RTX 4070 Super
 //! used for the main evaluation (§6), the RTX 3090 / RTX 4090 / A100 used in
-//! the portability study (§6.6, Figure 18, Table 6), plus H100 and AMD MI300
+//! the portability study (§6.6, Figure 18, Table 6), plus AMD W7900 and MI300
 //! entries for the hardware-support discussion of Table 1.
 //!
 //! The numbers are public specifications (boost clock, SM count, memory
@@ -21,25 +21,10 @@ pub enum GpuArch {
     Ampere,
     /// NVIDIA Ada Lovelace (RTX 40 series).
     AdaLovelace,
-    /// NVIDIA Hopper (H100).
-    Hopper,
     /// AMD RDNA3 (consumer; no sparse ALU).
     Rdna3,
     /// AMD CDNA3 (Instinct MI300; has a sparse ALU).
     Cdna3,
-}
-
-/// Whether a fabric binds GPUs inside one node (an island) or stitches
-/// nodes together (the spine). Hierarchical all-to-all models
-/// (`samoyeds-dist::topology`) run an intra-island phase over an
-/// [`LinkScope::IntraNode`] fabric and a leader exchange over an
-/// [`LinkScope::InterNode`] one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LinkScope {
-    /// Binds GPUs inside one node: NVLink, PCIe through the host, XGMI.
-    IntraNode,
-    /// Stitches nodes together: InfiniBand and friends.
-    InterNode,
 }
 
 /// The interconnect a GPU model ships with in its usual deployment form
@@ -101,17 +86,6 @@ impl Interconnect {
             Interconnect::Nvlink4 => "NVLink 4",
             Interconnect::InfinityFabric => "Infinity Fabric",
             Interconnect::InfiniBandNdr => "InfiniBand NDR",
-        }
-    }
-
-    /// Whether the fabric lives inside a node or between nodes.
-    pub fn scope(&self) -> LinkScope {
-        match self {
-            Interconnect::PcieGen4
-            | Interconnect::Nvlink3
-            | Interconnect::Nvlink4
-            | Interconnect::InfinityFabric => LinkScope::IntraNode,
-            Interconnect::InfiniBandNdr => LinkScope::InterNode,
         }
     }
 
@@ -196,19 +170,6 @@ impl DeviceSpec {
     /// microbenchmarks of Ampere/Ada L2 throughput).
     pub fn l2_bandwidth_gbps(&self) -> f64 {
         self.mem_bandwidth_gbps * 6.0
-    }
-
-    /// Ratio of compute capability to memory bandwidth (FLOP per byte at the
-    /// roofline ridge point) for dense tensor work. Devices with a low ridge
-    /// point are "memory rich" — the imbalance axis of §6.6.
-    pub fn ridge_point_dense(&self) -> f64 {
-        self.tensor_tflops_dense * 1e12 / (self.mem_bandwidth_gbps * 1e9)
-    }
-
-    /// Whether the Samoyeds kernel's mandatory requirement (sparse ALU) is
-    /// satisfied on this device (Table 1).
-    pub fn supports_samoyeds(&self) -> bool {
-        self.has_sparse_alu
     }
 
     /// GPUs per node in this device's usual deployment form factor — the
@@ -315,30 +276,6 @@ impl DeviceSpec {
         }
     }
 
-    /// NVIDIA H100 SXM (Hopper).
-    pub fn h100() -> Self {
-        Self {
-            name: "NVIDIA H100 SXM".to_string(),
-            arch: GpuArch::Hopper,
-            sm_count: 132,
-            boost_clock_ghz: 1.98,
-            tensor_tflops_dense: 989.0,
-            cuda_tflops_fp32: 67.0,
-            mem_bandwidth_gbps: 3350.0,
-            mem_capacity_gib: 80.0,
-            l2_bytes: 50 * 1024 * 1024,
-            shared_mem_per_sm: 228 * 1024,
-            max_shared_per_block: 227 * 1024,
-            registers_per_sm: 65536,
-            max_threads_per_sm: 2048,
-            max_blocks_per_sm: 32,
-            has_sparse_alu: true,
-            has_async_copy: true,
-            has_ldmatrix: true,
-            interconnect: Interconnect::Nvlink4,
-        }
-    }
-
     /// AMD Radeon PRO W7900 (RDNA3) — no sparse ALU, listed in Table 1 as
     /// unable to run the Samoyeds kernel's mandatory path.
     pub fn amd_w7900() -> Self {
@@ -415,11 +352,11 @@ mod tests {
 
     #[test]
     fn table1_support_matrix() {
-        assert!(DeviceSpec::a100_40g().supports_samoyeds());
-        assert!(DeviceSpec::rtx4090().supports_samoyeds());
-        assert!(DeviceSpec::h100().supports_samoyeds());
-        assert!(!DeviceSpec::amd_w7900().supports_samoyeds());
-        assert!(DeviceSpec::amd_mi300().supports_samoyeds());
+        // The sparse ALU is the Samoyeds kernel's mandatory requirement.
+        assert!(DeviceSpec::a100_40g().has_sparse_alu);
+        assert!(DeviceSpec::rtx4090().has_sparse_alu);
+        assert!(!DeviceSpec::amd_w7900().has_sparse_alu);
+        assert!(DeviceSpec::amd_mi300().has_sparse_alu);
         // AMD parts lack the optional features.
         assert!(!DeviceSpec::amd_mi300().has_async_copy);
         assert!(!DeviceSpec::amd_mi300().has_ldmatrix);
@@ -436,8 +373,6 @@ mod tests {
         // 3090: slower tensor cores, higher bandwidth (Table 6 row 2).
         assert!(r3090.tensor_tflops_dense < s4070.tensor_tflops_dense);
         assert!(r3090.mem_bandwidth_gbps > s4070.mem_bandwidth_gbps);
-        // A100 is memory-rich relative to the Ada cards (lower ridge point).
-        assert!(a100.ridge_point_dense() < s4070.ridge_point_dense());
     }
 
     #[test]
@@ -445,7 +380,6 @@ mod tests {
         for d in DeviceSpec::portability_set() {
             assert!(d.shared_bandwidth_gbps() > d.mem_bandwidth_gbps);
             assert!(d.l2_bandwidth_gbps() > d.mem_bandwidth_gbps);
-            assert!(d.ridge_point_dense() > 0.0);
         }
     }
 
@@ -459,7 +393,6 @@ mod tests {
         );
         assert_eq!(DeviceSpec::rtx4090().interconnect, Interconnect::PcieGen4);
         assert_eq!(DeviceSpec::a100_40g().interconnect, Interconnect::Nvlink3);
-        assert_eq!(DeviceSpec::h100().interconnect, Interconnect::Nvlink4);
         let pcie = Interconnect::PcieGen4;
         let nvlink = Interconnect::Nvlink3;
         assert!(nvlink.bandwidth_gbps() > 5.0 * pcie.bandwidth_gbps());
@@ -482,7 +415,6 @@ mod tests {
     fn node_boundary_metadata_separates_islands_from_the_spine() {
         // Intra-node fabrics bind more than one GPU into an island; the
         // spine fabric is the node boundary itself.
-        assert_eq!(Interconnect::InfiniBandNdr.scope(), LinkScope::InterNode);
         assert_eq!(Interconnect::InfiniBandNdr.node_radix(), 1);
         for intra in [
             Interconnect::PcieGen4,
@@ -490,7 +422,6 @@ mod tests {
             Interconnect::Nvlink4,
             Interconnect::InfinityFabric,
         ] {
-            assert_eq!(intra.scope(), LinkScope::IntraNode);
             assert!(intra.node_radix() >= 2, "{intra:?}");
         }
         // The NDR figure is the bits-to-bytes conversion of the 400 Gb/s
@@ -499,7 +430,6 @@ mod tests {
         assert_eq!(Interconnect::InfiniBandNdr.bandwidth_gbps(), 400.0 / 8.0);
         // HGX NVLink domains are 8-wide; consumer PCIe hosts carry 2 cards.
         assert_eq!(DeviceSpec::a100_40g().gpus_per_node(), 8);
-        assert_eq!(DeviceSpec::h100().gpus_per_node(), 8);
         assert_eq!(DeviceSpec::rtx4070_super().gpus_per_node(), 2);
     }
 

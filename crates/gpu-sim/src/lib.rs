@@ -8,7 +8,7 @@
 //! analysis leans on:
 //!
 //! * device database ([`device`]) — RTX 4070 Super (the paper's main
-//!   platform), RTX 3090, RTX 4090, A100, H100 and MI300, with the
+//!   platform), RTX 3090, RTX 4090, A100, W7900 and MI300, with the
 //!   SM/L2/bandwidth/tensor-core parameters that drive §6.6's portability
 //!   discussion;
 //! * occupancy ([`occupancy`]) — warps per SM from register / shared-memory /
@@ -30,6 +30,6 @@ pub mod occupancy;
 pub mod stats;
 
 pub use cost::{CostModel, KernelProfile};
-pub use device::{DeviceSpec, GpuArch, Interconnect, LinkScope};
+pub use device::{DeviceSpec, GpuArch, Interconnect};
 pub use occupancy::{LaunchConfig, Occupancy};
 pub use stats::KernelStats;

@@ -43,14 +43,6 @@ impl AccessPattern {
             AccessPattern::Random => element_bytes as f64 / GMEM_TRANSACTION_BYTES as f64,
         }
     }
-
-    /// Number of 128-byte transactions needed to move `useful_bytes` of data
-    /// with this pattern.
-    pub fn transactions(&self, useful_bytes: usize, element_bytes: usize) -> usize {
-        let eff = self.efficiency(element_bytes);
-        let moved = useful_bytes as f64 / eff;
-        (moved / GMEM_TRANSACTION_BYTES as f64).ceil() as usize
-    }
 }
 
 /// Aggregate data-movement record of one kernel execution, at every level of
@@ -96,35 +88,6 @@ impl Traffic {
             1.0
         };
         self.dram_bytes() / eff
-    }
-
-    /// Merge another record into this one (weighted by bytes for the
-    /// efficiency fields).
-    pub fn merge(&mut self, other: &Traffic) {
-        let self_bytes = self.dram_bytes();
-        let other_bytes = other.dram_bytes();
-        let total = self_bytes + other_bytes;
-        if total > 0.0 {
-            self.coalescing_efficiency = (self.coalescing_efficiency.max(1e-9) * self_bytes
-                + other.coalescing_efficiency.max(1e-9) * other_bytes)
-                / total;
-        } else {
-            self.coalescing_efficiency = 1.0;
-        }
-        let self_smem = self.smem_bytes;
-        let other_smem = other.smem_bytes;
-        let total_smem = self_smem + other_smem;
-        if total_smem > 0.0 {
-            self.smem_bank_passes = (self.smem_bank_passes.max(1.0) * self_smem
-                + other.smem_bank_passes.max(1.0) * other_smem)
-                / total_smem;
-        } else {
-            self.smem_bank_passes = 1.0;
-        }
-        self.gmem_read_bytes += other.gmem_read_bytes;
-        self.gmem_write_bytes += other.gmem_write_bytes;
-        self.l2_read_bytes += other.l2_read_bytes;
-        self.smem_bytes += other.smem_bytes;
     }
 }
 
@@ -180,7 +143,6 @@ mod tests {
     fn coalesced_access_is_fully_efficient() {
         let p = AccessPattern::Coalesced;
         assert_eq!(p.efficiency(2), 1.0);
-        assert_eq!(p.transactions(1024, 2), 8);
     }
 
     #[test]
@@ -200,37 +162,6 @@ mod tests {
     fn random_access_wastes_most_of_each_transaction() {
         let p = AccessPattern::Random;
         assert!((p.efficiency(2) - 2.0 / 128.0).abs() < 1e-12);
-        assert!(p.transactions(256, 2) >= 128);
-    }
-
-    #[test]
-    fn traffic_merge_accumulates_and_averages() {
-        let mut a = Traffic {
-            gmem_read_bytes: 1000.0,
-            gmem_write_bytes: 0.0,
-            l2_read_bytes: 500.0,
-            smem_bytes: 100.0,
-            coalescing_efficiency: 1.0,
-            smem_bank_passes: 1.0,
-        };
-        let b = Traffic {
-            gmem_read_bytes: 1000.0,
-            gmem_write_bytes: 500.0,
-            l2_read_bytes: 0.0,
-            smem_bytes: 300.0,
-            coalescing_efficiency: 0.5,
-            smem_bank_passes: 3.0,
-        };
-        a.merge(&b);
-        assert_eq!(a.gmem_read_bytes, 2000.0);
-        assert_eq!(a.gmem_write_bytes, 500.0);
-        assert_eq!(a.l2_read_bytes, 500.0);
-        assert_eq!(a.smem_bytes, 400.0);
-        // Weighted averages fall between the inputs.
-        assert!(a.coalescing_efficiency < 1.0 && a.coalescing_efficiency > 0.5);
-        assert!(a.smem_bank_passes > 1.0 && a.smem_bank_passes < 3.0);
-        // Effective DRAM traffic exceeds useful traffic when uncoalesced.
-        assert!(a.effective_dram_bytes() > a.dram_bytes());
     }
 
     #[test]
@@ -239,6 +170,13 @@ mod tests {
         assert_eq!(t.dram_bytes(), 0.0);
         assert_eq!(t.coalescing_efficiency, 1.0);
         assert_eq!(t.smem_bank_passes, 1.0);
+        // Effective DRAM traffic exceeds useful traffic when uncoalesced.
+        let uncoalesced = Traffic {
+            gmem_read_bytes: 1000.0,
+            coalescing_efficiency: 0.5,
+            ..t
+        };
+        assert!(uncoalesced.effective_dram_bytes() > uncoalesced.dram_bytes());
     }
 
     #[test]

@@ -40,78 +40,3 @@ pub struct KernelStats {
     /// Memory-only time in milliseconds (roofline denominator).
     pub memory_time_ms: f64,
 }
-
-impl KernelStats {
-    /// Speedup of `self` over `other` (ratio of their predicted times).
-    pub fn speedup_over(&self, other: &KernelStats) -> f64 {
-        if self.time_ms <= 0.0 {
-            return f64::INFINITY;
-        }
-        other.time_ms / self.time_ms
-    }
-
-    /// Whether the kernel is memory-bound under the model (memory term
-    /// exceeds the compute term).
-    pub fn memory_bound(&self) -> bool {
-        self.memory_time_ms > self.compute_time_ms
-    }
-
-    /// Throughput in tera-operations per second for a given logical operation
-    /// count (used when an experiment wants to report logical rather than
-    /// executed work, e.g. counting pruned FLOPs).
-    pub fn logical_tflops(&self, logical_flops: f64) -> f64 {
-        if self.time_ms <= 0.0 {
-            return 0.0;
-        }
-        logical_flops / (self.time_ms * 1e-3) / 1e12
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn stats(time_ms: f64, compute: f64, memory: f64) -> KernelStats {
-        KernelStats {
-            kernel: "k".into(),
-            device: "d".into(),
-            time_ms,
-            total_flops: 1e12,
-            achieved_tflops: 1.0,
-            dram_bytes: 1e9,
-            effective_dram_bytes: 1e9,
-            smem_bytes: 0.0,
-            l2_hit_fraction: 0.0,
-            coalescing_efficiency: 1.0,
-            occupancy_fraction: 0.5,
-            waves: 1,
-            tail_efficiency: 1.0,
-            pipeline_overlap: 0.9,
-            compute_time_ms: compute,
-            memory_time_ms: memory,
-        }
-    }
-
-    #[test]
-    fn speedup_is_ratio_of_times() {
-        let fast = stats(1.0, 0.5, 0.4);
-        let slow = stats(2.0, 1.0, 0.8);
-        assert!((fast.speedup_over(&slow) - 2.0).abs() < 1e-12);
-        assert!((slow.speedup_over(&fast) - 0.5).abs() < 1e-12);
-        assert_eq!(stats(0.0, 0.0, 0.0).speedup_over(&fast), f64::INFINITY);
-    }
-
-    #[test]
-    fn memory_bound_classification() {
-        assert!(stats(1.0, 0.2, 0.8).memory_bound());
-        assert!(!stats(1.0, 0.8, 0.2).memory_bound());
-    }
-
-    #[test]
-    fn logical_tflops_uses_supplied_count() {
-        let s = stats(1.0, 0.5, 0.5);
-        // 2e12 FLOPs in 1 ms is 2e15 FLOP/s = 2000 TFLOPS.
-        assert!((s.logical_tflops(2e12) - 2000.0).abs() < 1e-6);
-        assert_eq!(stats(0.0, 0.0, 0.0).logical_tflops(1e12), 0.0);
-    }
-}

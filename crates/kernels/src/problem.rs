@@ -76,40 +76,6 @@ impl GemmProblem {
             weight_sparsity: SparsityKind::Samoyeds(cfg),
         }
     }
-
-    /// Logical FLOPs of the dense-equivalent product over the *selected*
-    /// columns (`2 * m * k * selected_n`).
-    pub fn logical_flops(&self) -> f64 {
-        2.0 * self.m as f64 * self.k as f64 * self.selected_n as f64
-    }
-
-    /// Logical FLOPs if every column of the input were computed.
-    pub fn full_flops(&self) -> f64 {
-        2.0 * self.m as f64 * self.k as f64 * self.n as f64
-    }
-
-    /// Fraction of input columns selected.
-    pub fn input_density(&self) -> f64 {
-        if self.n == 0 {
-            return 1.0;
-        }
-        self.selected_n as f64 / self.n as f64
-    }
-
-    /// Dense weight bytes (bf16).
-    pub fn weight_bytes_dense(&self) -> f64 {
-        (self.m * self.k * 2) as f64
-    }
-
-    /// Dense input bytes over all logical columns (bf16).
-    pub fn input_bytes_dense(&self) -> f64 {
-        (self.k * self.n * 2) as f64
-    }
-
-    /// Output bytes over the selected columns (bf16).
-    pub fn output_bytes_selected(&self) -> f64 {
-        (self.m * self.selected_n * 2) as f64
-    }
 }
 
 #[cfg(test)]
@@ -128,29 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn problem_flop_accounting() {
-        let p = GemmProblem::dense(128, 256, 512);
-        assert_eq!(p.logical_flops(), 2.0 * 128.0 * 256.0 * 512.0);
-        assert_eq!(p.logical_flops(), p.full_flops());
-        assert_eq!(p.input_density(), 1.0);
-
-        let sp = GemmProblem::samoyeds(128, 256, 512, 128, SamoyedsConfig::DEFAULT);
-        assert_eq!(sp.selected_n, 128);
-        assert!((sp.input_density() - 0.25).abs() < 1e-12);
-        assert!(sp.logical_flops() < sp.full_flops());
-    }
-
-    #[test]
-    fn byte_accounting_uses_bf16() {
-        let p = GemmProblem::dense(64, 128, 32);
-        assert_eq!(p.weight_bytes_dense(), 64.0 * 128.0 * 2.0);
-        assert_eq!(p.input_bytes_dense(), 128.0 * 32.0 * 2.0);
-        assert_eq!(p.output_bytes_selected(), 64.0 * 32.0 * 2.0);
-    }
-
-    #[test]
     fn selected_n_is_clamped_to_n() {
         let p = GemmProblem::samoyeds(64, 64, 32, 100, SamoyedsConfig::DEFAULT);
         assert_eq!(p.selected_n, 32);
+        let sp = GemmProblem::samoyeds(128, 256, 512, 128, SamoyedsConfig::DEFAULT);
+        assert_eq!(sp.selected_n, 128);
     }
 }

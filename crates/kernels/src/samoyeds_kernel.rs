@@ -28,7 +28,11 @@ pub struct SamoyedsOptions {
     /// Intermediate-register accumulation with the Sub-Row shuffle (§4.3);
     /// off = accumulators spill to local memory when Sub-Rows change.
     pub data_stationary: bool,
-    /// Reorganised 2-bit metadata packing (§4.4).
+    /// Reorganised 2-bit metadata packing (§4.4, Figure 10): element
+    /// `[row, col]` of a 16x16 metadata tile is stored at
+    /// `[row % 8 * 2 + col / 8, col % 8 + row / 8 * 8]`, so each thread's
+    /// register is one aligned 32-bit load. Priced as a quarter of the
+    /// naive layout's metadata bytes, loaded fully coalesced.
     pub metadata_packing: bool,
     /// Swizzled shared-memory staging to avoid bank conflicts (§4.4).
     pub swizzled_smem: bool,
@@ -127,11 +131,6 @@ impl SamoyedsKernel {
     /// The device this kernel targets.
     pub fn device(&self) -> &DeviceSpec {
         self.cost.device()
-    }
-
-    /// The active optimisation set.
-    pub fn options(&self) -> SamoyedsOptions {
-        self.options
     }
 
     /// The active tiling configuration.

@@ -169,19 +169,6 @@ impl TilingConfig {
         }
     }
 
-    /// Fraction of the launched output tile area that is useful work (the
-    /// padding overhead when `m`/`n` are not multiples of the tile sizes —
-    /// the effect §6.2 blames for the reduced advantage on many-expert
-    /// models).
-    pub fn tile_utilization(&self, m: usize, n: usize) -> f64 {
-        if m == 0 || n == 0 {
-            return 1.0;
-        }
-        let padded_m = m.div_ceil(self.mb) * self.mb;
-        let padded_n = n.div_ceil(self.nb) * self.nb;
-        (m * n) as f64 / (padded_m * padded_n) as f64
-    }
-
     /// Whether this configuration's shared-memory demand fits the device.
     pub fn fits(&self, device: &DeviceSpec, compressed_a: bool) -> bool {
         self.shared_bytes(compressed_a) <= device.max_shared_per_block
@@ -257,15 +244,6 @@ mod tests {
         assert_eq!(launch.grid_blocks, 8 * 16);
         assert_eq!(launch.block_threads, 128);
         assert!(launch.shared_bytes_per_block > 0);
-    }
-
-    #[test]
-    fn tile_utilization_penalises_padding() {
-        let c = TilingConfig::DEFAULT_4070S;
-        assert!((c.tile_utilization(1280, 640) - 1.0).abs() < 1e-12);
-        let partial = c.tile_utilization(130, 65);
-        assert!(partial < 0.6);
-        assert_eq!(c.tile_utilization(0, 0), 1.0);
     }
 
     #[test]

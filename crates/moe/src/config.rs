@@ -167,12 +167,6 @@ impl MoeModelConfig {
         }
     }
 
-    /// Average fraction of tokens routed to a single expert
-    /// (`top_k / num_experts`).
-    pub fn expert_load_fraction(&self) -> f64 {
-        self.top_k as f64 / self.num_experts as f64
-    }
-
     /// Parameters of one expert (gate + up + down projections).
     pub fn params_per_expert(&self) -> usize {
         3 * self.hidden_size * self.intermediate_size
@@ -187,11 +181,6 @@ impl MoeModelConfig {
     /// Parameters of one attention block (Q, K, V, O projections).
     pub fn params_per_attention(&self) -> usize {
         4 * self.hidden_size * self.hidden_size
-    }
-
-    /// Whether this model uses isolated shared experts.
-    pub fn has_shared_experts(&self) -> bool {
-        self.num_shared_experts > 0
     }
 }
 
@@ -221,21 +210,11 @@ mod tests {
     }
 
     #[test]
-    fn expert_load_fraction_is_topk_over_experts() {
-        let m = MoeModelConfig::mixtral_8x7b();
-        assert!((m.expert_load_fraction() - 0.25).abs() < 1e-12);
-        let q = MoeModelConfig::qwen2_moe();
-        assert!((q.expert_load_fraction() - 4.0 / 60.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn parameter_accounting() {
         let m = MoeModelConfig::mixtral_8x7b();
         assert_eq!(m.params_per_expert(), 3 * 4096 * 14336);
         assert!(m.params_per_moe_layer() > 8 * m.params_per_expert());
         assert_eq!(m.params_per_attention(), 4 * 4096 * 4096);
-        assert!(!m.has_shared_experts());
-        assert!(MoeModelConfig::deepseek_moe().has_shared_experts());
     }
 
     #[test]

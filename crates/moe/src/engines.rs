@@ -91,11 +91,6 @@ impl LayerCost {
             supported: false,
         }
     }
-
-    /// Total memory footprint (weights + activations).
-    pub fn total_bytes(&self) -> f64 {
-        self.weight_bytes + self.activation_bytes
-    }
 }
 
 /// An MoE execution engine bound to a device.

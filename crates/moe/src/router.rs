@@ -41,12 +41,6 @@ impl RoutingPlan {
         SelectionArray::new(self.num_tokens, tokens.clone())
     }
 
-    /// The selection array of a shared expert: shared experts are isolated
-    /// from routing and always process every token of the batch.
-    pub fn shared_selection(&self) -> SelectionArray {
-        SelectionArray::all(self.num_tokens)
-    }
-
     /// Number of experts in the plan.
     pub fn num_experts(&self) -> usize {
         self.expert_tokens.len()
@@ -466,18 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_experts_always_receive_all_tokens() {
+    fn routed_experts_each_see_a_strict_subset_of_the_batch() {
         let config = MoeModelConfig::deepseek_moe();
-        assert!(config.has_shared_experts());
         let plan = TopKRouter::for_config(&config, 5).route(97);
-        let shared = plan.shared_selection();
-        // The shared-expert selection is dense: every token, in order.
-        assert_eq!(shared.len(), 97);
-        assert_eq!(shared.total(), 97);
-        let indices: Vec<u32> = (0..97).collect();
-        assert_eq!(shared.indices(), indices.as_slice());
-        // Routed experts, by contrast, each see a strict subset for top_k <
-        // num_experts.
+        // Each routed expert sees a strict subset for top_k < num_experts.
         for e in 0..plan.num_experts() {
             assert!(plan.tokens_for(e) < 97);
         }

@@ -133,11 +133,6 @@ impl ProxyTask {
         &self.name
     }
 
-    /// The teacher weight matrix (what gets pruned).
-    pub fn teacher(&self) -> &DenseMatrix {
-        &self.teacher
-    }
-
     /// Prune the teacher into `format` with `method`.
     pub fn prune(&self, format: PruneFormat, method: PruneMethod) -> Result<PrunedWeight> {
         match method {

@@ -75,39 +75,17 @@ impl StepWorkload<'_> {
     }
 }
 
-/// How a backend overlaps compute with the inter-GPU collectives when
-/// pricing a step's total duration.
+/// How a step's compute and inter-GPU collectives combine: they always
+/// serialize, so a step lasts `compute + collective`.
 ///
-/// The fully-synchronous step pays `compute + collective`; a pipelined
-/// dispatch (the DeepSpeed-MoE style overlap the ROADMAP names) hides the
-/// shorter of the two behind the longer, so the step pays
-/// `max(compute, collective)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Nothing reads this value. It stays only because fleetbench's
+/// `probe.rs` builds [`StepCost`] field by field from
+/// `ClusterBackend::overlap()`; it goes, with the [`StepCost::overlap`]
+/// field, once that replay stops doing so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OverlapModel {
     /// Compute and collectives serialize: `total = compute + collective`.
-    #[default]
     Serial,
-    /// Compute and collectives overlap perfectly:
-    /// `total = max(compute, collective)`.
-    Pipelined,
-}
-
-impl OverlapModel {
-    /// Blend a compute time and a collective time into a step duration.
-    pub fn blend_ms(&self, compute_ms: f64, collective_ms: f64) -> f64 {
-        match self {
-            OverlapModel::Serial => compute_ms + collective_ms,
-            OverlapModel::Pipelined => compute_ms.max(collective_ms),
-        }
-    }
-
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OverlapModel::Serial => "serial",
-            OverlapModel::Pipelined => "pipelined",
-        }
-    }
 }
 
 /// Predicted cost of one engine step, split into the part spent computing
@@ -118,8 +96,7 @@ impl OverlapModel {
 /// ([`Self::intra_island_ms`] / [`Self::spine_ms`]) — the split telemetry
 /// step spans carry, so a TTFT breach can be traced to spine traffic rather
 /// than a generic "collectives" bucket. The split is attribution only: step
-/// duration stays a function of `compute_ms`, `collective_ms` and `overlap`
-/// alone.
+/// duration stays `compute_ms + collective_ms`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepCost {
     /// Compute time (kernels, attention, norms, per-step overhead), ms.
@@ -131,8 +108,7 @@ pub struct StepCost {
     pub intra_island_ms: f64,
     /// InfiniBand spine share of the collective time, ms.
     pub spine_ms: f64,
-    /// How the compute and collective components combine into the step
-    /// duration.
+    /// Always [`OverlapModel::Serial`]; see there for why the field stays.
     pub overlap: OverlapModel,
 }
 
@@ -148,26 +124,9 @@ impl StepCost {
         }
     }
 
-    /// A fully-synchronous compute + collective cost.
-    pub fn serial(compute_ms: f64, collective_ms: f64) -> Self {
-        Self {
-            compute_ms,
-            collective_ms,
-            intra_island_ms: 0.0,
-            spine_ms: 0.0,
-            overlap: OverlapModel::Serial,
-        }
-    }
-
-    /// Replace the overlap model.
-    pub fn with_overlap(mut self, overlap: OverlapModel) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// Total step duration under the cost's overlap model.
+    /// Total step duration: compute, then the collectives.
     pub fn total_ms(&self) -> f64 {
-        self.overlap.blend_ms(self.compute_ms, self.collective_ms)
+        self.compute_ms + self.collective_ms
     }
 }
 
@@ -525,15 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn overlap_model_blends_serial_sum_and_pipelined_max() {
-        let cost = StepCost::serial(3.0, 2.0);
+    fn step_cost_total_is_the_serial_sum() {
+        let cost = StepCost {
+            collective_ms: 2.0,
+            ..StepCost::compute_only(3.0)
+        };
         assert_eq!(cost.total_ms(), 5.0);
-        let pipelined = cost.with_overlap(OverlapModel::Pipelined);
-        assert_eq!(pipelined.total_ms(), 3.0);
-        // The pipelined step is bounded below by the longer component.
-        let collective_bound = StepCost::serial(1.0, 4.0).with_overlap(OverlapModel::Pipelined);
-        assert_eq!(collective_bound.total_ms(), 4.0);
-        assert_eq!(OverlapModel::default(), OverlapModel::Serial);
     }
 
     #[test]

@@ -29,6 +29,22 @@ impl Default for BatchLimits {
     }
 }
 
+impl BatchLimits {
+    /// The names of the limits that are zero. A zero limit can never make
+    /// progress (no admission, no prefill or no step tokens), so a
+    /// scheduler refuses one and [`crate::FleetController::validate`]
+    /// denies it.
+    pub(crate) fn zero_fields(&self) -> impl Iterator<Item = &'static str> {
+        [
+            ("max_batched_tokens", self.max_batched_tokens),
+            ("max_running", self.max_running),
+            ("prefill_chunk", self.prefill_chunk),
+        ]
+        .into_iter()
+        .filter_map(|(name, limit)| (limit == 0).then_some(name))
+    }
+}
+
 /// The composition of one engine step.
 #[derive(Debug, Clone, Default)]
 pub struct StepBatch {

@@ -3,10 +3,10 @@
 //! Production MoE fleets lose GPUs, links and whole NVLink islands; the
 //! consumer-GPU economics this repo quantifies only hold if the control
 //! plane degrades gracefully instead of falling over. This module supplies
-//! the *chaos* side of that story: a [`FaultSchedule`] (scripted, or
-//! seeded-random via ChaCha so runs are reproducible bit for bit) resolves
-//! to a list of [`FaultSpec`]s that `FleetController` injects through its
-//! event queue as a dedicated event class, and a [`RecoveryPolicy`] decides
+//! the *chaos* side of that story: a scripted [`FaultSchedule`] resolves
+//! to a time-sorted list of [`FaultSpec`]s that `FleetController` injects
+//! through its event queue as a dedicated event class, and a
+//! [`RecoveryPolicy`] decides
 //! what happens next — fail the crashed replica's in-flight requests, or
 //! re-admit them on survivors after a weight-transfer delay (priced by the
 //! caller over `ClusterTopology`, so cross-island recovery pays the spine),
@@ -17,16 +17,13 @@
 //! ordinary event in the deterministic queue, so a fleet with an empty
 //! schedule is bit-for-bit identical to one without fault injection at all
 //! (pinned under every recovery policy by the root golden harness
-//! `tests/goldens.rs`), and a seeded schedule replays identically across
-//! runs (pinned by proptest).
+//! `tests/goldens.rs`).
 
 // A malformed schedule should surface as a diagnostic, not a panic
 // mid-sweep; CI's `clippy -D warnings` turns an `.unwrap()` here into an
 // error.
 #![warn(clippy::unwrap_used)]
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// What breaks. Replica indices refer to the controller's replica slots in
@@ -82,35 +79,11 @@ pub struct FaultSpec {
     pub kind: FaultKind,
 }
 
-/// Parameters of a seeded-random fault stream: independent Poisson
-/// processes for crashes and link degradations over a fixed horizon.
-///
-/// Island partitions are deliberately scripted-only — they encode cluster
-/// structure (which replicas share an island) that a blind random draw
-/// cannot know.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeededFaults {
-    /// ChaCha seed; the same seed always resolves to the same schedule.
-    pub seed: u64,
-    /// Faults are only drawn in `[0, horizon_ms)`.
-    pub horizon_ms: f64,
-    /// Mean crashes per second (Poisson rate). Crashes never take the last
-    /// surviving replica and never hit the same replica twice.
-    pub crash_rate_per_s: f64,
-    /// Mean link degradations per second (Poisson rate).
-    pub degrade_rate_per_s: f64,
-    /// Duration of each drawn link degradation, in milliseconds.
-    pub degrade_duration_ms: f64,
-}
-
-/// When and what to break: either an explicit script or a seeded-random
-/// stream resolved deterministically at run start.
+/// When and what to break: an explicit script, resolved at run start.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FaultSchedule {
     /// Exactly these faults (resolved order is sorted by injection time).
     Scripted(Vec<FaultSpec>),
-    /// Faults drawn from seeded Poisson streams; see [`SeededFaults`].
-    Seeded(SeededFaults),
 }
 
 impl FaultSchedule {
@@ -120,66 +93,12 @@ impl FaultSchedule {
         FaultSchedule::Scripted(Vec::new())
     }
 
-    /// Resolve to a concrete, time-sorted fault list for a fleet of
-    /// `replicas` initial replicas. Deterministic: the same schedule and
-    /// replica count always produce the same list.
-    pub fn resolve(&self, replicas: usize) -> Vec<FaultSpec> {
-        let mut specs = match self {
-            FaultSchedule::Scripted(specs) => specs.clone(),
-            FaultSchedule::Seeded(cfg) => Self::draw(cfg, replicas),
-        };
+    /// Resolve to a concrete fault list, sorted by injection time (a stable
+    /// sort: faults scripted at the same instant keep their order).
+    pub fn resolve(&self) -> Vec<FaultSpec> {
+        let FaultSchedule::Scripted(specs) = self;
+        let mut specs = specs.clone();
         specs.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
-        specs
-    }
-
-    fn draw(cfg: &SeededFaults, replicas: usize) -> Vec<FaultSpec> {
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut specs = Vec::new();
-        let mut crashed = vec![false; replicas];
-        let mut alive = replicas;
-        // Crash stream: exponential gaps, uniform replica choice. A draw
-        // that would re-crash a dead replica or kill the last survivor is
-        // discarded (the clock still advances, so the loop terminates).
-        if cfg.crash_rate_per_s > 0.0 && replicas > 1 {
-            let mut t = 0.0;
-            loop {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                t += -(1.0 - u).ln() / cfg.crash_rate_per_s * 1e3;
-                if t >= cfg.horizon_ms {
-                    break;
-                }
-                let replica = rng.gen_range(0..replicas);
-                if crashed[replica] || alive <= 1 {
-                    continue;
-                }
-                crashed[replica] = true;
-                alive -= 1;
-                specs.push(FaultSpec {
-                    at_ms: t,
-                    kind: FaultKind::ReplicaCrash { replica },
-                });
-            }
-        }
-        // Degrade stream: independent of the crash stream. Degrading a
-        // replica that later turns out to be dead is a runtime no-op.
-        if cfg.degrade_rate_per_s > 0.0 && replicas > 0 {
-            let mut t = 0.0;
-            loop {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                t += -(1.0 - u).ln() / cfg.degrade_rate_per_s * 1e3;
-                if t >= cfg.horizon_ms {
-                    break;
-                }
-                let replica = rng.gen_range(0..replicas);
-                specs.push(FaultSpec {
-                    at_ms: t,
-                    kind: FaultKind::LinkDegrade {
-                        replica,
-                        duration_ms: cfg.degrade_duration_ms,
-                    },
-                });
-            }
-        }
         specs
     }
 }
@@ -273,19 +192,9 @@ impl FaultRecord {
 mod tests {
     use super::*;
 
-    fn seeded() -> SeededFaults {
-        SeededFaults {
-            seed: 99,
-            horizon_ms: 60_000.0,
-            crash_rate_per_s: 0.05,
-            degrade_rate_per_s: 0.1,
-            degrade_duration_ms: 500.0,
-        }
-    }
-
     #[test]
     fn empty_schedule_resolves_to_nothing() {
-        assert!(FaultSchedule::none().resolve(4).is_empty());
+        assert!(FaultSchedule::none().resolve().is_empty());
     }
 
     #[test]
@@ -303,55 +212,10 @@ mod tests {
                 },
             },
         ]);
-        let resolved = schedule.resolve(2);
+        let resolved = schedule.resolve();
         assert_eq!(resolved.len(), 2);
         assert_eq!(resolved[0].at_ms, 300.0);
         assert_eq!(resolved[1].at_ms, 900.0);
-    }
-
-    #[test]
-    fn seeded_schedule_is_deterministic() {
-        let schedule = FaultSchedule::Seeded(seeded());
-        let a = schedule.resolve(6);
-        let b = schedule.resolve(6);
-        assert!(!a.is_empty(), "rates × horizon should draw some faults");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn seeded_crashes_spare_the_last_survivor_and_never_repeat() {
-        let schedule = FaultSchedule::Seeded(SeededFaults {
-            crash_rate_per_s: 10.0,
-            degrade_rate_per_s: 0.0,
-            ..seeded()
-        });
-        let resolved = schedule.resolve(3);
-        let crashed: Vec<usize> = resolved
-            .iter()
-            .filter_map(|s| match s.kind {
-                FaultKind::ReplicaCrash { replica } => Some(replica),
-                _ => None,
-            })
-            .collect();
-        assert!(crashed.len() <= 2, "at least one replica must survive");
-        let mut unique = crashed.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), crashed.len(), "no replica crashes twice");
-        // Sorted by injection time.
-        for w in resolved.windows(2) {
-            assert!(w[0].at_ms <= w[1].at_ms);
-        }
-    }
-
-    #[test]
-    fn single_replica_fleet_never_draws_a_crash() {
-        let schedule = FaultSchedule::Seeded(SeededFaults {
-            crash_rate_per_s: 50.0,
-            degrade_rate_per_s: 0.0,
-            ..seeded()
-        });
-        assert!(schedule.resolve(1).is_empty());
     }
 
     #[test]

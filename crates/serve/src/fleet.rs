@@ -807,7 +807,10 @@ impl FleetController {
     /// Deny codes: `fleet::empty`, `fleet::zero-floor`,
     /// `fleet::ceiling-below-floor`, `fleet::nonpositive-tick`,
     /// `fleet::nonpositive-window`, `fleet::negative-warmup`,
-    /// `fleet::zero-drain-cap`, `fleet::unsorted-trace`,
+    /// `fleet::zero-drain-cap`, `fleet::zero-batch-limit` (one per zero
+    /// [`BatchLimits`](crate::BatchLimits) field of `scheduler.limits`),
+    /// `fleet::unsorted-trace`, `fleet::empty-request` (a request with a
+    /// zero `prompt_len` or `output_len`), `fleet::non-finite-arrival`,
     /// `fleet::top-k-out-of-range` (an initial replica's model routes to
     /// more experts than it has), `fault::negative-time`,
     /// `fault::replica-out-of-range`, `fault::negative-duration`,
@@ -895,11 +898,38 @@ impl FleetController {
                 "set max_drain_ticks >= 1",
             ));
         }
-        if let Some(i) = trace.windows(2).position(|w| {
-            w[0].arrival_ms
-                .partial_cmp(&w[1].arrival_ms)
-                .is_none_or(std::cmp::Ordering::is_gt)
-        }) {
+        for field in cfg.scheduler.limits.zero_fields() {
+            report.push(Diagnostic::deny(
+                "fleet::zero-batch-limit",
+                "FleetConfig.scheduler.limits",
+                format!("{field} is 0 — no replica could ever run a step"),
+                format!("set {field} >= 1"),
+            ));
+        }
+        // One pass over the trace (`run` validates every trace it serves):
+        // the first out-of-order pair, and every request that breaks
+        // `Request`'s contract.
+        let mut unsorted = None;
+        let mut empty = Vec::new();
+        let mut non_finite = Vec::new();
+        for (i, r) in trace.iter().enumerate() {
+            if unsorted.is_none()
+                && i > 0
+                && trace[i - 1]
+                    .arrival_ms
+                    .partial_cmp(&r.arrival_ms)
+                    .is_none_or(std::cmp::Ordering::is_gt)
+            {
+                unsorted = Some(i - 1);
+            }
+            if r.prompt_len == 0 || r.output_len == 0 {
+                empty.push(i);
+            }
+            if !r.arrival_ms.is_finite() {
+                non_finite.push(i);
+            }
+        }
+        if let Some(i) = unsorted {
             report.push(Diagnostic::deny(
                 "fleet::unsorted-trace",
                 format!("trace[{}..={}]", i, i + 1),
@@ -909,6 +939,39 @@ impl FleetController {
                     trace[i + 1].arrival_ms
                 ),
                 "sort the trace by arrival_ms before serving it",
+            ));
+        }
+        if let Some(&i) = empty.first() {
+            report.push(Diagnostic::deny(
+                "fleet::empty-request",
+                format!("trace[{i}]"),
+                format!(
+                    "{} of {} requests have a zero length, the first request {} \
+                     (prompt_len {}, output_len {}) — every request needs at least one \
+                     prompt and one output token",
+                    empty.len(),
+                    trace.len(),
+                    trace[i].id,
+                    trace[i].prompt_len,
+                    trace[i].output_len
+                ),
+                "drop or repair requests with a zero length",
+            ));
+        }
+        if let Some(&i) = non_finite.first() {
+            report.push(Diagnostic::deny(
+                "fleet::non-finite-arrival",
+                format!("trace[{i}]"),
+                format!(
+                    "{} of {} requests arrive at a non-finite time, the first request {} at \
+                     {} ms — no event can be scheduled at NaN, and one at infinity leaves \
+                     every latency NaN",
+                    non_finite.len(),
+                    trace.len(),
+                    trace[i].id,
+                    trace[i].arrival_ms
+                ),
+                "give every request a finite arrival_ms",
             ));
         }
         for (slot, b) in self.initial.iter().enumerate() {
@@ -973,7 +1036,7 @@ impl FleetController {
                     ));
                 }
             };
-        for (i, spec) in self.faults.resolve(self.initial.len()).iter().enumerate() {
+        for (i, spec) in self.faults.resolve().iter().enumerate() {
             let fault_ctx = format!("fault[{i}] {} at {} ms", spec.kind.label(), spec.at_ms);
             if spec.at_ms < 0.0 || spec.at_ms.is_nan() {
                 report.push(Diagnostic::deny(
@@ -1382,7 +1445,7 @@ impl<'a> FleetRun<'a> {
         // Every fault is an ordinary event. An empty schedule pushes
         // nothing: the event stream — and therefore the whole run — is
         // exactly the no-fault-injection stream.
-        let faults = FaultState::new(faults.resolve(slots.len()));
+        let faults = FaultState::new(faults.resolve());
         for (index, spec) in faults.specs.iter().enumerate() {
             queue.push(spec.at_ms, FleetEvent::Fault { index });
         }

@@ -80,7 +80,7 @@ pub use backend::{
 pub use batch::BatchLimits;
 pub use dispatch::DispatchPolicy;
 pub use events::{EventQueue, FleetEvent};
-pub use faults::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, RecoveryPolicy, SeededFaults};
+pub use faults::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, RecoveryPolicy};
 pub use fleet::{
     AutoscalePolicy, DisaggregationConfig, FleetConfig, FleetController, FleetMetrics,
     FleetObservation, KvLink, NoAutoscale, ReplicaBreakdown, ScaleDecision, ScaleEvent, ScaleKind,

@@ -68,17 +68,6 @@ impl MemoryModel {
     pub fn footprint_bytes(&self, kv_tokens: usize, step_tokens: usize) -> f64 {
         self.weight_bytes_total + self.kv_bytes(kv_tokens) + self.activation_bytes(step_tokens)
     }
-
-    /// Whether that footprint fits the budget.
-    pub fn fits(&self, kv_tokens: usize, step_tokens: usize) -> bool {
-        self.footprint_bytes(kv_tokens, step_tokens) <= self.budget_bytes
-    }
-
-    /// Whether the engine can hold the model at all (weights plus a minimal
-    /// one-token step).
-    pub fn can_hold_model(&self) -> bool {
-        self.fits(1, 1)
-    }
 }
 
 impl MemoryBudget for MemoryModel {

@@ -107,11 +107,6 @@ impl CompletedRequest {
         self.first_token_ms - self.request.arrival_ms
     }
 
-    /// Time spent waiting in the queue before admission.
-    pub fn queueing_ms(&self) -> f64 {
-        self.admitted_ms - self.request.arrival_ms
-    }
-
     /// Mean per-output-token (inter-token) latency of the decode phase:
     /// the time from the first to the last output token, divided by the
     /// number of decode gaps. `None` for single-token outputs, which have
@@ -160,7 +155,6 @@ mod tests {
         };
         assert_eq!(c.latency_ms(), 90.0);
         assert_eq!(c.ttft_ms(), 30.0);
-        assert_eq!(c.queueing_ms(), 5.0);
         // 3 output tokens -> 2 decode gaps over 60 ms.
         assert_eq!(c.tpot_ms(), Some(30.0));
         let single = CompletedRequest {

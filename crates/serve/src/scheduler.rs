@@ -151,9 +151,7 @@ impl<B: ExecutionBackend> Scheduler<B> {
     /// hang the simulation.
     pub fn from_backend(backend: B, scfg: SchedulerConfig) -> Self {
         assert!(
-            scfg.limits.max_running >= 1
-                && scfg.limits.max_batched_tokens >= 1
-                && scfg.limits.prefill_chunk >= 1,
+            scfg.limits.zero_fields().next().is_none(),
             "every BatchLimits field must be at least 1, got {:?}",
             scfg.limits
         );
@@ -256,9 +254,7 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     /// [`Scheduler::from_backend`]).
     pub fn new(backend: B, scfg: SchedulerConfig) -> Self {
         assert!(
-            scfg.limits.max_running >= 1
-                && scfg.limits.max_batched_tokens >= 1
-                && scfg.limits.prefill_chunk >= 1,
+            scfg.limits.zero_fields().next().is_none(),
             "every BatchLimits field must be at least 1, got {:?}",
             scfg.limits
         );

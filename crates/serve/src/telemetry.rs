@@ -95,7 +95,7 @@ pub enum TraceEvent {
         replica: usize,
         /// Step start time.
         start_ms: f64,
-        /// Step duration under the backend's overlap model.
+        /// Step duration (`compute_ms + collective_ms`).
         total_ms: f64,
         /// Compute component of the step cost.
         compute_ms: f64,

@@ -142,11 +142,6 @@ impl ValidationReport {
         self.diagnostics.push(diagnostic);
     }
 
-    /// Append every diagnostic of another report.
-    pub fn merge(&mut self, other: ValidationReport) {
-        self.diagnostics.extend(other.diagnostics);
-    }
-
     /// All findings, in the order they were recorded (configuration checks
     /// first, then per-fault checks in schedule order — deterministic for a
     /// given input).
@@ -257,16 +252,5 @@ mod tests {
         let mut report = ValidationReport::new();
         report.push(Diagnostic::deny("x::y", "ctx", "broken", ""));
         report.assert_valid();
-    }
-
-    #[test]
-    fn merge_concatenates_in_order() {
-        let mut a = ValidationReport::new();
-        a.push(Diagnostic::deny("a::a", "ctx", "m", ""));
-        let mut b = ValidationReport::new();
-        b.push(Diagnostic::warning("b::b", "ctx", "m", ""));
-        a.merge(b);
-        let codes: Vec<&str> = a.diagnostics().iter().map(|d| d.code.as_str()).collect();
-        assert_eq!(codes, vec!["a::a", "b::b"]);
     }
 }

@@ -9,8 +9,9 @@ use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_serve::{
-    ExecutionBackend, FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController, Request,
-    SchedulerConfig, Severity, SingleGpuBackend, SloAutoscaler, TraceConfig,
+    BatchLimits, ExecutionBackend, FaultKind, FaultSchedule, FaultSpec, FleetConfig,
+    FleetController, Request, SchedulerConfig, Severity, SingleGpuBackend, SloAutoscaler,
+    TraceConfig,
 };
 
 fn replica() -> Box<dyn ExecutionBackend> {
@@ -40,6 +41,26 @@ fn short_trace() -> Vec<Request> {
 
 fn scripted(kind: FaultKind, at_ms: f64) -> FaultSchedule {
     FaultSchedule::Scripted(vec![FaultSpec { at_ms, kind }])
+}
+
+/// Runs `controller` on `trace`, which must panic, and returns the panic
+/// message.
+fn run_panic_message(controller: FleetController, trace: &[Request]) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || controller.run(trace)))
+        .expect_err("run must reject the configuration");
+    err.downcast_ref::<String>()
+        .cloned()
+        .expect("panic payload is the rendered report")
+}
+
+/// `validate` denies `code`, and `run` panics with the rendered report
+/// naming it instead of failing somewhere inside the simulation.
+fn assert_denied_before_the_run(controller: FleetController, trace: &[Request], code: &str) {
+    let report = controller.validate(trace);
+    assert!(report.has(code), "missing {code}: {}", report.render());
+    assert!(!report.passes());
+    let message = run_panic_message(controller, trace);
+    assert!(message.contains(code), "{message}");
 }
 
 #[test]
@@ -75,6 +96,40 @@ fn degenerate_knobs_each_get_their_code() {
             .validate(&short_trace());
         assert!(report.has(code), "missing {code}: {}", report.render());
         assert!(!report.passes());
+    }
+}
+
+#[test]
+fn each_zero_batch_limit_is_denied_before_the_run() {
+    let cases: [fn(&mut BatchLimits); 3] = [
+        |l| l.max_batched_tokens = 0,
+        |l| l.max_running = 0,
+        |l| l.prefill_chunk = 0,
+    ];
+    for zero in cases {
+        let mut config = FleetConfig::default();
+        zero(&mut config.scheduler.limits);
+        let controller = FleetController::new(config).with_replica(replica());
+        assert_denied_before_the_run(controller, &short_trace(), "fleet::zero-batch-limit");
+    }
+}
+
+#[test]
+fn requests_with_a_zero_length_are_denied_before_the_run() {
+    let cases: [fn(&mut Request); 2] = [|r| r.prompt_len = 0, |r| r.output_len = 0];
+    for zero in cases {
+        let mut trace = short_trace()[..1].to_vec();
+        zero(&mut trace[0]);
+        assert_denied_before_the_run(controller(), &trace, "fleet::empty-request");
+    }
+}
+
+#[test]
+fn a_non_finite_arrival_is_denied_even_in_a_one_request_trace() {
+    for arrival_ms in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut trace = short_trace()[..1].to_vec();
+        trace[0].arrival_ms = arrival_ms;
+        assert_denied_before_the_run(controller(), &trace, "fleet::non-finite-arrival");
     }
 }
 
@@ -225,13 +280,7 @@ fn run_panics_listing_every_problem_at_once() {
         ..FleetConfig::default()
     })
     .with_replica(replica());
-    let err =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || controller.run(&trace)))
-            .expect_err("run must reject the configuration");
-    let message = err
-        .downcast_ref::<String>()
-        .cloned()
-        .expect("panic payload is the rendered report");
+    let message = run_panic_message(controller, &trace);
     // Both problems in one panic — not just the first assert.
     assert!(message.contains("fleet::nonpositive-tick"), "{message}");
     assert!(message.contains("fleet::ceiling-below-floor"), "{message}");

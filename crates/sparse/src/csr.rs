@@ -45,81 +45,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Build from raw CSR arrays, validating their consistency.
-    pub fn from_raw(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Result<Self> {
-        if row_ptr.len() != rows + 1 {
-            return Err(SparseError::shape(format!(
-                "row_ptr length {} != rows+1 ({})",
-                row_ptr.len(),
-                rows + 1
-            )));
-        }
-        if col_idx.len() != values.len() {
-            return Err(SparseError::shape(
-                "col_idx and values lengths differ".to_string(),
-            ));
-        }
-        if *row_ptr.last().unwrap_or(&0) != values.len() {
-            return Err(SparseError::shape(
-                "row_ptr last entry does not equal nnz".to_string(),
-            ));
-        }
-        let mut prev = 0usize;
-        for &p in &row_ptr {
-            if p < prev {
-                return Err(SparseError::shape("row_ptr is not monotonic".to_string()));
-            }
-            prev = p;
-        }
-        for &c in &col_idx {
-            if c as usize >= cols {
-                return Err(SparseError::IndexOutOfBounds {
-                    index: c as usize,
-                    bound: cols,
-                });
-            }
-        }
-        Ok(Self {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// Row pointer array (length `rows + 1`).
-    pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
-    /// Column index array (length `nnz`).
-    pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
-    }
-
-    /// Value array (length `nnz`).
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
-    /// Number of non-zeros in row `r`.
-    pub fn row_nnz(&self, r: usize) -> usize {
-        self.row_ptr[r + 1] - self.row_ptr[r]
-    }
-
-    /// Maximum row length — a proxy for load imbalance in row-parallel SpMM
-    /// kernels (the balance problem Sputnik addresses with row swizzling).
-    pub fn max_row_nnz(&self) -> usize {
-        (0..self.rows).map(|r| self.row_nnz(r)).max().unwrap_or(0)
-    }
-
     /// Sparse x dense product `C = self * B`.
     pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
         if self.cols != b.rows() {
@@ -191,35 +116,12 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_validation() {
-        // Valid 2x3 matrix with 2 nnz.
-        assert!(CsrMatrix::from_raw(2, 3, vec![0, 1, 2], vec![0, 2], vec![1.0, 2.0]).is_ok());
-        // Bad row_ptr length.
-        assert!(CsrMatrix::from_raw(2, 3, vec![0, 2], vec![0, 2], vec![1.0, 2.0]).is_err());
-        // Non-monotonic row_ptr.
-        assert!(CsrMatrix::from_raw(2, 3, vec![0, 2, 1], vec![0, 2], vec![1.0, 2.0]).is_err());
-        // Column out of bounds.
-        assert!(CsrMatrix::from_raw(2, 3, vec![0, 1, 2], vec![0, 3], vec![1.0, 2.0]).is_err());
-        // nnz mismatch.
-        assert!(CsrMatrix::from_raw(2, 3, vec![0, 1, 3], vec![0, 2], vec![1.0, 2.0]).is_err());
-    }
-
-    #[test]
     fn spmm_matches_dense() {
         let a = DenseMatrix::random_sparse(13, 9, 0.5, 5);
         let b = DenseMatrix::random(9, 7, 6);
         let csr = CsrMatrix::from_dense(&a);
         let expected = a.matmul(&b).unwrap();
         assert!(csr.spmm(&b).unwrap().allclose(&expected, 1e-5, 1e-5));
-    }
-
-    #[test]
-    fn row_nnz_and_imbalance() {
-        let d = DenseMatrix::from_vec(2, 4, vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0]).unwrap();
-        let csr = CsrMatrix::from_dense(&d);
-        assert_eq!(csr.row_nnz(0), 3);
-        assert_eq!(csr.row_nnz(1), 1);
-        assert_eq!(csr.max_row_nnz(), 3);
     }
 
     #[test]

@@ -133,17 +133,6 @@ impl DenseMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Return the transposed matrix.
-    pub fn transpose(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// Number of non-zero entries.
     pub fn nnz(&self) -> usize {
         self.data.iter().filter(|v| **v != 0.0).count()
@@ -231,11 +220,6 @@ impl DenseMatrix {
         DenseMatrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Round every entry to its nearest bf16-representable value.
-    pub fn to_bf16(&self) -> DenseMatrix {
-        self.map(quantize_bf16)
-    }
-
     /// Maximum absolute element-wise difference against `other`.
     ///
     /// Returns `f32::INFINITY` if the shapes differ.
@@ -286,23 +270,6 @@ impl DenseMatrix {
         Ok(out)
     }
 
-    /// Extract the sub-matrix formed by the given rows, in order.
-    pub fn select_rows(&self, rows: &[usize]) -> Result<DenseMatrix> {
-        for &r in rows {
-            if r >= self.rows {
-                return Err(SparseError::IndexOutOfBounds {
-                    index: r,
-                    bound: self.rows,
-                });
-            }
-        }
-        let mut out = DenseMatrix::zeros(rows.len(), self.cols);
-        for (i, &r) in rows.iter().enumerate() {
-            out.as_mut_slice()[i * self.cols..(i + 1) * self.cols].copy_from_slice(self.row(r));
-        }
-        Ok(out)
-    }
-
     /// Total storage in bytes for the dense representation (4 bytes/element;
     /// 2 bytes/element when treated as bf16).
     pub fn storage_bytes(&self, bf16: bool) -> usize {
@@ -344,20 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_roundtrip() {
-        let a = DenseMatrix::random(7, 5, 42);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn transpose_swaps_indices() {
-        let a = DenseMatrix::from_fn(3, 4, |r, c| (r * 10 + c) as f32);
-        let t = a.transpose();
-        assert_eq!(t.get(2, 1), a.get(1, 2));
-        assert_eq!(t.shape(), (4, 3));
-    }
-
-    #[test]
     fn bf16_quantization_is_idempotent_and_close() {
         let x = 1.234_567_f32;
         let q = quantize_bf16(x);
@@ -390,14 +343,6 @@ mod tests {
         let s = a.select_columns(&[3, 1]).unwrap();
         assert_eq!(s.as_slice(), &[3.0, 1.0, 7.0, 5.0]);
         assert!(a.select_columns(&[4]).is_err());
-    }
-
-    #[test]
-    fn select_rows_picks_in_order() {
-        let a = DenseMatrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
-        let s = a.select_rows(&[2, 0]).unwrap();
-        assert_eq!(s.as_slice(), &[4.0, 5.0, 0.0, 1.0]);
-        assert!(a.select_rows(&[3]).is_err());
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   metadata}`.
 //! * [`sel::SelectionArray`] / [`sel::SelInput`] — the input-side vector-wise
 //!   sparsity produced by MoE token routing (the `SEL` array of Algorithm 1).
-//! * [`packing`] — the reorganised 2-bit metadata packing of Figure 10 and the
-//!   shared-memory permutation used to avoid bank conflicts.
 //! * [`prune`] — magnitude pruning of dense weights into each of the formats.
 //!
 //! All floating point payloads are `f32` but can be passed through
@@ -32,7 +30,6 @@ pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod nm;
-pub mod packing;
 pub mod prune;
 pub mod samoyeds;
 pub mod sel;

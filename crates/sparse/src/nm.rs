@@ -58,7 +58,8 @@ pub struct NmMatrix {
     values: Vec<f32>,
     /// Position of each kept value inside its group of `m`, `0..m`.
     /// Same shape as `values`. Stored as `u8`; the hardware packs these into
-    /// 2-bit fields (see [`crate::packing`]).
+    /// 2-bit fields, whose reorganised layout (Figure 10) `samoyeds-kernels`
+    /// prices through `SamoyedsOptions::metadata_packing`.
     metadata: Vec<u8>,
 }
 
@@ -92,60 +93,6 @@ impl NmMatrix {
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
                 let mut kept: Vec<usize> = order[..config.n].to_vec();
-                kept.sort_unstable();
-                for &idx in &kept {
-                    values.push(group[idx]);
-                    metadata.push(idx as u8);
-                }
-            }
-        }
-        Ok(Self {
-            rows: dense.rows(),
-            cols: dense.cols(),
-            config,
-            values,
-            metadata,
-        })
-    }
-
-    /// Encode a dense matrix that is *already* N:M sparse. Errors with
-    /// [`SparseError::PatternViolation`] if any group holds more than `N`
-    /// non-zeros.
-    pub fn from_dense_strict(dense: &DenseMatrix, config: NmConfig) -> Result<Self> {
-        config.validate()?;
-        if !dense.cols().is_multiple_of(config.m) {
-            return Err(SparseError::shape(format!(
-                "cols {} not divisible by group size {}",
-                dense.cols(),
-                config.m
-            )));
-        }
-        let groups_per_row = dense.cols() / config.m;
-        let mut values = Vec::new();
-        let mut metadata = Vec::new();
-        for r in 0..dense.rows() {
-            let row = dense.row(r);
-            for g in 0..groups_per_row {
-                let group = &row[g * config.m..(g + 1) * config.m];
-                let nonzero: Vec<usize> = (0..config.m).filter(|&i| group[i] != 0.0).collect();
-                if nonzero.len() > config.n {
-                    return Err(SparseError::pattern(format!(
-                        "row {r} group {g} has {} nonzeros, limit {}",
-                        nonzero.len(),
-                        config.n
-                    )));
-                }
-                // Pad the kept set with zero positions so every group stores
-                // exactly N entries (the hardware always stores N).
-                let mut kept = nonzero;
-                let mut cursor = 0usize;
-                while kept.len() < config.n {
-                    while kept.contains(&cursor) {
-                        cursor += 1;
-                    }
-                    kept.push(cursor);
-                    cursor += 1;
-                }
                 kept.sort_unstable();
                 for &idx in &kept {
                     values.push(group[idx]);
@@ -306,29 +253,6 @@ mod tests {
             }
         }
         assert!((dense.sparsity() - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn strict_encoding_rejects_violations() {
-        let ok = DenseMatrix::from_vec(1, 4, vec![1.0, 0.0, 2.0, 0.0]).unwrap();
-        assert!(NmMatrix::from_dense_strict(&ok, NmConfig::TWO_FOUR).is_ok());
-        let bad = DenseMatrix::from_vec(1, 4, vec![1.0, 3.0, 2.0, 0.0]).unwrap();
-        assert!(NmMatrix::from_dense_strict(&bad, NmConfig::TWO_FOUR).is_err());
-    }
-
-    #[test]
-    fn strict_encoding_roundtrips() {
-        let d = DenseMatrix::from_vec(
-            2,
-            8,
-            vec![
-                1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0, 4.0, //
-                0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 6.0,
-            ],
-        )
-        .unwrap();
-        let nm = NmMatrix::from_dense_strict(&d, NmConfig::TWO_FOUR).unwrap();
-        assert_eq!(nm.to_dense(), d);
     }
 
     #[test]

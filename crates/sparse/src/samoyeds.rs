@@ -284,15 +284,6 @@ impl SamoyedsWeight {
         }
         Ok(out)
     }
-
-    /// Reference dual-side sparse product: `C = W * B[:, sel]` where only the
-    /// columns of `B` listed in `sel` participate (the MoE token-routing
-    /// sparsity). The output has `sel.len()` columns (compressed layout of
-    /// §4.5).
-    pub fn spmm_selected(&self, b: &DenseMatrix, sel: &[usize]) -> Result<DenseMatrix> {
-        let gathered = b.select_columns(sel)?;
-        self.spmm(&gathered)
-    }
 }
 
 impl SparseFormat for SamoyedsWeight {
@@ -439,21 +430,6 @@ mod tests {
                 got.max_abs_diff(&expected)
             );
         }
-    }
-
-    #[test]
-    fn spmm_selected_matches_column_gather() {
-        let d = DenseMatrix::random(32, 64, 21);
-        let w = SamoyedsWeight::prune_from_dense(&d, SamoyedsConfig::DEFAULT).unwrap();
-        let b = DenseMatrix::random(64, 40, 22);
-        let sel = vec![0, 3, 5, 8, 13, 21, 34, 39];
-        let expected = w
-            .to_dense()
-            .matmul(&b.select_columns(&sel).unwrap())
-            .unwrap();
-        let got = w.spmm_selected(&b, &sel).unwrap();
-        assert!(got.allclose(&expected, 1e-3, 1e-3));
-        assert_eq!(got.cols(), sel.len());
     }
 
     #[test]

@@ -52,19 +52,6 @@ impl SelectionArray {
         }
     }
 
-    /// Build from a boolean mask.
-    pub fn from_mask(mask: &[bool]) -> Self {
-        let selected = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &keep)| keep.then_some(i as u32))
-            .collect();
-        Self {
-            total: mask.len(),
-            selected,
-        }
-    }
-
     /// Logical number of columns the selection refers to.
     pub fn total(&self) -> usize {
         self.total
@@ -159,18 +146,6 @@ impl SelInput {
             .select_columns(&self.sel.indices_usize())
             .expect("selection validated at construction")
     }
-
-    /// Bytes that actually need to move for this operand when the kernel
-    /// consumes the SEL array directly (selected columns only + SEL array).
-    pub fn effective_bytes(&self, bf16: bool) -> usize {
-        let value_bytes = if bf16 { 2 } else { 4 };
-        self.rows() * self.selected_cols() * value_bytes + self.sel.storage_bytes()
-    }
-
-    /// Bytes a dense (non-SEL-aware) kernel would move for the same operand.
-    pub fn dense_bytes(&self, bf16: bool) -> usize {
-        self.matrix.storage_bytes(bf16)
-    }
 }
 
 #[cfg(test)]
@@ -186,16 +161,15 @@ mod tests {
     }
 
     #[test]
-    fn all_and_mask_constructors() {
+    fn all_selects_every_column_and_sparsity_counts_the_rest() {
         let all = SelectionArray::all(4);
         assert_eq!(all.indices(), &[0, 1, 2, 3]);
         assert_eq!(all.sparsity(), 0.0);
-        let m = SelectionArray::from_mask(&[true, false, true, false]);
-        assert_eq!(m.indices(), &[0, 2]);
+        let m = SelectionArray::new(4, vec![0, 2]).unwrap();
         assert!((m.sparsity() - 0.5).abs() < 1e-12);
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
-        assert!(SelectionArray::from_mask(&[false, false]).is_empty());
+        assert!(SelectionArray::new(2, vec![]).unwrap().is_empty());
     }
 
     #[test]
@@ -212,19 +186,11 @@ mod tests {
         let m = DenseMatrix::from_fn(2, 4, |r, c| (r * 4 + c) as f32);
         let sel = SelectionArray::new(4, vec![1, 3]).unwrap();
         let input = SelInput::new(m, sel).unwrap();
+        assert_eq!(input.rows(), 2);
+        assert_eq!(input.selected_cols(), 2);
         let g = input.gather();
         assert_eq!(g.shape(), (2, 2));
         assert_eq!(g.as_slice(), &[1.0, 3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn effective_bytes_smaller_than_dense_when_sparse() {
-        let m = DenseMatrix::random(64, 128, 1);
-        let sel = SelectionArray::new(128, (0..32).map(|i| i * 4).collect()).unwrap();
-        let input = SelInput::new(m, sel).unwrap();
-        assert!(input.effective_bytes(true) < input.dense_bytes(true) / 3);
-        assert_eq!(input.selected_cols(), 32);
-        assert_eq!(input.rows(), 64);
     }
 
     #[test]

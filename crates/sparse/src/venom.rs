@@ -17,7 +17,6 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
-use crate::nm::NmConfig;
 use crate::traits::SparseFormat;
 use serde::{Deserialize, Serialize};
 
@@ -204,11 +203,6 @@ impl VenomMatrix {
     pub fn metadata_row(&self, r: usize) -> &[u8] {
         let k = self.stored_per_row();
         &self.metadata[r * k..(r + 1) * k]
-    }
-
-    /// The equivalent element-wise 2:4 configuration used inside panels.
-    pub fn inner_nm(&self) -> NmConfig {
-        NmConfig::TWO_FOUR
     }
 
     /// Sparse-weight x dense-input product `C = self * B`.

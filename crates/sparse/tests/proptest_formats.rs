@@ -2,11 +2,9 @@
 
 use proptest::prelude::*;
 use samoyeds_sparse::nm::NmConfig;
-use samoyeds_sparse::packing;
 use samoyeds_sparse::venom::VenomConfig;
 use samoyeds_sparse::{
-    CsrMatrix, DenseMatrix, NmMatrix, SamoyedsConfig, SamoyedsWeight, SelectionArray, SparseFormat,
-    VenomMatrix,
+    CsrMatrix, DenseMatrix, NmMatrix, SamoyedsConfig, SamoyedsWeight, SparseFormat, VenomMatrix,
 };
 
 fn arb_dense(max_rows: usize, max_cols: usize) -> impl Strategy<Value = DenseMatrix> {
@@ -128,24 +126,6 @@ proptest! {
     }
 
     #[test]
-    fn samoyeds_spmm_selected_equals_gather_then_matmul(
-        row_blocks in 1usize..4,
-        col_blocks in 1usize..3,
-        n_total in 4usize..24,
-        seed in any::<u64>(),
-    ) {
-        let cfg = SamoyedsConfig { n: 1, m: 2, v: 16 };
-        let d = DenseMatrix::random(row_blocks * 2, col_blocks * 16, seed);
-        let w = SamoyedsWeight::prune_from_dense(&d, cfg).unwrap();
-        let b = DenseMatrix::random(d.cols(), n_total, seed.wrapping_add(3));
-        // Select every other column.
-        let sel: Vec<usize> = (0..n_total).step_by(2).collect();
-        let expected = w.to_dense().matmul(&b.select_columns(&sel).unwrap()).unwrap();
-        let got = w.spmm_selected(&b, &sel).unwrap();
-        prop_assert!(got.allclose(&expected, 1e-3, 1e-3));
-    }
-
-    #[test]
     fn venom_prune_roundtrip_is_idempotent(
         panels in 1usize..4,
         col_groups in 1usize..4,
@@ -190,25 +170,5 @@ proptest! {
         let expected = dense.matmul(&b).unwrap();
         let got = w.spmm(&b).unwrap();
         prop_assert!(got.allclose(&expected, 1e-3, 1e-3));
-    }
-
-    #[test]
-    fn metadata_packing_roundtrip(values in proptest::collection::vec(0u8..4, 256)) {
-        let reorganized = packing::reorganize_metadata_tile(&values).unwrap();
-        let restored = packing::restore_metadata_tile(&reorganized).unwrap();
-        prop_assert_eq!(restored, values);
-    }
-
-    #[test]
-    fn selection_array_from_mask_is_sorted_and_bounded(mask in proptest::collection::vec(any::<bool>(), 0..64)) {
-        let sel = SelectionArray::from_mask(&mask);
-        let idx = sel.indices();
-        for w in idx.windows(2) {
-            prop_assert!(w[0] < w[1]);
-        }
-        for &i in idx {
-            prop_assert!((i as usize) < mask.len());
-        }
-        prop_assert_eq!(idx.len(), mask.iter().filter(|&&b| b).count());
     }
 }

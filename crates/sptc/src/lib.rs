@@ -5,9 +5,9 @@
 //! matrix instructions and the `ldmatrix` collective load (§2.3, §4.1, §4.4).
 //! Neither exists on a CPU, so this crate provides:
 //!
-//! * [`mma`] — bit-faithful *functional* semantics of the dense
-//!   `mma.m16n8k16` and sparse `mma.sp.m16n8k32` tile operations (values are
-//!   computed exactly, operands optionally pass through bf16 rounding);
+//! * [`mma`] — bit-faithful *functional* semantics of the sparse
+//!   `mma.sp.m16n8k32` tile operation (values are computed exactly, operands
+//!   optionally pass through bf16 rounding);
 //! * [`ldmatrix`] — the collective shared-memory→register load, including the
 //!   bank-conflict behaviour of swizzled vs. naive shared-memory layouts.
 //!
@@ -24,4 +24,4 @@
 pub mod ldmatrix;
 pub mod mma;
 
-pub use mma::{mma_m16n8k16, mma_sp_m16n8k32, MmaTile, SparseATile};
+pub use mma::{mma_sp_m16n8k32, MmaTile, SparseATile};

@@ -1,11 +1,11 @@
-//! Functional semantics of the dense `mma.m16n8k16` and sparse
-//! `mma.sp.m16n8k32` warp-level tile operations.
+//! Functional semantics of the sparse `mma.sp.m16n8k32` warp-level tile
+//! operation.
 //!
 //! The hardware instruction distributes the operand fragments over the 32
 //! threads of a warp; numerically, however, it simply computes
-//! `C += A * B` on a `16 x k` by `k x 8` tile, with `A` supplied in a 2:4
-//! compressed form for the sparse variant. This module implements exactly
-//! that tile-level contract so kernels can be validated on the CPU.
+//! `C += A * B` on a `16 x 32` by `32 x 8` tile, with `A` supplied in a 2:4
+//! compressed form. This module implements exactly that tile-level contract
+//! so kernels can be validated on the CPU.
 
 use samoyeds_sparse::dense::quantize_bf16;
 use samoyeds_sparse::{DenseMatrix, Result, SparseError};
@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 pub const MMA_M: usize = 16;
 /// Columns of the accumulator tile (`n`).
 pub const MMA_N: usize = 8;
-/// Reduction depth of the dense instruction.
+/// Stored values per row of the compressed sparse operand (the reduction
+/// depth of the dense `mma.m16n8k16`).
 pub const MMA_K_DENSE: usize = 16;
 /// Logical reduction depth of the sparse instruction (2:4 compressed to 16).
 pub const MMA_K_SPARSE: usize = 32;
@@ -95,28 +96,6 @@ impl MmaTile {
     /// Borrow the row-major data.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Round every element to bf16 precision (operand quantisation).
-    pub fn to_bf16(&self) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| quantize_bf16(*v)).collect(),
-        }
-    }
-
-    /// Accumulate this tile into a `DenseMatrix` at offset `(row0, col0)`,
-    /// ignoring elements that fall outside the destination.
-    pub fn accumulate_into(&self, dst: &mut DenseMatrix, row0: usize, col0: usize) {
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if row0 + r < dst.rows() && col0 + c < dst.cols() {
-                    let cur = dst.get(row0 + r, col0 + c);
-                    dst.set(row0 + r, col0 + c, cur + self.get(r, c));
-                }
-            }
-        }
     }
 }
 
@@ -203,61 +182,6 @@ impl SparseATile {
         }
         Ok(Self { values, metadata })
     }
-
-    /// Expand back to the logical `16 x 32` dense tile.
-    pub fn decompress(&self) -> MmaTile {
-        let mut tile = MmaTile::zeros(MMA_M, MMA_K_SPARSE);
-        for r in 0..MMA_M {
-            for g in 0..MMA_K_SPARSE / 4 {
-                for slot in 0..2 {
-                    let v = self.values[r * MMA_K_DENSE + g * 2 + slot];
-                    let pos = self.metadata[r * MMA_K_DENSE + g * 2 + slot] as usize;
-                    tile.set(r, g * 4 + pos, v);
-                }
-            }
-        }
-        tile
-    }
-
-    /// Borrow compressed values.
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
-    /// Borrow metadata.
-    pub fn metadata(&self) -> &[u8] {
-        &self.metadata
-    }
-}
-
-/// Dense `mma.m16n8k16`: `c += a * b` where `a` is `16 x 16`, `b` is
-/// `16 x 8` and `c` is `16 x 8`. Operands are rounded to bf16 when
-/// `bf16_operands` is set (accumulation stays in f32, as on hardware).
-pub fn mma_m16n8k16(a: &MmaTile, b: &MmaTile, c: &mut MmaTile, bf16_operands: bool) -> Result<()> {
-    if a.rows() != MMA_M || a.cols() != MMA_K_DENSE {
-        return Err(SparseError::shape("mma A tile must be 16x16".to_string()));
-    }
-    if b.rows() != MMA_K_DENSE || b.cols() != MMA_N {
-        return Err(SparseError::shape("mma B tile must be 16x8".to_string()));
-    }
-    if c.rows() != MMA_M || c.cols() != MMA_N {
-        return Err(SparseError::shape("mma C tile must be 16x8".to_string()));
-    }
-    for i in 0..MMA_M {
-        for j in 0..MMA_N {
-            let mut acc = c.get(i, j);
-            for l in 0..MMA_K_DENSE {
-                let (x, y) = if bf16_operands {
-                    (quantize_bf16(a.get(i, l)), quantize_bf16(b.get(l, j)))
-                } else {
-                    (a.get(i, l), b.get(l, j))
-                };
-                acc += x * y;
-            }
-            c.set(i, j, acc);
-        }
-    }
-    Ok(())
 }
 
 /// Sparse `mma.sp.m16n8k32`: `c += A_logical * b` where `A_logical` is the
@@ -323,44 +247,6 @@ mod tests {
         assert_eq!(t.get(2, 2), 0.0);
         assert_eq!(t.get(3, 3), 0.0);
         assert!(MmaTile::from_vec(2, 2, vec![0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn dense_mma_matches_reference_gemm() {
-        let a = random_tile(16, 16, 1);
-        let b = random_tile(16, 8, 2);
-        let mut c = MmaTile::zeros(16, 8);
-        mma_m16n8k16(&a, &b, &mut c, false).unwrap();
-
-        let da = DenseMatrix::from_vec(16, 16, a.as_slice().to_vec()).unwrap();
-        let db = DenseMatrix::from_vec(16, 8, b.as_slice().to_vec()).unwrap();
-        let expected = da.matmul(&db).unwrap();
-        let got = DenseMatrix::from_vec(16, 8, c.as_slice().to_vec()).unwrap();
-        assert!(got.allclose(&expected, 1e-4, 1e-4));
-    }
-
-    #[test]
-    fn dense_mma_shape_validation() {
-        let a = random_tile(16, 16, 1);
-        let b = random_tile(16, 8, 2);
-        let mut bad_c = MmaTile::zeros(8, 8);
-        assert!(mma_m16n8k16(&a, &b, &mut bad_c, false).is_err());
-        let bad_a = random_tile(8, 16, 3);
-        let mut c = MmaTile::zeros(16, 8);
-        assert!(mma_m16n8k16(&bad_a, &b, &mut c, false).is_err());
-        let bad_b = random_tile(8, 8, 3);
-        assert!(mma_m16n8k16(&a, &bad_b, &mut c, false).is_err());
-    }
-
-    #[test]
-    fn sparse_tile_compress_decompress_roundtrip() {
-        // Build a 16x32 2:4-sparse tile via the NmMatrix pruner.
-        let dense = DenseMatrix::random(16, 32, 5);
-        let nm = NmMatrix::prune_from_dense(&dense, NmConfig::TWO_FOUR).unwrap();
-        let pruned = nm.to_dense();
-        let tile = MmaTile::from_matrix(&pruned, 0, 0, 16, 32);
-        let sp = SparseATile::compress_from_dense(&tile).unwrap();
-        assert_eq!(sp.decompress(), tile);
     }
 
     #[test]
@@ -453,16 +339,5 @@ mod tests {
                 assert!((exact.get(r, j) - rounded.get(r, j)).abs() < 0.15);
             }
         }
-    }
-
-    #[test]
-    fn accumulate_into_respects_bounds() {
-        let t = random_tile(16, 8, 15);
-        let mut dst = DenseMatrix::zeros(20, 10);
-        t.accumulate_into(&mut dst, 10, 5);
-        // Elements past the matrix edge are dropped, inside ones added.
-        assert_eq!(dst.get(10, 5), t.get(0, 0));
-        assert_eq!(dst.get(19, 9), t.get(9, 4));
-        assert_eq!(dst.get(0, 0), 0.0);
     }
 }
