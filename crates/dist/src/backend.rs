@@ -26,7 +26,7 @@
 //!   served-vs-rejected traces rather than a static table.
 
 use crate::cluster::{ClusterConfig, ClusterSimulator};
-use crate::placement::{ClusterMemoryModel, PlacementStrategy};
+use crate::placement::PlacementStrategy;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_moe::router::TopKRouter;
@@ -36,91 +36,21 @@ use samoyeds_serve::backend::{
 };
 use samoyeds_serve::SchedulerConfig;
 
-/// Straggler-GPU admission budget of an expert-parallel pod.
+/// An expert-parallel cluster as a serving execution backend.
 ///
-/// Implements the serve-side [`MemoryBudget`] surface over the per-GPU
-/// [`ClusterMemoryModel`]: the footprint is the worst rank — the one
-/// holding the largest balanced expert share — with the ceiling share of
-/// the KV cache and step workspace. Every executed step re-validates its
+/// The backend is its own admission budget ([`MemoryBudget`]): the
+/// footprint is the straggler GPU's under the simulator's per-GPU
+/// [`ClusterMemoryModel`](crate::ClusterMemoryModel), the rank holding the
+/// strategy's largest expert share, with the ceiling share of the KV cache
+/// and of the step's workspace. Every executed step re-validates its
 /// placement against the same KV-aware residency, and a round-robin
 /// placement (balanced `ceil(E/g)` expert counts) always fits once
 /// admission has passed, so an admitted trace never strands a step.
 #[derive(Debug, Clone)]
-pub struct ClusterAdmissionBudget {
-    memory: ClusterMemoryModel,
-    num_gpus: usize,
-    max_experts_per_gpu: usize,
-}
-
-impl ClusterAdmissionBudget {
-    /// Build the budget for a cluster serving `model`.
-    pub fn new(cluster: &ClusterConfig, model: &MoeModelConfig) -> Self {
-        let num_gpus = cluster.num_gpus.max(1);
-        let experts = model.num_experts;
-        // The straggler's expert count under the configured strategy:
-        // balanced shares for the non-replicating strategies, plus a full
-        // copy of every replicated hot expert otherwise.
-        let max_experts_per_gpu = match cluster.strategy {
-            PlacementStrategy::ReplicateHot { hot } => {
-                let hot = hot.min(experts);
-                hot + (experts - hot).div_ceil(num_gpus)
-            }
-            // Per-island replication concentrates the hot replicas on at
-            // most `islands * hot` ranks; a skewed hot load can then repel
-            // the greedy cold pass entirely onto the remaining ranks, so
-            // the straggler is either a replica host (≤ hot replicas plus
-            // a balanced cold share) or a cold-packed non-replica rank
-            // (ceil share over the ranks the cold pass is left with).
-            PlacementStrategy::ReplicateHotPerIsland { hot } => {
-                let hot = hot.min(experts);
-                let cold = experts - hot;
-                let islands = cluster.topology.num_islands().min(num_gpus);
-                let replica_hosts = (islands * hot).min(num_gpus);
-                let balanced = hot + cold.div_ceil(num_gpus);
-                if replica_hosts < num_gpus {
-                    balanced.max(cold.div_ceil(num_gpus - replica_hosts))
-                } else {
-                    balanced
-                }
-            }
-            PlacementStrategy::RoundRobin | PlacementStrategy::CapacityGreedy => {
-                experts.div_ceil(num_gpus)
-            }
-        };
-        Self {
-            memory: ClusterMemoryModel::new(&cluster.device, cluster.engine, model),
-            num_gpus,
-            max_experts_per_gpu,
-        }
-    }
-
-    /// Routed experts resident on the straggler GPU.
-    pub fn max_experts_per_gpu(&self) -> usize {
-        self.max_experts_per_gpu
-    }
-}
-
-impl MemoryBudget for ClusterAdmissionBudget {
-    fn budget_bytes(&self) -> f64 {
-        self.memory.budget_bytes()
-    }
-
-    fn footprint_bytes(&self, kv_tokens: usize, step_tokens: usize) -> f64 {
-        // Tokens live interleaved across ranks (token `t` on GPU `t mod g`),
-        // so the straggler hosts the ceiling share of both the resident KV
-        // and the in-flight step.
-        let kv_local = kv_tokens.div_ceil(self.num_gpus);
-        let step_local = step_tokens.div_ceil(self.num_gpus);
-        self.memory
-            .gpu_bytes(self.max_experts_per_gpu, kv_local, step_local)
-    }
-}
-
-/// An expert-parallel cluster as a serving execution backend.
-#[derive(Debug, Clone)]
 pub struct ClusterBackend {
     sim: ClusterSimulator,
-    budget: ClusterAdmissionBudget,
+    /// Routed experts resident on the straggler GPU.
+    straggler_experts: usize,
     router: TopKRouter,
     attention: StepAttention,
     routing_seed: u64,
@@ -143,7 +73,11 @@ impl ClusterBackend {
     /// configuration bug, and failing here beats a misleading
     /// admission-vs-placement panic in the middle of a running trace.
     pub fn new(cluster: ClusterConfig, model: MoeModelConfig, scfg: &SchedulerConfig) -> Self {
-        let budget = ClusterAdmissionBudget::new(&cluster, &model);
+        let straggler_experts = cluster.strategy.straggler_experts(
+            model.num_experts,
+            cluster.num_gpus.max(1),
+            cluster.topology.num_islands(),
+        );
         let router = TopKRouter::for_config(&model, scfg.routing_seed);
         let sim = ClusterSimulator::new(cluster, model);
         assert_eq!(
@@ -155,7 +89,7 @@ impl ClusterBackend {
         );
         sim.topology().validate().expect("invalid cluster topology");
         Self {
-            budget,
+            straggler_experts,
             router,
             sim,
             attention: StepAttention::new(scfg.attention),
@@ -176,10 +110,23 @@ impl ClusterBackend {
     pub fn simulator(&self) -> &ClusterSimulator {
         &self.sim
     }
+}
 
-    /// The straggler-GPU admission budget (concrete type).
-    pub fn admission_budget(&self) -> &ClusterAdmissionBudget {
-        &self.budget
+impl MemoryBudget for ClusterBackend {
+    fn budget_bytes(&self) -> f64 {
+        self.sim.memory().budget_bytes()
+    }
+
+    fn footprint_bytes(&self, kv_tokens: usize, step_tokens: usize) -> f64 {
+        // Tokens live interleaved across ranks (token `t` on GPU `t mod g`),
+        // so the straggler hosts the ceiling share of both the resident KV
+        // and the in-flight step.
+        let gpus = self.sim.cluster().num_gpus.max(1);
+        self.sim.memory().gpu_bytes(
+            self.straggler_experts,
+            kv_tokens.div_ceil(gpus),
+            step_tokens.div_ceil(gpus),
+        )
     }
 }
 
@@ -193,11 +140,11 @@ impl ExecutionBackend for ClusterBackend {
     }
 
     fn supports(&self, config: &MoeModelConfig) -> bool {
-        self.sim.engine().supports(config)
+        self.sim.engine().kind().supports(config)
     }
 
     fn memory(&self) -> &dyn MemoryBudget {
-        &self.budget
+        self
     }
 
     fn step_cost(&self, workload: &StepWorkload<'_>) -> StepCost {
@@ -410,8 +357,14 @@ mod tests {
         // Same per-GPU budget, smaller per-GPU footprint at 4 GPUs.
         assert_eq!(one.memory().budget_bytes(), four.memory().budget_bytes());
         assert!(four.memory().footprint_bytes(4096, 512) < one.memory().footprint_bytes(4096, 512));
-        // Qwen2-MoE has 60 routed experts: ceil(60 / 4) = 15 per rank.
-        assert_eq!(four.admission_budget().max_experts_per_gpu(), 15);
+        // Qwen2-MoE has 60 routed experts: ceil(60 / 4) = 15 per rank, and
+        // the footprint is that straggler's under the pod's one memory model,
+        // with the ceiling shares of the KV cache and of the step.
+        assert_eq!(four.straggler_experts, 15);
+        assert_eq!(
+            four.memory().footprint_bytes(4097, 513),
+            four.simulator().memory().gpu_bytes(15, 1025, 129)
+        );
     }
 
     #[test]
@@ -440,36 +393,38 @@ mod tests {
         let topology =
             ClusterTopology::symmetric(4, 2, LinkSpec::pcie_gen4(), LinkSpec::infiniband_ndr())
                 .unwrap();
-        let cluster = ClusterConfig::new(DeviceSpec::a100_40g(), 8, ClusterEngine::Samoyeds)
-            .with_topology(topology)
+        let flat = ClusterConfig::new(DeviceSpec::a100_40g(), 8, ClusterEngine::Samoyeds)
             .with_strategy(PlacementStrategy::ReplicateHotPerIsland { hot: 1 });
-        let budget = ClusterAdmissionBudget::new(&cluster, &model);
+        let islands = flat.clone().with_topology(topology);
+        let straggler = |cluster: ClusterConfig| {
+            ClusterBackend::new(cluster, model.clone(), &SchedulerConfig::default())
+                .straggler_experts
+        };
         // hot=1 over 4 islands leaves 4 non-replica ranks: the cold pass
         // can pack ceil(59/4) = 15 experts on one of them — more than the
         // balanced 1 + ceil(59/8) = 9.
-        assert_eq!(budget.max_experts_per_gpu(), 15);
+        assert_eq!(straggler(islands), 15);
         // On a flat topology the strategy degenerates to hot-first greedy
         // and the bound tightens accordingly.
-        let flat = ClusterConfig::new(DeviceSpec::a100_40g(), 8, ClusterEngine::Samoyeds)
-            .with_strategy(PlacementStrategy::ReplicateHotPerIsland { hot: 1 });
-        assert_eq!(
-            ClusterAdmissionBudget::new(&flat, &model).max_experts_per_gpu(),
-            9
-        );
+        assert_eq!(straggler(flat), 9);
     }
 
     #[test]
     fn replicate_hot_budget_accounts_for_the_replicas() {
-        let model = MoeModelConfig::qwen2_moe();
         let base = ClusterConfig::new(DeviceSpec::a100_40g(), 4, ClusterEngine::Samoyeds);
-        let plain = ClusterAdmissionBudget::new(&base, &model);
-        let replicated = ClusterAdmissionBudget::new(
-            &base
-                .clone()
-                .with_strategy(PlacementStrategy::ReplicateHot { hot: 2 }),
-            &model,
+        let pod = |cluster: ClusterConfig| {
+            ClusterBackend::new(
+                cluster,
+                MoeModelConfig::qwen2_moe(),
+                &SchedulerConfig::default(),
+            )
+        };
+        let plain = pod(base.clone());
+        let replicated = pod(base.with_strategy(PlacementStrategy::ReplicateHot { hot: 2 }));
+        assert!(replicated.straggler_experts > plain.straggler_experts);
+        assert!(
+            replicated.memory().footprint_bytes(1024, 128)
+                > plain.memory().footprint_bytes(1024, 128)
         );
-        assert!(replicated.max_experts_per_gpu() > plain.max_experts_per_gpu());
-        assert!(replicated.footprint_bytes(1024, 128) > plain.footprint_bytes(1024, 128));
     }
 }

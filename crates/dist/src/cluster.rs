@@ -263,19 +263,20 @@ impl ClusterSimulator {
         )
     }
 
-    /// Whether the model fits this cluster at all for a batch of `tokens`
-    /// (a uniform-load capacity-greedy placement succeeds).
+    /// Whether the model fits this cluster at all for a batch of `tokens`:
+    /// whether a uniform-load capacity-greedy placement succeeds. Under
+    /// uniform loads that placement deals the experts out evenly, so it
+    /// succeeds exactly when the balanced `ceil(E/g)` share is within the
+    /// per-GPU expert capacity and a GPU holding that share fits its budget.
     pub fn fits(&self, tokens: usize) -> bool {
-        let per_gpu = tokens.div_ceil(self.cluster.num_gpus.max(1));
-        PlacementStrategy::CapacityGreedy
-            .place(
-                &vec![1usize; self.model.num_experts],
-                self.cluster.num_gpus,
-                &self.memory,
-                per_gpu,
-                per_gpu,
-            )
-            .is_ok()
+        let gpus = self.cluster.num_gpus;
+        if gpus == 0 {
+            return false;
+        }
+        let per_gpu = tokens.div_ceil(gpus);
+        let share = self.model.num_experts.div_ceil(gpus);
+        share <= self.memory.max_experts_per_gpu(per_gpu, per_gpu)
+            && self.memory.fits(share, per_gpu, per_gpu)
     }
 
     /// Execute one cluster step over `plan` with the configured strategy's
@@ -715,6 +716,52 @@ mod tests {
             "samoyeds needs {samoyeds} GPUs, dense {dense}"
         );
         assert_eq!(samoyeds, 1);
+    }
+
+    #[test]
+    fn fits_answers_like_a_uniform_capacity_greedy_placement() {
+        // `fits` reads the balanced share off the memory model: it must
+        // agree with the placement it stands for on every cell, both
+        // answers included.
+        let (mut fit, mut oom) = (0, 0);
+        for device in [DeviceSpec::rtx4070_super(), DeviceSpec::a100_40g()] {
+            for engine in ClusterEngine::all() {
+                for model in MoeModelConfig::table2() {
+                    for tokens in [1usize, 1_024, 32_768, 1 << 20] {
+                        for gpus in 0..=16 {
+                            let sim = ClusterSimulator::new(
+                                ClusterConfig::new(device.clone(), gpus, engine),
+                                model.clone(),
+                            );
+                            let per_gpu = tokens.div_ceil(gpus.max(1));
+                            let placed = PlacementStrategy::CapacityGreedy
+                                .place(
+                                    &vec![1; model.num_experts],
+                                    gpus,
+                                    sim.memory(),
+                                    per_gpu,
+                                    per_gpu,
+                                )
+                                .is_ok();
+                            assert_eq!(
+                                sim.fits(tokens),
+                                placed,
+                                "{} {engine:?} {} {tokens} tokens on {gpus} GPUs",
+                                device.name,
+                                model.name
+                            );
+                            if placed {
+                                fit += 1;
+                            } else {
+                                oom += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(fit + oom, 2_448);
+        assert!(fit > 0 && oom > 0, "{fit} fit, {oom} do not");
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod report;
 pub mod topology;
 pub mod validate;
 
-pub use backend::{ClusterAdmissionBudget, ClusterBackend};
+pub use backend::ClusterBackend;
 pub use cluster::{min_gpus_to_fit, ClusterConfig, ClusterSimulator, ClusterStepReport};
 pub use link::LinkSpec;
 pub use placement::{

@@ -62,12 +62,6 @@ impl LinkSpec {
         Self::from_interconnect(device.interconnect)
     }
 
-    /// Time (milliseconds) to move `bytes` point-to-point over one link:
-    /// the serve-side [`KvLink::transfer_ms`] α-β formula.
-    pub fn point_to_point_ms(&self, bytes: f64) -> f64 {
-        KvLink::from(self).transfer_ms(bytes)
-    }
-
     /// Time (milliseconds) of one all-to-all collective phase given the
     /// bytes each GPU sends to remote peers and the bytes each GPU receives
     /// from remote peers.
@@ -183,8 +177,9 @@ mod tests {
 
     #[test]
     fn point_to_point_includes_latency_floor() {
-        let link = LinkSpec::nvlink3();
-        assert_eq!(link.point_to_point_ms(0.0), 0.0);
-        assert!(link.point_to_point_ms(1.0) >= link.latency_us * 1e-3);
+        let spec = LinkSpec::nvlink3();
+        let link = KvLink::from(&spec);
+        assert_eq!(link.transfer_ms(0.0), 0.0);
+        assert!(link.transfer_ms(1.0) >= spec.latency_us * 1e-3);
     }
 }

@@ -26,7 +26,7 @@ use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_kernels::samoyeds_kernel::SamoyedsOptions;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
-use samoyeds_serve::MemoryModel as ServeMemoryModel;
+use samoyeds_moe::memory::{kv_bytes_per_token, usable_bytes};
 use samoyeds_serve::{Diagnostic, ValidationReport};
 use samoyeds_sparse::venom::VenomConfig;
 use samoyeds_sparse::{Result, SparseError};
@@ -64,27 +64,35 @@ impl ClusterEngine {
         ]
     }
 
+    /// The engine kind this representation runs on, which sets its kernel
+    /// support and its activation workspace. VENOM's "+W" configuration
+    /// runs on the Samoyeds engine; its weights still follow
+    /// [`Self::moe_weight_bytes_per_layer`].
+    pub fn kind(&self) -> EngineKind {
+        match self {
+            ClusterEngine::Dense => EngineKind::Transformers,
+            ClusterEngine::Venom | ClusterEngine::Samoyeds => EngineKind::Samoyeds,
+        }
+    }
+
     /// The execution engine that prices this representation's compute.
     pub fn engine(&self, device: &DeviceSpec) -> Engine {
+        let engine = Engine::new(self.kind(), device.clone());
         match self {
-            ClusterEngine::Dense => Engine::new(EngineKind::Transformers, device.clone()),
             // VENOM-style weight-only sparsity maps onto the Samoyeds
             // engine's "+W" configuration: sparse weight kernels, dense
             // inputs, permute/un-permute round trips.
-            ClusterEngine::Venom => Engine::new(EngineKind::Samoyeds, device.clone())
-                .with_samoyeds_options(SamoyedsOptions::WEIGHT_ONLY),
-            ClusterEngine::Samoyeds => Engine::new(EngineKind::Samoyeds, device.clone()),
+            ClusterEngine::Venom => engine.with_samoyeds_options(SamoyedsOptions::WEIGHT_ONLY),
+            ClusterEngine::Dense | ClusterEngine::Samoyeds => engine,
         }
     }
 
     /// Resident MoE weight bytes of one decoder layer under this
     /// representation.
-    pub fn moe_weight_bytes_per_layer(&self, device: &DeviceSpec, config: &MoeModelConfig) -> f64 {
+    pub fn moe_weight_bytes_per_layer(&self, config: &MoeModelConfig) -> f64 {
         match self {
             // Dense and Samoyeds reuse the engine memory model directly.
-            ClusterEngine::Dense | ClusterEngine::Samoyeds => {
-                self.engine(device).weight_bytes(config)
-            }
+            ClusterEngine::Dense | ClusterEngine::Samoyeds => self.kind().weight_bytes(config),
             // VENOM stores compressed values + 2:4 metadata (1.125x the
             // kept values) + per-panel column indices (n u16 ids per V x M
             // cell).
@@ -104,27 +112,23 @@ impl ClusterEngine {
 /// Resident on every GPU: the attention projections, the router and the
 /// shared experts of every layer (replicated), plus the KV cache of the
 /// tokens the GPU hosts and one layer's activation workspace. Resident only
-/// on the owning GPU: each routed expert's weights across all layers.
+/// on the owning GPU: each routed expert's weights across all layers. All
+/// of it is read off the device and the representation's formulas at
+/// construction, so the model is five numbers.
 #[derive(Debug, Clone)]
 pub struct ClusterMemoryModel {
-    engine: Engine,
-    config: MoeModelConfig,
     budget_bytes: f64,
     base_bytes: f64,
     expert_bytes: f64,
     kv_bytes_per_token: f64,
+    activation_bytes_per_token: f64,
 }
 
 impl ClusterMemoryModel {
     /// Build the per-GPU memory model.
     pub fn new(device: &DeviceSpec, engine: ClusterEngine, config: &MoeModelConfig) -> Self {
-        let compute_engine = engine.engine(device);
-        // Budget and KV-cache accounting are shared with the single-GPU
-        // serving admission control (both are engine-independent) so the
-        // two layers can never disagree about what fits a device.
-        let serve_memory = ServeMemoryModel::new(device, compute_engine.kind(), config);
         let layers = config.num_layers as f64;
-        let moe_layer = engine.moe_weight_bytes_per_layer(device, config);
+        let moe_layer = engine.moe_weight_bytes_per_layer(config);
         let expert_fraction =
             config.params_per_expert() as f64 / config.params_per_moe_layer() as f64;
         let expert_layer = moe_layer * expert_fraction;
@@ -133,12 +137,15 @@ impl ClusterMemoryModel {
         let base_layer = moe_layer - config.num_experts as f64 * expert_layer
             + config.params_per_attention() as f64 * 2.0;
         Self {
-            engine: compute_engine,
-            config: config.clone(),
-            budget_bytes: serve_memory.budget_bytes(),
+            // The budget and the KV cache price exactly as the single-GPU
+            // serving memory model's do, so the two layers can never
+            // disagree about what fits a device.
+            budget_bytes: usable_bytes(device),
             base_bytes: base_layer * layers,
             expert_bytes: expert_layer * layers,
-            kv_bytes_per_token: serve_memory.kv_bytes(1),
+            kv_bytes_per_token: kv_bytes_per_token(config) * layers,
+            // Exact: see `EngineKind::activation_bytes`.
+            activation_bytes_per_token: engine.kind().activation_bytes(config, 1),
         }
     }
 
@@ -157,13 +164,19 @@ impl ClusterMemoryModel {
         tokens as f64 * self.kv_bytes_per_token
     }
 
+    /// Transient activation workspace for a step over `step_tokens` tokens
+    /// (one layer live at a time).
+    fn activation_bytes(&self, step_tokens: usize) -> f64 {
+        step_tokens as f64 * self.activation_bytes_per_token
+    }
+
     /// Total bytes on a GPU owning `experts` routed experts, hosting
     /// `resident_tokens` KV tokens and running a step over `step_tokens`.
     pub fn gpu_bytes(&self, experts: usize, resident_tokens: usize, step_tokens: usize) -> f64 {
         self.base_bytes
             + experts as f64 * self.expert_bytes
             + self.kv_bytes(resident_tokens)
-            + self.engine.activation_bytes(&self.config, step_tokens)
+            + self.activation_bytes(step_tokens)
     }
 
     /// Whether that GPU fits its budget.
@@ -267,6 +280,47 @@ impl PlacementStrategy {
             resident_tokens,
             step_tokens,
         )
+    }
+
+    /// Routed experts on the straggler GPU when this strategy places
+    /// `num_experts` experts on `num_gpus >= 1` GPUs in `num_islands`
+    /// islands: the expert count a serving pod admits against, so that
+    /// every placement its steps make fits once admission has passed.
+    ///
+    /// Balanced shares for the non-replicating strategies, plus a full copy
+    /// of every replicated hot expert otherwise.
+    pub(crate) fn straggler_experts(
+        &self,
+        num_experts: usize,
+        num_gpus: usize,
+        num_islands: usize,
+    ) -> usize {
+        match *self {
+            PlacementStrategy::RoundRobin | PlacementStrategy::CapacityGreedy => {
+                num_experts.div_ceil(num_gpus)
+            }
+            PlacementStrategy::ReplicateHot { hot } => {
+                let hot = hot.min(num_experts);
+                hot + (num_experts - hot).div_ceil(num_gpus)
+            }
+            // Per-island replication concentrates the hot replicas on at
+            // most `islands * hot` ranks; a skewed hot load can then repel
+            // the greedy cold pass entirely onto the remaining ranks, so the
+            // straggler is either a replica host (≤ hot replicas plus a
+            // balanced cold share) or a cold-packed non-replica rank (ceil
+            // share over the ranks the cold pass is left with).
+            PlacementStrategy::ReplicateHotPerIsland { hot } => {
+                let hot = hot.min(num_experts);
+                let cold = num_experts - hot;
+                let replica_hosts = (num_islands.min(num_gpus) * hot).min(num_gpus);
+                let balanced = hot + cold.div_ceil(num_gpus);
+                if replica_hosts < num_gpus {
+                    balanced.max(cold.div_ceil(num_gpus - replica_hosts))
+                } else {
+                    balanced
+                }
+            }
+        }
     }
 
     /// Shared core: place over `island_of.len()` GPUs where `island_of[g]`
@@ -726,6 +780,70 @@ mod tests {
             ClusterMemoryModel::new(&DeviceSpec::a100_40g(), ClusterEngine::Samoyeds, &config),
             config,
         )
+    }
+
+    #[test]
+    fn memory_models_hold_the_engine_kind_formulas_bit_for_bit() {
+        use samoyeds_moe::memory::KV_DTYPE_BYTES;
+        use samoyeds_serve::MemoryModel;
+        // Both memory models keep per-token coefficients: they must price
+        // every token count exactly like the `EngineKind` formulas they
+        // were read from.
+        let tokens = [0, 1, 7, 2_048, 1 << 22];
+        for device in [DeviceSpec::rtx4070_super(), DeviceSpec::a100_40g()] {
+            for config in MoeModelConfig::table2() {
+                let layers = config.num_layers as f64;
+                let attention = config.params_per_attention() as f64 * 2.0;
+                let kv = |t: usize| {
+                    (2 * t * config.hidden_size * config.num_layers) as f64 * KV_DTYPE_BYTES
+                };
+                for kind in EngineKind::all() {
+                    let memory = MemoryModel::new(&device, kind, &config);
+                    let at = format!("{} {:?} {}", device.name, kind, config.name);
+                    assert_eq!(memory.budget_bytes(), usable_bytes(&device), "{at}");
+                    assert_eq!(
+                        memory.weight_bytes(),
+                        (kind.weight_bytes(&config) + attention) * layers,
+                        "{at}"
+                    );
+                    for t in tokens {
+                        assert_eq!(memory.kv_bytes(t), kv(t), "{at} {t}");
+                        let activation = kind.activation_bytes(&config, t);
+                        assert_eq!(memory.activation_bytes(t), activation, "{at} {t}");
+                        assert_eq!(
+                            memory.footprint_bytes(t, t),
+                            memory.weight_bytes() + kv(t) + activation,
+                            "{at} {t}"
+                        );
+                    }
+                }
+                for engine in ClusterEngine::all() {
+                    let memory = ClusterMemoryModel::new(&device, engine, &config);
+                    let at = format!("{} {:?} {}", device.name, engine, config.name);
+                    // The kind the memory follows is the pricing engine's.
+                    let kind = engine.engine(&device).kind();
+                    assert_eq!(engine.kind(), kind, "{at}");
+                    assert_eq!(memory.budget_bytes(), usable_bytes(&device), "{at}");
+                    if engine != ClusterEngine::Venom {
+                        assert_eq!(
+                            engine.moe_weight_bytes_per_layer(&config),
+                            kind.weight_bytes(&config),
+                            "{at}"
+                        );
+                    }
+                    for t in tokens {
+                        assert_eq!(memory.kv_bytes(t), kv(t), "{at} {t}");
+                        let activation = kind.activation_bytes(&config, t);
+                        assert_eq!(memory.activation_bytes(t), activation, "{at} {t}");
+                        assert_eq!(
+                            memory.gpu_bytes(3, t, t),
+                            memory.base_bytes + 3.0 * memory.expert_bytes + kv(t) + activation,
+                            "{at} {t}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1230,9 +1230,10 @@ pub struct DisaggSweepOutcome {
 /// prefill:decode split 1:3 / 2:2 / 3:1 under dense, VENOM and Samoyeds
 /// weights. Every KV handoff is priced by the topology the pods actually
 /// sit on: pairs sharing an island ride NVLink 3, pairs split across
-/// islands pay the InfiniBand NDR spine — the same `point_to_point_ms`
-/// formula the placement layer charges for weight transfers, since
-/// [`LinkSpec::point_to_point_ms`] is [`KvLink::transfer_ms`].
+/// islands pay the InfiniBand NDR spine, each handoff priced point to point
+/// by [`KvLink::transfer_ms`] on its link. (Expert weight transfers are
+/// priced differently: [`replan_after_crash`] charges a recovery's moves as
+/// one all-to-all over the topology.)
 ///
 /// The dense cells are where the paper's memory story bites: Qwen2-MoE's
 /// bf16 weights do not fit a 12 GiB decode pod, so every dense split
@@ -1262,17 +1263,19 @@ impl DisaggSweepReport {
     /// Pods in every cell's fleet: GPUs of the 2×2 demo topology.
     const SLOTS: usize = 4;
 
-    /// One pod: the representation's engine prices the steps, and the
-    /// engine's kind sets the memory model (VENOM's "+W" Samoyeds engine
-    /// stores the same compressed weights Samoyeds does).
+    /// One pod: the representation's engine prices the steps, and its
+    /// [`ClusterEngine::kind`] sets the memory model (VENOM's "+W" Samoyeds
+    /// engine stores the same compressed weights Samoyeds does).
     fn backend(
         engine: ClusterEngine,
         device: &DeviceSpec,
         model: &MoeModelConfig,
         scfg: &SchedulerConfig,
     ) -> Box<dyn ExecutionBackend> {
-        let e = engine.engine(device);
-        Box::new(SingleGpuBackend::new(device.clone(), model, e.kind(), scfg).with_engine(e))
+        Box::new(
+            SingleGpuBackend::new(device.clone(), model, engine.kind(), scfg)
+                .with_engine(engine.engine(device)),
+        )
     }
 
     /// Run the sweep over [`FleetAutoscaleReport::demo_trace`]. Every cell
@@ -1317,11 +1320,7 @@ impl DisaggSweepReport {
                 let disagg = DisaggregationConfig {
                     prefill: prefill_ids,
                     decode: decode_ids,
-                    memory: MemoryModel::new(
-                        &decode_device,
-                        engine.engine(&decode_device).kind(),
-                        model,
-                    ),
+                    memory: MemoryModel::new(&decode_device, engine.kind(), model),
                     links,
                 };
                 let config = FleetConfig {

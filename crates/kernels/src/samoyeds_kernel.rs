@@ -133,11 +133,6 @@ impl SamoyedsKernel {
         self.cost.device()
     }
 
-    /// The active tiling configuration.
-    pub fn tiling(&self) -> TilingConfig {
-        self.tiling
-    }
-
     /// Weight keep-fraction for a problem (N/M of the Samoyeds config, 1.0
     /// for non-Samoyeds sparsity kinds).
     fn weight_keep(problem: &GemmProblem) -> f64 {

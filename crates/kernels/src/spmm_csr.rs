@@ -24,11 +24,6 @@ impl CsrSpmm {
         Self { device }
     }
 
-    /// The device this kernel targets.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
     /// Build the performance profile for a problem with the given
     /// unstructured weight sparsity.
     pub fn profile(&self, problem: &GemmProblem, sparsity: f64) -> KernelProfile {

@@ -25,11 +25,6 @@ impl NmSpmm {
         Self { device, tiling }
     }
 
-    /// The device this kernel targets.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
     /// Build the performance profile (2:4 weights, dense input, all `n`
     /// columns computed).
     pub fn profile(&self, problem: &GemmProblem) -> KernelProfile {

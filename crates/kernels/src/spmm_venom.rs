@@ -48,11 +48,6 @@ impl VenomSpmm {
         }
     }
 
-    /// The device this kernel targets.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
     /// Build the performance profile. VENOM computes every logical column of
     /// the input (`problem.n`), ignoring `selected_n`.
     pub fn profile(&self, problem: &GemmProblem) -> KernelProfile {

@@ -70,17 +70,6 @@ impl DecoderLayer {
         }
     }
 
-    /// Replace the engine (keeps the device and attention kind).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine used by this decoder layer.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Route `batch x seq_len` tokens once and price the layer: the MoE
     /// block's cost and the whole layer's time breakdown.
     fn price(

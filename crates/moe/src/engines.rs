@@ -63,6 +63,60 @@ impl EngineKind {
             EngineKind::Samoyeds,
         ]
     }
+
+    /// Whether the engine has kernels for this model (the `NS` rule).
+    pub fn supports(self, config: &MoeModelConfig) -> bool {
+        match self {
+            EngineKind::MegaBlocks | EngineKind::VllmDs => config.activation != Activation::Relu,
+            _ => true,
+        }
+    }
+
+    /// Resident weight bytes for one MoE layer under this engine.
+    pub fn weight_bytes(self, config: &MoeModelConfig) -> f64 {
+        let dense = config.params_per_moe_layer() as f64 * 2.0;
+        match self {
+            // Dense bf16 weights.
+            EngineKind::Transformers | EngineKind::Pit => dense,
+            // MegaBlocks / vLLM keep the dense weights plus reordered /
+            // padded copies and per-expert workspace tensors sized with the
+            // weights; this is what costs them maximum batch size in Table 3.
+            EngineKind::MegaBlocks | EngineKind::VllmDs => dense * 2.5,
+            // Samoyeds stores the compressed (data + metadata + indices)
+            // form: 25% of the values, ~12.5% metadata overhead.
+            EngineKind::Samoyeds => {
+                let cfg = SamoyedsConfig::DEFAULT;
+                dense * (1.0 - cfg.sparsity()) * 1.125
+                    + config.params_per_moe_layer() as f64 / cfg.v as f64
+            }
+        }
+    }
+
+    /// Peak transient activation bytes for `num_tokens` routed tokens.
+    ///
+    /// Every formula is `tokens × X × 2.0`, and scaling by 2.0 is exact, so
+    /// `num_tokens × activation_bytes(config, 1)` equals this bit for bit:
+    /// the memory models keep that per-token coefficient.
+    pub fn activation_bytes(self, config: &MoeModelConfig, num_tokens: usize) -> f64 {
+        let h = config.hidden_size as f64;
+        let i = config.intermediate_size as f64;
+        let t = num_tokens as f64;
+        let k = config.top_k as f64 + config.num_shared_experts as f64;
+        match self {
+            // Permuted input copies + gate/up/intermediate buffers + expert
+            // outputs awaiting un-permutation, all at bf16.
+            EngineKind::Transformers => t * (2.0 * h * (1.0 + k) + 3.0 * i * k) * 2.0,
+            // No permutation copy, but block padding and grouped workspace.
+            EngineKind::MegaBlocks => t * (h * (1.0 + k) + 3.2 * i * k) * 2.0,
+            // Fused kernel keeps gate/up in flight but materialises the
+            // per-expert intermediate workspace.
+            EngineKind::VllmDs => t * (h + 2.5 * i * k) * 2.0,
+            EngineKind::Pit => t * (h + 2.2 * i * k) * 2.0,
+            // SEL-driven kernel: no permute copies, compressed intermediate
+            // layout, fused activation.
+            EngineKind::Samoyeds => t * (h + 1.2 * i * k) * 2.0,
+        }
+    }
 }
 
 /// Predicted cost of executing one MoE layer (or one decoder layer when the
@@ -105,8 +159,9 @@ impl LayerCost {
 /// Samoyeds options are fixed, so a reused engine prices exactly like a
 /// fresh one, across models and token counts. The kernels are boxed behind
 /// [`OnceLock`]s and the price rows start empty: an engine that never prices
-/// (the memory models build one) stays small, builds and allocates nothing
-/// and remains `Send + Sync`.
+/// stays small, builds and allocates nothing and remains `Send + Sync`. What
+/// the layer's weights and activations occupy depends on the kind alone
+/// ([`EngineKind::weight_bytes`], [`EngineKind::activation_bytes`]).
 #[derive(Debug, Clone)]
 pub struct Engine {
     kind: EngineKind,
@@ -192,61 +247,6 @@ impl Engine {
         self.kind
     }
 
-    /// The device the engine targets.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
-    /// Whether the engine has kernels for this model (the `NS` rule).
-    pub fn supports(&self, config: &MoeModelConfig) -> bool {
-        match self.kind {
-            EngineKind::MegaBlocks | EngineKind::VllmDs => config.activation != Activation::Relu,
-            _ => true,
-        }
-    }
-
-    /// Resident weight bytes for one MoE layer under this engine.
-    pub fn weight_bytes(&self, config: &MoeModelConfig) -> f64 {
-        let dense = config.params_per_moe_layer() as f64 * 2.0;
-        match self.kind {
-            // Dense bf16 weights.
-            EngineKind::Transformers | EngineKind::Pit => dense,
-            // MegaBlocks / vLLM keep the dense weights plus reordered /
-            // padded copies and per-expert workspace tensors sized with the
-            // weights; this is what costs them maximum batch size in Table 3.
-            EngineKind::MegaBlocks | EngineKind::VllmDs => dense * 2.5,
-            // Samoyeds stores the compressed (data + metadata + indices)
-            // form: 25% of the values, ~12.5% metadata overhead.
-            EngineKind::Samoyeds => {
-                let cfg = SamoyedsConfig::DEFAULT;
-                dense * (1.0 - cfg.sparsity()) * 1.125
-                    + config.params_per_moe_layer() as f64 / cfg.v as f64
-            }
-        }
-    }
-
-    /// Peak transient activation bytes for `num_tokens` routed tokens.
-    pub fn activation_bytes(&self, config: &MoeModelConfig, num_tokens: usize) -> f64 {
-        let h = config.hidden_size as f64;
-        let i = config.intermediate_size as f64;
-        let t = num_tokens as f64;
-        let k = config.top_k as f64 + config.num_shared_experts as f64;
-        match self.kind {
-            // Permuted input copies + gate/up/intermediate buffers + expert
-            // outputs awaiting un-permutation, all at bf16.
-            EngineKind::Transformers => t * (2.0 * h * (1.0 + k) + 3.0 * i * k) * 2.0,
-            // No permutation copy, but block padding and grouped workspace.
-            EngineKind::MegaBlocks => t * (h * (1.0 + k) + 3.2 * i * k) * 2.0,
-            // Fused kernel keeps gate/up in flight but materialises the
-            // per-expert intermediate workspace.
-            EngineKind::VllmDs => t * (h + 2.5 * i * k) * 2.0,
-            EngineKind::Pit => t * (h + 2.2 * i * k) * 2.0,
-            // SEL-driven kernel: no permute copies, compressed intermediate
-            // layout, fused activation.
-            EngineKind::Samoyeds => t * (h + 1.2 * i * k) * 2.0,
-        }
-    }
-
     /// Predicted cost of one MoE layer for `num_tokens` tokens routed by
     /// `plan`: [`Self::moe_layer_cost_for_loads`] over the plan's per-expert
     /// token counts.
@@ -279,7 +279,7 @@ impl Engine {
         num_tokens: usize,
         loads: &[usize],
     ) -> LayerCost {
-        if !self.supports(config) {
+        if !self.kind.supports(config) {
             return LayerCost::unsupported();
         }
         let time_ms = match self.kind {
@@ -291,8 +291,8 @@ impl Engine {
         };
         LayerCost {
             time_ms,
-            weight_bytes: self.weight_bytes(config),
-            activation_bytes: self.activation_bytes(config, num_tokens),
+            weight_bytes: self.kind.weight_bytes(config),
+            activation_bytes: self.kind.activation_bytes(config, num_tokens),
             supported: true,
         }
     }
@@ -648,10 +648,10 @@ mod tests {
     fn ns_rule_for_openmoe() {
         let device = DeviceSpec::rtx4070_super();
         let openmoe = MoeModelConfig::openmoe_34b();
-        assert!(!Engine::new(EngineKind::MegaBlocks, device.clone()).supports(&openmoe));
-        assert!(!Engine::new(EngineKind::VllmDs, device.clone()).supports(&openmoe));
-        assert!(Engine::new(EngineKind::Transformers, device.clone()).supports(&openmoe));
-        assert!(Engine::new(EngineKind::Samoyeds, device.clone()).supports(&openmoe));
+        assert!(!EngineKind::MegaBlocks.supports(&openmoe));
+        assert!(!EngineKind::VllmDs.supports(&openmoe));
+        assert!(EngineKind::Transformers.supports(&openmoe));
+        assert!(EngineKind::Samoyeds.supports(&openmoe));
         let cost = Engine::new(EngineKind::VllmDs, device).moe_layer_cost(
             &openmoe,
             256,
@@ -697,21 +697,19 @@ mod tests {
 
     #[test]
     fn samoyeds_weight_bytes_are_a_fraction_of_dense() {
-        let device = DeviceSpec::rtx4070_super();
         let config = MoeModelConfig::mixtral_8x7b();
-        let dense = Engine::new(EngineKind::Transformers, device.clone()).weight_bytes(&config);
-        let samoyeds = Engine::new(EngineKind::Samoyeds, device.clone()).weight_bytes(&config);
-        let vllm = Engine::new(EngineKind::VllmDs, device).weight_bytes(&config);
+        let dense = EngineKind::Transformers.weight_bytes(&config);
+        let samoyeds = EngineKind::Samoyeds.weight_bytes(&config);
+        let vllm = EngineKind::VllmDs.weight_bytes(&config);
         assert!(samoyeds < dense * 0.4);
         assert!(vllm > dense); // workspace copies
     }
 
     #[test]
     fn activation_bytes_ordering_matches_memory_claims() {
-        let device = DeviceSpec::rtx4070_super();
         let config = MoeModelConfig::mixtral_8x7b();
         let tokens = 4096;
-        let act = |k| Engine::new(k, device.clone()).activation_bytes(&config, tokens);
+        let act = |k: EngineKind| k.activation_bytes(&config, tokens);
         assert!(act(EngineKind::Samoyeds) < act(EngineKind::VllmDs));
         assert!(act(EngineKind::Samoyeds) < act(EngineKind::Transformers));
         assert!(act(EngineKind::VllmDs) < act(EngineKind::Transformers));

@@ -9,7 +9,7 @@
 //! device memory (with a small reserve for the allocator and CUDA context).
 
 use crate::config::MoeModelConfig;
-use crate::engines::{Engine, EngineKind};
+use crate::engines::EngineKind;
 use samoyeds_gpu_sim::DeviceSpec;
 use serde::{Deserialize, Serialize};
 
@@ -17,11 +17,18 @@ use serde::{Deserialize, Serialize};
 /// the context, allocator fragmentation and framework overheads).
 pub const USABLE_FRACTION: f64 = 0.95;
 
-/// Bytes per KV-cache element (bf16/fp16). The single source of truth for
-/// the KV dtype width: [`footprint`], the serving memory model and the
-/// serving cost model's per-decode-token cache read all route through this
-/// constant, so they can never disagree about the cache's byte width.
+/// Bytes per KV-cache element (bf16/fp16), the KV dtype width
+/// [`kv_bytes_per_token`] prices the cache at.
 pub const KV_DTYPE_BYTES: f64 = 2.0;
+
+/// KV-cache bytes of one token on one layer: its K and V vectors, each
+/// `hidden_size` elements [`KV_DTYPE_BYTES`] wide. The single source of the
+/// cache's size: [`footprint`], the serving and cluster memory models and
+/// the serving cost model's per-decode-token cache read all scale it, so
+/// they can never disagree about what a cached token costs.
+pub fn kv_bytes_per_token(config: &MoeModelConfig) -> f64 {
+    2.0 * config.hidden_size as f64 * KV_DTYPE_BYTES
+}
 
 /// Device memory usable by the workload, in bytes: the capacity times
 /// [`USABLE_FRACTION`].
@@ -55,20 +62,18 @@ impl MemoryFootprint {
 /// Compute the footprint of one decoder layer for `batch` sequences of
 /// `seq_len` tokens under `engine_kind`.
 pub fn footprint(
-    device: &DeviceSpec,
     engine_kind: EngineKind,
     config: &MoeModelConfig,
     batch: usize,
     seq_len: usize,
 ) -> MemoryFootprint {
-    let engine = Engine::new(engine_kind, device.clone());
     let seq = seq_len.min(config.max_seq_len);
     let tokens = batch * seq;
     MemoryFootprint {
-        moe_weight_bytes: engine.weight_bytes(config),
+        moe_weight_bytes: engine_kind.weight_bytes(config),
         attention_weight_bytes: config.params_per_attention() as f64 * 2.0,
-        kv_cache_bytes: 2.0 * tokens as f64 * config.hidden_size as f64 * KV_DTYPE_BYTES,
-        activation_bytes: engine.activation_bytes(config, tokens),
+        kv_cache_bytes: tokens as f64 * kv_bytes_per_token(config),
+        activation_bytes: engine_kind.activation_bytes(config, tokens),
     }
 }
 
@@ -80,7 +85,7 @@ pub fn fits(
     batch: usize,
     seq_len: usize,
 ) -> bool {
-    footprint(device, engine_kind, config, batch, seq_len).total() <= usable_bytes(device)
+    footprint(engine_kind, config, batch, seq_len).total() <= usable_bytes(device)
 }
 
 /// Maximum batch size (0 if even batch 1 does not fit — the OOM entries of
@@ -91,8 +96,7 @@ pub fn max_batch_size(
     config: &MoeModelConfig,
     seq_len: usize,
 ) -> usize {
-    let engine = Engine::new(engine_kind, device.clone());
-    if !engine.supports(config) {
+    if !engine_kind.supports(config) {
         return 0;
     }
     if !fits(device, engine_kind, config, 1, seq_len) {
@@ -139,8 +143,8 @@ mod tests {
     #[test]
     fn footprint_components_are_positive_and_scale_with_batch() {
         let config = MoeModelConfig::mixtral_8x7b();
-        let f1 = footprint(&device(), EngineKind::Transformers, &config, 1, 1024);
-        let f8 = footprint(&device(), EngineKind::Transformers, &config, 8, 1024);
+        let f1 = footprint(EngineKind::Transformers, &config, 1, 1024);
+        let f8 = footprint(EngineKind::Transformers, &config, 8, 1024);
         assert!(f1.total() > 0.0);
         assert_eq!(f1.moe_weight_bytes, f8.moe_weight_bytes);
         assert!(f8.kv_cache_bytes > f1.kv_cache_bytes);

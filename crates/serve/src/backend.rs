@@ -20,13 +20,14 @@
 //! unchanged from a single consumer card to an NVLink pod.
 
 use crate::batch::StepBatch;
-use crate::memory::{MemoryModel, KV_DTYPE_BYTES};
+use crate::memory::MemoryModel;
 use crate::request::RunningRequest;
 use crate::scheduler::SchedulerConfig;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::attention::{AttentionKind, AttentionModel};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
+use samoyeds_moe::memory::kv_bytes_per_token;
 use samoyeds_moe::router::TopKRouter;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -253,9 +254,10 @@ impl StepAttention {
             }
         }
         let bandwidth = device.mem_bandwidth_gbps * 1e9;
+        let token_kv_bytes = kv_bytes_per_token(config);
         for &i in &batch.decode {
             let ctx = running[i].context_tokens().min(config.max_seq_len);
-            let kv_bytes = 2.0 * ctx as f64 * config.hidden_size as f64 * KV_DTYPE_BYTES;
+            let kv_bytes = ctx as f64 * token_kv_bytes;
             attention_ms += kv_bytes / bandwidth * 1e3 + 2.0e-3;
         }
         attention_ms
@@ -351,7 +353,7 @@ impl ExecutionBackend for SingleGpuBackend {
     }
 
     fn supports(&self, config: &MoeModelConfig) -> bool {
-        self.engine.supports(config)
+        self.engine.kind().supports(config)
     }
 
     fn memory(&self) -> &dyn MemoryBudget {

@@ -540,9 +540,8 @@ pub struct KvLink {
 impl KvLink {
     /// Milliseconds to move `bytes` across the link: the latency floor plus
     /// the serialization time at the sustained bandwidth, zero when there is
-    /// nothing to move. `LinkSpec::point_to_point_ms` in `samoyeds-dist`
-    /// calls this on the link's `KvLink`, so a KV handoff is priced exactly
-    /// like any other point-to-point transfer on the same fabric.
+    /// nothing to move. This is the only point-to-point transfer price: KV
+    /// handoffs are its one caller.
     pub fn transfer_ms(&self, bytes: f64) -> f64 {
         if bytes <= 0.0 {
             return 0.0;

@@ -11,34 +11,34 @@
 use crate::backend::MemoryBudget;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
-use samoyeds_moe::engines::{Engine, EngineKind};
-use samoyeds_moe::memory::usable_bytes;
+use samoyeds_moe::engines::EngineKind;
 pub use samoyeds_moe::memory::KV_DTYPE_BYTES;
+use samoyeds_moe::memory::{kv_bytes_per_token, usable_bytes};
 
-/// Memory model of one (device, engine, model) combination.
+/// Memory model of one (device, engine, model) combination: four numbers,
+/// the device's usable memory, the resident weights and the KV and
+/// activation bytes per token, read off the device and the [`EngineKind`]
+/// formulas at construction.
 #[derive(Debug, Clone)]
 pub struct MemoryModel {
-    engine: Engine,
-    config: MoeModelConfig,
-    weight_bytes_total: f64,
-    kv_bytes_per_token: f64,
     budget_bytes: f64,
+    weight_bytes: f64,
+    kv_bytes_per_token: f64,
+    activation_bytes_per_token: f64,
 }
 
 impl MemoryModel {
     /// Build the memory model.
     pub fn new(device: &DeviceSpec, engine_kind: EngineKind, config: &MoeModelConfig) -> Self {
-        let engine = Engine::new(engine_kind, device.clone());
         let layers = config.num_layers as f64;
         let per_layer_weights =
-            engine.weight_bytes(config) + config.params_per_attention() as f64 * 2.0;
+            engine_kind.weight_bytes(config) + config.params_per_attention() as f64 * 2.0;
         Self {
-            weight_bytes_total: per_layer_weights * layers,
-            // K and V per token per layer at the shared KV dtype width.
-            kv_bytes_per_token: 2.0 * config.hidden_size as f64 * KV_DTYPE_BYTES * layers,
             budget_bytes: usable_bytes(device),
-            engine,
-            config: config.clone(),
+            weight_bytes: per_layer_weights * layers,
+            kv_bytes_per_token: kv_bytes_per_token(config) * layers,
+            // Exact: see `EngineKind::activation_bytes`.
+            activation_bytes_per_token: engine_kind.activation_bytes(config, 1),
         }
     }
 
@@ -49,7 +49,7 @@ impl MemoryModel {
 
     /// Resident full-model weight bytes (MoE + attention, all layers).
     pub fn weight_bytes(&self) -> f64 {
-        self.weight_bytes_total
+        self.weight_bytes
     }
 
     /// KV-cache bytes for `tokens` resident tokens (all layers).
@@ -60,13 +60,13 @@ impl MemoryModel {
     /// Transient activation workspace for a step over `step_tokens` tokens
     /// (one layer live at a time).
     pub fn activation_bytes(&self, step_tokens: usize) -> f64 {
-        self.engine.activation_bytes(&self.config, step_tokens)
+        step_tokens as f64 * self.activation_bytes_per_token
     }
 
     /// Total footprint with `kv_tokens` resident and a step over
     /// `step_tokens` in flight.
     pub fn footprint_bytes(&self, kv_tokens: usize, step_tokens: usize) -> f64 {
-        self.weight_bytes_total + self.kv_bytes(kv_tokens) + self.activation_bytes(step_tokens)
+        self.weight_bytes + self.kv_bytes(kv_tokens) + self.activation_bytes(step_tokens)
     }
 }
 

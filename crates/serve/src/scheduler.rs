@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use crate::backend::{ExecutionBackend, MemoryBudget, SingleGpuBackend, StepWorkload};
+use crate::backend::{ExecutionBackend, SingleGpuBackend, StepWorkload};
 use crate::batch::{BatchLimits, StepBatch};
 use crate::request::{CompletedRequest, Request, RunningRequest};
 use crate::telemetry::{SharedSink, TraceEvent};
@@ -168,16 +168,6 @@ impl<B: ExecutionBackend> Scheduler<B> {
     pub fn with_sink(mut self, sink: SharedSink) -> Self {
         self.sink = Some(sink);
         self
-    }
-
-    /// The backend the scheduler drives.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// The memory budget the scheduler admits against.
-    pub fn memory(&self) -> &dyn MemoryBudget {
-        self.backend.memory()
     }
 
     /// Run the trace to completion and return the full simulation record:

@@ -435,7 +435,9 @@ impl TraceRecorder {
     /// Recorded events in emission order (oldest retained first).
     pub fn events(&self) -> Vec<TraceEvent> {
         match self.capacity {
-            Some(_) if self.ring.len() == self.ring.capacity() => {
+            // Compare against the stored capacity, the one `record` wraps
+            // at: the `Vec`'s own capacity is not kept by a clone.
+            Some(cap) if self.ring.len() == cap => {
                 // Full ring: the oldest retained event sits at the cursor.
                 let mut out = Vec::with_capacity(self.ring.len());
                 out.extend_from_slice(&self.ring[self.head..]);
@@ -1404,33 +1406,47 @@ mod tests {
         assert_eq!(format!("{sink:?}"), "SharedSink");
     }
 
-    #[test]
-    fn bounded_recorder_keeps_the_newest_events_in_order() {
-        let mut rec = TraceRecorder::bounded(3);
-        for i in 0..5 {
-            rec.record(TraceEvent::Arrival {
-                id: i,
-                at_ms: i as f64,
-            });
+    fn arrival(id: u64) -> TraceEvent {
+        TraceEvent::Arrival {
+            id,
+            at_ms: id as f64,
         }
-        assert_eq!(rec.dropped(), 2);
-        assert_eq!(rec.len(), 3);
-        let ids: Vec<u64> = rec
-            .events()
+    }
+
+    /// The ids of a recorder's events, which must all be arrivals.
+    fn arrival_ids(rec: &TraceRecorder) -> Vec<u64> {
+        rec.events()
             .iter()
             .map(|e| match e {
                 TraceEvent::Arrival { id, .. } => *id,
                 other => panic!("unexpected {other:?}"),
             })
-            .collect();
-        assert_eq!(ids, vec![2, 3, 4]);
+            .collect()
+    }
+
+    #[test]
+    fn bounded_recorder_keeps_the_newest_events_in_order() {
+        let mut rec = TraceRecorder::bounded(3);
+        for i in 0..5 {
+            rec.record(arrival(i));
+        }
+        assert_eq!(rec.dropped(), 2);
+        assert_eq!(rec.len(), 3);
+        assert_eq!(arrival_ids(&rec), vec![2, 3, 4]);
+        // A clone keeps the ring's order once it wraps, although it does
+        // not keep the ring's spare allocation.
+        let mut rec = TraceRecorder::bounded(3);
+        rec.record(arrival(0));
+        let mut clone = rec.clone();
+        for i in 1..5 {
+            clone.record(arrival(i));
+        }
+        assert_eq!(clone.dropped(), 2);
+        assert_eq!(arrival_ids(&clone), vec![2, 3, 4]);
         // An unbounded recorder never drops.
         let mut all = TraceRecorder::new();
         for i in 0..5 {
-            all.record(TraceEvent::Arrival {
-                id: i,
-                at_ms: i as f64,
-            });
+            all.record(arrival(i));
         }
         assert_eq!(all.dropped(), 0);
         assert_eq!(all.events().len(), 5);

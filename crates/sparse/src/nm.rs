@@ -109,17 +109,8 @@ impl NmMatrix {
         })
     }
 
-    /// The sparsity configuration of this matrix.
-    pub fn config(&self) -> NmConfig {
-        self.config
-    }
-
-    /// Compressed values, row-major, `rows x kept_cols()`.
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
-    /// Per-value in-group positions (same shape as [`Self::values`]).
+    /// Per-value in-group positions, row-major, `rows x kept_cols()` like
+    /// the compressed values.
     pub fn metadata(&self) -> &[u8] {
         &self.metadata
     }

@@ -84,11 +84,6 @@ impl SelectionArray {
         }
         1.0 - self.selected.len() as f64 / self.total as f64
     }
-
-    /// Storage bytes of the SEL array itself (4 bytes per entry).
-    pub fn storage_bytes(&self) -> usize {
-        self.selected.len() * 4
-    }
 }
 
 /// An input matrix paired with a selection of its columns — the input operand

@@ -167,11 +167,6 @@ impl VenomMatrix {
         })
     }
 
-    /// Configuration of this matrix.
-    pub fn config(&self) -> VenomConfig {
-        self.config
-    }
-
     /// Number of columns kept per panel after the vector-wise step.
     pub fn kept_cols(&self) -> usize {
         self.cols / self.config.m * self.config.n
