@@ -877,6 +877,101 @@ fn an_engine_warmed_on_a_full_step_prices_like_a_fresh_one_bit_for_bit() {
     assert_eq!(cells, 2 * 6 * 3 * 7 * 3);
 }
 
+#[test]
+fn a_pod_backend_reused_across_mixed_steps_prices_like_a_fresh_one_bit_for_bit() {
+    // A pod backend keeps its routing, placement and dispatch buffers from
+    // one step to the next. Nothing may carry over: one long-lived backend
+    // prices a mixed run of step sizes, with a KV-pressure step between two
+    // normal ones, and every step must price like a freshly built backend
+    // and like a clone of the warmed one.
+    let scfg = SchedulerConfig::default();
+    let model = MoeModelConfig::qwen2_moe();
+    let islands =
+        ClusterTopology::symmetric(2, 2, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr()).unwrap();
+    let a100 = |gpus| ClusterConfig::new(DeviceSpec::a100_40g(), gpus, ClusterEngine::Samoyeds);
+    let pods = [
+        // The prefill pod of the `pods_disagg_faults` benchmark workload.
+        a100(4).with_topology(islands.clone()),
+        a100(4)
+            .with_topology(islands)
+            .with_strategy(PlacementStrategy::ReplicateHotPerIsland { hot: 2 }),
+        a100(3).with_strategy(PlacementStrategy::ReplicateHot { hot: 2 }),
+    ];
+    for cluster in pods {
+        let gpus = cluster.num_gpus;
+        let sim = ClusterSimulator::new(cluster.clone(), model.clone());
+        let kv_local = |running: &[RunningRequest]| {
+            running
+                .iter()
+                .map(|r| r.context_tokens())
+                .sum::<usize>()
+                .div_ceil(gpus)
+        };
+        // The KV-pressure step: 4 decodes and a 4-token chunk whose
+        // contexts leave each GPU room for exactly round-robin's balanced
+        // share. Capacity-greedy packs to that share; the replicating
+        // strategies need more and fall back to round-robin.
+        let balanced = model.num_experts.div_ceil(gpus);
+        let capacity = |context: usize| {
+            let (running, _) = pod_step(8, |_| context);
+            sim.memory()
+                .max_experts_per_gpu(kv_local(&running), 8usize.div_ceil(gpus))
+        };
+        let mut context = 0;
+        while capacity(context + 256) >= balanced {
+            context += 256;
+        }
+        while capacity(context + 1) >= balanced {
+            context += 1;
+        }
+        assert_eq!(capacity(context), balanced);
+        let steps = [
+            pod_step(1, |d| 16 + d),
+            pod_step(2048, |d| 16 + 7 * d % 500),
+            pod_step(64, |d| 300 + d),
+            pod_step(8, |_| context),
+            pod_step(65, |d| 40 + 3 * d),
+            pod_step(8, |d| 1_000 + d),
+        ];
+        let warmed = ClusterBackend::new(cluster.clone(), model.clone(), &scfg);
+        for (i, (running, batch)) in steps.iter().enumerate() {
+            let workload = StepWorkload {
+                batch,
+                running,
+                step_index: 31 * i as u64 + 5,
+            };
+            if i == 3 {
+                let loads = TopKRouter::for_config(&model, scfg.routing_seed).route_loads_seeded(
+                    scfg.routing_seed ^ workload.step_index,
+                    workload.step_tokens(),
+                    1,
+                );
+                let placed = cluster.strategy.place_on(
+                    &loads,
+                    sim.topology(),
+                    sim.memory(),
+                    kv_local(running),
+                    workload.step_tokens().div_ceil(gpus),
+                );
+                let replicating = cluster.strategy != PlacementStrategy::CapacityGreedy;
+                assert_eq!(placed.is_err(), replicating, "{}", warmed.describe());
+            }
+            let label = format!("{} step {i}", warmed.describe());
+            let clone = warmed.clone();
+            let fresh = ClusterBackend::new(cluster.clone(), model.clone(), &scfg);
+            let expected = step_cost_line(&label, &fresh.step_cost(&workload));
+            assert_eq!(
+                step_cost_line(&label, &warmed.step_cost(&workload)),
+                expected
+            );
+            assert_eq!(
+                step_cost_line(&label, &clone.step_cost(&workload)),
+                expected
+            );
+        }
+    }
+}
+
 /// The step batches `attention_step_ms` is pinned on for `model`: a mixed
 /// batch, a decode-only batch and an empty one.
 fn attention_batches(
@@ -1466,5 +1561,146 @@ fn pod_step_costs_match_the_golden_price_table() {
         "pod_step_costs.txt",
         include_str!("golden/pod_step_costs.txt"),
         render_pod_step_costs(),
+    );
+}
+
+/// The placement table's load patterns over `gpus` source ranks, as
+/// per-(expert, source rank) counts: the router's uniform counts, its Zipf
+/// counts at skew 1.5, every cell tied, and the uniform counts with every
+/// third expert's row zeroed.
+fn placement_rank_loads(
+    model: &MoeModelConfig,
+    tokens: usize,
+    gpus: usize,
+) -> [(&'static str, Vec<usize>); 4] {
+    let router = TopKRouter::for_config(model, 11);
+    let uniform = router.route_loads_seeded(5, tokens, gpus);
+    let mut third_zero = uniform.clone();
+    for row in third_zero.chunks_exact_mut(gpus).step_by(3) {
+        row.fill(0);
+    }
+    [
+        ("uniform", uniform),
+        (
+            "zipf1.5",
+            router.with_skew(1.5).route_loads_seeded(5, tokens, gpus),
+        ),
+        ("tied", vec![9; model.num_experts * gpus]),
+        ("third-zero", third_zero),
+    ]
+}
+
+/// One line per placement cell: `PlacementStrategy::place_on` for every
+/// strategy over [`placement_rank_loads`]' row sums, on 1, 3, 4 and 8
+/// A100s (flat, plus 2×2 islands at 4 GPUs and 4×2 at 8), with no resident
+/// KV, with a KV share that leaves one expert of headroom over the balanced
+/// share, and with one that leaves no GPU any headroom. A cell records the
+/// shard map or the error; a placed cell also records
+/// `ClusterSimulator::step_with_rank_loads` over its counts: per-GPU compute
+/// bits, all-to-all bits and `sharded_assignments`.
+fn render_placements() -> String {
+    let model = MoeModelConfig::qwen2_moe();
+    let tokens = 512usize;
+    let strategies = [
+        PlacementStrategy::RoundRobin,
+        PlacementStrategy::CapacityGreedy,
+        PlacementStrategy::ReplicateHot { hot: 2 },
+        PlacementStrategy::ReplicateHotPerIsland { hot: 2 },
+    ];
+    let islands = |islands, per_island| {
+        ClusterTopology::symmetric(
+            islands,
+            per_island,
+            LinkSpec::nvlink3(),
+            LinkSpec::infiniband_ndr(),
+        )
+        .unwrap()
+    };
+    let layouts = [
+        (1, "flat", ClusterTopology::flat(1, LinkSpec::nvlink3())),
+        (3, "flat", ClusterTopology::flat(3, LinkSpec::nvlink3())),
+        (4, "flat", ClusterTopology::flat(4, LinkSpec::nvlink3())),
+        (4, "2x2", islands(2, 2)),
+        (8, "flat", ClusterTopology::flat(8, LinkSpec::nvlink3())),
+        (8, "4x2", islands(4, 2)),
+    ];
+    let mut out = String::new();
+    for (gpus, layout, topology) in layouts {
+        let sim = ClusterSimulator::new(
+            ClusterConfig::new(DeviceSpec::a100_40g(), gpus, ClusterEngine::Samoyeds)
+                .with_topology(topology.clone()),
+            model.clone(),
+        );
+        let memory = sim.memory();
+        let step_local = tokens.div_ceil(gpus);
+        // The most resident KV tokens per GPU that still leave `experts` of
+        // headroom, in steps of 256.
+        let kv_for = |experts: usize| {
+            let mut kv = 0;
+            while memory.max_experts_per_gpu(kv + 256, step_local) >= experts {
+                kv += 256;
+            }
+            kv
+        };
+        let tight = kv_for(model.num_experts.div_ceil(gpus) + 1);
+        let full = kv_for(1) + 256;
+        assert_eq!(memory.max_experts_per_gpu(full, step_local), 0);
+        for (pattern, rank_loads) in placement_rank_loads(&model, tokens, gpus) {
+            let loads: Vec<usize> = rank_loads
+                .chunks_exact(gpus)
+                .map(|row| row.iter().sum())
+                .collect();
+            for (kv_label, kv_local) in [("none", 0), ("tight", tight), ("full", full)] {
+                for strategy in strategies {
+                    write!(
+                        out,
+                        "{} loads={pattern} gpus={gpus} {layout} kv={kv_label}:{kv_local}",
+                        strategy.name()
+                    )
+                    .unwrap();
+                    let placed = strategy.place_on(&loads, &topology, memory, kv_local, step_local);
+                    let placement = match placed {
+                        Ok(placement) => placement,
+                        Err(err) => {
+                            writeln!(out, " error={err}").unwrap();
+                            continue;
+                        }
+                    };
+                    let shards: Vec<String> = placement
+                        .assignments()
+                        .iter()
+                        .map(|owned| format!("{owned:?}"))
+                        .collect();
+                    let step = sim
+                        .step_with_rank_loads(tokens, &rank_loads, placement)
+                        .unwrap();
+                    let per_gpu_bits: Vec<String> = step
+                        .per_gpu_compute_ms
+                        .iter()
+                        .map(|ms| format!("{:016x}", ms.to_bits()))
+                        .collect();
+                    writeln!(
+                        out,
+                        " shards={} per_gpu_bits=[{}] all_to_all_bits={:016x} \
+                         sharded_assignments={}",
+                        shards.join(""),
+                        per_gpu_bits.join(","),
+                        step.all_to_all_ms.to_bits(),
+                        step.sharded_assignments,
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn placements_match_the_golden_table() {
+    check_table(
+        "placements.txt",
+        include_str!("golden/placements.txt"),
+        render_placements(),
     );
 }
