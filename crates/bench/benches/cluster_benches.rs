@@ -1,10 +1,25 @@
 //! Criterion benches over the cluster scheduler step loop: placement,
 //! count-based dispatch and all-to-all accounting at increasing GPU counts,
 //! plus the whole per-step price a serving pod pays,
-//! `ClusterBackend::step_cost` (routing to per-(expert, source rank)
-//! counts, placement and the cluster step), at increasing prefill sizes,
-//! and that price's fixed part without the routing: `place_on` and
-//! `step_with_rank_loads` on a 512-token prefill.
+//! `ClusterBackend::step_cost`, at increasing prefill sizes, and that
+//! price's fixed part without the routing on a 512-token prefill.
+//!
+//! What each serving cell times:
+//!
+//! * `cluster_backend_step_cost/prefill_tokens/<n>` — one `step_cost`
+//!   call: routing to per-(expert, source rank) counts, placement,
+//!   dispatch and pricing, all in the buffers the backend keeps from step
+//!   to step, plus attention and the auxiliaries;
+//! * `pod_fixed_cost/place_on/prefill_tokens_512` — one `place_on` call:
+//!   the placement core in fresh buffers, two of which the returned
+//!   placement keeps;
+//! * `pod_fixed_cost/step_with_rank_loads/prefill_tokens_512` — a clone of
+//!   the placement (the call takes it by value), the step core in fresh
+//!   buffers, and the `ClusterStepReport` built around them.
+//!
+//! Both `pod_fixed_cost` cells go through public entry points that
+//! allocate what the backend reuses, so they read above the backend's own
+//! share of a step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use samoyeds_dist::{
@@ -177,7 +192,7 @@ fn bench_pod_fixed_cost(c: &mut Criterion) {
         b.iter(|| {
             let (rank_loads, placement) = ring.next().expect("a non-empty ring");
             // The step takes its placement by value, so every iteration
-            // also times a clone of it.
+            // also times a clone of it: two allocations.
             sim.step_with_rank_loads(tokens, rank_loads, placement.clone())
                 .expect("the placement serves its own counts")
         })

@@ -1,30 +1,33 @@
-//! CI perf gate: compare a freshly generated `BENCH_*.json` against the
+//! CI perf gate: compare freshly generated `BENCH_*.json` runs against the
 //! committed baseline and exit non-zero if any matched benchmark regressed
 //! past the allowed ratio.
 //!
 //! ```text
-//! bench_guard --current <fresh.json> --baseline <committed.json> \
+//! bench_guard --current <fresh.json> [--current <fresh.json> ...] \
+//!             --baseline <committed.json> \
 //!             [--key <name-substring>] [--max-ratio 1.2]
 //! ```
 //!
+//! Given several `--current` runs, the gate reads each cell's fastest
+//! timing among them, so one run slowed by a busy machine does not fail it.
 //! `--key` restricts the gate to benches whose full name contains the given
 //! substring (default: all benches present in both files). The gate also
 //! fails if `--key` matches nothing in the current run — a silently missing
 //! headline cell must not pass CI — and warns (both directions) about cells
 //! present on only one side, which the ratio gate cannot compare.
 
-use samoyeds_bench::perf::{missing_cells, parse_bench_json, regressions};
+use samoyeds_bench::perf::{fastest, missing_cells, parse_bench_json, regressions};
 use std::process::ExitCode;
 
 struct Args {
-    current: String,
+    current: Vec<String>,
     baseline: String,
     key: String,
     max_ratio: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut current = None;
+    let mut current = Vec::new();
     let mut baseline = None;
     let mut key = String::new();
     let mut max_ratio = 1.2;
@@ -32,7 +35,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
         match flag.as_str() {
-            "--current" => current = Some(value("--current")?),
+            "--current" => current.push(value("--current")?),
             "--baseline" => baseline = Some(value("--baseline")?),
             "--key" => key = value("--key")?,
             "--max-ratio" => {
@@ -43,8 +46,11 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other}")),
         }
     }
+    if current.is_empty() {
+        return Err("--current <path> is required".to_string());
+    }
     Ok(Args {
-        current: current.ok_or("--current <path> is required")?,
+        current,
         baseline: baseline.ok_or("--baseline <path> is required")?,
         key,
         max_ratio,
@@ -56,7 +62,13 @@ fn run() -> Result<bool, String> {
     let read = |path: &str| {
         std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))
     };
-    let current = parse_bench_json(&read(&args.current)?);
+    let runs = args
+        .current
+        .iter()
+        .map(|path| read(path).map(|doc| parse_bench_json(&doc)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let current = fastest(&runs);
+    let current_label = args.current.join(", ");
     let baseline = parse_bench_json(&read(&args.baseline)?);
 
     let matched: Vec<&String> = current
@@ -65,14 +77,15 @@ fn run() -> Result<bool, String> {
         .collect();
     if matched.is_empty() {
         return Err(format!(
-            "no benchmark in {} matches key {:?}",
-            args.current, args.key
+            "no benchmark in {current_label} matches key {:?}",
+            args.key
         ));
     }
     println!(
-        "bench_guard: {} bench(es) match key {:?}; gate ratio {:.2}",
+        "bench_guard: {} bench(es) match key {:?}; fastest of {} run(s); gate ratio {:.2}",
         matched.len(),
         args.key,
+        runs.len(),
         args.max_ratio
     );
     for name in &matched {

@@ -57,6 +57,21 @@ pub fn parse_bench_json(doc: &str) -> BenchTimings {
     timings
 }
 
+/// The fastest timing of each cell over several runs of the same benches:
+/// the sample least disturbed by whatever else the machine was doing. A
+/// cell missing from some runs keeps its fastest timing among the others.
+pub fn fastest(runs: &[BenchTimings]) -> BenchTimings {
+    let mut best = BenchTimings::new();
+    for run in runs {
+        for (name, &ns) in run {
+            best.entry(name.clone())
+                .and_modify(|fastest: &mut f64| *fastest = fastest.min(ns))
+                .or_insert(ns);
+        }
+    }
+    best
+}
+
 /// One benchmark that got slower than the baseline allows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
@@ -167,6 +182,50 @@ mod tests {
         // Benches absent from the baseline never fail the gate.
         current.insert("brand/new".to_string(), 1e12);
         assert_eq!(regressions(&current, &baseline, "", 1.2).len(), 1);
+    }
+
+    #[test]
+    fn fastest_keeps_each_cells_minimum_over_runs() {
+        let first = parse_bench_json(DOC);
+        let mut second = first.clone();
+        let mut third = first.clone();
+        // One noisy run per cell: the other runs decide.
+        *second
+            .get_mut("fleet_event_core/replicas100_requests1M")
+            .unwrap() *= 1.5;
+        *third
+            .get_mut("fleet_event_core/replicas8_requests100k")
+            .unwrap() *= 0.9;
+        third.remove("kernel/spmm \"quoted\"");
+        third.insert("brand/new".to_string(), 7.0);
+        let best = fastest(&[first.clone(), second, third]);
+        assert_eq!(best.len(), 4);
+        assert_eq!(
+            best["fleet_event_core/replicas100_requests1M"],
+            2_400_000_000.0
+        );
+        assert_eq!(
+            best["fleet_event_core/replicas8_requests100k"],
+            120_000_000.5 * 0.9
+        );
+        // A cell some runs lack keeps the others' fastest.
+        assert_eq!(best["kernel/spmm \"quoted\""], 512.125);
+        assert_eq!(best["brand/new"], 7.0);
+        // One run is its own fastest; none is empty.
+        assert_eq!(fastest(std::slice::from_ref(&first)), first);
+        assert!(fastest(&[]).is_empty());
+        // A 30% regression in one run of three does not fail the gate
+        // when another run is within the ratio.
+        let mut slow = first.clone();
+        *slow
+            .get_mut("fleet_event_core/replicas100_requests1M")
+            .unwrap() *= 1.3;
+        let gated = fastest(&[slow.clone(), first.clone()]);
+        assert!(regressions(&gated, &first, "replicas100", 1.2).is_empty());
+        assert_eq!(
+            regressions(&fastest(&[slow]), &first, "replicas100", 1.2).len(),
+            1
+        );
     }
 
     #[test]

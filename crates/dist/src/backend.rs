@@ -10,10 +10,15 @@
 //! * **Step cost** — each step routes its batch to token counts per
 //!   (expert, source rank), never to a full routing plan: the kernels
 //!   price an expert by its token count alone, and dispatch needs only how
-//!   many of each expert's tokens start on each rank. It then dispatches
-//!   each expert's tokens to its replicas across the pod and pays the
-//!   *straggler* GPU's MoE compute plus the α-β dispatch/combine
-//!   collectives per layer.
+//!   many of each expert's tokens start on each rank. It then places the
+//!   experts for those counts, dispatches each expert's tokens to its
+//!   replicas across the pod and pays the *straggler* GPU's MoE compute
+//!   plus the α-β dispatch/combine collectives per layer. The three stages
+//!   are the same cores the public entry points run
+//!   (`TopKRouter::route_loads_seeded`, `PlacementStrategy::place_on`,
+//!   `ClusterSimulator::step_with_rank_loads`), writing into buffers the
+//!   backend keeps from step to step, so a step allocates nothing and
+//!   builds no report.
 //!   Attention and the norm/router auxiliaries are data-parallel across
 //!   the pod (each rank hosts its share of the batch), so they divide by
 //!   the GPU count.
@@ -25,16 +30,17 @@
 //!   compressed formats admit it — the fleet-sizing lever, now visible as
 //!   served-vs-rejected traces rather than a static table.
 
-use crate::cluster::{ClusterConfig, ClusterSimulator};
-use crate::placement::PlacementStrategy;
+use crate::cluster::{ClusterConfig, ClusterSimulator, StepScratch};
+use crate::placement::{PlacementScratch, PlacementStrategy};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
-use samoyeds_moe::router::TopKRouter;
+use samoyeds_moe::router::{RouteScratch, TopKRouter};
 use samoyeds_serve::backend::{
     auxiliary_step_ms, ExecutionBackend, MemoryBudget, OverlapModel, StepAttention, StepCost,
     StepWorkload,
 };
 use samoyeds_serve::SchedulerConfig;
+use std::sync::{Mutex, PoisonError};
 
 /// An expert-parallel cluster as a serving execution backend.
 ///
@@ -55,6 +61,31 @@ pub struct ClusterBackend {
     attention: StepAttention,
     routing_seed: u64,
     step_overhead_ms: f64,
+    scratch: Scratch,
+}
+
+/// The buffers one pod step fills and the next reuses: the router's counts,
+/// their per-expert sums, the placement and the dispatch. Every step
+/// overwrites whatever it reads, so nothing carries from one step to the
+/// next but the allocations.
+#[derive(Debug, Default)]
+struct PodScratch {
+    route: RouteScratch,
+    loads: Vec<usize>,
+    place: PlacementScratch,
+    step: StepScratch,
+}
+
+/// [`PodScratch`] behind a lock, as the engines' price tables are, so that
+/// `step_cost` can take `&self`. It starts empty, and a clone starts empty
+/// again: the buffers hold nothing a step does not rewrite.
+#[derive(Debug, Default)]
+struct Scratch(Mutex<PodScratch>);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 const _: () = {
@@ -95,6 +126,7 @@ impl ClusterBackend {
             attention: StepAttention::new(scfg.attention),
             routing_seed: scfg.routing_seed,
             step_overhead_ms: scfg.step_overhead_ms,
+            scratch: Scratch::default(),
         }
     }
 
@@ -151,61 +183,72 @@ impl ExecutionBackend for ClusterBackend {
         let cluster = self.sim.cluster();
         let model = self.sim.model();
         let step_tokens = workload.step_tokens();
-        // The cluster step needs only how many of each expert's tokens start
-        // on each rank, so the step routes to those counts, never to a
-        // plan's token ids and weights.
         let gpus = cluster.num_gpus.max(1);
-        let rank_loads = self.router.route_loads_seeded(
-            self.routing_seed ^ workload.step_index,
-            step_tokens,
-            gpus,
-        );
-
-        // Serving-path placement: balance the per-expert token counts, the
-        // rows of `rank_loads` summed (free to compute, unlike the
-        // per-expert engine cost profile the static sweeps use — this runs
-        // every step), and validate against the rank's *actual* residency:
-        // its ceiling share of the running set's KV cache, not just the
-        // step's tokens. If the configured strategy cannot place under that
-        // (e.g. hot-expert replication without headroom, or a skew-packed
-        // rank), fall back to round-robin, whose balanced `ceil(E/g)` expert
-        // counts the admission budget guarantees to fit.
         let kv_tokens: usize = workload.running.iter().map(|r| r.context_tokens()).sum();
         let kv_local = kv_tokens.div_ceil(gpus);
         let step_local = step_tokens.div_ceil(gpus);
-        let loads: Vec<usize> = rank_loads
-            .chunks_exact(gpus)
-            .map(|row| row.iter().sum())
-            .collect();
-        let placement = cluster
-            .strategy
-            .place_on(
-                &loads,
-                self.sim.topology(),
-                self.sim.memory(),
-                kv_local,
-                step_local,
-            )
-            .or_else(|_| {
-                PlacementStrategy::RoundRobin.place(
-                    &loads,
-                    gpus,
-                    self.sim.memory(),
-                    kv_local,
-                    step_local,
-                )
-            });
-        let report = placement
-            .and_then(|p| self.sim.step_with_rank_loads(step_tokens, &rank_loads, p))
-            .expect(
-                "admission admitted a step the cluster cannot place \
-                 (straggler budget and balanced placement disagree)",
+        let moe = {
+            let mut scratch = self
+                .scratch
+                .0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let PodScratch {
+                route,
+                loads,
+                place,
+                step,
+            } = &mut *scratch;
+            // The cluster step needs only how many of each expert's tokens
+            // start on each rank, so the step routes to those counts, never
+            // to a plan's token ids and weights.
+            let rank_loads = self.router.route_loads_into(
+                self.routing_seed ^ workload.step_index,
+                step_tokens,
+                gpus,
+                route,
             );
+
+            // Serving-path placement: balance the per-expert token counts,
+            // the rows of `rank_loads` summed (free to compute, unlike the
+            // per-expert engine cost profile the static sweeps use — this
+            // runs every step), and validate against the rank's *actual*
+            // residency: its ceiling share of the running set's KV cache,
+            // not just the step's tokens. If the configured strategy cannot
+            // place under that (e.g. hot-expert replication without
+            // headroom, or a skew-packed rank), fall back to round-robin,
+            // whose balanced `ceil(E/g)` expert counts the admission budget
+            // guarantees to fit.
+            loads.clear();
+            loads.extend(
+                rank_loads
+                    .chunks_exact(gpus)
+                    .map(|row| row.iter().sum::<usize>()),
+            );
+            let island_of = self.sim.topology().island_lookup();
+            let memory = self.sim.memory();
+            cluster
+                .strategy
+                .place_into(loads, island_of, memory, kv_local, step_local, place)
+                .or_else(|_| {
+                    // Round-robin reads only the GPU count off `island_of`.
+                    PlacementStrategy::RoundRobin
+                        .place_into(loads, island_of, memory, kv_local, step_local, place)
+                })
+                .and_then(|()| {
+                    self.sim
+                        .price_step(step_tokens, rank_loads, place.placement(), step)
+                })
+                .expect(
+                    "admission admitted a step the cluster cannot place \
+                     (straggler budget and balanced placement disagree)",
+                )
+        };
 
         // Attention and the norm/router auxiliaries are data-parallel: each
         // rank hosts its interleaved share of the requests, so the per-layer
         // cost divides across the pod.
-        let g = cluster.num_gpus.max(1) as f64;
+        let g = gpus as f64;
         let device = &cluster.device;
         let attention_ms = self
             .attention
@@ -215,13 +258,13 @@ impl ExecutionBackend for ClusterBackend {
 
         let layers = model.num_layers as f64;
         StepCost {
-            compute_ms: (report.straggler_ms() + attention_ms + other_ms) * layers
+            compute_ms: (moe.straggler_ms + attention_ms + other_ms) * layers
                 + self.step_overhead_ms,
-            collective_ms: report.all_to_all_ms * layers,
+            collective_ms: moe.all_to_all_ms * layers,
             // Attribution for telemetry: where the collective time went,
             // the intra-island and spine legs of the same all-to-all.
-            intra_island_ms: report.intra_island_ms * layers,
-            spine_ms: report.spine_ms * layers,
+            intra_island_ms: moe.intra_island_ms * layers,
+            spine_ms: moe.spine_ms * layers,
             overlap: OverlapModel::Serial,
         }
     }

@@ -310,11 +310,14 @@ impl ClusterSimulator {
     /// [`TopKRouter::route_loads_seeded`](samoyeds_moe::router::TopKRouter::route_loads_seeded):
     /// entry `e * g + r` counts expert `e`'s tokens that start on rank `r`.
     ///
-    /// Each GPU's compute is its replicas' token counts priced as one
-    /// routed shard over the full batch, plus the replicated shared experts
-    /// over the GPU's local tokens. Local shares differ by at most one
-    /// token, so the shared experts are priced once per distinct share (at
-    /// most twice a step), not once per GPU.
+    /// A fresh-buffer form of the step core the serving backend prices
+    /// through. Each expert's tokens from a source rank go to its nearest
+    /// replicas (the one on that rank, else those in its island, else all
+    /// of them, split evenly), and each GPU's compute is its replicas'
+    /// token counts priced as one routed shard over the full batch, plus
+    /// the replicated shared experts over the GPU's local tokens. Local
+    /// shares differ by at most one token, so the shared experts are priced
+    /// once per distinct share (at most twice a step), not once per GPU.
     ///
     /// Errors if the topology or the placement spans a different number
     /// of GPUs than the cluster, if the topology is invalid, if the
@@ -326,6 +329,35 @@ impl ClusterSimulator {
         rank_loads: &[usize],
         placement: ExpertPlacement,
     ) -> Result<ClusterStepReport> {
+        let mut scratch = StepScratch::default();
+        let price = self.price_step(num_tokens, rank_loads, &placement, &mut scratch)?;
+        let layer_time_ms = price.straggler_ms + price.all_to_all_ms;
+        Ok(ClusterStepReport {
+            num_gpus: self.cluster.num_gpus,
+            tokens: num_tokens,
+            placement,
+            all_to_all_ms: price.all_to_all_ms,
+            intra_island_ms: price.intra_island_ms,
+            spine_ms: price.spine_ms,
+            cross_island_bytes: price.cross_island_bytes,
+            layer_time_ms,
+            model_time_ms: layer_time_ms * self.model.num_layers as f64,
+            sharded_assignments: scratch.slot_loads.iter().sum(),
+            per_gpu_compute_ms: scratch.per_gpu_ms,
+        })
+    }
+
+    /// The step core behind [`Self::step_with_rank_loads`] and the serving
+    /// backend: dispatch `rank_loads` over `placement` into `scratch`
+    /// ([`Self::dispatch`]), price each GPU's compute (kept in `scratch`)
+    /// and both collectives, and return what a step pays per layer.
+    pub(crate) fn price_step(
+        &self,
+        num_tokens: usize,
+        rank_loads: &[usize],
+        placement: &ExpertPlacement,
+        scratch: &mut StepScratch,
+    ) -> Result<StepPrice> {
         let g = self.cluster.num_gpus;
         for (what, gpus) in [
             ("topology", self.cluster.topology.num_gpus()),
@@ -345,7 +377,11 @@ impl ClusterSimulator {
                 rank_loads.len()
             )));
         }
-        let (loads, flows) = self.dispatch(rank_loads, &placement)?;
+        self.dispatch(rank_loads, placement, scratch)?;
+        let token_bytes = self.model.hidden_size as f64 * 2.0;
+        scratch
+            .flows
+            .set_tokens(g, &scratch.pair_tokens, token_bytes);
 
         // Routed experts: each GPU prices its replicas' token counts; the SEL
         // arrays index the global token batch, so `num_tokens` stays the
@@ -362,53 +398,45 @@ impl ClusterSimulator {
         let (base, extra) = (num_tokens / g, num_tokens % g);
         let shared_short = shared_ms(base);
         let shared_long = if extra > 0 { shared_ms(base + 1) } else { None };
-        let per_gpu_compute_ms: Vec<f64> = loads
-            .iter()
-            .enumerate()
-            .map(|(gpu, gpu_loads)| {
-                let mut ms = self
-                    .engine
-                    .moe_layer_cost_for_loads(&self.routed_model, num_tokens, gpu_loads)
-                    .time_ms;
-                let shared = if gpu < extra {
-                    shared_long
-                } else {
-                    shared_short
-                };
-                if let Some(shared) = shared {
-                    ms += shared;
-                }
-                ms
-            })
-            .collect();
+        scratch.per_gpu_ms.clear();
+        for gpu in 0..g {
+            let mut ms = self
+                .engine
+                .moe_layer_cost_for_loads(
+                    &self.routed_model,
+                    num_tokens,
+                    &scratch.slot_loads[placement.slots(gpu)],
+                )
+                .time_ms;
+            let shared = if gpu < extra {
+                shared_long
+            } else {
+                shared_short
+            };
+            if let Some(shared) = shared {
+                ms += shared;
+            }
+            scratch.per_gpu_ms.push(ms);
+        }
 
         // Combine moves the same bytes in reverse, and both phase costs are
         // symmetric in their endpoints, so the step pays the dispatch
         // collective twice.
-        let cost = self.cluster.topology.all_to_all_ms(&flows);
-        let all_to_all_ms = 2.0 * cost.total_ms();
-
-        let straggler = per_gpu_compute_ms.iter().fold(0.0f64, |m, &t| m.max(t));
-        let layer_time_ms = straggler + all_to_all_ms;
-        Ok(ClusterStepReport {
-            num_gpus: g,
-            tokens: num_tokens,
-            placement,
-            per_gpu_compute_ms,
-            all_to_all_ms,
+        let cost = self.cluster.topology.all_to_all_ms(&scratch.flows);
+        Ok(StepPrice {
+            straggler_ms: scratch.per_gpu_ms.iter().fold(0.0f64, |m, &t| m.max(t)),
+            all_to_all_ms: 2.0 * cost.total_ms(),
             intra_island_ms: 2.0 * cost.intra_ms,
             spine_ms: 2.0 * cost.spine_ms,
             cross_island_bytes: 2.0 * cost.cross_island_bytes,
-            layer_time_ms,
-            model_time_ms: layer_time_ms * self.model.num_layers as f64,
-            sharded_assignments: loads.iter().flatten().sum(),
         })
     }
 
     /// Dispatch the per-(expert, source rank) counts `rank_loads` (one row
-    /// of `g` ranks per expert) over `placement`: each GPU's token count
-    /// per owned replica (in owned order) and the dispatch's per-pair byte
-    /// flows.
+    /// of `g` ranks per expert) over `placement`, into `scratch`: the token
+    /// count of each of the placement's positions (each GPU's replicas in
+    /// owned order) and the tokens each (source, destination) rank pair
+    /// exchanges.
     ///
     /// The kernels price an expert by its token count alone, so all that
     /// matters is how many of each expert's tokens start on each rank
@@ -421,63 +449,86 @@ impl ClusterSimulator {
     /// all `n` tokens, so that case skips the division. Under the shipped
     /// [`PlacementStrategy`]s it covers every cell of a placement that
     /// replicates nothing, and every cell a replicated expert serves from
-    /// `r` itself or from `r`'s island. Every flow is an exact integer in
-    /// f64, so the order of accumulation cannot change a bit.
+    /// `r` itself or from `r`'s island; an expert with one replica skips
+    /// the search for the nearest tier too. The pair counts are integers;
+    /// the caller turns each into bytes once.
     ///
-    /// The expert → replica index is one flat expert-major array, built
-    /// per call by counting each expert's replicas and then filling them
-    /// in assignment order, so no expert allocates a list of its own.
+    /// The expert → replica index is one flat expert-major array of
+    /// (rank, position) pairs, rebuilt into the same buffer every step by
+    /// counting each expert's replicas and then filling them in assignment
+    /// order.
     fn dispatch(
         &self,
         rank_loads: &[usize],
         placement: &ExpertPlacement,
-    ) -> Result<(Vec<Vec<usize>>, FlowMatrix)> {
+        scratch: &mut StepScratch,
+    ) -> Result<()> {
         let g = self.cluster.num_gpus;
         let experts = rank_loads.len() / g;
-        let assignments = placement.assignments();
-        // Expert `e`'s replicas, as (rank, slot in the rank's owned list) in
-        // assignment order, are `replicas[offsets[e]..offsets[e + 1]]`.
-        let mut offsets = vec![0usize; experts + 1];
-        for &e in assignments.iter().flatten() {
+        let StepScratch {
+            starts,
+            replicas,
+            slot_loads,
+            pair_tokens,
+            ..
+        } = scratch;
+        let owned = placement.experts();
+        // Expert `e`'s replicas, in assignment order, are
+        // `replicas[starts[e]..starts[e + 1]]`.
+        starts.clear();
+        starts.resize(experts + 1, 0);
+        for &e in owned {
             if e >= experts {
                 return Err(SparseError::config(format!(
                     "expert {e} out of range (plan has {experts})"
                 )));
             }
-            offsets[e + 1] += 1;
+            starts[e + 1] += 1;
         }
         for e in 0..experts {
-            offsets[e + 1] += offsets[e];
+            starts[e + 1] += starts[e];
         }
-        let mut replicas = vec![(0, 0); offsets[experts]];
-        for (rank, owned) in assignments.iter().enumerate() {
-            for (slot, &e) in owned.iter().enumerate() {
-                replicas[offsets[e]] = (rank, slot);
-                offsets[e] += 1;
+        replicas.clear();
+        replicas.resize(owned.len(), (0, 0));
+        for rank in 0..g {
+            for slot in placement.slots(rank) {
+                let e = owned[slot];
+                replicas[starts[e]] = (rank, slot);
+                starts[e] += 1;
             }
         }
-        // The fill advanced each offset to its expert's end, which is the
+        // The fill advanced each start to its expert's end, which is the
         // next expert's start: shift them back by one.
-        offsets.rotate_right(1);
-        offsets[0] = 0;
+        starts.rotate_right(1);
+        starts[0] = 0;
 
         let island_of = self.cluster.topology.island_lookup();
-        let token_bytes = self.model.hidden_size as f64 * 2.0;
-        let mut loads: Vec<Vec<usize>> = assignments
-            .iter()
-            .map(|owned| vec![0; owned.len()])
-            .collect();
-        let mut flows = FlowMatrix::new(g);
+        slot_loads.clear();
+        slot_loads.resize(owned.len(), 0);
+        pair_tokens.clear();
+        pair_tokens.resize(g * g, 0);
         for (e, from) in rank_loads.chunks_exact(g).enumerate() {
-            let routed: usize = from.iter().sum();
-            if routed == 0 {
-                continue;
-            }
-            let replicas = &replicas[offsets[e]..offsets[e + 1]];
-            if replicas.is_empty() {
-                return Err(SparseError::config(format!(
-                    "expert {e} has {routed} routed tokens but no rank owns it"
-                )));
+            let replicas = &replicas[starts[e]..starts[e + 1]];
+            match *replicas {
+                // A sole replica is every source's nearest: it takes all
+                // of each source's tokens, and an idle cell adds nothing.
+                [(rank, slot)] => {
+                    slot_loads[slot] += from.iter().sum::<usize>();
+                    for (src, &n) in from.iter().enumerate() {
+                        pair_tokens[src * g + rank] += n;
+                    }
+                    continue;
+                }
+                [] => {
+                    let routed: usize = from.iter().sum();
+                    if routed > 0 {
+                        return Err(SparseError::config(format!(
+                            "expert {e} has {routed} routed tokens but no rank owns it"
+                        )));
+                    }
+                    continue;
+                }
+                _ => {}
             }
             for (src, &n) in from.iter().enumerate().filter(|&(_, &n)| n > 0) {
                 // 0: the source rank itself, 1: its island, 2: elsewhere.
@@ -496,8 +547,8 @@ impl ClusterSimulator {
                 }
                 if k == 1 {
                     let (rank, slot) = first;
-                    loads[rank][slot] += n;
-                    flows.add(src, rank, n as f64 * token_bytes);
+                    slot_loads[slot] += n;
+                    pair_tokens[src * g + rank] += n;
                     continue;
                 }
                 let near = replicas
@@ -505,13 +556,43 @@ impl ClusterSimulator {
                     .filter(|&&(rank, _)| distance(rank) == nearest);
                 for (i, &(rank, slot)) in near.enumerate() {
                     let share = n / k + usize::from((i + k - src % k) % k < n % k);
-                    loads[rank][slot] += share;
-                    flows.add(src, rank, share as f64 * token_bytes);
+                    slot_loads[slot] += share;
+                    pair_tokens[src * g + rank] += share;
                 }
             }
         }
-        Ok((loads, flows))
+        Ok(())
     }
+}
+
+/// What one priced step pays per layer, for the serving backend and
+/// [`ClusterSimulator::step_with_rank_loads`] alike.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepPrice {
+    /// The slowest GPU's MoE compute, milliseconds.
+    pub(crate) straggler_ms: f64,
+    /// Dispatch + combine collectives, milliseconds.
+    pub(crate) all_to_all_ms: f64,
+    /// Their intra-island share, milliseconds.
+    pub(crate) intra_island_ms: f64,
+    /// Their spine share, milliseconds.
+    pub(crate) spine_ms: f64,
+    /// Bytes crossing island boundaries (dispatch + combine).
+    pub(crate) cross_island_bytes: f64,
+}
+
+/// The reusable buffers of [`ClusterSimulator::price_step`]: the expert →
+/// replica index, the token count of every placement position, the tokens
+/// and bytes each rank pair exchanges and each GPU's compute. A new one
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct StepScratch {
+    starts: Vec<usize>,
+    replicas: Vec<(usize, usize)>,
+    slot_loads: Vec<usize>,
+    pair_tokens: Vec<usize>,
+    flows: FlowMatrix,
+    per_gpu_ms: Vec<f64>,
 }
 
 /// The smallest cluster of `device` (up to `max_gpus`) that holds `model`
@@ -643,10 +724,10 @@ mod tests {
         let report = ClusterStepReport {
             num_gpus: 2,
             tokens: 0,
-            placement: ExpertPlacement {
-                strategy: PlacementStrategy::RoundRobin,
-                gpu_experts: vec![Vec::new(), Vec::new()],
-            },
+            placement: ExpertPlacement::new(
+                PlacementStrategy::RoundRobin,
+                &[Vec::new(), Vec::new()],
+            ),
             per_gpu_compute_ms: vec![0.0, 0.0],
             all_to_all_ms: 0.0,
             intra_island_ms: 0.0,
@@ -874,10 +955,7 @@ mod tests {
 
     /// An explicit placement; a step reads only its shard map.
     fn hand_placement(gpu_experts: Vec<Vec<usize>>) -> ExpertPlacement {
-        ExpertPlacement {
-            strategy: PlacementStrategy::ReplicateHot { hot: 1 },
-            gpu_experts,
-        }
+        ExpertPlacement::new(PlacementStrategy::ReplicateHot { hot: 1 }, &gpu_experts)
     }
 
     #[test]
@@ -966,9 +1044,12 @@ mod tests {
         // leftover goes to index 3 mod 2, rank 2.
         let plan = hand_plan(&config, 30, vec![vec![0, 3, 6, 9, 12, 15, 21, 27]]);
         let placement = hand_placement(vec![vec![], vec![0], vec![0], vec![], vec![], vec![]]);
-        let (loads, flows) = sim.dispatch(&plan.rank_loads(6), &placement).unwrap();
-        assert_eq!(loads[1], vec![2 + 2]);
-        assert_eq!(loads[2], vec![1 + 3]);
+        let mut scratch = StepScratch::default();
+        sim.price_step(30, &plan.rank_loads(6), &placement, &mut scratch)
+            .unwrap();
+        assert_eq!(scratch.slot_loads[placement.slots(1)], [2 + 2]);
+        assert_eq!(scratch.slot_loads[placement.slots(2)], [1 + 3]);
+        let flows = &scratch.flows;
         assert_eq!(flows.get(0, 1), 2.0 * token_bytes);
         assert_eq!(flows.get(0, 2), token_bytes);
         assert_eq!(flows.get(3, 1), 2.0 * token_bytes);
@@ -1042,7 +1123,7 @@ mod tests {
             config.clone(),
         );
         assert_eq!(consumer.topology().num_islands(), 4);
-        assert_eq!(consumer.topology().spine, LinkSpec::infiniband_ndr());
+        assert_eq!(*consumer.topology().spine(), LinkSpec::infiniband_ndr());
         // An 8-GPU A100 pod stays inside one HGX node: flat NVLink.
         let a100 = ClusterSimulator::new(
             ClusterConfig::new(DeviceSpec::a100_40g(), 8, ClusterEngine::Samoyeds)

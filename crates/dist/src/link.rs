@@ -72,15 +72,18 @@ impl LinkSpec {
     /// a single expert owner therefore stretches the whole collective.
     /// Returns zero for a single GPU or an empty exchange.
     pub fn all_to_all_ms(&self, send_bytes: &[f64], recv_bytes: &[f64]) -> f64 {
-        let gpus = send_bytes.len().max(recv_bytes.len());
-        if gpus <= 1 {
-            return 0.0;
-        }
         let busiest = send_bytes
             .iter()
             .chain(recv_bytes.iter())
             .fold(0.0f64, |acc, &b| acc.max(b));
-        if busiest <= 0.0 {
+        self.busiest_all_to_all_ms(send_bytes.len().max(recv_bytes.len()), busiest)
+    }
+
+    /// [`Self::all_to_all_ms`] over `gpus` endpoints whose busiest one
+    /// sends or receives `busiest` bytes: all the cost reads of the byte
+    /// vectors.
+    pub(crate) fn busiest_all_to_all_ms(&self, gpus: usize, busiest: f64) -> f64 {
+        if gpus <= 1 || busiest <= 0.0 {
             return 0.0;
         }
         self.latency_us * 1e-3 * (gpus - 1) as f64 + busiest / (self.bandwidth_gbps * 1e9) * 1e3

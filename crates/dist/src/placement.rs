@@ -251,13 +251,16 @@ impl PlacementStrategy {
         resident_tokens: usize,
         step_tokens: usize,
     ) -> Result<ExpertPlacement> {
-        self.place_islands(
+        let mut scratch = PlacementScratch::default();
+        self.place_into(
             loads,
             &vec![0usize; num_gpus],
             memory,
             resident_tokens,
             step_tokens,
-        )
+            &mut scratch,
+        )?;
+        Ok(scratch.placement)
     }
 
     /// Place experts over the islands of `topology` (the topology-aware
@@ -273,13 +276,16 @@ impl PlacementStrategy {
         resident_tokens: usize,
         step_tokens: usize,
     ) -> Result<ExpertPlacement> {
-        self.place_islands(
+        let mut scratch = PlacementScratch::default();
+        self.place_into(
             loads,
-            &topology.island_lookup(),
+            topology.island_lookup(),
             memory,
             resident_tokens,
             step_tokens,
-        )
+            &mut scratch,
+        )?;
+        Ok(scratch.placement)
     }
 
     /// Routed experts on the straggler GPU when this strategy places
@@ -323,165 +329,317 @@ impl PlacementStrategy {
         }
     }
 
-    /// Shared core: place over `island_of.len()` GPUs where `island_of[g]`
-    /// names GPU `g`'s island.
-    fn place_islands(
+    /// The one placement core behind [`Self::place`], [`Self::place_on`]
+    /// and the serving backend: place over `island_of.len()` GPUs, where
+    /// `island_of[g]` names GPU `g`'s island, into `scratch`, whose buffers
+    /// are reused from call to call. On success the placement is
+    /// [`PlacementScratch::placement`] until the next call.
+    ///
+    /// Every strategy but round-robin takes the experts in descending load
+    /// order, ties by id (one sort of packed `(load, id)` keys), and every
+    /// choice of GPU takes the least effective load, then the fewest owned
+    /// experts, then the lowest id. Each expert placed is noted with its
+    /// GPU; the notes are then grouped by GPU, in the order they were made,
+    /// into the placement's one flat expert list.
+    pub(crate) fn place_into(
         &self,
         loads: &[usize],
         island_of: &[usize],
         memory: &ClusterMemoryModel,
         resident_tokens: usize,
         step_tokens: usize,
-    ) -> Result<ExpertPlacement> {
+        scratch: &mut PlacementScratch,
+    ) -> Result<()> {
         let num_gpus = island_of.len();
         if num_gpus == 0 {
             return Err(SparseError::config("cluster needs at least one GPU"));
         }
         let num_experts = loads.len();
         let capacity = memory.max_experts_per_gpu(resident_tokens, step_tokens);
-        let mut gpu_experts: Vec<Vec<usize>> = (0..num_gpus)
-            .map(|_| Vec::with_capacity(num_experts.min(capacity)))
-            .collect();
-        // Experts in descending load order, ties by id. The key is unique,
-        // so an unstable sort gives the one order.
-        let by_load = || {
-            let mut order: Vec<usize> = (0..num_experts).collect();
-            order.sort_unstable_by_key(|&e| (std::cmp::Reverse(loads[e]), e));
-            order
-        };
-
-        // The one tie-breaking rule every pass uses: least effective load,
-        // then fewest owned experts, then lowest GPU id.
-        fn least_loaded(
-            candidates: impl Iterator<Item = usize>,
-            effective: &[f64],
-            gpu_experts: &[Vec<usize>],
-        ) -> Option<usize> {
-            candidates.min_by(|&a, &b| {
-                effective[a]
-                    .partial_cmp(&effective[b])
-                    .expect("finite loads")
-                    .then(gpu_experts[a].len().cmp(&gpu_experts[b].len()))
-                    .then(a.cmp(&b))
-            })
-        }
-
-        // Shared greedy core: experts in descending load order, least
-        // effective load first, bounded by the per-GPU expert capacity.
-        let greedy = |experts: &mut dyn Iterator<Item = usize>,
-                      gpu_experts: &mut Vec<Vec<usize>>,
-                      effective: &mut Vec<f64>|
-         -> Result<()> {
-            for e in experts {
-                let candidate = least_loaded(
-                    (0..num_gpus).filter(|&g| gpu_experts[g].len() < capacity),
-                    effective,
-                    gpu_experts,
-                );
-                match candidate {
-                    Some(g) => {
-                        gpu_experts[g].push(e);
-                        effective[g] += loads[e] as f64;
-                    }
-                    None => {
-                        return Err(SparseError::config(format!(
-                            "no GPU has memory headroom for expert {e} \
-                             (capacity {capacity} experts/GPU over {num_gpus} GPUs)"
-                        )))
-                    }
-                }
-            }
-            Ok(())
-        };
-
-        match self {
+        let PlacementScratch {
+            order,
+            effective,
+            owned,
+            picks,
+            placement,
+        } = scratch;
+        effective.clear();
+        effective.resize(num_gpus, 0.0);
+        owned.clear();
+        owned.resize(num_gpus, 0);
+        picks.clear();
+        picks.reserve(num_experts);
+        match *self {
             PlacementStrategy::RoundRobin => {
                 for e in 0..num_experts {
-                    gpu_experts[e % num_gpus].push(e);
+                    picks.push((e % num_gpus, e));
+                    owned[e % num_gpus] += 1;
                 }
             }
             PlacementStrategy::CapacityGreedy => {
-                let mut effective = vec![0.0f64; num_gpus];
-                greedy(&mut by_load().into_iter(), &mut gpu_experts, &mut effective)?;
+                let (_, order) = by_load(loads, order, 0);
+                greedy(
+                    order.iter().copied(),
+                    loads,
+                    capacity,
+                    effective,
+                    owned,
+                    picks,
+                )?;
             }
             PlacementStrategy::ReplicateHot { hot } => {
-                let order = by_load();
-                let (hot_set, cold) = order.split_at((*hot).min(num_experts));
-                let mut effective = vec![0.0f64; num_gpus];
+                let (hot_set, cold) = by_load(loads, order, hot);
                 for &e in hot_set {
                     // A replica on every GPU; the traffic splits g ways.
-                    for (g, owned) in gpu_experts.iter_mut().enumerate() {
-                        owned.push(e);
+                    for g in 0..num_gpus {
+                        picks.push((g, e));
+                        owned[g] += 1;
                         effective[g] += loads[e] as f64 / num_gpus as f64;
                     }
                 }
-                greedy(&mut cold.iter().copied(), &mut gpu_experts, &mut effective)?;
+                greedy(
+                    cold.iter().copied(),
+                    loads,
+                    capacity,
+                    effective,
+                    owned,
+                    picks,
+                )?;
             }
             PlacementStrategy::ReplicateHotPerIsland { hot } => {
                 let num_islands = island_of.iter().copied().max().unwrap_or(0) + 1;
-                let order = by_load();
-                let (hot_set, cold) = order.split_at((*hot).min(num_experts));
-                let mut effective = vec![0.0f64; num_gpus];
+                let (hot_set, cold) = by_load(loads, order, hot);
                 for &e in hot_set {
                     // One replica per island, on the island's least-loaded
                     // GPU with headroom; intra-island dispatch splits the
                     // expert's traffic across the islands.
                     for island in 0..num_islands {
-                        let candidate = least_loaded(
-                            (0..num_gpus).filter(|&g| {
-                                island_of[g] == island && gpu_experts[g].len() < capacity
-                            }),
-                            &effective,
-                            &gpu_experts,
-                        );
-                        match candidate {
-                            Some(g) => {
-                                gpu_experts[g].push(e);
-                                effective[g] += loads[e] as f64 / num_islands as f64;
-                            }
-                            None => {
-                                return Err(SparseError::config(format!(
-                                    "island {island} has no memory headroom for a replica of \
-                                     hot expert {e} (capacity {capacity} experts/GPU)"
-                                )))
-                            }
-                        }
+                        let candidates = (0..num_gpus)
+                            .filter(|&g| island_of[g] == island && owned[g] < capacity);
+                        let Some(g) = least_loaded(candidates, effective, owned) else {
+                            return Err(SparseError::config(format!(
+                                "island {island} has no memory headroom for a replica of \
+                                 hot expert {e} (capacity {capacity} experts/GPU)"
+                            )));
+                        };
+                        picks.push((g, e));
+                        owned[g] += 1;
+                        effective[g] += loads[e] as f64 / num_islands as f64;
                     }
                 }
-                greedy(&mut cold.iter().copied(), &mut gpu_experts, &mut effective)?;
+                greedy(
+                    cold.iter().copied(),
+                    loads,
+                    capacity,
+                    effective,
+                    owned,
+                    picks,
+                )?;
             }
         }
 
-        let placement = ExpertPlacement {
-            strategy: *self,
-            gpu_experts,
-        };
-        placement.validate(memory, resident_tokens, step_tokens)?;
-        Ok(placement)
+        // Group the picks by GPU, in pick order: `owned` turns from counts
+        // into each GPU's next free position.
+        placement.strategy = *self;
+        placement.offsets.clear();
+        placement.offsets.reserve(num_gpus + 1);
+        placement.offsets.push(0);
+        let mut end = 0;
+        for count in owned.iter_mut() {
+            let start = end;
+            end += *count;
+            placement.offsets.push(end);
+            *count = start;
+        }
+        placement.experts.clear();
+        placement.experts.resize(end, 0);
+        for &(g, e) in picks.iter() {
+            placement.experts[owned[g]] = e;
+            owned[g] += 1;
+        }
+        placement.validate(memory, resident_tokens, step_tokens)
     }
 }
 
-/// A concrete expert-to-GPU shard map.
+/// The experts in descending load order, ties by id, split after the
+/// `hot` first, written to `order`. Each expert sorts as one word, its load
+/// counted down from the largest above its id, whenever that fits, which
+/// every token count does; the word's low bits are then the id. Loads too
+/// large for that sort by `(Reverse(load), id)`. Either way the keys are
+/// unique, so an unstable sort gives the one order.
+fn by_load<'a>(
+    loads: &[usize],
+    order: &'a mut Vec<usize>,
+    hot: usize,
+) -> (&'a [usize], &'a [usize]) {
+    order.clear();
+    let id_bits = usize::BITS - loads.len().saturating_sub(1).leading_zeros();
+    let max = loads.iter().copied().max().unwrap_or(0);
+    if max.checked_shr(usize::BITS - id_bits).unwrap_or(0) == 0 {
+        order.extend(
+            loads
+                .iter()
+                .enumerate()
+                .map(|(e, &load)| ((max - load) << id_bits) | e),
+        );
+        order.sort_unstable();
+        let ids = (1 << id_bits) - 1;
+        for key in order.iter_mut() {
+            *key &= ids;
+        }
+    } else {
+        order.extend(0..loads.len());
+        order.sort_unstable_by_key(|&e| (std::cmp::Reverse(loads[e]), e));
+    }
+    order.split_at(hot.min(loads.len()))
+}
+
+/// The GPU among `candidates`, in ascending id order, with the least
+/// effective load, then the fewest owned experts, then the lowest id. The
+/// loads are finite sums of non-negative shares, so `<` orders them.
+fn least_loaded(
+    mut candidates: impl Iterator<Item = usize>,
+    effective: &[f64],
+    owned: &[usize],
+) -> Option<usize> {
+    let best = candidates.next()?;
+    let (mut best, mut best_load, mut best_owned) = (best, effective[best], owned[best]);
+    for g in candidates {
+        let (load, experts) = (effective[g], owned[g]);
+        if load < best_load || (load <= best_load && experts < best_owned) {
+            (best, best_load, best_owned) = (g, load, experts);
+        }
+    }
+    Some(best)
+}
+
+/// The greedy pass: each of `experts`, in order, to the least-loaded GPU
+/// that owns fewer than `capacity` experts.
+fn greedy(
+    experts: impl Iterator<Item = usize>,
+    loads: &[usize],
+    capacity: usize,
+    effective: &mut [f64],
+    owned: &mut [usize],
+    picks: &mut Vec<(usize, usize)>,
+) -> Result<()> {
+    let num_gpus = owned.len();
+    for e in experts {
+        let candidates = (0..num_gpus).filter(|&g| owned[g] < capacity);
+        let Some(g) = least_loaded(candidates, effective, owned) else {
+            return Err(SparseError::config(format!(
+                "no GPU has memory headroom for expert {e} \
+                 (capacity {capacity} experts/GPU over {num_gpus} GPUs)"
+            )));
+        };
+        picks.push((g, e));
+        owned[g] += 1;
+        effective[g] += loads[e] as f64;
+    }
+    Ok(())
+}
+
+/// The reusable buffers of one placement: the load order, the per-GPU
+/// effective loads and expert counts, each placed `(gpu, expert)` in
+/// placement order, and the placement itself. A new one allocates nothing.
+#[derive(Debug)]
+pub(crate) struct PlacementScratch {
+    order: Vec<usize>,
+    effective: Vec<f64>,
+    owned: Vec<usize>,
+    picks: Vec<(usize, usize)>,
+    placement: ExpertPlacement,
+}
+
+impl PlacementScratch {
+    /// The placement the last successful [`PlacementStrategy::place_into`]
+    /// made.
+    pub(crate) fn placement(&self) -> &ExpertPlacement {
+        &self.placement
+    }
+}
+
+impl Default for PlacementScratch {
+    fn default() -> Self {
+        Self {
+            order: Vec::new(),
+            effective: Vec::new(),
+            owned: Vec::new(),
+            picks: Vec::new(),
+            placement: ExpertPlacement {
+                strategy: PlacementStrategy::RoundRobin,
+                experts: Vec::new(),
+                offsets: Vec::new(),
+            },
+        }
+    }
+}
+
+/// A concrete expert-to-GPU shard map, held flat: every GPU's owned
+/// experts back to back in GPU order, each GPU's in owned order, with one
+/// offset per GPU boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExpertPlacement {
     /// The strategy that produced the map.
-    pub strategy: PlacementStrategy,
-    /// For each GPU, the global expert ids it owns (an expert on several
+    strategy: PlacementStrategy,
+    /// The owned experts of every GPU, GPU 0's first (an expert on several
     /// GPUs is a replicated hot expert).
-    pub gpu_experts: Vec<Vec<usize>>,
+    experts: Vec<usize>,
+    /// GPU `g` owns `experts[offsets[g]..offsets[g + 1]]`.
+    offsets: Vec<usize>,
 }
 
 impl ExpertPlacement {
-    /// Number of GPUs.
-    pub fn num_gpus(&self) -> usize {
-        self.gpu_experts.len()
+    /// The shard map where GPU `g` owns `gpu_experts[g]`, in that order.
+    pub fn new(strategy: PlacementStrategy, gpu_experts: &[Vec<usize>]) -> Self {
+        let mut offsets = Vec::with_capacity(gpu_experts.len() + 1);
+        offsets.push(0);
+        offsets.extend(gpu_experts.iter().scan(0, |end, owned| {
+            *end += owned.len();
+            Some(*end)
+        }));
+        Self {
+            strategy,
+            experts: gpu_experts.concat(),
+            offsets,
+        }
     }
 
-    /// The shard map: for each GPU, the global expert ids it owns, in the
-    /// order [`ClusterSimulator::step_with_placement`](crate::ClusterSimulator::step_with_placement)
+    /// The strategy that produced the map.
+    pub fn strategy(&self) -> PlacementStrategy {
+        self.strategy
+    }
+
+    /// Number of GPUs.
+    pub fn num_gpus(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// The global expert ids GPU `gpu` owns, in owned order.
+    ///
+    /// Panics if `gpu >= self.num_gpus()`.
+    pub fn gpu_experts(&self, gpu: usize) -> &[usize] {
+        &self.experts[self.offsets[gpu]..self.offsets[gpu + 1]]
+    }
+
+    /// The shard map: for each GPU in order, the global expert ids it owns,
+    /// in the order [`ClusterSimulator::step_with_placement`](crate::ClusterSimulator::step_with_placement)
     /// prices them.
-    pub fn assignments(&self) -> &[Vec<usize>] {
-        &self.gpu_experts
+    pub fn assignments(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|bounds| &self.experts[bounds[0]..bounds[1]])
+    }
+
+    /// Every GPU's owned experts back to back, in GPU order: GPU `g`'s
+    /// are the positions [`Self::slots`]`(g)`.
+    pub(crate) fn experts(&self) -> &[usize] {
+        &self.experts
+    }
+
+    /// GPU `gpu`'s positions in [`Self::experts`].
+    pub(crate) fn slots(&self, gpu: usize) -> std::ops::Range<usize> {
+        self.offsets[gpu]..self.offsets[gpu + 1]
     }
 
     /// How many replicas each of `num_experts` experts has.
@@ -489,10 +647,8 @@ impl ExpertPlacement {
     /// Panics if some GPU owns an expert id `>= num_experts`.
     pub fn replica_counts(&self, num_experts: usize) -> Vec<usize> {
         let mut counts = vec![0usize; num_experts];
-        for owned in &self.gpu_experts {
-            for &e in owned {
-                counts[e] += 1;
-            }
+        for &e in &self.experts {
+            counts[e] += 1;
         }
         counts
     }
@@ -503,8 +659,7 @@ impl ExpertPlacement {
     /// Panics if some GPU owns an expert id `>= loads.len()`.
     pub fn effective_gpu_loads(&self, loads: &[usize]) -> Vec<f64> {
         let replicas = self.replica_counts(loads.len());
-        self.gpu_experts
-            .iter()
+        self.assignments()
             .map(|owned| {
                 owned
                     .iter()
@@ -529,6 +684,35 @@ impl ExpertPlacement {
         effective.iter().fold(0.0f64, |m, &l| m.max(l)) / mean
     }
 
+    /// The GPUs over their memory budget, in id order, each with its
+    /// expert count.
+    fn over_budget<'a>(
+        &'a self,
+        memory: &'a ClusterMemoryModel,
+        resident_tokens: usize,
+        step_tokens: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        self.assignments()
+            .map(<[usize]>::len)
+            .enumerate()
+            .filter(move |&(_, experts)| !memory.fits(experts, resident_tokens, step_tokens))
+    }
+
+    /// Why GPU `gpu`, owning `experts` experts, is over budget.
+    fn over_budget_message(
+        gpu: usize,
+        experts: usize,
+        memory: &ClusterMemoryModel,
+        resident_tokens: usize,
+        step_tokens: usize,
+    ) -> String {
+        format!(
+            "GPU {gpu} exceeds its memory budget: {experts} experts need {:.2} GiB of {:.2} GiB",
+            memory.gpu_bytes(experts, resident_tokens, step_tokens) / (1u64 << 30) as f64,
+            memory.budget_bytes() / (1u64 << 30) as f64,
+        )
+    }
+
     /// Check every GPU against its memory budget, reporting *every*
     /// over-budget GPU (code `placement::over-budget`) instead of stopping
     /// at the first — the diagnostic form of [`Self::validate`].
@@ -539,22 +723,14 @@ impl ExpertPlacement {
         step_tokens: usize,
     ) -> ValidationReport {
         let mut report = ValidationReport::new();
-        for (g, owned) in self.gpu_experts.iter().enumerate() {
-            if !memory.fits(owned.len(), resident_tokens, step_tokens) {
-                report.push(Diagnostic::deny(
-                    "placement::over-budget",
-                    format!("ExpertPlacement gpu[{g}]"),
-                    format!(
-                        "GPU {g} exceeds its memory budget: {} experts need {:.2} GiB of {:.2} GiB",
-                        owned.len(),
-                        memory.gpu_bytes(owned.len(), resident_tokens, step_tokens)
-                            / (1u64 << 30) as f64,
-                        memory.budget_bytes() / (1u64 << 30) as f64,
-                    ),
-                    "spread experts across more GPUs, compress the weights, or shrink the \
-                     resident token pool",
-                ));
-            }
+        for (g, experts) in self.over_budget(memory, resident_tokens, step_tokens) {
+            report.push(Diagnostic::deny(
+                "placement::over-budget",
+                format!("ExpertPlacement gpu[{g}]"),
+                Self::over_budget_message(g, experts, memory, resident_tokens, step_tokens),
+                "spread experts across more GPUs, compress the weights, or shrink the \
+                 resident token pool",
+            ));
         }
         report
     }
@@ -568,11 +744,16 @@ impl ExpertPlacement {
         step_tokens: usize,
     ) -> Result<()> {
         match self
-            .validate_diagnostics(memory, resident_tokens, step_tokens)
-            .diagnostics()
-            .first()
+            .over_budget(memory, resident_tokens, step_tokens)
+            .next()
         {
-            Some(d) => Err(SparseError::config(d.message.clone())),
+            Some((g, experts)) => Err(SparseError::config(Self::over_budget_message(
+                g,
+                experts,
+                memory,
+                resident_tokens,
+                step_tokens,
+            ))),
             None => Ok(()),
         }
     }
@@ -677,8 +858,7 @@ pub fn replan_after_crash(
         )));
     }
     if let Some((gpu, e)) = placement
-        .gpu_experts
-        .iter()
+        .assignments()
         .enumerate()
         .find_map(|(g, owned)| owned.iter().find(|&&e| e >= loads.len()).map(|&e| (g, e)))
     {
@@ -690,17 +870,14 @@ pub fn replan_after_crash(
     let capacity = memory.max_experts_per_gpu(resident_tokens, step_tokens);
     let island_of = topology.island_lookup();
 
-    let mut gpu_experts = placement.gpu_experts.clone();
+    let mut gpu_experts: Vec<Vec<usize>> = placement.assignments().map(<[usize]>::to_vec).collect();
     let mut lost: Vec<usize> = std::mem::take(&mut gpu_experts[crashed_gpu]);
     // Hottest first, ties by id: the order the greedy core would use.
     lost.sort_by_key(|&e| (std::cmp::Reverse(loads[e]), e));
 
     // Effective load per survivor under the post-crash replica counts.
-    let interim = ExpertPlacement {
-        strategy: placement.strategy,
-        gpu_experts: gpu_experts.clone(),
-    };
-    let mut effective = interim.effective_gpu_loads(loads);
+    let mut effective =
+        ExpertPlacement::new(placement.strategy, &gpu_experts).effective_gpu_loads(loads);
 
     let mut moves = Vec::with_capacity(lost.len());
     let mut flows = crate::topology::FlowMatrix::new(num_gpus);
@@ -756,10 +933,7 @@ pub fn replan_after_crash(
         });
     }
 
-    let placement = ExpertPlacement {
-        strategy: placement.strategy,
-        gpu_experts,
-    };
+    let placement = ExpertPlacement::new(placement.strategy, &gpu_experts);
     placement.validate(memory, resident_tokens, step_tokens)?;
     let cost = topology.all_to_all_ms(&flows);
     Ok(RecoveryPlan {
@@ -946,7 +1120,7 @@ mod tests {
             for e in 0..2 {
                 let members = topology.island_members(island);
                 let owners = members
-                    .filter(|&g| placement.gpu_experts[g].contains(&e))
+                    .filter(|&g| placement.gpu_experts(g).contains(&e))
                     .count();
                 assert_eq!(owners, 1, "island {island} expert {e}");
             }
@@ -994,10 +1168,10 @@ mod tests {
         )
         .unwrap();
         // The crashed slot is kept but empty; every expert still has a copy.
-        assert!(plan.placement.gpu_experts[0].is_empty());
+        assert!(plan.placement.gpu_experts(0).is_empty());
         let replicas = plan.placement.replica_counts(config.num_experts);
         assert!(replicas.iter().all(|&c| c >= 1), "{replicas:?}");
-        assert_eq!(plan.moves.len(), placement.gpu_experts[0].len());
+        assert_eq!(plan.moves.len(), placement.gpu_experts(0).len());
         assert!(plan.moves.iter().all(|m| m.from == 7 && m.to != 0));
         assert!(plan.transfer_bytes > 0.0);
         assert!(plan.transfer_ms() > 0.0 && plan.transfer_ms().is_finite());
@@ -1067,7 +1241,8 @@ mod tests {
         let placement = PlacementStrategy::CapacityGreedy
             .place_on(&loads, &topology, &memory, 1_024, 1_024)
             .unwrap();
-        let first_uncovered = placement.gpu_experts[0]
+        let first_uncovered = placement
+            .gpu_experts(0)
             .iter()
             .copied()
             .find(|&e| e >= 10)
@@ -1123,21 +1298,18 @@ mod tests {
                 // A replicated expert streams from a surviving replica, and
                 // the survivor chosen shares the destination's island when
                 // one exists there.
-                assert!(placement.gpu_experts[m.from].contains(&m.expert));
+                assert!(placement.gpu_experts(m.from).contains(&m.expert));
             }
         }
         // Nothing exceeds budget and the crashed GPU stays empty.
         plan.placement.validate(&memory, 1024, 1024).unwrap();
-        assert!(plan.placement.gpu_experts[0].is_empty());
+        assert!(plan.placement.gpu_experts(0).is_empty());
         // Degenerate calls fail loudly.
         assert!(
             replan_after_crash(&placement, 99, &loads, &topology, &memory, 1024, 1024, None)
                 .is_err()
         );
-        let one_gpu = ExpertPlacement {
-            strategy: PlacementStrategy::RoundRobin,
-            gpu_experts: vec![vec![0]],
-        };
+        let one_gpu = ExpertPlacement::new(PlacementStrategy::RoundRobin, &[vec![0]]);
         let flat = ClusterTopology::flat(1, LinkSpec::nvlink3());
         assert!(
             replan_after_crash(&one_gpu, 0, &[1], &flat, &memory, 1024, 1024, Some(0)).is_err()
@@ -1178,10 +1350,33 @@ mod tests {
         assert!(plan.moves.iter().all(|m| !hot.contains(&m.expert)));
         let counts = plan.placement.replica_counts(config.num_experts);
         assert!(hot.iter().all(|&e| counts[e] == 3), "{counts:?}");
-        for &e in placement.gpu_experts[0].iter().filter(|e| !hot.contains(e)) {
+        for &e in placement.gpu_experts(0).iter().filter(|e| !hot.contains(e)) {
             assert_eq!(plan.moves.iter().filter(|m| m.expert == e).count(), 1);
         }
-        assert!(plan.placement.gpu_experts[0].is_empty());
+        assert!(plan.placement.gpu_experts(0).is_empty());
+    }
+
+    #[test]
+    fn loads_too_large_to_pack_sort_like_any_others() {
+        // Token counts sort as one packed word; loads near `usize::MAX`
+        // leave no room for the id and take the general sort. Both must
+        // give descending load, ties by id.
+        let (memory, _) = qwen_on_a100();
+        let orders = [
+            (vec![7, 9, 7, 0, 9], vec![1, 4, 0, 2, 3]),
+            (
+                vec![usize::MAX, 5, usize::MAX - 1, usize::MAX, 0],
+                vec![0, 3, 2, 1, 4],
+            ),
+        ];
+        for (loads, order) in orders {
+            let mut scratch = Vec::new();
+            assert_eq!(by_load(&loads, &mut scratch, 0).1, order);
+            let placement = PlacementStrategy::CapacityGreedy
+                .place(&loads, 1, &memory, 0, 0)
+                .unwrap();
+            assert_eq!(placement.gpu_experts(0), order);
+        }
     }
 
     #[test]

@@ -50,9 +50,11 @@ pub struct Island {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterTopology {
     /// The islands, in GPU-id order.
-    pub islands: Vec<Island>,
+    islands: Vec<Island>,
     /// The inter-island spine fabric (unused when there is one island).
-    pub spine: LinkSpec,
+    spine: LinkSpec,
+    /// Each GPU's island, worked out once from `islands`.
+    island_lookup: Vec<usize>,
 }
 
 /// The two-phase cost of one hierarchical all-to-all (one direction:
@@ -79,7 +81,7 @@ impl HierarchicalCost {
 /// for `src != dst`. Built by the cluster simulator from each expert's
 /// per-source-rank token counts and where its replicas live, consumed by
 /// [`ClusterTopology::all_to_all_ms`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowMatrix {
     gpus: usize,
     bytes: Vec<f64>,
@@ -107,6 +109,20 @@ impl FlowMatrix {
         }
     }
 
+    /// Reset to `gpus` endpoints whose `src → dst` flow is
+    /// `tokens[src * gpus + dst]` tokens of `token_bytes` bytes each, the
+    /// self-flows left at zero. Each flow is one exact product while the
+    /// bytes stay below 2^53, so it equals any sum of its tokens' bytes.
+    pub(crate) fn set_tokens(&mut self, gpus: usize, tokens: &[usize], token_bytes: f64) {
+        self.gpus = gpus;
+        self.bytes.clear();
+        self.bytes
+            .extend(tokens.iter().map(|&n| n as f64 * token_bytes));
+        for g in 0..gpus {
+            self.bytes[g * gpus + g] = 0.0;
+        }
+    }
+
     /// The `src → dst` flow in bytes.
     pub fn get(&self, src: usize, dst: usize) -> f64 {
         self.bytes[src * self.gpus + dst]
@@ -124,16 +140,31 @@ impl FlowMatrix {
 }
 
 impl ClusterTopology {
+    /// `islands`, in GPU-id order, bound by `spine`. Any shape is accepted
+    /// here; [`Self::validate`] rejects one without GPUs.
+    pub fn new(islands: Vec<Island>, spine: LinkSpec) -> Self {
+        let island_lookup = islands
+            .iter()
+            .enumerate()
+            .flat_map(|(k, island)| std::iter::repeat_n(k, island.gpus))
+            .collect();
+        Self {
+            islands,
+            spine,
+            island_lookup,
+        }
+    }
+
     /// A single flat island: every GPU on one fabric. Reproduces the
     /// single-level α-β all-to-all exactly.
     pub fn flat(num_gpus: usize, link: LinkSpec) -> Self {
-        Self {
-            spine: link.clone(),
-            islands: vec![Island {
+        Self::new(
+            vec![Island {
                 gpus: num_gpus,
-                link,
+                link: link.clone(),
             }],
-        }
+            link,
+        )
     }
 
     /// `num_islands` islands of `gpus_per_island` GPUs each, every island
@@ -149,15 +180,15 @@ impl ClusterTopology {
                 "topology needs at least one island of at least one GPU",
             ));
         }
-        Ok(Self {
-            islands: (0..num_islands)
+        Ok(Self::new(
+            (0..num_islands)
                 .map(|_| Island {
                     gpus: gpus_per_island,
                     link: intra.clone(),
                 })
                 .collect(),
             spine,
-        })
+        ))
     }
 
     /// The topology a fleet of `num_gpus` × `device` deploys as: islands of
@@ -178,15 +209,22 @@ impl ClusterTopology {
             });
             remaining -= remaining.min(node);
         }
-        Self {
-            islands,
-            spine: LinkSpec::infiniband_ndr(),
-        }
+        Self::new(islands, LinkSpec::infiniband_ndr())
+    }
+
+    /// The islands, in GPU-id order.
+    pub fn islands(&self) -> &[Island] {
+        &self.islands
+    }
+
+    /// The inter-island spine fabric (unused when there is one island).
+    pub fn spine(&self) -> &LinkSpec {
+        &self.spine
     }
 
     /// Total GPUs across all islands.
     pub fn num_gpus(&self) -> usize {
-        self.islands.iter().map(|i| i.gpus).sum()
+        self.island_lookup.len()
     }
 
     /// Number of islands.
@@ -200,27 +238,19 @@ impl ClusterTopology {
         self.islands.len() == 1
     }
 
-    /// The island owning GPU `gpu` (ids are contiguous in island order).
+    /// The island owning GPU `gpu` (ids are contiguous in island order); a
+    /// GPU past the last island counts as the last island's.
     pub fn island_of(&self, gpu: usize) -> usize {
-        let mut base = 0usize;
-        for (k, island) in self.islands.iter().enumerate() {
-            base += island.gpus;
-            if gpu < base {
-                return k;
-            }
-        }
-        self.islands.len().saturating_sub(1)
+        self.island_lookup
+            .get(gpu)
+            .copied()
+            .unwrap_or(self.islands.len().saturating_sub(1))
     }
 
     /// Per-GPU island ids as a dense lookup (`lookup[gpu] ==
-    /// island_of(gpu)`), for hot loops that would otherwise re-scan the
-    /// island list per GPU.
-    pub fn island_lookup(&self) -> Vec<usize> {
-        let mut lookup = Vec::with_capacity(self.num_gpus());
-        for (k, island) in self.islands.iter().enumerate() {
-            lookup.extend(std::iter::repeat_n(k, island.gpus));
-        }
-        lookup
+    /// island_of(gpu)`), kept with the topology for hot loops.
+    pub fn island_lookup(&self) -> &[usize] {
+        &self.island_lookup
     }
 
     /// The global GPU ids of island `island`.
@@ -285,7 +315,9 @@ impl ClusterTopology {
     /// between island leaders over the spine. A flat topology prices to
     /// exactly the single-level `LinkSpec::all_to_all_ms` over the per-GPU
     /// byte vectors; zero cross-island traffic makes the spine phase exactly
-    /// 0.
+    /// 0. Each endpoint's bytes are summed in destination (or source) order
+    /// and only the busiest endpoint enters the cost, so nothing is
+    /// allocated.
     pub fn all_to_all_ms(&self, flows: &FlowMatrix) -> HierarchicalCost {
         let n = self.num_gpus();
         // A mismatched matrix would silently drop (or misattribute) traffic;
@@ -298,45 +330,42 @@ impl ClusterTopology {
         );
 
         // Phase 1: each island's local all-to-all over its own fabric.
-        let mut intra_ms = 0.0f64;
-        for (k, island) in self.islands.iter().enumerate() {
-            let members = self.island_members(k);
-            let mut send = Vec::with_capacity(island.gpus);
-            let mut recv = Vec::with_capacity(island.gpus);
-            for i in members.clone() {
-                let mut s = 0.0;
-                let mut r = 0.0;
-                for j in members.clone() {
-                    if i != j {
-                        s += flows.get(i, j);
-                        r += flows.get(j, i);
-                    }
-                }
-                send.push(s);
-                recv.push(r);
-            }
-            intra_ms = intra_ms.max(island.link.all_to_all_ms(&send, &recv));
-        }
-
         // Phase 2: island leaders exchange the aggregated cross-island
         // bytes over the spine (endpoints are the islands themselves).
-        let islands = self.islands.len();
-        let island_lookup = self.island_lookup();
-        let mut island_send = vec![0.0f64; islands];
-        let mut island_recv = vec![0.0f64; islands];
-        for src in 0..n {
-            let src_island = island_lookup[src];
-            for dst in 0..n {
-                if src == dst || island_lookup[dst] == src_island {
-                    continue;
+        let mut intra_ms = 0.0f64;
+        let mut spine_busiest = 0.0f64;
+        let mut cross_island_bytes = 0.0f64;
+        let mut start = 0;
+        for (k, island) in self.islands.iter().enumerate() {
+            let members = start..start + island.gpus;
+            start = members.end;
+            let mut busiest = 0.0f64;
+            let (mut island_send, mut island_recv) = (0.0f64, 0.0f64);
+            for i in members.clone() {
+                let (mut send, mut recv) = (0.0, 0.0);
+                for j in members.clone() {
+                    if i != j {
+                        send += flows.get(i, j);
+                        recv += flows.get(j, i);
+                    }
                 }
-                let b = flows.get(src, dst);
-                island_send[src_island] += b;
-                island_recv[island_lookup[dst]] += b;
+                busiest = busiest.max(send).max(recv);
+                for dst in (0..n).filter(|&dst| self.island_lookup[dst] != k) {
+                    island_send += flows.get(i, dst);
+                }
             }
+            for src in (0..n).filter(|&src| self.island_lookup[src] != k) {
+                for dst in members.clone() {
+                    island_recv += flows.get(src, dst);
+                }
+            }
+            intra_ms = intra_ms.max(island.link.busiest_all_to_all_ms(island.gpus, busiest));
+            spine_busiest = spine_busiest.max(island_send).max(island_recv);
+            cross_island_bytes += island_send;
         }
-        let cross_island_bytes: f64 = island_send.iter().sum();
-        let spine_ms = self.spine.all_to_all_ms(&island_send, &island_recv);
+        let spine_ms = self
+            .spine
+            .busiest_all_to_all_ms(self.islands.len(), spine_busiest);
 
         HierarchicalCost {
             intra_ms,
@@ -426,7 +455,7 @@ mod tests {
         let two_node = ClusterTopology::for_device(&a100, 16);
         assert_eq!(two_node.num_islands(), 2);
         assert_eq!(two_node.num_gpus(), 16);
-        assert_eq!(two_node.spine, LinkSpec::infiniband_ndr());
+        assert_eq!(*two_node.spine(), LinkSpec::infiniband_ndr());
         // Consumer hosts carry 2 cards: 8 GPUs = 4 PCIe islands.
         let consumer = ClusterTopology::for_device(&DeviceSpec::rtx4070_super(), 8);
         assert_eq!(consumer.num_islands(), 4);
@@ -434,7 +463,7 @@ mod tests {
         // A ragged tail island keeps every GPU accounted for.
         let ragged = ClusterTopology::for_device(&a100, 11);
         assert_eq!(ragged.num_islands(), 2);
-        assert_eq!(ragged.islands[1].gpus, 3);
+        assert_eq!(ragged.islands()[1].gpus, 3);
         assert_eq!(ragged.island_of(10), 1);
         assert_eq!(ragged.island_members(1), 8..11);
     }

@@ -277,10 +277,7 @@ proptest! {
                 owned.push(0);
             }
         }
-        let placement = ExpertPlacement {
-            strategy: PlacementStrategy::RoundRobin,
-            gpu_experts,
-        };
+        let placement = ExpertPlacement::new(PlacementStrategy::RoundRobin, &gpu_experts);
         let everywhere = placement
             .replica_counts(model.num_experts)
             .iter()
@@ -482,12 +479,12 @@ proptest! {
         if let Some((crashed, plan)) = plan {
             // The crashed slot is kept (stable GPU ids) but owns nothing.
             prop_assert_eq!(plan.placement.num_gpus(), topology.num_gpus());
-            prop_assert!(plan.placement.assignments()[crashed].is_empty());
+            prop_assert!(plan.placement.gpu_experts(crashed).is_empty());
             // No expert lost coverage in the recovered placement.
             let replicas = plan.placement.replica_counts(model.num_experts);
             prop_assert!(replicas.iter().all(|&c| c >= 1));
             // Direct budget check on every survivor, not just validate().
-            for (gpu, owned) in plan.placement.assignments().iter().enumerate() {
+            for (gpu, owned) in plan.placement.assignments().enumerate() {
                 if gpu == crashed {
                     continue;
                 }

@@ -18,10 +18,7 @@ fn two_islands() -> ClusterTopology {
 
 #[test]
 fn empty_topology_is_denied() {
-    let topology = ClusterTopology {
-        islands: Vec::new(),
-        spine: LinkSpec::infiniband_ndr(),
-    };
+    let topology = ClusterTopology::new(Vec::new(), LinkSpec::infiniband_ndr());
     let report = topology.validation();
     assert!(report.has("topology::empty"));
     assert!(topology.validate().is_err());
@@ -42,10 +39,10 @@ fn over_budget_placement_lists_every_offending_gpu() {
     // stay empty. Both overloaded GPUs must be named.
     let too_many = memory.max_experts_per_gpu(4_096, 1_024) + 1;
     let over: Vec<usize> = (0..model.num_experts).cycle().take(too_many).collect();
-    let placement = ExpertPlacement {
-        strategy: PlacementStrategy::RoundRobin,
-        gpu_experts: vec![over.clone(), Vec::new(), over, Vec::new()],
-    };
+    let placement = ExpertPlacement::new(
+        PlacementStrategy::RoundRobin,
+        &[over.clone(), Vec::new(), over, Vec::new()],
+    );
     let report = placement.validate_diagnostics(&memory, 4_096, 1_024);
     let over: Vec<&str> = report
         .diagnostics()

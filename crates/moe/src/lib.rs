@@ -33,4 +33,4 @@ pub mod router;
 pub use config::MoeModelConfig;
 pub use decoder::DecoderLayer;
 pub use engines::{Engine, EngineKind, LayerCost};
-pub use router::{RoutingPlan, TopKRouter};
+pub use router::{RouteScratch, RoutingPlan, TopKRouter};

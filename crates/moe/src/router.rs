@@ -191,7 +191,7 @@ impl TopKRouter {
     pub fn route_seeded(&self, seed: u64, num_tokens: usize) -> RoutingPlan {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut picks: Vec<usize> = Vec::with_capacity(num_tokens * self.top_k);
-        self.sample(&mut rng, num_tokens, |chosen| {
+        self.sample(&mut rng, num_tokens, &mut Vec::new(), |chosen| {
             picks.extend_from_slice(chosen)
         });
         let mut loads = vec![0usize; self.num_experts];
@@ -238,14 +238,39 @@ impl TopKRouter {
     /// per rank, all an expert-parallel step needs to dispatch tokens that
     /// start interleaved across `ranks` GPUs.
     ///
+    /// A fresh-buffer form of [`Self::route_loads_into`], which a caller
+    /// pricing step after step uses to keep its buffers.
+    ///
     /// Panics if `ranks` is 0.
     pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize, ranks: usize) -> Vec<usize> {
+        let mut scratch = RouteScratch::default();
+        self.route_loads_into(seed, num_tokens, ranks, &mut scratch);
+        scratch.loads
+    }
+
+    /// [`Self::route_loads_seeded`] counted into `scratch`, whose buffers
+    /// are reused from call to call: returns the `num_experts × ranks`
+    /// counts, which stay in `scratch` until its next use. Nothing a
+    /// previous call left there is read.
+    ///
+    /// Panics if `ranks` is 0.
+    pub fn route_loads_into<'s>(
+        &self,
+        seed: u64,
+        num_tokens: usize,
+        ranks: usize,
+        scratch: &'s mut RouteScratch,
+    ) -> &'s [usize] {
         assert!(ranks > 0, "routing counts need at least one rank");
-        let mut loads = vec![0usize; self.num_experts * ranks];
+        let RouteScratch { experts, loads } = scratch;
+        loads.clear();
+        loads.resize(self.num_experts * ranks, 0);
+        let counts = loads.as_mut_slice();
         let mut rank = 0;
-        self.sample(&mut ChaCha8Rng::seed_from_u64(seed), num_tokens, |chosen| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        self.sample(&mut rng, num_tokens, experts, move |chosen| {
             for &e in chosen {
-                loads[e * ranks + rank] += 1;
+                counts[e * ranks + rank] += 1;
             }
             rank += 1;
             if rank == ranks {
@@ -290,7 +315,8 @@ impl TopKRouter {
 
     /// The expert draws behind both routing outputs: for each token in
     /// order, draw its `top_k` distinct experts from `rng` and hand them to
-    /// `visit`.
+    /// `visit`. `experts` is the uniform sampler's expert array, reset here,
+    /// so a caller may keep it from call to call.
     ///
     /// Uniform routing is a partial Fisher–Yates shuffle over one expert
     /// array kept for the whole call: position `i` swaps with a uniform
@@ -304,30 +330,33 @@ impl TopKRouter {
     /// product of its spans. A word whose `x·P mod 2^64` falls below
     /// `2^64 mod P` is redrawn (Lemire's rejection); that leaves each of
     /// the `P` digit tuples exactly `⌊2^64 / P⌋` accepted words, so every
-    /// ordered tuple of picks is exactly equally likely. Skewed routing
-    /// samples without replacement from the Zipf popularity, one draw per
-    /// pick.
-    fn sample<R: RngCore>(&self, rng: &mut R, num_tokens: usize, mut visit: impl FnMut(&[usize])) {
+    /// ordered tuple of picks is exactly equally likely. A router whose
+    /// `top_k` picks fit one word and number at most four decodes them in
+    /// [`one_word`], unrolled for its `top_k`; other uniform routers walk
+    /// their words. Skewed routing samples without replacement from the
+    /// Zipf popularity, one draw per pick.
+    fn sample<R: RngCore>(
+        &self,
+        rng: &mut R,
+        num_tokens: usize,
+        experts: &mut Vec<usize>,
+        mut visit: impl FnMut(&[usize]),
+    ) {
         if self.skew == 0.0 {
             // Read once: the router holds a `OnceLock`, so the compiler may
             // not assume its fields stay put across the loop's stores and
             // would reload them for every token.
             let (num_experts, top_k) = (self.num_experts, self.top_k);
             let words = self.words();
-            let mut experts: Vec<usize> = (0..num_experts).collect();
-            for _ in 0..num_tokens {
-                for word in words {
-                    let mut x = rng.next_u64();
-                    while x.wrapping_mul(word.product) < word.threshold {
-                        x = rng.next_u64();
-                    }
-                    for i in word.positions.clone() {
-                        let wide = u128::from(x) * (num_experts - i) as u128;
-                        experts.swap(i, i + (wide >> 64) as usize);
-                        x = wide as u64;
-                    }
-                }
-                visit(&experts[..top_k]);
+            experts.clear();
+            experts.extend(0..num_experts);
+            let experts = experts.as_mut_slice();
+            match (words, top_k) {
+                ([word], 1) => one_word::<_, 1>(rng, num_tokens, word, experts, visit),
+                ([word], 2) => one_word::<_, 2>(rng, num_tokens, word, experts, visit),
+                ([word], 3) => one_word::<_, 3>(rng, num_tokens, word, experts, visit),
+                ([word], 4) => one_word::<_, 4>(rng, num_tokens, word, experts, visit),
+                _ => word_walk(rng, num_tokens, words, top_k, experts, visit),
             }
             return;
         }
@@ -371,6 +400,83 @@ impl TopKRouter {
             visit(&chosen);
         }
     }
+}
+
+impl Word {
+    /// One accepted word from `rng`: a word whose `x·P mod 2^64` falls below
+    /// the threshold is redrawn.
+    #[inline(always)]
+    fn draw<R: RngCore>(&self, rng: &mut R) -> u64 {
+        let mut x = rng.next_u64();
+        while x.wrapping_mul(self.product) < self.threshold {
+            x = rng.next_u64();
+        }
+        x
+    }
+}
+
+/// Apply the Fisher–Yates swaps of `positions` that word `x` decodes to:
+/// position `i` swaps with `i` plus the high half of `x · (n - i)`, and the
+/// low half carries on.
+#[inline(always)]
+fn decode(mut x: u64, positions: Range<usize>, experts: &mut [usize]) {
+    let n = experts.len();
+    for i in positions {
+        let wide = u128::from(x) * (n - i) as u128;
+        experts.swap(i, i + (wide >> 64) as usize);
+        x = wide as u64;
+    }
+}
+
+/// The uniform sampler walking each token's words in order. This loop and
+/// [`one_word`]'s are kept out of line: inlined into `sample` side by
+/// side, they measured slower.
+#[inline(never)]
+fn word_walk<R: RngCore>(
+    rng: &mut R,
+    num_tokens: usize,
+    words: &[Word],
+    top_k: usize,
+    experts: &mut [usize],
+    mut visit: impl FnMut(&[usize]),
+) {
+    for _ in 0..num_tokens {
+        for word in words {
+            let x = word.draw(rng);
+            decode(x, word.positions.clone(), experts);
+        }
+        visit(&experts[..top_k]);
+    }
+}
+
+/// The uniform sampler for a router whose `K` picks fit one word: the same
+/// draws and swaps as [`word_walk`], with the per-token loop unrolled over
+/// a known pick count.
+#[inline(never)]
+fn one_word<R: RngCore, const K: usize>(
+    rng: &mut R,
+    num_tokens: usize,
+    word: &Word,
+    experts: &mut [usize],
+    mut visit: impl FnMut(&[usize]),
+) {
+    // A local copy: the router's words sit behind a `OnceLock`, which the
+    // loop's stores could alias as far as the compiler knows.
+    let word = word.clone();
+    for _ in 0..num_tokens {
+        let x = word.draw(rng);
+        decode(x, 0..K, experts);
+        visit(&experts[..K]);
+    }
+}
+
+/// The reusable buffers of [`TopKRouter::route_loads_into`]: the uniform
+/// sampler's expert array and the counts. A new one is empty and allocates
+/// nothing; its first use sizes both.
+#[derive(Debug, Clone, Default)]
+pub struct RouteScratch {
+    experts: Vec<usize>,
+    loads: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -614,7 +720,7 @@ mod tests {
             let mut pairs = [[0usize; 8]; 8];
             for _ in 0..28_000 {
                 let mut rng = ChaCha8Rng::seed_from_u64(seeds.next_u64());
-                router.sample(&mut rng, 1, |c| pairs[c[0]][c[1]] += 1);
+                router.sample(&mut rng, 1, &mut Vec::new(), |c| pairs[c[0]][c[1]] += 1);
             }
             let observed: Vec<usize> = (0..8)
                 .flat_map(|a| (0..8).filter(move |&b| b != a).map(move |b| (a, b)))
@@ -705,7 +811,9 @@ mod tests {
     fn a_token_takes_the_mixed_radix_digits_of_its_words() {
         let drawn = |router: &TopKRouter, words: Vec<u64>| {
             let mut picks = Vec::new();
-            router.sample(&mut Words(words.into_iter()), 1, |c| picks = c.to_vec());
+            router.sample(&mut Words(words.into_iter()), 1, &mut Vec::new(), |c| {
+                picks = c.to_vec()
+            });
             picks
         };
         let xs = [
@@ -782,6 +890,29 @@ mod tests {
                 assert_eq!(router.route_loads_seeded(seed, 101, 1), vec![101; experts]);
                 let plan = router.route_seeded(seed, 101);
                 assert!(plan.expert_tokens.iter().all(|t| t.len() == 101));
+            }
+        }
+    }
+
+    #[test]
+    fn counts_into_a_reused_scratch_match_fresh_counts() {
+        // One scratch serves routers of different shapes and calls of
+        // different sizes, growing and shrinking: nothing a call leaves in
+        // it may reach the next.
+        let mut scratch = RouteScratch::default();
+        let routers = [
+            TopKRouter::for_config(&MoeModelConfig::qwen2_moe(), 3),
+            TopKRouter::for_config(&MoeModelConfig::mixtral_8x7b(), 3),
+            TopKRouter::for_config(&MoeModelConfig::deepseek_moe(), 3),
+            TopKRouter::new(16, 3, 3).unwrap().with_skew(1.2),
+        ];
+        for (seed, tokens, ranks) in [(1, 512, 4), (2, 7, 1), (3, 2048, 3), (4, 0, 2), (5, 65, 8)] {
+            for router in &routers {
+                let fresh = router.route_loads_seeded(seed, tokens, ranks);
+                assert_eq!(
+                    router.route_loads_into(seed, tokens, ranks, &mut scratch),
+                    fresh
+                );
             }
         }
     }

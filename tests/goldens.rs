@@ -1668,7 +1668,6 @@ fn render_placements() -> String {
                     };
                     let shards: Vec<String> = placement
                         .assignments()
-                        .iter()
                         .map(|owned| format!("{owned:?}"))
                         .collect();
                     let step = sim
