@@ -684,35 +684,6 @@ impl ExpertPlacement {
         effective.iter().fold(0.0f64, |m, &l| m.max(l)) / mean
     }
 
-    /// The GPUs over their memory budget, in id order, each with its
-    /// expert count.
-    fn over_budget<'a>(
-        &'a self,
-        memory: &'a ClusterMemoryModel,
-        resident_tokens: usize,
-        step_tokens: usize,
-    ) -> impl Iterator<Item = (usize, usize)> + 'a {
-        self.assignments()
-            .map(<[usize]>::len)
-            .enumerate()
-            .filter(move |&(_, experts)| !memory.fits(experts, resident_tokens, step_tokens))
-    }
-
-    /// Why GPU `gpu`, owning `experts` experts, is over budget.
-    fn over_budget_message(
-        gpu: usize,
-        experts: usize,
-        memory: &ClusterMemoryModel,
-        resident_tokens: usize,
-        step_tokens: usize,
-    ) -> String {
-        format!(
-            "GPU {gpu} exceeds its memory budget: {experts} experts need {:.2} GiB of {:.2} GiB",
-            memory.gpu_bytes(experts, resident_tokens, step_tokens) / (1u64 << 30) as f64,
-            memory.budget_bytes() / (1u64 << 30) as f64,
-        )
-    }
-
     /// Check every GPU against its memory budget, reporting *every*
     /// over-budget GPU (code `placement::over-budget`) instead of stopping
     /// at the first — the diagnostic form of [`Self::validate`].
@@ -723,14 +694,22 @@ impl ExpertPlacement {
         step_tokens: usize,
     ) -> ValidationReport {
         let mut report = ValidationReport::new();
-        for (g, experts) in self.over_budget(memory, resident_tokens, step_tokens) {
-            report.push(Diagnostic::deny(
-                "placement::over-budget",
-                format!("ExpertPlacement gpu[{g}]"),
-                Self::over_budget_message(g, experts, memory, resident_tokens, step_tokens),
-                "spread experts across more GPUs, compress the weights, or shrink the \
-                 resident token pool",
-            ));
+        for (g, owned) in self.assignments().enumerate() {
+            if !memory.fits(owned.len(), resident_tokens, step_tokens) {
+                report.push(Diagnostic::deny(
+                    "placement::over-budget",
+                    format!("ExpertPlacement gpu[{g}]"),
+                    format!(
+                        "GPU {g} exceeds its memory budget: {} experts need {:.2} GiB of {:.2} GiB",
+                        owned.len(),
+                        memory.gpu_bytes(owned.len(), resident_tokens, step_tokens)
+                            / (1u64 << 30) as f64,
+                        memory.budget_bytes() / (1u64 << 30) as f64,
+                    ),
+                    "spread experts across more GPUs, compress the weights, or shrink the \
+                     resident token pool",
+                ));
+            }
         }
         report
     }
@@ -744,16 +723,11 @@ impl ExpertPlacement {
         step_tokens: usize,
     ) -> Result<()> {
         match self
-            .over_budget(memory, resident_tokens, step_tokens)
-            .next()
+            .validate_diagnostics(memory, resident_tokens, step_tokens)
+            .diagnostics()
+            .first()
         {
-            Some((g, experts)) => Err(SparseError::config(Self::over_budget_message(
-                g,
-                experts,
-                memory,
-                resident_tokens,
-                step_tokens,
-            ))),
+            Some(d) => Err(SparseError::config(d.message.clone())),
             None => Ok(()),
         }
     }
@@ -1357,10 +1331,11 @@ mod tests {
     }
 
     #[test]
-    fn loads_too_large_to_pack_sort_like_any_others() {
-        // Token counts sort as one packed word; loads near `usize::MAX`
-        // leave no room for the id and take the general sort. Both must
-        // give descending load, ties by id.
+    fn experts_take_descending_load_then_id_order() {
+        // Descending load, ties by id, in the sort and in the greedy
+        // placement: token counts sort as one packed word, and loads near
+        // `usize::MAX`, which leave no room for the id, take the general
+        // sort.
         let (memory, _) = qwen_on_a100();
         let orders = [
             (vec![7, 9, 7, 0, 9], vec![1, 4, 0, 2, 3]),

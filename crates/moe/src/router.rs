@@ -331,10 +331,10 @@ impl TopKRouter {
     /// `2^64 mod P` is redrawn (Lemire's rejection); that leaves each of
     /// the `P` digit tuples exactly `⌊2^64 / P⌋` accepted words, so every
     /// ordered tuple of picks is exactly equally likely. A router whose
-    /// `top_k` picks fit one word and number at most four decodes them in
-    /// [`one_word`], unrolled for its `top_k`; other uniform routers walk
-    /// their words. Skewed routing samples without replacement from the
-    /// Zipf popularity, one draw per pick.
+    /// four picks fit one word (Qwen2-MoE's) decodes them in [`one_word`],
+    /// unrolled for that `top_k`; other uniform routers walk their words.
+    /// Skewed routing samples without replacement from the Zipf
+    /// popularity, one draw per pick.
     fn sample<R: RngCore>(
         &self,
         rng: &mut R,
@@ -352,9 +352,6 @@ impl TopKRouter {
             experts.extend(0..num_experts);
             let experts = experts.as_mut_slice();
             match (words, top_k) {
-                ([word], 1) => one_word::<_, 1>(rng, num_tokens, word, experts, visit),
-                ([word], 2) => one_word::<_, 2>(rng, num_tokens, word, experts, visit),
-                ([word], 3) => one_word::<_, 3>(rng, num_tokens, word, experts, visit),
                 ([word], 4) => one_word::<_, 4>(rng, num_tokens, word, experts, visit),
                 _ => word_walk(rng, num_tokens, words, top_k, experts, visit),
             }
