@@ -98,6 +98,10 @@ impl RoutingPlan {
     }
 }
 
+/// The most routed experts a router takes: the uniform sampler permutes
+/// expert ids as bytes. No shipped config has more than 64.
+pub const MAX_EXPERTS: usize = 256;
+
 /// One 64-bit word of the uniform sampler: the Fisher–Yates positions it
 /// decodes, the product `P` of their spans, and the rejection threshold
 /// `2^64 mod P`, computed once per router.
@@ -132,7 +136,9 @@ pub struct TopKRouter {
 }
 
 impl TopKRouter {
-    /// Build a router for a model configuration.
+    /// Build a router for a model configuration. A config with more than
+    /// [`MAX_EXPERTS`] experts, or with `top_k` above its expert count,
+    /// builds (validation reports it) and panics on its first draw.
     pub fn for_config(config: &MoeModelConfig, seed: u64) -> Self {
         Self {
             num_experts: config.num_experts,
@@ -143,8 +149,14 @@ impl TopKRouter {
         }
     }
 
-    /// Build a router with explicit parameters.
+    /// Build a router with explicit parameters: `top_k` in
+    /// `1..=num_experts`, at most [`MAX_EXPERTS`] experts.
     pub fn new(num_experts: usize, top_k: usize, seed: u64) -> Result<Self> {
+        if num_experts > MAX_EXPERTS {
+            return Err(SparseError::config(format!(
+                "{num_experts} experts exceed the router's {MAX_EXPERTS}"
+            )));
+        }
         if top_k == 0 || top_k > num_experts {
             return Err(SparseError::config(format!(
                 "top_k {top_k} must be in 1..={num_experts}"
@@ -158,7 +170,6 @@ impl TopKRouter {
             words: OnceLock::new(),
         })
     }
-
     /// Skew the expert popularity: expert `e` is drawn with probability
     /// proportional to `1 / (e + 1)^skew` (Zipf-like). `skew = 0` is the
     /// uniform, balanced-routing regime of the paper's experiments; larger
@@ -190,13 +201,17 @@ impl TopKRouter {
     /// weight list is allocated at its exact length before it is filled.
     pub fn route_seeded(&self, seed: u64, num_tokens: usize) -> RoutingPlan {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut picks: Vec<usize> = Vec::with_capacity(num_tokens * self.top_k);
-        self.sample(&mut rng, num_tokens, &mut Vec::new(), |chosen| {
-            picks.extend_from_slice(chosen)
+        // Written in place, not pushed: a loop that may reallocate keeps
+        // its values in memory rather than in registers.
+        let mut picks = vec![0u8; num_tokens * self.top_k];
+        let (mut at, out) = (0, picks.as_mut_slice());
+        self.sample(&mut rng, num_tokens, &mut [0; MAX_EXPERTS], move |chosen| {
+            out[at..at + chosen.len()].copy_from_slice(chosen);
+            at += chosen.len();
         });
         let mut loads = vec![0usize; self.num_experts];
         for &e in &picks {
-            loads[e] += 1;
+            loads[usize::from(e)] += 1;
         }
         let mut expert_tokens: Vec<Vec<u32>> =
             loads.iter().map(|&n| Vec::with_capacity(n)).collect();
@@ -212,8 +227,8 @@ impl TopKRouter {
                 exps.iter_mut().for_each(|x| *x = (*x - max).exp());
                 let sum: f32 = exps.iter().sum();
                 for (&e, &x) in chosen.iter().zip(&exps) {
-                    expert_tokens[e].push(token as u32);
-                    expert_weights[e].push(x / sum);
+                    expert_tokens[usize::from(e)].push(token as u32);
+                    expert_weights[usize::from(e)].push(x / sum);
                 }
             }
         }
@@ -243,15 +258,18 @@ impl TopKRouter {
     ///
     /// Panics if `ranks` is 0.
     pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize, ranks: usize) -> Vec<usize> {
-        let mut scratch = RouteScratch::default();
-        self.route_loads_into(seed, num_tokens, ranks, &mut scratch);
-        scratch.loads
+        self.route_loads_into(seed, num_tokens, ranks, &mut RouteScratch::default())
+            .to_vec()
     }
 
     /// [`Self::route_loads_seeded`] counted into `scratch`, whose buffers
     /// are reused from call to call: returns the `num_experts × ranks`
     /// counts, which stay in `scratch` until its next use. Nothing a
     /// previous call left there is read.
+    ///
+    /// Each pick is counted into its source rank's row, indexed by the
+    /// picked expert id; with more than one rank the rows are transposed
+    /// into the `e * ranks + r` layout once, after the last token.
     ///
     /// Panics if `ranks` is 0.
     pub fn route_loads_into<'s>(
@@ -262,22 +280,60 @@ impl TopKRouter {
         scratch: &'s mut RouteScratch,
     ) -> &'s [usize] {
         assert!(ranks > 0, "routing counts need at least one rank");
-        let RouteScratch { experts, loads } = scratch;
-        loads.clear();
-        loads.resize(self.num_experts * ranks, 0);
-        let counts = loads.as_mut_slice();
-        let mut rank = 0;
+        let num_experts = self.drawn_experts();
+        let RouteScratch { perm, rows, loads } = scratch;
+        // The rows an earlier call counted into start over; new ones start
+        // at zero.
+        for row in rows.iter_mut().take(ranks) {
+            row[..num_experts].fill(0);
+        }
+        if rows.len() < ranks {
+            rows.resize(ranks, [0; MAX_EXPERTS]);
+        }
+        let rows = &mut rows[..ranks];
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        self.sample(&mut rng, num_tokens, experts, move |chosen| {
-            for &e in chosen {
-                counts[e * ranks + rank] += 1;
-            }
+        if ranks == 1 {
+            let row = &mut rows[0];
+            self.sample(&mut rng, num_tokens, perm, |chosen| count(row, chosen));
+            return &row[..num_experts];
+        }
+        // A `move` closure owns the rank cursor, so the loop keeps it in a
+        // register instead of writing it back to this frame every token.
+        let (mut rank, counted) = (0, &mut *rows);
+        self.sample(&mut rng, num_tokens, perm, move |chosen| {
+            count(&mut counted[rank], chosen);
             rank += 1;
             if rank == ranks {
                 rank = 0;
             }
         });
+        loads.clear();
+        loads.resize(num_experts * ranks, 0);
+        if let Ok(rows) = <&[_; 4]>::try_from(&*rows) {
+            // Four ranks, the pod shape of every benchmark workload: one
+            // expert's counts per unrolled chunk.
+            for (chunk, e) in loads.as_chunks_mut::<4>().0.iter_mut().zip(0..MAX_EXPERTS) {
+                *chunk = std::array::from_fn(|r| rows[r][e]);
+            }
+        } else {
+            for (r, row) in rows.iter().enumerate() {
+                for (e, &c) in row[..num_experts].iter().enumerate() {
+                    loads[e * ranks + r] = c;
+                }
+            }
+        }
         loads
+    }
+
+    /// The expert count, once checked against [`MAX_EXPERTS`]: every draw
+    /// starts here.
+    fn drawn_experts(&self) -> usize {
+        assert!(
+            self.num_experts <= MAX_EXPERTS,
+            "{} experts exceed the router's {MAX_EXPERTS}",
+            self.num_experts
+        );
+        self.num_experts
     }
 
     /// The uniform sampler's 64-bit words per token: the Fisher–Yates
@@ -314,12 +370,13 @@ impl TopKRouter {
     }
 
     /// The expert draws behind both routing outputs: for each token in
-    /// order, draw its `top_k` distinct experts from `rng` and hand them to
-    /// `visit`. `experts` is the uniform sampler's expert array, reset here,
-    /// so a caller may keep it from call to call.
+    /// order, draw its `top_k` distinct experts from `rng` and hand their ids
+    /// to `visit`. `perm` is the uniform sampler's permutation of the expert
+    /// ids, of which the first `num_experts` entries are reset here, so a
+    /// caller may keep it from call to call.
     ///
     /// Uniform routing is a partial Fisher–Yates shuffle over one expert
-    /// array kept for the whole call: position `i` swaps with a uniform
+    /// permutation kept for the whole call: position `i` swaps with a uniform
     /// pick from `i..num_experts`, for `i` in `0..top_k`. Whatever order
     /// the previous token left, the first `top_k` positions are then a
     /// uniform draw of `top_k` distinct experts. The picks are decoded from
@@ -339,31 +396,33 @@ impl TopKRouter {
         &self,
         rng: &mut R,
         num_tokens: usize,
-        experts: &mut Vec<usize>,
-        mut visit: impl FnMut(&[usize]),
+        perm: &mut [u8; MAX_EXPERTS],
+        mut visit: impl FnMut(&[u8]),
     ) {
+        let num_experts = self.drawn_experts();
         if self.skew == 0.0 {
             // Read once: the router holds a `OnceLock`, so the compiler may
             // not assume its fields stay put across the loop's stores and
             // would reload them for every token.
-            let (num_experts, top_k) = (self.num_experts, self.top_k);
+            let top_k = self.top_k;
             let words = self.words();
-            experts.clear();
-            experts.extend(0..num_experts);
-            let experts = experts.as_mut_slice();
+            for (e, slot) in perm[..num_experts].iter_mut().enumerate() {
+                // Below `num_experts`, so below 256.
+                *slot = e as u8;
+            }
             match (words, top_k) {
-                ([word], 4) => one_word::<_, 4>(rng, num_tokens, word, experts, visit),
-                _ => word_walk(rng, num_tokens, words, top_k, experts, visit),
+                ([word], 4) => one_word::<_, 4>(rng, num_tokens, word, num_experts, perm, visit),
+                _ => word_walk(rng, num_tokens, words, num_experts, top_k, perm, visit),
             }
             return;
         }
         // Clamp to the smallest positive float: extreme skews underflow the
         // Zipf tail to 0.0, which would leave the sampler with an empty
         // distribution once the hot experts are drawn.
-        let popularity: Vec<f64> = (0..self.num_experts)
+        let popularity: Vec<f64> = (0..num_experts)
             .map(|e| (1.0 / ((e + 1) as f64).powf(self.skew)).max(f64::MIN_POSITIVE))
             .collect();
-        let mut chosen: Vec<usize> = Vec::with_capacity(self.top_k);
+        let mut chosen: Vec<u8> = Vec::with_capacity(self.top_k);
         let mut remaining = popularity.clone();
         for _ in 0..num_tokens {
             // Weighted sampling without replacement over the popularity
@@ -392,7 +451,8 @@ impl TopKRouter {
                     draw -= p;
                 }
                 remaining[pick] = 0.0;
-                chosen.push(pick);
+                // Below `num_experts`, so below 256.
+                chosen.push(pick as u8);
             }
             visit(&chosen);
         }
@@ -412,15 +472,30 @@ impl Word {
     }
 }
 
+/// Count one token's picks into its source rank's row.
+#[inline(always)]
+fn count(row: &mut [usize; MAX_EXPERTS], chosen: &[u8]) {
+    for &e in chosen {
+        row[usize::from(e)] += 1;
+    }
+}
+
+/// Swap position `i` of the permutation with position `i + offset`. Both
+/// are below the expert count, so below 256: as bytes they index the
+/// permutation without a bounds check.
+#[inline(always)]
+fn swap(perm: &mut [u8; MAX_EXPERTS], i: usize, offset: usize) {
+    perm.swap(usize::from(i as u8), usize::from((i + offset) as u8));
+}
+
 /// Apply the Fisher–Yates swaps of `positions` that word `x` decodes to:
 /// position `i` swaps with `i` plus the high half of `x · (n - i)`, and the
 /// low half carries on.
 #[inline(always)]
-fn decode(mut x: u64, positions: Range<usize>, experts: &mut [usize]) {
-    let n = experts.len();
+fn decode(mut x: u64, positions: Range<usize>, n: usize, perm: &mut [u8; MAX_EXPERTS]) {
     for i in positions {
         let wide = u128::from(x) * (n - i) as u128;
-        experts.swap(i, i + (wide >> 64) as usize);
+        swap(perm, i, (wide >> 64) as usize);
         x = wide as u64;
     }
 }
@@ -433,16 +508,17 @@ fn word_walk<R: RngCore>(
     rng: &mut R,
     num_tokens: usize,
     words: &[Word],
+    num_experts: usize,
     top_k: usize,
-    experts: &mut [usize],
-    mut visit: impl FnMut(&[usize]),
+    perm: &mut [u8; MAX_EXPERTS],
+    mut visit: impl FnMut(&[u8]),
 ) {
     for _ in 0..num_tokens {
         for word in words {
             let x = word.draw(rng);
-            decode(x, word.positions.clone(), experts);
+            decode(x, word.positions.clone(), num_experts, perm);
         }
-        visit(&experts[..top_k]);
+        visit(&perm[..top_k]);
     }
 }
 
@@ -454,26 +530,41 @@ fn one_word<R: RngCore, const K: usize>(
     rng: &mut R,
     num_tokens: usize,
     word: &Word,
-    experts: &mut [usize],
-    mut visit: impl FnMut(&[usize]),
+    num_experts: usize,
+    perm: &mut [u8; MAX_EXPERTS],
+    mut visit: impl FnMut(&[u8]),
 ) {
     // A local copy: the router's words sit behind a `OnceLock`, which the
     // loop's stores could alias as far as the compiler knows.
     let word = word.clone();
     for _ in 0..num_tokens {
         let x = word.draw(rng);
-        decode(x, 0..K, experts);
-        visit(&experts[..K]);
+        decode(x, 0..K, num_experts, perm);
+        visit(&perm[..K]);
     }
 }
 
 /// The reusable buffers of [`TopKRouter::route_loads_into`]: the uniform
-/// sampler's expert array and the counts. A new one is empty and allocates
-/// nothing; its first use sizes both.
-#[derive(Debug, Clone, Default)]
+/// sampler's byte permutation of the expert ids, one row of counts per
+/// source rank, indexed by expert id, and the counts transposed into the
+/// returned layout. A new one allocates nothing; a call grows the rows to
+/// its rank count and initialises only the first `num_experts` entries of
+/// the permutation and of each row it uses.
+#[derive(Debug, Clone)]
 pub struct RouteScratch {
-    experts: Vec<usize>,
+    perm: [u8; MAX_EXPERTS],
+    rows: Vec<[usize; MAX_EXPERTS]>,
     loads: Vec<usize>,
+}
+
+impl Default for RouteScratch {
+    fn default() -> Self {
+        Self {
+            perm: [0; MAX_EXPERTS],
+            rows: Vec::new(),
+            loads: Vec::new(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -717,7 +808,9 @@ mod tests {
             let mut pairs = [[0usize; 8]; 8];
             for _ in 0..28_000 {
                 let mut rng = ChaCha8Rng::seed_from_u64(seeds.next_u64());
-                router.sample(&mut rng, 1, &mut Vec::new(), |c| pairs[c[0]][c[1]] += 1);
+                router.sample(&mut rng, 1, &mut [0; MAX_EXPERTS], |c| {
+                    pairs[usize::from(c[0])][usize::from(c[1])] += 1
+                });
             }
             let observed: Vec<usize> = (0..8)
                 .flat_map(|a| (0..8).filter(move |&b| b != a).map(move |b| (a, b)))
@@ -808,9 +901,12 @@ mod tests {
     fn a_token_takes_the_mixed_radix_digits_of_its_words() {
         let drawn = |router: &TopKRouter, words: Vec<u64>| {
             let mut picks = Vec::new();
-            router.sample(&mut Words(words.into_iter()), 1, &mut Vec::new(), |c| {
-                picks = c.to_vec()
-            });
+            router.sample(
+                &mut Words(words.into_iter()),
+                1,
+                &mut [0; MAX_EXPERTS],
+                |c| picks = c.iter().copied().map(usize::from).collect(),
+            );
             picks
         };
         let xs = [
@@ -893,25 +989,60 @@ mod tests {
 
     #[test]
     fn counts_into_a_reused_scratch_match_fresh_counts() {
-        // One scratch serves routers of different shapes and calls of
-        // different sizes, growing and shrinking: nothing a call leaves in
-        // it may reach the next.
+        // One scratch serves routers of different shapes (every Table 2
+        // config, one- and two-word, top-2/4/6, and a skewed router) and
+        // calls of different sizes and rank counts, growing and shrinking:
+        // nothing a call leaves in it may reach the next, and every call
+        // counts what the full plan routes.
         let mut scratch = RouteScratch::default();
-        let routers = [
-            TopKRouter::for_config(&MoeModelConfig::qwen2_moe(), 3),
-            TopKRouter::for_config(&MoeModelConfig::mixtral_8x7b(), 3),
-            TopKRouter::for_config(&MoeModelConfig::deepseek_moe(), 3),
-            TopKRouter::new(16, 3, 3).unwrap().with_skew(1.2),
-        ];
-        for (seed, tokens, ranks) in [(1, 512, 4), (2, 7, 1), (3, 2048, 3), (4, 0, 2), (5, 65, 8)] {
+        let routers: Vec<TopKRouter> = MoeModelConfig::table2()
+            .iter()
+            .map(|config| TopKRouter::for_config(config, 3))
+            .chain([TopKRouter::new(16, 3, 3).unwrap().with_skew(1.2)])
+            .collect();
+        for (i, tokens) in [0usize, 1, 7, 8, 206, 464, 2048].into_iter().enumerate() {
+            let seed = 11 * i as u64 + 1;
             for router in &routers {
-                let fresh = router.route_loads_seeded(seed, tokens, ranks);
-                assert_eq!(
-                    router.route_loads_into(seed, tokens, ranks, &mut scratch),
-                    fresh
-                );
+                let plan = router.route_seeded(seed, tokens);
+                let mut ranks: Vec<usize> = (1..=8).collect();
+                if i % 2 == 1 {
+                    ranks.reverse();
+                }
+                for ranks in ranks {
+                    assert_eq!(
+                        router.route_loads_into(seed, tokens, ranks, &mut scratch),
+                        plan.rank_loads(ranks),
+                        "{} experts top-{} tokens {tokens} ranks {ranks}",
+                        router.num_experts,
+                        router.top_k
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn routers_draw_at_most_256_experts() {
+        assert!(TopKRouter::new(MAX_EXPERTS + 1, 2, 1).is_err());
+        // Expert 255 is a byte like the others: top-256-of-256 routes every
+        // token to every expert, counted per rank.
+        let every = TopKRouter::new(MAX_EXPERTS, MAX_EXPERTS, 1).unwrap();
+        for seed in SEEDS {
+            let plan = every.route_seeded(seed, 5);
+            assert!(plan.expert_tokens.iter().all(|t| t.len() == 5));
+            assert_eq!(every.route_loads_seeded(seed, 5, 2), plan.rank_loads(2));
+            assert_eq!(every.route_loads_seeded(seed, 5, 1), vec![5; MAX_EXPERTS]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "257 experts exceed the router's 256")]
+    fn a_config_with_257_experts_builds_and_panics_on_its_first_draw() {
+        // Validation reports the config (`fleet::too-many-experts`), so the
+        // router still builds; its first draw panics.
+        let mut config = MoeModelConfig::qwen2_moe();
+        config.num_experts = MAX_EXPERTS + 1;
+        TopKRouter::for_config(&config, 1).route_loads_seeded(1, 8, 1);
     }
 
     #[test]

@@ -28,9 +28,9 @@ use samoyeds_moe::attention::{AttentionKind, AttentionModel};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::memory::kv_bytes_per_token;
-use samoyeds_moe::router::TopKRouter;
+use samoyeds_moe::router::{RouteScratch, TopKRouter};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 pub use samoyeds_moe::decoder::auxiliary_step_ms;
 
@@ -290,6 +290,20 @@ pub struct SingleGpuBackend {
     attention: StepAttention,
     routing_seed: u64,
     step_overhead_ms: f64,
+    route: Scratch,
+}
+
+/// The router's buffers behind a lock, as the engines' price tables are, so
+/// that `step_cost` can take `&self` and a step allocates nothing. It starts
+/// empty, and a clone starts empty again: every step overwrites whatever it
+/// reads.
+#[derive(Debug, Default)]
+struct Scratch(Mutex<RouteScratch>);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 const _: () = {
@@ -310,7 +324,7 @@ impl SingleGpuBackend {
         Self {
             engine: Engine::new(engine_kind, device.clone()),
             memory: MemoryModel::new(&device, engine_kind, config),
-            // Built once; reseeded per step via `route_loads_seeded` instead of
+            // Built once; reseeded per step via `route_loads_into` instead of
             // being reconstructed on the per-step hot path.
             router: TopKRouter::for_config(config, scfg.routing_seed),
             device,
@@ -318,6 +332,7 @@ impl SingleGpuBackend {
             attention: StepAttention::new(scfg.attention),
             routing_seed: scfg.routing_seed,
             step_overhead_ms: scfg.step_overhead_ms,
+            route: Scratch::default(),
         }
     }
 
@@ -365,13 +380,18 @@ impl ExecutionBackend for SingleGpuBackend {
         // The engines price an expert by its token count alone, so the
         // counts-only routing output prices the step exactly as the full
         // plan would.
-        let loads =
-            self.router
-                .route_loads_seeded(self.routing_seed ^ workload.step_index, step_tokens, 1);
-        let moe_ms = self
-            .engine
-            .moe_layer_cost_for_loads(&self.config, step_tokens, &loads)
-            .time_ms;
+        let moe_ms = {
+            let mut route = self.route.0.lock().unwrap_or_else(PoisonError::into_inner);
+            let loads = self.router.route_loads_into(
+                self.routing_seed ^ workload.step_index,
+                step_tokens,
+                1,
+                &mut route,
+            );
+            self.engine
+                .moe_layer_cost_for_loads(&self.config, step_tokens, loads)
+                .time_ms
+        };
         let attention_ms =
             self.attention
                 .step_ms(&self.device, &self.config, workload.batch, workload.running);
@@ -459,6 +479,72 @@ mod tests {
             ..workload
         });
         assert!(other.compute_ms.is_finite() && other.compute_ms > 0.0);
+    }
+
+    /// A step of `tokens` tokens: one prompt prefilled whole, or, for 8
+    /// tokens, 8 decodes at assorted contexts.
+    fn step_of(tokens: usize) -> (Vec<RunningRequest>, StepBatch) {
+        let request = |id, prompt_len| Request {
+            id,
+            arrival_ms: 0.0,
+            prompt_len,
+            output_len: 16,
+        };
+        if tokens == 8 {
+            let running: Vec<RunningRequest> = (0..8)
+                .map(|id| {
+                    let mut r = RunningRequest::new(request(id, 16 + 9 * id as usize), 0.0);
+                    r.prefilled = r.request.prompt_len;
+                    r.decoded = 1 + id as usize;
+                    r
+                })
+                .collect();
+            let batch = StepBatch {
+                prefill: Vec::new(),
+                decode: (0..8).collect(),
+            };
+            return (running, batch);
+        }
+        let running = vec![RunningRequest::new(request(0, tokens), 0.0)];
+        let batch = StepBatch {
+            prefill: vec![(0, tokens)],
+            decode: Vec::new(),
+        };
+        (running, batch)
+    }
+
+    #[test]
+    fn a_reused_backend_and_its_clone_price_like_fresh_ones_bit_for_bit() {
+        // The backend keeps its routing buffers from step to step. Nothing
+        // may carry over: one long-lived backend prices 8-, 206- and
+        // 2,048-token steps in turn, and every step must price like a
+        // freshly built backend and like a clone of the warmed one, which
+        // starts with empty buffers.
+        let warmed = backend(EngineKind::Samoyeds);
+        let empty = format!("{:?}", Scratch::default());
+        for (i, tokens) in [8usize, 206, 2048, 8, 206].into_iter().enumerate() {
+            let (running, batch) = step_of(tokens);
+            assert_eq!(batch.total_tokens(), tokens);
+            let workload = StepWorkload {
+                batch: &batch,
+                running: &running,
+                step_index: 31 * i as u64 + 5,
+            };
+            let clone = warmed.clone();
+            assert_eq!(format!("{:?}", clone.route), empty, "step {i}");
+            let expected = backend(EngineKind::Samoyeds).step_cost(&workload);
+            for (who, cost) in [
+                ("warmed", warmed.step_cost(&workload)),
+                ("clone", clone.step_cost(&workload)),
+            ] {
+                assert_eq!(
+                    cost.compute_ms.to_bits(),
+                    expected.compute_ms.to_bits(),
+                    "{who} step {i} ({tokens} tokens)"
+                );
+            }
+            assert_ne!(format!("{:?}", warmed.route), empty);
+        }
     }
 
     #[test]

@@ -65,6 +65,7 @@ use crate::scheduler::{ReplicaDriver, SchedulerConfig};
 use crate::telemetry::{SharedSink, TraceEvent};
 use crate::validate::{Diagnostic, ValidationReport};
 use samoyeds_moe::engines::EngineKind;
+use samoyeds_moe::router::MAX_EXPERTS;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -811,7 +812,9 @@ impl FleetController {
     /// `fleet::unsorted-trace`, `fleet::empty-request` (a request with a
     /// zero `prompt_len` or `output_len`), `fleet::non-finite-arrival`,
     /// `fleet::top-k-out-of-range` (an initial replica's model routes to
-    /// more experts than it has), `fault::negative-time`,
+    /// more experts than it has), `fleet::too-many-experts` (an initial
+    /// replica's model has more routed experts than the router's
+    /// [`MAX_EXPERTS`]), `fault::negative-time`,
     /// `fault::replica-out-of-range`, `fault::negative-duration`,
     /// `disagg::empty-role`,
     /// `disagg::role-out-of-range`, `disagg::overlapping-roles`,
@@ -987,6 +990,19 @@ impl FleetController {
                         model.num_experts
                     ),
                     "set top_k <= num_experts",
+                ));
+            }
+            if model.num_experts > MAX_EXPERTS {
+                report.push(Diagnostic::deny(
+                    "fleet::too-many-experts",
+                    format!("replica {slot}"),
+                    format!(
+                        "{} has {} routed experts but the router draws expert ids as \
+                         bytes, at most {MAX_EXPERTS} — the first step it prices would panic",
+                        b.describe(),
+                        model.num_experts
+                    ),
+                    "serve a model with at most 256 routed experts",
                 ));
             }
         }

@@ -50,13 +50,42 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Summarise a latency sample set.
+/// `ms`'s bits mapped so that their unsigned order is the floats' total
+/// order: non-negative values gain the sign bit, negative ones flip every
+/// bit. Panics on a NaN.
+fn order_key(ms: f64) -> u64 {
+    assert!(!ms.is_nan(), "latencies are finite");
+    let bits = ms.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The value behind an [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// Summarise a latency sample set. Panics if a sample is NaN.
+///
+/// The samples are sorted as integer keys, their bits mapped so that
+/// unsigned order is value order. Equal keys are equal bits, so the sorted
+/// sequence, and with it every percentile and the mean summed in sorted
+/// order, is the one a stable sort by value gives for any pool that does
+/// not hold both zeros.
 pub fn latency_summary(latencies: &[f64]) -> LatencySummary {
     if latencies.is_empty() {
         return LatencySummary::empty();
     }
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let mut keys: Vec<u64> = latencies.iter().map(|&ms| order_key(ms)).collect();
+    keys.sort_unstable();
+    let sorted: Vec<f64> = keys.into_iter().map(from_order_key).collect();
     LatencySummary {
         p50_ms: percentile(&sorted, 0.50),
         p95_ms: percentile(&sorted, 0.95),
@@ -205,6 +234,76 @@ mod tests {
             assert!(v.is_finite(), "non-finite summary value {v}");
         }
         assert_eq!(wide.max_ms, f64::MAX / 4.0);
+    }
+
+    /// The summary as it was computed before the keyed sort: a stable sort
+    /// by `partial_cmp`, kept as the reference the keyed sort must match.
+    fn stable_sort_summary(latencies: &[f64]) -> LatencySummary {
+        if latencies.is_empty() {
+            return LatencySummary::empty();
+        }
+        let mut sorted = latencies.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        LatencySummary {
+            p50_ms: percentile(&sorted, 0.50),
+            p95_ms: percentile(&sorted, 0.95),
+            p99_ms: percentile(&sorted, 0.99),
+            mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            max_ms: *sorted.last().expect("non-empty"),
+        }
+    }
+
+    fn bits(s: &LatencySummary) -> [u64; 5] {
+        [s.p50_ms, s.p95_ms, s.p99_ms, s.mean_ms, s.max_ms].map(f64::to_bits)
+    }
+
+    #[test]
+    fn keyed_sort_matches_the_stable_float_sort_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(34);
+        let mut pools: Vec<Vec<f64>> = vec![
+            vec![7.25],
+            vec![0.0],
+            vec![0.0; 9],
+            vec![0.0, 3.5, 0.0, 1.0, 0.0],
+            vec![f64::MIN_POSITIVE, 1e-9, 1.0, 1e12, f64::MAX / 4.0],
+            vec![f64::MAX / 4.0, f64::MIN_POSITIVE, f64::MAX / 4.0, 0.0],
+        ];
+        for len in [2usize, 3, 17, 100, 1_250, 10_000] {
+            // Latency-like values, ties from a coarse grid, and magnitudes
+            // spread from the smallest normal to a quarter of the largest.
+            pools.push((0..len).map(|_| rng.gen_range(0.0..400.0)).collect());
+            pools.push(
+                (0..len)
+                    .map(|_| f64::from(rng.gen_range(0..40u32)) * 0.5)
+                    .collect(),
+            );
+            pools.push(
+                (0..len)
+                    .map(|_| {
+                        let exponent = rng.gen_range(-1022.0..1021.0f64);
+                        (rng.gen_range(1.0..2.0) * exponent.exp2()).min(f64::MAX / 4.0)
+                    })
+                    .collect(),
+            );
+        }
+        for pool in &pools {
+            assert_eq!(
+                bits(&latency_summary(pool)),
+                bits(&stable_sort_summary(pool)),
+                "{} values, first {:?}",
+                pool.len(),
+                pool.first()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "latencies are finite")]
+    fn a_nan_latency_panics() {
+        latency_summary(&[3.0, f64::NAN, 1.0]);
     }
 
     #[test]

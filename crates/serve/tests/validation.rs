@@ -252,6 +252,24 @@ fn top_k_beyond_the_expert_count_is_denied_and_zero_top_k_still_runs() {
 }
 
 #[test]
+fn more_experts_than_the_router_draws_are_denied() {
+    let with_experts = |num_experts| {
+        let mut model = MoeModelConfig::qwen2_moe();
+        model.num_experts = num_experts;
+        FleetController::new(FleetConfig::default()).with_replica(replica_of(&model))
+    };
+    // The router permutes expert ids as bytes: 257 experts would panic on
+    // the first priced step, 256 serve the trace.
+    let report = with_experts(257).validate(&short_trace());
+    assert!(report.has("fleet::too-many-experts"), "{}", report.render());
+    assert!(!report.passes());
+    let trace = short_trace();
+    let report = with_experts(256).validate(&trace);
+    assert!(report.passes(), "{}", report.render());
+    assert_eq!(with_experts(256).run(&trace).completed, trace.len());
+}
+
+#[test]
 fn nonpositive_and_unachievable_slos_are_denied() {
     let report = controller()
         .with_autoscaler(SloAutoscaler::new(0.0))
