@@ -258,8 +258,16 @@ impl TopKRouter {
     ///
     /// Panics if `ranks` is 0.
     pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize, ranks: usize) -> Vec<usize> {
-        self.route_loads_into(seed, num_tokens, ranks, &mut RouteScratch::default())
-            .to_vec()
+        if ranks == 1 {
+            // One rank's row fits the stack: the returned counts are the
+            // call's only allocation.
+            let mut rows = [[0; MAX_EXPERTS]];
+            self.count_rows(seed, num_tokens, &mut [0; MAX_EXPERTS], &mut rows);
+            return rows[0][..self.num_experts].to_vec();
+        }
+        let mut scratch = RouteScratch::default();
+        self.route_loads_into(seed, num_tokens, ranks, &mut scratch);
+        scratch.loads
     }
 
     /// [`Self::route_loads_seeded`] counted into `scratch`, whose buffers
@@ -291,22 +299,10 @@ impl TopKRouter {
             rows.resize(ranks, [0; MAX_EXPERTS]);
         }
         let rows = &mut rows[..ranks];
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        self.count_rows(seed, num_tokens, perm, rows);
         if ranks == 1 {
-            let row = &mut rows[0];
-            self.sample(&mut rng, num_tokens, perm, |chosen| count(row, chosen));
-            return &row[..num_experts];
+            return &rows[0][..num_experts];
         }
-        // A `move` closure owns the rank cursor, so the loop keeps it in a
-        // register instead of writing it back to this frame every token.
-        let (mut rank, counted) = (0, &mut *rows);
-        self.sample(&mut rng, num_tokens, perm, move |chosen| {
-            count(&mut counted[rank], chosen);
-            rank += 1;
-            if rank == ranks {
-                rank = 0;
-            }
-        });
         loads.clear();
         loads.resize(num_experts * ranks, 0);
         if let Ok(rows) = <&[_; 4]>::try_from(&*rows) {
@@ -323,6 +319,33 @@ impl TopKRouter {
             }
         }
         loads
+    }
+
+    /// Count each token's picks into its source rank's row of `rows`, which
+    /// start at zero: token `t` starts on rank `t % rows.len()`, and a pick
+    /// of expert `e` adds one to entry `e` of that row.
+    fn count_rows(
+        &self,
+        seed: u64,
+        num_tokens: usize,
+        perm: &mut [u8; MAX_EXPERTS],
+        rows: &mut [[usize; MAX_EXPERTS]],
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        if let [row] = rows {
+            self.sample(&mut rng, num_tokens, perm, |chosen| count(row, chosen));
+            return;
+        }
+        // A `move` closure owns the rank cursor, so the loop keeps it in a
+        // register instead of writing it back to this frame every token.
+        let (ranks, mut rank) = (rows.len(), 0);
+        self.sample(&mut rng, num_tokens, perm, move |chosen| {
+            count(&mut rows[rank], chosen);
+            rank += 1;
+            if rank == ranks {
+                rank = 0;
+            }
+        });
     }
 
     /// The expert count, once checked against [`MAX_EXPERTS`]: every draw
@@ -547,9 +570,9 @@ fn one_word<R: RngCore, const K: usize>(
 /// The reusable buffers of [`TopKRouter::route_loads_into`]: the uniform
 /// sampler's byte permutation of the expert ids, one row of counts per
 /// source rank, indexed by expert id, and the counts transposed into the
-/// returned layout. A new one allocates nothing; a call grows the rows to
-/// its rank count and initialises only the first `num_experts` entries of
-/// the permutation and of each row it uses.
+/// returned layout. A new one allocates nothing. A call grows the rows to
+/// its rank count (a new row starts at zero) and otherwise writes only the
+/// first `num_experts` entries of the permutation and of each row.
 #[derive(Debug, Clone)]
 pub struct RouteScratch {
     perm: [u8; MAX_EXPERTS],
