@@ -36,11 +36,10 @@ use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_moe::router::{RouteScratch, TopKRouter};
 use samoyeds_serve::backend::{
-    auxiliary_step_ms, ExecutionBackend, MemoryBudget, OverlapModel, StepAttention, StepCost,
-    StepWorkload,
+    auxiliary_step_ms, ExecutionBackend, MemoryBudget, OverlapModel, ScratchLock, StepAttention,
+    StepCost, StepWorkload,
 };
 use samoyeds_serve::SchedulerConfig;
-use std::sync::{Mutex, PoisonError};
 
 /// An expert-parallel cluster as a serving execution backend.
 ///
@@ -61,7 +60,7 @@ pub struct ClusterBackend {
     attention: StepAttention,
     routing_seed: u64,
     step_overhead_ms: f64,
-    scratch: Scratch,
+    scratch: ScratchLock<PodScratch>,
 }
 
 /// The buffers one pod step fills and the next reuses: the router's counts,
@@ -74,18 +73,6 @@ struct PodScratch {
     loads: Vec<usize>,
     place: PlacementScratch,
     step: StepScratch,
-}
-
-/// [`PodScratch`] behind a lock, as the engines' price tables are, so that
-/// `step_cost` can take `&self`. It starts empty, and a clone starts empty
-/// again: the buffers hold nothing a step does not rewrite.
-#[derive(Debug, Default)]
-struct Scratch(Mutex<PodScratch>);
-
-impl Clone for Scratch {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
 }
 
 const _: () = {
@@ -126,7 +113,7 @@ impl ClusterBackend {
             attention: StepAttention::new(scfg.attention),
             routing_seed: scfg.routing_seed,
             step_overhead_ms: scfg.step_overhead_ms,
-            scratch: Scratch::default(),
+            scratch: ScratchLock::default(),
         }
     }
 
@@ -188,11 +175,7 @@ impl ExecutionBackend for ClusterBackend {
         let kv_local = kv_tokens.div_ceil(gpus);
         let step_local = step_tokens.div_ceil(gpus);
         let moe = {
-            let mut scratch = self
-                .scratch
-                .0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut scratch = self.scratch.lock();
             let PodScratch {
                 route,
                 loads,

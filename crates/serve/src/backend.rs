@@ -30,7 +30,7 @@ use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::memory::kv_bytes_per_token;
 use samoyeds_moe::router::{RouteScratch, TopKRouter};
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub use samoyeds_moe::decoder::auxiliary_step_ms;
 
@@ -290,17 +290,25 @@ pub struct SingleGpuBackend {
     attention: StepAttention,
     routing_seed: u64,
     step_overhead_ms: f64,
-    route: Scratch,
+    route: ScratchLock<RouteScratch>,
 }
 
-/// The router's buffers behind a lock, as the engines' price tables are, so
-/// that `step_cost` can take `&self` and a step allocates nothing. It starts
-/// empty, and a clone starts empty again: every step overwrites whatever it
-/// reads.
+/// Buffers a backend keeps from step to step behind a lock, as the engines'
+/// price tables are, so that `step_cost` can take `&self` and a step
+/// allocates nothing. It starts empty, and a clone starts empty again: the
+/// buffers hold nothing a step does not rewrite before reading it.
 #[derive(Debug, Default)]
-struct Scratch(Mutex<RouteScratch>);
+pub struct ScratchLock<T>(Mutex<T>);
 
-impl Clone for Scratch {
+impl<T> ScratchLock<T> {
+    /// The buffers. A step that panicked while holding them leaves nothing
+    /// the next one reads, so a poisoned lock is taken over as it is.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: Default> Clone for ScratchLock<T> {
     fn clone(&self) -> Self {
         Self::default()
     }
@@ -332,7 +340,7 @@ impl SingleGpuBackend {
             attention: StepAttention::new(scfg.attention),
             routing_seed: scfg.routing_seed,
             step_overhead_ms: scfg.step_overhead_ms,
-            route: Scratch::default(),
+            route: ScratchLock::default(),
         }
     }
 
@@ -381,7 +389,7 @@ impl ExecutionBackend for SingleGpuBackend {
         // counts-only routing output prices the step exactly as the full
         // plan would.
         let moe_ms = {
-            let mut route = self.route.0.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut route = self.route.lock();
             let loads = self.router.route_loads_into(
                 self.routing_seed ^ workload.step_index,
                 step_tokens,
@@ -521,7 +529,7 @@ mod tests {
         // freshly built backend and like a clone of the warmed one, which
         // starts with empty buffers.
         let warmed = backend(EngineKind::Samoyeds);
-        let empty = format!("{:?}", Scratch::default());
+        let empty = format!("{:?}", ScratchLock::<RouteScratch>::default());
         for (i, tokens) in [8usize, 206, 2048, 8, 206].into_iter().enumerate() {
             let (running, batch) = step_of(tokens);
             assert_eq!(batch.total_tokens(), tokens);
