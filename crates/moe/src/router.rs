@@ -170,6 +170,7 @@ impl TopKRouter {
             words: OnceLock::new(),
         })
     }
+
     /// Skew the expert popularity: expert `e` is drawn with probability
     /// proportional to `1 / (e + 1)^skew` (Zipf-like). `skew = 0` is the
     /// uniform, balanced-routing regime of the paper's experiments; larger
