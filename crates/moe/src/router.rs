@@ -259,16 +259,8 @@ impl TopKRouter {
     ///
     /// Panics if `ranks` is 0.
     pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize, ranks: usize) -> Vec<usize> {
-        if ranks == 1 {
-            // One rank's row fits the stack: the returned counts are the
-            // call's only allocation.
-            let mut rows = [[0; MAX_EXPERTS]];
-            self.count_rows(seed, num_tokens, &mut [0; MAX_EXPERTS], &mut rows);
-            return rows[0][..self.num_experts].to_vec();
-        }
-        let mut scratch = RouteScratch::default();
-        self.route_loads_into(seed, num_tokens, ranks, &mut scratch);
-        scratch.loads
+        self.route_loads_into(seed, num_tokens, ranks, &mut RouteScratch::default())
+            .to_vec()
     }
 
     /// [`Self::route_loads_seeded`] counted into `scratch`, whose buffers
@@ -292,12 +284,13 @@ impl TopKRouter {
         let num_experts = self.drawn_experts();
         let RouteScratch { perm, rows, loads } = scratch;
         // The rows an earlier call counted into start over; new ones start
-        // at zero.
+        // at zero, built in place (cloning a zero row in measurably slows a
+        // fresh short call).
         for row in rows.iter_mut().take(ranks) {
             row[..num_experts].fill(0);
         }
         if rows.len() < ranks {
-            rows.resize(ranks, [0; MAX_EXPERTS]);
+            rows.resize_with(ranks, || [0; MAX_EXPERTS]);
         }
         let rows = &mut rows[..ranks];
         self.count_rows(seed, num_tokens, perm, rows);
@@ -306,17 +299,9 @@ impl TopKRouter {
         }
         loads.clear();
         loads.resize(num_experts * ranks, 0);
-        if let Ok(rows) = <&[_; 4]>::try_from(&*rows) {
-            // Four ranks, the pod shape of every benchmark workload: one
-            // expert's counts per unrolled chunk.
-            for (chunk, e) in loads.as_chunks_mut::<4>().0.iter_mut().zip(0..MAX_EXPERTS) {
-                *chunk = std::array::from_fn(|r| rows[r][e]);
-            }
-        } else {
-            for (r, row) in rows.iter().enumerate() {
-                for (e, &c) in row[..num_experts].iter().enumerate() {
-                    loads[e * ranks + r] = c;
-                }
+        for (r, row) in rows.iter().enumerate() {
+            for (e, &c) in row[..num_experts].iter().enumerate() {
+                loads[e * ranks + r] = c;
             }
         }
         loads

@@ -78,7 +78,9 @@ fn from_order_key(key: u64) -> f64 {
 /// unsigned order is value order. Equal keys are equal bits, so the sorted
 /// sequence, and with it every percentile and the mean summed in sorted
 /// order, is the one a stable sort by value gives for any pool that does
-/// not hold both zeros.
+/// not hold both zeros. `sort_unstable_by(f64::total_cmp)` gives the same
+/// sequence, but maps both values at every comparison: on `fleet_poisson`'s
+/// pools the summaries took about 1.7 times as long.
 pub fn latency_summary(latencies: &[f64]) -> LatencySummary {
     if latencies.is_empty() {
         return LatencySummary::empty();
