@@ -1,6 +1,7 @@
 //! Criterion benches over the MoE-layer and decoder-layer cost evaluation
 //! (Figures 14-16), the routing substrate (the full plan, and the
-//! counts-only `route_loads_seeded` at a decode step's, a single-GPU
+//! counts-only `route_loads_into` on one `RouteScratch` kept across calls,
+//! as both serving backends call it, at a decode step's, a single-GPU
 //! prefill step's and a pod step's shape), and the per-step pricing a
 //! serving replica pays: `SingleGpuBackend::step_cost` on a
 //! `fleet_poisson`-shaped step and on a short decode step (Samoyeds, and
@@ -12,13 +13,13 @@
 //! Run with `BENCH_JSON=<absolute path>` to also write the results as one
 //! JSON document (CI uploads it as the `BENCH_moe` artifact, ungated).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::attention::AttentionKind;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::decoder::DecoderLayer;
 use samoyeds_moe::engines::{Engine, EngineKind};
-use samoyeds_moe::router::TopKRouter;
+use samoyeds_moe::router::{RouteScratch, TopKRouter};
 use samoyeds_serve::backend::{attention_step_ms, StepWorkload};
 use samoyeds_serve::batch::StepBatch;
 use samoyeds_serve::{
@@ -58,9 +59,10 @@ fn bench_router(c: &mut Criterion) {
     // Qwen2-MoE: a `fleet_decode_autoscale`-shaped decode step (8 tokens,
     // one rank), where the router's fixed per-call cost shows, a
     // `fleet_poisson`-shaped single-GPU step (206 tokens, one rank) and a
-    // 4-GPU pod's 512-token prefill step.
+    // 4-GPU pod's 512-token prefill step. Each cell counts into one scratch
+    // kept across iterations, as a backend keeps its own from step to step.
     let router = TopKRouter::for_config(&MoeModelConfig::qwen2_moe(), 7);
-    let mut group = c.benchmark_group("route_loads_seeded");
+    let mut group = c.benchmark_group("route_loads_into");
     for (tokens, ranks) in [(8usize, 1usize), (206, 1), (512, 4)] {
         group.bench_with_input(
             BenchmarkId::new("qwen2", format!("tokens{tokens}_ranks{ranks}")),
@@ -68,9 +70,10 @@ fn bench_router(c: &mut Criterion) {
             |b, &(t, r)| {
                 // A fresh routing seed every iteration, as in a serving run.
                 let mut seed = 0u64;
+                let mut scratch = RouteScratch::default();
                 b.iter(|| {
                     seed += 1;
-                    router.route_loads_seeded(seed, t, r)
+                    black_box(router.route_loads_into(seed, t, r, &mut scratch));
                 })
             },
         );

@@ -1,6 +1,5 @@
 //! One function per table/figure of the paper's evaluation (§6).
 
-use rayon::prelude::*;
 use samoyeds_dist::{
     render_fleet_sizing, render_placement_comparison, render_topology_placement, ClusterReport,
     ClusterServingReport, ClusterTopology, DisaggSweepReport, FaultSweepReport,
@@ -178,7 +177,7 @@ pub fn fig11_layout() -> Vec<String> {
 pub fn fig12_kernel_perf() -> Vec<String> {
     let grid = synthetic_grid();
     let speedups: Vec<(f64, f64, f64, f64)> = grid
-        .par_iter()
+        .iter()
         .map(|&(m, k, n)| kernel_speedups(m, k, n))
         .collect();
     let cublas: Vec<f64> = speedups.iter().map(|s| s.0).collect();
@@ -233,7 +232,6 @@ pub fn fig13_throughput_sweep() -> Vec<String> {
     let mut table = ResultTable::new(
         "Swept dim | size | Samoyeds TFLOPS | VENOM TFLOPS | cuSPARSELt TFLOPS | cuBLAS TFLOPS",
     );
-    let mut cells = Vec::new();
     for (dim, make) in [
         (
             "m",
@@ -245,26 +243,19 @@ pub fn fig13_throughput_sweep() -> Vec<String> {
     ] {
         for &s in &sizes {
             let (m, k, n) = make(s);
-            cells.push((dim, s, m, k, n));
-        }
-    }
-    let tflops: Vec<[String; 4]> = cells
-        .par_iter()
-        .map(|&(_, _, m, k, n)| {
             let logical = 2.0 * m as f64 * k as f64 * n as f64;
             let problem = GemmProblem::samoyeds(m, k, n, n, SamoyedsConfig::DEFAULT);
             let dense = GemmProblem::dense(m, k, n);
             let tf = |ms: f64| format!("{:.1}", logical / (ms * 1e-3) / 1e12);
-            [
-                tf(SamoyedsKernel::new(dev.clone()).stats(&problem).time_ms),
-                tf(VenomSpmm::new(dev.clone()).stats(&dense).time_ms),
-                tf(NmSpmm::new(dev.clone()).stats(&dense).time_ms),
-                tf(DenseGemm::new(dev.clone()).stats(&dense).time_ms),
-            ]
-        })
-        .collect();
-    for (&(dim, s, ..), [samoyeds, venom, cusparselt, cublas]) in cells.iter().zip(&tflops) {
-        table.row(&[&dim, &s, samoyeds, venom, cusparselt, cublas]);
+            table.row(&[
+                &dim,
+                &s,
+                &tf(SamoyedsKernel::new(dev.clone()).stats(&problem).time_ms),
+                &tf(VenomSpmm::new(dev.clone()).stats(&dense).time_ms),
+                &tf(NmSpmm::new(dev.clone()).stats(&dense).time_ms),
+                &tf(DenseGemm::new(dev.clone()).stats(&dense).time_ms),
+            ]);
+        }
     }
     table.render_markdown()
 }

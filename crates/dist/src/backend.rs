@@ -394,6 +394,73 @@ mod tests {
     }
 
     #[test]
+    fn pod_footprint_is_nondecreasing_in_kv_and_step_tokens() {
+        use crate::link::LinkSpec;
+        use crate::topology::ClusterTopology;
+        // What makes a cached per-slot admission ceiling exact. The
+        // straggler holds the ceiling share of both token counts, so the
+        // footprint steps at multiples of the GPU count: sample either side.
+        let topologies = [1usize, 2, 4, 8]
+            .map(|gpus| ClusterTopology::flat(gpus, LinkSpec::nvlink3()))
+            .into_iter()
+            .chain([ClusterTopology::symmetric(
+                2,
+                2,
+                LinkSpec::nvlink3(),
+                LinkSpec::infiniband_ndr(),
+            )
+            .expect("2×2 is a valid layout")]);
+        let strategies = [
+            PlacementStrategy::RoundRobin,
+            PlacementStrategy::CapacityGreedy,
+            PlacementStrategy::ReplicateHot { hot: 2 },
+            PlacementStrategy::ReplicateHotPerIsland { hot: 2 },
+        ];
+        for topology in topologies {
+            let gpus = topology.num_gpus();
+            let mut tokens = vec![0usize];
+            for k in [1usize, 2, 3, 64, 1_000, 100_000] {
+                tokens.extend([k * gpus - 1, k * gpus, k * gpus + 1]);
+            }
+            tokens.sort_unstable();
+            tokens.dedup();
+            for strategy in strategies {
+                for engine in ClusterEngine::all() {
+                    for model in MoeModelConfig::table2() {
+                        let at = format!(
+                            "{} {} {engine:?} {}",
+                            topology.name(),
+                            strategy.name(),
+                            model.name
+                        );
+                        let pod = ClusterBackend::new(
+                            ClusterConfig::new(DeviceSpec::a100_40g(), gpus, engine)
+                                .with_topology(topology.clone())
+                                .with_strategy(strategy),
+                            model,
+                            &SchedulerConfig::default(),
+                        );
+                        let memory = pod.memory();
+                        for &t in &tokens {
+                            for pair in tokens.windows(2) {
+                                let (lo, hi) = (pair[0], pair[1]);
+                                assert!(
+                                    memory.footprint_bytes(lo, t) <= memory.footprint_bytes(hi, t),
+                                    "{at}: kv {lo} -> {hi} at step {t}"
+                                );
+                                assert!(
+                                    memory.footprint_bytes(t, lo) <= memory.footprint_bytes(t, hi),
+                                    "{at}: step {lo} -> {hi} at kv {t}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "topology spans")]
     fn backend_rejects_a_mismatched_topology_at_construction() {
         use crate::link::LinkSpec;

@@ -21,10 +21,9 @@ use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::Engine;
 use samoyeds_moe::router::RoutingPlan;
 use samoyeds_sparse::{Result, SparseError};
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous expert-parallel cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// The GPU model every rank runs.
     pub device: DeviceSpec,

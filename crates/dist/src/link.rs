@@ -10,10 +10,9 @@
 
 use samoyeds_gpu_sim::{DeviceSpec, Interconnect};
 use samoyeds_serve::KvLink;
-use serde::{Deserialize, Serialize};
 
 /// One peer-to-peer fabric binding a cluster together.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Display name.
     pub name: String,

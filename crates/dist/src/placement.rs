@@ -30,10 +30,9 @@ use samoyeds_moe::memory::{kv_bytes_per_token, usable_bytes};
 use samoyeds_serve::{Diagnostic, ValidationReport};
 use samoyeds_sparse::venom::VenomConfig;
 use samoyeds_sparse::{Result, SparseError};
-use serde::{Deserialize, Serialize};
 
 /// The weight representations compared at the cluster level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterEngine {
     /// Dense bf16 weights, Transformers-style execution.
     Dense,
@@ -197,7 +196,7 @@ impl ClusterMemoryModel {
 }
 
 /// Expert placement strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementStrategy {
     /// Expert `e` on GPU `e mod g`, oblivious to load.
     RoundRobin,
@@ -578,7 +577,7 @@ impl Default for PlacementScratch {
 /// A concrete expert-to-GPU shard map, held flat: every GPU's owned
 /// experts back to back in GPU order, each GPU's in owned order, with one
 /// offset per GPU boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpertPlacement {
     /// The strategy that produced the map.
     strategy: PlacementStrategy,
@@ -734,7 +733,7 @@ impl ExpertPlacement {
 }
 
 /// One expert weight transfer in a [`RecoveryPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExpertMove {
     /// The expert being re-placed.
     pub expert: usize,

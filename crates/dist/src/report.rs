@@ -3,19 +3,16 @@
 //! cluster backend) and the fleet-autoscale sweep (the online control plane
 //! over heterogeneous fleets on a bursty trace), rendered as markdown.
 //!
-//! Every sweep cell is deterministic and independent of its neighbours, so
-//! each sweep enumerates its cell descriptors up front and prices them with
-//! a rayon `par_iter`. The workspace's vendored `rayon` is a sequential
-//! stand-in (`par_iter` is `iter`), so the cells run one after another on
-//! one core, in the canonical (outer × inner) enumeration order, which is
-//! also the entry order a parallel `rayon` would keep.
+//! Every sweep cell is deterministic and independent of its neighbours.
+//! Each sweep prices its cells one after another on one core, inside the
+//! loops that enumerate them, so its entries come out in the canonical
+//! (outer × inner) enumeration order.
 
 use crate::backend::ClusterBackend;
 use crate::cluster::{min_gpus_to_fit, ClusterConfig, ClusterSimulator, ClusterStepReport};
 use crate::link::LinkSpec;
 use crate::placement::{replan_after_crash, ClusterEngine, ClusterMemoryModel, PlacementStrategy};
 use crate::topology::ClusterTopology;
-use rayon::prelude::*;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
@@ -61,29 +58,23 @@ impl ClusterReport {
     /// `seed`.
     pub fn gpu_count_sweep(model: &MoeModelConfig, tokens: usize, seed: u64) -> Self {
         let plan = TopKRouter::for_config(model, seed).route(tokens);
-        let mut cells = Vec::new();
+        let mut entries = Vec::new();
         for device in [DeviceSpec::rtx4070_super(), DeviceSpec::a100_40g()] {
             for engine in ClusterEngine::all() {
                 for num_gpus in [1usize, 2, 4, 8] {
-                    cells.push((device.clone(), engine, num_gpus));
+                    let sim = ClusterSimulator::new(
+                        ClusterConfig::new(device.clone(), num_gpus, engine),
+                        model.clone(),
+                    );
+                    entries.push(ClusterSweepEntry {
+                        device: device.name.clone(),
+                        engine,
+                        num_gpus,
+                        outcome: sim.step(&plan).ok(),
+                    });
                 }
             }
         }
-        let entries: Vec<ClusterSweepEntry> = cells
-            .par_iter()
-            .map(|(device, engine, num_gpus)| {
-                let sim = ClusterSimulator::new(
-                    ClusterConfig::new(device.clone(), *num_gpus, *engine),
-                    model.clone(),
-                );
-                ClusterSweepEntry {
-                    device: device.name.clone(),
-                    engine: *engine,
-                    num_gpus: *num_gpus,
-                    outcome: sim.step(&plan).ok(),
-                }
-            })
-            .collect();
         Self {
             model: model.name.clone(),
             tokens,
@@ -246,28 +237,22 @@ impl TopologySweepReport {
             .with_skew(skew)
             .route(tokens);
         let device = DeviceSpec::a100_40g();
-        let mut cells = Vec::new();
+        let mut entries = Vec::new();
         for topology in Self::layouts() {
             for engine in ClusterEngine::all() {
-                cells.push((topology.clone(), engine));
-            }
-        }
-        let entries: Vec<TopologySweepEntry> = cells
-            .par_iter()
-            .map(|(topology, engine)| {
                 let sim = ClusterSimulator::new(
-                    ClusterConfig::new(device.clone(), topology.num_gpus(), *engine)
+                    ClusterConfig::new(device.clone(), topology.num_gpus(), engine)
                         .with_topology(topology.clone()),
                     model.clone(),
                 );
-                TopologySweepEntry {
+                entries.push(TopologySweepEntry {
                     topology: topology.name(),
                     num_islands: topology.num_islands(),
-                    engine: *engine,
+                    engine,
                     outcome: sim.step(&plan).ok(),
-                }
-            })
-            .collect();
+                });
+            }
+        }
         Self {
             model: model.name.clone(),
             tokens,
@@ -424,36 +409,30 @@ impl ClusterServingReport {
             (DeviceSpec::a100_40g(), LinkSpec::nvlink3()),
             (DeviceSpec::a100_40g(), LinkSpec::pcie_gen4()),
         ];
-        let mut cells = Vec::new();
+        let mut entries = Vec::new();
         for (device, link) in &fabrics {
             for engine in ClusterEngine::all() {
                 for num_gpus in [1usize, 2, 4, 8] {
-                    cells.push((device.clone(), link.clone(), engine, num_gpus));
+                    let cluster = ClusterConfig::new(device.clone(), num_gpus, engine)
+                        .with_link(link.clone());
+                    let backend = ClusterBackend::new(cluster, model.clone(), scfg);
+                    let result = Scheduler::from_backend(backend, *scfg).run(&requests);
+                    let step_ms: f64 = result.steps.iter().map(|s| s.time_ms).sum();
+                    entries.push(ClusterServingEntry {
+                        device: device.name.clone(),
+                        link: link.name.clone(),
+                        engine,
+                        num_gpus,
+                        collective_fraction: if step_ms > 0.0 {
+                            result.collective_ms() / step_ms
+                        } else {
+                            0.0
+                        },
+                        metrics: ServingMetrics::from_result(&result),
+                    });
                 }
             }
         }
-        let entries: Vec<ClusterServingEntry> = cells
-            .par_iter()
-            .map(|(device, link, engine, num_gpus)| {
-                let cluster =
-                    ClusterConfig::new(device.clone(), *num_gpus, *engine).with_link(link.clone());
-                let backend = ClusterBackend::new(cluster, model.clone(), scfg);
-                let result = Scheduler::from_backend(backend, *scfg).run(&requests);
-                let step_ms: f64 = result.steps.iter().map(|s| s.time_ms).sum();
-                ClusterServingEntry {
-                    device: device.name.clone(),
-                    link: link.name.clone(),
-                    engine: *engine,
-                    num_gpus: *num_gpus,
-                    collective_fraction: if step_ms > 0.0 {
-                        result.collective_ms() / step_ms
-                    } else {
-                        0.0
-                    },
-                    metrics: ServingMetrics::from_result(&result),
-                }
-            })
-            .collect();
         Self {
             model: model.name.clone(),
             num_requests: requests.len(),
@@ -700,27 +679,21 @@ impl FleetAutoscaleReport {
             DispatchPolicy::LeastOutstandingTokens,
             DispatchPolicy::RoundRobin,
         ];
-        let mut cells = Vec::new();
+        let mut entries = Vec::new();
         for fleet in FleetKind::all() {
             for policy in policies {
                 for slo_ms in slos {
-                    cells.push((fleet, policy, slo_ms));
+                    let config = fleet.config(scfg, policy);
+                    let controller = fleet.controller(model, config, &SloAutoscaler::new(slo_ms));
+                    entries.push(FleetAutoscaleEntry {
+                        fleet,
+                        policy,
+                        slo_ms,
+                        metrics: controller.run(&requests),
+                    });
                 }
             }
         }
-        let entries: Vec<FleetAutoscaleEntry> = cells
-            .par_iter()
-            .map(|&(fleet, policy, slo_ms)| {
-                let config = fleet.config(scfg, policy);
-                let controller = fleet.controller(model, config, &SloAutoscaler::new(slo_ms));
-                FleetAutoscaleEntry {
-                    fleet,
-                    policy,
-                    slo_ms,
-                    metrics: controller.run(&requests),
-                }
-            })
-            .collect();
         Self {
             model: model.name.clone(),
             num_requests: requests.len(),
@@ -1287,16 +1260,11 @@ impl DisaggSweepReport {
         let topology =
             ClusterTopology::symmetric(2, 2, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr())
                 .expect("2×2 disaggregation topology is valid");
-        let mut cells = Vec::new();
+        let mut entries = Vec::new();
+        let mut events = Vec::new();
+        let mut replica_names = Vec::new();
         for engine in ClusterEngine::all() {
             for prefill in 1..Self::SLOTS {
-                cells.push((engine, prefill));
-            }
-        }
-        type Captured = Option<(Vec<TraceEvent>, Vec<String>)>;
-        let results: Vec<(DisaggSweepEntry, Captured)> = cells
-            .par_iter()
-            .map(|&(engine, prefill)| {
                 let prefill_ids: Vec<usize> = (0..prefill).collect();
                 let decode_ids: Vec<usize> = (prefill..Self::SLOTS).collect();
                 // Slot i sits on GPU i: price each prefill→decode pair by
@@ -1340,15 +1308,16 @@ impl DisaggSweepReport {
                         controller.with_replica(Self::backend(engine, &device, model, scfg));
                 }
                 let controller = controller.with_disaggregation(disagg).with_sink(sink);
-                let entry = |outcome| DisaggSweepEntry {
+                let mut entry = DisaggSweepEntry {
                     engine,
                     prefill_pods: prefill,
                     decode_pods: Self::SLOTS - prefill,
-                    outcome,
+                    outcome: None,
                 };
                 let report = controller.validate(&requests);
                 if report.has("disagg::decode-cannot-hold-model") {
-                    return (entry(None), None);
+                    entries.push(entry);
+                    continue;
                 }
                 report.assert_valid();
                 let metrics = controller.run(&requests);
@@ -1371,36 +1340,24 @@ impl DisaggSweepReport {
                         }
                     }
                 }
-                let captured = (engine == ClusterEngine::Samoyeds && prefill == 1).then(|| {
-                    let names = metrics
+                if engine == ClusterEngine::Samoyeds && prefill == 1 {
+                    replica_names = metrics
                         .per_replica
                         .iter()
                         .map(|r| r.description.clone())
                         .collect();
-                    (run_events, names)
+                    events = run_events;
+                }
+                entry.outcome = Some(DisaggSweepOutcome {
+                    metrics,
+                    attribution,
+                    intra_transfers: intra,
+                    intra_bytes,
+                    spine_transfers: spine,
+                    spine_bytes,
                 });
-                (
-                    entry(Some(DisaggSweepOutcome {
-                        metrics,
-                        attribution,
-                        intra_transfers: intra,
-                        intra_bytes,
-                        spine_transfers: spine,
-                        spine_bytes,
-                    })),
-                    captured,
-                )
-            })
-            .collect();
-        let mut entries = Vec::with_capacity(results.len());
-        let mut events = Vec::new();
-        let mut replica_names = Vec::new();
-        for (entry, captured) in results {
-            if let Some((e, names)) = captured {
-                events = e;
-                replica_names = names;
+                entries.push(entry);
             }
-            entries.push(entry);
         }
         Self {
             model: model.name.clone(),

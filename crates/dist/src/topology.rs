@@ -33,10 +33,9 @@ use crate::link::LinkSpec;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_serve::{Diagnostic, ValidationReport};
 use samoyeds_sparse::{Result, SparseError};
-use serde::{Deserialize, Serialize};
 
 /// One NVLink/PCIe island: a group of GPUs sharing an intra-node fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Island {
     /// GPUs in the island.
     pub gpus: usize,
@@ -47,7 +46,7 @@ pub struct Island {
 /// GPUs grouped into islands bound by a spine. Global GPU ids are assigned
 /// contiguously in island order: island 0 owns GPUs `0..islands[0].gpus`,
 /// island 1 the next block, etc.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterTopology {
     /// The islands, in GPU-id order.
     islands: Vec<Island>,

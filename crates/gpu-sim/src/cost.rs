@@ -22,14 +22,13 @@ use crate::device::DeviceSpec;
 use crate::memory::Traffic;
 use crate::occupancy::{LaunchConfig, Occupancy};
 use crate::stats::KernelStats;
-use serde::{Deserialize, Serialize};
 
 /// The work and traffic profile of one simulated kernel execution.
 ///
 /// Building and evaluating a profile allocates nothing: the kernel name is a
 /// static string, copied into an owned one only when [`CostModel::evaluate`]
 /// builds the [`KernelStats`] record.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// Human-readable kernel name (appears in stats and experiment output).
     /// Every kernel model names itself with a literal.
@@ -83,7 +82,7 @@ impl KernelProfile {
 }
 
 /// The cost model: device plus evaluation knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     device: DeviceSpec,
 }

@@ -12,10 +12,8 @@
 //! which is exactly the "memory-computation imbalance" §6.6 attributes
 //! VENOM's portability loss to.
 
-use serde::{Deserialize, Serialize};
-
 /// GPU micro-architecture families relevant to SpTC support (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuArch {
     /// NVIDIA Ampere (A100, RTX 30 series).
     Ampere,
@@ -37,7 +35,7 @@ pub enum GpuArch {
 /// for network fabrics are quoted in Gb/s (bits); entries here carry the
 /// ÷8 conversion already applied (e.g. InfiniBand NDR's 400 Gb/s per port
 /// is stored as 50 GB/s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interconnect {
     /// PCIe 4.0 x16 through the host (consumer cards, no P2P fabric).
     PcieGen4,
@@ -104,7 +102,7 @@ impl Interconnect {
 }
 
 /// Static description of one GPU model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. "NVIDIA GeForce RTX 4070 Super".
     pub name: String,

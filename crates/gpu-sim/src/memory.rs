@@ -7,13 +7,11 @@
 //! when the surviving data is scattered (Figure 6 ➍), and the L2 hit-rate
 //! effects behind the 4096-size throughput dip (§6.1.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Size of one global-memory transaction in bytes (a full cache sector burst).
 pub const GMEM_TRANSACTION_BYTES: usize = 128;
 
 /// How the addresses of a warp-level global access relate to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Threads access consecutive addresses — one transaction per 128 bytes.
     Coalesced,
@@ -48,7 +46,7 @@ impl AccessPattern {
 /// Aggregate data-movement record of one kernel execution, at every level of
 /// the hierarchy. Produced by the simulated kernels, consumed by the cost
 /// model and reported in [`crate::stats::KernelStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Traffic {
     /// Useful bytes read from global memory (DRAM side, after L2 misses).
     pub gmem_read_bytes: f64,

@@ -7,13 +7,12 @@
 //! the tail-wave discussion (performance dip at 4096, recovery at 8192).
 
 use crate::device::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 /// Threads per warp on every modeled device.
 pub const WARP_SIZE: usize = 32;
 
 /// A kernel launch configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Number of thread blocks in the grid.
     pub grid_blocks: usize,
@@ -26,7 +25,7 @@ pub struct LaunchConfig {
 }
 
 /// The occupancy achieved by a launch on a particular device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     /// Thread blocks resident per SM.
     pub blocks_per_sm: usize,

@@ -1,11 +1,9 @@
 //! The measurement record returned by every simulated kernel execution.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-execution statistics: predicted time plus the profile quantities the
 /// prediction was derived from. Experiments aggregate these into the rows and
 /// series of the paper's tables and figures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelStats {
     /// Kernel name, e.g. `samoyeds_ssmm` or `cublas_gemm`.
     pub kernel: String,

@@ -15,10 +15,9 @@
 //! FLOPs are not charged to any kernel profile.
 
 use samoyeds_sparse::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Activation functions used by the evaluated MoE models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// SiLU / swish (Mixtral, Qwen2-MoE, DeepSeek-MoE, MiniCPM-MoE).
     Silu,

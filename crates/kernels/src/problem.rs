@@ -1,10 +1,9 @@
 //! Description of the matrix-multiplication problems the kernels solve.
 
 use samoyeds_sparse::samoyeds::SamoyedsConfig;
-use serde::{Deserialize, Serialize};
 
 /// The weight-side sparsity a kernel exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SparsityKind {
     /// Dense weights (cuBLAS baseline).
     Dense,
@@ -39,7 +38,7 @@ impl SparsityKind {
 
 /// One `C[m x n] = A[m x k] * B[k x n]` problem, with optional input-side
 /// column sparsity (the MoE routing selection).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GemmProblem {
     /// Output rows (weight rows in the MoE expert projection).
     pub m: usize,

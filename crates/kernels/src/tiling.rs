@@ -8,7 +8,6 @@
 
 use samoyeds_gpu_sim::{DeviceSpec, LaunchConfig};
 use samoyeds_sparse::{Result, SparseError};
-use serde::{Deserialize, Serialize};
 
 /// Fragment shape of the sparse tensor instruction (`mma.sp.m16n8k32`).
 pub const FRAG_M: usize = 16;
@@ -18,7 +17,7 @@ pub const FRAG_N: usize = 8;
 pub const FRAG_K: usize = 32;
 
 /// A three-level tiling configuration plus pipeline depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TilingConfig {
     /// Thread-block tile rows of `C`.
     pub mb: usize,

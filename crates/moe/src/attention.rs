@@ -6,10 +6,9 @@ use crate::price_cache::PriceCache;
 use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_kernels::gemm_dense::DenseGemm;
 use samoyeds_kernels::GemmProblem;
-use serde::{Deserialize, Serialize};
 
 /// Which attention implementation the decoder uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttentionKind {
     /// Naive attention: scores and probabilities materialised in HBM.
     Standard,

@@ -1,11 +1,10 @@
 //! MoE model configurations (Table 2 of the paper).
 
 use samoyeds_kernels::fusion::Activation;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one MoE LLM, at the granularity the performance and
 /// memory experiments need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoeModelConfig {
     /// Model name as used in the paper's tables.
     pub name: String,

@@ -7,10 +7,9 @@ use crate::config::MoeModelConfig;
 use crate::engines::{Engine, EngineKind, LayerCost};
 use crate::router::TopKRouter;
 use samoyeds_gpu_sim::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 /// Time breakdown of one decoder layer (the quantity behind Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderBreakdown {
     /// Attention time in milliseconds.
     pub attention_ms: f64,

@@ -22,11 +22,10 @@ use samoyeds_kernels::samoyeds_kernel::{SamoyedsKernel, SamoyedsOptions};
 use samoyeds_kernels::{GemmProblem, TilingConfig};
 use samoyeds_sparse::samoyeds::SamoyedsConfig;
 use samoyeds_sparse::{DenseMatrix, Result, SelInput, SelectionArray, SparseError};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Which execution engine a cost was produced by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// HuggingFace Transformers: permute, per-expert dense GEMMs, un-permute.
     Transformers,
@@ -121,7 +120,7 @@ impl EngineKind {
 
 /// Predicted cost of executing one MoE layer (or one decoder layer when the
 /// attention cost is folded in by [`crate::decoder`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerCost {
     /// Predicted execution time in milliseconds.
     pub time_ms: f64,

@@ -11,7 +11,6 @@
 use crate::config::MoeModelConfig;
 use crate::engines::EngineKind;
 use samoyeds_gpu_sim::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of the device memory usable by the workload (the rest goes to
 /// the context, allocator fragmentation and framework overheads).
@@ -37,7 +36,7 @@ pub fn usable_bytes(device: &DeviceSpec) -> f64 {
 }
 
 /// Memory footprint of one decoder layer at a given batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryFootprint {
     /// MoE weight bytes under the engine's representation.
     pub moe_weight_bytes: f64,

@@ -13,12 +13,11 @@ use crate::config::MoeModelConfig;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use samoyeds_sparse::{Result, SelectionArray, SparseError};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The routing decision for one batch of tokens.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingPlan {
     /// Number of routed tokens.
     pub num_tokens: usize,

@@ -24,10 +24,9 @@ use crate::magnitude::{prune_magnitude, retained_energy};
 use crate::sparsegpt::{prune_sparsegpt, reconstruction_error};
 use samoyeds_sparse::prune::{PruneFormat, PrunedWeight};
 use samoyeds_sparse::{DenseMatrix, Result};
-use serde::{Deserialize, Serialize};
 
 /// Which pruning algorithm to use for mask selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneMethod {
     /// Plain magnitude (Han et al.).
     Magnitude,
@@ -38,7 +37,7 @@ pub enum PruneMethod {
 }
 
 /// The result of evaluating one pruned format on the proxy task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyReport {
     /// Format label (e.g. `samoyeds-(1,2,32)`).
     pub format: String,

@@ -29,7 +29,6 @@ use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::memory::kv_bytes_per_token;
 use samoyeds_moe::router::{RouteScratch, TopKRouter};
-use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub use samoyeds_moe::decoder::auxiliary_step_ms;
@@ -83,7 +82,7 @@ impl StepWorkload<'_> {
 /// `probe.rs` builds [`StepCost`] field by field from
 /// `ClusterBackend::overlap()`; it goes, with the [`StepCost::overlap`]
 /// field, once that replay stops doing so.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapModel {
     /// Compute and collectives serialize: `total = compute + collective`.
     Serial,

@@ -6,10 +6,9 @@
 //! order).
 
 use crate::request::{Phase, RunningRequest};
-use serde::{Deserialize, Serialize};
 
 /// Limits the batcher enforces per step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchLimits {
     /// Maximum tokens (prefill chunks + decode tokens) per engine step.
     pub max_batched_tokens: usize,

@@ -1,11 +1,9 @@
 //! Replica-selection policies for the online dispatcher in
 //! [`fleet`](crate::fleet).
 
-use serde::{Deserialize, Serialize};
-
 /// How the [`FleetController`](crate::fleet::FleetController) picks a
 /// replica for each arriving request among the eligible ones.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DispatchPolicy {
     /// Strict rotation in arrival order.
     RoundRobin,

@@ -24,11 +24,9 @@
 // error.
 #![warn(clippy::unwrap_used)]
 
-use serde::{Deserialize, Serialize};
-
 /// What breaks. Replica indices refer to the controller's replica slots in
 /// commissioning order (the initial replicas first, then autoscaled ones).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// The replica's GPU dies permanently: it stops serving immediately,
     /// its in-flight requests are lost (and re-admitted or failed per the
@@ -71,7 +69,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault: what breaks, and when.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Injection time in milliseconds since the start of the run.
     pub at_ms: f64,
@@ -80,7 +78,7 @@ pub struct FaultSpec {
 }
 
 /// When and what to break: an explicit script, resolved at run start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultSchedule {
     /// Exactly these faults (resolved order is sorted by injection time).
     Scripted(Vec<FaultSpec>),
@@ -104,7 +102,7 @@ impl FaultSchedule {
 }
 
 /// How the controller reacts to a replica crash.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Re-admit the crashed replica's in-flight requests on survivors once
     /// the weight transfer completes (`false` fails them instead).
@@ -159,7 +157,7 @@ impl RecoveryPolicy {
 }
 
 /// Outcome of one injected fault, recorded in `FleetMetrics::faults`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultRecord {
     /// Injection time in milliseconds.
     pub at_ms: f64,

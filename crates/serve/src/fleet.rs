@@ -66,7 +66,6 @@ use crate::telemetry::{SharedSink, TraceEvent};
 use crate::validate::{Diagnostic, ValidationReport};
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_moe::router::MAX_EXPERTS;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fleet-level control-plane knobs.
@@ -140,7 +139,7 @@ pub struct FleetObservation {
 }
 
 /// The autoscale policy's verdict for one control tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDecision {
     /// Keep the current fleet.
     Hold,
@@ -282,7 +281,7 @@ impl AutoscalePolicy for SloAutoscaler {
 }
 
 /// Direction of a scale event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleKind {
     /// A replica was commissioned.
     Out,
@@ -291,7 +290,7 @@ pub enum ScaleKind {
 }
 
 /// One entry of the scaling timeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScaleEvent {
     /// Simulated time of the event.
     pub at_ms: f64,
@@ -530,7 +529,7 @@ impl Slot {
 /// bandwidth. `samoyeds-dist` builds these from a `ClusterTopology` (NVLink
 /// within an island, the InfiniBand spine across), keeping the crate
 /// dependency direction intact — `serve` only ever needs the two numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvLink {
     /// One-way link latency in microseconds.
     pub latency_us: f64,

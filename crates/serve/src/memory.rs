@@ -107,6 +107,49 @@ mod tests {
     }
 
     #[test]
+    fn footprint_is_nondecreasing_in_kv_and_step_tokens() {
+        // What makes a cached per-slot admission ceiling exact: whatever
+        // footprint fits the budget, every smaller token count fits too.
+        let tokens = [
+            0usize,
+            1,
+            2,
+            7,
+            8,
+            9,
+            63,
+            64,
+            65,
+            2_047,
+            2_048,
+            2_049,
+            1 << 20,
+            1 << 22,
+        ];
+        for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
+            for config in MoeModelConfig::table2() {
+                for kind in EngineKind::all() {
+                    let m = MemoryModel::new(&device, kind, &config);
+                    let at = format!("{} {kind:?} {}", device.name, config.name);
+                    for &t in &tokens {
+                        for pair in tokens.windows(2) {
+                            let (lo, hi) = (pair[0], pair[1]);
+                            assert!(
+                                m.footprint_bytes(lo, t) <= m.footprint_bytes(hi, t),
+                                "{at}: kv {lo} -> {hi} at step {t}"
+                            );
+                            assert!(
+                                m.footprint_bytes(t, lo) <= m.footprint_bytes(t, hi),
+                                "{at}: step {lo} -> {hi} at kv {t}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn kv_bytes_route_through_the_shared_dtype_constant() {
         // Pins the satellite fix: K + V per token per layer, each element
         // KV_DTYPE_BYTES wide. If either the memory model or the backend's

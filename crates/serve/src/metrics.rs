@@ -2,10 +2,9 @@
 
 use crate::scheduler::SimulationResult;
 use samoyeds_moe::engines::EngineKind;
-use serde::{Deserialize, Serialize};
 
 /// Percentile summary of a latency distribution (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Median.
     pub p50_ms: f64,

@@ -1,9 +1,7 @@
 //! Request descriptions and their lifecycle state inside the scheduler.
 
-use serde::{Deserialize, Serialize};
-
 /// One inference request of a serving trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Trace-unique identifier (monotone in arrival order).
     pub id: u64,
@@ -23,7 +21,7 @@ impl Request {
 }
 
 /// Lifecycle phase of an admitted request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// The prompt is still being prefilled (possibly in chunks).
     Prefill,

@@ -18,10 +18,9 @@ use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::attention::AttentionKind;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
-use serde::{Deserialize, Serialize};
 
 /// Scheduler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Per-step batching limits.
     pub limits: BatchLimits,

@@ -371,8 +371,8 @@ impl TraceSink for NullSink {
 /// The controller clones one handle into every replica driver, so all
 /// emitters append to the same stream in simulation order. `Rc<RefCell<…>>`
 /// rather than `Arc<Mutex<…>>`: a fleet run is single-threaded (report
-/// sweeps parallelise across *runs*, building each controller inside its own
-/// closure), and the uncontended borrow keeps emission at memcpy cost.
+/// sweeps run their cells one after another, each with its own controller
+/// and sink), and the uncontended borrow keeps emission at memcpy cost.
 #[derive(Clone)]
 pub struct SharedSink(Rc<RefCell<dyn TraceSink>>);
 
@@ -480,15 +480,22 @@ impl TraceSink for TraceRecorder {
 /// Linear sub-buckets per power-of-two octave of a [`LogLinearHistogram`].
 const SUB_BUCKETS: usize = 16;
 
-/// A log-linear histogram: 64 power-of-two octaves split into 16 linear
-/// sub-buckets each, the classic HdrHistogram-style layout. Relative error
-/// is bounded by `1 / 16` per octave at a fixed, tiny footprint — unlike
-/// keeping raw samples, a million-step run costs the same memory as a
-/// ten-step run.
+/// A log-linear histogram: 64 octaves split into 16 linear sub-buckets
+/// each, the classic HdrHistogram-style layout, at a fixed, tiny footprint
+/// — unlike keeping raw samples, a million-step run costs the same memory
+/// as a ten-step run.
+///
+/// A quantile estimate is its bucket's midpoint, so its error is half a
+/// bucket. From 2 up to 2^64, octave `o` is `[2^o, 2^(o+1))` and the
+/// relative error is at most `1 / 32` (up to float rounding at an octave's
+/// edge); larger values share the last bucket. Below 2, octave 0 is one
+/// linear `[0, 2)` octave of 0.125-wide buckets, so the error there is
+/// absolute, at most `1 / 16`: millisecond series such as step times and
+/// queue waits record many values in that range.
 #[derive(Debug, Clone)]
 pub struct LogLinearHistogram {
-    /// `64 * SUB_BUCKETS` counts; octave `o` covers `[2^o, 2^(o+1))`
-    /// times the base unit (values below 1.0 land in octave 0).
+    /// `64 * SUB_BUCKETS` counts; octave 0 covers `[0, 2)` and octave
+    /// `o >= 1` covers `[2^o, 2^(o+1))` times the base unit.
     counts: Vec<u64>,
     count: u64,
     sum: f64,
@@ -503,8 +510,9 @@ impl Default for LogLinearHistogram {
 }
 
 impl LogLinearHistogram {
-    /// 64 octaves of 16 sub-buckets: ~6% worst-case relative error over the
-    /// full positive `f64` range the simulator produces.
+    /// 64 octaves of 16 sub-buckets: at most `1 / 32` relative error from 2
+    /// up to 2^64 (up to float rounding), at most `1 / 16` absolute error
+    /// below 2.
     pub fn new() -> Self {
         Self {
             counts: vec![0; 64 * SUB_BUCKETS],
@@ -1465,14 +1473,14 @@ mod tests {
         assert!((h.mean() - 500.5).abs() < 1e-9);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 1000.0);
-        // Log-linear with 16 sub-buckets: <= ~6.25% relative error.
+        // Log-linear with 16 sub-buckets: <= 1/32 relative error from 2 up.
         let p50 = h.value_at_quantile(0.5);
-        assert!((p50 - 500.0).abs() / 500.0 < 0.07, "p50 {p50}");
+        assert!((p50 - 500.0).abs() / 500.0 <= 1.0 / 32.0, "p50 {p50}");
         let p95 = h.value_at_quantile(0.95);
-        assert!((p95 - 950.0).abs() / 950.0 < 0.07, "p95 {p95}");
+        assert!((p95 - 950.0).abs() / 950.0 <= 1.0 / 32.0, "p95 {p95}");
         assert_eq!(h.value_at_quantile(0.0), 1.0);
         assert_eq!(h.value_at_quantile(1.0), 1000.0);
-        // NaN is ignored, tiny and sub-1.0 values land in octave zero.
+        // NaN is ignored, values below 2 land in the linear octave zero.
         h.record(f64::NAN);
         assert_eq!(h.count(), 1000);
         let mut small = LogLinearHistogram::new();
@@ -1481,6 +1489,46 @@ mod tests {
         small.record(1.7);
         assert_eq!(small.count(), 3);
         assert!(small.value_at_quantile(0.5) <= 1.7);
+    }
+
+    #[test]
+    fn log_linear_histogram_error_is_absolute_below_two_and_relative_above() {
+        // The median of {0, v, f64::MAX} is `v`'s bucket midpoint, and the
+        // recorded range is wide enough that clamping to it changes nothing.
+        let estimate = |v: f64| {
+            let mut h = LogLinearHistogram::new();
+            for x in [0.0, v, f64::MAX] {
+                h.record(x);
+            }
+            h.value_at_quantile(0.5)
+        };
+        // Below 2: one linear octave of 0.125-wide buckets.
+        let worst_abs = (0..2_000)
+            .map(|i| {
+                let v = f64::from(i) / 1_000.0;
+                (estimate(v) - v).abs()
+            })
+            .fold(0.0, f64::max);
+        assert_eq!(worst_abs, 1.0 / 16.0, "reached at a bucket's lower edge");
+        // From 2 up: 64 points across each octave (every bucket edge among
+        // them) and the float just below the octave's top, where `log2`
+        // rounds up into the next octave.
+        let mut worst_rel = 0.0f64;
+        for octave in 1..64 {
+            let lo = (1u64 << octave) as f64;
+            let top = (2.0 * lo).next_down();
+            for v in (0..64)
+                .map(|j| lo * (1.0 + f64::from(j) / 64.0))
+                .chain([top])
+            {
+                worst_rel = worst_rel.max((estimate(v) - v).abs() / v);
+            }
+        }
+        assert!(worst_rel >= 1.0 / 32.0, "reached at a bucket's lower edge");
+        assert!(
+            worst_rel <= 1.0 / 32.0 + 1e-15,
+            "relative error {worst_rel} beyond 1/32"
+        );
     }
 
     #[test]

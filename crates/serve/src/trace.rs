@@ -5,11 +5,10 @@
 use crate::request::Request;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Parameters of a synthetic serving trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Number of requests in the trace.
     pub num_requests: usize,
@@ -55,7 +54,7 @@ impl TraceConfig {
 }
 
 /// One phase of a non-stationary (piecewise-rate) Poisson trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstPhase {
     /// Mean arrival rate of this phase in requests per second.
     pub arrival_rate_rps: f64,
@@ -66,7 +65,7 @@ pub struct BurstPhase {
 /// A bursty serving trace: a sequence of Poisson phases with different
 /// rates (e.g. calm → spike → calm), sharing one seeded RNG and one clock —
 /// the non-stationary offered load the SLO autoscaler is exercised against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstyTraceConfig {
     /// The phases, in order.
     pub phases: Vec<BurstPhase>,

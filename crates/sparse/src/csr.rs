@@ -7,10 +7,9 @@
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
 use crate::traits::SparseFormat;
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed sparse row form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

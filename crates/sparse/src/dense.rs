@@ -7,10 +7,9 @@ use crate::error::{Result, SparseError};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A row-major dense `rows x cols` matrix of `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

@@ -9,10 +9,9 @@
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
 use crate::traits::SparseFormat;
-use serde::{Deserialize, Serialize};
 
 /// An N:M sparsity configuration (e.g. 2:4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NmConfig {
     /// Number of values kept per group.
     pub n: usize,
@@ -49,7 +48,7 @@ impl NmConfig {
 
 /// A matrix stored in compressed N:M form: per row, `cols * N / M` values and
 /// the same number of in-group position indices ("metadata").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NmMatrix {
     rows: usize,
     cols: usize,

@@ -13,10 +13,9 @@ use crate::error::{Result, SparseError};
 use crate::nm::{NmConfig, NmMatrix};
 use crate::samoyeds::{SamoyedsConfig, SamoyedsWeight};
 use crate::venom::{VenomConfig, VenomMatrix};
-use serde::{Deserialize, Serialize};
 
 /// The sparse representation a weight matrix should be pruned into.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PruneFormat {
     /// Keep the matrix dense (identity "pruning"); baseline for accuracy.
     Dense,

@@ -24,10 +24,9 @@
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
 use crate::traits::SparseFormat;
-use serde::{Deserialize, Serialize};
 
 /// The (N, M, V) sparsity configuration of the Samoyeds weight format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamoyedsConfig {
     /// Sub-Rows retained per block.
     pub n: usize,
@@ -79,7 +78,7 @@ impl SamoyedsConfig {
 }
 
 /// A weight matrix encoded in the Samoyeds dual-side format (weight side).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamoyedsWeight {
     rows: usize,
     cols: usize,

@@ -11,10 +11,9 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
-use serde::{Deserialize, Serialize};
 
 /// A selection of column indices out of a logical total, in ascending order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectionArray {
     total: usize,
     selected: Vec<u32>,
@@ -88,7 +87,7 @@ impl SelectionArray {
 
 /// An input matrix paired with a selection of its columns — the input operand
 /// of the Samoyeds sparse-sparse kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelInput {
     matrix: DenseMatrix,
     sel: SelectionArray,

@@ -18,10 +18,9 @@
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
 use crate::traits::SparseFormat;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a V:N:M matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VenomConfig {
     /// Row-panel height (vector length of the column vectors being pruned).
     pub v: usize,
@@ -60,7 +59,7 @@ impl VenomConfig {
 }
 
 /// A matrix stored in VENOM V:N:M form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VenomMatrix {
     rows: usize,
     cols: usize,

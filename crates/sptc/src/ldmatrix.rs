@@ -9,8 +9,6 @@
 //! row-major tile layout makes rows that sit in the same bank collide, while
 //! the XOR-swizzled layout used by the Samoyeds kernel spreads them evenly.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of shared-memory banks on all modeled GPUs.
 pub const SHARED_BANKS: usize = 32;
 /// Bank width in bytes.
@@ -19,7 +17,7 @@ pub const BANK_BYTES: usize = 4;
 pub const WARP_SIZE: usize = 32;
 
 /// How a tile is laid out in shared memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharedLayout {
     /// Plain row-major placement.
     Naive,
@@ -104,7 +102,7 @@ pub fn tile_ldmatrix_passes(
 }
 
 /// A summary of shared-memory efficiency for one operand staging choice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagingReport {
     /// Serialised bank passes per warp-level load (1 is ideal).
     pub passes: usize,

@@ -9,7 +9,6 @@
 
 use samoyeds_sparse::dense::quantize_bf16;
 use samoyeds_sparse::{DenseMatrix, Result, SparseError};
-use serde::{Deserialize, Serialize};
 
 /// Rows of the accumulator tile (`m`).
 pub const MMA_M: usize = 16;
@@ -22,7 +21,7 @@ pub const MMA_K_DENSE: usize = 16;
 pub const MMA_K_SPARSE: usize = 32;
 
 /// A dense operand/accumulator tile stored row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MmaTile {
     rows: usize,
     cols: usize,
@@ -102,7 +101,7 @@ impl MmaTile {
 /// The compressed `A` operand of `mma.sp.m16n8k32`: 16 rows of 16 stored
 /// values plus, for each stored value, its 2-bit position inside the group of
 /// four logical columns it came from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseATile {
     /// `MMA_M x MMA_K_DENSE` compressed values, row-major.
     values: Vec<f32>,
