@@ -228,10 +228,15 @@ impl ClusterSimulator {
     }
 
     /// Predicted per-expert cost profile (nanoseconds) under this cluster's
-    /// engine — what a load-aware placement actually needs to balance. Raw
-    /// token counts are a poor proxy: the SEL-driven kernels pay a
-    /// near-fixed cost per expert for indexing the full batch, so an
-    /// expert's cost is its fixed share plus its token-dependent share.
+    /// engine, which [`Self::placement_for`] balances: each expert priced as
+    /// a one-expert MoE layer over its own tokens. With Samoyeds' input
+    /// sparsity an expert's price depends only on its own N-tile bucket
+    /// `⌈tokens / 64⌉`, whatever the batch width, and an idle expert costs
+    /// 0. The engines without input sparsity (dense, and VENOM's "+W" flow)
+    /// charge their layer-level passes once per expert: the permute copies
+    /// and, on the dense engines, element-wise passes over the whole batch,
+    /// so even an idle expert has a price there. Serving pods
+    /// (`ClusterBackend`) balance the plain token counts instead.
     pub fn expert_cost_profile(&self, plan: &RoutingPlan) -> Vec<usize> {
         (0..plan.num_experts())
             .map(|e| {

@@ -234,8 +234,9 @@ impl PlacementStrategy {
 
     /// Place `loads.len()` experts on `num_gpus` GPUs with no topology
     /// information (every GPU in one island). `loads` is the per-expert
-    /// load profile the strategy balances against — token counts or,
-    /// better, a predicted per-expert cost profile (see
+    /// load profile the strategy balances against: token counts, as serving
+    /// pods balance, or a predicted per-expert cost profile, as
+    /// `ClusterSimulator::placement_for` does (see
     /// `ClusterSimulator::expert_cost_profile`);
     /// `resident_tokens` / `step_tokens` parameterise the per-GPU memory
     /// headroom check (KV cache + activation workspace alongside weights).

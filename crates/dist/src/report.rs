@@ -542,15 +542,14 @@ impl FleetKind {
         }
     }
 
-    /// The fleet knobs of the autoscale story: 200 ms ticks, a 1 s window,
-    /// a 1.5 s warm-up and at most 6 replicas; the mixed fleet keeps a
-    /// floor of two replicas, the homogeneous fleets one.
+    /// The fleet knobs of the autoscale story: 200 ms ticks, a 1.5 s
+    /// warm-up and at most 6 replicas; the mixed fleet keeps a floor of two
+    /// replicas, the homogeneous fleets one.
     pub fn config(&self, scheduler: &SchedulerConfig, policy: DispatchPolicy) -> FleetConfig {
         FleetConfig {
             scheduler: *scheduler,
             policy,
             tick_ms: 200.0,
-            window_ms: 1_000.0,
             warmup_ms: 1_500.0,
             min_replicas: if *self == FleetKind::Mixed { 2 } else { 1 },
             max_replicas: 6,
@@ -1014,7 +1013,6 @@ impl FaultSweepReport {
                 scheduler: *scfg,
                 policy: DispatchPolicy::LeastOutstandingTokens,
                 tick_ms: 200.0,
-                window_ms: 1_000.0,
                 warmup_ms: 1_500.0,
                 min_replicas: 1,
                 max_replicas: 4,

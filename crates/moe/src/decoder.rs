@@ -105,13 +105,12 @@ impl DecoderLayer {
         self.price(config, batch, seq_len).1
     }
 
-    /// Full layer cost (time + memory) for `batch x seq_len` tokens.
+    /// The whole layer's time for `batch x seq_len` tokens, and whether
+    /// the engine supports the model.
     pub fn layer_cost(&self, config: &MoeModelConfig, batch: usize, seq_len: usize) -> LayerCost {
         let (moe, breakdown) = self.price(config, batch, seq_len);
         LayerCost {
             time_ms: breakdown.total_ms(),
-            weight_bytes: moe.weight_bytes + config.params_per_attention() as f64 * 2.0,
-            activation_bytes: moe.activation_bytes,
             supported: moe.supported,
         }
     }

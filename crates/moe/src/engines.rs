@@ -5,11 +5,12 @@
 //!
 //! Each engine converts a model configuration, a number of tokens and a
 //! routing plan's per-expert token counts into a [`LayerCost`]: the
-//! predicted MoE-layer execution time on a device plus the memory the
-//! layer's weights and transient activations occupy. The differences
-//! between engines are exactly the data-flow redundancies of §3.1
-//! (permutation copies, un-permutation round trips, per-expert launches,
-//! padding) and the kernel each one can call.
+//! predicted MoE-layer execution time on a device. The differences between
+//! engines are exactly the data-flow redundancies of §3.1 (permutation
+//! copies, un-permutation round trips, per-expert launches, padding) and the
+//! kernel each one can call. What the layer's weights and transient
+//! activations occupy depends on the engine kind alone
+//! ([`EngineKind::weight_bytes`], [`EngineKind::activation_bytes`]).
 
 use crate::config::MoeModelConfig;
 use crate::expert::{ExpertWeights, SamoyedsExpertWeights};
@@ -124,10 +125,6 @@ impl EngineKind {
 pub struct LayerCost {
     /// Predicted execution time in milliseconds.
     pub time_ms: f64,
-    /// Bytes of model weights the engine keeps resident for this layer.
-    pub weight_bytes: f64,
-    /// Peak transient activation/workspace bytes for this many tokens.
-    pub activation_bytes: f64,
     /// False when the engine cannot run this model at all (the `NS` entries
     /// of Figure 14: MegaBlocks / vLLM-DS lack kernels for OpenMoE's
     /// activation function).
@@ -139,8 +136,6 @@ impl LayerCost {
     pub fn unsupported() -> Self {
         Self {
             time_ms: f64::INFINITY,
-            weight_bytes: 0.0,
-            activation_bytes: 0.0,
             supported: false,
         }
     }
@@ -158,9 +153,7 @@ impl LayerCost {
 /// Samoyeds options are fixed, so a reused engine prices exactly like a
 /// fresh one, across models and token counts. The kernels are boxed behind
 /// [`OnceLock`]s and the price rows start empty: an engine that never prices
-/// stays small, builds and allocates nothing and remains `Send + Sync`. What
-/// the layer's weights and activations occupy depends on the kind alone
-/// ([`EngineKind::weight_bytes`], [`EngineKind::activation_bytes`]).
+/// stays small, builds and allocates nothing and remains `Send + Sync`.
 #[derive(Debug, Clone)]
 pub struct Engine {
     kind: EngineKind,
@@ -290,8 +283,6 @@ impl Engine {
         };
         LayerCost {
             time_ms,
-            weight_bytes: self.kind.weight_bytes(config),
-            activation_bytes: self.kind.activation_bytes(config, num_tokens),
             supported: true,
         }
     }

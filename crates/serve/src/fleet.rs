@@ -78,8 +78,6 @@ pub struct FleetConfig {
     pub policy: DispatchPolicy,
     /// Control-tick period: how often the autoscale policy is consulted.
     pub tick_ms: f64,
-    /// Sliding observation window for TTFT percentiles and utilization.
-    pub window_ms: f64,
     /// Warm-up charged to every scaled-out replica before it takes traffic
     /// (weight loading, cache warm, registration).
     pub warmup_ms: f64,
@@ -105,7 +103,6 @@ impl Default for FleetConfig {
             scheduler: SchedulerConfig::default(),
             policy: DispatchPolicy::LeastOutstandingTokens,
             tick_ms: 200.0,
-            window_ms: 1_000.0,
             warmup_ms: 2_000.0,
             min_replicas: 1,
             max_replicas: 8,
@@ -114,7 +111,12 @@ impl Default for FleetConfig {
     }
 }
 
-/// What the autoscale policy sees at each control tick.
+/// The sliding window, in milliseconds, each control tick observes TTFT
+/// percentiles and utilization over.
+const OBSERVATION_WINDOW_MS: f64 = 1_000.0;
+
+/// What the autoscale policy sees at each control tick. The windowed
+/// figures cover the 1,000 ms before the tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetObservation {
     /// Simulated time of the tick.
@@ -202,33 +204,30 @@ impl AutoscalePolicy for NoAutoscale {
     }
 }
 
-/// The reference SLO policy: scale out after `breach_ticks` consecutive
-/// ticks whose windowed p95 TTFT (or head-of-line waiting age) exceeds the
-/// SLO, scale in after `idle_ticks` consecutive ticks of low utilization
-/// with nothing queued.
+/// The reference SLO policy: scale out after 2 consecutive ticks whose
+/// windowed p95 TTFT (or head-of-line waiting age) exceeds the SLO, scale in
+/// after 4 consecutive idle ticks, each below 35% utilization with nothing
+/// queued. A policy with other streaks implements [`AutoscalePolicy`].
 #[derive(Debug, Clone)]
 pub struct SloAutoscaler {
     /// The p95 time-to-first-token target, milliseconds.
     pub ttft_slo_ms: f64,
-    /// Consecutive breached ticks before scaling out.
-    pub breach_ticks: usize,
-    /// Utilization below which a tick counts as idle.
-    pub low_utilization: f64,
-    /// Consecutive idle ticks before scaling in.
-    pub idle_ticks: usize,
     breach_streak: usize,
     idle_streak: usize,
 }
 
+/// Consecutive breached ticks before [`SloAutoscaler`] scales out.
+const BREACH_TICKS: usize = 2;
+/// Utilization below which a tick counts as idle.
+const LOW_UTILIZATION: f64 = 0.35;
+/// Consecutive idle ticks before [`SloAutoscaler`] scales in.
+const IDLE_TICKS: usize = 4;
+
 impl SloAutoscaler {
-    /// A policy targeting `ttft_slo_ms` with the default streak lengths
-    /// (2 breached ticks to scale out, 4 idle ticks below 35% to scale in).
+    /// A policy targeting `ttft_slo_ms`.
     pub fn new(ttft_slo_ms: f64) -> Self {
         Self {
             ttft_slo_ms,
-            breach_ticks: 2,
-            low_utilization: 0.35,
-            idle_ticks: 4,
             breach_streak: 0,
             idle_streak: 0,
         }
@@ -249,7 +248,7 @@ impl AutoscalePolicy for SloAutoscaler {
         }
         let breached = obs.p95_ttft_ms.is_some_and(|p95| p95 > self.ttft_slo_ms)
             || obs.max_pending_wait_ms > self.ttft_slo_ms;
-        let idle = obs.utilization < self.low_utilization && obs.queued_requests == 0;
+        let idle = obs.utilization < LOW_UTILIZATION && obs.queued_requests == 0;
         if breached {
             self.breach_streak += 1;
             self.idle_streak = 0;
@@ -260,10 +259,10 @@ impl AutoscalePolicy for SloAutoscaler {
             self.breach_streak = 0;
             self.idle_streak = 0;
         }
-        if self.breach_streak >= self.breach_ticks {
+        if self.breach_streak >= BREACH_TICKS {
             self.breach_streak = 0;
             ScaleDecision::ScaleOut
-        } else if self.idle_streak >= self.idle_ticks {
+        } else if self.idle_streak >= IDLE_TICKS {
             self.idle_streak = 0;
             ScaleDecision::ScaleIn
         } else {
@@ -805,7 +804,7 @@ impl FleetController {
     ///
     /// Deny codes: `fleet::empty`, `fleet::zero-floor`,
     /// `fleet::ceiling-below-floor`, `fleet::nonpositive-tick`,
-    /// `fleet::nonpositive-window`, `fleet::negative-warmup`,
+    /// `fleet::negative-warmup`,
     /// `fleet::zero-drain-cap`, `fleet::zero-batch-limit` (one per zero
     /// [`BatchLimits`](crate::BatchLimits) field of `scheduler.limits`),
     /// `fleet::unsorted-trace`, `fleet::empty-request` (a request with a
@@ -813,9 +812,11 @@ impl FleetController {
     /// `fleet::top-k-out-of-range` (an initial replica's model routes to
     /// more experts than it has), `fleet::too-many-experts` (an initial
     /// replica's model has more routed experts than the router's
-    /// [`MAX_EXPERTS`]), `fault::negative-time`,
+    /// [`MAX_EXPERTS`]), `fault::bad-transfer` (a recovery policy that
+    /// re-admits or replaces with a negative or non-finite `transfer_ms`),
+    /// `fault::negative-time`, `fault::non-finite-time`,
     /// `fault::replica-out-of-range`, `fault::negative-duration`,
-    /// `disagg::empty-role`,
+    /// `fault::non-finite-duration`, `disagg::empty-role`,
     /// `disagg::role-out-of-range`, `disagg::overlapping-roles`,
     /// `disagg::link-shape`, `disagg::bad-link`,
     /// `disagg::decode-cannot-hold-model`, `slo::nonpositive`,
@@ -867,17 +868,6 @@ impl FleetController {
                     cfg.tick_ms
                 ),
                 "set tick_ms > 0",
-            ));
-        }
-        if cfg.window_ms <= 0.0 || cfg.window_ms.is_nan() {
-            report.push(Diagnostic::deny(
-                "fleet::nonpositive-window",
-                ctx,
-                format!(
-                    "window_ms is {} — the observation window must be positive",
-                    cfg.window_ms
-                ),
-                "set window_ms > 0",
             ));
         }
         if cfg.warmup_ms < 0.0 || cfg.warmup_ms.is_nan() {
@@ -1050,9 +1040,35 @@ impl FleetController {
                     ));
                 }
             };
+        let recovery = &self.recovery;
+        if (recovery.readmit || recovery.replace)
+            && (recovery.transfer_ms < 0.0 || !recovery.transfer_ms.is_finite())
+        {
+            report.push(Diagnostic::deny(
+                "fault::bad-transfer",
+                "RecoveryPolicy",
+                format!(
+                    "transfer_ms is {} — a recovery that re-admits or replaces would land in \
+                     the past, at NaN or never",
+                    recovery.transfer_ms
+                ),
+                "use a finite transfer_ms >= 0",
+            ));
+        }
         for (i, spec) in self.faults.resolve().iter().enumerate() {
             let fault_ctx = format!("fault[{i}] {} at {} ms", spec.kind.label(), spec.at_ms);
-            if spec.at_ms < 0.0 || spec.at_ms.is_nan() {
+            if !spec.at_ms.is_finite() {
+                report.push(Diagnostic::deny(
+                    "fault::non-finite-time",
+                    fault_ctx.clone(),
+                    format!(
+                        "injection time {} ms is not finite — no event can be scheduled at \
+                         NaN, and one at infinity writes infinity into the fault record",
+                        spec.at_ms
+                    ),
+                    "schedule faults at a finite t >= 0",
+                ));
+            } else if spec.at_ms < 0.0 {
                 report.push(Diagnostic::deny(
                     "fault::negative-time",
                     fault_ctx.clone(),
@@ -1063,25 +1079,17 @@ impl FleetController {
                     "schedule faults at t >= 0",
                 ));
             }
-            match &spec.kind {
+            let duration_ms = match &spec.kind {
                 FaultKind::ReplicaCrash { replica } => {
                     replica_in_range(*replica, &fault_ctx, &mut report);
+                    None
                 }
                 FaultKind::LinkDegrade {
                     replica,
                     duration_ms,
                 } => {
                     replica_in_range(*replica, &fault_ctx, &mut report);
-                    if *duration_ms < 0.0 || duration_ms.is_nan() {
-                        report.push(Diagnostic::deny(
-                            "fault::negative-duration",
-                            fault_ctx.clone(),
-                            format!(
-                                "degradation lasts {duration_ms} ms — durations cannot be negative"
-                            ),
-                            "use a duration >= 0 (zero is a deterministic no-op)",
-                        ));
-                    }
+                    Some(*duration_ms)
                 }
                 FaultKind::IslandPartition {
                     replicas,
@@ -1100,16 +1108,30 @@ impl FleetController {
                             "list the replica slots on the partitioned island",
                         ));
                     }
-                    if *duration_ms < 0.0 || duration_ms.is_nan() {
-                        report.push(Diagnostic::deny(
-                            "fault::negative-duration",
-                            fault_ctx.clone(),
-                            format!(
-                                "partition lasts {duration_ms} ms — durations cannot be negative"
-                            ),
-                            "use a duration >= 0 (zero is a deterministic no-op)",
-                        ));
-                    }
+                    Some(*duration_ms)
+                }
+            };
+            if let Some(duration_ms) = duration_ms {
+                let label = spec.kind.label();
+                if !duration_ms.is_finite() {
+                    report.push(Diagnostic::deny(
+                        "fault::non-finite-duration",
+                        fault_ctx.clone(),
+                        format!(
+                            "the {label} lasts {duration_ms} ms — its recovery would land at \
+                             NaN or never"
+                        ),
+                        "use a finite duration >= 0 (zero is a deterministic no-op)",
+                    ));
+                } else if duration_ms < 0.0 {
+                    report.push(Diagnostic::deny(
+                        "fault::negative-duration",
+                        fault_ctx.clone(),
+                        format!(
+                            "the {label} lasts {duration_ms} ms — durations cannot be negative"
+                        ),
+                        "use a duration >= 0 (zero is a deterministic no-op)",
+                    ));
                 }
             }
             if trace_end_ms.is_none_or(|end| spec.at_ms > end) {
@@ -1752,7 +1774,7 @@ impl<'a> FleetRun<'a> {
                 self.retire(i, t);
             }
         }
-        let obs = observe(t, &self.config, &self.slots);
+        let obs = observe(t, &self.slots);
         // What the autoscale policy is about to see — the gauge row the
         // metrics registry snapshots its per-replica time series at.
         self.emit(TraceEvent::ControlTick {
@@ -2225,8 +2247,8 @@ fn pick_replica(
 }
 
 /// Build the tick's observation from live replica state.
-fn observe(t: f64, config: &FleetConfig, slots: &[Slot]) -> FleetObservation {
-    let window_start = (t - config.window_ms).max(0.0);
+fn observe(t: f64, slots: &[Slot]) -> FleetObservation {
+    let window_start = (t - OBSERVATION_WINDOW_MS).max(0.0);
     let mut ttfts = Vec::new();
     for slot in slots {
         // Completions are in finished-time order and first_token <=
@@ -2538,11 +2560,7 @@ mod tests {
 
     #[test]
     fn slo_autoscaler_streaks_gate_the_decisions() {
-        let mut policy = SloAutoscaler {
-            low_utilization: 0.3,
-            idle_ticks: 2,
-            ..SloAutoscaler::new(500.0)
-        };
+        let mut policy = SloAutoscaler::new(500.0);
         let breach = FleetObservation {
             now_ms: 0.0,
             routable_replicas: 1,
@@ -2562,8 +2580,10 @@ mod tests {
         // One breached tick holds; the second scales out.
         assert_eq!(policy.decide(&breach), ScaleDecision::Hold);
         assert_eq!(policy.decide(&breach), ScaleDecision::ScaleOut);
-        // Idle ticks reset the breach streak and eventually scale in.
-        assert_eq!(policy.decide(&idle), ScaleDecision::Hold);
+        // Idle ticks reset the breach streak and the fourth scales in.
+        for _ in 0..3 {
+            assert_eq!(policy.decide(&idle), ScaleDecision::Hold);
+        }
         assert_eq!(policy.decide(&idle), ScaleDecision::ScaleIn);
         // A pending-wait breach counts even with no completions in window.
         let waiting = FleetObservation {
@@ -2588,11 +2608,7 @@ mod tests {
 
     #[test]
     fn slo_autoscaler_freezes_every_streak_while_capacity_warms() {
-        let mut policy = SloAutoscaler {
-            low_utilization: 0.3,
-            idle_ticks: 2,
-            ..SloAutoscaler::new(500.0)
-        };
+        let mut policy = SloAutoscaler::new(500.0);
         // Idle ticks while a replica is warming must not accrue the idle
         // streak: the fleet looks idle only because the new capacity has
         // not started taking traffic yet, and scaling in here would cancel
@@ -2611,12 +2627,14 @@ mod tests {
             assert_eq!(policy.decide(&idle_warming), ScaleDecision::Hold);
         }
         // Once warm-up lands, the idle streak starts from zero: it takes
-        // the full `idle_ticks` run before a scale-in fires.
+        // the full run of four idle ticks before a scale-in fires.
         let idle = FleetObservation {
             warming_replicas: 0,
             ..idle_warming
         };
-        assert_eq!(policy.decide(&idle), ScaleDecision::Hold);
+        for _ in 0..3 {
+            assert_eq!(policy.decide(&idle), ScaleDecision::Hold);
+        }
         assert_eq!(policy.decide(&idle), ScaleDecision::ScaleIn);
     }
 

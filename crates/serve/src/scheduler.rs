@@ -8,7 +8,7 @@
 //! all-to-all collectives for a cluster). All randomness (routing) is seeded inside the
 //! backend, so a simulation is a pure function of its inputs.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::backend::{ExecutionBackend, SingleGpuBackend, StepWorkload};
 use crate::batch::{BatchLimits, StepBatch};
@@ -204,7 +204,7 @@ impl<B: ExecutionBackend> Scheduler<B> {
 pub(crate) struct ReplicaDriver<B: ExecutionBackend> {
     backend: B,
     scfg: SchedulerConfig,
-    queue: VecDeque<Request>,
+    queue: VecDeque<Queued>,
     running: Vec<RunningRequest>,
     /// The step being executed, refilled from `running` at each step.
     batch: StepBatch,
@@ -217,13 +217,6 @@ pub(crate) struct ReplicaDriver<B: ExecutionBackend> {
     /// O(1) is what lets a fleet dispatcher consult the live load of every
     /// replica at every arrival without rescanning queues.
     outstanding: usize,
-    /// Requests handed over with their prompt KV already materialized (a
-    /// disaggregated prefill→decode handoff): admission skips chunked
-    /// prefill for them and they decode from their first step. Their
-    /// outstanding credit is `output_len` only — the prompt work was done
-    /// elsewhere — while the KV reservation still charges the full
-    /// prompt+output length (the transferred cache occupies real budget).
-    prefilled_ids: BTreeSet<u64>,
     clock_ms: f64,
     step_index: u64,
     result: SimulationResult,
@@ -233,6 +226,30 @@ pub(crate) struct ReplicaDriver<B: ExecutionBackend> {
     sink: Option<SharedSink>,
     /// Slot label stamped on emitted events (0 for standalone drivers).
     replica_id: usize,
+}
+
+/// A request waiting for admission on a [`ReplicaDriver`].
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    request: Request,
+    /// Handed over with its prompt KV already materialized (a disaggregated
+    /// prefill→decode handoff): admission skips chunked prefill and the
+    /// request decodes from its first step. Its outstanding credit is
+    /// `output_len` only — the prompt work was done elsewhere — while the KV
+    /// reservation still charges the full prompt+output length (the
+    /// transferred cache occupies real budget).
+    handoff: bool,
+}
+
+impl Queued {
+    /// The tokens of work the request owes this replica.
+    fn owed_tokens(&self) -> usize {
+        if self.handoff {
+            self.request.output_len
+        } else {
+            self.request.total_tokens()
+        }
+    }
 }
 
 impl<B: ExecutionBackend> ReplicaDriver<B> {
@@ -266,7 +283,6 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
             batch: StepBatch::default(),
             reserved_tokens: 0,
             outstanding: 0,
-            prefilled_ids: BTreeSet::new(),
             clock_ms: 0.0,
             step_index: 0,
             result,
@@ -285,18 +301,10 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     /// Hand the driver a request. Requests must arrive in nondecreasing
     /// `arrival_ms` order; an unsupported engine/model pair rejects outright.
     pub fn enqueue(&mut self, request: Request) {
-        if !self.result.supported {
-            self.result.rejected.push(request);
-            return;
-        }
-        debug_assert!(
-            self.queue
-                .back()
-                .is_none_or(|back| back.arrival_ms <= request.arrival_ms),
-            "requests must be enqueued in arrival order"
-        );
-        self.outstanding += request.total_tokens();
-        self.queue.push_back(request);
+        self.push(Queued {
+            request,
+            handoff: false,
+        });
     }
 
     /// Hand the driver a request whose prompt KV already exists locally —
@@ -306,19 +314,26 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     /// budget) but starts directly in its decode phase, so only its
     /// `output_len` counts as outstanding work.
     pub fn enqueue_handoff(&mut self, request: Request) {
+        self.push(Queued {
+            request,
+            handoff: true,
+        });
+    }
+
+    /// Queue `queued` and credit the work it owes.
+    fn push(&mut self, queued: Queued) {
         if !self.result.supported {
-            self.result.rejected.push(request);
+            self.result.rejected.push(queued.request);
             return;
         }
         debug_assert!(
             self.queue
                 .back()
-                .is_none_or(|back| back.arrival_ms <= request.arrival_ms),
+                .is_none_or(|back| back.request.arrival_ms <= queued.request.arrival_ms),
             "requests must be enqueued in arrival order"
         );
-        self.prefilled_ids.insert(request.id);
-        self.outstanding += request.output_len;
-        self.queue.push_back(request);
+        self.outstanding += queued.owed_tokens();
+        self.queue.push_back(queued);
     }
 
     /// Whether the replica can serve its model at all: the kernels support
@@ -382,8 +397,8 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     /// queue (not just admitted reservations) keeps the signal honest while
     /// a transfer burst is still waiting for admission.
     pub fn kv_headroom_bytes(&self) -> f64 {
-        let committed: usize =
-            self.reserved_tokens + self.queue.iter().map(Request::total_tokens).sum::<usize>();
+        let queued: usize = self.queue.iter().map(|q| q.request.total_tokens()).sum();
+        let committed = self.reserved_tokens + queued;
         self.backend.memory().budget_bytes() - self.backend.memory().footprint_bytes(committed, 0)
     }
 
@@ -391,7 +406,7 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     /// token yet (queued or still prefilling) — the head-of-line waiting age
     /// an SLO autoscaler watches.
     pub fn oldest_unserved_arrival_ms(&self) -> Option<f64> {
-        let queued = self.queue.front().map(|r| r.arrival_ms);
+        let queued = self.queue.front().map(|q| q.request.arrival_ms);
         let running = self
             .running
             .iter()
@@ -437,7 +452,7 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
                 let Some(next) = self.queue.front() else {
                     return false;
                 };
-                self.clock_ms = self.clock_ms.max(next.arrival_ms);
+                self.clock_ms = self.clock_ms.max(next.request.arrival_ms);
                 continue;
             }
             self.execute_step();
@@ -452,16 +467,16 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
             let Some(front) = self.queue.front() else {
                 break;
             };
-            if front.arrival_ms > self.clock_ms {
+            if front.request.arrival_ms > self.clock_ms {
                 break;
             }
-            let candidate = self.reserved_tokens + front.total_tokens();
+            let candidate = self.reserved_tokens + front.request.total_tokens();
             if self
                 .backend
                 .memory()
                 .fits(candidate, limits.max_batched_tokens)
             {
-                let request = self.queue.pop_front().expect("front exists");
+                let Queued { request, handoff } = self.queue.pop_front().expect("front exists");
                 self.reserved_tokens = candidate;
                 self.result.admitted += 1;
                 if let Some(sink) = &self.sink {
@@ -472,22 +487,18 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
                     });
                 }
                 let mut running = RunningRequest::new(request, self.clock_ms);
-                if self.prefilled_ids.remove(&request.id) {
-                    // Handoff: the prompt KV arrived with the request, so it
-                    // starts its decode phase immediately.
+                if handoff {
+                    // The prompt KV arrived with the request, so it starts
+                    // its decode phase immediately.
                     running.prefilled = request.prompt_len;
                 }
                 self.running.push(running);
             } else if self.running.is_empty() {
                 // Even an empty system cannot hold this request.
-                let rejected = self.queue.pop_front().expect("front exists");
-                // Debit exactly what enqueue credited: a handoff only owed
-                // its output tokens.
-                self.outstanding -= if self.prefilled_ids.remove(&rejected.id) {
-                    rejected.output_len
-                } else {
-                    rejected.total_tokens()
-                };
+                let queued = self.queue.pop_front().expect("front exists");
+                // Debit exactly what enqueue credited.
+                self.outstanding -= queued.owed_tokens();
+                let rejected = queued.request;
                 if let Some(sink) = &self.sink {
                     sink.emit(TraceEvent::Rejected {
                         id: rejected.id,
@@ -637,11 +648,11 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     /// completed and rejected requests are unaffected.
     pub fn take_inflight(&mut self) -> (Vec<Request>, Vec<Request>) {
         let running: Vec<Request> = self.running.drain(..).map(|r| r.request).collect();
-        let queued: Vec<Request> = self.queue.drain(..).collect();
+        // Any transferred KV died with the replica, and the handoff flags
+        // with their entries: survivors re-prefill.
+        let queued: Vec<Request> = self.queue.drain(..).map(|q| q.request).collect();
         self.reserved_tokens = 0;
         self.outstanding = 0;
-        // Any transferred KV died with the replica: survivors re-prefill.
-        self.prefilled_ids.clear();
         (running, queued)
     }
 
@@ -673,7 +684,7 @@ mod tests {
     /// Ground truth for the incrementally-maintained counter: the full
     /// rescan the pre-refactor `outstanding_tokens` performed.
     fn recomputed_outstanding(d: &ReplicaDriver<SingleGpuBackend>) -> usize {
-        let queued: usize = d.queue.iter().map(Request::total_tokens).sum();
+        let queued: usize = d.queue.iter().map(|q| q.request.total_tokens()).sum();
         let running: usize = d
             .running
             .iter()
@@ -829,6 +840,65 @@ mod tests {
         let result = d.finish();
         assert_eq!(result.completed.len(), completed_before);
         assert!(result.rejected.is_empty());
+    }
+
+    #[test]
+    fn an_unadmittable_handoff_is_rejected_and_debits_only_its_output_tokens() {
+        let mut d = driver();
+        // Far beyond any single-replica KV budget, so rejected at the head
+        // of the queue; the request behind it is admitted.
+        let huge = Request {
+            id: 0,
+            arrival_ms: 0.0,
+            prompt_len: 50_000_000,
+            output_len: 8,
+        };
+        let small = Request {
+            id: 1,
+            arrival_ms: 0.0,
+            prompt_len: 16,
+            output_len: 4,
+        };
+        d.enqueue_handoff(huge);
+        d.enqueue(small);
+        assert_eq!(
+            d.outstanding_tokens(),
+            huge.output_len + small.total_tokens()
+        );
+        d.admit_arrived();
+        assert_eq!(d.outstanding_tokens(), small.total_tokens());
+        assert_eq!(d.running_requests().len(), 1);
+        assert_eq!(d.running_requests()[0].prefilled, 0);
+        while d.step_once() {}
+        assert_eq!(d.outstanding_tokens(), 0);
+        let result = d.finish();
+        assert_eq!(result.rejected, [huge]);
+        assert_eq!(result.completed.len(), 1);
+    }
+
+    #[test]
+    fn a_handoff_taken_in_flight_and_enqueued_again_prefills_from_scratch() {
+        let mut d = driver();
+        let request = Request {
+            id: 7,
+            arrival_ms: 0.0,
+            prompt_len: 256,
+            output_len: 8,
+        };
+        d.enqueue_handoff(request);
+        let (running, queued) = d.take_inflight();
+        assert!(running.is_empty());
+        assert_eq!(queued, [request]);
+        // The transferred KV died with the crash: enqueued again, the
+        // request owes and runs its whole prompt.
+        d.enqueue(request);
+        assert_eq!(d.outstanding_tokens(), request.total_tokens());
+        while d.step_once() {}
+        assert_eq!(d.outstanding_tokens(), 0);
+        let result = d.finish();
+        assert_eq!(result.completed.len(), 1);
+        assert_eq!(result.steps[0].prefill_tokens, request.prompt_len);
+        assert_eq!(result.steps.len(), request.output_len);
     }
 
     #[test]

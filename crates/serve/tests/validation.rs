@@ -10,8 +10,8 @@ use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_serve::{
     BatchLimits, ExecutionBackend, FaultKind, FaultSchedule, FaultSpec, FleetConfig,
-    FleetController, Request, SchedulerConfig, Severity, SingleGpuBackend, SloAutoscaler,
-    TraceConfig,
+    FleetController, RecoveryPolicy, Request, SchedulerConfig, Severity, SingleGpuBackend,
+    SloAutoscaler, TraceConfig,
 };
 
 fn replica() -> Box<dyn ExecutionBackend> {
@@ -74,7 +74,7 @@ type Mutation = fn(&mut FleetConfig);
 
 #[test]
 fn degenerate_knobs_each_get_their_code() {
-    let cases: [(Mutation, &str); 6] = [
+    let cases: [(Mutation, &str); 5] = [
         (|c| c.min_replicas = 0, "fleet::zero-floor"),
         (
             |c| {
@@ -84,7 +84,6 @@ fn degenerate_knobs_each_get_their_code() {
             "fleet::ceiling-below-floor",
         ),
         (|c| c.tick_ms = 0.0, "fleet::nonpositive-tick"),
-        (|c| c.window_ms = -5.0, "fleet::nonpositive-window"),
         (|c| c.warmup_ms = -1.0, "fleet::negative-warmup"),
         (|c| c.max_drain_ticks = 0, "fleet::zero-drain-cap"),
     ];
@@ -200,6 +199,85 @@ fn negative_fault_time_and_duration_are_denied() {
     assert!(report.has("fault::negative-time"));
     assert!(report.has("fault::negative-duration"));
     assert_eq!(report.deny_count(), 2);
+}
+
+#[test]
+fn non_finite_fault_times_and_durations_are_denied() {
+    // Validate only: a run would write infinity into the fault record and
+    // the trace export.
+    for at_ms in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let report = controller()
+            .with_faults(
+                scripted(FaultKind::ReplicaCrash { replica: 0 }, at_ms),
+                Default::default(),
+            )
+            .validate(&short_trace());
+        assert!(report.has("fault::non-finite-time"), "{}", report.render());
+        assert_eq!(report.deny_count(), 1, "{}", report.render());
+    }
+    for duration_ms in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let kinds = [
+            FaultKind::LinkDegrade {
+                replica: 0,
+                duration_ms,
+            },
+            FaultKind::IslandPartition {
+                island: 0,
+                replicas: vec![0],
+                duration_ms,
+            },
+        ];
+        for kind in kinds {
+            let report = controller()
+                .with_faults(scripted(kind, 50.0), Default::default())
+                .validate(&short_trace());
+            assert!(
+                report.has("fault::non-finite-duration"),
+                "{}",
+                report.render()
+            );
+            assert_eq!(report.deny_count(), 1, "{}", report.render());
+        }
+    }
+}
+
+#[test]
+fn a_recovery_transfer_that_cannot_land_is_denied() {
+    // Validate only: under a ticked policy an infinite transfer loops `run`
+    // forever, a NaN one re-admits requests at NaN and a negative one
+    // schedules the recovery in the past.
+    let crash = || scripted(FaultKind::ReplicaCrash { replica: 0 }, 100.0);
+    for transfer_ms in [f64::INFINITY, f64::NAN, -1.0] {
+        let policies = [
+            RecoveryPolicy::readmit_after(transfer_ms),
+            RecoveryPolicy::readmit_and_replace(transfer_ms),
+            RecoveryPolicy {
+                readmit: false,
+                replace: true,
+                transfer_ms,
+            },
+        ];
+        for recovery in policies {
+            let report = controller()
+                .with_factory(replica)
+                .with_autoscaler(SloAutoscaler::new(2_000.0))
+                .with_faults(crash(), recovery)
+                .validate(&short_trace());
+            assert!(report.has("fault::bad-transfer"), "{}", report.render());
+            assert_eq!(report.deny_count(), 1, "{}", report.render());
+        }
+    }
+    // Fail-fast waits for no transfer.
+    let report = controller()
+        .with_faults(
+            crash(),
+            RecoveryPolicy {
+                transfer_ms: f64::INFINITY,
+                ..RecoveryPolicy::fail_fast()
+            },
+        )
+        .validate(&short_trace());
+    assert!(report.passes(), "{}", report.render());
 }
 
 #[test]

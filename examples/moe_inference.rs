@@ -60,7 +60,7 @@ fn main() {
                 kind.name(),
                 cost.time_ms,
                 baseline / cost.time_ms,
-                cost.weight_bytes / (1024.0 * 1024.0 * 1024.0)
+                kind.weight_bytes(&cfg) / (1024.0 * 1024.0 * 1024.0)
             );
         } else {
             println!("  {:<13} not supported (NS)", kind.name());
