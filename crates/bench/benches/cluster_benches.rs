@@ -7,9 +7,10 @@
 //! What each serving cell times:
 //!
 //! * `cluster_backend_step_cost/prefill_tokens/<n>` — one `step_cost`
-//!   call: routing to per-(expert, source rank) counts, placement,
-//!   dispatch and pricing, all in the buffers the backend keeps from step
-//!   to step, plus attention and the auxiliaries;
+//!   call at a fresh step index: routing to per-(expert, source rank)
+//!   counts in one routing scratch kept across iterations, as a fleet
+//!   keeps it, then placement, dispatch and pricing in the buffers the
+//!   backend keeps from step to step, plus attention and the auxiliaries;
 //! * `pod_fixed_cost/place_on/prefill_tokens_512` — one `place_on` call:
 //!   the placement core in fresh buffers, two of which the returned
 //!   placement keeps;
@@ -32,6 +33,7 @@ use samoyeds_moe::router::TopKRouter;
 use samoyeds_serve::backend::StepWorkload;
 use samoyeds_serve::batch::StepBatch;
 use samoyeds_serve::{ExecutionBackend, Request, RunningRequest, SchedulerConfig};
+use std::cell::RefCell;
 
 fn bench_cluster_step(c: &mut Criterion) {
     let model = MoeModelConfig::qwen2_moe();
@@ -137,12 +139,14 @@ fn bench_cluster_backend_step_cost(c: &mut Criterion) {
             |b, _| {
                 // A fresh routing seed every iteration, as in a serving run.
                 let mut step_index = 0u64;
+                let route = RefCell::default();
                 b.iter(|| {
                     step_index += 1;
                     backend.step_cost(&StepWorkload {
                         batch: &batch,
                         running: &running,
                         step_index,
+                        route: &route,
                     })
                 })
             },

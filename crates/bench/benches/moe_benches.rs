@@ -1,14 +1,17 @@
 //! Criterion benches over the MoE-layer and decoder-layer cost evaluation
 //! (Figures 14-16), the routing substrate (the full plan, and the
 //! counts-only `route_loads_into` on one `RouteScratch` kept across calls,
-//! as both serving backends call it, at a decode step's, a single-GPU
-//! prefill step's and a pod step's shape), and the per-step pricing a
-//! serving replica pays: `SingleGpuBackend::step_cost` on a
-//! `fleet_poisson`-shaped step and on a short decode step (Samoyeds, and
-//! dense Transformers for the decode step), and its layers,
-//! `attention_step_ms` and `Engine::moe_layer_cost_for_loads` on an engine
-//! reused across calls, over a ring of 64 steps' loads so that the zero
-//! pattern changes from call to call as it does in serving.
+//! as both serving backends call it: a fresh seed per call at a decode
+//! step's, a single-GPU prefill step's and a pod step's shape, which times
+//! a stream's first call, and one seed at eight sizes around 206 tokens,
+//! as `fleet_poisson`'s eight replicas route one step index, which times
+//! the kept stream), and the per-step pricing a serving replica pays:
+//! `SingleGpuBackend::step_cost` on a `fleet_poisson`-shaped step and on a
+//! short decode step (Samoyeds, and dense Transformers for the decode
+//! step), and its layers, `attention_step_ms` and
+//! `Engine::moe_layer_cost_for_loads` on an engine reused across calls,
+//! over a ring of 64 steps' loads so that the zero pattern changes from
+//! call to call as it does in serving.
 //!
 //! Run with `BENCH_JSON=<absolute path>` to also write the results as one
 //! JSON document (CI uploads it as the `BENCH_moe` artifact, ungated).
@@ -25,6 +28,7 @@ use samoyeds_serve::batch::StepBatch;
 use samoyeds_serve::{
     ExecutionBackend, Request, RunningRequest, SchedulerConfig, SingleGpuBackend,
 };
+use std::cell::RefCell;
 
 fn bench_moe_layer_cost(c: &mut Criterion) {
     let dev = DeviceSpec::rtx4070_super();
@@ -60,7 +64,9 @@ fn bench_router(c: &mut Criterion) {
     // one rank), where the router's fixed per-call cost shows, a
     // `fleet_poisson`-shaped single-GPU step (206 tokens, one rank) and a
     // 4-GPU pod's 512-token prefill step. Each cell counts into one scratch
-    // kept across iterations, as a backend keeps its own from step to step.
+    // kept across iterations, as a fleet keeps its own from step to step;
+    // a fresh routing seed every iteration, as in a serving run, makes each
+    // call its stream's first.
     let router = TopKRouter::for_config(&MoeModelConfig::qwen2_moe(), 7);
     let mut group = c.benchmark_group("route_loads_into");
     for (tokens, ranks) in [(8usize, 1usize), (206, 1), (512, 4)] {
@@ -68,7 +74,6 @@ fn bench_router(c: &mut Criterion) {
             BenchmarkId::new("qwen2", format!("tokens{tokens}_ranks{ranks}")),
             &(tokens, ranks),
             |b, &(t, r)| {
-                // A fresh routing seed every iteration, as in a serving run.
                 let mut seed = 0u64;
                 let mut scratch = RouteScratch::default();
                 b.iter(|| {
@@ -78,6 +83,21 @@ fn bench_router(c: &mut Criterion) {
             },
         );
     }
+    // `fleet_poisson`'s eight replicas at one step index: one seed routed at
+    // eight sizes around 206 tokens on one scratch. The first call draws,
+    // the second draws again and keeps the stream, and the other six count
+    // from it, drawing only past its end.
+    let sizes = [206usize, 198, 214, 189, 223, 201, 211, 195];
+    group.bench_function("qwen2/replicas8_tokens206_ranks1", |b| {
+        let mut seed = 0u64;
+        let mut scratch = RouteScratch::default();
+        b.iter(|| {
+            seed += 1;
+            for tokens in sizes {
+                black_box(router.route_loads_into(seed, tokens, 1, &mut scratch));
+            }
+        })
+    });
     group.finish();
 }
 
@@ -154,12 +174,14 @@ fn bench_step_pricing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(name, label), &label, |b, _| {
             // A fresh routing seed every iteration, as in a serving run.
             let mut step_index = 0u64;
+            let route = RefCell::default();
             b.iter(|| {
                 step_index += 1;
                 backend.step_cost(&StepWorkload {
                     batch: &batch,
                     running: &requests,
                     step_index,
+                    route: &route,
                 })
             })
         });

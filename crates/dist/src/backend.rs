@@ -16,9 +16,10 @@
 //!   plus the α-β dispatch/combine collectives per layer. The three stages
 //!   are the same cores the public entry points run
 //!   (`TopKRouter::route_loads_seeded`, `PlacementStrategy::place_on`,
-//!   `ClusterSimulator::step_with_rank_loads`), writing into buffers the
-//!   backend keeps from step to step, so a step allocates nothing and
-//!   builds no report.
+//!   `ClusterSimulator::step_with_rank_loads`), writing into buffers kept
+//!   from step to step (the routing scratch that arrives in the
+//!   [`StepWorkload`], the placement and dispatch buffers the backend
+//!   keeps), so a step allocates nothing and builds no report.
 //!   Attention and the norm/router auxiliaries are data-parallel across
 //!   the pod (each rank hosts its share of the batch), so they divide by
 //!   the GPU count.
@@ -34,7 +35,7 @@ use crate::cluster::{ClusterConfig, ClusterSimulator, StepScratch};
 use crate::placement::{PlacementScratch, PlacementStrategy};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
-use samoyeds_moe::router::{RouteScratch, TopKRouter};
+use samoyeds_moe::router::TopKRouter;
 use samoyeds_serve::backend::{
     auxiliary_step_ms, ExecutionBackend, MemoryBudget, OverlapModel, ScratchLock, StepAttention,
     StepCost, StepWorkload,
@@ -63,13 +64,13 @@ pub struct ClusterBackend {
     scratch: ScratchLock<PodScratch>,
 }
 
-/// The buffers one pod step fills and the next reuses: the router's counts,
-/// their per-expert sums, the placement and the dispatch. Every step
+/// The buffers one pod step fills and the next reuses: the per-expert sums
+/// of the router's counts, the placement and the dispatch. Every step
 /// overwrites whatever it reads, so nothing carries from one step to the
-/// next but the allocations.
+/// next but the allocations. The router's counts live in the step's
+/// routing scratch ([`StepWorkload::route`]).
 #[derive(Debug, Default)]
 struct PodScratch {
-    route: RouteScratch,
     loads: Vec<usize>,
     place: PlacementScratch,
     step: StepScratch,
@@ -176,12 +177,8 @@ impl ExecutionBackend for ClusterBackend {
         let step_local = step_tokens.div_ceil(gpus);
         let moe = {
             let mut scratch = self.scratch.lock();
-            let PodScratch {
-                route,
-                loads,
-                place,
-                step,
-            } = &mut *scratch;
+            let PodScratch { loads, place, step } = &mut *scratch;
+            let mut route = workload.route.borrow_mut();
             // The cluster step needs only how many of each expert's tokens
             // start on each rank, so the step routes to those counts, never
             // to a plan's token ids and weights.
@@ -189,7 +186,7 @@ impl ExecutionBackend for ClusterBackend {
                 self.routing_seed ^ workload.step_index,
                 step_tokens,
                 gpus,
-                route,
+                &mut route,
             );
 
             // Serving-path placement: balance the per-expert token counts,
@@ -366,10 +363,12 @@ mod tests {
             0.0,
         )];
         let batch = build_step(&running, &BatchLimits::default());
+        let route = std::cell::RefCell::default();
         let workload = StepWorkload {
             batch: &batch,
             running: &running,
             step_index: 0,
+            route: &route,
         };
         let cost = backend.step_cost(&workload);
         assert!(cost.collective_ms > 0.0);

@@ -204,11 +204,9 @@ impl TopKRouter {
         // Written in place, not pushed: a loop that may reallocate keeps
         // its values in memory rather than in registers.
         let mut picks = vec![0u8; num_tokens * self.top_k];
-        let (mut at, out) = (0, picks.as_mut_slice());
-        self.sample(&mut rng, num_tokens, &mut [0; MAX_EXPERTS], move |chosen| {
-            out[at..at + chosen.len()].copy_from_slice(chosen);
-            at += chosen.len();
-        });
+        let mut perm = [0; MAX_EXPERTS];
+        reset(&mut perm, self.drawn_experts());
+        self.sample(&mut rng, num_tokens, &mut perm, Some(&mut picks), |_| {});
         let mut loads = vec![0usize; self.num_experts];
         for &e in &picks {
             loads[usize::from(e)] += 1;
@@ -263,13 +261,22 @@ impl TopKRouter {
     }
 
     /// [`Self::route_loads_seeded`] counted into `scratch`, whose buffers
-    /// are reused from call to call: returns the `num_experts × ranks`
-    /// counts, which stay in `scratch` until its next use. Nothing a
-    /// previous call left there is read.
+    /// and kept streams are reused from call to call: returns the
+    /// `num_experts × ranks` counts, which stay in `scratch` until its next
+    /// use. Whatever `scratch` holds, the counts equal
+    /// `self.route_loads_seeded(seed, num_tokens, ranks)`.
     ///
     /// Each pick is counted into its source rank's row, indexed by the
     /// picked expert id; with more than one rank the rows are transposed
     /// into the `e * ranks + r` layout once, after the last token.
+    ///
+    /// A stream depends on the seed and the router's shape alone, so
+    /// callers that route one seed at different token counts (the replicas
+    /// of a fleet at one step index) draw the same picks, each to its own
+    /// length. The first call for a stream draws it and keeps nothing; the
+    /// second draws it again and keeps it ([`RouteScratch`]). Every later
+    /// call counts its tokens from the kept picks and draws only the tokens
+    /// past their end, continuing the kept generator and permutation.
     ///
     /// Panics if `ranks` is 0.
     pub fn route_loads_into<'s>(
@@ -281,7 +288,12 @@ impl TopKRouter {
     ) -> &'s [usize] {
         assert!(ranks > 0, "routing counts need at least one rank");
         let num_experts = self.drawn_experts();
-        let RouteScratch { perm, rows, loads } = scratch;
+        let RouteScratch {
+            perm,
+            rows,
+            loads,
+            streams,
+        } = scratch;
         // The rows an earlier call counted into start over; new ones start
         // at zero, built in place (cloning a zero row in measurably slows a
         // fresh short call).
@@ -292,39 +304,112 @@ impl TopKRouter {
             rows.resize_with(ranks, || [0; MAX_EXPERTS]);
         }
         let rows = &mut rows[..ranks];
-        self.count_rows(seed, num_tokens, perm, rows);
+        let key = StreamKey {
+            seed,
+            num_experts,
+            top_k: self.top_k,
+            skew: self.skew.to_bits(),
+        };
+        let stream = &mut streams[(seed % STREAMS as u64) as usize];
+        if stream.key == Some(key) {
+            self.count_kept(stream, seed, num_tokens, rows);
+        } else {
+            // The stream's first call: draw it and keep nothing.
+            stream.key = Some(key);
+            stream.rng = None;
+            reset(perm, num_experts);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            self.count_rows(&mut rng, num_tokens, perm, rows, 0, None);
+        }
         if ranks == 1 {
             return &rows[0][..num_experts];
         }
         loads.clear();
         loads.resize(num_experts * ranks, 0);
+        // Through a slice: stores through the `Vec` itself may, as far as
+        // the compiler knows, overwrite its own length and pointer, which
+        // it then reloads for every count.
+        let transposed = loads.as_mut_slice();
         for (r, row) in rows.iter().enumerate() {
             for (e, &c) in row[..num_experts].iter().enumerate() {
-                loads[e * ranks + r] = c;
+                transposed[e * ranks + r] = c;
             }
         }
-        loads
+        transposed
     }
 
-    /// Count each token's picks into its source rank's row of `rows`, which
-    /// start at zero: token `t` starts on rank `t % rows.len()`, and a pick
-    /// of expert `e` adds one to entry `e` of that row.
-    fn count_rows(
+    /// Count a stream asked for before into `rows`: its first `num_tokens`
+    /// tokens from the kept picks, then, past their end, the tokens drawn
+    /// from the kept generator and permutation, which are kept in turn.
+    fn count_kept(
         &self,
+        stream: &mut Stream,
         seed: u64,
+        num_tokens: usize,
+        rows: &mut [[usize; MAX_EXPERTS]],
+    ) {
+        let Stream {
+            rng,
+            tokens,
+            picks,
+            perm: kept_perm,
+            ..
+        } = stream;
+        let kept_rng = match rng {
+            Some(kept_rng) => kept_rng,
+            None => {
+                // The stream's second call keeps it from its first token.
+                *tokens = 0;
+                picks.clear();
+                reset(kept_perm, self.num_experts);
+                rng.insert(ChaCha8Rng::seed_from_u64(seed))
+            }
+        };
+        let (top_k, ranks) = (self.top_k, rows.len());
+        let counted = num_tokens.min(*tokens);
+        count_picks(&picks[..counted * top_k], top_k, rows);
+        if num_tokens <= *tokens {
+            return;
+        }
+        // The draw runs on local copies, which the stores of its picks and
+        // counts cannot alias.
+        let (mut rng, mut perm) = (kept_rng.clone(), *kept_perm);
+        let drawn = picks.len();
+        picks.resize(num_tokens * top_k, 0);
+        self.count_rows(
+            &mut rng,
+            num_tokens - *tokens,
+            &mut perm,
+            rows,
+            *tokens % ranks,
+            Some(&mut picks[drawn..]),
+        );
+        (*kept_rng, *kept_perm, *tokens) = (rng, perm, num_tokens);
+    }
+
+    /// Draw `num_tokens` tokens from `rng` and `perm`, writing their picks
+    /// to `keep` if given, and count each token's picks into its source
+    /// rank's row of `rows`: the first token drawn here starts on rank
+    /// `first_rank`, and each next one on the next rank, wrapping around
+    /// (token `t` of a stream starts on rank `t % rows.len()`). A pick of
+    /// expert `e` adds one to entry `e` of its row.
+    fn count_rows<R: RngCore>(
+        &self,
+        rng: &mut R,
         num_tokens: usize,
         perm: &mut [u8; MAX_EXPERTS],
         rows: &mut [[usize; MAX_EXPERTS]],
+        first_rank: usize,
+        keep: Option<&mut [u8]>,
     ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         if let [row] = rows {
-            self.sample(&mut rng, num_tokens, perm, |chosen| count(row, chosen));
+            self.sample(rng, num_tokens, perm, keep, |chosen| count(row, chosen));
             return;
         }
         // A `move` closure owns the rank cursor, so the loop keeps it in a
         // register instead of writing it back to this frame every token.
-        let (ranks, mut rank) = (rows.len(), 0);
-        self.sample(&mut rng, num_tokens, perm, move |chosen| {
+        let (ranks, mut rank) = (rows.len(), first_rank);
+        self.sample(rng, num_tokens, perm, keep, move |chosen| {
             count(&mut rows[rank], chosen);
             rank += 1;
             if rank == ranks {
@@ -378,10 +463,13 @@ impl TopKRouter {
     }
 
     /// The expert draws behind both routing outputs: for each token in
-    /// order, draw its `top_k` distinct experts from `rng` and hand their ids
-    /// to `visit`. `perm` is the uniform sampler's permutation of the expert
-    /// ids, of which the first `num_experts` entries are reset here, so a
-    /// caller may keep it from call to call.
+    /// order, draw its `top_k` distinct experts from `rng`, write their ids
+    /// to the token's `top_k` bytes of `keep` if given (`keep` then holds
+    /// `num_tokens * top_k` bytes), and hand them to `visit`. `perm` is the
+    /// uniform sampler's permutation of the expert ids as the stream's
+    /// previous token left it: a stream's first token starts from the
+    /// identity ([`reset`]), and a stream continued from a kept generator
+    /// continues from its kept permutation.
     ///
     /// Uniform routing is a partial Fisher–Yates shuffle over one expert
     /// permutation kept for the whole call: position `i` swaps with a uniform
@@ -397,7 +485,8 @@ impl TopKRouter {
     /// the `P` digit tuples exactly `⌊2^64 / P⌋` accepted words, so every
     /// ordered tuple of picks is exactly equally likely. A router whose
     /// four picks fit one word (Qwen2-MoE's) decodes them in [`one_word`],
-    /// unrolled for that `top_k`; other uniform routers walk their words.
+    /// unrolled for that `top_k`, or in [`one_word_kept`] when it keeps
+    /// them; other uniform routers walk their words.
     /// Skewed routing samples without replacement from the Zipf
     /// popularity, one draw per pick.
     fn sample<R: RngCore>(
@@ -405,22 +494,35 @@ impl TopKRouter {
         rng: &mut R,
         num_tokens: usize,
         perm: &mut [u8; MAX_EXPERTS],
+        mut keep: Option<&mut [u8]>,
         mut visit: impl FnMut(&[u8]),
     ) {
         let num_experts = self.drawn_experts();
+        debug_assert!(keep
+            .as_ref()
+            .is_none_or(|kept| kept.len() == num_tokens * self.top_k));
         if self.skew == 0.0 {
             // Read once: the router holds a `OnceLock`, so the compiler may
             // not assume its fields stay put across the loop's stores and
             // would reload them for every token.
             let top_k = self.top_k;
             let words = self.words();
-            for (e, slot) in perm[..num_experts].iter_mut().enumerate() {
-                // Below `num_experts`, so below 256.
-                *slot = e as u8;
-            }
-            match (words, top_k) {
-                ([word], 4) => one_word::<_, 4>(rng, num_tokens, word, num_experts, perm, visit),
-                _ => word_walk(rng, num_tokens, words, num_experts, top_k, perm, visit),
+            match (words, top_k, keep) {
+                ([word], 4, None) => {
+                    one_word::<_, 4>(rng, num_tokens, word, num_experts, perm, visit);
+                }
+                ([word], 4, Some(kept)) => {
+                    one_word_kept::<_, 4>(rng, kept, word, num_experts, perm, visit);
+                }
+                (_, _, None) => word_walk(rng, num_tokens, words, num_experts, top_k, perm, visit),
+                (_, _, Some(kept)) => {
+                    let mut at = 0;
+                    word_walk(rng, num_tokens, words, num_experts, top_k, perm, |chosen| {
+                        kept[at..at + top_k].copy_from_slice(chosen);
+                        at += top_k;
+                        visit(chosen);
+                    });
+                }
             }
             return;
         }
@@ -432,7 +534,7 @@ impl TopKRouter {
             .collect();
         let mut chosen: Vec<u8> = Vec::with_capacity(self.top_k);
         let mut remaining = popularity.clone();
-        for _ in 0..num_tokens {
+        for token in 0..num_tokens {
             // Weighted sampling without replacement over the popularity
             // distribution.
             chosen.clear();
@@ -461,6 +563,9 @@ impl TopKRouter {
                 remaining[pick] = 0.0;
                 // Below `num_experts`, so below 256.
                 chosen.push(pick as u8);
+            }
+            if let Some(kept) = keep.as_deref_mut() {
+                kept[token * self.top_k..][..self.top_k].copy_from_slice(&chosen);
             }
             visit(&chosen);
         }
@@ -552,17 +657,124 @@ fn one_word<R: RngCore, const K: usize>(
     }
 }
 
+/// [`one_word`] keeping the picks: token `t`'s picks go to
+/// `kept[t * K..][..K]`. Each pick is written from the register its swap
+/// loaded it into, as soon as it is picked, and `visit` reads the token's
+/// picks back from `perm`, as in [`one_word`]: copying `perm[..K]` out
+/// after the swaps, like visiting the picks the loop just wrote, keeps
+/// them in registers the loop needs for its spans, which then spill to
+/// the stack and slow every token.
+#[inline(never)]
+fn one_word_kept<R: RngCore, const K: usize>(
+    rng: &mut R,
+    kept: &mut [u8],
+    word: &Word,
+    num_experts: usize,
+    perm: &mut [u8; MAX_EXPERTS],
+    mut visit: impl FnMut(&[u8]),
+) {
+    let word = word.clone();
+    for chosen in kept.as_chunks_mut::<K>().0 {
+        let mut x = word.draw(rng);
+        for (i, pick) in chosen.iter_mut().enumerate() {
+            let wide = u128::from(x) * (num_experts - i) as u128;
+            // As in `swap`: both positions are below 256.
+            let (i, j) = (
+                usize::from(i as u8),
+                usize::from((i + (wide >> 64) as usize) as u8),
+            );
+            *pick = perm[j];
+            perm[j] = perm[i];
+            perm[i] = *pick;
+            x = wide as u64;
+        }
+        visit(&perm[..K]);
+    }
+}
+
+/// Count `top_k`-pick tokens, `picks` in stream order, into their source
+/// rank's rows: token `t` starts on rank `t % rows.len()`.
+fn count_picks(picks: &[u8], top_k: usize, rows: &mut [[usize; MAX_EXPERTS]]) {
+    if let [row] = rows {
+        count(row, picks);
+        return;
+    }
+    let (mut at, mut rank) = (0, 0);
+    while at < picks.len() {
+        count(&mut rows[rank], &picks[at..at + top_k]);
+        at += top_k;
+        rank += 1;
+        if rank == rows.len() {
+            rank = 0;
+        }
+    }
+}
+
+/// Reset the first `num_experts` entries of the uniform sampler's
+/// permutation to the identity, where every stream starts.
+fn reset(perm: &mut [u8; MAX_EXPERTS], num_experts: usize) {
+    for (e, slot) in perm[..num_experts].iter_mut().enumerate() {
+        // Below `num_experts`, so below 256.
+        *slot = e as u8;
+    }
+}
+
+/// The streams a [`RouteScratch`] keeps: seed `s` lives in slot
+/// `s % STREAMS`. A fleet's replicas price steps at step indices close to
+/// one another, so at any moment they ask for a few consecutive seeds
+/// `routing_seed ^ step_index`, which fall in distinct slots.
+const STREAMS: usize = 8;
+
+/// What one routing stream depends on: the seed and the router's shape.
+/// Routers of different shapes never share a stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StreamKey {
+    seed: u64,
+    num_experts: usize,
+    top_k: usize,
+    /// The skew's bits: a skewed router draws from its own stream.
+    skew: u64,
+}
+
+/// One slot of a [`RouteScratch`]'s stream table.
+#[derive(Debug, Clone)]
+struct Stream {
+    /// The stream of the slot's last call.
+    key: Option<StreamKey>,
+    /// The generator after the last kept token: `Some` from the stream's
+    /// second call on, when `tokens`, `picks` and `perm` hold the stream.
+    rng: Option<ChaCha8Rng>,
+    /// Tokens kept.
+    tokens: usize,
+    /// The kept tokens' picks in stream order, `top_k` per token.
+    picks: Vec<u8>,
+    /// The uniform sampler's permutation after the last kept token.
+    perm: [u8; MAX_EXPERTS],
+}
+
 /// The reusable buffers of [`TopKRouter::route_loads_into`]: the uniform
 /// sampler's byte permutation of the expert ids, one row of counts per
-/// source rank, indexed by expert id, and the counts transposed into the
-/// returned layout. A new one allocates nothing. A call grows the rows to
-/// its rank count (a new row starts at zero) and otherwise writes only the
-/// first `num_experts` entries of the permutation and of each row.
+/// source rank, indexed by expert id, the counts transposed into the
+/// returned layout, and a table of 8 kept streams.
+///
+/// The table holds streams that were asked for more than once: a stream
+/// is kept from its second call, with its picks (one byte each) and the
+/// generator and permutation after its last token, so later calls count
+/// from it and draw only past its end. The first call for a stream keeps
+/// nothing: a stream asked for once, as most long prefill steps are,
+/// costs no stores. A call for another stream in the same slot replaces
+/// the slot's stream. A fleet that prices many replicas passes them one
+/// scratch, so replicas at the same step index share the stream.
+///
+/// A new one allocates nothing. A call grows the rows to its rank count (a
+/// new row starts at zero) and otherwise writes only the first
+/// `num_experts` entries of the permutation and of each row.
 #[derive(Debug, Clone)]
 pub struct RouteScratch {
     perm: [u8; MAX_EXPERTS],
     rows: Vec<[usize; MAX_EXPERTS]>,
     loads: Vec<usize>,
+    streams: [Stream; STREAMS],
 }
 
 impl Default for RouteScratch {
@@ -571,6 +783,13 @@ impl Default for RouteScratch {
             perm: [0; MAX_EXPERTS],
             rows: Vec::new(),
             loads: Vec::new(),
+            streams: std::array::from_fn(|_| Stream {
+                key: None,
+                rng: None,
+                tokens: 0,
+                picks: Vec::new(),
+                perm: [0; MAX_EXPERTS],
+            }),
         }
     }
 }
@@ -816,7 +1035,7 @@ mod tests {
             let mut pairs = [[0usize; 8]; 8];
             for _ in 0..28_000 {
                 let mut rng = ChaCha8Rng::seed_from_u64(seeds.next_u64());
-                router.sample(&mut rng, 1, &mut [0; MAX_EXPERTS], |c| {
+                router.sample(&mut rng, 1, &mut identity(8), None, |c| {
                     pairs[usize::from(c[0])][usize::from(c[1])] += 1
                 });
             }
@@ -870,6 +1089,13 @@ mod tests {
         }
     }
 
+    /// The permutation every stream starts from.
+    fn identity(num_experts: usize) -> [u8; MAX_EXPERTS] {
+        let mut perm = [0; MAX_EXPERTS];
+        reset(&mut perm, num_experts);
+        perm
+    }
+
     /// An `RngCore` that replays chosen words.
     struct Words(std::vec::IntoIter<u64>);
 
@@ -912,7 +1138,8 @@ mod tests {
             router.sample(
                 &mut Words(words.into_iter()),
                 1,
-                &mut [0; MAX_EXPERTS],
+                &mut identity(router.num_experts),
+                None,
                 |c| picks = c.iter().copied().map(usize::from).collect(),
             );
             picks
@@ -1024,6 +1251,62 @@ mod tests {
                         router.num_experts,
                         router.top_k
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_streams_count_like_fresh_counts() {
+        // A scratch keeps a stream from its second call, counts later calls
+        // from the kept picks and draws only past their end. Whatever it
+        // keeps, every call must count what a fresh scratch counts.
+        let routers = [
+            TopKRouter::for_config(&MoeModelConfig::qwen2_moe(), 0),
+            TopKRouter::for_config(&MoeModelConfig::mixtral_8x7b(), 0),
+            // Mixtral's expert count at another `top_k`.
+            TopKRouter::new(8, 3, 0).unwrap(),
+            // The two-word walk.
+            TopKRouter::for_config(&MoeModelConfig::deepseek_moe(), 0),
+            TopKRouter::new(16, 3, 0).unwrap().with_skew(1.2),
+            TopKRouter::new(MAX_EXPERTS, 8, 0).unwrap(),
+        ];
+        let sizes = [206usize, 206, 100, 464, 0, 2048, 8];
+        let ranks = [1usize, 4, 2, 1];
+        let check = |scratch: &mut RouteScratch, router: &TopKRouter, seed, tokens, ranks| {
+            assert_eq!(
+                router.route_loads_into(seed, tokens, ranks, scratch),
+                router.route_loads_seeded(seed, tokens, ranks),
+                "{} experts top-{} skew {} seed {seed} tokens {tokens} ranks {ranks}",
+                router.num_experts,
+                router.top_k,
+                router.skew
+            );
+        };
+        // One seed at every size: kept on its second call, then counted
+        // short (100 tokens), extended (464 and 2,048) and counted again.
+        // Each rotation of the rank counts extends from other ranks.
+        for router in &routers {
+            for rotation in 0..ranks.len() {
+                let mut scratch = RouteScratch::default();
+                for (i, &tokens) in sizes.iter().enumerate() {
+                    let ranks = ranks[(i + rotation) % ranks.len()];
+                    check(&mut scratch, router, 5, tokens, ranks);
+                }
+            }
+        }
+        // Every router on seeds 5 and 6, and on 13, which shares seed 5's
+        // slot, three calls each on one scratch: a call replaces whatever
+        // stream another shape or seed left in its slot, and no shape or
+        // seed may count another's picks.
+        let mut scratch = RouteScratch::default();
+        for (i, &tokens) in sizes.iter().enumerate() {
+            for seed in [5, 6, 13, 5, 6] {
+                for router in &routers {
+                    for call in 0..3 {
+                        let ranks = ranks[(i + call) % ranks.len()];
+                        check(&mut scratch, router, seed, tokens, ranks);
+                    }
                 }
             }
         }

@@ -29,6 +29,7 @@ use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::{Engine, EngineKind};
 use samoyeds_moe::memory::kv_bytes_per_token;
 use samoyeds_moe::router::{RouteScratch, TopKRouter};
+use std::cell::RefCell;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub use samoyeds_moe::decoder::auxiliary_step_ms;
@@ -66,6 +67,13 @@ pub struct StepWorkload<'a> {
     pub running: &'a [RunningRequest],
     /// Monotone step counter (drives the per-step routing seed).
     pub step_index: u64,
+    /// The routing buffers and kept streams the step routes with
+    /// ([`RouteScratch`]), kept by whoever runs the replica. A fleet passes one scratch to every replica, so
+    /// replicas at the same step index, whose routing seeds agree, count
+    /// one kept stream; the step prices the same whatever the scratch
+    /// holds. A backend borrows it only while it routes and prices the
+    /// step's MoE layer.
+    pub route: &'a RefCell<RouteScratch>,
 }
 
 impl StepWorkload<'_> {
@@ -289,13 +297,13 @@ pub struct SingleGpuBackend {
     attention: StepAttention,
     routing_seed: u64,
     step_overhead_ms: f64,
-    route: ScratchLock<RouteScratch>,
 }
 
 /// Buffers a backend keeps from step to step behind a lock, as the engines'
 /// price tables are, so that `step_cost` can take `&self` and a step
-/// allocates nothing. It starts empty, and a clone starts empty again: the
-/// buffers hold nothing a step does not rewrite before reading it.
+/// allocates nothing: `ClusterBackend`'s placement and dispatch buffers.
+/// It starts empty, and a clone starts empty again: the buffers hold
+/// nothing a step does not rewrite before reading it.
 #[derive(Debug, Default)]
 pub struct ScratchLock<T>(Mutex<T>);
 
@@ -339,7 +347,6 @@ impl SingleGpuBackend {
             attention: StepAttention::new(scfg.attention),
             routing_seed: scfg.routing_seed,
             step_overhead_ms: scfg.step_overhead_ms,
-            route: ScratchLock::default(),
         }
     }
 
@@ -388,7 +395,7 @@ impl ExecutionBackend for SingleGpuBackend {
         // counts-only routing output prices the step exactly as the full
         // plan would.
         let moe_ms = {
-            let mut route = self.route.lock();
+            let mut route = workload.route.borrow_mut();
             let loads = self.router.route_loads_into(
                 self.routing_seed ^ workload.step_index,
                 step_tokens,
@@ -468,10 +475,12 @@ mod tests {
     fn single_gpu_cost_is_compute_only_and_deterministic() {
         let backend = backend(EngineKind::Samoyeds);
         let (running, batch) = workload_fixture();
+        let route = RefCell::default();
         let workload = StepWorkload {
             batch: &batch,
             running: &running,
             step_index: 3,
+            route: &route,
         };
         let a = backend.step_cost(&workload);
         let b = backend.step_cost(&workload);
@@ -521,36 +530,44 @@ mod tests {
     }
 
     #[test]
-    fn a_reused_backend_and_its_clone_price_like_fresh_ones_bit_for_bit() {
-        // The backend keeps its routing buffers from step to step. Nothing
-        // may carry over: one long-lived backend prices 8-, 206- and
-        // 2,048-token steps in turn, and every step must price like a
-        // freshly built backend and like a clone of the warmed one, which
-        // starts with empty buffers.
-        let warmed = backend(EngineKind::Samoyeds);
-        let empty = format!("{:?}", ScratchLock::<RouteScratch>::default());
+    fn backends_sharing_one_route_scratch_price_like_fresh_ones_bit_for_bit() {
+        // A fleet passes one routing scratch to all its replicas, and the
+        // scratch keeps the streams they ask for more than once. Nothing it
+        // keeps may move a price: three backends (two Samoyeds, one dense)
+        // price 8-, 206- and 2,048-token steps in turn on one scratch, at
+        // one step index they all share (so its stream is kept, counted,
+        // cut short and extended) and at one new step index per size, and
+        // every step must price like a fresh backend on a fresh scratch.
+        let kinds = [
+            EngineKind::Samoyeds,
+            EngineKind::Samoyeds,
+            EngineKind::Transformers,
+        ];
+        let backends = kinds.map(backend);
+        let shared = RefCell::default();
         for (i, tokens) in [8usize, 206, 2048, 8, 206].into_iter().enumerate() {
             let (running, batch) = step_of(tokens);
             assert_eq!(batch.total_tokens(), tokens);
-            let workload = StepWorkload {
-                batch: &batch,
-                running: &running,
-                step_index: 31 * i as u64 + 5,
-            };
-            let clone = warmed.clone();
-            assert_eq!(format!("{:?}", clone.route), empty, "step {i}");
-            let expected = backend(EngineKind::Samoyeds).step_cost(&workload);
-            for (who, cost) in [
-                ("warmed", warmed.step_cost(&workload)),
-                ("clone", clone.step_cost(&workload)),
-            ] {
-                assert_eq!(
-                    cost.compute_ms.to_bits(),
-                    expected.compute_ms.to_bits(),
-                    "{who} step {i} ({tokens} tokens)"
-                );
+            for step_index in [5, 31 * i as u64 + 6] {
+                let workload = StepWorkload {
+                    batch: &batch,
+                    running: &running,
+                    step_index,
+                    route: &shared,
+                };
+                for (kind, shared_backend) in kinds.into_iter().zip(&backends) {
+                    let cost = shared_backend.step_cost(&workload);
+                    let fresh = backend(kind).step_cost(&StepWorkload {
+                        route: &RefCell::default(),
+                        ..workload
+                    });
+                    assert_eq!(
+                        cost.compute_ms.to_bits(),
+                        fresh.compute_ms.to_bits(),
+                        "{kind:?} step {step_index} ({tokens} tokens)"
+                    );
+                }
             }
-            assert_ne!(format!("{:?}", warmed.route), empty);
         }
     }
 
@@ -594,10 +611,12 @@ mod tests {
         assert!(boxed.supports(boxed.model()));
         assert!(boxed.memory().can_hold_model());
         let (running, batch) = workload_fixture();
+        let route = RefCell::default();
         let workload = StepWorkload {
             batch: &batch,
             running: &running,
             step_index: 3,
+            route: &route,
         };
         // The boxed and borrowed views price identically to the concrete
         // backend.

@@ -65,7 +65,8 @@ use crate::scheduler::{ReplicaDriver, SchedulerConfig};
 use crate::telemetry::{SharedSink, TraceEvent};
 use crate::validate::{Diagnostic, ValidationReport};
 use samoyeds_moe::engines::EngineKind;
-use samoyeds_moe::router::MAX_EXPERTS;
+use samoyeds_moe::router::{RouteScratch, MAX_EXPERTS};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fleet-level control-plane knobs.
@@ -804,7 +805,7 @@ impl FleetController {
     ///
     /// Deny codes: `fleet::empty`, `fleet::zero-floor`,
     /// `fleet::ceiling-below-floor`, `fleet::nonpositive-tick`,
-    /// `fleet::negative-warmup`,
+    /// `fleet::negative-warmup`, `fleet::non-finite-warmup`,
     /// `fleet::zero-drain-cap`, `fleet::zero-batch-limit` (one per zero
     /// [`BatchLimits`](crate::BatchLimits) field of `scheduler.limits`),
     /// `fleet::unsorted-trace`, `fleet::empty-request` (a request with a
@@ -870,7 +871,18 @@ impl FleetController {
                 "set tick_ms > 0",
             ));
         }
-        if cfg.warmup_ms < 0.0 || cfg.warmup_ms.is_nan() {
+        if !cfg.warmup_ms.is_finite() {
+            report.push(Diagnostic::deny(
+                "fleet::non-finite-warmup",
+                ctx,
+                format!(
+                    "warmup_ms is {} — a replica commissioned after NaN or infinite warm-up \
+                     is never ready, and its recovery time is written into the fault record",
+                    cfg.warmup_ms
+                ),
+                "set a finite warmup_ms >= 0",
+            ));
+        } else if cfg.warmup_ms < 0.0 {
             report.push(Diagnostic::deny(
                 "fleet::negative-warmup",
                 ctx,
@@ -1288,10 +1300,12 @@ impl FleetController {
                     },
                     0.0,
                 )];
+                let route = RefCell::default();
                 let workload = StepWorkload {
                     batch: &batch,
                     running: &running,
                     step_index: 0,
+                    route: &route,
                 };
                 let floor = self
                     .initial
@@ -1438,6 +1452,9 @@ struct FleetRun<'a> {
     drain_incomplete_replicas: Vec<usize>,
     /// The dispatcher's eligible set, reused across routings.
     eligible: Vec<usize>,
+    /// The routing scratch every replica's steps price with: replicas at
+    /// the same step index count one kept stream.
+    route: RefCell<RouteScratch>,
 }
 
 impl<'a> FleetRun<'a> {
@@ -1505,6 +1522,7 @@ impl<'a> FleetRun<'a> {
             drain_ticks: 0,
             drain_incomplete_replicas: Vec::new(),
             eligible: Vec::new(),
+            route: RefCell::default(),
         }
     }
 
@@ -2037,7 +2055,7 @@ impl<'a> FleetRun<'a> {
     /// step finished.
     fn on_step_completion(&mut self, slot: usize) {
         let s = &mut self.slots[slot];
-        if s.driver.step_once() {
+        if s.driver.step_once(&self.route) {
             self.queue
                 .push(s.driver.clock_ms(), FleetEvent::StepCompletion { slot });
         } else {

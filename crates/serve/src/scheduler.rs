@@ -8,6 +8,7 @@
 //! all-to-all collectives for a cluster). All randomness (routing) is seeded inside the
 //! backend, so a simulation is a pure function of its inputs.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use crate::backend::{ExecutionBackend, SingleGpuBackend, StepWorkload};
@@ -18,6 +19,7 @@ use samoyeds_gpu_sim::DeviceSpec;
 use samoyeds_moe::attention::AttentionKind;
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
+use samoyeds_moe::router::RouteScratch;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,7 +174,8 @@ impl<B: ExecutionBackend> Scheduler<B> {
     /// Run the trace to completion and return the full simulation record:
     /// enqueue the whole trace, step the replica until it drains, finish.
     /// The fleet controller drives the same per-replica loop one step at a
-    /// time, interleaved with routing.
+    /// time, interleaved with routing. The run keeps one routing scratch
+    /// for all its steps.
     pub fn run(&self, trace: &[Request]) -> SimulationResult {
         let mut driver = ReplicaDriver::new(&self.backend, self.scfg);
         if let Some(sink) = &self.sink {
@@ -181,7 +184,8 @@ impl<B: ExecutionBackend> Scheduler<B> {
         for request in trace {
             driver.enqueue(*request);
         }
-        while driver.step_once() {}
+        let route = RefCell::default();
+        while driver.step_once(&route) {}
         driver.finish()
     }
 }
@@ -441,8 +445,10 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     /// progress and completions apply when it starts, and the clock moves
     /// to its end: requests enqueued meanwhile wait for that boundary. The
     /// fleet controller calls this once per step-completion event;
-    /// [`Scheduler::run`] calls it until it returns `false`.
-    pub fn step_once(&mut self) -> bool {
+    /// [`Scheduler::run`] calls it until it returns `false`. The step routes
+    /// with `route` ([`StepWorkload::route`]), which
+    /// the caller keeps from step to step.
+    pub fn step_once(&mut self, route: &RefCell<RouteScratch>) -> bool {
         if !self.result.supported {
             return false;
         }
@@ -455,7 +461,7 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
                 self.clock_ms = self.clock_ms.max(next.request.arrival_ms);
                 continue;
             }
-            self.execute_step();
+            self.execute_step(route);
             return !self.is_drained();
         }
     }
@@ -514,7 +520,7 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
     }
 
     /// Execute exactly one engine step over the current running set.
-    fn execute_step(&mut self) {
+    fn execute_step(&mut self, route: &RefCell<RouteScratch>) {
         let limits = self.scfg.limits;
         self.batch.refill(&self.running, &limits);
         let batch = &self.batch;
@@ -523,6 +529,7 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
             batch,
             running: &self.running,
             step_index: self.step_index,
+            route,
         });
         let time_ms = cost.total_ms();
         let start_ms = self.clock_ms;
@@ -707,16 +714,17 @@ mod tests {
         }
         .generate();
         let mut d = driver();
+        let route = RefCell::default();
         for request in &trace {
             // Step until the step in flight spans the arrival, as the fleet's
             // step chain does.
-            while d.clock_ms() < request.arrival_ms && d.step_once() {
+            while d.clock_ms() < request.arrival_ms && d.step_once(&route) {
                 assert_eq!(d.outstanding_tokens(), recomputed_outstanding(&d));
             }
             d.enqueue(*request);
             assert_eq!(d.outstanding_tokens(), recomputed_outstanding(&d));
         }
-        while d.step_once() {
+        while d.step_once(&route) {
             assert_eq!(d.outstanding_tokens(), recomputed_outstanding(&d));
         }
         assert_eq!(d.outstanding_tokens(), 0);
@@ -732,6 +740,7 @@ mod tests {
             output_len,
         };
         let mut d = driver();
+        let route = RefCell::default();
         // Four short prompts that finish at different steps, ahead of three
         // 512-token prompts: the first step prefills 1,568 tokens, the
         // second only decodes and retires requests 1 and 3 while 0 and 2,
@@ -758,7 +767,7 @@ mod tests {
             d.admit_arrived();
             let before = d.running.clone();
             let completed_before = d.completed().len();
-            let more = d.step_once();
+            let more = d.step_once(&route);
             let fresh = build_step(&before, &d.scfg.limits);
             assert_eq!(d.batch.prefill, fresh.prefill, "step {step}");
             assert_eq!(d.batch.decode, fresh.decode, "step {step}");
@@ -798,6 +807,7 @@ mod tests {
     #[test]
     fn rejected_requests_release_their_outstanding_tokens() {
         let mut d = driver();
+        let route = RefCell::default();
         // Far beyond any single-replica KV budget: rejected at admission.
         d.enqueue(Request {
             id: 0,
@@ -805,7 +815,7 @@ mod tests {
             prompt_len: 50_000_000,
             output_len: 1,
         });
-        assert!(!d.step_once(), "the rejection leaves no work");
+        assert!(!d.step_once(&route), "the rejection leaves no work");
         assert_eq!(d.outstanding_tokens(), 0);
         let result = d.finish();
         assert_eq!(result.rejected.len(), 1);
@@ -822,11 +832,12 @@ mod tests {
         }
         .generate();
         let mut d = driver();
+        let route = RefCell::default();
         for request in &trace {
             d.enqueue(*request);
         }
         // Step partway: some completed, some running, some queued.
-        while d.clock_ms() < trace[trace.len() / 2].arrival_ms && d.step_once() {}
+        while d.clock_ms() < trace[trace.len() / 2].arrival_ms && d.step_once(&route) {}
         let completed_before = d.completed().len();
         let (running, queued) = d.take_inflight();
         assert_eq!(
@@ -836,7 +847,10 @@ mod tests {
         );
         assert!(d.is_drained());
         assert_eq!(d.outstanding_tokens(), 0);
-        assert!(!d.step_once(), "a crashed-out replica has no work left");
+        assert!(
+            !d.step_once(&route),
+            "a crashed-out replica has no work left"
+        );
         let result = d.finish();
         assert_eq!(result.completed.len(), completed_before);
         assert!(result.rejected.is_empty());
@@ -845,6 +859,7 @@ mod tests {
     #[test]
     fn an_unadmittable_handoff_is_rejected_and_debits_only_its_output_tokens() {
         let mut d = driver();
+        let route = RefCell::default();
         // Far beyond any single-replica KV budget, so rejected at the head
         // of the queue; the request behind it is admitted.
         let huge = Request {
@@ -869,7 +884,7 @@ mod tests {
         assert_eq!(d.outstanding_tokens(), small.total_tokens());
         assert_eq!(d.running_requests().len(), 1);
         assert_eq!(d.running_requests()[0].prefilled, 0);
-        while d.step_once() {}
+        while d.step_once(&route) {}
         assert_eq!(d.outstanding_tokens(), 0);
         let result = d.finish();
         assert_eq!(result.rejected, [huge]);
@@ -879,6 +894,7 @@ mod tests {
     #[test]
     fn a_handoff_taken_in_flight_and_enqueued_again_prefills_from_scratch() {
         let mut d = driver();
+        let route = RefCell::default();
         let request = Request {
             id: 7,
             arrival_ms: 0.0,
@@ -893,7 +909,7 @@ mod tests {
         // request owes and runs its whole prompt.
         d.enqueue(request);
         assert_eq!(d.outstanding_tokens(), request.total_tokens());
-        while d.step_once() {}
+        while d.step_once(&route) {}
         assert_eq!(d.outstanding_tokens(), 0);
         let result = d.finish();
         assert_eq!(result.completed.len(), 1);
@@ -904,6 +920,7 @@ mod tests {
     #[test]
     fn a_handoff_request_skips_prefill_and_decodes_from_its_first_step() {
         let mut d = driver();
+        let route = RefCell::default();
         let request = Request {
             id: 7,
             arrival_ms: 0.0,
@@ -916,7 +933,7 @@ mod tests {
             request.output_len,
             "a handoff only owes its decode tokens"
         );
-        while d.step_once() {}
+        while d.step_once(&route) {}
         assert_eq!(d.outstanding_tokens(), 0);
         let result = d.finish();
         assert_eq!(result.completed.len(), 1);

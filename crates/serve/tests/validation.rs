@@ -74,7 +74,7 @@ type Mutation = fn(&mut FleetConfig);
 
 #[test]
 fn degenerate_knobs_each_get_their_code() {
-    let cases: [(Mutation, &str); 5] = [
+    let cases: [(Mutation, &str); 8] = [
         (|c| c.min_replicas = 0, "fleet::zero-floor"),
         (
             |c| {
@@ -85,6 +85,12 @@ fn degenerate_knobs_each_get_their_code() {
         ),
         (|c| c.tick_ms = 0.0, "fleet::nonpositive-tick"),
         (|c| c.warmup_ms = -1.0, "fleet::negative-warmup"),
+        (|c| c.warmup_ms = f64::INFINITY, "fleet::non-finite-warmup"),
+        (
+            |c| c.warmup_ms = f64::NEG_INFINITY,
+            "fleet::non-finite-warmup",
+        ),
+        (|c| c.warmup_ms = f64::NAN, "fleet::non-finite-warmup"),
         (|c| c.max_drain_ticks = 0, "fleet::zero-drain-cap"),
     ];
     for (mutate, code) in cases {

@@ -57,6 +57,7 @@ use samoyeds::serve::{
     Request, RunningRequest, Scheduler, SchedulerConfig, SharedSink, SimulationResult,
     SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder,
 };
+use std::cell::RefCell;
 use std::fmt::{Debug, Write};
 use std::path::Path;
 use std::sync::Mutex;
@@ -879,13 +880,16 @@ fn an_engine_warmed_on_a_full_step_prices_like_a_fresh_one_bit_for_bit() {
 
 #[test]
 fn a_pod_backend_reused_across_mixed_steps_prices_like_a_fresh_one_bit_for_bit() {
-    // A pod backend keeps its routing, placement and dispatch buffers from
-    // one step to the next. Nothing may carry over: one long-lived backend
-    // prices a mixed run of step sizes, with a KV-pressure step between two
-    // normal ones, and every step must price like a freshly built backend
-    // and like a clone of the warmed one.
+    // A pod backend keeps its placement and dispatch buffers from one step
+    // to the next, and routes with a scratch its caller keeps. Nothing may
+    // carry over: one long-lived backend prices a mixed run of step sizes,
+    // with a KV-pressure step between two normal ones, and every step must
+    // price like a freshly built backend on a fresh scratch and like a
+    // clone of the warmed one. The warmed backends of every pod share one
+    // scratch, which keeps each step index's stream from its second call.
     let scfg = SchedulerConfig::default();
     let model = MoeModelConfig::qwen2_moe();
+    let shared = RefCell::default();
     let islands =
         ClusterTopology::symmetric(2, 2, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr()).unwrap();
     let a100 = |gpus| ClusterConfig::new(DeviceSpec::a100_40g(), gpus, ClusterEngine::Samoyeds);
@@ -939,6 +943,7 @@ fn a_pod_backend_reused_across_mixed_steps_prices_like_a_fresh_one_bit_for_bit()
                 batch,
                 running,
                 step_index: 31 * i as u64 + 5,
+                route: &shared,
             };
             if i == 3 {
                 let loads = TopKRouter::for_config(&model, scfg.routing_seed).route_loads_seeded(
@@ -959,7 +964,11 @@ fn a_pod_backend_reused_across_mixed_steps_prices_like_a_fresh_one_bit_for_bit()
             let label = format!("{} step {i}", warmed.describe());
             let clone = warmed.clone();
             let fresh = ClusterBackend::new(cluster.clone(), model.clone(), &scfg);
-            let expected = step_cost_line(&label, &fresh.step_cost(&workload));
+            let on_fresh_scratch = StepWorkload {
+                route: &RefCell::default(),
+                ..workload
+            };
+            let expected = step_cost_line(&label, &fresh.step_cost(&on_fresh_scratch));
             assert_eq!(
                 step_cost_line(&label, &warmed.step_cost(&workload)),
                 expected
@@ -1446,6 +1455,8 @@ fn render_pod_step_costs() -> String {
         a100(4, ClusterEngine::Venom),
     ];
     let steps = [0u64, 17, u64::MAX];
+    // One routing scratch for every step, as a fleet's replicas share one.
+    let route = RefCell::default();
     let mut out = String::new();
     for cluster in pods {
         let backend = ClusterBackend::new(cluster, model.clone(), &scfg);
@@ -1456,6 +1467,7 @@ fn render_pod_step_costs() -> String {
                     batch: &batch,
                     running: &running,
                     step_index,
+                    route: &route,
                 });
                 let label = format!("{} tokens={tokens} step={step_index}", backend.describe());
                 out += &step_cost_line(&label, &cost);
@@ -1491,6 +1503,7 @@ fn render_pod_step_costs() -> String {
             batch: &batch,
             running: &running,
             step_index,
+            route: &route,
         });
         let label = format!(
             "fallback {} kv_local={kv_local} tokens={tokens} step={step_index}",

@@ -25,6 +25,7 @@ use samoyeds::serve::{
 use samoyeds::sparse::prune::PruneFormat;
 use samoyeds::sparse::samoyeds::SamoyedsConfig;
 use samoyeds::sparse::{DenseMatrix, SamoyedsWeight, SelInput, SparseFormat};
+use std::cell::RefCell;
 
 #[test]
 fn end_to_end_prune_execute_verify() {
@@ -498,9 +499,12 @@ fn step_of(tokens: usize) -> (Vec<RunningRequest>, StepBatch) {
 fn single_gpu_step_cost_equals_the_full_plan_recombination_bit_for_bit() {
     // The serving backend prices from counts-only routing and per-call price
     // memos; recombining the step from the full routing plan and a fresh
-    // engine, term by term, must give the same bits.
+    // engine, term by term, must give the same bits. Every backend routes
+    // with one scratch, as a fleet's replicas do, so each step index's
+    // stream is kept, counted and extended across sizes and backends.
     let scfg = SchedulerConfig::default();
     let model = MoeModelConfig::qwen2_moe();
+    let route = RefCell::default();
     for device in [DeviceSpec::a100_40g(), DeviceSpec::rtx4070_super()] {
         for kind in [EngineKind::Samoyeds, EngineKind::Transformers] {
             let backend = SingleGpuBackend::new(device.clone(), &model, kind, &scfg);
@@ -523,6 +527,7 @@ fn single_gpu_step_cost_equals_the_full_plan_recombination_bit_for_bit() {
                         batch: &batch,
                         running: &running,
                         step_index,
+                        route: &route,
                     });
                     assert_eq!(
                         priced.compute_ms.to_bits(),
@@ -544,9 +549,11 @@ fn cluster_step_cost_equals_the_full_plan_recombination_bit_for_bit() {
     // never builds a routing plan; recombining the step from the full plan
     // (its loads, the placement with its round-robin fallback, the cluster
     // step and the data-parallel attention and auxiliary costs) must give
-    // the same bits.
+    // the same bits. Every pod routes with one scratch, as a fleet's
+    // replicas do, and pods of 2, 3 and 4 ranks count one kept stream.
     let scfg = SchedulerConfig::default();
     let model = MoeModelConfig::qwen2_moe();
+    let route = RefCell::default();
     let islands =
         ClusterTopology::symmetric(2, 2, LinkSpec::nvlink3(), LinkSpec::infiniband_ndr()).unwrap();
     let a100 = |gpus, engine| ClusterConfig::new(DeviceSpec::a100_40g(), gpus, engine);
@@ -606,6 +613,7 @@ fn cluster_step_cost_equals_the_full_plan_recombination_bit_for_bit() {
                     batch: &batch,
                     running: &running,
                     step_index,
+                    route: &route,
                 });
                 let at = format!("{} tokens={tokens} step={step_index}", backend.describe());
                 for (what, got, want) in [
