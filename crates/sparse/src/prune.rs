@@ -237,6 +237,32 @@ mod tests {
     }
 
     #[test]
+    fn exact_ties_keep_the_lower_positions() {
+        // Every score ties on an all-ones matrix, so each selection keeps
+        // the first `n` positions of its group.
+        let ones = DenseMatrix::from_fn(16, 64, |_, _| 1.0);
+        let nm = NmMatrix::prune_from_dense(&ones, NmConfig::TWO_FOUR).unwrap();
+        assert!(nm.metadata().chunks(2).all(|pair| pair == [0, 1]));
+        let venom = VenomMatrix::prune_from_dense(&ones, VenomConfig { v: 8, n: 2, m: 8 }).unwrap();
+        for p in 0..venom.panels() {
+            let kept: Vec<u32> = (0..8).flat_map(|g| [g * 8, g * 8 + 1]).collect();
+            assert_eq!(venom.panel_col_indices(p), kept.as_slice());
+        }
+        for r in 0..16 {
+            assert!(venom.metadata_row(r).chunks(2).all(|pair| pair == [0, 1]));
+        }
+        for cfg in [SamoyedsConfig::N1_M2_V16, SamoyedsConfig::N4_M8_V32] {
+            let w = SamoyedsWeight::prune_from_dense(&ones, cfg).unwrap();
+            for comp_r in 0..w.compressed_rows() {
+                for cb in 0..w.col_blocks() {
+                    assert_eq!(w.sub_row_index(comp_r, cb), comp_r % cfg.n);
+                }
+            }
+            assert!(w.metadata().chunks(2).all(|pair| pair == [0, 1]));
+        }
+    }
+
+    #[test]
     fn apply_mask_transfers_zero_pattern() {
         let d = DenseMatrix::random(16, 32, 8);
         let pruned = prune(&d, PruneFormat::Nm(NmConfig::TWO_FOUR)).unwrap();

@@ -302,6 +302,9 @@ mod tests {
         assert!(VenomMatrix::prune_from_dense(&DenseMatrix::zeros(9, 16), cfg()).is_err());
         assert!(VenomMatrix::prune_from_dense(&DenseMatrix::zeros(16, 9), cfg()).is_err());
         assert!(VenomMatrix::prune_from_dense(&DenseMatrix::zeros(16, 16), cfg()).is_ok());
+        // A 4×8 matrix keeps 2 columns per panel: not whole 2:4 groups.
+        let narrow = VenomConfig { v: 4, n: 2, m: 8 };
+        assert!(VenomMatrix::prune_from_dense(&DenseMatrix::zeros(4, 8), narrow).is_err());
     }
 
     #[test]

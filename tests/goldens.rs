@@ -30,6 +30,10 @@
 //! per-GPU compute. A pricing change shows up there as a table of changed
 //! cells before it surfaces as a shifted makespan.
 //!
+//! `sparse_formats.txt` pins every sparse format's decode: per format and
+//! shape, the non-zero count, the storage bytes and digests of the bits of
+//! `to_dense` and of `spmm`.
+//!
 //! After a deliberate change, one command rewrites every file from the
 //! current code (each fleet scenario replaces only its own block), and
 //! `git diff` shows what moved:
@@ -56,6 +60,11 @@ use samoyeds::serve::{
     FleetMetrics, KvLink, MemoryModel, MetricsRegistry, NoAutoscale, NullSink, RecoveryPolicy,
     Request, RunningRequest, Scheduler, SchedulerConfig, SharedSink, SimulationResult,
     SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder,
+};
+use samoyeds::sparse::nm::NmConfig;
+use samoyeds::sparse::venom::VenomConfig;
+use samoyeds::sparse::{
+    CsrMatrix, DenseMatrix, NmMatrix, SamoyedsConfig, SamoyedsWeight, SparseFormat, VenomMatrix,
 };
 use std::cell::RefCell;
 use std::fmt::{Debug, Write};
@@ -1714,5 +1723,81 @@ fn placements_match_the_golden_table() {
         "placements.txt",
         include_str!("golden/placements.txt"),
         render_placements(),
+    );
+}
+
+/// FNV-1a over the bits of every entry of `m`, row-major.
+fn matrix_fnv(m: &DenseMatrix) -> u64 {
+    let bytes: Vec<u8> = m
+        .as_slice()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
+}
+
+/// One line for one sparse format cell: its non-zero count, its bf16
+/// storage bytes, and digests of the bits of its dense reconstruction and
+/// of its product with `product`'s right-hand side.
+fn sparse_format_line(
+    out: &mut String,
+    shape: (usize, usize),
+    name: &str,
+    format: &impl SparseFormat,
+    product: &DenseMatrix,
+) {
+    writeln!(
+        out,
+        "{}x{} {name} nnz={} storage_bytes_bf16={} dense_fnv={:016x} spmm_fnv={:016x}",
+        shape.0,
+        shape.1,
+        format.nnz(),
+        format.storage_bytes(true),
+        matrix_fnv(&format.to_dense()),
+        matrix_fnv(product),
+    )
+    .unwrap();
+}
+
+/// One line per sparse format cell: CSR over a 75%-sparse random matrix,
+/// and 2:4, VENOM V64:4:8 and V64:2:8, and Samoyeds (1,2,32) and (4,8,32)
+/// pruned from a dense random matrix, at 64×128 and 128×256, each
+/// multiplied against a seeded 5-column input.
+fn render_sparse_formats() -> String {
+    let mut out = String::new();
+    for shape in [(64, 128), (128, 256)] {
+        let (rows, cols) = shape;
+        let weight = DenseMatrix::random(rows, cols, 7);
+        let b = DenseMatrix::random(cols, 5, 8);
+        let csr = CsrMatrix::from_dense(&DenseMatrix::random_sparse(rows, cols, 0.75, 7));
+        sparse_format_line(&mut out, shape, "csr-75%", &csr, &csr.spmm(&b).unwrap());
+        let nm = NmMatrix::prune_from_dense(&weight, NmConfig::TWO_FOUR).unwrap();
+        sparse_format_line(&mut out, shape, "2:4", &nm, &nm.spmm(&b).unwrap());
+        for cfg in [VenomConfig { v: 64, n: 4, m: 8 }, VenomConfig::V64_2_8] {
+            let venom = VenomMatrix::prune_from_dense(&weight, cfg).unwrap();
+            let name = format!("venom-{}:{}:{}", cfg.v, cfg.n, cfg.m);
+            sparse_format_line(&mut out, shape, &name, &venom, &venom.spmm(&b).unwrap());
+        }
+        for cfg in [SamoyedsConfig::N1_M2_V32, SamoyedsConfig::N4_M8_V32] {
+            let samoyeds = SamoyedsWeight::prune_from_dense(&weight, cfg).unwrap();
+            let name = format!("samoyeds-{}", cfg.label());
+            sparse_format_line(
+                &mut out,
+                shape,
+                &name,
+                &samoyeds,
+                &samoyeds.spmm(&b).unwrap(),
+            );
+        }
+    }
+    out
+}
+
+#[test]
+fn sparse_formats_match_the_golden_table() {
+    check_table(
+        "sparse_formats.txt",
+        include_str!("golden/sparse_formats.txt"),
+        render_sparse_formats(),
     );
 }
