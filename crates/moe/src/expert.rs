@@ -4,7 +4,7 @@
 use crate::config::MoeModelConfig;
 use samoyeds_kernels::fusion::Activation;
 use samoyeds_sparse::samoyeds::SamoyedsConfig;
-use samoyeds_sparse::{DenseMatrix, Result, SamoyedsWeight};
+use samoyeds_sparse::{DenseMatrix, Result, SamoyedsWeight, SparseFormat};
 
 /// Dense weights of one expert. Projections are stored transposed
 /// (`[out_features x in_features]`) so the linear layer is `W * x` with

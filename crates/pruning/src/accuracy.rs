@@ -20,9 +20,9 @@
 //! varies across rows.
 
 use crate::fisher::prune_woodfisher;
-use crate::magnitude::{prune_magnitude, retained_energy};
+use crate::magnitude::retained_energy;
 use crate::sparsegpt::{prune_sparsegpt, reconstruction_error};
-use samoyeds_sparse::prune::{PruneFormat, PrunedWeight};
+use samoyeds_sparse::prune::{prune, PruneFormat, PrunedWeight};
 use samoyeds_sparse::{DenseMatrix, Result};
 
 /// Which pruning algorithm to use for mask selection.
@@ -135,7 +135,7 @@ impl ProxyTask {
     /// Prune the teacher into `format` with `method`.
     pub fn prune(&self, format: PruneFormat, method: PruneMethod) -> Result<PrunedWeight> {
         match method {
-            PruneMethod::Magnitude => prune_magnitude(&self.teacher, format),
+            PruneMethod::Magnitude => prune(&self.teacher, format),
             PruneMethod::WoodFisher => prune_woodfisher(&self.teacher, &self.calibration, format),
             PruneMethod::SparseGpt => prune_sparsegpt(&self.teacher, &self.calibration, format),
         }

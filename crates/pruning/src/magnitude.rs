@@ -1,15 +1,10 @@
-//! Magnitude-based pruning (Han et al.): the simplest saliency criterion,
-//! used by the paper as the "unstructured" reference point of Table 5.
+//! Magnitude-based pruning (Han et al.), the simplest saliency criterion and
+//! the "unstructured" reference point of Table 5, is
+//! [`samoyeds_sparse::prune::prune`] itself. This module holds the metric the
+//! accuracy harness scores a pruned weight by.
 
-use samoyeds_sparse::prune::{prune, PruneFormat, PrunedWeight};
-use samoyeds_sparse::{DenseMatrix, Result};
-
-/// Prune `weight` into `format` using plain weight magnitude as the saliency
-/// score (this simply delegates to the format-specific magnitude pruners of
-/// `samoyeds-sparse`).
-pub fn prune_magnitude(weight: &DenseMatrix, format: PruneFormat) -> Result<PrunedWeight> {
-    prune(weight, format)
-}
+use samoyeds_sparse::prune::PrunedWeight;
+use samoyeds_sparse::DenseMatrix;
 
 /// Fraction of the weight tensor's squared L2 norm (its "energy") retained
 /// by a pruned representation — the saliency-preservation metric the
@@ -36,15 +31,16 @@ pub fn retained_energy(original: &DenseMatrix, pruned: &PrunedWeight) -> f64 {
 mod tests {
     use super::*;
     use samoyeds_sparse::nm::NmConfig;
+    use samoyeds_sparse::prune::{prune, PruneFormat};
     use samoyeds_sparse::samoyeds::SamoyedsConfig;
     use samoyeds_sparse::venom::VenomConfig;
 
     #[test]
     fn retained_energy_is_one_for_dense_and_less_for_pruned() {
         let w = DenseMatrix::random(64, 128, 1);
-        let dense = prune_magnitude(&w, PruneFormat::Dense).unwrap();
+        let dense = prune(&w, PruneFormat::Dense).unwrap();
         assert!((retained_energy(&w, &dense) - 1.0).abs() < 1e-9);
-        let pruned = prune_magnitude(&w, PruneFormat::Nm(NmConfig::TWO_FOUR)).unwrap();
+        let pruned = prune(&w, PruneFormat::Nm(NmConfig::TWO_FOUR)).unwrap();
         let e = retained_energy(&w, &pruned);
         assert!(e < 1.0 && e > 0.5);
     }
@@ -56,15 +52,15 @@ mod tests {
         let w = DenseMatrix::random(128, 256, 2);
         let unstructured = retained_energy(
             &w,
-            &prune_magnitude(&w, PruneFormat::Unstructured { sparsity: 0.75 }).unwrap(),
+            &prune(&w, PruneFormat::Unstructured { sparsity: 0.75 }).unwrap(),
         );
         let samoyeds = retained_energy(
             &w,
-            &prune_magnitude(&w, PruneFormat::Samoyeds(SamoyedsConfig::DEFAULT)).unwrap(),
+            &prune(&w, PruneFormat::Samoyeds(SamoyedsConfig::DEFAULT)).unwrap(),
         );
         let venom = retained_energy(
             &w,
-            &prune_magnitude(&w, PruneFormat::Venom(VenomConfig { v: 64, n: 4, m: 8 })).unwrap(),
+            &prune(&w, PruneFormat::Venom(VenomConfig { v: 64, n: 4, m: 8 })).unwrap(),
         );
         assert!(unstructured >= samoyeds);
         assert!(unstructured >= venom);
@@ -85,12 +81,7 @@ mod tests {
             SamoyedsConfig::N8_M16_V32,
         ]
         .iter()
-        .map(|cfg| {
-            retained_energy(
-                &w,
-                &prune_magnitude(&w, PruneFormat::Samoyeds(*cfg)).unwrap(),
-            )
-        })
+        .map(|cfg| retained_energy(&w, &prune(&w, PruneFormat::Samoyeds(*cfg)).unwrap()))
         .collect();
         let max = energies.iter().cloned().fold(f64::MIN, f64::max);
         let min = energies.iter().cloned().fold(f64::MAX, f64::min);

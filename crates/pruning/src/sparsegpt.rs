@@ -79,7 +79,6 @@ pub fn reconstruction_error(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::magnitude::prune_magnitude;
     use samoyeds_sparse::nm::NmConfig;
     use samoyeds_sparse::samoyeds::SamoyedsConfig;
 
@@ -103,7 +102,7 @@ mod tests {
             scale * (((s * 31 + j * 17) % 13) as f32 / 6.5 - 1.0)
         });
         let fmt = PruneFormat::Nm(NmConfig::TWO_FOUR);
-        let mag = prune_magnitude(&weight, fmt).unwrap();
+        let mag = prune(&weight, fmt).unwrap();
         let sgpt = prune_sparsegpt(&weight, &calib, fmt).unwrap();
         let e_mag = reconstruction_error(&weight, &mag, &calib).unwrap();
         let e_sgpt = reconstruction_error(&weight, &sgpt, &calib).unwrap();
@@ -145,7 +144,7 @@ mod tests {
     fn reconstruction_error_is_zero_for_dense() {
         let weight = DenseMatrix::random(8, 16, 11);
         let calib = DenseMatrix::random(16, 8, 12);
-        let dense = prune_magnitude(&weight, PruneFormat::Dense).unwrap();
+        let dense = prune(&weight, PruneFormat::Dense).unwrap();
         assert!(reconstruction_error(&weight, &dense, &calib).unwrap() < 1e-6);
     }
 }

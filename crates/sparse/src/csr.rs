@@ -5,7 +5,6 @@
 //! cuSPARSE / Sputnik use on the GPU.
 
 use crate::dense::DenseMatrix;
-use crate::error::{Result, SparseError};
 use crate::traits::SparseFormat;
 
 /// A sparse matrix in compressed sparse row form.
@@ -43,34 +42,6 @@ impl CsrMatrix {
             values,
         }
     }
-
-    /// Sparse x dense product `C = self * B`.
-    pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != b.rows() {
-            return Err(SparseError::shape(format!(
-                "csr spmm {}x{} * {}x{}",
-                self.rows,
-                self.cols,
-                b.rows(),
-                b.cols()
-            )));
-        }
-        let n = b.cols();
-        let mut out = DenseMatrix::zeros(self.rows, n);
-        for r in 0..self.rows {
-            let start = self.row_ptr[r];
-            let end = self.row_ptr[r + 1];
-            let row_c = &mut out.as_mut_slice()[r * n..(r + 1) * n];
-            for i in start..end {
-                let v = self.values[i];
-                let row_b = b.row(self.col_idx[i] as usize);
-                for (o, x) in row_c.iter_mut().zip(row_b.iter()) {
-                    *o += v * x;
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl SparseFormat for CsrMatrix {
@@ -82,18 +53,12 @@ impl SparseFormat for CsrMatrix {
         self.cols
     }
 
-    fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
+    fn for_each_entry(&self, mut f: impl FnMut(usize, usize, f32)) {
         for r in 0..self.rows {
             for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                out.set(r, self.col_idx[i] as usize, self.values[i]);
+                f(r, self.col_idx[i] as usize, self.values[i]);
             }
         }
-        out
     }
 
     fn storage_bytes(&self, bf16: bool) -> usize {

@@ -20,6 +20,14 @@
 //!   sparsity produced by MoE token routing (the `SEL` array of Algorithm 1).
 //! * [`prune`] — magnitude pruning of dense weights into each of the formats.
 //!
+//! The formats differ in layout, not in their rules. Each implements
+//! [`SparseFormat`] with one walk over its stored values,
+//! [`SparseFormat::for_each_entry`], and the trait builds the non-zero count,
+//! the dense reconstruction and the reference product on that walk. Each
+//! structured format's pruner keeps, per group, the `n` positions with the
+//! largest scores (magnitude for the 2:4 step, L2 norm for the vector-wise
+//! step), ties going to the lower position: one rule for all of them.
+//!
 //! All floating point payloads are `f32` but can be passed through
 //! [`dense::quantize_bf16`] to emulate the bfloat16 operands the paper uses.
 

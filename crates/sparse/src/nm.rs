@@ -8,6 +8,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
+use crate::prune::top_n;
 use crate::traits::SparseFormat;
 
 /// An N:M sparsity configuration (e.g. 2:4).
@@ -64,7 +65,8 @@ pub struct NmMatrix {
 
 impl NmMatrix {
     /// Prune a dense matrix to N:M sparsity by keeping the `N`
-    /// largest-magnitude elements of every group of `M`, then encode it.
+    /// largest-magnitude elements of every group of `M` (ties keep the lower
+    /// position), then encode it.
     pub fn prune_from_dense(dense: &DenseMatrix, config: NmConfig) -> Result<Self> {
         config.validate()?;
         if !dense.cols().is_multiple_of(config.m) {
@@ -74,26 +76,13 @@ impl NmMatrix {
                 config.m
             )));
         }
-        let groups_per_row = dense.cols() / config.m;
-        let kept_per_row = groups_per_row * config.n;
+        let kept_per_row = dense.cols() / config.m * config.n;
         let mut values = Vec::with_capacity(dense.rows() * kept_per_row);
         let mut metadata = Vec::with_capacity(dense.rows() * kept_per_row);
         for r in 0..dense.rows() {
-            let row = dense.row(r);
-            for g in 0..groups_per_row {
-                let group = &row[g * config.m..(g + 1) * config.m];
-                // Select the N largest-magnitude positions, keeping them in
-                // ascending index order as the hardware metadata requires.
-                let mut order: Vec<usize> = (0..config.m).collect();
-                order.sort_by(|&a, &b| {
-                    group[b]
-                        .abs()
-                        .partial_cmp(&group[a].abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mut kept: Vec<usize> = order[..config.n].to_vec();
-                kept.sort_unstable();
-                for &idx in &kept {
+            for group in dense.row(r).chunks_exact(config.m) {
+                let magnitudes: Vec<f32> = group.iter().map(|v| v.abs()).collect();
+                for idx in top_n(&magnitudes, config.n) {
                     values.push(group[idx]);
                     metadata.push(idx as u8);
                 }
@@ -130,45 +119,6 @@ impl NmMatrix {
         let k = self.kept_cols();
         &self.metadata[r * k..(r + 1) * k]
     }
-
-    /// Sparse x dense product `C = self * B` where `self` is interpreted at
-    /// its logical `rows x cols` shape.
-    pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != b.rows() {
-            return Err(SparseError::shape(format!(
-                "nm spmm {}x{} * {}x{}",
-                self.rows,
-                self.cols,
-                b.rows(),
-                b.cols()
-            )));
-        }
-        let n_out = b.cols();
-        let kept = self.kept_cols();
-        let groups_per_row = self.cols / self.config.m;
-        let per_group = self.config.n;
-        let mut out = DenseMatrix::zeros(self.rows, n_out);
-        for r in 0..self.rows {
-            let vals = self.values_row(r);
-            let meta = self.metadata_row(r);
-            let row_c = &mut out.as_mut_slice()[r * n_out..(r + 1) * n_out];
-            debug_assert_eq!(vals.len(), kept);
-            for g in 0..groups_per_row {
-                for j in 0..per_group {
-                    let v = vals[g * per_group + j];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    let col = g * self.config.m + meta[g * per_group + j] as usize;
-                    let row_b = b.row(col);
-                    for (o, x) in row_c.iter_mut().zip(row_b.iter()) {
-                        *o += v * x;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl SparseFormat for NmMatrix {
@@ -180,25 +130,14 @@ impl SparseFormat for NmMatrix {
         self.cols
     }
 
-    fn nnz(&self) -> usize {
-        self.values.iter().filter(|v| **v != 0.0).count()
-    }
-
-    fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
-        let per_group = self.config.n;
-        let groups_per_row = self.cols / self.config.m;
+    fn for_each_entry(&self, mut f: impl FnMut(usize, usize, f32)) {
+        let (n, m) = (self.config.n, self.config.m);
         for r in 0..self.rows {
-            let vals = self.values_row(r);
-            let meta = self.metadata_row(r);
-            for g in 0..groups_per_row {
-                for j in 0..per_group {
-                    let col = g * self.config.m + meta[g * per_group + j] as usize;
-                    out.set(r, col, vals[g * per_group + j]);
-                }
+            let entries = self.values_row(r).iter().zip(self.metadata_row(r));
+            for (i, (&v, &pos)) in entries.enumerate() {
+                f(r, i / n * m + pos as usize, v);
             }
         }
-        out
     }
 
     fn storage_bytes(&self, bf16: bool) -> usize {

@@ -3,9 +3,12 @@
 //! sparsity where the format allows it.
 //!
 //! These are the *magnitude-based* pruners used by the performance
-//! experiments; the higher-quality WoodFisher-style and SparseGPT-style
-//! pruners used by the accuracy experiments (Tables 4 and 5) live in the
-//! `samoyeds-pruning` crate because they need calibration data.
+//! experiments. Every structured format selects what it keeps with one rule,
+//! the crate-private `top_n`: per group, the `n` positions with the largest
+//! scores, ties going to the lower position. The higher-quality
+//! WoodFisher-style and SparseGPT-style pruners used by the accuracy
+//! experiments (Tables 4 and 5) live in the `samoyeds-pruning` crate because
+//! they need calibration data.
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -114,6 +117,23 @@ pub fn prune(dense: &DenseMatrix, format: PruneFormat) -> Result<PrunedWeight> {
             dense, cfg,
         )?)),
     }
+}
+
+/// The positions of the `n` largest `scores`, in ascending order (the order
+/// `mma.sp` metadata and the formats' index arrays keep): the selection rule
+/// of every structured format, for the 2:4 step and for the vector-wise step
+/// alike. Ties keep the lower position, and a NaN compares equal to
+/// everything.
+pub(crate) fn top_n(scores: &[f32], n: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    order.truncate(n);
+    order.sort_unstable();
+    order
 }
 
 /// Global magnitude pruning: zero out the smallest-magnitude `sparsity`

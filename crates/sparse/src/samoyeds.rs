@@ -23,6 +23,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
+use crate::prune::top_n;
 use crate::traits::SparseFormat;
 
 /// The (N, M, V) sparsity configuration of the Samoyeds weight format.
@@ -98,8 +99,9 @@ impl SamoyedsWeight {
     ///
     /// Sub-Row selection uses the L2 norm of each Sub-Row inside its block;
     /// element selection inside a Sub-Row uses magnitude (largest 2 of every
-    /// 4). This mirrors the magnitude-based offline pruning flow of §4.5 and
-    /// the accuracy experiments of §6.5.
+    /// 4). In both, ties keep the lower position. This mirrors the
+    /// magnitude-based offline pruning flow of §4.5 and the accuracy
+    /// experiments of §6.5.
     pub fn prune_from_dense(dense: &DenseMatrix, config: SamoyedsConfig) -> Result<Self> {
         config.validate()?;
         let (rows, cols) = dense.shape();
@@ -126,43 +128,29 @@ impl SamoyedsWeight {
 
         for rb in 0..row_blocks {
             for cb in 0..col_blocks {
-                // Score the M Sub-Rows of this block by L2 norm.
-                let mut scored: Vec<(usize, f32)> = (0..config.m)
+                // Vector-wise step: keep the N Sub-Rows of this block with
+                // the largest L2 norm.
+                let norms: Vec<f32> = (0..config.m)
                     .map(|i| {
-                        let r = rb * config.m + i;
-                        let norm: f32 = (0..config.v)
+                        (0..config.v)
                             .map(|j| {
-                                let v = dense.get(r, cb * config.v + j);
+                                let v = dense.get(rb * config.m + i, cb * config.v + j);
                                 v * v
                             })
-                            .sum();
-                        (i, norm)
+                            .sum()
                     })
                     .collect();
-                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-                let mut kept: Vec<usize> = scored[..config.n].iter().map(|x| x.0).collect();
-                kept.sort_unstable();
-
-                for (slot, &sub_row) in kept.iter().enumerate() {
+                for (slot, sub_row) in top_n(&norms, config.n).into_iter().enumerate() {
                     let comp_r = rb * config.n + slot;
                     indices[comp_r * col_blocks + cb] = sub_row as u8;
                     let orig_r = rb * config.m + sub_row;
-                    // 2:4 prune the Sub-Row and write values + metadata.
+                    // Element-wise step: 2:4 inside the Sub-Row.
                     for u in 0..config.v / 4 {
                         let base_col = cb * config.v + u * 4;
-                        let group: Vec<f32> =
-                            (0..4).map(|j| dense.get(orig_r, base_col + j)).collect();
-                        let mut order: Vec<usize> = (0..4).collect();
-                        order.sort_by(|&a, &b| {
-                            group[b]
-                                .abs()
-                                .partial_cmp(&group[a].abs())
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        });
-                        let mut kept2 = [order[0], order[1]];
-                        kept2.sort_unstable();
-                        let comp_base = comp_r * comp_cols + (cb * config.v + u * 4) / 2;
-                        for (slot2, &idx) in kept2.iter().enumerate() {
+                        let group: [f32; 4] =
+                            std::array::from_fn(|j| dense.get(orig_r, base_col + j));
+                        let comp_base = comp_r * comp_cols + base_col / 2;
+                        for (slot2, idx) in top_n(&group.map(f32::abs), 2).into_iter().enumerate() {
                             data[comp_base + slot2] = group[idx];
                             metadata[comp_base + slot2] = idx as u8;
                         }
@@ -241,48 +229,6 @@ impl SamoyedsWeight {
         let rb = comp_row / self.config.n;
         rb * self.config.m + self.sub_row_index(comp_row, col_block)
     }
-
-    /// Reference sparse-weight x dense-input product `C = W * B` at the
-    /// logical `rows x cols` shape of the weight.
-    pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != b.rows() {
-            return Err(SparseError::shape(format!(
-                "samoyeds spmm {}x{} * {}x{}",
-                self.rows,
-                self.cols,
-                b.rows(),
-                b.cols()
-            )));
-        }
-        let n_out = b.cols();
-        let mut out = DenseMatrix::zeros(self.rows, n_out);
-        let comp_cols = self.compressed_cols();
-        for comp_r in 0..self.compressed_rows() {
-            let vals = self.data_row(comp_r);
-            let meta = self.metadata_row(comp_r);
-            for cb in 0..self.col_blocks() {
-                let orig_r = self.original_row(comp_r, cb);
-                let row_c = &mut out.as_mut_slice()[orig_r * n_out..(orig_r + 1) * n_out];
-                // Each column block contributes V/2 compressed entries.
-                let comp_start = cb * self.config.v / 2;
-                for t in 0..self.config.v / 2 {
-                    let ci = comp_start + t;
-                    debug_assert!(ci < comp_cols);
-                    let v = vals[ci];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    let group = (cb * self.config.v + t / 2 * 4) / 4;
-                    let col = group * 4 + meta[ci] as usize;
-                    let row_b = b.row(col);
-                    for (o, x) in row_c.iter_mut().zip(row_b.iter()) {
-                        *o += v * x;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl SparseFormat for SamoyedsWeight {
@@ -294,27 +240,15 @@ impl SparseFormat for SamoyedsWeight {
         self.cols
     }
 
-    fn nnz(&self) -> usize {
-        self.data.iter().filter(|v| **v != 0.0).count()
-    }
-
-    fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
+    fn for_each_entry(&self, mut f: impl FnMut(usize, usize, f32)) {
+        let per_block = self.config.v / 2;
         for comp_r in 0..self.compressed_rows() {
-            let vals = self.data_row(comp_r);
-            let meta = self.metadata_row(comp_r);
-            for cb in 0..self.col_blocks() {
-                let orig_r = self.original_row(comp_r, cb);
-                let comp_start = cb * self.config.v / 2;
-                for t in 0..self.config.v / 2 {
-                    let ci = comp_start + t;
-                    let group = (cb * self.config.v + t / 2 * 4) / 4;
-                    let col = group * 4 + meta[ci] as usize;
-                    out.set(orig_r, col, vals[ci]);
-                }
+            let entries = self.data_row(comp_r).iter().zip(self.metadata_row(comp_r));
+            for (ci, (&v, &pos)) in entries.enumerate() {
+                let r = self.original_row(comp_r, ci / per_block);
+                f(r, ci / 2 * 4 + pos as usize, v);
             }
         }
-        out
     }
 
     fn storage_bytes(&self, bf16: bool) -> usize {

@@ -17,6 +17,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
+use crate::prune::top_n;
 use crate::traits::SparseFormat;
 
 /// Configuration of a V:N:M matrix.
@@ -35,19 +36,15 @@ impl VenomConfig {
     /// total sparsity when combined with 2:4.
     pub const V64_2_8: VenomConfig = VenomConfig { v: 64, n: 2, m: 8 };
 
-    /// Validate the configuration.
+    /// Validate the configuration. Whether a panel's kept columns fill
+    /// whole 2:4 groups depends on the matrix width, so
+    /// [`VenomMatrix::prune_from_dense`] checks that.
     pub fn validate(&self) -> Result<()> {
         if self.v == 0 || self.n == 0 || self.m == 0 || self.n > self.m {
             return Err(SparseError::config(format!(
                 "invalid V:N:M = {}:{}:{}",
                 self.v, self.n, self.m
             )));
-        }
-        // The compacted panel must still be divisible by the 2:4 group size.
-        if !(self.n * 4).is_multiple_of(4) {
-            return Err(SparseError::config(
-                "kept columns not 2:4 alignable".to_string(),
-            ));
         }
         Ok(())
     }
@@ -77,7 +74,9 @@ pub struct VenomMatrix {
 
 impl VenomMatrix {
     /// Prune a dense matrix into V:N:M form using column-vector L2 norms for
-    /// the vector-wise step and magnitude for the element-wise step.
+    /// the vector-wise step and magnitude for the element-wise step; in both,
+    /// ties keep the lower position. The kept columns of a panel
+    /// (`cols / m * n`) must fill whole 2:4 groups.
     pub fn prune_from_dense(dense: &DenseMatrix, config: VenomConfig) -> Result<Self> {
         config.validate()?;
         let (rows, cols) = dense.shape();
@@ -108,47 +107,30 @@ impl VenomMatrix {
 
         for p in 0..panels {
             let row_start = p * config.v;
-            // Vector-wise step: score each column of each group by its L2
-            // norm over the panel and keep the top-N.
+            // Vector-wise step: keep the N columns of each group with the
+            // largest L2 norm over the panel.
             let mut panel_cols: Vec<u32> = Vec::with_capacity(kept_cols);
             for g in 0..col_groups {
-                let mut scored: Vec<(usize, f32)> = (0..config.m)
+                let norms: Vec<f32> = (0..config.m)
                     .map(|j| {
-                        let c = g * config.m + j;
-                        let norm: f32 = (0..config.v)
+                        (0..config.v)
                             .map(|i| {
-                                let v = dense.get(row_start + i, c);
+                                let v = dense.get(row_start + i, g * config.m + j);
                                 v * v
                             })
-                            .sum();
-                        (c, norm)
+                            .sum()
                     })
                     .collect();
-                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-                let mut kept: Vec<usize> = scored[..config.n].iter().map(|x| x.0).collect();
-                kept.sort_unstable();
-                panel_cols.extend(kept.iter().map(|&c| c as u32));
+                let kept = top_n(&norms, config.n).into_iter();
+                panel_cols.extend(kept.map(|j| (g * config.m + j) as u32));
             }
             // Element-wise step: 2:4 over the compacted columns, per row.
-            for i in 0..config.v {
-                let r = row_start + i;
-                for q in 0..kept_cols / 4 {
-                    let group_cols = &panel_cols[q * 4..(q + 1) * 4];
-                    let group_vals: Vec<f32> = group_cols
-                        .iter()
-                        .map(|&c| dense.get(r, c as usize))
-                        .collect();
-                    let mut order: Vec<usize> = (0..4).collect();
-                    order.sort_by(|&a, &b| {
-                        group_vals[b]
-                            .abs()
-                            .partial_cmp(&group_vals[a].abs())
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    let mut kept2: Vec<usize> = order[..2].to_vec();
-                    kept2.sort_unstable();
-                    for &idx in &kept2 {
-                        values.push(group_vals[idx]);
+            for r in row_start..row_start + config.v {
+                for group_cols in panel_cols.chunks_exact(4) {
+                    let group: [f32; 4] =
+                        std::array::from_fn(|j| dense.get(r, group_cols[j] as usize));
+                    for idx in top_n(&group.map(f32::abs), 2) {
+                        values.push(group[idx]);
                         metadata.push(idx as u8);
                     }
                 }
@@ -198,45 +180,6 @@ impl VenomMatrix {
         let k = self.stored_per_row();
         &self.metadata[r * k..(r + 1) * k]
     }
-
-    /// Sparse-weight x dense-input product `C = self * B`.
-    pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != b.rows() {
-            return Err(SparseError::shape(format!(
-                "venom spmm {}x{} * {}x{}",
-                self.rows,
-                self.cols,
-                b.rows(),
-                b.cols()
-            )));
-        }
-        let n_out = b.cols();
-        let mut out = DenseMatrix::zeros(self.rows, n_out);
-        for p in 0..self.panels() {
-            let panel_cols = self.panel_col_indices(p);
-            for i in 0..self.config.v {
-                let r = p * self.config.v + i;
-                let vals = self.values_row(r);
-                let meta = self.metadata_row(r);
-                let row_c = &mut out.as_mut_slice()[r * n_out..(r + 1) * n_out];
-                for q in 0..self.kept_cols() / 4 {
-                    for j in 0..2 {
-                        let v = vals[q * 2 + j];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        let compact_col = q * 4 + meta[q * 2 + j] as usize;
-                        let col = panel_cols[compact_col] as usize;
-                        let row_b = b.row(col);
-                        for (o, x) in row_c.iter_mut().zip(row_b.iter()) {
-                            *o += v * x;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl SparseFormat for VenomMatrix {
@@ -248,28 +191,14 @@ impl SparseFormat for VenomMatrix {
         self.cols
     }
 
-    fn nnz(&self) -> usize {
-        self.values.iter().filter(|v| **v != 0.0).count()
-    }
-
-    fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
-        for p in 0..self.panels() {
-            let panel_cols = self.panel_col_indices(p);
-            for i in 0..self.config.v {
-                let r = p * self.config.v + i;
-                let vals = self.values_row(r);
-                let meta = self.metadata_row(r);
-                for q in 0..self.kept_cols() / 4 {
-                    for j in 0..2 {
-                        let compact_col = q * 4 + meta[q * 2 + j] as usize;
-                        let col = panel_cols[compact_col] as usize;
-                        out.set(r, col, vals[q * 2 + j]);
-                    }
-                }
+    fn for_each_entry(&self, mut f: impl FnMut(usize, usize, f32)) {
+        for r in 0..self.rows {
+            let panel_cols = self.panel_col_indices(r / self.config.v);
+            let entries = self.values_row(r).iter().zip(self.metadata_row(r));
+            for (i, (&v, &pos)) in entries.enumerate() {
+                f(r, panel_cols[i / 2 * 4 + pos as usize] as usize, v);
             }
         }
-        out
     }
 
     fn storage_bytes(&self, bf16: bool) -> usize {
